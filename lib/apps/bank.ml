@@ -127,7 +127,7 @@ module Ledger = struct
     | Record.Recv _ -> true
     | Record.Mirrored _ -> true
 
-  let apply state = function
+  let apply state ~hash:_ = function
     | Record.Commit payload -> (
         match decode_op payload with
         | Error _ -> ()

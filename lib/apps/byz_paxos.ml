@@ -123,7 +123,7 @@ module Protocol = struct
     | Record.Recv _ -> true
     | Record.Mirrored _ -> true
 
-  let apply state = function
+  let apply state ~hash:_ = function
     | Record.Commit payload -> (
         match parse_event payload with
         | Some (kind, c) -> set_credit state kind (credit state kind + c)

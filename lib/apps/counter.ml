@@ -46,7 +46,7 @@ module Protocol = struct
     | Record.Recv _ -> true (* middleware already checked it *)
     | Record.Mirrored _ -> true
 
-  let apply state = function
+  let apply state ~hash:_ = function
     | Record.Commit payload when String.equal payload increment_payload ->
         state.counter <- state.counter + 1;
         state.unconsumed_received <- state.unconsumed_received - 1

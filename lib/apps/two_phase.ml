@@ -172,7 +172,7 @@ module Protocol = struct
     | Record.Recv _ -> true
     | Record.Mirrored _ -> true
 
-  let apply state = function
+  let apply state ~hash:_ = function
     | Record.Commit payload -> (
         match decode_event payload with
         | Error _ -> ()

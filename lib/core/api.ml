@@ -16,6 +16,7 @@ type t = {
   lead_node : Unit_node.t;
   geo : Geo.t;
   next_comm_seq : int array;
+  delivered : int array; (* per source: last comm_seq handed to handlers *)
   mutable recv_handlers : (src:int -> string -> unit) list;
   mutable reads : read_round list;
 }
@@ -74,16 +75,24 @@ let create ~network ~pbft_cfg ~participant ~n_participants ~lead_node ~geo =
       lead_node;
       geo;
       next_comm_seq = Array.make n_participants 0;
+      delivered = Array.make n_participants (-1);
       recv_handlers = [];
       reads = [];
     }
   in
+  (* Two copies of one transmission can be ordered into one batch; both
+     pass verification against the pre-batch state and both execute. Only
+     the copy that advanced the source's frontier is a delivery. *)
   Unit_node.add_executed_hook lead_node (fun ~pos:_ record ->
       match record with
       | Record.Recv tr ->
-          List.iter
-            (fun h -> h ~src:tr.Record.src tr.Record.tpayload)
-            t.recv_handlers
+          let src = tr.Record.src and seq = tr.Record.tcomm_seq in
+          if seq > t.delivered.(src)
+             && seq = Unit_node.last_received lead_node ~src
+          then begin
+            t.delivered.(src) <- seq;
+            List.iter (fun h -> h ~src tr.Record.tpayload) t.recv_handlers
+          end
       | _ -> ());
   (* Quorum-read replies arrive on this participant's aux tag. *)
   Bp_net.Transport.set_handler transport ~tag:(Proto.aux_tag participant)

@@ -32,7 +32,9 @@ val receive : t -> src:int -> string option
 (** Poll the next unread message from [src] (reception buffers, §IV-C). *)
 
 val on_receive : t -> (src:int -> string -> unit) -> unit
-(** Push-style delivery as received records execute. Use either this or
+(** Push-style delivery as received records execute: exactly once per
+    transmission, in per-source order, even when a duplicate copy of a
+    transmission also reaches the Local Log. Use either this or
     {!receive} polling for a given source, not both. *)
 
 val read : t -> int -> Record.t option

@@ -20,8 +20,10 @@ module type S = sig
       middleware has already enforced the built-in receive checks (f+1
       source signatures, ordering, no duplicates) before asking. *)
 
-  val apply : state -> Record.t -> unit
-  (** Incorporate a committed record. Must be deterministic. *)
+  val apply : state -> hash:(string -> string) -> Record.t -> unit
+  (** Incorporate a committed record. Must be deterministic. [hash] is
+      SHA-256, served from the executing node's digest memo where it can
+      be; an app that digests record content should use it. *)
 
   val digest : state -> string
   (** State digest, for cross-replica agreement checks in tests. *)
@@ -34,10 +36,11 @@ type instance = Instance : (module S with type state = 's) * 's -> instance
 
 val make : (module S) -> instance
 val verify : instance -> Record.t -> bool
-val apply : instance -> Record.t -> unit
+val apply : instance -> hash:(string -> string) -> Record.t -> unit
 val digest : instance -> string
 val describe : instance -> string
 
 (** A trivial app that accepts everything and only folds records into a
-    digest — useful for measuring pure middleware cost. *)
+    digest, [H(state ‖ hash (Record.encode record))] — useful for
+    measuring pure middleware cost. *)
 module Null : S

@@ -210,8 +210,10 @@ let is_read_marker payload =
    immediately. The user protocol sees each op as an ordinary commit;
    the xs envelope never reaches it, like read markers. [staging] is
    per-log-copy state, so replay hands in its own empty table and
-   reconverges exactly. *)
-let apply_to_app ~staging app record =
+   reconverges exactly. [hash] is the SHA-256 the app digests with: the
+   node's memo lookup live, a plain hash on replay — the same digests
+   either way. *)
+let apply_to_app ~hash ~staging app record =
   match record with
   | Record.Mirrored _ -> ()
   | Record.Commit payload when is_read_marker payload -> ()
@@ -219,15 +221,15 @@ let apply_to_app ~staging app record =
       match Record.xs_of_payload payload with
       | `Xs (Record.Xs_prepare { txid; ops }) -> Hashtbl.replace staging txid ops
       | `Xs (Record.Xs_apply { txid = _; ops }) ->
-          List.iter (fun (_key, op) -> App.apply app (Record.Commit op)) ops
+          List.iter (fun (_key, op) -> App.apply app ~hash (Record.Commit op)) ops
       | `Xs (Record.Xs_decide { txid; commit }) ->
           (match Hashtbl.find_opt staging txid with
           | Some ops when commit ->
-              List.iter (fun (_key, op) -> App.apply app (Record.Commit op)) ops
+              List.iter (fun (_key, op) -> App.apply app ~hash (Record.Commit op)) ops
           | Some _ | None -> ());
           Hashtbl.remove staging txid
       | `Not_xs | `Malformed -> ())
-  | Record.Commit _ | Record.Comm _ | Record.Recv _ -> App.apply app record
+  | Record.Commit _ | Record.Comm _ | Record.Recv _ -> App.apply app ~hash record
 
 let wal_image t = Bp_storage.Wal.contents t.wal
 
@@ -239,7 +241,7 @@ let replay ~image ~app =
     (fun encoded ->
       match Record.decode encoded with
       | Ok record ->
-          apply_to_app ~staging app record;
+          apply_to_app ~hash:Bp_crypto.Sha256.digest ~staging app record;
           incr count
       | Error _ -> ())
     (Bp_storage.Wal.records wal);
@@ -404,10 +406,15 @@ let execute t ~seq:_ (r : Bp_pbft.Msg.request) =
       Log.err (fun m -> m "%s: executing undecodable record: %s" (Addr.to_string t.addr) msg);
       "error"
   | Ok record ->
-      let entry = Bp_storage.Log_store.append t.log r.Bp_pbft.Msg.op in
+      (* One SHA-256 of the op per node: [ca_request] memoized it when
+         this node checked the request's signature, and the log chain and
+         the app reuse it. *)
+      let hash = Bp_crypto.Verify_cache.lookup_digest t.vcache in
+      let op = r.Bp_pbft.Msg.op in
+      let entry = Bp_storage.Log_store.append t.log ~payload_digest:(hash op) op in
       let pos = entry.Bp_storage.Log_store.index in
-      Bp_storage.Wal.append t.wal r.Bp_pbft.Msg.op;
-      apply_to_app ~staging:t.xs_staging t.app record;
+      Bp_storage.Wal.append t.wal op;
+      apply_to_app ~hash ~staging:t.xs_staging t.app record;
       (match record with
       | Record.Recv tr ->
           let src = tr.Record.src in

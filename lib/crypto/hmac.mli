@@ -1,8 +1,21 @@
 (** HMAC-SHA256 (RFC 2104). *)
 
+type prepared
+(** A key with its inner and outer pads already hashed: two immutable
+    {!Sha256.midstate} strings. Safe to share across domains. *)
+
+val prepare : string -> prepared
+(** Pad and pre-hash a key once. Keys longer than the 64-byte block size
+    are hashed first, per the RFC. *)
+
+val mac : prepared -> string -> string
+(** [mac (prepare key) msg] is the 32-byte HMAC tag. *)
+
+val verify_prepared : prepared -> msg:string -> tag:string -> bool
+(** Constant-time comparison of [tag] against [mac k msg]. *)
+
 val sha256 : key:string -> string -> string
-(** [sha256 ~key msg] is the 32-byte HMAC tag. Keys longer than the 64-byte
-    block size are hashed first, per the RFC. *)
+(** [sha256 ~key msg] is [mac (prepare key) msg]. *)
 
 val verify : key:string -> msg:string -> tag:string -> bool
-(** Constant-time comparison of [tag] against the recomputed tag. *)
+(** [verify ~key] is [verify_prepared (prepare key)]. *)

@@ -231,6 +231,31 @@ let finalize ctx =
   done;
   Bytes.unsafe_to_string out
 
+(* A midstate is the chaining value after a whole number of blocks: the
+   eight state words big-endian, then the absorbed byte count as a 64-bit
+   big-endian integer. It is an immutable string, so one saved prefix
+   (an HMAC key pad) can be resumed from any number of times, on any
+   domain. *)
+let midstate_length = 40
+
+let midstate ctx =
+  if ctx.fill <> 0 then invalid_arg "Sha256.midstate: not on a block boundary";
+  let out = Bytes.create midstate_length in
+  for i = 0 to 7 do
+    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
+  done;
+  Bytes.set_int64_be out 32 (Int64.of_int ctx.length);
+  Bytes.unsafe_to_string out
+
+let resume m =
+  if String.length m <> midstate_length then invalid_arg "Sha256.resume";
+  let ctx = init () in
+  for i = 0 to 7 do
+    ctx.h.(i) <- Int32.to_int (String.get_int32_be m (4 * i)) land mask
+  done;
+  ctx.length <- Int64.to_int (String.get_int64_be m 32);
+  ctx
+
 let digest s =
   let ctx = init () in
   update ctx s;

@@ -17,6 +17,17 @@ val update_bytes : ctx -> bytes -> off:int -> len:int -> unit
 val finalize : ctx -> string
 (** Produce the 32-byte digest. The context must not be reused after. *)
 
+val midstate : ctx -> string
+(** Save the context's state after a whole number of 64-byte blocks, as
+    an immutable 40-byte string. The context stays usable.
+    @raise Invalid_argument if the absorbed length is not a multiple of
+    64. *)
+
+val resume : string -> ctx
+(** A fresh context continuing from a {!midstate}: absorbing [s] and
+    finalizing gives the digest of the saved prefix followed by [s].
+    @raise Invalid_argument if the string is not a midstate. *)
+
 val digest : string -> string
 (** One-shot hash of a string; 32 raw bytes. *)
 

@@ -5,8 +5,10 @@ type hash_identity = {
   mutable roots : string list; (* all published roots, newest first *)
 }
 
+(* HMAC secrets are prepared once, at provisioning: every sign and verify
+   then starts from the key's saved pad midstates. *)
 type identity =
-  | Hmac_secret of string
+  | Hmac_secret of Hmac.prepared
   | Hash_keys of hash_identity
 
 type t = {
@@ -31,7 +33,8 @@ let add_identity t id =
   if not (Hashtbl.mem t.identities id) then begin
     let entry =
       match t.scheme with
-      | `Hmac -> Hmac_secret (Bytes.to_string (Bp_util.Rng.bytes t.rng 32))
+      | `Hmac ->
+          Hmac_secret (Hmac.prepare (Bytes.to_string (Bp_util.Rng.bytes t.rng 32)))
       | `Hash_based ->
           let signer, root = Merkle_sig.keygen ~height:pool_height t.rng in
           Hash_keys { current = signer; roots = [ root ] }
@@ -42,7 +45,7 @@ let add_identity t id =
 
 let sign t ~signer msg =
   match Hashtbl.find t.identities signer with
-  | Hmac_secret secret -> Hmac.sha256 ~key:secret msg
+  | Hmac_secret key -> Hmac.mac key msg
   | Hash_keys keys ->
       if Merkle_sig.capacity keys.current = 0 then begin
         let fresh, root = Merkle_sig.keygen ~height:pool_height t.rng in
@@ -55,19 +58,20 @@ let sign t ~signer msg =
 (* An immutable view of one identity's verification state. [Hash_keys]
    entries are mutable (root lists grow on pool rollover), so the
    snapshot copies the root list out; the strings themselves are never
-   mutated. This is what makes it safe to verify on another domain
-   while the owning domain keeps signing. *)
-type key = Hmac_key of string | Hash_roots of string list
+   mutated, and a prepared HMAC key is two immutable midstate strings.
+   This is what makes it safe to verify on another domain while the
+   owning domain keeps signing. *)
+type key = Hmac_key of Hmac.prepared | Hash_roots of string list
 
 let snapshot t ~signer =
   match Hashtbl.find_opt t.identities signer with
   | None -> None
-  | Some (Hmac_secret secret) -> Some (Hmac_key secret)
+  | Some (Hmac_secret key) -> Some (Hmac_key key)
   | Some (Hash_keys keys) -> Some (Hash_roots keys.roots)
 
 let verify_key key ~msg ~signature =
   match key with
-  | Hmac_key secret -> Hmac.verify ~key:secret ~msg ~tag:signature
+  | Hmac_key key -> Hmac.verify_prepared key ~msg ~tag:signature
   | Hash_roots roots -> (
       match Merkle_sig.decode signature with
       | None -> false

@@ -281,6 +281,9 @@ let rec evict_digests t =
    budget finally evicts them. *)
 let digest_memo_min = 256
 
+let memoized bucket s =
+  List.find_opt (fun (k, _) -> k == s || String.equal k s) bucket
+
 let digest t s =
   if (not !enabled_flag) || String.length s < digest_memo_min then
     Sha256.digest s
@@ -289,7 +292,7 @@ let digest t s =
     let bucket =
       match Hashtbl.find_opt t.digests fp with Some b -> b | None -> []
     in
-    match List.find_opt (fun (k, _) -> k == s || String.equal k s) bucket with
+    match memoized bucket s with
     | Some (_, d) ->
         incr c_digest_hits;
         t.i_digest_hits <- t.i_digest_hits + 1;
@@ -304,6 +307,20 @@ let digest t s =
         evict_digests t;
         d
   end
+
+(* Read-only twin of [digest], for content the node has already digested
+   on its signing path (a committed op reaching the log and the app). It
+   neither inserts nor counts, so reusing a digest changes no statistic. *)
+let lookup_digest t s =
+  if (not !enabled_flag) || String.length s < digest_memo_min then
+    Sha256.digest s
+  else
+    match Hashtbl.find_opt t.digests (fingerprint s) with
+    | None -> Sha256.digest s
+    | Some bucket -> (
+        match memoized bucket s with
+        | Some (_, d) -> d
+        | None -> Sha256.digest s)
 
 (* ---------- generic physical-identity memo ---------- *)
 

@@ -67,6 +67,13 @@ val digest : t -> string -> string
     costs as much as the hash, and unique small strings would only pile
     up never-hit entries for the GC to trace. *)
 
+val lookup_digest : t -> string -> string
+(** {!Sha256.digest} through the memo, read-only: the memoized digest if
+    {!digest} already computed one for this content, else a direct hash.
+    Never inserts and never touches the counters, so a node can reuse
+    its signing-path digest of a committed op (for the log chain and the
+    application) without changing any cache statistic. *)
+
 (** {1 Generic bounded memo}
 
     A tiny physical-identity memo for values that are reused as-is (e.g. a

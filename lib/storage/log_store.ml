@@ -11,10 +11,16 @@ let length t = t.len
 
 let last_digest t = if t.len = 0 then genesis else t.entries.(t.len - 1).digest
 
-let chain prev payload = Bp_crypto.Sha256.digest_list [ prev; payload ]
+(* The chain hashes the payload's digest, not the payload: a caller that
+   already holds H(payload) (a unit node's memoized op digest) links an
+   entry at the cost of one 64-byte input, whatever the payload size. *)
+let chain prev payload_digest =
+  Bp_crypto.Sha256.digest_list [ prev; payload_digest ]
 
-let append t payload =
-  let e = { index = t.len; payload; digest = chain (last_digest t) payload } in
+let append t ~payload_digest payload =
+  let e =
+    { index = t.len; payload; digest = chain (last_digest t) payload_digest }
+  in
   if t.len = Array.length t.entries then begin
     let bigger = Array.make (2 * t.len) e in
     Array.blit t.entries 0 bigger 0 t.len;
@@ -47,7 +53,8 @@ let verify_chain t =
     if i >= t.len then true
     else begin
       let e = t.entries.(i) in
-      String.equal e.digest (chain prev e.payload) && go (i + 1) e.digest
+      String.equal e.digest (chain prev (Bp_crypto.Sha256.digest e.payload))
+      && go (i + 1) e.digest
     end
   in
   go 0 genesis

@@ -1,9 +1,10 @@
 (** Append-only log with a SHA-256 hash chain.
 
     Every Blockplane node keeps its copy of the Local Log in one of these.
-    Entry [i]'s digest commits to the whole prefix, so two replicas agree
-    on a prefix iff they agree on a single digest — the cheap way to audit
-    agreement in tests and to catch up lagging replicas. *)
+    Entry [i]'s digest is [H(digest_(i-1) ‖ H(payload_i))], so it commits
+    to the whole prefix: two replicas agree on a prefix iff they agree on
+    a single digest — the cheap way to audit agreement in tests and to
+    catch up lagging replicas. *)
 
 type t
 
@@ -11,8 +12,10 @@ type entry = { index : int; payload : string; digest : string }
 
 val create : unit -> t
 
-val append : t -> string -> entry
-(** Append a payload; returns the entry with its chained digest. *)
+val append : t -> payload_digest:string -> string -> entry
+(** Append a payload, given its SHA-256 [payload_digest] (the caller
+    usually holds it already); returns the entry with its chained
+    digest. A wrong [payload_digest] is caught by {!verify_chain}. *)
 
 val length : t -> int
 
@@ -34,8 +37,8 @@ val iter_from : t -> int -> (entry -> unit) -> unit
 val to_list : t -> entry list
 
 val verify_chain : t -> bool
-(** Recompute the chain; [false] if any stored digest mismatches (detects
-    in-memory tampering in byzantine tests). *)
+(** Recompute the chain, re-hashing every payload; [false] if any stored
+    digest mismatches (detects in-memory tampering in byzantine tests). *)
 
 val tamper : t -> int -> string -> unit
 (** Overwrite a payload without fixing digests — test-only hook for

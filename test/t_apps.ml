@@ -235,6 +235,59 @@ let test_bank_byzantine_credit_rejected () =
   Alcotest.(check (option int)) "no money minted" None
     (Bank.balance (Deployment.node dep 1 0) "mallory")
 
+let test_bank_duplicate_transmission_credits_once () =
+  (* Two copies of one signed transmission ordered into the same batch are
+     both judged against the pre-batch state, so both execute. Only the
+     copy that advances the source's frontier is a delivery: the credit
+     is committed once. Stop-and-wait consensus, so a batch forms behind
+     the one in flight. *)
+  let transfer_world () =
+    let engine = Engine.create ~seed:61L () in
+    let net = Network.create engine Topology.aws_paper () in
+    let dep =
+      Deployment.create ~network:net ~n_participants:4 ~fi:1 ~fg:0
+        ~max_in_flight:1 ~app:bank_app ()
+    in
+    let b0 = Bank.attach (Deployment.api dep 0) in
+    let _b1 = Bank.attach (Deployment.api dep 1) in
+    (engine, dep, b0)
+  in
+  (* A first run captures the genuine transmission record. *)
+  let engine, dep, b0 = transfer_world () in
+  let captured = ref None in
+  Unit_node.add_executed_hook (Deployment.node dep 1 0) (fun ~pos:_ -> function
+    | Record.Recv tr -> captured := Some tr
+    | _ -> ());
+  Bank.open_account b0 "alice" 100 ~on_done:(fun () ->
+      Bank.transfer b0 ~from_account:"alice" ~dest:1 ~to_account:"carol" 40
+        ~on_done:ignore);
+  Engine.run ~until:(Time.of_sec 10.0) engine;
+  let tr =
+    match !captured with
+    | Some tr -> tr
+    | None -> Alcotest.fail "no transmission captured"
+  in
+  (* An identical world (same seed, same keys) receives two copies while
+     an earlier commit holds the pipeline, so they share the next batch. *)
+  let engine, dep, _b0 = transfer_world () in
+  let api1 = Deployment.api dep 1 in
+  let recv_commits = ref 0 in
+  Api.submit_record api1 (Record.Commit (Bank.encode_op (Bank.Open ("dave", 1))))
+    ~on_done:ignore ~on_rejected:ignore;
+  for _ = 1 to 2 do
+    Api.submit_record api1 (Record.Recv tr)
+      ~on_done:(fun () -> incr recv_commits)
+      ~on_rejected:ignore
+  done;
+  Engine.run ~until:(Time.of_sec 10.0) engine;
+  Alcotest.(check int) "both copies committed" 2 !recv_commits;
+  Array.iter
+    (fun node ->
+      Alcotest.(check (option int)) "credited once" (Some 40)
+        (Bank.balance node "carol"))
+    (Deployment.nodes_of dep 1);
+  Alcotest.(check bool) "unit agrees" true (Deployment.app_digests_agree dep 1)
+
 let test_bank_conservation_under_traffic () =
   let engine, _net, dep = make_world ~app:bank_app ~seed:64L () in
   let banks = Array.init 4 (fun p -> Bank.attach (Deployment.api dep p)) in
@@ -290,6 +343,8 @@ let suite =
         tc "overdraft rejected" test_bank_overdraft_rejected;
         tc "cross-dc transfer" test_bank_cross_dc_transfer;
         tc "byzantine credit rejected" test_bank_byzantine_credit_rejected;
+        tc "duplicate transmission credits once"
+          test_bank_duplicate_transmission_credits_once;
         tc "conservation under traffic" test_bank_conservation_under_traffic;
       ] );
   ]

@@ -233,7 +233,7 @@ let test_app_verification_blocks_commit () =
       | Record.Commit payload -> not (String.length payload >= 3 && String.sub payload 0 3 = "bad")
       | _ -> true
 
-    let apply state record =
+    let apply state ~hash:_ record =
       match record with
       | Record.Commit payload -> state := payload :: !state
       | _ -> ()

@@ -111,6 +111,31 @@ let diff_digest_test =
       let d2 = Verify_cache.digest cache copy in
       String.equal d1 (Sha256.digest s) && String.equal d2 d1)
 
+(* The read-only lookup returns the memoized digest when there is one and
+   hashes otherwise; either way it inserts nothing and counts nothing. *)
+let diff_lookup_digest_test =
+  let ks = make_keystore () in
+  let cache = Verify_cache.create ks in
+  QCheck.Test.make ~name:"lookup_digest = Sha256.digest, counters untouched"
+    ~count:200
+    QCheck.(pair bool (string_of_size Gen.(0 -- 600)))
+    (fun (memoize, s) ->
+      if memoize then ignore (Verify_cache.digest cache s);
+      let before = Verify_cache.instance_counters cache in
+      let d = Verify_cache.lookup_digest cache (String.concat "" [ s; "" ]) in
+      let uncounted = Verify_cache.instance_counters cache = before in
+      (* Nothing was inserted: the memo still misses on content it lacked. *)
+      let still_missing =
+        memoize
+        || String.length s < 256
+        || begin
+             ignore (Verify_cache.digest cache s);
+             (Verify_cache.instance_counters cache).Verify_cache.digest_misses
+             > before.Verify_cache.digest_misses
+           end
+      in
+      String.equal d (Sha256.digest s) && uncounted && still_missing)
+
 let mk_batch ops =
   List.mapi
     (fun i op ->
@@ -222,6 +247,7 @@ let suite =
           diff_verify_test ~name:"cached verify = raw verify (hash-based)"
             ~scheme:`Hash_based;
           diff_digest_test;
+          diff_lookup_digest_test;
           diff_batch_digest_test;
           diff_crc_combine_test;
         ]

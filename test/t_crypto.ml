@@ -318,6 +318,53 @@ let qcheck_hmac_key_separation =
     (fun (key, msg) ->
       Hmac.sha256 ~key msg <> Hmac.sha256 ~key:(key ^ "!") msg)
 
+(* RFC 2104 spelled out on the reference hash: H((K ⊕ opad) ‖ H((K ⊕ ipad)
+   ‖ m)), with K hashed first when longer than the block and zero-padded
+   to 64 bytes. *)
+let hmac_ref ~key msg =
+  let key = if String.length key > 64 then Sha256_ref.digest key else key in
+  let key = key ^ String.make (64 - String.length key) '\x00' in
+  let pad byte = String.map (fun c -> Char.chr (Char.code c lxor byte)) key in
+  Sha256_ref.digest (pad 0x5c ^ Sha256_ref.digest (pad 0x36 ^ msg))
+
+let qcheck_hmac_prepared_differential =
+  QCheck.Test.make ~name:"hmac prepared key = RFC 2104 on reference sha256"
+    ~count:300
+    QCheck.(pair (string_of_size Gen.(0 -- 200)) (string_of_size Gen.(0 -- 300)))
+    (fun (key, msg) ->
+      let k = Hmac.prepare key in
+      let tag = Hmac.mac k msg in
+      tag = hmac_ref ~key msg
+      && tag = Hmac.sha256 ~key msg
+      && Hmac.verify_prepared k ~msg ~tag
+      && Hmac.verify ~key ~msg ~tag)
+
+let qcheck_sha256_resume =
+  QCheck.Test.make ~name:"sha256 resumed midstate = one-shot" ~count:200
+    QCheck.(pair (int_bound 4) (string_of_size Gen.(0 -- 300)))
+    (fun (blocks, rest) ->
+      let prefix = String.init (64 * blocks) (fun i -> Char.chr (i * 7 land 0xff)) in
+      let ctx = Sha256.init () in
+      Sha256.update ctx prefix;
+      let m = Sha256.midstate ctx in
+      (* Resume twice from one saved midstate: it is never consumed. *)
+      let finish () =
+        let c = Sha256.resume m in
+        Sha256.update c rest;
+        Sha256.finalize c
+      in
+      let once = finish () in
+      once = Sha256.digest (prefix ^ rest) && once = finish ())
+
+let test_sha256_midstate_needs_block_boundary () =
+  let ctx = Sha256.init () in
+  Sha256.update ctx "not a block";
+  Alcotest.check_raises "mid-block"
+    (Invalid_argument "Sha256.midstate: not on a block boundary") (fun () ->
+      ignore (Sha256.midstate ctx));
+  Alcotest.check_raises "bad midstate" (Invalid_argument "Sha256.resume")
+    (fun () -> ignore (Sha256.resume "short"))
+
 let qcheck_merkle_inclusion =
   QCheck.Test.make ~name:"merkle proofs verify for random forests" ~count:100
     QCheck.(pair (list_of_size Gen.(1 -- 20) (string_of_size Gen.(0 -- 16))) small_nat)
@@ -340,6 +387,8 @@ let suite =
         QCheck_alcotest.to_alcotest qcheck_sha256_deterministic;
         QCheck_alcotest.to_alcotest qcheck_sha256_differential;
         QCheck_alcotest.to_alcotest qcheck_sha256_incremental_differential;
+        tc "midstate needs a block boundary" test_sha256_midstate_needs_block_boundary;
+        QCheck_alcotest.to_alcotest qcheck_sha256_resume;
       ] );
     ( "crypto.hmac",
       [
@@ -347,6 +396,7 @@ let suite =
         tc "long key" test_hmac_long_key;
         tc "verify accepts/rejects" test_hmac_verify;
         QCheck_alcotest.to_alcotest qcheck_hmac_key_separation;
+        QCheck_alcotest.to_alcotest qcheck_hmac_prepared_differential;
       ] );
     ( "crypto.crc32",
       [

@@ -10,14 +10,25 @@ let make_world ?(fi = 1) ?(fg = 0) ?faults ?(seed = 71L)
 
 (* ---------- WAL persistence and crash recovery (§III-C) ---------- *)
 
+(* Small ops and ops of 256 B and more: the large ones take the digest
+   memo path live (the app reuses the signing path's digest) and a plain
+   hash on replay, and both must give the same state. *)
+let event i =
+  let pad = match i mod 3 with 0 -> 0 | 1 -> 300 | _ -> 5000 in
+  Printf.sprintf "event-%d" i ^ String.make pad 'p'
+
 let test_wal_replay_rebuilds_state () =
   let engine, _net, dep = make_world () in
   let api = Deployment.api dep 0 in
   for i = 1 to 10 do
-    Api.log_commit api (Printf.sprintf "event-%d" i) ~on_done:ignore
+    Api.log_commit api (event i) ~on_done:ignore
   done;
   Engine.run ~until:(Time.of_sec 3.0) engine;
   let node = Deployment.node dep 0 1 in
+  Alcotest.(check bool) "live node memoized op digests" true
+    ((Bp_crypto.Verify_cache.instance_counters (Unit_node.vcache node))
+       .Bp_crypto.Verify_cache.digest_misses
+    > 0);
   let image = Unit_node.wal_image node in
   let fresh = App.make (module App.Null) in
   let count, tail = Unit_node.replay ~image ~app:fresh in
@@ -48,10 +59,49 @@ let test_wal_replay_torn_tail () =
   List.iter
     (fun encoded ->
       match Record.decode encoded with
-      | Ok r -> App.apply reference r
+      | Ok r -> App.apply reference ~hash:Bp_crypto.Sha256.digest r
       | Error _ -> ())
     (Bp_storage.Wal.records wal);
   Alcotest.(check string) "prefix state" (App.digest reference) (App.digest fresh)
+
+(* The digest memo only changes which code computes a SHA-256, never its
+   value: a run with the cache off must leave byte-identical logs and app
+   states. *)
+let test_cache_off_same_digests () =
+  let run () =
+    let engine, _net, dep = make_world ~seed:77L () in
+    let api = Deployment.api dep 0 in
+    for i = 1 to 12 do
+      Api.log_commit api (event i) ~on_done:ignore
+    done;
+    Api.send api ~dest:1 (String.make 400 'm') ~on_done:ignore;
+    Engine.run ~until:(Time.of_sec 3.0) engine;
+    List.concat_map
+      (fun p ->
+        Array.to_list
+          (Array.map
+             (fun node ->
+               let log = Unit_node.log node in
+               Printf.sprintf "%d/%s/%s"
+                 (Bp_storage.Log_store.length log)
+                 (Bp_util.Hex.encode (Bp_storage.Log_store.last_digest log))
+                 (Bp_util.Hex.encode (Unit_node.app_digest node)))
+             (Deployment.nodes_of dep p)))
+      [ 0; 1 ]
+  in
+  let cached = run () in
+  Alcotest.(check bool) "sender logs hold every commit" true
+    (List.for_all
+       (fun s -> Scanf.sscanf s "%d/" (fun n -> n >= 13))
+       (List.filteri (fun i _ -> i < 4) cached));
+  let uncached =
+    Fun.protect
+      ~finally:(fun () -> Bp_crypto.Verify_cache.set_enabled true)
+      (fun () ->
+        Bp_crypto.Verify_cache.set_enabled false;
+        run ())
+  in
+  Alcotest.(check (list string)) "log and app digests" cached uncached
 
 let test_wal_covers_receives () =
   (* Received messages are part of durable state: a recovered counter
@@ -288,6 +338,7 @@ let suite =
       [
         tc "replay rebuilds state" test_wal_replay_rebuilds_state;
         tc "torn tail recovers prefix" test_wal_replay_torn_tail;
+        tc "cache off gives identical digests" test_cache_off_same_digests;
         tc "receives are durable" test_wal_covers_receives;
         tc "crashed replica catches up" test_crashed_replica_catches_up;
         tc "state transfer after amnesiac reboot" test_state_transfer_after_amnesia;

@@ -27,7 +27,7 @@ module Recorder = struct
     | Record.Commit p -> not (contains ~sub:"poison" p)
     | _ -> true
 
-  let apply st = function
+  let apply st ~hash:_ = function
     | Record.Commit p -> st.applied <- p :: st.applied
     | _ -> ()
 

@@ -1,9 +1,12 @@
 open Bp_storage
 
+(* Appends the way a unit node does: with the payload's SHA-256. *)
+let append l p = Log_store.append l ~payload_digest:(Bp_crypto.Sha256.digest p) p
+
 let test_log_append_get () =
   let l = Log_store.create () in
-  let e0 = Log_store.append l "first" in
-  let e1 = Log_store.append l "second" in
+  let e0 = append l "first" in
+  let e1 = append l "second" in
   Alcotest.(check int) "indices" 0 e0.Log_store.index;
   Alcotest.(check int) "indices" 1 e1.Log_store.index;
   Alcotest.(check int) "length" 2 (Log_store.length l);
@@ -14,31 +17,58 @@ let test_log_append_get () =
 
 let test_log_chain_digests_prefix () =
   let a = Log_store.create () and b = Log_store.create () in
-  List.iter (fun p -> ignore (Log_store.append a p)) [ "x"; "y"; "z" ];
-  List.iter (fun p -> ignore (Log_store.append b p)) [ "x"; "y" ];
+  List.iter (fun p -> ignore (append a p)) [ "x"; "y"; "z" ];
+  List.iter (fun p -> ignore (append b p)) [ "x"; "y" ];
   Alcotest.(check string) "same prefix digest" (Log_store.digest_at a 2)
     (Log_store.last_digest b);
-  ignore (Log_store.append b "DIFFERENT");
+  ignore (append b "DIFFERENT");
   Alcotest.(check bool) "diverged" false
     (String.equal (Log_store.last_digest a) (Log_store.last_digest b))
 
 let test_log_digest_depends_on_order () =
   let a = Log_store.create () and b = Log_store.create () in
-  List.iter (fun p -> ignore (Log_store.append a p)) [ "x"; "y" ];
-  List.iter (fun p -> ignore (Log_store.append b p)) [ "y"; "x" ];
+  List.iter (fun p -> ignore (append a p)) [ "x"; "y" ];
+  List.iter (fun p -> ignore (append b p)) [ "y"; "x" ];
   Alcotest.(check bool) "order sensitive" false
     (String.equal (Log_store.last_digest a) (Log_store.last_digest b))
 
 let test_log_verify_chain_detects_tamper () =
   let l = Log_store.create () in
-  List.iter (fun p -> ignore (Log_store.append l p)) [ "a"; "b"; "c" ];
+  List.iter (fun p -> ignore (append l p)) [ "a"; "b"; "c" ];
   Alcotest.(check bool) "clean" true (Log_store.verify_chain l);
   Log_store.tamper l 1 "evil";
   Alcotest.(check bool) "tampered" false (Log_store.verify_chain l)
 
+let test_log_supplied_digest_chain () =
+  (* The chain over supplied payload digests is exactly what verify_chain
+     recomputes from the payloads: H(prev ‖ H(payload)) from genesis. *)
+  let l = Log_store.create () in
+  let payloads = [ ""; "a"; String.make 300 'b'; String.make 70_000 'c' ] in
+  List.iter (fun p -> ignore (append l p)) payloads;
+  Alcotest.(check bool) "verifies" true (Log_store.verify_chain l);
+  let expected =
+    List.fold_left
+      (fun prev p ->
+        Bp_crypto.Sha256.digest_list [ prev; Bp_crypto.Sha256.digest p ])
+      (Log_store.digest_at l 0) payloads
+  in
+  Alcotest.(check string) "chain definition"
+    (Bp_util.Hex.encode expected)
+    (Bp_util.Hex.encode (Log_store.last_digest l))
+
+let test_log_wrong_supplied_digest_caught () =
+  let l = Log_store.create () in
+  ignore (append l "honest");
+  ignore
+    (Log_store.append l
+       ~payload_digest:(Bp_crypto.Sha256.digest "something else")
+       "payload");
+  ignore (append l "later");
+  Alcotest.(check bool) "wrong digest detected" false (Log_store.verify_chain l)
+
 let test_log_iter_from () =
   let l = Log_store.create () in
-  List.iter (fun p -> ignore (Log_store.append l p)) [ "a"; "b"; "c"; "d" ];
+  List.iter (fun p -> ignore (append l p)) [ "a"; "b"; "c"; "d" ];
   let seen = ref [] in
   Log_store.iter_from l 2 (fun e -> seen := e.Log_store.payload :: !seen);
   Alcotest.(check (list string)) "suffix" [ "c"; "d" ] (List.rev !seen)
@@ -46,7 +76,7 @@ let test_log_iter_from () =
 let test_log_growth () =
   let l = Log_store.create () in
   for i = 0 to 999 do
-    ignore (Log_store.append l (string_of_int i))
+    ignore (append l (string_of_int i))
   done;
   Alcotest.(check int) "length" 1000 (Log_store.length l);
   Alcotest.(check string) "spot check" "577" (Log_store.payload_exn l 577);
@@ -214,6 +244,8 @@ let suite =
         tc "chain digests prefixes" test_log_chain_digests_prefix;
         tc "digest order-sensitive" test_log_digest_depends_on_order;
         tc "verify detects tamper" test_log_verify_chain_detects_tamper;
+        tc "supplied digest = recomputed chain" test_log_supplied_digest_chain;
+        tc "wrong supplied digest caught" test_log_wrong_supplied_digest_caught;
         tc "iter_from" test_log_iter_from;
         tc "growth" test_log_growth;
       ] );
