@@ -239,6 +239,13 @@ let micro_tests () =
       (Staged.stage (fun () -> Crc32.string payload_64k));
     Test.make ~name:"crc32 (1 MiB)"
       (Staged.stage (fun () -> Crc32.string payload_1m));
+    (* Stitching a known suffix CRC onto a prefix: the per-destination
+       cost of a broadcast frame. Depends on the bits of the length only,
+       so it should sit far below the full passes above. *)
+    Test.make ~name:"crc32 combine (1 KiB suffix)"
+      (Staged.stage (fun () -> Crc32.combine 0x12345678l 0x9abcdef0l 1024));
+    Test.make ~name:"crc32 combine (1 MiB suffix)"
+      (Staged.stage (fun () -> Crc32.combine 0x12345678l 0x9abcdef0l 1_048_576));
     Test.make ~name:"frame seal (1 MiB)"
       (Staged.stage (fun () -> Bp_codec.Frame.seal payload_1m));
     (* The transport send path, before and after PR 3: encode the payload

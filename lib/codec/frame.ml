@@ -38,9 +38,7 @@ let seal_with enc write =
    known checksum: the suffix bytes still land in the frame, but the CRC
    pass only touches the (typically tiny) prefix and stitches the suffix
    checksum on with {!Bp_crypto.Crc32.combine}. The emitted frame is bit
-   for bit what [seal_with] would produce; with caching globally disabled
-   the combine shortcut is skipped so [--no-cache] measures the full
-   checksum pass. *)
+   for bit what [seal_with] would produce. *)
 let seal_with_suffix enc ~suffix ~suffix_crc write_prefix =
   Wire.reset enc;
   Wire.fixed enc magic;
@@ -51,14 +49,10 @@ let seal_with_suffix enc ~suffix ~suffix_crc write_prefix =
   let plen = Wire.length enc - overhead in
   let buf = Wire.unsafe_bytes enc in
   Bytes.set_int32_be buf 4 (Int32.of_int plen);
-  let crc =
-    if Bp_crypto.Verify_cache.enabled () then
-      Bp_crypto.Crc32.combine
-        (Bp_crypto.Crc32.bytes buf ~off:overhead ~len:prefix_len)
-        suffix_crc (String.length suffix)
-    else Bp_crypto.Crc32.bytes buf ~off:overhead ~len:plen
-  in
-  Bytes.set_int32_be buf 8 crc;
+  Bytes.set_int32_be buf 8
+    (Bp_crypto.Crc32.combine
+       (Bp_crypto.Crc32.bytes buf ~off:overhead ~len:prefix_len)
+       suffix_crc (String.length suffix));
   Wire.to_string enc
 
 (* Validation without payload extraction: callers that can decode from a

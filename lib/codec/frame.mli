@@ -48,6 +48,6 @@ val seal_with_suffix :
     for bit — but checksums only the prefix and stitches on the
     precomputed [suffix_crc = Crc32.string suffix] with {!Crc32.combine}.
     Broadcast paths use it to pay one payload-sized CRC pass per
-    broadcast instead of one per destination. When the global
-    {!Bp_crypto.Verify_cache.enabled} flag is off the shortcut is skipped
-    (full checksum pass), keeping [--no-cache] an honest baseline. *)
+    broadcast instead of one per destination. Combining is arithmetic
+    (a table of x^(2^k) mod p, under a microsecond per call), not a
+    cache, so it runs in every mode, [--no-cache] included. *)

@@ -315,8 +315,6 @@ let on_committed t ~pos record =
       retire_candidates s (t.host.last_received tr.Record.src)
   | Record.Recv _ | Record.Commit _ | Record.Mirrored _ -> ()
 
-let unit_prefix p = Printf.sprintf "u%d/" p
-
 let has_prefix ~prefix s =
   let plen = String.length prefix in
   String.length s > plen && String.equal (String.sub s 0 plen) prefix
@@ -455,7 +453,7 @@ let handle_probe t (p : Proto.probe) ~disperse =
     && p_src >= 0
     && p_src < t.host.n_participants
     && p_src <> t.host.participant
-    && has_prefix ~prefix:(unit_prefix p_src) p_signer
+    && has_prefix ~prefix:(Proto.identity_prefix p_src) p_signer
     && List.length p_window <= max_window
   then begin
     let frontier = t.host.last_received p_src in

@@ -64,7 +64,7 @@ let create ~network ~n_participants ?(fi = 1) ?(fg = 0) ?(scheme = `Hmac)
     Array.init n_participants (fun p ->
         let pbft_cfg =
           Bp_pbft.Config.make ~nodes:all_addrs.(p) ~keystore
-            ~tag:(Printf.sprintf "u%d" p) ?batch_max ?batch_min_fill
+            ~tag:(Proto.unit_tag p) ?batch_max ?batch_min_fill
             ?batch_hold ?request_timeout ?max_in_flight ?verify_cost
             ?verify_jobs ?extra_verify_units ()
         in

@@ -190,7 +190,7 @@ let on_proof t ~pos ~participant ~sigs =
         let statement =
           Proto.mirror_statement ~owner:(Unit_node.participant t.node) ~pos ~digest
         in
-        let prefix = Printf.sprintf "u%d/" participant in
+        let prefix = Proto.identity_prefix participant in
         let distinct = Hashtbl.create 8 in
         let valid =
           List.filter

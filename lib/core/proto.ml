@@ -61,7 +61,13 @@ type t =
       pr_reply_to : Bp_sim.Addr.t;
     }  (* intra-unit: daemon -> scheduled sender node *)
 
-let aux_tag u = Printf.sprintf "u%d.aux" u
+(* Unit naming. Unit [u]'s replicas run PBFT under [unit_tag u], so each
+   signs as [unit_tag u ^ "/" ^ addr] (Bp_pbft.Config.identity), and the
+   attestation screens accept a signer only under [identity_prefix u].
+   Built without Printf: the screens run once per received transmission. *)
+let unit_tag u = "u" ^ Int.to_string u
+let identity_prefix u = unit_tag u ^ "/"
+let aux_tag u = unit_tag u ^ ".aux"
 
 let encode_transmission e (tr : Record.transmission) =
   Wire.string e (Record.encode (Record.Recv tr))

@@ -92,6 +92,13 @@ type t =
 val encode : t -> string
 val decode : string -> (t, string) result
 
+val unit_tag : int -> string
+(** PBFT transport tag of participant [u]'s unit (["u<u>"]). *)
+
+val identity_prefix : int -> string
+(** Prefix of every signing identity in participant [u]'s unit
+    ([unit_tag u ^ "/"]); see {!Bp_pbft.Config.identity}. *)
+
 val aux_tag : int -> string
 (** Transport tag for participant [u]'s auxiliary traffic. *)
 

@@ -86,12 +86,10 @@ let sign_mirror t ~owner ~pos ~digest =
 
 (* ---------- built-in receive verification (§IV-C) ---------- *)
 
-let unit_identity_prefix p = Printf.sprintf "u%d/" p
-
 (* Signatures whose claimed identity belongs to the attesting unit; the
    screen is pure string work, so it runs before any crypto. *)
 let eligible_sigs ~from_participant sigs =
-  let prefix = unit_identity_prefix from_participant in
+  let prefix = Proto.identity_prefix from_participant in
   let plen = String.length prefix in
   List.filter
     (fun (identity, _) ->

@@ -75,57 +75,57 @@ let bytes buf ~off ~len = update empty buf ~off ~len
 
 let string s = bytes (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
 
-(* CRC combination over GF(2): crc(A ++ B) from crc(A), crc(B) and |B|.
-   Shifting crc(A) through |B| zero bytes is a linear map, represented as
-   a 32x32 bit matrix; squaring the "shift one zero byte * 2^k" matrices
-   walks the bits of |B|. This is the classic zlib crc32_combine
-   construction, valid here because the checksum above uses zlib's exact
-   reflected polynomial, init and final xor. *)
+(* CRC combination: crc(A ++ B) from crc(A), crc(B) and |B|. Appending
+   |B| zero bytes to A multiplies its CRC register by x^(8|B|) modulo the
+   polynomial, so combining is one modular multiply by that power. This is
+   zlib 1.2.12's construction: polynomials are 32-bit words in the CRC's
+   reflected order (bit 31 = x^0), and [x2n_table.(k)] = x^(2^k) mod p
+   assembles x^n from the set bits of n. Valid here because the checksum
+   above uses zlib's exact reflected polynomial, init and final xor. *)
 
-let gf2_times mat vec =
-  let sum = ref 0 and v = ref vec and n = ref 0 in
-  while !v <> 0 do
-    if !v land 1 <> 0 then sum := !sum lxor Array.unsafe_get mat !n;
-    v := !v lsr 1;
-    incr n
+let poly = 0xedb88320
+
+(* a * b mod p: walk a's terms from x^0 upward (shifting a left), adding
+   b for each term present and multiplying b by x at each step, until no
+   term of a is left. Both conditionals are masks rather than branches:
+   the bits are data-dependent, and mispredicted branches would cost more
+   than the arithmetic. *)
+let multmodp a b =
+  let p = ref 0 and a = ref a and b = ref b in
+  while !a <> 0 do
+    p := !p lxor (!b land -((!a lsr 31) land 1));
+    a := (!a lsl 1) land 0xffffffff;
+    b := (!b lsr 1) lxor (poly land -(!b land 1))
   done;
-  !sum
+  !p
 
-let gf2_square sq mat =
-  for n = 0 to 31 do
-    sq.(n) <- gf2_times mat mat.(n)
-  done
+(* x^(2^k) mod p for k < 32. The multiplicative order of x divides
+   2^32 - 1, so x^(2^32) = x and exponents past 31 wrap around. Built
+   eagerly, like the CRC tables, for the same cross-domain reason. *)
+let x2n_table =
+  let t = Array.make 32 (1 lsl 30) (* x^1 *) in
+  for k = 1 to 31 do
+    t.(k) <- multmodp t.(k - 1) t.(k - 1)
+  done;
+  t
+
+(* x^(n * 2^k) mod p. The running power goes first in [multmodp]: the
+   loop there stops after the first argument's highest-degree term, so
+   the first factor, multiplied into x^0, costs one step. *)
+let x2nmodp n k =
+  let p = ref (1 lsl 31) (* x^0 *) and n = ref n and k = ref k in
+  while !n <> 0 do
+    if !n land 1 <> 0 then p := multmodp !p (Array.unsafe_get x2n_table (!k land 31));
+    n := !n lsr 1;
+    incr k
+  done;
+  !p
 
 let combine crc1 crc2 len2 =
-  if len2 <= 0 then crc1
-  else begin
-    let even = Array.make 32 0 and odd = Array.make 32 0 in
-    (* odd = the operator "apply one zero byte": polynomial row then the
-       32 single-bit shift rows. *)
-    odd.(0) <- 0xedb88320;
-    let row = ref 1 in
-    for n = 1 to 31 do
-      odd.(n) <- !row;
-      row := !row lsl 1
-    done;
-    (* even = zeros^2, odd = zeros^4: the loop below starts at zeros^8,
-       one squaring per bit of len2. *)
-    gf2_square even odd;
-    gf2_square odd even;
-    let crc = ref (Int32.to_int crc1 land 0xffffffff) in
-    let len = ref len2 in
-    let running = ref true in
-    while !running do
-      gf2_square even odd;
-      if !len land 1 <> 0 then crc := gf2_times even !crc;
-      len := !len lsr 1;
-      if !len = 0 then running := false
-      else begin
-        gf2_square odd even;
-        if !len land 1 <> 0 then crc := gf2_times odd !crc;
-        len := !len lsr 1;
-        if !len = 0 then running := false
-      end
-    done;
-    Int32.of_int ((!crc lxor (Int32.to_int crc2 land 0xffffffff)) land 0xffffffff)
-  end
+  if len2 < 0 then invalid_arg "Crc32.combine";
+  if len2 = 0 then crc1
+  else
+    (* x2nmodp len2 3 = x^(8 * len2): one factor of x per appended bit. *)
+    Int32.of_int
+      (multmodp (x2nmodp len2 3) (Int32.to_int crc1 land 0xffffffff)
+      lxor (Int32.to_int crc2 land 0xffffffff))

@@ -16,6 +16,10 @@ val empty : int32
 val combine : int32 -> int32 -> int -> int32
 (** [combine crc1 crc2 len2] is the CRC of the concatenation [a ^ b] given
     [crc1 = crc a], [crc2 = crc b] and [len2 = String.length b], without
-    touching the bytes of either. O(32^2 * log len2); the framing layer
-    uses it to reuse one precomputed payload CRC across many per-recipient
-    frames whose headers differ. *)
+    touching the bytes of either. A few 32-step modular multiplies per set
+    bit of [len2] (well under a microsecond even for megabyte suffixes);
+    the framing layer uses it to reuse one precomputed payload CRC across
+    many per-recipient frames whose headers differ. [len2 = 0] returns
+    [crc1].
+
+    @raise Invalid_argument if [len2] is negative. *)

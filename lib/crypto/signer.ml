@@ -11,15 +11,25 @@ type identity =
   | Hmac_secret of Hmac.prepared
   | Hash_keys of hash_identity
 
+(* String-keyed with [String.equal] and the polymorphic table's own
+   [Hashtbl.hash], so lookups skip polymorphic compare and the bucket
+   layout is unchanged. *)
+module Id_tbl = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   scheme : scheme;
   rng : Bp_util.Rng.t;
-  identities : (string, identity) Hashtbl.t;
+  identities : identity Id_tbl.t;
   mutable generation : int;
 }
 
 let create ?(scheme = `Hmac) rng =
-  { scheme; rng; identities = Hashtbl.create 64; generation = 0 }
+  { scheme; rng; identities = Id_tbl.create 64; generation = 0 }
 
 let scheme t = t.scheme
 
@@ -30,7 +40,7 @@ let generation t = t.generation
 let pool_height = 6
 
 let add_identity t id =
-  if not (Hashtbl.mem t.identities id) then begin
+  if not (Id_tbl.mem t.identities id) then begin
     let entry =
       match t.scheme with
       | `Hmac ->
@@ -39,12 +49,12 @@ let add_identity t id =
           let signer, root = Merkle_sig.keygen ~height:pool_height t.rng in
           Hash_keys { current = signer; roots = [ root ] }
     in
-    Hashtbl.add t.identities id entry;
+    Id_tbl.add t.identities id entry;
     t.generation <- t.generation + 1
   end
 
 let sign t ~signer msg =
-  match Hashtbl.find t.identities signer with
+  match Id_tbl.find t.identities signer with
   | Hmac_secret key -> Hmac.mac key msg
   | Hash_keys keys ->
       if Merkle_sig.capacity keys.current = 0 then begin
@@ -64,7 +74,7 @@ let sign t ~signer msg =
 type key = Hmac_key of Hmac.prepared | Hash_roots of string list
 
 let snapshot t ~signer =
-  match Hashtbl.find_opt t.identities signer with
+  match Id_tbl.find_opt t.identities signer with
   | None -> None
   | Some (Hmac_secret key) -> Some (Hmac_key key)
   | Some (Hash_keys keys) -> Some (Hash_roots keys.roots)

@@ -82,6 +82,24 @@ let reset_counters () =
 
 (* ---------- the cache ---------- *)
 
+(* Monomorphic tables on the per-message path: probes compare keys with
+   [String.equal]/[Int.equal] rather than polymorphic compare. Hashing is
+   [Hashtbl.hash], exactly what the polymorphic table used, so the bucket
+   layout is unchanged. *)
+module Verdict_tbl = Hashtbl.Make (struct
+  type t = string * string
+
+  let equal (s1, g1) (s2, g2) = String.equal s1 s2 && String.equal g1 g2
+  let hash = Hashtbl.hash
+end)
+
+module Digest_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 type entry = {
   mutable e_msg : string;
   mutable e_gen : int;
@@ -95,13 +113,13 @@ type t = {
      so colliding keys (e.g. the all-zero forged signature under several
      bodies) just overwrite each other — never cross-talk. Hashing the
      message instead would cost as much as the verify being saved. *)
-  verdicts : (string * string, entry) Hashtbl.t;
+  verdicts : entry Verdict_tbl.t;
   ring : (string * string) option array; (* FIFO eviction; slots = table keys *)
   mutable cursor : int;
   (* Digest memo: cheap fingerprint -> bucket of (content, digest).
      Bounded by bytes (not entries) because the keys it pins alive can be
      megabytes each. *)
-  digests : (int, (string * string) list) Hashtbl.t;
+  digests : (string * string) list Digest_tbl.t;
   dqueue : (int * string) Queue.t; (* insertion order, for eviction *)
   mutable dbytes : int;
   digest_budget : int;
@@ -121,10 +139,10 @@ let create ?(capacity = 4096) ?(digest_budget = 8 * 1024 * 1024) keystore =
   incr c_instances;
   {
     keystore;
-    verdicts = Hashtbl.create (2 * capacity);
+    verdicts = Verdict_tbl.create (2 * capacity);
     ring = Array.make (max 1 capacity) None;
     cursor = 0;
-    digests = Hashtbl.create 256;
+    digests = Digest_tbl.create 256;
     dqueue = Queue.create ();
     dbytes = 0;
     digest_budget;
@@ -148,10 +166,10 @@ let instance_counters t =
 
 let insert t key entry =
   (match t.ring.(t.cursor) with
-  | Some old -> Hashtbl.remove t.verdicts old
+  | Some old -> Verdict_tbl.remove t.verdicts old
   | None -> ());
   t.ring.(t.cursor) <- Some key;
-  Hashtbl.replace t.verdicts key entry;
+  Verdict_tbl.replace t.verdicts key entry;
   t.cursor <- (t.cursor + 1) mod Array.length t.ring
 
 (* Raw pass-through, so modules outside lib/crypto can express "verify
@@ -178,7 +196,7 @@ let probe t ~signer ~msg ~signature =
   if not !enabled_flag then None
   else begin
     let gen = Signer.generation t.keystore in
-    match Hashtbl.find_opt t.verdicts (signer, signature) with
+    match Verdict_tbl.find_opt t.verdicts (signer, signature) with
     | Some e when e.e_gen = gen && (e.e_msg == msg || String.equal e.e_msg msg)
       ->
         hit t;
@@ -192,7 +210,7 @@ let record t ~signer ~msg ~signature ~verdict =
   if !enabled_flag then begin
     let gen = Signer.generation t.keystore in
     let key = (signer, signature) in
-    match Hashtbl.find_opt t.verdicts key with
+    match Verdict_tbl.find_opt t.verdicts key with
     | Some e ->
         (* Stale generation, or a key collision with a different message:
            refresh in place (no ring movement). *)
@@ -208,7 +226,7 @@ let verify t ~signer ~msg ~signature =
   else begin
     let gen = Signer.generation t.keystore in
     let key = (signer, signature) in
-    match Hashtbl.find_opt t.verdicts key with
+    match Verdict_tbl.find_opt t.verdicts key with
     | Some e when e.e_gen = gen && (e.e_msg == msg || String.equal e.e_msg msg)
       ->
         hit t;
@@ -239,7 +257,7 @@ let sign t ~signer msg =
        the root that [sign] just used. *)
     let gen = Signer.generation t.keystore in
     let key = (signer, signature) in
-    match Hashtbl.find_opt t.verdicts key with
+    match Verdict_tbl.find_opt t.verdicts key with
     | Some e ->
         e.e_msg <- msg;
         e.e_gen <- gen;
@@ -264,12 +282,12 @@ let fingerprint s =
 let rec evict_digests t =
   if t.dbytes > t.digest_budget && not (Queue.is_empty t.dqueue) then begin
     let fp, key = Queue.pop t.dqueue in
-    (match Hashtbl.find_opt t.digests fp with
+    (match Digest_tbl.find_opt t.digests fp with
     | None -> ()
     | Some bucket -> (
         match List.filter (fun (k, _) -> not (k == key)) bucket with
-        | [] -> Hashtbl.remove t.digests fp
-        | rest -> Hashtbl.replace t.digests fp rest));
+        | [] -> Digest_tbl.remove t.digests fp
+        | rest -> Digest_tbl.replace t.digests fp rest));
     t.dbytes <- t.dbytes - String.length key;
     evict_digests t
   end
@@ -290,7 +308,7 @@ let digest t s =
   else begin
     let fp = fingerprint s in
     let bucket =
-      match Hashtbl.find_opt t.digests fp with Some b -> b | None -> []
+      match Digest_tbl.find_opt t.digests fp with Some b -> b | None -> []
     in
     match memoized bucket s with
     | Some (_, d) ->
@@ -301,7 +319,7 @@ let digest t s =
         incr c_digest_misses;
         t.i_digest_misses <- t.i_digest_misses + 1;
         let d = Sha256.digest s in
-        Hashtbl.replace t.digests fp ((s, d) :: bucket);
+        Digest_tbl.replace t.digests fp ((s, d) :: bucket);
         Queue.push (fp, s) t.dqueue;
         t.dbytes <- t.dbytes + String.length s;
         evict_digests t;
@@ -315,7 +333,7 @@ let lookup_digest t s =
   if (not !enabled_flag) || String.length s < digest_memo_min then
     Sha256.digest s
   else
-    match Hashtbl.find_opt t.digests (fingerprint s) with
+    match Digest_tbl.find_opt t.digests (fingerprint s) with
     | None -> Sha256.digest s
     | Some bucket -> (
         match memoized bucket s with

@@ -174,25 +174,37 @@ let handle_data t p ~src ~seq ~tag payload =
     raw_send t ~dst:src (Ack { next_expected = p.next_recv_seq })
   end
 
+(* [split_below k m] = (bindings below [k], bindings at or above [k]),
+   returning [m] itself when nothing lies below [k]. *)
+let split_below k m =
+  match Int_map.min_binding_opt m with
+  | Some (lowest, _) when lowest < k ->
+      let below, at, above = Int_map.split k m in
+      (below, match at with Some v -> Int_map.add k v above | None -> above)
+  | Some _ | None -> (Int_map.empty, m)
+
+(* An ack costs what it acknowledges: only the acked prefix of the stream
+   is visited, never the whole in-flight window. Stale and duplicate acks
+   split off an empty prefix and change nothing. *)
 let handle_ack t p ~next_expected =
-  (* RTT samples from first-transmission times of newly acked segments. *)
+  let acked_times, in_flight = split_below next_expected p.send_times in
+  (* RTT samples from first-transmission times of newly acked segments,
+     folded in ascending sequence order. *)
   let now = Engine.now t.engine in
   Int_map.iter
-    (fun seq sent_at ->
-      if seq < next_expected then begin
-        let sample = Time.diff now sent_at in
-        let smoothed =
-          match p.srtt with
-          | None -> sample
-          | Some srtt ->
-              Time.of_ns (((7 * Time.to_ns srtt) + Time.to_ns sample) / 8)
-        in
-        p.srtt <- Some smoothed;
-        p.backoff <- 0
-      end)
-    p.send_times;
-  p.send_times <- Int_map.filter (fun seq _ -> seq >= next_expected) p.send_times;
-  p.unacked <- Int_map.filter (fun seq _ -> seq >= next_expected) p.unacked
+    (fun _ sent_at ->
+      let sample = Time.diff now sent_at in
+      let smoothed =
+        match p.srtt with
+        | None -> sample
+        | Some srtt ->
+            Time.of_ns (((7 * Time.to_ns srtt) + Time.to_ns sample) / 8)
+      in
+      p.srtt <- Some smoothed;
+      p.backoff <- 0)
+    acked_times;
+  p.send_times <- in_flight;
+  p.unacked <- snd (split_below next_expected p.unacked)
 (* The retransmit timer stays armed; it self-disarms when it finds the
    unacked map empty. *)
 
@@ -288,26 +300,16 @@ let broadcast t ?(reliable = true) ~dsts ~tag payload =
     in
     (* One payload-sized CRC pass per broadcast: per-destination frames
        stitch the precomputed suffix checksum on with [Crc32.combine]
-       instead of re-checksumming megabytes per destination. Skipped
-       under [--no-cache] so the baseline stays honest. *)
-    let combine = Bp_crypto.Verify_cache.enabled () in
-    let suffix_crc = if combine then Bp_crypto.Crc32.string suffix else 0l in
+       instead of re-checksumming megabytes per destination. *)
+    let suffix_crc = Bp_crypto.Crc32.string suffix in
     (* Per-destination assembly reuses the endpoint's scratch encoder and
        does not re-walk the message (not counted by Wire.encode_calls). *)
     let assemble header_kind seq =
-      let write_header e =
-        Bp_codec.Wire.u8 e header_kind;
-        match seq with
-        | Some s -> Bp_codec.Wire.varint e s
-        | None -> ()
-      in
-      if combine then
-        Bp_codec.Frame.seal_with_suffix t.scratch ~suffix ~suffix_crc
-          write_header
-      else
-        Bp_codec.Frame.seal_with t.scratch (fun e ->
-            write_header e;
-            Bp_codec.Wire.fixed e suffix)
+      Bp_codec.Frame.seal_with_suffix t.scratch ~suffix ~suffix_crc (fun e ->
+          Bp_codec.Wire.u8 e header_kind;
+          match seq with
+          | Some s -> Bp_codec.Wire.varint e s
+          | None -> ())
     in
     if not reliable then begin
       (* All recipients share one sealed frame and one decoded view. *)

@@ -13,7 +13,23 @@ type t = {
   verify_cost : Bp_sim.Time.t;
   verify_jobs : int;
   extra_verify_units : string -> int;
+  identities : string Bp_sim.Addr.Tbl.t;
 }
+
+(* Identity strings are built once per address and memoized. The first
+   use still provisions the identity in the keystore at exactly the point
+   it always did: client identities are provisioned lazily, each drawing a
+   key from the keystore RNG, so moving that draw would shift every later
+   key. A memo hit implies the keystore already holds the identity, which
+   the keystore never forgets, so skipping [add_identity] then is exact. *)
+let identity t addr =
+  match Bp_sim.Addr.Tbl.find_opt t.identities addr with
+  | Some id -> id
+  | None ->
+      let id = t.tag ^ "/" ^ Bp_sim.Addr.to_string addr in
+      Bp_crypto.Signer.add_identity t.keystore id;
+      Bp_sim.Addr.Tbl.add t.identities addr id;
+      id
 
 let make ~nodes ~keystore ?(tag = "pbft") ?(batch_max = 64)
     ?(batch_min_fill = 1) ?(batch_hold = Bp_sim.Time.zero)
@@ -71,22 +87,15 @@ let make ~nodes ~keystore ?(tag = "pbft") ?(batch_max = 64)
       verify_cost;
       verify_jobs;
       extra_verify_units;
+      identities = Bp_sim.Addr.Tbl.create 16;
     }
   in
-  Array.iter
-    (fun a ->
-      Bp_crypto.Signer.add_identity keystore (tag ^ "/" ^ Bp_sim.Addr.to_string a))
-    nodes;
+  Array.iter (fun a -> ignore (identity t a)) nodes;
   t
 
 let n t = Array.length t.nodes
 let quorum t = (2 * t.f) + 1
 let primary_of_view t view = view mod n t
-
-let identity t addr =
-  let id = t.tag ^ "/" ^ Bp_sim.Addr.to_string addr in
-  Bp_crypto.Signer.add_identity t.keystore id;
-  id
 
 let replica_id t addr =
   let found = ref None in

@@ -49,6 +49,9 @@ type t = {
           [verify_cost] charge. Default [fun _ -> 0]: batch entries cost
           one unit each, the seed model. Irrelevant while [verify_cost]
           is zero. *)
+  identities : string Bp_sim.Addr.Tbl.t;
+      (** memo behind {!identity}, filled by {!make} and on first use;
+          not for direct use. *)
 }
 
 val make :
@@ -94,7 +97,9 @@ val primary_of_view : t -> int -> int
 
 val identity : t -> Bp_sim.Addr.t -> string
 (** Signing identity for an address within this cluster; registers it in
-    the keystore on first use (clients as well as replicas). *)
+    the keystore on first use (clients as well as replicas). Memoized per
+    address: later calls return the same string without touching the
+    keystore. *)
 
 val replica_id : t -> Bp_sim.Addr.t -> int option
 (** Index of a replica address, [None] for clients/outsiders. *)

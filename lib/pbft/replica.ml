@@ -200,7 +200,9 @@ let self_addr t = t.cfg.Config.nodes.(t.id)
 
 let client_key (a : Addr.t) = Addr.to_string a
 let request_key (r : Msg.request) = (client_key r.Msg.client, r.Msg.ts)
-let timer_key (ck, ts) = Printf.sprintf "%s#%d" ck ts
+(* Same bytes as [Printf.sprintf "%s#%d"]: identical keys keep the
+   iteration order over [t.timers] unchanged. *)
+let timer_key (ck, ts) = String.concat "" [ ck; "#"; Int.to_string ts ]
 
 let request_equal (a : Msg.request) (b : Msg.request) =
   Addr.equal a.Msg.client b.Msg.client

@@ -7,7 +7,10 @@ let compare a b =
   if c <> 0 then c else Int.compare a.idx b.idx
 
 let equal a b = compare a b = 0
-let to_string a = Printf.sprintf "n%d.%d" a.dc a.idx
+(* Same bytes as [Printf.sprintf "n%d.%d"], without the format
+   interpreter: addresses are rendered on per-message paths. *)
+let to_string a =
+  String.concat "" [ "n"; Int.to_string a.dc; "."; Int.to_string a.idx ]
 let pp ppf a = Format.pp_print_string ppf (to_string a)
 
 module Ord = struct

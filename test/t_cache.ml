@@ -175,16 +175,44 @@ let diff_batch_digest_test =
       && String.equal direct again)
 
 (* CRC32 combination (used to seal broadcast frames without re-scanning
-   the shared payload once per destination) against the direct scan. *)
+   the shared payload once per destination) against the direct scan and
+   the table-free bitwise oracle. Suffix lengths cover the empty suffix,
+   single bytes, the 64-byte and 4 KiB boundaries, and random sizes up to
+   1 MiB; a third string checks that combining is associative. *)
+let combine_suffix_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ 0; 1; 63; 64; 65; 4095; 4096 ];
+        0 -- 4096;
+        0 -- 1_048_576;
+      ]
+    >>= fun len -> string_size (return len))
+
 let diff_crc_combine_test =
-  QCheck.Test.make ~name:"Crc32.combine = crc of concatenation" ~count:500
-    QCheck.(pair (string_of_size Gen.(0 -- 300)) (string_of_size Gen.(0 -- 300)))
-    (fun (a, b) ->
-      let direct = Crc32.string (a ^ b) in
-      let combined =
-        Crc32.combine (Crc32.string a) (Crc32.string b) (String.length b)
-      in
-      Int32.equal direct combined)
+  QCheck.Test.make ~name:"Crc32.combine = crc of concatenation (suffixes to 1 MiB)"
+    ~count:60
+    (QCheck.make
+       QCheck.Gen.(
+         triple (string_size (0 -- 300)) combine_suffix_gen
+           (string_size (0 -- 300))))
+    (fun (a, b, c) ->
+      let ca = Crc32.string a and cb = Crc32.string b and cc = Crc32.string c in
+      let lb = String.length b and lc = String.length c in
+      let combined = Crc32.combine ca cb lb in
+      let three_way = Crc32.string (a ^ b ^ c) in
+      Int32.equal combined (Crc32.string (a ^ b))
+      && Int32.equal combined (T_crypto.crc32_bitwise (a ^ b))
+      && Int32.equal (Crc32.combine combined cc lc) three_way
+      && Int32.equal (Crc32.combine ca (Crc32.combine cb cc lc) (lb + lc)) three_way)
+
+(* An empty suffix is the identity; a negative length is a caller bug and
+   raises, like a bad range passed to [Crc32.update]. *)
+let test_crc_combine_edges () =
+  let c = Crc32.string "prefix" in
+  Alcotest.(check int32) "len2 = 0 is the identity" c (Crc32.combine c 0l 0);
+  Alcotest.check_raises "negative length" (Invalid_argument "Crc32.combine")
+    (fun () -> ignore (Crc32.combine c c (-1)))
 
 (* Envelopes round-trip in both signing modes. Content-addressed mode
    changes which bytes are signed (so signatures differ between modes) but
@@ -258,5 +286,7 @@ let suite =
             test_sign_seeds_cache;
           Alcotest.test_case "envelope round-trip in both modes" `Quick
             test_envelope_both_modes;
+          Alcotest.test_case "Crc32.combine edge lengths" `Quick
+            test_crc_combine_edges;
         ] );
   ]

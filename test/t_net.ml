@@ -90,6 +90,60 @@ let test_transport_survives_corruption () =
   let _, discarded = Transport.stats b in
   Alcotest.(check bool) "some frames discarded" true (discarded > 0)
 
+(* Loss, duplication and jitter reorder data and acks alike, so the
+   sender sees out-of-order, duplicate and stale acks on both the unicast
+   and the broadcast path. Delivery must stay exactly-once and in order.
+   The retransmission count and the arrival times are pinned: RTT
+   samples and backoff resets, and through them every RTO, must not
+   depend on how an ack is processed. *)
+let test_transport_hostile_acks () =
+  let faults =
+    { Network.no_faults with drop = 0.2; duplicate = 0.3; jitter_ms = 40.0 }
+  in
+  let e, net = setup ~faults ~seed:23L () in
+  let a = Transport.create net (node 0 0) in
+  let b = Transport.create net (node 1 0) in
+  let c = Transport.create net (node 2 0) in
+  let got_b = ref [] and got_c = ref [] in
+  let arrivals = ref 0 in
+  let deliver got ~src:_ p =
+    got := p :: !got;
+    arrivals := !arrivals + Time.to_ns (Engine.now e)
+  in
+  Transport.set_handler b ~tag:"app" (deliver got_b);
+  Transport.set_handler c ~tag:"app" (deliver got_c);
+  let dsts = [| Transport.addr b; Transport.addr c |] in
+  (* Four waves, 1.5 s apart: each starts on a drained stream, so its
+     first RTO is derived afresh from the RTT estimate and the backoff
+     left by the previous wave. *)
+  for wave = 0 to 3 do
+    ignore
+      (Engine.schedule e ~after:(ms (1500.0 *. Float.of_int wave)) (fun () ->
+           for i = 1 to 25 do
+             let m = Printf.sprintf "%d.%d" wave i in
+             if i mod 2 = 0 then Transport.broadcast a ~dsts ~tag:"app" m
+             else Transport.send a ~dst:(Transport.addr b) ~tag:"app" m
+           done))
+  done;
+  Engine.run ~until:(Time.of_sec 60.0) e;
+  let expected ~all =
+    List.concat_map
+      (fun wave ->
+        List.filter_map
+          (fun i ->
+            if all || i mod 2 = 0 then Some (Printf.sprintf "%d.%d" wave i)
+            else None)
+          (List.init 25 (fun i -> i + 1)))
+      [ 0; 1; 2; 3 ]
+  in
+  Alcotest.(check (list string)) "b: exactly once, in order" (expected ~all:true)
+    (List.rev !got_b);
+  Alcotest.(check (list string)) "c: exactly once, in order" (expected ~all:false)
+    (List.rev !got_c);
+  let retrans, _ = Transport.stats a in
+  Alcotest.(check int) "retransmissions pinned" 164 retrans;
+  Alcotest.(check int) "arrival times pinned" 513264339917 !arrivals
+
 let test_transport_unreliable_lossy () =
   let faults = { Network.no_faults with drop = 1.0 } in
   let e, net = setup ~faults () in
@@ -211,6 +265,7 @@ let suite =
         tc "exactly-once under loss" test_transport_exactly_once_under_loss;
         tc "order under duplication" test_transport_order_under_duplication;
         tc "survives corruption" test_transport_survives_corruption;
+        tc "hostile acks: exactly-once, pinned RTOs" test_transport_hostile_acks;
         tc "unreliable mode is lossy" test_transport_unreliable_lossy;
         tc "bidirectional" test_transport_bidirectional;
         tc "many peers" test_transport_many_peers;

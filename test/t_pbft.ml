@@ -417,6 +417,40 @@ let test_config_validation () =
   Alcotest.(check int) "quorum" 5 (Config.quorum cfg);
   Alcotest.(check int) "primary rotation" 3 (Config.primary_of_view cfg 10)
 
+(* Identity strings are memoized per address, but the first use of a
+   client address must still provision it in the keystore right then:
+   provisioning draws a key from the keystore RNG, so the draw order fixes
+   every later key. *)
+let test_identity_memo () =
+  let nodes = Array.init 4 (fun i -> Addr.make ~dc:0 ~idx:i) in
+  let client = Addr.make ~dc:1 ~idx:9 in
+  let build () =
+    let keystore = Bp_crypto.Signer.create (Bp_util.Rng.create 77L) in
+    (keystore, Config.make ~nodes ~keystore ())
+  in
+  let keystore, cfg = build () in
+  let generation () = Bp_crypto.Signer.generation keystore in
+  let g0 = generation () in
+  ignore (Config.identity cfg nodes.(2));
+  Alcotest.(check int) "replicas provisioned by make" g0 (generation ());
+  let id = Config.identity cfg client in
+  Alcotest.(check string) "identity bytes" "pbft/n1.9" id;
+  Alcotest.(check int) "first use provisions once" (g0 + 1) (generation ());
+  for _ = 1 to 3 do
+    Alcotest.(check string) "repeat is equal" id (Config.identity cfg client)
+  done;
+  Alcotest.(check int) "repeats do not provision" (g0 + 1) (generation ());
+  (* Same seed, same provisioning order: the same keys, so the same
+     signed envelope bytes. *)
+  let sealed cfg =
+    ignore (Config.identity cfg client);
+    let r = Msg.make_request cfg ~client ~ts:1 ~kind:0 ~op:"op" in
+    Msg.seal cfg ~sender:client (Msg.Request r)
+  in
+  let _, twin = build () in
+  Alcotest.(check string) "same seed signs identically" (sealed cfg)
+    (sealed twin)
+
 (* A PBFT broadcast (seal + transport fan-out) must serialize the message
    a fixed number of times — body, signed envelope, transport suffix —
    no matter how many replicas receive it. *)
@@ -595,6 +629,7 @@ let suite =
         tc "body roundtrip" test_msg_roundtrip;
         tc "envelope verification" test_envelope_verification;
         tc "config validation" test_config_validation;
+        tc "identity memo keeps provisioning order" test_identity_memo;
         tc "broadcast seals and encodes once" test_broadcast_seals_and_encodes_once;
       ] );
     ( "pbft.normal",
