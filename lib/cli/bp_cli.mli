@@ -1,0 +1,30 @@
+(** The flag surface shared by both executables ([bench/main.exe] and
+    [blockplane-cli]): every run-wide flag is declared here exactly once,
+    as one Cmdliner term evaluating to a {!Bp_harness.Knobs.t} plus the
+    scale, worker-domain count and cache switch.
+
+    Every bad value is a command-line error naming its flag (Cmdliner
+    exits 124): non-positive counts, non-finite or out-of-range floats,
+    a malformed [BP_BENCH_SCALE], and a batch-cut pair that
+    {!Bp_pbft.Config.check_batch_policy} rejects once the hold is
+    converted to simulated time. *)
+
+type t = {
+  knobs : Bp_harness.Knobs.t;
+  scale : float;  (** [-s/--scale], falling back to [BP_BENCH_SCALE] *)
+  jobs : int;  (** [-j/--jobs]: worker domains for independent tasks *)
+  no_cache : bool;  (** [--no-cache]: disable the verification caches *)
+}
+
+val term : t Cmdliner.Term.t
+(** The nine knob flags ([--pipeline], [--verify-jobs], [--cluster-send],
+    [--load-rate], [--load-trace], [--skew], [--shards],
+    [--batch-min-fill], [--batch-hold]; absent flags keep
+    {!Bp_harness.Knobs.default}) plus [--scale], [--jobs] and
+    [--no-cache]. *)
+
+val with_pool : t -> (Bp_parallel.Pool.t option -> 'a) -> 'a
+(** Apply the process-wide settings of [t] (the cache switch, and the
+    real batch-crypto fan-out sized by [--verify-jobs]), run [f] with a
+    pool of [t.jobs] domains ([None] at 1), then shut the pool and the
+    batch-verify workers down, whatever [f] does. *)

@@ -10,7 +10,7 @@
     - [loss]: commit latency under increasing network loss — what the
       reliable-transport layer absorbs. *)
 
-val reads : ?scale:float -> unit -> Report.t list
+val reads : ?knobs:Knobs.t -> ?scale:float -> unit -> Report.t list
 val batching : ?scale:float -> unit -> Report.t list
 val signatures : ?scale:float -> unit -> Report.t list
 val loss : ?scale:float -> unit -> Report.t list
@@ -24,7 +24,7 @@ val load : ?scale:float -> unit -> Report.t list
     [signatures] are one task per configuration; [loss] and [load] one
     task per rate. *)
 
-val reads_plan : scale:float -> Runner.plan
+val reads_plan : knobs:Knobs.t -> scale:float -> Runner.plan
 val batching_plan : scale:float -> Runner.plan
 val signatures_plan : scale:float -> Runner.plan
 val loss_plan : scale:float -> Runner.plan

@@ -17,10 +17,9 @@ open Blockplane
 
 let stock_rates = [ 5_000.0; 20_000.0; 50_000.0; 100_000.0; 200_000.0 ]
 
-(* --load-rate replaces the sweep with a single probed rate; read at
-   plan-build time, before any task runs (write-once knob discipline). *)
-let rates () =
-  match !Runner.default_load_rate with Some r -> [ r ] | None -> stock_rates
+(* --load-rate replaces the sweep with a single probed rate. *)
+let rates (knobs : Knobs.t) =
+  match knobs.load_rate with Some r -> [ r ] | None -> stock_rates
 
 let depths = [ 1; 2; 4; 8 ]
 
@@ -33,8 +32,8 @@ let clients = 200_000
    offer the same long-run rate so the rate column keeps its meaning.
    Bursty: 2 ms on / 2 ms off phases at double intensity. Diurnal: a
    day-curve compressed to one 10 ms cycle, with a quiet quarter. *)
-let process_for rate =
-  match !Runner.default_load_shape with
+let process_for (knobs : Knobs.t) rate =
+  match knobs.load_shape with
   | `Poisson -> Loadgen.Poisson { rate_per_sec = rate }
   | `Bursty -> Loadgen.Bursty { rate_on = 2.0 *. rate; on_ms = 2.0; off_ms = 2.0 }
   | `Diurnal ->
@@ -75,9 +74,9 @@ let payload ~client i =
   Bytes.blit_string stamp 0 b 0 (Stdlib.min (String.length stamp) 1000);
   Bytes.unsafe_to_string b
 
-let sat_task ~scale ~series ~rate ~seed () =
+let sat_task ~knobs ~scale ~series ~rate ~seed () =
   let world =
-    Runner.fresh_world ~fi:1 ~seed ~n_participants:1
+    Runner.fresh_world ~knobs ~fi:1 ~seed ~n_participants:1
       ~max_in_flight:series.depth ~batch_min_fill:series.min_fill
       ?batch_hold:
         (if series.hold_ms > 0.0 then Some (Time.of_ms series.hold_ms) else None)
@@ -90,9 +89,9 @@ let sat_task ~scale ~series ~rate ~seed () =
     Loadgen.create
       ~rng:(Bp_util.Rng.split (Engine.rng engine))
       {
-        Loadgen.process = process_for rate;
+        Loadgen.process = process_for knobs rate;
         clients;
-        skew = !Runner.default_skew;
+        skew = knobs.Knobs.skew;
         count;
       }
   in
@@ -109,7 +108,7 @@ let mean_fill (bs : Bp_pbft.Replica.batch_stats) =
     /. float_of_int bs.Bp_pbft.Replica.batches_cut
 
 (* results arrive grouped by series, rates ascending within each. *)
-let sat_merge ~nrates results =
+let sat_merge ~skew ~nrates results =
   let groups =
     List.mapi
       (fun si series ->
@@ -174,7 +173,7 @@ let sat_merge ~nrates results =
       paper_ref =
         Printf.sprintf
           "extension of SVI-C / SVIII-A: 1 KB ops, one unit, zipf(%g) over 200k modeled clients"
-          !Runner.default_skew;
+          skew;
       header =
         [ "series"; "offered"; "achieved"; "p50 ms"; "p95 ms"; "p99 ms"; "fill"; "occ" ];
       rows;
@@ -190,8 +189,8 @@ let sat_merge ~nrates results =
     };
   ]
 
-let plan ~scale =
-  let rates = rates () in
+let plan ~knobs ~scale =
+  let rates = rates knobs in
   let tasks =
     List.concat
       (List.mapi
@@ -199,10 +198,12 @@ let plan ~scale =
            List.mapi
              (fun ri rate ->
                let seed = Int64.of_int (9000 + (100 * si) + ri) in
-               fun () -> sat_task ~scale ~series ~rate ~seed ())
+               fun () -> sat_task ~knobs ~scale ~series ~rate ~seed ())
              rates)
          series_list)
   in
-  Runner.Plan { tasks; merge = sat_merge ~nrates:(List.length rates) }
+  Runner.Plan
+    { tasks; merge = sat_merge ~skew:knobs.skew ~nrates:(List.length rates) }
 
-let saturation ?(scale = 1.0) () = Runner.run_plan (plan ~scale)
+let saturation ?(knobs = Knobs.default) ?(scale = 1.0) () =
+  Runner.run_plan (plan ~knobs ~scale)

@@ -14,7 +14,7 @@
 val slo_p99_ms : float
 (** The tail SLO defining the knee. *)
 
-val plan : scale:float -> Runner.plan
+val plan : knobs:Knobs.t -> scale:float -> Runner.plan
 (** One task per (series, rate) point — 25 independent worlds. *)
 
-val saturation : ?scale:float -> unit -> Report.t list
+val saturation : ?knobs:Knobs.t -> ?scale:float -> unit -> Report.t list

@@ -62,10 +62,10 @@ let op_payload ~client i =
   Bytes.blit_string stamp 0 b 0 (Stdlib.min (String.length stamp) op_bytes);
   Bytes.unsafe_to_string b
 
-let shard_task ~scale ~series ~nshards ~seed () =
+let shard_task ~knobs ~scale ~series ~nshards ~seed () =
   let map = map_for nshards in
   let world =
-    Runner.fresh_world ~fi:1 ~seed ~n_participants:nshards ~shard_map:map
+    Runner.fresh_world ~knobs ~fi:1 ~seed ~n_participants:nshards ~shard_map:map
       ~max_in_flight:8 ~batch_min_fill:16 ~batch_hold:(Time.of_ms 0.25) ()
   in
   let engine = world.Runner.engine in
@@ -78,7 +78,7 @@ let shard_task ~scale ~series ~nshards ~seed () =
         Loadgen.process =
           Loadgen.Poisson { rate_per_sec = per_unit_rate *. float_of_int nshards };
         clients = 200_000;
-        skew = !Runner.default_skew;
+        skew = knobs.Knobs.skew;
         count;
       }
   in
@@ -195,7 +195,7 @@ let shard_merge results =
     };
   ]
 
-let plan ~scale =
+let plan ~knobs ~scale =
   let tasks =
     List.concat
       (List.mapi
@@ -203,10 +203,11 @@ let plan ~scale =
            List.mapi
              (fun ci nshards ->
                let seed = Int64.of_int (11_000 + (100 * si) + ci) in
-               fun () -> shard_task ~scale ~series ~nshards ~seed ())
+               fun () -> shard_task ~knobs ~scale ~series ~nshards ~seed ())
              shard_counts)
          series_list)
   in
   Runner.Plan { tasks; merge = shard_merge }
 
-let shard ?(scale = 1.0) () = Runner.run_plan (plan ~scale)
+let shard ?(knobs = Knobs.default) ?(scale = 1.0) () =
+  Runner.run_plan (plan ~knobs ~scale)

@@ -1,7 +1,7 @@
 type t = {
   id : string;
   title : string;
-  plan : scale:float -> Runner.plan;
+  plan : knobs:Knobs.t -> scale:float -> Runner.plan;
 }
 
 let all =
@@ -9,104 +9,105 @@ let all =
     {
       id = "table1";
       title = "RTT matrix between the four datacenters (simulator input)";
-      plan = (fun ~scale:_ -> Exp_comm.table1_plan ());
+      plan = (fun ~knobs:_ ~scale:_ -> Exp_comm.table1_plan ());
     };
     {
       id = "fig4";
       title = "Local commitment latency/throughput vs batch size";
-      plan = (fun ~scale -> Exp_local.fig4_plan ~scale);
+      plan = Exp_local.fig4_plan;
     };
     {
       id = "table2";
       title = "Local commitment vs number of nodes";
-      plan = (fun ~scale -> Exp_local.table2_plan ~scale);
+      plan = Exp_local.table2_plan;
     };
     {
       id = "fig5";
       title = "Geo-correlated fault tolerance latency";
-      plan = (fun ~scale -> Exp_geo.fig5_plan ~scale);
+      plan = Exp_geo.fig5_plan;
     };
     {
       id = "fig6";
       title = "Communication latency between participants";
-      plan = (fun ~scale -> Exp_comm.fig6_plan ~scale);
+      plan = Exp_comm.fig6_plan;
     };
     {
       id = "fig7";
       title = "Byzantized paxos vs baselines";
-      plan = (fun ~scale -> Exp_consensus.fig7_plan ~scale);
+      plan = Exp_consensus.fig7_plan;
     };
     {
       id = "fig8";
       title = "Reacting to failures";
-      plan = (fun ~scale -> Exp_geo.fig8_plan ~scale);
+      plan = Exp_geo.fig8_plan;
     };
     (* Ablations beyond the paper's figures. *)
     {
       id = "ablation-reads";
       title = "Read strategies (SVI-A) latency";
-      plan = (fun ~scale -> Exp_ablation.reads_plan ~scale);
+      plan = Exp_ablation.reads_plan;
     };
     {
       id = "ablation-batch";
       title = "Group commit (SVI-C) on/off";
-      plan = (fun ~scale -> Exp_ablation.batching_plan ~scale);
+      plan = (fun ~knobs:_ ~scale -> Exp_ablation.batching_plan ~scale);
     };
     {
       id = "ablation-sig";
       title = "HMAC vs hash-based signatures";
-      plan = (fun ~scale -> Exp_ablation.signatures_plan ~scale);
+      plan = (fun ~knobs:_ ~scale -> Exp_ablation.signatures_plan ~scale);
     };
     {
       id = "ablation-loss";
       title = "Commit latency under packet loss";
-      plan = (fun ~scale -> Exp_ablation.loss_plan ~scale);
+      plan = (fun ~knobs:_ ~scale -> Exp_ablation.loss_plan ~scale);
     };
     {
       id = "ablation-load";
       title = "Offered load vs latency (open loop)";
-      plan = (fun ~scale -> Exp_ablation.load_plan ~scale);
+      plan = (fun ~knobs:_ ~scale -> Exp_ablation.load_plan ~scale);
     };
     {
       id = "ablation-saturation";
       title = "Saturation sweep: open-loop rate x pipeline depth";
-      plan = (fun ~scale -> Exp_saturation.plan ~scale);
+      plan = Exp_saturation.plan;
     };
     {
       id = "ablation-pipeline";
       title = "Consensus pipeline depth (windowed multi-slot PBFT)";
-      plan = (fun ~scale -> Exp_local.pipeline_plan ~scale);
+      plan = Exp_local.pipeline_plan;
     };
     {
       id = "ablation-verify";
       title = "Verification parallelism vs pipeline depth";
-      plan = (fun ~scale -> Exp_local.verify_plan ~scale);
+      plan = Exp_local.verify_plan;
     };
     {
       id = "ablation-shard";
       title = "Keyspace sharding: 1..16 units, cross-shard BFT commit";
-      plan = (fun ~scale -> Exp_shard.plan ~scale);
+      plan = Exp_shard.plan;
     };
     {
       id = "ablation-clustersend";
       title = "Cluster-sending vs fi+1-signature bundles";
-      plan = (fun ~scale -> Exp_clustersend.plan ~scale);
+      plan = (fun ~knobs:_ ~scale -> Exp_clustersend.plan ~scale);
     };
     {
       id = "locality";
       title = "Intra-DC vs wide-area traffic share (SIII-A)";
-      plan = (fun ~scale -> Exp_locality.locality_plan ~scale);
+      plan = Exp_locality.locality_plan;
     };
     {
       id = "costs";
       title = "Resource costs of byzantizing (SVI-D)";
-      plan = (fun ~scale -> Exp_costs.costs_plan ~scale);
+      plan = (fun ~knobs:_ ~scale -> Exp_costs.costs_plan ~scale);
     };
   ]
 
 let find id = List.find_opt (fun e -> String.equal e.id id) all
 
-let run ?pool e ~scale = Runner.run_plan ?pool (e.plan ~scale)
+let run ?pool ?(knobs = Knobs.default) e ~scale =
+  Runner.run_plan ?pool (e.plan ~knobs ~scale)
 
 let run_all ?pool ?(scale = 1.0) () =
   List.concat_map (fun e -> run ?pool e ~scale) all

@@ -8,7 +8,8 @@
 type t = {
   id : string;
   title : string;
-  plan : scale:float -> Runner.plan;
+  plan : knobs:Knobs.t -> scale:float -> Runner.plan;
+      (** experiments that build no {!Runner.fresh_world} ignore [knobs] *)
 }
 
 val all : t list
@@ -17,8 +18,14 @@ val all : t list
 
 val find : string -> t option
 
-val run : ?pool:Bp_parallel.Pool.t -> t -> scale:float -> Report.t list
+val run :
+  ?pool:Bp_parallel.Pool.t ->
+  ?knobs:Knobs.t ->
+  t ->
+  scale:float ->
+  Report.t list
 (** Execute one experiment — on the pool's worker domains when [pool] is
-    given, inline otherwise. Output is identical either way. *)
+    given, inline otherwise. Output is identical either way. [knobs]
+    (default {!Knobs.default}) reaches every world the plan builds. *)
 
 val run_all : ?pool:Bp_parallel.Pool.t -> ?scale:float -> unit -> Report.t list

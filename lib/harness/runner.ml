@@ -6,108 +6,20 @@ type world = {
   dep : Blockplane.Deployment.t;
 }
 
-(* Harness worlds default to depth 1 — the seed's stop-and-wait primary —
-   so every experiment table stays byte-identical to the pre-pipeline
-   baseline unless a depth is requested explicitly (--pipeline N, or the
-   pipeline ablation's own sweep). Written once by the executables before
-   any plan runs, then only read, including from pool domains. *)
-let default_pipeline = ref 1
-
-let set_default_pipeline depth =
-  if depth <= 0 then invalid_arg "Runner.set_default_pipeline: depth must be positive";
-  default_pipeline := depth
-
-(* The --verify-jobs knob, same write-once discipline as the pipeline
-   depth. It feeds two distinct mechanisms: the real wall-clock fan-out
-   (Bp_crypto.Verify_batch, resized by the executables) and the modeled
-   in-replica verification parallelism here — worlds that enable
-   Config.verify_cost divide each slot's charge by this many simulated
-   cores unless they pick a value explicitly. *)
-let default_verify_jobs = ref 1
-
-let set_default_verify_jobs jobs =
-  if jobs <= 0 then
-    invalid_arg "Runner.set_default_verify_jobs: jobs must be positive";
-  default_verify_jobs := jobs
-
-(* The --cluster-send knob, same write-once discipline. Off by default:
-   experiment tables stay byte-identical to the fi+1-bundle seed unless
-   cluster-sending is requested (--cluster-send on, or the clustersend
-   ablation's own sweep). *)
-let default_cluster_send = ref false
-let set_default_cluster_send b = default_cluster_send := b
-
-(* The open-loop load knobs (--load-rate / --load-trace / --skew), same
-   write-once discipline. They parameterize experiments that drive
-   Loadgen (the saturation sweep): the arrival-process shape, an
-   optional single offered rate replacing the sweep's own rate list,
-   and the zipf exponent over the modeled client population. Defaults
-   reproduce the stock sweep. *)
-type load_shape = [ `Poisson | `Bursty | `Diurnal ]
-
-let default_load_shape : load_shape ref = ref `Poisson
-let set_default_load_shape s = default_load_shape := s
-
-let default_load_rate : float option ref = ref None
-
-let set_default_load_rate r =
-  (match r with
-  | Some r when r <= 0.0 || not (Float.is_finite r) ->
-      invalid_arg "Runner.set_default_load_rate: rate must be positive"
-  | _ -> ());
-  default_load_rate := r
-
-let default_skew = ref 0.99
-
-let set_default_skew s =
-  if s < 0.0 || not (Float.is_finite s) then
-    invalid_arg "Runner.set_default_skew: skew must be >= 0 and finite";
-  default_skew := s
-
-(* The --batch-min-fill / --batch-hold knobs (PR 9's batch-cut policy),
-   same write-once discipline. [None] keeps the seed's cut-on-any-signal
-   behaviour. Kept as options — unlike the eager knobs above — so an
-   experiment passing its own explicit policy and a world passing
-   nothing compose instead of resetting each other: the per-world
-   explicit value always wins, the CLI default fills only the gaps, and
-   the pair rule (min-fill > 1 needs a hold window) is judged by
-   [Bp_pbft.Config.make] on the COMPOSED values, not on whichever knob
-   was set last. *)
-let default_batch_min_fill : int option ref = ref None
-
-let set_default_batch_min_fill v =
-  (match v with
-  | Some m when m < 1 ->
-      invalid_arg "Runner.set_default_batch_min_fill: must be >= 1"
-  | _ -> ());
-  default_batch_min_fill := v
-
-let default_batch_hold : Time.t option ref = ref None
-
-let set_default_batch_hold v =
-  (match v with
-  | Some h when Time.compare h Time.zero < 0 ->
-      invalid_arg "Runner.set_default_batch_hold: must be >= 0"
-  | _ -> ());
-  default_batch_hold := v
-
-(* The --shards knob, same write-once discipline. Worlds that don't
-   carry an explicit shard map get [min default n_participants] hash
-   shards: the clamp keeps small fixed-size worlds (the fig4 unit pair,
-   the two-participant comm studies) valid under a global --shards 16
-   instead of failing Deployment's shards <= participants check. An
-   EXPLICIT ?shards is never clamped — asking for more shards than
-   participants is a configuration error and raises. Default 1 = the
-   seed-identical unsharded path. *)
-let default_shards = ref 1
-
-let set_default_shards s =
-  if s < 1 then invalid_arg "Runner.set_default_shards: shards must be >= 1";
-  default_shards := s
-
-let fresh_world ?(fi = 1) ?(fg = 0) ?(seed = 4242L) ?(n_participants = 4)
-    ?topology ?batch_max ?batch_min_fill ?batch_hold ?max_in_flight
-    ?verify_cost ?verify_jobs ?cluster_send ?shards ?shard_map
+(* Knob defaults fill only the gaps a world leaves: every explicit
+   per-world argument wins over the record. Two knobs are clamped to the
+   world they land in, because one run-wide value must stay valid across
+   worlds of every size: the shard count to the participant count (a
+   run-wide --shards 16 must not break a two-participant comm study) and
+   the min-fill to the world's batch_max (a run-wide --batch-min-fill 16
+   must not break the batch_max = 1 pipeline ablation). Explicit values
+   are never clamped: more shards than participants, or a min-fill above
+   batch_max, is a configuration error and raises in Deployment.create /
+   Config.make. The min-fill/hold pair rule is judged by Config.make on
+   the COMPOSED pair, so an explicit min-fill and a knob hold compose. *)
+let fresh_world ?(knobs = Knobs.default) ?(fi = 1) ?(fg = 0) ?(seed = 4242L)
+    ?(n_participants = 4) ?topology ?batch_max ?batch_min_fill ?batch_hold
+    ?max_in_flight ?verify_cost ?verify_jobs ?cluster_send ?shards ?shard_map
     ?prepare_timeout
     ?(app = fun () -> Blockplane.App.make (module Blockplane.App.Null)) () =
   let engine = Engine.create ~seed () in
@@ -123,32 +35,37 @@ let fresh_world ?(fi = 1) ?(fg = 0) ?(seed = 4242L) ?(n_participants = 4)
         else Topology.tiled Topology.aws_paper ~sites:n_participants
   in
   let net = Network.create engine topology () in
-  let max_in_flight =
-    match max_in_flight with Some d -> d | None -> !default_pipeline
-  in
-  let verify_jobs =
-    match verify_jobs with Some j -> j | None -> !default_verify_jobs
-  in
-  let cluster_send =
-    match cluster_send with Some b -> b | None -> !default_cluster_send
-  in
   let batch_min_fill =
-    match batch_min_fill with Some _ as v -> v | None -> !default_batch_min_fill
+    match batch_min_fill with
+    | Some _ -> batch_min_fill
+    | None ->
+        let cap =
+          Option.value batch_max ~default:Bp_pbft.Config.default_batch_max
+        in
+        Option.map (Stdlib.min cap) knobs.Knobs.batch_min_fill
   in
   let batch_hold =
-    match batch_hold with Some _ as v -> v | None -> !default_batch_hold
+    match batch_hold with Some _ -> batch_hold | None -> knobs.batch_hold
   in
   let shard_map =
-    match (shard_map, shards) with
-    | Some m, _ -> m
-    | None, Some s -> Blockplane.Shard.make ~shards:s ()
-    | None, None ->
-        Blockplane.Shard.make ~shards:(Stdlib.min !default_shards n_participants) ()
+    match shard_map with
+    | Some m -> m
+    | None ->
+        let shards =
+          match shards with
+          | Some s -> s
+          | None -> Stdlib.min knobs.shards n_participants
+        in
+        Blockplane.Shard.make ~shards ()
   in
   let dep =
     Blockplane.Deployment.create ~network:net ~n_participants ~fi ~fg ?batch_max
-      ?batch_min_fill ?batch_hold ~max_in_flight ?verify_cost ~verify_jobs
-      ~cluster_send ~shard_map ?prepare_timeout ~app ()
+      ?batch_min_fill ?batch_hold
+      ~max_in_flight:(Option.value max_in_flight ~default:knobs.pipeline)
+      ?verify_cost
+      ~verify_jobs:(Option.value verify_jobs ~default:knobs.verify_jobs)
+      ~cluster_send:(Option.value cluster_send ~default:knobs.cluster_send)
+      ~shard_map ?prepare_timeout ~app ()
   in
   { engine; net; dep }
 

@@ -8,87 +8,8 @@ type world = {
   dep : Blockplane.Deployment.t;
 }
 
-val set_default_pipeline : int -> unit
-(** Pipeline depth for worlds that don't pick one explicitly (the
-    [--pipeline N] knob). Defaults to 1 — the stop-and-wait baseline —
-    so experiment tables are byte-identical to the pre-pipeline seed
-    unless a depth is requested. Call before any plan runs (it is read,
-    never written, from worker domains).
-    @raise Invalid_argument on a non-positive depth. *)
-
-val set_default_verify_jobs : int -> unit
-(** Modeled verification parallelism for worlds that don't pick one
-    explicitly (the [--verify-jobs N] knob; the executables also resize
-    the real [Bp_crypto.Verify_batch] fan-out to match). Only observable
-    in worlds that enable [verify_cost] — with the model off (the
-    default everywhere but the pipeline/verify ablations) simulated
-    results are identical at any value. Defaults to 1.
-    @raise Invalid_argument on a non-positive count. *)
-
-val set_default_cluster_send : bool -> unit
-(** Inter-participant path for worlds that don't pick one explicitly
-    (the [--cluster-send on|off] knob): expected-constant cluster-sending
-    when on, the fi+1-signature-bundle baseline when off. Defaults to
-    off, so experiment tables are byte-identical to the bundle seed
-    unless requested. Same write-once discipline as the other knobs. *)
-
-type load_shape = [ `Poisson | `Bursty | `Diurnal ]
-(** Arrival-process families the load knobs select between (see
-    {!Loadgen.process} for their semantics). *)
-
-val set_default_load_shape : load_shape -> unit
-(** Arrival-process shape for Loadgen-driven experiments (the
-    [--load-trace] knob). Defaults to [`Poisson] — the stock saturation
-    sweep. Same write-once discipline as the other knobs. *)
-
-val default_load_shape : load_shape ref
-
-val set_default_load_rate : float option -> unit
-(** When set (the [--load-rate] knob), Loadgen-driven experiments probe
-    this single offered rate instead of their built-in rate sweep.
-    [None] (the default) keeps the sweep.
-    @raise Invalid_argument on a non-positive or non-finite rate. *)
-
-val default_load_rate : float option ref
-
-val set_default_skew : float -> unit
-(** Zipf exponent over the modeled client population for Loadgen-driven
-    experiments (the [--skew] knob). 0 = uniform; defaults to 0.99.
-    @raise Invalid_argument on a negative or non-finite exponent. *)
-
-val default_skew : float ref
-
-val set_default_batch_min_fill : int option -> unit
-(** Batch-cut minimum fill for worlds that don't pick one explicitly
-    (the [--batch-min-fill] knob; see {!Bp_pbft.Config}). [None] (the
-    default) keeps the seed's cut-on-any-signal policy. Composes with
-    per-world explicit values instead of resetting them: the explicit
-    value wins, and the min-fill/hold pair rule is validated by
-    [Config.make] on the composed pair.
-    @raise Invalid_argument on a fill below 1. *)
-
-val default_batch_min_fill : int option ref
-
-val set_default_batch_hold : Bp_sim.Time.t option -> unit
-(** Batch-cut hold window for worlds that don't pick one explicitly (the
-    [--batch-hold] knob, milliseconds on the command line). Same
-    discipline as {!set_default_batch_min_fill}.
-    @raise Invalid_argument on a negative hold. *)
-
-val default_batch_hold : Bp_sim.Time.t option ref
-
-val set_default_shards : int -> unit
-(** Shard count for worlds that don't carry an explicit shard map (the
-    [--shards N] knob). Defaults to 1 — the seed-identical unsharded
-    path. Worlds clamp the DEFAULT to their participant count (a global
-    [--shards 16] must not break a two-participant comm study); an
-    explicit [?shards] to {!fresh_world} is never clamped and raises in
-    [Deployment.create] if it exceeds the participants.
-    @raise Invalid_argument on a count below 1. *)
-
-val default_shards : int ref
-
 val fresh_world :
+  ?knobs:Knobs.t ->
   ?fi:int ->
   ?fg:int ->
   ?seed:int64 ->
@@ -112,9 +33,18 @@ val fresh_world :
     four regions the default becomes {!Bp_sim.Topology.tiled} over it,
     so scale-out worlds get one datacenter per unit at fixed per-unit
     resources. [shards] / [shard_map] select the keyspace partition
-    (explicit map wins; neither = the write-once [--shards] default,
-    clamped to the participant count); [prepare_timeout] bounds the
-    cross-shard vote wait (see {!Blockplane.Shard.router}). *)
+    (explicit map wins); [prepare_timeout] bounds the cross-shard vote
+    wait (see {!Blockplane.Shard.router}).
+
+    [knobs] (default {!Knobs.default}) fills every argument the caller
+    leaves out: pipeline depth, verify jobs, cluster-send, shards and
+    the batch-cut pair. An explicit argument always wins. Two knob
+    values are clamped to the world: [knobs.shards] to [n_participants]
+    and [knobs.batch_min_fill] to [batch_max], so one run-wide setting
+    stays valid in worlds of every size. Explicit [?shards] and
+    [?batch_min_fill] are never clamped: out-of-range values raise
+    [Invalid_argument] from [Deployment.create] / [Config.make], which
+    also judges the min-fill/hold pair rule on the composed pair. *)
 
 val payload : size:int -> int -> string
 (** Deterministic batch contents of the given byte size (the index makes

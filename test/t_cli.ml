@@ -1,0 +1,106 @@
+(* The flag term shared by bench/main.exe and blockplane-cli: every flag
+   maps onto the knobs record, and every bad value is a command-line
+   error (Cmdliner's `Parse or `Term), never an exception escaping from
+   a world built later. *)
+
+open Cmdliner
+module Knobs = Bp_harness.Knobs
+
+let eval ?(env = []) args =
+  let cmd = Cmd.v (Cmd.info "t") Bp_cli.term in
+  let quiet = Format.formatter_of_buffer (Buffer.create 256) in
+  Cmd.eval_value ~help:quiet ~err:quiet
+    ~env:(fun var -> List.assoc_opt var env)
+    ~argv:(Array.of_list ("t" :: args))
+    cmd
+
+let parsed ?env args =
+  match eval ?env args with
+  | Ok (`Ok t) -> t
+  | Ok (`Help | `Version) ->
+      Alcotest.failf "%s: help/version" (String.concat " " args)
+  | Error _ -> Alcotest.failf "%s: rejected" (String.concat " " args)
+
+let k = Knobs.default
+
+let test_valid_flags () =
+  let check args expected =
+    Alcotest.(check bool)
+      (String.concat " " args) true
+      ((parsed args).Bp_cli.knobs = expected)
+  in
+  check [] k;
+  check [ "--pipeline"; "4" ] { k with pipeline = 4 };
+  check [ "--verify-jobs"; "2" ] { k with verify_jobs = 2 };
+  check [ "--cluster-send"; "on" ] { k with cluster_send = true };
+  check [ "--cluster-send"; "off" ] k;
+  check [ "--load-rate"; "20000" ] { k with load_rate = Some 20_000.0 };
+  check [ "--load-trace"; "bursty" ] { k with load_shape = `Bursty };
+  check [ "--load-trace"; "diurnal" ] { k with load_shape = `Diurnal };
+  check [ "--skew"; "0" ] { k with skew = 0.0 };
+  check [ "--shards"; "4" ] { k with shards = 4 };
+  check [ "--batch-min-fill"; "1" ] { k with batch_min_fill = Some 1 };
+  check [ "--batch-hold"; "0.25" ]
+    { k with batch_hold = Some (Bp_sim.Time.of_ms 0.25) };
+  check
+    [ "--batch-min-fill"; "16"; "--batch-hold"; "0.25" ]
+    {
+      k with
+      batch_min_fill = Some 16;
+      batch_hold = Some (Bp_sim.Time.of_ms 0.25);
+    };
+  let t = parsed [] in
+  Alcotest.(check (float 0.0)) "default scale" 1.0 t.Bp_cli.scale;
+  Alcotest.(check bool) "cache on by default" false t.Bp_cli.no_cache;
+  Alcotest.(check (float 0.0)) "--scale" 0.2 (parsed [ "--scale"; "0.2" ]).scale;
+  Alcotest.(check (float 0.0)) "-s" 0.2 (parsed [ "-s"; "0.2" ]).scale;
+  Alcotest.(check (float 0.0)) "BP_BENCH_SCALE fallback" 0.3
+    (parsed ~env:[ ("BP_BENCH_SCALE", "0.3") ] []).scale;
+  Alcotest.(check (float 0.0)) "--scale wins over BP_BENCH_SCALE" 0.2
+    (parsed ~env:[ ("BP_BENCH_SCALE", "0.3") ] [ "--scale"; "0.2" ]).scale;
+  Alcotest.(check int) "-j" 3 (parsed [ "-j"; "3" ]).jobs;
+  Alcotest.(check int) "--jobs" 2 (parsed [ "--jobs"; "2" ]).jobs;
+  Alcotest.(check bool) "--no-cache" true (parsed [ "--no-cache" ]).no_cache
+
+let test_bad_values () =
+  let rejected ?env args =
+    let name =
+      String.concat " "
+        (List.map (fun (var, v) -> var ^ "=" ^ v) (Option.value env ~default:[])
+        @ args)
+    in
+    match eval ?env args with
+    | Error (`Parse | `Term) -> ()
+    | Error `Exn -> Alcotest.failf "%s: exception escaped" name
+    | Ok _ -> Alcotest.failf "%s: accepted" name
+  in
+  rejected [ "--skew"; "inf" ];
+  rejected [ "--skew"; "-1" ];
+  rejected [ "--load-rate"; "nan" ];
+  rejected [ "--load-rate"; "inf" ];
+  rejected [ "--load-rate"; "0" ];
+  rejected [ "--batch-min-fill"; "16" ];
+  rejected [ "--batch-min-fill"; "16"; "--batch-hold"; "0" ];
+  rejected [ "--batch-min-fill"; "16"; "--batch-hold"; "0.0000001" ];
+  rejected [ "--batch-min-fill"; "0" ];
+  rejected [ "--batch-hold"; "nan" ];
+  rejected [ "--batch-hold"; "-1" ];
+  rejected [ "--pipeline"; "0" ];
+  rejected [ "--verify-jobs"; "0" ];
+  rejected [ "--shards"; "0" ];
+  rejected [ "--jobs"; "0" ];
+  rejected [ "--cluster-send"; "maybe" ];
+  rejected [ "--load-trace"; "square" ];
+  rejected [ "--scale"; "inf" ];
+  rejected [ "--scale"; "0" ];
+  rejected ~env:[ ("BP_BENCH_SCALE", "abc") ] [];
+  rejected ~env:[ ("BP_BENCH_SCALE", "nan") ] []
+
+let suite =
+  [
+    ( "cli",
+      [
+        Alcotest.test_case "one valid argv per flag" `Quick test_valid_flags;
+        Alcotest.test_case "bad values are flag errors" `Quick test_bad_values;
+      ] );
+  ]

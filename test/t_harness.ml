@@ -255,9 +255,10 @@ let fig4_depth1_golden =
    +~160% to 1 MB, ~+10% to 2 MB\n"
 
 let test_fig4_depth1_matches_seed () =
-  Runner.set_default_pipeline 1;
+  let knobs = { Knobs.default with pipeline = 1 } in
   let rendered =
-    String.concat "" (List.map Report.render (Exp_local.fig4 ~scale:0.08 ()))
+    String.concat ""
+      (List.map Report.render (Exp_local.fig4 ~knobs ~scale:0.08 ()))
   in
   Alcotest.(check string) "depth-1 fig4 bytes = pre-pipeline seed"
     fig4_depth1_golden rendered
@@ -327,26 +328,24 @@ let test_saturation_shape () =
     (metric "d8_top_mean_fill" < metric "d1_top_mean_fill")
 
 (* --load-rate collapses the sweep to one probed rate per series;
-   --load-trace / --skew reshape the arrival process. All three are
-   write-once knobs, restored here so later tests see the defaults. *)
+   --load-trace / --skew reshape the arrival process. *)
 let test_saturation_load_knobs () =
-  let restore () =
-    Runner.set_default_load_rate None;
-    Runner.set_default_load_shape `Poisson;
-    Runner.set_default_skew 0.99
+  let knobs =
+    {
+      Knobs.default with
+      load_rate = Some 20_000.0;
+      load_shape = `Bursty;
+      skew = 0.0;
+    }
   in
-  Fun.protect ~finally:restore (fun () ->
-      Runner.set_default_load_rate (Some 20_000.0);
-      Runner.set_default_load_shape `Bursty;
-      Runner.set_default_skew 0.0;
-      let r =
-        find_report "ablation-saturation" (Exp_saturation.saturation ~scale:0.05 ())
-      in
-      Alcotest.(check int) "one rate x 5 series" 5 (List.length r.Report.rows);
-      List.iter
-        (fun row ->
-          Alcotest.(check string) "probed rate" "20000/s" (List.nth row 1))
-        r.Report.rows)
+  let r =
+    find_report "ablation-saturation"
+      (Exp_saturation.saturation ~knobs ~scale:0.05 ())
+  in
+  Alcotest.(check int) "one rate x 5 series" 5 (List.length r.Report.rows);
+  List.iter
+    (fun row -> Alcotest.(check string) "probed rate" "20000/s" (List.nth row 1))
+    r.Report.rows
 
 let test_pipeline_ablation_shape () =
   let r = find_report "pipeline" (Exp_local.pipeline ~scale:0.3 ()) in
@@ -372,6 +371,26 @@ let test_pipeline_ablation_shape () =
   Alcotest.(check bool) "latency percentiles recorded" true
     (metric "d8_p99_ms" >= metric "d8_p50_ms")
 
+(* A run-wide min-fill larger than a world's batch_max clamps to it, as
+   run-wide shards clamp to participants: the batch_max = 1 ablations
+   complete under the d8mf16 knobs instead of failing Config.make. *)
+let test_batch_knobs_clamp_to_batch_max () =
+  let knobs =
+    {
+      Knobs.default with
+      batch_min_fill = Some 16;
+      batch_hold = Some (Bp_sim.Time.of_ms 0.25);
+    }
+  in
+  List.iter
+    (fun (id, reports) ->
+      Alcotest.(check bool) (id ^ " completes") true
+        ((find_report id reports).Report.rows <> []))
+    [
+      ("pipeline", Exp_local.pipeline ~knobs ~scale:0.1 ());
+      ("verify", Exp_local.verify_ablation ~knobs ~scale:0.1 ());
+    ]
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [
@@ -382,6 +401,7 @@ let suite =
         tc "fig4 shapes" test_fig4_shapes;
         tc "fig4 depth-1 bytes = seed" test_fig4_depth1_matches_seed;
         tc "pipeline ablation shape" test_pipeline_ablation_shape;
+        tc "batch knobs clamp to batch_max" test_batch_knobs_clamp_to_batch_max;
         tc "table2 shape" test_table2_shape;
         tc "fig5 shape" test_fig5_shape;
         tc "fig6 shape" test_fig6_shape;

@@ -126,6 +126,23 @@ let test_r7_parpure () =
   let direct = Lint.lint_cmt ~rules:[ "R7-parpure" ] (fixture "Fx_r7") in
   check_count ~msg:"graph-free: direct violations only" "R7-parpure" 2 direct
 
+(* R8-harnessglobal: every module-level allocation of mutable state is
+   flagged (ref, Hashtbl, Array, Buffer, Atomic, a mutable record, a
+   closure over a ref); the per-call good_* twins, immutable values and
+   the allow-attributed site stay clean. *)
+let test_r8_harnessglobal () =
+  let diags = Lint.lint_cmt ~rules:[ "R8-harnessglobal" ] (fixture "Fx_r8") in
+  check_count ~msg:"six allocators + closure-captured ref" "R8-harnessglobal" 7
+    diags;
+  Alcotest.(check int) "total findings" 7 (List.length diags);
+  Alcotest.(check bool) "mutable record is called out" true
+    (message_mem "record with mutable fields" diags);
+  let has rule source = List.mem rule (Lint.policy ~source) in
+  Alcotest.(check bool) "harness gets R8" true
+    (has "R8-harnessglobal" "lib/harness/runner.ml");
+  Alcotest.(check bool) "R8 is scoped to the harness" false
+    (has "R8-harnessglobal" "lib/crypto/verify_batch.ml")
+
 let test_clean_fixture () =
   let diags = Lint.lint_cmt ~rules:Lint.all_rules (fixture "Fx_clean") in
   Alcotest.(check int) (Printf.sprintf "clean module\n%s" (show diags)) 0
@@ -296,6 +313,8 @@ let suite =
           test_r6_domainescape;
         Alcotest.test_case "R7 parallel purity via call graph" `Quick
           test_r7_parpure;
+        Alcotest.test_case "R8 no module-level state in harness" `Quick
+          test_r8_harnessglobal;
         Alcotest.test_case "clean fixture" `Quick test_clean_fixture;
         Alcotest.test_case "allowlist suppression" `Quick test_allowlist;
         Alcotest.test_case "segment-anchored path matching" `Quick

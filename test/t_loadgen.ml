@@ -284,7 +284,8 @@ let test_heap_occupancy () =
 let test_saturation_jobs_deterministic () =
   let render_all () =
     String.concat ""
-      (List.map Report.render (Runner.run_plan (Exp_saturation.plan ~scale:0.05)))
+      (List.map Report.render
+         (Runner.run_plan (Exp_saturation.plan ~knobs:Knobs.default ~scale:0.05)))
   in
   let seq = render_all () in
   let pool = Bp_parallel.Pool.create ~jobs:2 in
@@ -294,7 +295,7 @@ let test_saturation_jobs_deterministic () =
       (fun () ->
         String.concat ""
           (List.map Report.render
-             (Runner.run_plan ~pool (Exp_saturation.plan ~scale:0.05))))
+             (Runner.run_plan ~pool (Exp_saturation.plan ~knobs:Knobs.default ~scale:0.05))))
   in
   Alcotest.(check string) "jobs 1 == jobs 2, byte-identical" seq par
 

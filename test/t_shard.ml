@@ -259,49 +259,49 @@ let atomic_deterministic =
 
 let test_runner_knobs () =
   let raises f = try f () |> ignore; false with Invalid_argument _ -> true in
+  let world = Bp_harness.Runner.fresh_world in
+  let k = Bp_harness.Knobs.default in
   Alcotest.(check bool) "shards 0 rejected" true
-    (raises (fun () -> Bp_harness.Runner.set_default_shards 0));
+    (raises (fun () -> world ~knobs:{ k with shards = 0 } ()));
   Alcotest.(check bool) "min-fill 0 rejected" true
-    (raises (fun () -> Bp_harness.Runner.set_default_batch_min_fill (Some 0)));
+    (raises (fun () ->
+         world ~knobs:{ k with batch_min_fill = Some 0 } ~n_participants:1 ()));
   Alcotest.(check bool) "negative hold rejected" true
     (raises (fun () ->
-         Bp_harness.Runner.set_default_batch_hold (Some (Time.of_ms (-1.0)))));
-  let restore () =
-    Bp_harness.Runner.set_default_shards 1;
-    Bp_harness.Runner.set_default_batch_min_fill None;
-    Bp_harness.Runner.set_default_batch_hold None
+         world
+           ~knobs:{ k with batch_hold = Some (Time.of_ms (-1.0)) }
+           ~n_participants:1 ()));
+  (* The knob shard count clamps to small fixed worlds... *)
+  let w = world ~knobs:{ k with shards = 3 } ~n_participants:2 () in
+  Alcotest.(check int) "knob shards clamped to participants" 2
+    (Shard.shards (Deployment.shard_map w.Bp_harness.Runner.dep));
+  (* ...an explicit per-world shard count never clamps. *)
+  Alcotest.(check bool) "explicit shards > participants rejected" true
+    (raises (fun () -> world ~shards:8 ~n_participants:4 ()));
+  (* Batch knobs compose: the knob pair is valid together, and an
+     explicit min-fill composes with the knob hold instead of resetting
+     it (1 + hold is a valid pair; 16 + zero would not be). *)
+  let batch =
+    { k with batch_min_fill = Some 16; batch_hold = Some (Time.of_ms 0.25) }
   in
-  Fun.protect ~finally:restore (fun () ->
-      (* The default shard count clamps to small fixed worlds... *)
-      Bp_harness.Runner.set_default_shards 3;
-      let w = Bp_harness.Runner.fresh_world ~n_participants:2 () in
-      Alcotest.(check int) "default shards clamped to participants" 2
-        (Shard.shards (Deployment.shard_map w.Bp_harness.Runner.dep));
-      (* ...an explicit per-world shard count never clamps. *)
-      Alcotest.(check bool) "explicit shards > participants rejected" true
-        (raises (fun () ->
-             Bp_harness.Runner.fresh_world ~shards:8 ~n_participants:4 ()));
-      (* Batch knobs compose: the default pair is valid together, and an
-         explicit min-fill composes with the default hold instead of
-         resetting it (1 + hold is a valid pair; 16 + zero would not be). *)
-      Bp_harness.Runner.set_default_batch_min_fill (Some 16);
-      Bp_harness.Runner.set_default_batch_hold (Some (Time.of_ms 0.25));
-      let w = Bp_harness.Runner.fresh_world ~n_participants:1 () in
-      let api = Deployment.api w.Bp_harness.Runner.dep 0 in
-      let ok = ref false in
-      Api.log_commit api "knob-probe" ~on_done:(fun () -> ok := true);
-      Engine.run ~until:(Time.of_sec 2.0) w.Bp_harness.Runner.engine;
-      Alcotest.(check bool) "world under composed defaults commits" true !ok;
-      let w2 =
-        Bp_harness.Runner.fresh_world ~batch_min_fill:1 ~n_participants:1 ()
-      in
-      ignore w2);
-  (* With the defaults restored, an explicit min-fill above 1 and no hold
+  let w = world ~knobs:batch ~n_participants:1 () in
+  let api = Deployment.api w.Bp_harness.Runner.dep 0 in
+  let ok = ref false in
+  Api.log_commit api "knob-probe" ~on_done:(fun () -> ok := true);
+  Engine.run ~until:(Time.of_sec 2.0) w.Bp_harness.Runner.engine;
+  Alcotest.(check bool) "world under composed knobs commits" true !ok;
+  ignore (world ~knobs:batch ~batch_min_fill:1 ~n_participants:1 ());
+  (* The knob min-fill clamps to a world's batch_max, like knob shards
+     to its participants; an explicit min-fill above it still raises. *)
+  ignore (world ~knobs:batch ~batch_max:1 ~n_participants:1 ());
+  Alcotest.(check bool) "explicit min-fill > batch_max rejected" true
+    (raises (fun () ->
+         world ~knobs:batch ~batch_max:1 ~batch_min_fill:16 ~n_participants:1 ()));
+  (* With default knobs, an explicit min-fill above 1 and no hold
      anywhere is the invalid pair — Config.make must see the COMPOSED
      pair and reject it. *)
   Alcotest.(check bool) "min-fill without any hold rejected" true
-    (raises (fun () ->
-         Bp_harness.Runner.fresh_world ~batch_min_fill:4 ~n_participants:1 ()))
+    (raises (fun () -> world ~batch_min_fill:4 ~n_participants:1 ()))
 
 (* --- 1-shard byte-identity: golden table2 under a global --shards --- *)
 
@@ -324,19 +324,15 @@ let table2_golden =
    \   note: expected shape: throughput falls and latency rises with n\n"
 
 let test_table2_golden_any_shards () =
-  let render () =
+  let render knobs =
     String.concat ""
       (List.map Bp_harness.Report.render
-         (Bp_harness.Exp_local.table2 ~scale:0.2 ()))
+         (Bp_harness.Exp_local.table2 ~knobs ~scale:0.2 ()))
   in
   Alcotest.(check string) "table2 bytes at default shards" table2_golden
-    (render ());
-  Fun.protect
-    ~finally:(fun () -> Bp_harness.Runner.set_default_shards 1)
-    (fun () ->
-      Bp_harness.Runner.set_default_shards 16;
-      Alcotest.(check string) "table2 bytes under --shards 16" table2_golden
-        (render ()))
+    (render Bp_harness.Knobs.default);
+  Alcotest.(check string) "table2 bytes under --shards 16" table2_golden
+    (render { Bp_harness.Knobs.default with shards = 16 })
 
 (* --- the shard sweep is bit-identical at any --jobs --- *)
 
@@ -344,7 +340,9 @@ let test_shard_sweep_jobs_deterministic () =
   let render_all pool =
     String.concat ""
       (List.map Bp_harness.Report.render
-         (Bp_harness.Runner.run_plan ?pool (Bp_harness.Exp_shard.plan ~scale:0.01)))
+         (Bp_harness.Runner.run_plan ?pool
+            (Bp_harness.Exp_shard.plan ~knobs:Bp_harness.Knobs.default
+               ~scale:0.01)))
   in
   let seq = render_all None in
   let pool = Bp_parallel.Pool.create ~jobs:2 in

@@ -19,6 +19,7 @@ let all_rules =
     "R5-rawverify";
     "R6-domainescape";
     "R7-parpure";
+    "R8-harnessglobal";
   ]
 
 let to_string = Lint_diag.to_string
@@ -110,6 +111,10 @@ let policy ~source =
              scope): a stray Signer.verify silently bypasses both the memo
              and its generation-stamped invalidation discipline. *)
           (if in_dirs [ "crypto" ] then [] else [ "R5-rawverify" ]);
+          (* The harness is configured by explicit values (Knobs.t)
+             passed down each call; module-level mutable state there is
+             a hidden second configuration surface. *)
+          (if in_dirs [ "harness" ] then [ "R8-harnessglobal" ] else []);
           interproc_rules;
         ]
   | "bench" :: _ :: _ | "bin" :: _ :: _ ->
@@ -142,6 +147,8 @@ type ctx = {
   allowlist : allowlist;
   mutable allow_stack : string list;
   mutable diags : diagnostic list;
+  mutable fun_depth : int;
+      (** enclosing function bodies; 0 = evaluated at module init *)
 }
 
 let report ctx ~rule ~(loc : Location.t) message =
@@ -295,6 +302,23 @@ let print_fns =
    mangled name of the wrapped library's implementation module. *)
 let raw_verify_fns = [ "Bp_crypto.Signer.verify"; "Bp_crypto__Signer.verify" ]
 
+let mutable_allocators =
+  [
+    "Stdlib.ref";
+    "Stdlib.Hashtbl.create";
+    "Stdlib.Array.make";
+    "Stdlib.Buffer.create";
+    "Stdlib.Atomic.make";
+  ]
+
+let report_global ctx ~loc what =
+  report ctx ~rule:"R8-harnessglobal" ~loc
+    (Printf.sprintf
+       "module-level mutable state (%s): harness configuration travels as \
+        explicit values (Knobs.t) and state is allocated inside the function \
+        that owns it"
+       what)
+
 let check_ident ctx (e : Typedtree.expression) path =
   let qual = Path.name path in
   let name = strip_stdlib qual in
@@ -371,6 +395,26 @@ let rec unwrap_option_some (e : Typedtree.expression) =
       unwrap_option_some inner
   | _ -> e
 
+(* R8: what a module-level binding evaluates at initialisation — outside
+   every function body — must not allocate mutable state. *)
+let check_global ctx (e : Typedtree.expression) =
+  let loc = e.Typedtree.exp_loc in
+  if ctx.fun_depth = 0 then
+    match e.Typedtree.exp_desc with
+    | Typedtree.Texp_apply
+        ({ Typedtree.exp_desc = Typedtree.Texp_ident (path, _, _); _ }, _)
+      when List.mem (Path.name path) mutable_allocators ->
+        report_global ctx ~loc (strip_stdlib (Path.name path))
+    | Typedtree.Texp_record { fields; _ }
+      when Array.exists
+             (fun ((l : Types.label_description), _) ->
+               match l.Types.lbl_mut with
+               | Asttypes.Mutable -> true
+               | Asttypes.Immutable -> false)
+             fields ->
+        report_global ctx ~loc "record with mutable fields"
+    | _ -> ()
+
 let check_expr ctx (e : Typedtree.expression) =
   match e.Typedtree.exp_desc with
   | Typedtree.Texp_ident (path, _, _) -> check_ident ctx e path
@@ -422,8 +466,14 @@ let make_iterator ctx =
   in
   let expr sub (e : Typedtree.expression) =
     with_allows e.Typedtree.exp_attributes (fun () ->
+        check_global ctx e;
         check_expr ctx e;
-        super.Tast_iterator.expr sub e)
+        match e.Typedtree.exp_desc with
+        | Typedtree.Texp_function _ ->
+            ctx.fun_depth <- ctx.fun_depth + 1;
+            super.Tast_iterator.expr sub e;
+            ctx.fun_depth <- ctx.fun_depth - 1
+        | _ -> super.Tast_iterator.expr sub e)
   in
   let value_binding sub (vb : Typedtree.value_binding) =
     with_allows vb.Typedtree.vb_attributes (fun () ->
@@ -487,7 +537,9 @@ let lint_cmt ?(allowlist = empty_allowlist) ?(graph = Lint_graph.empty) ~rules
       | Some s -> normalize_source s
       | None -> path
     in
-    let ctx = { source; rules; allowlist; allow_stack = []; diags = [] } in
+    let ctx =
+      { source; rules; allowlist; allow_stack = []; diags = []; fun_depth = 0 }
+    in
     (if
        List.mem "R4-mli" rules
        && (not (allowlisted allowlist ~rule:"R4-mli" ~file:source))
