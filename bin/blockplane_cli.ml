@@ -1,6 +1,6 @@
 (* Command-line entry point: run any of the paper's experiments. The
    run-wide flags (knobs, --scale, --jobs, --no-cache) come from the
-   term shared with the bench executable. *)
+   shared term in lib/cli. *)
 
 open Cmdliner
 
@@ -34,28 +34,29 @@ let run_cmd =
   let ids =
     List.map (fun e -> e.Bp_harness.Experiments.id) Bp_harness.Experiments.all
   in
-  let experiment =
+  let experiments =
     Arg.(
-      required
-      & pos 0 (some (enum (List.map (fun id -> (id, id)) ids))) None
-      & info [] ~docv:"EXPERIMENT" ~doc:"Experiment id (see `list`).")
+      non_empty
+      & pos_all (enum (List.map (fun id -> (id, id)) ids)) []
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:"Experiment ids (see `list`), run in the order given.")
   in
-  let run common verbose id =
+  let run common verbose ids =
     run_experiments common verbose
-      (List.filter
-         (fun e -> String.equal e.Bp_harness.Experiments.id id)
-         Bp_harness.Experiments.all)
+      (List.filter_map Bp_harness.Experiments.find ids)
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Run one experiment and print its paper-vs-measured table")
-    Term.(const run $ Bp_cli.term $ verbose_arg $ experiment)
+    (Cmd.info "run"
+       ~doc:"Run experiments and print their paper-vs-measured tables")
+    Term.(term_result' (const run $ Bp_cli.term $ verbose_arg $ experiments))
 
 let all_cmd =
   Cmd.v
     (Cmd.info "all" ~doc:"Run every table and figure of the evaluation")
     Term.(
-      const run_experiments $ Bp_cli.term $ verbose_arg
-      $ const Bp_harness.Experiments.all)
+      term_result'
+        (const run_experiments $ Bp_cli.term $ verbose_arg
+        $ const Bp_harness.Experiments.all))
 
 let () =
   let info =

@@ -173,14 +173,29 @@ let term =
   let+ knobs and+ scale and+ jobs and+ no_cache in
   { knobs; scale; jobs; no_cache }
 
+(* Both pools start before [f] runs: the batch-verify workers (which
+   would otherwise spawn lazily at the first verify) and then the task
+   pool. A count the runtime cannot host is reported against its flag. *)
 let with_pool t f =
   if t.no_cache then Bp_crypto.Verify_cache.set_enabled false;
   Bp_crypto.Verify_batch.set_default_jobs t.knobs.verify_jobs;
-  let pool =
-    if t.jobs > 1 then Some (Bp_parallel.Pool.create ~jobs:t.jobs) else None
+  let release pool =
+    Option.iter Bp_parallel.Pool.shutdown pool;
+    Bp_crypto.Verify_batch.set_default_jobs 1
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Option.iter Bp_parallel.Pool.shutdown pool;
-      Bp_crypto.Verify_batch.set_default_jobs 1)
-    (fun () -> f pool)
+  let start flag n spawn =
+    try Ok (spawn ())
+    with Failure msg ->
+      release None;
+      Error
+        (Printf.sprintf "%s %d: cannot start that many worker domains (%s)"
+           flag n msg)
+  in
+  Result.bind
+    (start "--verify-jobs" t.knobs.verify_jobs Bp_crypto.Verify_batch.global)
+    (fun _ ->
+      start "--jobs" t.jobs (fun () ->
+          if t.jobs > 1 then Some (Bp_parallel.Pool.create ~jobs:t.jobs)
+          else None))
+  |> Result.map (fun pool ->
+         Fun.protect ~finally:(fun () -> release pool) (fun () -> f pool))

@@ -1,7 +1,7 @@
-(** The flag surface shared by both executables ([bench/main.exe] and
-    [blockplane-cli]): every run-wide flag is declared here exactly once,
-    as one Cmdliner term evaluating to a {!Bp_harness.Knobs.t} plus the
-    scale, worker-domain count and cache switch.
+(** The run-wide flag surface of [blockplane-cli], the experiment driver:
+    every run-wide flag is declared here exactly once, as one Cmdliner
+    term evaluating to a {!Bp_harness.Knobs.t} plus the scale,
+    worker-domain count and cache switch.
 
     Every bad value is a command-line error naming its flag (Cmdliner
     exits 124): non-positive counts, non-finite or out-of-range floats,
@@ -23,8 +23,15 @@ val term : t Cmdliner.Term.t
     {!Bp_harness.Knobs.default}) plus [--scale], [--jobs] and
     [--no-cache]. *)
 
-val with_pool : t -> (Bp_parallel.Pool.t option -> 'a) -> 'a
+val with_pool :
+  t -> (Bp_parallel.Pool.t option -> 'a) -> ('a, string) result
 (** Apply the process-wide settings of [t] (the cache switch, and the
     real batch-crypto fan-out sized by [--verify-jobs]), run [f] with a
     pool of [t.jobs] domains ([None] at 1), then shut the pool and the
-    batch-verify workers down, whatever [f] does. *)
+    batch-verify workers down, whatever [f] does.
+
+    Both sets of worker domains are started before [f] runs. If the
+    runtime cannot host the count [--verify-jobs] or [--jobs] asks for,
+    the domains already started are joined and the result is an error
+    naming that flag ([f] never runs); pass it to
+    [Cmdliner.Term.term_result'] to make it a command-line error. *)

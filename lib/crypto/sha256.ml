@@ -5,8 +5,9 @@
    upward. This removes the boxed-[Int32] allocation per arithmetic step
    that dominated the original [compress]; the message schedule is a
    preallocated scratch array in the context, so steady-state hashing
-   allocates nothing per block. [Sha256_ref] retains the Int32
-   transcription as a differential-testing oracle. *)
+   allocates nothing per block. The test suite keeps the Int32
+   transcription ([test/sha256_ref.ml]) as a differential-testing
+   oracle. *)
 
 let mask = 0xffffffff
 

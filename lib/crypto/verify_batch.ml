@@ -266,15 +266,11 @@ let set_default_jobs n =
   Mutex.unlock global_mutex
 
 let global () =
-  Mutex.lock global_mutex;
-  let c =
-    match !global_ctx with
-    | Some c when c.jobs = !default_jobs_ref -> c
-    | stale ->
-        (match stale with Some c -> shutdown c | None -> ());
-        let c = create ~jobs:!default_jobs_ref () in
-        global_ctx := Some c;
-        c
-  in
-  Mutex.unlock global_mutex;
-  c
+  Mutex.protect global_mutex (fun () ->
+      match !global_ctx with
+      | Some c when c.jobs = !default_jobs_ref -> c
+      | stale ->
+          (match stale with Some c -> shutdown c | None -> ());
+          let c = create ~jobs:!default_jobs_ref () in
+          global_ctx := Some c;
+          c)

@@ -109,4 +109,7 @@ val set_default_jobs : int -> unit
 val default_jobs : unit -> int
 
 val global : unit -> t
-(** The shared context, (re)built lazily at the current default size. *)
+(** The shared context, (re)built lazily at the current default size.
+
+    @raise Failure if its worker domains cannot be started (see
+    {!Bp_parallel.Pool.create}); the next call tries again. *)

@@ -97,6 +97,35 @@ let rec worker t =
       Mutex.unlock t.mutex;
       worker t
 
+let shutdown t =
+  Mutex.lock t.mutex;
+  if not t.stopping then begin
+    t.stopping <- true;
+    (* Fail batches that still have unclaimed work: with the workers
+       gone nobody would ever finish them, and await would hang. *)
+    List.iter
+      (fun b ->
+        if b.b_next < b.b_total then begin
+          b.b_next <- b.b_total;
+          match b.b_failure with
+          | Some _ -> ()
+          | None ->
+              b.b_failure <-
+                Some
+                  ( Invalid_argument "Pool.await: pool was shut down",
+                    Printexc.get_callstack 0 )
+        end;
+        if b.b_active = 0 then b.b_done <- true)
+      t.queue;
+    t.queue <- [];
+    Condition.broadcast t.work;
+    Condition.broadcast t.idle
+  end;
+  let workers = t.workers in
+  t.workers <- [];
+  Mutex.unlock t.mutex;
+  List.iter Domain.join workers
+
 let create ~jobs =
   let jobs = Stdlib.max 1 jobs in
   let t =
@@ -110,8 +139,16 @@ let create ~jobs =
       workers = [];
     }
   in
-  if jobs > 1 then
-    t.workers <- List.init jobs (fun _ -> Domain.spawn (fun () -> worker t));
+  (* One spawn at a time: when the runtime refuses a domain, the workers
+     already running are joined before the failure propagates. *)
+  (try
+     for _ = 1 to if jobs > 1 then jobs else 0 do
+       t.workers <- Domain.spawn (fun () -> worker t) :: t.workers
+     done
+   with e ->
+     let bt = Printexc.get_raw_backtrace () in
+     shutdown t;
+     Printexc.raise_with_backtrace e bt);
   t
 
 let jobs t = t.jobs
@@ -181,35 +218,6 @@ let await h =
           rs)
 
 let run t tasks = await (submit_exn "Pool.run: pool is shut down" t tasks)
-
-let shutdown t =
-  Mutex.lock t.mutex;
-  if not t.stopping then begin
-    t.stopping <- true;
-    (* Fail batches that still have unclaimed work: with the workers
-       gone nobody would ever finish them, and await would hang. *)
-    List.iter
-      (fun b ->
-        if b.b_next < b.b_total then begin
-          b.b_next <- b.b_total;
-          match b.b_failure with
-          | Some _ -> ()
-          | None ->
-              b.b_failure <-
-                Some
-                  ( Invalid_argument "Pool.await: pool was shut down",
-                    Printexc.get_callstack 0 )
-        end;
-        if b.b_active = 0 then b.b_done <- true)
-      t.queue;
-    t.queue <- [];
-    Condition.broadcast t.work;
-    Condition.broadcast t.idle
-  end;
-  let workers = t.workers in
-  t.workers <- [];
-  Mutex.unlock t.mutex;
-  List.iter Domain.join workers
 
 let map ~jobs tasks =
   let t = create ~jobs in

@@ -35,7 +35,10 @@ type t
 val create : jobs:int -> t
 (** Spawn a pool of [max 1 jobs] workers. [jobs <= 1] spawns no domains
     at all: {!run} then executes tasks inline on the calling domain, so
-    [-j 1] is exactly the pre-pool sequential behaviour. *)
+    [-j 1] is exactly the pre-pool sequential behaviour.
+
+    @raise Failure if the runtime cannot host [jobs] more domains; the
+    workers spawned before the refusal are joined first. *)
 
 val jobs : t -> int
 (** The (clamped) parallelism the pool was created with. *)

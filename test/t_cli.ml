@@ -1,18 +1,26 @@
-(* The flag term shared by bench/main.exe and blockplane-cli: every flag
-   maps onto the knobs record, and every bad value is a command-line
-   error (Cmdliner's `Parse or `Term), never an exception escaping from
-   a world built later. *)
+(* The run-wide flag term of blockplane-cli (lib/cli): every flag maps
+   onto the knobs record, and every bad value is a command-line error
+   (Cmdliner's `Parse or `Term), never an exception escaping from a
+   world built later. *)
 
 open Cmdliner
 module Knobs = Bp_harness.Knobs
 
-let eval ?(env = []) args =
-  let cmd = Cmd.v (Cmd.info "t") Bp_cli.term in
-  let quiet = Format.formatter_of_buffer (Buffer.create 256) in
-  Cmd.eval_value ~help:quiet ~err:quiet
-    ~env:(fun var -> List.assoc_opt var env)
-    ~argv:(Array.of_list ("t" :: args))
-    cmd
+let eval_term ?(env = []) term args =
+  let err = Buffer.create 256 in
+  let errf = Format.formatter_of_buffer err in
+  let result =
+    Cmd.eval_value
+      ~help:(Format.formatter_of_buffer (Buffer.create 256))
+      ~err:errf
+      ~env:(fun var -> List.assoc_opt var env)
+      ~argv:(Array.of_list ("t" :: args))
+      (Cmd.v (Cmd.info "t") term)
+  in
+  Format.pp_print_flush errf ();
+  (result, Buffer.contents err)
+
+let eval ?env args = fst (eval_term ?env Bp_cli.term args)
 
 let parsed ?env args =
   match eval ?env args with
@@ -96,11 +104,38 @@ let test_bad_values () =
   rejected ~env:[ ("BP_BENCH_SCALE", "abc") ] [];
   rejected ~env:[ ("BP_BENCH_SCALE", "nan") ] []
 
+(* A worker count the runtime cannot host is a flag error as well, found
+   before anything runs: blockplane-cli evaluates [with_pool] through
+   [term_result'], as here. The verify pool would otherwise only spawn
+   at the first batch verify, which this empty run never reaches. *)
+let test_unstartable_pools () =
+  let started =
+    Term.term_result'
+      (Term.map (fun t -> Bp_cli.with_pool t (fun _ -> ())) Bp_cli.term)
+  in
+  List.iter
+    (fun flag ->
+      match eval_term started [ flag; "10000" ] with
+      | Error `Term, err ->
+          Alcotest.(check bool)
+            (flag ^ " named in " ^ err)
+            true
+            (String.starts_with ~prefix:("t: " ^ flag ^ " 10000:") err)
+      | Error (`Parse | `Exn), err -> Alcotest.failf "%s: %s" flag err
+      | Ok _, _ -> Alcotest.failf "%s 10000: accepted" flag)
+    [ "--jobs"; "--verify-jobs" ];
+  (* Every domain spawned on the way was joined again. *)
+  match eval_term started [ "--jobs"; "2"; "--verify-jobs"; "2" ] with
+  | Ok (`Ok ()), _ -> ()
+  | _, err -> Alcotest.failf "--jobs 2 --verify-jobs 2: %s" err
+
 let suite =
   [
     ( "cli",
       [
         Alcotest.test_case "one valid argv per flag" `Quick test_valid_flags;
         Alcotest.test_case "bad values are flag errors" `Quick test_bad_values;
+        Alcotest.test_case "unstartable worker counts are flag errors" `Quick
+          test_unstartable_pools;
       ] );
   ]

@@ -213,10 +213,11 @@ let test_policy () =
     (has "R6-domainescape" "lib/crypto/verify_batch.ml");
   Alcotest.(check bool) "lib gets R7" true
     (has "R7-parpure" "lib/core/unit_node.ml");
-  Alcotest.(check bool) "bench gets R7" true (has "R7-parpure" "bench/main.ml");
+  Alcotest.(check bool) "bench gets R7" true
+    (has "R7-parpure" "bench/e2e/bpbench.ml");
   (* The former coverage gap: bench/bin/tools now carry a baseline. *)
   Alcotest.(check bool) "bench gets R2-nondet" true
-    (has "R2-nondet" "bench/main.ml");
+    (has "R2-nondet" "bench/e2e/bpbench.ml");
   Alcotest.(check bool) "bin gets R3-partial" true
     (has "R3-partial" "bin/blockplane_cli.ml");
   Alcotest.(check bool) "bin has no .mli requirement" false
@@ -264,10 +265,13 @@ let test_json_format () =
 let test_baseline () =
   let d rule file message = { Lint.rule; file; line = 3; col = 1; message } in
   let diags =
-    [ d "R2-nondet" "bench/main.ml" "m1"; d "R3-partial" "bin/x.ml" "m2" ]
+    [
+      d "R2-nondet" "bench/e2e/bpbench.ml" "m1"; d "R3-partial" "bin/x.ml" "m2";
+    ]
   in
   let baseline =
-    Lint_diag.baseline_of_lines [ "# comment"; "R2-nondet\tbench/main.ml\tm1" ]
+    Lint_diag.baseline_of_lines
+      [ "# comment"; "R2-nondet\tbench/e2e/bpbench.ml\tm1" ]
   in
   match Lint_diag.filter_baseline baseline diags with
   | [ keep ] ->

@@ -27,6 +27,20 @@ let test_pool_basics () =
     (Invalid_argument "Pool.run: pool is shut down") (fun () ->
       ignore (Bp_parallel.Pool.run pool [ (fun () -> 0) ]))
 
+(* A worker count beyond the runtime's domain limit fails create, and
+   the domains spawned before the refusal are joined again: a later pool
+   still starts. *)
+let test_pool_create_over_limit () =
+  (match Bp_parallel.Pool.create ~jobs:10_000 with
+  | pool ->
+      Bp_parallel.Pool.shutdown pool;
+      Alcotest.fail "the runtime hosted 10000 domains"
+  | exception Failure _ -> ());
+  let pool = Bp_parallel.Pool.create ~jobs:3 in
+  Alcotest.(check (list int)) "fresh pool runs" [ 0; 1; 2; 3 ]
+    (Bp_parallel.Pool.run pool (List.init 4 (fun i () -> i)));
+  Bp_parallel.Pool.shutdown pool
+
 let test_pool_order () =
   (* Early tasks spin longer, so on a multicore box later indices finish
      first; the result list must still follow task index. *)
@@ -139,6 +153,8 @@ let suite =
       [
         Alcotest.test_case "pool basics, reuse, shutdown" `Quick
           test_pool_basics;
+        Alcotest.test_case "create over the domain limit cleans up" `Quick
+          test_pool_create_over_limit;
         Alcotest.test_case "results follow task index" `Quick test_pool_order;
         Alcotest.test_case "exception propagates, pool survives" `Quick
           test_pool_exception;
