@@ -2,7 +2,7 @@ open Cmdliner
 open Cmdliner.Term.Syntax
 module Knobs = Bp_harness.Knobs
 
-type t = { knobs : Knobs.t; scale : float; jobs : int; no_cache : bool }
+type t = { knobs : Knobs.t; scale : float; jobs : int }
 
 (* A converter narrowed to the values [ok] accepts; the error names the
    expectation, and Cmdliner prefixes it with the flag. *)
@@ -122,11 +122,23 @@ let batch_policy min_fill hold_ms =
   | Ok () -> Ok (min_fill, hold)
   | Error msg -> Error ("--batch-min-fill/--batch-hold: " ^ msg)
 
+let no_cache =
+  Arg.(
+    value & flag
+    & info [ "no-cache" ]
+        ~doc:
+          "Disable the per-node verification and digest memoization: every \
+           node's cache is built with zero capacity, so each signature check \
+           and content digest is recomputed. Signing is unchanged (which \
+           bytes a message signs never depends on a cache), so every \
+           experiment table is bit-identical either way; only wall time \
+           changes.")
+
 let knobs =
   Term.term_result'
     (let+ pipeline and+ verify_jobs and+ cluster_send and+ load_rate
      and+ load_shape and+ skew and+ shards and+ batch_min_fill
-     and+ batch_hold in
+     and+ batch_hold and+ no_cache in
      Result.map
        (fun (batch_min_fill, batch_hold) ->
          {
@@ -139,6 +151,7 @@ let knobs =
            shards;
            batch_min_fill;
            batch_hold;
+           cache = not no_cache;
          })
        (batch_policy batch_min_fill batch_hold))
 
@@ -160,24 +173,14 @@ let jobs =
        Results are bit-identical at any job count; only wall time changes. \
        Defaults to the number of cores; 1 runs everything inline."
 
-let no_cache =
-  Arg.(
-    value & flag
-    & info [ "no-cache" ]
-        ~doc:
-          "Disable the per-node verification/digest caches and \
-           content-addressed signing. Every experiment table is \
-           bit-identical either way; only wall time changes.")
-
 let term =
-  let+ knobs and+ scale and+ jobs and+ no_cache in
-  { knobs; scale; jobs; no_cache }
+  let+ knobs and+ scale and+ jobs in
+  { knobs; scale; jobs }
 
 (* Both pools start before [f] runs: the batch-verify workers (which
    would otherwise spawn lazily at the first verify) and then the task
    pool. A count the runtime cannot host is reported against its flag. *)
 let with_pool t f =
-  if t.no_cache then Bp_crypto.Verify_cache.set_enabled false;
   Bp_crypto.Verify_batch.set_default_jobs t.knobs.verify_jobs;
   let release pool =
     Option.iter Bp_parallel.Pool.shutdown pool;

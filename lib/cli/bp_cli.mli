@@ -1,7 +1,7 @@
 (** The run-wide flag surface of [blockplane-cli], the experiment driver:
     every run-wide flag is declared here exactly once, as one Cmdliner
-    term evaluating to a {!Bp_harness.Knobs.t} plus the scale,
-    worker-domain count and cache switch.
+    term evaluating to a {!Bp_harness.Knobs.t} plus the scale and
+    worker-domain count.
 
     Every bad value is a command-line error naming its flag (Cmdliner
     exits 124): non-positive counts, non-finite or out-of-range floats,
@@ -13,20 +13,18 @@ type t = {
   knobs : Bp_harness.Knobs.t;
   scale : float;  (** [-s/--scale], falling back to [BP_BENCH_SCALE] *)
   jobs : int;  (** [-j/--jobs]: worker domains for independent tasks *)
-  no_cache : bool;  (** [--no-cache]: disable the verification caches *)
 }
 
 val term : t Cmdliner.Term.t
-(** The nine knob flags ([--pipeline], [--verify-jobs], [--cluster-send],
+(** The ten knob flags ([--pipeline], [--verify-jobs], [--cluster-send],
     [--load-rate], [--load-trace], [--skew], [--shards],
-    [--batch-min-fill], [--batch-hold]; absent flags keep
-    {!Bp_harness.Knobs.default}) plus [--scale], [--jobs] and
-    [--no-cache]. *)
+    [--batch-min-fill], [--batch-hold], [--no-cache]; absent flags keep
+    {!Bp_harness.Knobs.default}) plus [--scale] and [--jobs]. *)
 
 val with_pool :
   t -> (Bp_parallel.Pool.t option -> 'a) -> ('a, string) result
-(** Apply the process-wide settings of [t] (the cache switch, and the
-    real batch-crypto fan-out sized by [--verify-jobs]), run [f] with a
+(** Apply the one process-wide setting of [t] (the real batch-crypto
+    fan-out sized by [--verify-jobs]), run [f] with a
     pool of [t.jobs] domains ([None] at 1), then shut the pool and the
     batch-verify workers down, whatever [f] does.
 

@@ -23,7 +23,6 @@ type t = {
 
 let participant t = t.participant
 let next_comm_seq t ~dest = t.next_comm_seq.(dest)
-let pipeline_depth t = t.pbft_cfg.Bp_pbft.Config.max_in_flight
 let pipeline_occupancy t = Unit_node.pipeline_occupancy t.lead_node
 let batch_stats t = Bp_pbft.Replica.batch_stats (Unit_node.replica t.lead_node)
 let queue_depth t = Bp_pbft.Replica.queue_depth (Unit_node.replica t.lead_node)
@@ -56,14 +55,14 @@ let on_read_reply t ~src ~pos ~payload =
     t.reads;
   t.reads <- List.filter (fun r -> not r.resolved) t.reads
 
-let create ~network ~pbft_cfg ~participant ~n_participants ~lead_node ~geo =
+let create ~network ~pbft_cfg ~participant ~n_participants ~lead_node ~geo
+    ~vcache =
   (* The API endpoint is co-located with the unit (client latency is one
      intra-DC hop, as in Fig. 3(a)). *)
   let addr = Addr.make ~dc:participant ~idx:90 in
   let transport = Bp_net.Transport.create network addr in
-  (* The endpoint is its own principal: it gets its own memo, never a
+  (* The endpoint is its own principal: [vcache] is its own memo, never a
      replica's (verdict caches must not cross node boundaries). *)
-  let vcache = Bp_crypto.Verify_cache.create pbft_cfg.Bp_pbft.Config.keystore in
   let client = Bp_pbft.Client.create ~cache:vcache transport pbft_cfg in
   let t =
     {

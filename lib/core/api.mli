@@ -14,7 +14,9 @@ val create :
   n_participants:int ->
   lead_node:Unit_node.t ->
   geo:Geo.t ->
+  vcache:Bp_crypto.Verify_cache.t ->
   t
+(** [vcache] is the endpoint's own verification cache (never a node's). *)
 
 val participant : t -> int
 
@@ -53,13 +55,10 @@ val read_linearizable : t -> int -> on_result:(Record.t option -> unit) -> unit
 val next_comm_seq : t -> dest:int -> int
 (** The next per-destination sequence number [send] would use. *)
 
-val pipeline_depth : t -> int
-(** The unit's configured consensus pipeline depth
-    ({!Bp_pbft.Config.t.max_in_flight}). *)
-
 val pipeline_occupancy : t -> float
 (** Mean in-flight consensus slots observed at the unit's lead node —
-    1.0 for stop-and-wait, up to {!pipeline_depth} when saturated. *)
+    1.0 for stop-and-wait, up to the configured pipeline depth
+    ({!Bp_pbft.Config.t.max_in_flight}) when saturated. *)
 
 val batch_stats : t -> Bp_pbft.Replica.batch_stats
 (** Batch-formation telemetry at the unit's lead node (the view-0

@@ -81,10 +81,8 @@ type t = {
 }
 
 let dest t = t.dest
-let highest_comm_seq t = t.highest
 let acked t = t.acked
 let set_enabled t b = t.enabled <- b
-let stats t = (t.sent_count, t.ack_count)
 
 let counters t =
   {

@@ -43,20 +43,12 @@ val create :
 
 val dest : t -> int
 
-val highest_comm_seq : t -> int
-(** Highest comm_seq this daemon has seen committed locally for its
-    destination (-1 if none) — what reserve nodes compare against. *)
-
 val acked : t -> int
 (** Destination's cumulative acknowledgement frontier. *)
 
 val set_enabled : t -> bool -> unit
 (** Byzantine knob: a disabled daemon silently stops transmitting
     (maliciously delaying messages, §IV-C) — reserves must take over. *)
-
-val stats : t -> int * int
-(** (transmissions sent incl. retries, acks received). In cluster mode
-    "sent" counts probe solicitations. *)
 
 type counters = {
   sent : int;  (** transmissions / solicitations, incl. retries *)

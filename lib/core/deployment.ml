@@ -40,7 +40,7 @@ let addrs_for ~fi p = Array.init ((3 * fi) + 1) (fun i -> Addr.make ~dc:p ~idx:i
 let create ~network ~n_participants ?(fi = 1) ?(fg = 0) ?(scheme = `Hmac)
     ?batch_max ?batch_min_fill ?batch_hold ?request_timeout ?max_in_flight
     ?verify_cost ?verify_jobs ?extra_verify_units ?(cluster_send = false)
-    ?shard_map ?prepare_timeout ~app () =
+    ?shard_map ?(cache = true) ~app () =
   let shard_map =
     match shard_map with Some m -> m | None -> Shard.make ~shards:1 ()
   in
@@ -57,6 +57,12 @@ let create ~network ~n_participants ?(fi = 1) ?(fg = 0) ?(scheme = `Hmac)
   if fg > n_participants - 1 then
     invalid_arg "Deployment.create: fg needs fg other participants";
   let keystore = Bp_crypto.Signer.create ~scheme (Bp_util.Rng.split (Engine.rng engine)) in
+  (* One verification cache per principal (node or API endpoint); with
+     [cache] off each one keeps nothing, so every check recomputes. *)
+  let new_cache () =
+    if cache then Bp_crypto.Verify_cache.create keystore
+    else Bp_crypto.Verify_cache.create ~capacity:0 ~digest_budget:0 keystore
+  in
   let all_addrs = Array.init n_participants (addrs_for ~fi) in
   (* Build units: nodes + geo coordinators first, then daemons/reserves
      which need every unit's addresses. *)
@@ -73,7 +79,8 @@ let create ~network ~n_participants ?(fi = 1) ?(fg = 0) ?(scheme = `Hmac)
             ((3 * fi) + 1)
             (fun i ->
               Unit_node.create ~network ~pbft_cfg ~participant:p ~n_participants
-                ~node_idx:i ~fg ~cluster_send ~app:(app ()) ())
+                ~node_idx:i ~fg ~cluster_send ~vcache:(new_cache ())
+                ~app:(app ()) ())
         in
         (* Every node serves mirror duties (fg > 0 traffic). *)
         Array.iter (fun n -> ignore (Geo.Agent.install n)) nodes;
@@ -85,7 +92,7 @@ let create ~network ~n_participants ?(fi = 1) ?(fg = 0) ?(scheme = `Hmac)
         in
         let api =
           Api.create ~network ~pbft_cfg ~participant:p ~n_participants
-            ~lead_node:nodes.(0) ~geo
+            ~lead_node:nodes.(0) ~geo ~vcache:(new_cache ())
         in
         (p, pbft_cfg, nodes, geo, api))
   in
@@ -128,9 +135,7 @@ let create ~network ~n_participants ?(fi = 1) ?(fg = 0) ?(scheme = `Hmac)
      unit. With one shard (the default) it installs nothing and the
      deployment behaves byte-identically to the unsharded seed. *)
   let shard_router =
-    Shard.router ~map:shard_map ~engine
-      ~api:(fun p -> units.(p).api)
-      ?prepare_timeout ()
+    Shard.router ~map:shard_map ~engine ~api:(fun p -> units.(p).api)
   in
   { n_participants; fi; fg; cluster = cluster_send; units; shard_map; shard_router }
 

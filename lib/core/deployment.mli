@@ -22,7 +22,7 @@ val create :
   ?extra_verify_units:(string -> int) ->
   ?cluster_send:bool ->
   ?shard_map:Shard.map ->
-  ?prepare_timeout:Bp_sim.Time.t ->
+  ?cache:bool ->
   app:(unit -> App.instance) ->
   unit ->
   t
@@ -48,8 +48,11 @@ val create :
     map may not have more shards than participants. A {!Shard.router}
     over the units is built either way; with one shard it installs no
     handlers and every submit is the seed-identical direct path.
-    [prepare_timeout] bounds the router's cross-shard vote wait (see
-    {!Shard.router}). *)
+    [cache] (default on) gives every node and API endpoint its own
+    {!Bp_crypto.Verify_cache}; off, each one is created with zero
+    capacity and digest budget, so it memoizes nothing. Which bytes get
+    signed does not depend on it, so every table is identical either
+    way. *)
 
 val n_participants : t -> int
 val fi : t -> int

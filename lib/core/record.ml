@@ -8,13 +8,6 @@ let kind_to_int = function
   | Received -> 2
   | Mirror -> 3
 
-let kind_of_int = function
-  | 0 -> Some Log_commit
-  | 1 -> Some Communication
-  | 2 -> Some Received
-  | 3 -> Some Mirror
-  | _ -> None
-
 type communication = { dest : int; comm_seq : int; payload : string }
 
 type transmission = {

@@ -8,7 +8,6 @@
 type kind = Log_commit | Communication | Received | Mirror
 
 val kind_to_int : kind -> int
-val kind_of_int : int -> kind option
 
 type communication = {
   dest : int;  (** destination participant *)

@@ -8,13 +8,16 @@ type t = {
     (pos:int -> on_ready:((int * (string * string) list) list -> unit) -> unit)
     option;
   fi : int;
-  patience : int;
   mutable local_highest : int; (* highest comm_seq to dest in our log copy *)
   mutable replies : (Addr.t * int) list; (* current probe round *)
   mutable consecutive_gaps : int;
   mutable promoted_daemon : Comm_daemon.t option;
   mutable probe_timer : Engine.timer option;
 }
+
+(* Probe cadence, and consecutive gap observations before promotion. *)
+let probe_every = Time.of_ms 500.0
+let patience = 3
 
 let promoted t = Option.is_some t.promoted_daemon
 let daemon t = t.promoted_daemon
@@ -56,7 +59,7 @@ let evaluate t =
   | Some floor ->
       if t.local_highest > floor then begin
         t.consecutive_gaps <- t.consecutive_gaps + 1;
-        if t.consecutive_gaps >= t.patience then promote t floor
+        if t.consecutive_gaps >= patience then promote t floor
       end
       else t.consecutive_gaps <- 0);
   t.replies <- []
@@ -72,8 +75,7 @@ let probe t =
     done
   end
 
-let create ~node ~dest ~dest_nodes ?geo_proofs
-    ?(probe_every = Time.of_ms 500.0) ?(patience = 3) () =
+let create ~node ~dest ~dest_nodes ?geo_proofs () =
   let engine = Network.engine (Bp_net.Transport.network (Unit_node.transport node)) in
   let t =
     {
@@ -82,7 +84,6 @@ let create ~node ~dest ~dest_nodes ?geo_proofs
       dest_nodes;
       geo_proofs;
       fi = Unit_node.fi node;
-      patience;
       local_highest = -1;
       replies = [];
       consecutive_gaps = 0;

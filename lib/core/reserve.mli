@@ -17,12 +17,10 @@ val create :
   dest:int ->
   dest_nodes:Bp_sim.Addr.t array ->
   ?geo_proofs:(pos:int -> on_ready:((int * (string * string) list) list -> unit) -> unit) ->
-  ?probe_every:Bp_sim.Time.t ->
-  ?patience:int ->
   unit ->
   t
-(** [probe_every] defaults to 500 ms; [patience] (consecutive gap
-    observations before promotion) to 3. *)
+(** Probes every 500 ms and promotes after 3 consecutive gap
+    observations. *)
 
 val promoted : t -> bool
 

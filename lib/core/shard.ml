@@ -175,7 +175,6 @@ type t = {
   map : map;
   engine : Engine.t;
   api : int -> Api.t;
-  prepare_timeout : Time.t;
   txns : (string, pending) Hashtbl.t;
   mutable next_txid : int;
   mutable single_shard : int;
@@ -186,7 +185,9 @@ type t = {
   mutable timeouts : int;
 }
 
-let map_of t = t.map
+(* How long a coordinator waits for votes and applied-acks before
+   downgrading a cross-shard transaction to abort (simulated time). *)
+let prepare_timeout = Time.of_ms 2000.0
 
 let stats t =
   {
@@ -303,13 +304,12 @@ let on_message t ~self ~src payload =
           end
       | Some _ | None -> ())
 
-let router ~map ~engine ~api ?(prepare_timeout = Time.of_ms 2000.0) () =
+let router ~map ~engine ~api =
   let t =
     {
       map;
       engine;
       api;
-      prepare_timeout;
       txns = Hashtbl.create 64;
       next_txid = 0;
       single_shard = 0;
@@ -379,7 +379,7 @@ let submit t ?(on_aborted = ignore) ~on_done ops =
       Hashtbl.replace t.txns txid pending;
       pending.timer <-
         Some
-          (Engine.schedule t.engine ~after:t.prepare_timeout (fun () ->
+          (Engine.schedule t.engine ~after:prepare_timeout (fun () ->
                if Hashtbl.mem t.txns txid && not pending.decided then begin
                  t.timeouts <- t.timeouts + 1;
                  Log.debug (fun m -> m "txn %s: prepare timeout, aborting" txid);

@@ -94,19 +94,15 @@ val router :
   map:map ->
   engine:Bp_sim.Engine.t ->
   api:(int -> Api.t) ->
-  ?prepare_timeout:Bp_sim.Time.t ->
-  unit ->
   t
 (** [api i] must be participant [i]'s API handle, for every shard in the
     map. With more than one shard the router installs an
     {!Api.on_receive} handler on each participant to carry the 2PC
     messages (votes and decides travel as ordinary communication
     records); with one shard it installs nothing and every submit is the
-    seed-identical direct path. [prepare_timeout] (default 2 s of
-    simulated time) bounds how long the coordinator waits for votes and
-    applied-acks before downgrading to abort. *)
+    seed-identical direct path. The coordinator waits 2 s of simulated
+    time for votes and applied-acks before downgrading to abort. *)
 
-val map_of : t -> map
 val stats : t -> stats
 
 val submit :

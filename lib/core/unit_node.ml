@@ -27,7 +27,6 @@ type t = {
   (* receive path: per-source out-of-order transmissions awaiting commit *)
   pending : (int, pending_txn Int_map.t) Hashtbl.t;
   submitting : (int, int) Hashtbl.t; (* src -> in-flight comm_seq *)
-  committed_waiters : (int * int, unit -> unit) Hashtbl.t;
   mutable executed_hooks : (pos:int -> Record.t -> unit) list;
   mutable aux_listeners : (src:Addr.t -> Proto.t -> bool) list;
   mutable geo_handler : (src:Addr.t -> Proto.t -> unit) option;
@@ -385,18 +384,6 @@ let submit_record t record ~on_result =
     ~kind:(Record.kind_to_int (Record.kind_of record))
     (Record.encode record) ~on_result
 
-let submit_recv t txn ~on_committed =
-  let src = txn.Record.src in
-  if txn.Record.tcomm_seq <= t.last_received.(src) then on_committed ()
-  else begin
-    Hashtbl.replace t.committed_waiters (src, txn.Record.tcomm_seq) on_committed;
-    let map = Option.value ~default:Int_map.empty (Hashtbl.find_opt t.pending src) in
-    if not (Int_map.mem txn.Record.tcomm_seq map) then
-      Hashtbl.replace t.pending src
-        (Int_map.add txn.Record.tcomm_seq { txn; requester = t.addr } map);
-    pump_receive t src
-  end
-
 let execute t ~seq:_ (r : Bp_pbft.Msg.request) =
   match Record.decode r.Bp_pbft.Msg.op with
   | Error msg ->
@@ -421,11 +408,6 @@ let execute t ~seq:_ (r : Bp_pbft.Msg.request) =
             Queue.push tr.Record.tpayload t.reception.(src)
           end;
           ack_pending t src;
-          (match Hashtbl.find_opt t.committed_waiters (src, tr.Record.tcomm_seq) with
-          | Some k ->
-              Hashtbl.remove t.committed_waiters (src, tr.Record.tcomm_seq);
-              k ()
-          | None -> ());
           pump_receive t src
       | Record.Mirrored { owner; opos; ovalue } ->
           Hashtbl.replace t.mirror_index (owner, opos)
@@ -560,12 +542,9 @@ let on_aux t ~src payload =
           dispatch t.aux_listeners)
 
 let create ~network ~pbft_cfg ~participant ~n_participants ~node_idx ~fg
-    ?(cluster_send = false) ~app () =
+    ?(cluster_send = false) ~vcache ~app () =
   let addr = pbft_cfg.Bp_pbft.Config.nodes.(node_idx) in
   let transport = Bp_net.Transport.create network addr in
-  let vcache =
-    Bp_crypto.Verify_cache.create pbft_cfg.Bp_pbft.Config.keystore
-  in
   let client = Bp_pbft.Client.create ~cache:vcache transport pbft_cfg in
   let t =
     {
@@ -587,7 +566,6 @@ let create ~network ~pbft_cfg ~participant ~n_participants ~node_idx ~fg
       reception = Array.init n_participants (fun _ -> Queue.create ());
       pending = Hashtbl.create 8;
       submitting = Hashtbl.create 8;
-      committed_waiters = Hashtbl.create 8;
       executed_hooks = [];
       aux_listeners = [];
       geo_handler = None;

@@ -14,6 +14,7 @@ val create :
   node_idx:int ->
   fg:int ->
   ?cluster_send:bool ->
+  vcache:Bp_crypto.Verify_cache.t ->
   app:App.instance ->
   unit ->
   t
@@ -23,7 +24,9 @@ val create :
     [cluster_send] (default off) installs a {!Cluster_send} agent: the
     node answers probe/dispersal traffic and accepts proofs-free
     transmission records backed by fi+1 chain-head signers instead of the
-    fi+1-signature bundle. Only honoured when [fg = 0]. *)
+    fi+1-signature bundle. Only honoured when [fg = 0]. [vcache] is the
+    node's own verification cache, shared by its replica, client and
+    receive checks. *)
 
 val addr : t -> Bp_sim.Addr.t
 val peers : t -> Bp_sim.Addr.t array
@@ -86,10 +89,6 @@ val sign_transmission : t -> Record.transmission -> (string * string) option
 val submit_record : t -> Record.t -> on_result:(string -> unit) -> unit
 (** Local-commit an arbitrary record through the unit's PBFT (the node
     acts as the client; the result is the log position as a string). *)
-
-val submit_recv : t -> Record.transmission -> on_committed:(unit -> unit) -> unit
-(** Local-commit a received transmission record through the unit's PBFT
-    (used by the receive path; deduplicates in-flight submissions). *)
 
 val set_byzantine_sign_anything : t -> bool -> unit
 (** Byzantine knob: this node will attest any transmission record without

@@ -96,9 +96,3 @@ let verify t ~signer ~msg ~signature =
   | None -> false
   | Some key -> verify_key key ~msg ~signature
 
-let signature_overhead t =
-  match t.scheme with
-  | `Hmac -> 32
-  | `Hash_based ->
-      (* index + path-count + path entries + leaf pk + Lamport signature *)
-      4 + (pool_height * 33) + 32 + (2 * 256 * 32)

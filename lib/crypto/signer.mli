@@ -60,5 +60,3 @@ val generation : t -> int
     every memoized verdict with the generation it was computed under, so a
     cached verdict never outlives the keystore state that produced it. *)
 
-val signature_overhead : t -> int
-(** Nominal wire size in bytes of one signature, for cost accounting. *)

@@ -14,17 +14,20 @@
     verdict.
 
     Everything is deterministic: FIFO eviction, no wall-clock, no
-    randomness. With the global flag {!set_enabled} off, every call
-    degrades to the exact uncached computation. *)
+    randomness. A cache created with [~capacity:0 ~digest_budget:0] keeps
+    nothing, so every call is the exact uncached computation (still
+    counted as a miss); that is what [--no-cache] builds. There is no
+    process-wide mode: which bytes a message signs never depends on a
+    cache (see {!Bp_pbft.Msg}). *)
 
 type t
 
 val create : ?capacity:int -> ?digest_budget:int -> Signer.t -> t
 (** [capacity] bounds the verdict table (entries, FIFO-evicted; default
-    4096). [digest_budget] bounds the digest memo by the bytes of content
+    4096; 0 keeps no verdict). [digest_budget] bounds the digest memo by the bytes of content
     it keeps alive (default 8 MiB — enough for the operations still in
     flight; a bigger window would mostly pin dead content on the major
-    heap). *)
+    heap; 0 keeps no digest). *)
 
 val keystore : t -> Signer.t
 
@@ -36,7 +39,7 @@ val verify : t -> signer:string -> msg:string -> signature:string -> bool
 val probe : t -> signer:string -> msg:string -> signature:string -> bool option
 (** Lookup half of {!verify}, for batched verification (see
     [Verify_batch]): [Some verdict] on a fresh-generation hit, [None]
-    otherwise (always [None] with the cache disabled). Counts the
+    otherwise (always [None] at capacity 0). Counts the
     hit/miss exactly as {!verify} would. Must be called on the domain
     that owns the cache — the protocol domain probes every job {e before}
     fanning the residue out to workers. *)
@@ -44,7 +47,7 @@ val probe : t -> signer:string -> msg:string -> signature:string -> bool option
 val record : t -> signer:string -> msg:string -> signature:string -> verdict:bool -> unit
 (** Insertion half of {!verify}: store a verdict computed elsewhere
     (stamped with the current generation), without counting anything.
-    No-op with the cache disabled. Must be called on the domain that
+    No-op at capacity 0. Must be called on the domain that
     owns the cache — after the batch join, never from a worker. *)
 
 val sign : t -> signer:string -> string -> string
@@ -86,21 +89,13 @@ val memo : ?capacity:int -> unit -> 'a memo
 
 val memoize : 'a memo -> 'a -> (unit -> string) -> string
 (** [memoize m key f] returns the memoized value for [key] (compared with
-    physical equality) or computes, stores and returns [f ()]. With the
-    cache globally disabled it always computes. *)
+    physical equality) or computes, stores and returns [f ()]. It is
+    independent of any {!t}, so a zero-capacity cache leaves it on. *)
 
-(** {1 Global mode switch} *)
+(** {1 Diagnostics}
 
-val set_enabled : bool -> unit
-(** Content-addressed signing (see {!Bp_pbft.Msg}) changes which bytes get
-    signed, so the whole process must agree on the mode: it is keyed off
-    this single flag, never off whether a caller holds a cache. Flip it
-    once at startup ([--no-cache] in the bench and CLI), not
-    mid-simulation. Default: enabled. *)
-
-val enabled : unit -> bool
-
-(** {1 Diagnostics} *)
+    Process-wide tallies, read by [bench/e2e/probe.ml]; they never affect
+    a result. *)
 
 type counters = {
   verify_hits : int;

@@ -58,29 +58,29 @@ let reads_plan ~knobs ~scale =
   Runner.Plan
     { tasks = [ (fun () -> reads_reports ~knobs ~scale) ]; merge = List.concat }
 
-let reads ?(knobs = Knobs.default) ?(scale = 1.0) () =
-  Runner.run_plan (reads_plan ~knobs ~scale)
-
 (* ---------- batching / group commit (§VI-C) ---------- *)
 
-let run_burst ~burst ~batch_max ~seed =
-    let engine = Engine.create ~seed () in
-    let net = Network.create engine Topology.aws_paper () in
-    let dep =
-      Deployment.create ~network:net ~n_participants:1 ~fi:1 ~batch_max
-        ~app:(fun () -> App.make (module App.Null))
-        ()
-    in
-    let api = Deployment.api dep 0 in
-    let done_count = ref 0 in
-    let t0 = Engine.now engine in
-    let finish_at = ref Time.zero in
-    for i = 1 to burst do
-      Api.log_commit api (Runner.payload ~size:1000 i) ~on_done:(fun () ->
-          incr done_count;
-          if !done_count = burst then finish_at := Engine.now engine)
-    done;
-    Engine.run ~until:(Time.of_sec 60.0) engine;
+(* This world and those of the signature, loss and load ablations pin the
+   consensus pipeline at depth 8, the Config.make default their tables
+   were recorded at ([--pipeline] does not reach them); every other knob
+   fills in as usual. *)
+
+let run_burst ~knobs ~burst ~batch_max ~seed =
+  let w =
+    Runner.fresh_world ~knobs ~seed ~n_participants:1 ~batch_max
+      ~max_in_flight:8 ()
+  in
+  let engine = w.Runner.engine in
+  let api = Deployment.api w.Runner.dep 0 in
+  let done_count = ref 0 in
+  let t0 = Engine.now engine in
+  let finish_at = ref Time.zero in
+  for i = 1 to burst do
+    Api.log_commit api (Runner.payload ~size:1000 i) ~on_done:(fun () ->
+        incr done_count;
+        if !done_count = burst then finish_at := Engine.now engine)
+  done;
+  Engine.run ~until:(Time.of_sec 60.0) engine;
   if !done_count < burst then failwith "batching ablation: burst did not finish";
   let makespan_ms = Time.to_ms (Time.diff !finish_at t0) in
   let throughput = float_of_int burst /. (makespan_ms /. 1000.0) in
@@ -109,54 +109,50 @@ let batching_merge ~burst results =
     };
   ]
 
-let batching_plan ~scale =
+let batching_plan ~knobs ~scale =
   let burst = Runner.scaled scale 50 in
   Runner.Plan
     {
       tasks =
         [
-          (fun () -> run_burst ~burst ~batch_max:1 ~seed:6200L);
-          (fun () -> run_burst ~burst ~batch_max:64 ~seed:6201L);
+          (fun () -> run_burst ~knobs ~burst ~batch_max:1 ~seed:6200L);
+          (fun () -> run_burst ~knobs ~burst ~batch_max:64 ~seed:6201L);
         ];
       merge = batching_merge ~burst;
     }
 
-let batching ?(scale = 1.0) () = Runner.run_plan (batching_plan ~scale)
-
 (* ---------- signature schemes ---------- *)
 
-let run_scheme ~n ~scheme ~seed =
-    let engine = Engine.create ~seed () in
-    let net = Network.create engine Topology.aws_paper () in
-    let dep =
-      Deployment.create ~network:net ~n_participants:2 ~fi:1 ~scheme
-        ~app:(fun () -> App.make (module App.Null))
-        ()
-    in
-    let api0 = Deployment.api dep 0 in
-    let received = ref 0 in
-    (* Messages arrive in order; resolve the waiting sender directly. *)
-    let waiting : (unit -> unit) Queue.t = Queue.create () in
-    Api.on_receive (Deployment.api dep 1) (fun ~src:_ _ ->
-        incr received;
-        if not (Queue.is_empty waiting) then (Queue.pop waiting) ());
-    let stats = Bp_util.Stats.create () in
-    let rec go i =
-      if i <= n then begin
-        let started = Engine.now engine in
-        Queue.push
-          (fun () ->
-            Bp_util.Stats.add stats
-              (Time.to_ms (Time.diff (Engine.now engine) started));
-            go (i + 1))
-          waiting;
-        Api.send api0 ~dest:1 (Runner.payload ~size:1000 i) ~on_done:ignore
-      end
-    in
-    go 1;
-    Engine.run ~until:(Time.of_sec 60.0) engine;
+let run_scheme ~knobs ~n ~scheme ~seed =
+  let w =
+    Runner.fresh_world ~knobs ~seed ~n_participants:2 ~scheme ~max_in_flight:8
+      ()
+  in
+  let engine = w.Runner.engine and dep = w.Runner.dep in
+  let api0 = Deployment.api dep 0 in
+  let received = ref 0 in
+  (* Messages arrive in order; resolve the waiting sender directly. *)
+  let waiting : (unit -> unit) Queue.t = Queue.create () in
+  Api.on_receive (Deployment.api dep 1) (fun ~src:_ _ ->
+      incr received;
+      if not (Queue.is_empty waiting) then (Queue.pop waiting) ());
+  let stats = Bp_util.Stats.create () in
+  let rec go i =
+    if i <= n then begin
+      let started = Engine.now engine in
+      Queue.push
+        (fun () ->
+          Bp_util.Stats.add stats
+            (Time.to_ms (Time.diff (Engine.now engine) started));
+          go (i + 1))
+        waiting;
+      Api.send api0 ~dest:1 (Runner.payload ~size:1000 i) ~on_done:ignore
+    end
+  in
+  go 1;
+  Engine.run ~until:(Time.of_sec 60.0) engine;
   if !received < n then failwith "signature ablation: messages lost";
-  let bytes = (Network.counters net).Network.bytes_sent in
+  let bytes = (Network.counters w.Runner.net).Network.bytes_sent in
   (Bp_util.Stats.mean stats, bytes / n)
 
 let signatures_merge results =
@@ -191,36 +187,31 @@ let signatures_merge results =
     };
   ]
 
-let signatures_plan ~scale =
+let signatures_plan ~knobs ~scale =
   let n = Stdlib.max 2 (Runner.scaled scale 5) in
   Runner.Plan
     {
       tasks =
         [
-          (fun () -> run_scheme ~n ~scheme:`Hmac ~seed:6300L);
-          (fun () -> run_scheme ~n ~scheme:`Hash_based ~seed:6301L);
+          (fun () -> run_scheme ~knobs ~n ~scheme:`Hmac ~seed:6300L);
+          (fun () -> run_scheme ~knobs ~n ~scheme:`Hash_based ~seed:6301L);
         ];
       merge = signatures_merge;
     }
-
-let signatures ?(scale = 1.0) () = Runner.run_plan (signatures_plan ~scale)
 
 (* ---------- behaviour under network loss ---------- *)
 
 let loss_rates = [ 0.0; 0.01; 0.05; 0.10 ]
 
-let loss_task ~scale i rate () =
+let loss_task ~knobs ~scale i rate () =
   let n = Runner.scaled scale 30 in
-  let seed = Int64.of_int (6400 + i) in
-  let engine = Engine.create ~seed () in
-  let faults = { Network.no_faults with drop = rate } in
-  let net = Network.create engine Topology.aws_paper ~faults () in
-  let dep =
-    Deployment.create ~network:net ~n_participants:1 ~fi:1
-      ~app:(fun () -> App.make (module App.Null))
-      ()
+  let w =
+    Runner.fresh_world ~knobs ~seed:(Int64.of_int (6400 + i)) ~n_participants:1
+      ~max_in_flight:8 ()
   in
-  let api = Deployment.api dep 0 in
+  Network.set_faults w.Runner.net { Network.no_faults with drop = rate };
+  let engine = w.Runner.engine in
+  let api = Deployment.api w.Runner.dep 0 in
   let stats =
     Runner.sequential engine ~n ~warmup:3 ~run_one:(fun i ~on_done ->
         let started = Engine.now engine in
@@ -251,30 +242,25 @@ let loss_merge rows =
     };
   ]
 
-let loss_plan ~scale =
+let loss_plan ~knobs ~scale =
   Runner.Plan
     {
-      tasks = List.mapi (fun i r -> loss_task ~scale i r) loss_rates;
+      tasks = List.mapi (fun i r -> loss_task ~knobs ~scale i r) loss_rates;
       merge = loss_merge;
     }
-
-let loss ?(scale = 1.0) () = Runner.run_plan (loss_plan ~scale)
 
 (* ---------- offered load vs latency (open loop) ---------- *)
 
 let load_rates = [ 1_000.0; 5_000.0; 20_000.0; 40_000.0; 80_000.0 ]
 
-let load_task ~scale i rate () =
+let load_task ~knobs ~scale i rate () =
   let count = Runner.scaled scale 400 in
-  let seed = Int64.of_int (6600 + i) in
-  let engine = Engine.create ~seed () in
-    let net = Network.create engine Topology.aws_paper () in
-    let dep =
-      Deployment.create ~network:net ~n_participants:1 ~fi:1
-        ~app:(fun () -> App.make (module App.Null))
-        ()
-    in
-  let api = Deployment.api dep 0 in
+  let w =
+    Runner.fresh_world ~knobs ~seed:(Int64.of_int (6600 + i)) ~n_participants:1
+      ~max_in_flight:8 ()
+  in
+  let engine = w.Runner.engine in
+  let api = Deployment.api w.Runner.dep 0 in
   let rng = Bp_util.Rng.split (Engine.rng engine) in
   let r =
     Workload.open_loop engine ~rng ~rate_per_sec:rate ~count
@@ -305,11 +291,12 @@ let load_merge rows =
     };
   ]
 
-let load_plan ~scale =
+let load_plan ~knobs ~scale =
   Runner.Plan
     {
-      tasks = List.mapi (fun i r -> load_task ~scale i r) load_rates;
+      tasks = List.mapi (fun i r -> load_task ~knobs ~scale i r) load_rates;
       merge = load_merge;
     }
 
-let load ?(scale = 1.0) () = Runner.run_plan (load_plan ~scale)
+let load ?(knobs = Knobs.default) ?(scale = 1.0) () =
+  Runner.run_plan (load_plan ~knobs ~scale)

@@ -10,22 +10,18 @@
     - [loss]: commit latency under increasing network loss — what the
       reliable-transport layer absorbs. *)
 
-val reads : ?knobs:Knobs.t -> ?scale:float -> unit -> Report.t list
-val batching : ?scale:float -> unit -> Report.t list
-val signatures : ?scale:float -> unit -> Report.t list
-val loss : ?scale:float -> unit -> Report.t list
-
-val load : ?scale:float -> unit -> Report.t list
+val load : ?knobs:Knobs.t -> ?scale:float -> unit -> Report.t list
 (** Open-loop offered load vs commit latency: the queueing/batching knee
     of group commit (§VI-C) under a Poisson arrival process. *)
 
 (** Plan decompositions for the domain pool: [reads] is one task (its
     three strategies share a populated world); [batching] and
     [signatures] are one task per configuration; [loss] and [load] one
-    task per rate. *)
+    task per rate. Every world comes from {!Runner.fresh_world} with
+    [knobs]; all but [reads] pin pipeline depth 8. *)
 
 val reads_plan : knobs:Knobs.t -> scale:float -> Runner.plan
-val batching_plan : scale:float -> Runner.plan
-val signatures_plan : scale:float -> Runner.plan
-val loss_plan : scale:float -> Runner.plan
-val load_plan : scale:float -> Runner.plan
+val batching_plan : knobs:Knobs.t -> scale:float -> Runner.plan
+val signatures_plan : knobs:Knobs.t -> scale:float -> Runner.plan
+val loss_plan : knobs:Knobs.t -> scale:float -> Runner.plan
+val load_plan : knobs:Knobs.t -> scale:float -> Runner.plan

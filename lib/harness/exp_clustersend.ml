@@ -41,17 +41,9 @@ type result = {
   r_verifies : float; (* signature verifications per delivered record *)
 }
 
-let task ~scale idx (mode, fi, scenario) () =
-  let seed = Int64.of_int (8000 + idx) in
-  let engine = Engine.create ~seed () in
-  let faults =
-    match scenario with
-    | Loss -> { Network.no_faults with Network.drop = 0.03 }
-    | Clean | Byz -> Network.no_faults
-  in
-  let net = Network.create engine Topology.aws_paper ~faults () in
+let task ~knobs ~scale idx (mode, fi, scenario) () =
   let cluster_send = match mode with Cluster -> true | Bundle -> false in
-  let dep =
+  let w =
     (* The modeled verification cost (same constant the pipeline
        ablations use, see exp_local) with proof bundles priced in: under
        bundles, every replica of the receiving unit checks fi+1 embedded
@@ -60,14 +52,18 @@ let task ~scale idx (mode, fi, scenario) () =
        records carry no bundle (coverage was established by chain-head
        probes, one signature each) and only the base batch units are
        charged. Without this the crypto gap between the modes is
-       invisible in throughput — signatures would be free. *)
-    Deployment.create ~network:net ~n_participants:2 ~fi ~cluster_send
-      ~verify_cost:(Time.of_ms 0.4) ~extra_verify_units:Record.proof_units
-      ~app:(fun () -> App.make (module App.Null))
-      ()
+       invisible in throughput — signatures would be free. Depth 8 and
+       one modeled verify job are pinned: the sweep compares the two
+       paths at one fixed cost model. *)
+    Runner.fresh_world ~knobs ~seed:(Int64.of_int (8000 + idx)) ~fi
+      ~n_participants:2 ~cluster_send ~max_in_flight:8
+      ~verify_cost:(Time.of_ms 0.4) ~verify_jobs:1
+      ~extra_verify_units:Record.proof_units ()
   in
+  let engine = w.Runner.engine and net = w.Runner.net and dep = w.Runner.dep in
   let n_nodes = (3 * fi) + 1 in
   (match scenario with
+  | Loss -> Network.set_faults net { Network.no_faults with drop = 0.03 }
   | Byz ->
       (* fi withholding nodes per unit, at the top indices: the PBFT
          primaries (node 0) stay honest, so consensus sees exactly the
@@ -81,7 +77,7 @@ let task ~scale idx (mode, fi, scenario) () =
             Unit_node.set_byzantine_drop_comm (Deployment.node dep p i) true
           done)
         [ 0; 1 ]
-  | Clean | Loss -> ());
+  | Clean -> ());
   let api = Deployment.api dep 0 in
   let daemon = Deployment.daemon dep ~src:0 ~dest:1 in
   let total = Runner.scaled scale 24 in
@@ -231,8 +227,6 @@ let merge results =
     };
   ]
 
-let plan ~scale =
+let plan ~knobs ~scale =
   Runner.Plan
-    { tasks = List.mapi (fun i c -> task ~scale i c) combos; merge }
-
-let run ?(scale = 1.0) () = Runner.run_plan (plan ~scale)
+    { tasks = List.mapi (fun i c -> task ~knobs ~scale i c) combos; merge }

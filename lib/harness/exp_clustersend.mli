@@ -6,5 +6,6 @@
     record, and signature verifications per delivered record; the merge
     adds cluster-vs-bundle ratio metrics per (n, scenario) cell. *)
 
-val plan : scale:float -> Runner.plan
-val run : ?scale:float -> unit -> Report.t list
+val plan : knobs:Knobs.t -> scale:float -> Runner.plan
+(** One task per (mode, n, scenario) cell, each a {!Runner.fresh_world}
+    with [knobs] at pipeline depth 8. *)

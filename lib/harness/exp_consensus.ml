@@ -62,24 +62,9 @@ let measure_bp_paxos ~knobs ~leader ~reps ~seed =
 (* -------- flat geo-PBFT: one replica per datacenter -------- *)
 
 let measure_flat_pbft ~leader ~reps ~seed =
-  let engine = Engine.create ~seed () in
-  let net = Network.create engine Topology.aws_paper () in
-  let keystore = Bp_crypto.Signer.create (Bp_util.Rng.split (Engine.rng engine)) in
-  (* Rotate the node order so the view-0 primary sits at [leader]. *)
-  let addrs = Array.init 4 (fun i -> Addr.make ~dc:((leader + i) mod 4) ~idx:0) in
-  let cfg =
-    Bp_pbft.Config.make ~nodes:addrs ~keystore
-      ~request_timeout:(Time.of_sec 5.0) ()
+  let engine, _net, client =
+    Runner.flat_pbft ~seed ~primary:leader ~client_dc:leader
   in
-  Array.iteri
-    (fun i addr ->
-      ignore
-        (Bp_pbft.Replica.create (Bp_net.Transport.create net addr) cfg ~id:i
-           ~execute:(fun ~seq:_ _ -> "ok")
-           ()))
-    addrs;
-  let client_transport = Bp_net.Transport.create net (Addr.make ~dc:leader ~idx:100) in
-  let client = Bp_pbft.Client.create client_transport cfg in
   Runner.sequential engine ~n:reps ~warmup:1 ~run_one:(fun i ~on_done ->
       let started = Engine.now engine in
       Bp_pbft.Client.submit client (Printf.sprintf "v%d" i) ~on_result:(fun _ ->

@@ -9,15 +9,10 @@ type sample = {
   send_bytes : int;
 }
 
-let measure ~fi ~fg ~n ~seed =
-  let engine = Engine.create ~seed () in
-  let net = Network.create engine Topology.aws_paper () in
-  let dep =
-    Deployment.create ~network:net ~n_participants:4 ~fi ~fg
-      ~app:(fun () -> App.make (module App.Null))
-      ()
-  in
-  let api = Deployment.api dep 0 in
+let measure ~knobs ~fi ~fg ~n ~seed =
+  let w = Runner.fresh_world ~knobs ~seed ~fi ~fg ~max_in_flight:8 () in
+  let engine = w.Runner.engine and net = w.Runner.net in
+  let api = Deployment.api w.Runner.dep 0 in
   (* Let the deployment's periodic machinery (probes, heartbeats) settle
      into steady state before taking baselines, so we bill per-op deltas,
      not background traffic. *)
@@ -66,9 +61,9 @@ let measure ~fi ~fg ~n ~seed =
 let configs = [ (1, 0); (1, 1); (2, 0) ]
 
 (* One task per (fi, fg) configuration; [i] fixes the seed. *)
-let costs_task ~scale i (fi, fg) () =
+let costs_task ~knobs ~scale i (fi, fg) () =
   let n = Runner.scaled scale 10 in
-  let s = measure ~fi ~fg ~n ~seed:(Int64.of_int (6500 + i)) in
+  let s = measure ~knobs ~fi ~fg ~n ~seed:(Int64.of_int (6500 + i)) in
   [
     Printf.sprintf "fi=%d fg=%d" fi fg;
     string_of_int s.nodes_per_participant;
@@ -105,11 +100,12 @@ let costs_merge rows =
     };
   ]
 
-let costs_plan ~scale =
+let costs_plan ~knobs ~scale =
   Runner.Plan
     {
-      tasks = List.mapi (fun i c -> costs_task ~scale i c) configs;
+      tasks = List.mapi (fun i c -> costs_task ~knobs ~scale i c) configs;
       merge = costs_merge;
     }
 
-let costs ?(scale = 1.0) () = Runner.run_plan (costs_plan ~scale)
+let costs ?(knobs = Knobs.default) ?(scale = 1.0) () =
+  Runner.run_plan (costs_plan ~knobs ~scale)

@@ -7,7 +7,8 @@
     network counters: nodes provisioned, messages and bytes on the wire
     per [log-commit] and per [send], across (fi, fg) configurations. *)
 
-val costs_plan : scale:float -> Runner.plan
-(** One task per (fi, fg) configuration. *)
+val costs_plan : knobs:Knobs.t -> scale:float -> Runner.plan
+(** One task per (fi, fg) configuration, each a {!Runner.fresh_world}
+    with [knobs] at pipeline depth 8. *)
 
-val costs : ?scale:float -> unit -> Report.t list
+val costs : ?knobs:Knobs.t -> ?scale:float -> unit -> Report.t list

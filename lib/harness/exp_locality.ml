@@ -32,23 +32,7 @@ let run_bp_paxos ~knobs ~reps ~seed =
   split_traffic world.Runner.net
 
 let run_flat_pbft ~reps ~seed =
-  let engine = Engine.create ~seed () in
-  let net = Network.create engine Topology.aws_paper () in
-  let keystore = Bp_crypto.Signer.create (Bp_util.Rng.split (Engine.rng engine)) in
-  let addrs = Array.init 4 (fun p -> Addr.make ~dc:p ~idx:0) in
-  let cfg =
-    Bp_pbft.Config.make ~nodes:addrs ~keystore ~request_timeout:(Time.of_sec 5.0) ()
-  in
-  Array.iteri
-    (fun i addr ->
-      ignore
-        (Bp_pbft.Replica.create (Bp_net.Transport.create net addr) cfg ~id:i
-           ~execute:(fun ~seq:_ _ -> "ok")
-           ()))
-    addrs;
-  let client =
-    Bp_pbft.Client.create (Bp_net.Transport.create net (Addr.make ~dc:2 ~idx:100)) cfg
-  in
+  let engine, net, client = Runner.flat_pbft ~seed ~primary:0 ~client_dc:2 in
   ignore
     (Runner.sequential engine ~n:reps ~warmup:0 ~run_one:(fun i ~on_done ->
          Bp_pbft.Client.submit client (Printf.sprintf "v%d" i) ~on_result:(fun _ ->

@@ -50,22 +50,22 @@ let all =
     {
       id = "ablation-batch";
       title = "Group commit (SVI-C) on/off";
-      plan = (fun ~knobs:_ ~scale -> Exp_ablation.batching_plan ~scale);
+      plan = Exp_ablation.batching_plan;
     };
     {
       id = "ablation-sig";
       title = "HMAC vs hash-based signatures";
-      plan = (fun ~knobs:_ ~scale -> Exp_ablation.signatures_plan ~scale);
+      plan = Exp_ablation.signatures_plan;
     };
     {
       id = "ablation-loss";
       title = "Commit latency under packet loss";
-      plan = (fun ~knobs:_ ~scale -> Exp_ablation.loss_plan ~scale);
+      plan = Exp_ablation.loss_plan;
     };
     {
       id = "ablation-load";
       title = "Offered load vs latency (open loop)";
-      plan = (fun ~knobs:_ ~scale -> Exp_ablation.load_plan ~scale);
+      plan = Exp_ablation.load_plan;
     };
     {
       id = "ablation-saturation";
@@ -90,7 +90,7 @@ let all =
     {
       id = "ablation-clustersend";
       title = "Cluster-sending vs fi+1-signature bundles";
-      plan = (fun ~knobs:_ ~scale -> Exp_clustersend.plan ~scale);
+      plan = Exp_clustersend.plan;
     };
     {
       id = "locality";
@@ -100,7 +100,7 @@ let all =
     {
       id = "costs";
       title = "Resource costs of byzantizing (SVI-D)";
-      plan = (fun ~knobs:_ ~scale -> Exp_costs.costs_plan ~scale);
+      plan = Exp_costs.costs_plan;
     };
   ]
 

@@ -10,6 +10,7 @@ type t = {
   shards : int;
   batch_min_fill : int option;
   batch_hold : Bp_sim.Time.t option;
+  cache : bool;
 }
 
 let default =
@@ -23,4 +24,5 @@ let default =
     shards = 1;
     batch_min_fill = None;
     batch_hold = None;
+    cache = true;
   }

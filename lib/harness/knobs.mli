@@ -37,10 +37,13 @@ type t = {
   batch_hold : Bp_sim.Time.t option;
       (** batch-cut hold window for worlds that don't pick one
           ([--batch-hold]). *)
+  cache : bool;
+      (** per-node verification/digest memoization ([--no-cache] turns
+          it off). Signing is the same either way, so no table moves. *)
 }
 
 val default : t
 (** The seed configuration: depth 1, one verify job, bundles, Poisson
     arrivals over the stock rate sweep, skew 0.99, one shard and the
-    cut-on-any-signal batch policy. Every golden table is recorded
-    under it. *)
+    cut-on-any-signal batch policy, caches on. Every golden table is
+    recorded under it. *)

@@ -253,12 +253,7 @@ let run engine ~gen ~submit =
                  (Time.to_ms (Time.diff (Engine.now engine) t0)))))
   in
   arrive 0 (Time.add (Engine.now engine) (Time.of_ms (next_gap_ms gen)));
-  let guard = ref 0 in
-  while !completed < count && Engine.step engine do
-    incr guard;
-    if !guard > 200_000_000 then failwith "Loadgen.run: runaway simulation"
-  done;
-  if !completed < count then failwith "Loadgen.run: requests lost";
+  Runner.drive engine ~what:"Loadgen.run" ~finished:(fun () -> !completed >= count);
   let start = Option.value ~default:Time.zero !first_arrival in
   let makespan_ms = Time.to_ms (Time.diff !last_completion start) in
   {

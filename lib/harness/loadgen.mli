@@ -120,5 +120,5 @@ val run :
   submit:(int -> client:int -> on_done:(unit -> unit) -> unit) ->
   result
 (** Stream the generator's [count] arrivals into [submit] and drive the
-    engine until every request completes (fails on a runaway guard).
+    engine with {!Runner.drive} until every request completes.
     [submit i ~client ~on_done] must eventually call [on_done]. *)

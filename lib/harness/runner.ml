@@ -18,9 +18,9 @@ type world = {
    Config.make. The min-fill/hold pair rule is judged by Config.make on
    the COMPOSED pair, so an explicit min-fill and a knob hold compose. *)
 let fresh_world ?(knobs = Knobs.default) ?(fi = 1) ?(fg = 0) ?(seed = 4242L)
-    ?(n_participants = 4) ?topology ?batch_max ?batch_min_fill ?batch_hold
-    ?max_in_flight ?verify_cost ?verify_jobs ?cluster_send ?shards ?shard_map
-    ?prepare_timeout
+    ?(n_participants = 4) ?topology ?scheme ?batch_max ?batch_min_fill
+    ?batch_hold ?max_in_flight ?verify_cost ?verify_jobs ?extra_verify_units
+    ?cluster_send ?shards ?shard_map
     ?(app = fun () -> Blockplane.App.make (module Blockplane.App.Null)) () =
   let engine = Engine.create ~seed () in
   (* More participants than the paper's four regions: tile the Table I
@@ -59,15 +59,39 @@ let fresh_world ?(knobs = Knobs.default) ?(fi = 1) ?(fg = 0) ?(seed = 4242L)
         Blockplane.Shard.make ~shards ()
   in
   let dep =
-    Blockplane.Deployment.create ~network:net ~n_participants ~fi ~fg ?batch_max
-      ?batch_min_fill ?batch_hold
+    Blockplane.Deployment.create ~network:net ~n_participants ~fi ~fg ?scheme
+      ?batch_max ?batch_min_fill ?batch_hold
       ~max_in_flight:(Option.value max_in_flight ~default:knobs.pipeline)
       ?verify_cost
       ~verify_jobs:(Option.value verify_jobs ~default:knobs.verify_jobs)
+      ?extra_verify_units
       ~cluster_send:(Option.value cluster_send ~default:knobs.cluster_send)
-      ~shard_map ?prepare_timeout ~app ()
+      ~shard_map ~cache:knobs.cache ~app ()
   in
   { engine; net; dep }
+
+let flat_pbft ~seed ~primary ~client_dc =
+  let engine = Engine.create ~seed () in
+  let net = Network.create engine Topology.aws_paper () in
+  let keystore = Bp_crypto.Signer.create (Bp_util.Rng.split (Engine.rng engine)) in
+  (* Rotate the node order so the view-0 primary sits at [primary]. *)
+  let addrs = Array.init 4 (fun i -> Addr.make ~dc:((primary + i) mod 4) ~idx:0) in
+  let cfg =
+    Bp_pbft.Config.make ~nodes:addrs ~keystore ~request_timeout:(Time.of_sec 5.0) ()
+  in
+  Array.iteri
+    (fun i addr ->
+      ignore
+        (Bp_pbft.Replica.create (Bp_net.Transport.create net addr) cfg ~id:i
+           ~execute:(fun ~seq:_ _ -> "ok")
+           ()))
+    addrs;
+  let client =
+    Bp_pbft.Client.create
+      (Bp_net.Transport.create net (Addr.make ~dc:client_dc ~idx:100))
+      cfg
+  in
+  (engine, net, client)
 
 let payload ~size i =
   if size <= 0 then ""
@@ -77,6 +101,17 @@ let payload ~size i =
     Bytes.blit_string stamp 0 b 0 (Stdlib.min (String.length stamp) size);
     Bytes.unsafe_to_string b
   end
+
+(* Step until the workload completes — the deployment's periodic timers
+   (reserve probes, daemon retries) never drain the queue on their own. *)
+let drive engine ~what ~finished =
+  let steps = ref 0 in
+  while (not (finished ())) && Engine.step engine do
+    incr steps;
+    if !steps > 200_000_000 then failwith (what ^ ": runaway simulation")
+  done;
+  if not (finished ()) then
+    failwith (what ^ ": workload did not finish (deadlock in protocol?)")
 
 let sequential engine ~n ~warmup ~run_one =
   let stats = Bp_util.Stats.create () in
@@ -90,16 +125,7 @@ let sequential engine ~n ~warmup ~run_one =
           go (i + 1))
   in
   go 0;
-  (* Step until the workload completes — the deployment's periodic timers
-     (reserve probes, daemon retries) never drain the queue on their own. *)
-  let guard = ref 0 in
-  while (not !finished) && Engine.step engine do
-    incr guard;
-    if !guard > 200_000_000 then
-      failwith "Runner.sequential: runaway simulation"
-  done;
-  if not !finished then
-    failwith "Runner.sequential: workload did not finish (deadlock in protocol?)";
+  drive engine ~what:"Runner.sequential" ~finished:(fun () -> !finished);
   stats
 
 let closed_loop engine ~total ~outstanding ~run_one =
@@ -123,13 +149,7 @@ let closed_loop engine ~total ~outstanding ~run_one =
   for _ = 1 to Stdlib.min outstanding total do
     launch ()
   done;
-  let guard = ref 0 in
-  while (not !finished) && Engine.step engine do
-    incr guard;
-    if !guard > 200_000_000 then failwith "Runner.closed_loop: runaway simulation"
-  done;
-  if not !finished then
-    failwith "Runner.closed_loop: workload did not finish (deadlock in protocol?)";
+  drive engine ~what:"Runner.closed_loop" ~finished:(fun () -> !finished);
   (stats, Time.diff (Engine.now engine) t0)
 
 let scaled s n = Stdlib.max 1 (int_of_float (Float.round (s *. float_of_int n)))

@@ -15,16 +15,17 @@ val fresh_world :
   ?seed:int64 ->
   ?n_participants:int ->
   ?topology:Bp_sim.Topology.t ->
+  ?scheme:Bp_crypto.Signer.scheme ->
   ?batch_max:int ->
   ?batch_min_fill:int ->
   ?batch_hold:Bp_sim.Time.t ->
   ?max_in_flight:int ->
   ?verify_cost:Bp_sim.Time.t ->
   ?verify_jobs:int ->
+  ?extra_verify_units:(string -> int) ->
   ?cluster_send:bool ->
   ?shards:int ->
   ?shard_map:Blockplane.Shard.map ->
-  ?prepare_timeout:Bp_sim.Time.t ->
   ?app:(unit -> Blockplane.App.instance) ->
   unit ->
   world
@@ -33,12 +34,13 @@ val fresh_world :
     four regions the default becomes {!Bp_sim.Topology.tiled} over it,
     so scale-out worlds get one datacenter per unit at fixed per-unit
     resources. [shards] / [shard_map] select the keyspace partition
-    (explicit map wins); [prepare_timeout] bounds the cross-shard vote
-    wait (see {!Blockplane.Shard.router}).
+    (explicit map wins). [scheme] and [extra_verify_units] pass through
+    to {!Blockplane.Deployment.create}.
 
     [knobs] (default {!Knobs.default}) fills every argument the caller
     leaves out: pipeline depth, verify jobs, cluster-send, shards and
-    the batch-cut pair. An explicit argument always wins. Two knob
+    the batch-cut pair. An explicit argument always wins. [knobs.cache]
+    has no per-world override: it always reaches the deployment. Two knob
     values are clamped to the world: [knobs.shards] to [n_participants]
     and [knobs.batch_min_fill] to [batch_max], so one run-wide setting
     stays valid in worlds of every size. Explicit [?shards] and
@@ -46,9 +48,25 @@ val fresh_world :
     [Invalid_argument] from [Deployment.create] / [Config.make], which
     also judges the min-fill/hold pair rule on the composed pair. *)
 
+val flat_pbft :
+  seed:int64 ->
+  primary:int ->
+  client_dc:int ->
+  Bp_sim.Engine.t * Bp_sim.Network.t * Bp_pbft.Client.t
+(** The flat geo-PBFT baseline (Fig. 7, §III-A): one PBFT replica per
+    datacenter of the paper's Table I topology with no Blockplane layer,
+    the view-0 primary in datacenter [primary], and a client in
+    [client_dc]. Replicas execute every request as ["ok"]. *)
+
 val payload : size:int -> int -> string
 (** Deterministic batch contents of the given byte size (the index makes
     successive batches distinct). *)
+
+val drive : Bp_sim.Engine.t -> what:string -> finished:(unit -> bool) -> unit
+(** Step [engine] until [finished ()] — the one drive loop under every
+    workload generator (periodic deployment timers never drain the event
+    queue on their own). Fails, naming [what], after 200M events or if
+    the queue empties first. *)
 
 val sequential :
   Bp_sim.Engine.t ->

@@ -34,14 +34,8 @@ let open_loop engine ~rng ~rate_per_sec ~count ~submit =
                Bp_util.Stats.add stats (Time.to_ms (Time.diff (Engine.now engine) t0)))))
   in
   arrive 0 (Time.add (Engine.now engine) (Time.of_ms mean_gap_ms));
-  (* Drive until everything completes; periodic deployment timers never
-     drain the queue on their own, so step with a completion check. *)
-  let guard = ref 0 in
-  while !completed < count && Engine.step engine do
-    incr guard;
-    if !guard > 100_000_000 then failwith "Workload.open_loop: runaway simulation"
-  done;
-  if !completed < count then failwith "Workload.open_loop: requests lost";
+  Runner.drive engine ~what:"Workload.open_loop" ~finished:(fun () ->
+      !completed >= count);
   let start = Option.value ~default:Time.zero !first_arrival in
   let makespan_ms = Time.to_ms (Time.diff !last_completion start) in
   {

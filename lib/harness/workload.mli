@@ -21,8 +21,8 @@ val open_loop :
   result
 (** Schedule [count] arrivals with exponential inter-arrival times at the
     given rate; [submit i ~on_done] fires each request and must call
-    [on_done] at completion. Drives the engine until all requests
-    complete (fails after a long virtual-time guard).
+    [on_done] at completion. Drives the engine with {!Runner.drive}
+    until all requests complete.
 
     Arrivals are streamed: each arrival event schedules its successor
     (drawing the next gap from [rng]) before submitting, so the event

@@ -257,4 +257,3 @@ let create ?(auto_retry = false) transport cfg ~id ~on_learn =
   t
 
 let chosen t instance = Hashtbl.find_opt t.chosen instance
-let chosen_count t = Hashtbl.length t.chosen

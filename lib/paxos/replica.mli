@@ -48,8 +48,6 @@ val propose : t -> string -> on_commit:(int -> unit) -> unit
 val chosen : t -> int -> string option
 (** Learned value for an instance. *)
 
-val chosen_count : t -> int
-
 exception Conflicting_choice of int * string * string
 (** Raised if two different values are ever learned for one instance — a
     safety violation; tests rely on it never firing. *)

@@ -105,7 +105,3 @@ let n t = Array.length t.nodes
 let quorum t = (2 * t.f) + 1
 let primary_of_view t view = view mod n t
 
-let replica_id t addr =
-  let found = ref None in
-  Array.iteri (fun i a -> if Bp_sim.Addr.equal a addr then found := Some i) t.nodes;
-  !found

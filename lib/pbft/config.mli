@@ -115,6 +115,3 @@ val identity : t -> Bp_sim.Addr.t -> string
     the keystore on first use (clients as well as replicas). Memoized per
     address: later calls return the same string without touching the
     keystore. *)
-
-val replica_id : t -> Bp_sim.Addr.t -> int option
-(** Index of a replica address, [None] for clients/outsiders. *)

@@ -63,17 +63,15 @@ let decode_addr d =
 
 (* ---------- content-addressed signing payloads ----------
 
-   With the global {!Bp_crypto.Verify_cache.enabled} flag on (the
-   default), signatures over bulky messages cover a *content-addressed*
-   payload: the structural encoding with every client operation replaced
+   Signatures over bulky messages cover a *content-addressed* payload: the structural encoding with every client operation replaced
    by its SHA-256 digest (and, for New_view, each carried view-change
    envelope replaced by its digest). This is PBFT's classic
    digest-amortization — the MAC/signature pass touches kilobytes instead
    of megabytes, while binding exactly the same semantic content, since
-   SHA-256 pins the op bytes. The mode is keyed off the one global flag,
-   never off whether a caller holds a cache, so every signer and verifier
-   in a process agrees byte-for-byte on what was signed; a per-call
-   [?cache] only memoizes the digests and verdicts.
+   SHA-256 pins the op bytes. The choice depends on the message's content
+   alone, never on whether a caller holds a cache, so every signer and
+   verifier agrees byte-for-byte on what was signed; a per-call [?cache]
+   only memoizes the digests and verdicts.
 
    Domain separation: content-addressed body payloads start with byte
    0xCA and request payloads with 0xCB, neither of which is a valid body
@@ -100,7 +98,7 @@ let digest_op cache op =
 let ca_min_bytes = 256
 
 let request_signing_payload ?cache ~client ~ts ~kind ~op () =
-  if Bp_crypto.Verify_cache.enabled () && String.length op >= ca_min_bytes then
+  if String.length op >= ca_min_bytes then
     Wire.encode (fun e ->
         Wire.u8 e 0xCB;
         encode_addr e client;
@@ -353,8 +351,7 @@ let bulk_weight = function
   | Fetch_reply { batches; _ } -> batches_weight batches
   | Prepare _ | Commit _ | Reply _ | Checkpoint _ | Fetch _ -> 0
 
-let content_addressed body =
-  Bp_crypto.Verify_cache.enabled () && bulk_weight body >= ca_min_bytes
+let content_addressed body = bulk_weight body >= ca_min_bytes
 
 (* The bytes a body's envelope signature covers. [encoded] is the body's
    wire encoding (always computed — it is what travels). The
@@ -428,8 +425,7 @@ let requests_valid ?cache cfg batch =
 let batch_digest ?cache batch =
   let ctx = Bp_crypto.Sha256.init () in
   let image =
-    if Bp_crypto.Verify_cache.enabled () && batch_weight batch >= ca_min_bytes
-    then fun r -> ca_request cache r
+    if batch_weight batch >= ca_min_bytes then fun r -> ca_request cache r
     else fun r -> r
   in
   List.iter

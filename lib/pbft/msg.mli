@@ -64,21 +64,20 @@ type body =
 
 (** {1 Content-addressed signing}
 
-    With the global {!Bp_crypto.Verify_cache.enabled} flag on (the
-    default), signatures over bulky messages (Request, Pre_prepare,
+    Signatures over bulky messages (Request, Pre_prepare,
     View_change, New_view, Fetch_reply) cover a {e content-addressed}
     payload — the structural encoding with each client operation (and each
     carried view-change envelope) replaced by its SHA-256 digest — so the
     signature pass touches kilobytes instead of megabytes while binding
-    the same content. Small messages sign their exact encoding in both
-    modes, as do bulky constructors whose content weighs under a fixed
-    cutoff (256 bytes) — below it the transform saves nothing and the
-    extra encoding pass and hash would tax tiny-operation workloads. The
-    cutoff is a pure function of the message, so all parties agree on the
-    mode. The mode is otherwise decided by the single global flag, never by whether
-    a caller passes [?cache]: a cache only memoizes digests and verdicts
-    (per node), so passing or omitting it can never change any produced
-    byte or verdict — only how fast they come back. *)
+    the same content. Small messages sign their exact encoding, as do
+    bulky constructors whose content weighs under a fixed cutoff (256
+    bytes) — below it the transform saves nothing and the extra encoding
+    pass and hash would tax tiny-operation workloads. That weight is the
+    one signing rule: a pure function of the message, so all parties agree
+    on the payload, and never decided by whether a caller passes [?cache].
+    A cache (or a zero-capacity one under [--no-cache]) only memoizes
+    digests and verdicts per node, so passing or omitting it can never
+    change any produced byte or verdict — only how fast they come back. *)
 
 val make_request :
   ?cache:Bp_crypto.Verify_cache.t ->
@@ -102,8 +101,8 @@ val requests_valid :
     the first invalid request. *)
 
 val batch_digest : ?cache:Bp_crypto.Verify_cache.t -> request list -> string
-(** Digest of a batch proposal. In content-addressed mode this hashes the
-    requests' content-addressed images (same value for the same batch
+(** Digest of a batch proposal. Above the content-weight cutoff this
+    hashes the requests' content-addressed images (same value for the same batch
     whether or not a cache is supplied). *)
 
 val encode_body : body -> string

@@ -121,13 +121,10 @@ let set_preverifier t f = t.preverify <- f
 let set_on_executed t f = t.on_executed <- f
 let suppress_commit_votes t b = t.suppress_commits <- b
 
-let pipeline_now t = t.pipeline
-
 let pipeline_occupancy t =
   if t.occ_samples = 0 then 0.0
   else float_of_int t.occ_sum /. float_of_int t.occ_samples
 
-let occupancy_samples t = t.occ_samples
 let open_slot_count t = Int_map.cardinal t.slots
 let archive_size t = Hashtbl.length t.archive
 let queue_depth t = Queue.length t.queue

@@ -60,18 +60,10 @@ val exec_chain : t -> string
 (** Hash chain over executed batches — two replicas executed the same
     prefix iff their chains agree. Also the checkpoint state digest. *)
 
-val pipeline_now : t -> int
-(** Slots currently in the pre-prepare/prepare/commit phases on this
-    replica (digest assigned, not yet committed). *)
-
 val pipeline_occupancy : t -> float
 (** Mean pipeline depth sampled at each slot entry — 1.0 exactly for a
     stop-and-wait run, approaching [max_in_flight] when the pipeline is
     kept full. 0.0 if no slot ever entered. *)
-
-val occupancy_samples : t -> int
-(** Number of samples behind {!pipeline_occupancy} (= slots that entered
-    the pipeline on this replica). *)
 
 val open_slot_count : t -> int
 (** Slots currently tracked between the watermarks, including the

@@ -6,7 +6,6 @@ let of_ns n =
   if n < 0 then invalid_arg "Time.of_ns: negative";
   n
 
-let of_us n = of_ns (n * 1_000)
 let of_ms ms = of_ns (int_of_float (ms *. 1e6 +. 0.5))
 let of_sec s = of_ns (int_of_float (s *. 1e9 +. 0.5))
 

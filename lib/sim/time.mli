@@ -5,7 +5,6 @@ type t = private int
 
 val zero : t
 val of_ns : int -> t
-val of_us : int -> t
 val of_ms : float -> t
 val of_sec : float -> t
 

@@ -10,8 +10,6 @@ let encode s =
   done;
   Bytes.unsafe_to_string out
 
-let encode_bytes b = encode (Bytes.unsafe_to_string b)
-
 let nibble c =
   match c with
   | '0' .. '9' -> Char.code c - Char.code '0'

@@ -3,8 +3,6 @@
 val encode : string -> string
 (** Lower-case hex of every byte, e.g. [encode "\xab" = "ab"]. *)
 
-val encode_bytes : bytes -> string
-
 val decode : string -> string
 (** Inverse of {!encode}. Accepts upper or lower case.
     @raise Invalid_argument on odd length or non-hex characters. *)

@@ -108,8 +108,3 @@ let summarize t =
     p99 = percentile t 99.0;
     max = max t;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f" s.n
-    s.mean s.stddev s.min s.p50 s.p95 s.p99 s.max

@@ -48,5 +48,3 @@ type summary = {
 
 val summarize : t -> summary
 (** @raise Invalid_argument if empty. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -1,14 +1,10 @@
 (* Differential pinning of Bp_crypto.Verify_cache: a cache is a memo, not
    an oracle, so every answer it gives must be bit-identical to the
    uncached computation — across hits, tampered signatures, unknown
-   identities, eviction churn, keystore generation bumps, and both
-   signing modes (content-addressed and plain). *)
+   identities, eviction churn, keystore generation bumps, zero-capacity
+   caches, and both signing payloads (content-addressed and plain). *)
 
 open Bp_crypto
-
-let with_cache_off f =
-  Verify_cache.set_enabled false;
-  Fun.protect ~finally:(fun () -> Verify_cache.set_enabled true) f
 
 let ids = Array.init 8 (fun i -> Printf.sprintf "cache/id%d" i)
 
@@ -27,7 +23,7 @@ let flip_byte s i =
    to another signer, and against an unknown identity — through a tiny
    cache (capacity 4, so eviction churns constantly) and require the
    memoized verdict to equal the raw one at every single step. *)
-let diff_verify_test ~name ~scheme =
+let diff_verify_test ?(capacity = 4) ~name ~scheme () =
   let ks = make_keystore ~scheme () in
   let msgs = Array.init 6 (fun i -> Printf.sprintf "message payload %d" i) in
   let sigs =
@@ -35,7 +31,7 @@ let diff_verify_test ~name ~scheme =
       (fun id -> Array.map (fun m -> Signer.sign ks ~signer:id m) msgs)
       ids
   in
-  let cache = Verify_cache.create ~capacity:4 ks in
+  let cache = Verify_cache.create ~capacity ks in
   QCheck.Test.make ~name ~count:200
     QCheck.(
       small_list (quad (int_bound 9) (int_bound 5) (int_bound 5) (int_bound 33)))
@@ -95,6 +91,29 @@ let test_sign_seeds_cache () =
   Alcotest.(check bool) "tampered message rejected" false
     (Verify_cache.verify cache ~signer:ids.(1) ~msg:"other" ~signature)
 
+(* What [--no-cache] builds: a cache with zero capacity and digest budget
+   keeps nothing. Every verify and every memo-sized digest is a counted
+   miss, and signing seeds no verdict. *)
+let test_zero_capacity_keeps_nothing () =
+  let ks = make_keystore () in
+  let cache = Verify_cache.create ~capacity:0 ~digest_budget:0 ks in
+  let msg = "zero capacity" in
+  let signature = Verify_cache.sign cache ~signer:ids.(2) msg in
+  let big = String.make 1000 'z' in
+  for _ = 1 to 2 do
+    Alcotest.(check bool) "verifies" true
+      (Verify_cache.verify cache ~signer:ids.(2) ~msg ~signature);
+    Alcotest.(check string) "digest" (Sha256.digest big)
+      (Verify_cache.digest cache big)
+  done;
+  Alcotest.(check bool) "probe never hits" true
+    (Verify_cache.probe cache ~signer:ids.(2) ~msg ~signature = None);
+  let c = Verify_cache.instance_counters cache in
+  Alcotest.(check int) "no verify hit" 0 c.Verify_cache.verify_hits;
+  Alcotest.(check int) "every verify a miss" 3 c.Verify_cache.verify_misses;
+  Alcotest.(check int) "no digest hit" 0 c.Verify_cache.digest_hits;
+  Alcotest.(check int) "every digest a miss" 2 c.Verify_cache.digest_misses
+
 (* Digest memo: always equals Sha256.digest, including under a byte budget
    small enough to evict on nearly every insertion, and for re-allocated
    copies of the same content (the content probe, not just physical
@@ -149,8 +168,7 @@ let mk_batch ops =
     ops
 
 (* Batch digest: the memoized form, the cache-assisted form, and the bare
-   form must produce the same bytes for the same batch (within a mode; the
-   mode itself legitimately changes the digest's preimage). *)
+   form must produce the same bytes for the same batch. *)
 let diff_batch_digest_test =
   let ks = make_keystore () in
   let cache = Verify_cache.create ks in
@@ -214,16 +232,17 @@ let test_crc_combine_edges () =
   Alcotest.check_raises "negative length" (Invalid_argument "Crc32.combine")
     (fun () -> ignore (Crc32.combine c c (-1)))
 
-(* Envelopes round-trip in both signing modes. Content-addressed mode
-   changes which bytes are signed (so signatures differ between modes) but
-   never the envelope's size or its verdict. *)
-let test_envelope_both_modes () =
-  let roundtrip () =
+(* Envelopes round-trip under both signing payloads: a 4 KiB op signs
+   its content-addressed image, a 16-byte one its plain encoding. Which
+   payload is signed depends on the message alone, so a full cache, a
+   zero-capacity cache and no cache seal byte-identical envelopes. *)
+let test_envelope_both_payloads () =
+  let roundtrip ~size make_cache =
     let ks = make_keystore () in
     let nodes = Array.init 4 (fun i -> Bp_sim.Addr.make ~dc:0 ~idx:i) in
     let cfg = Bp_pbft.Config.make ~nodes ~keystore:ks () in
-    let cache = Verify_cache.create ks in
-    let big_op = String.init 4096 (fun i -> Char.chr (i land 0xff)) in
+    let cache = make_cache ks in
+    let big_op = String.init size (fun i -> Char.chr (i land 0xff)) in
     let request =
       Bp_pbft.Msg.make_request ~cache cfg ~client:nodes.(1) ~ts:1 ~kind:0
         ~op:big_op
@@ -246,8 +265,8 @@ let test_envelope_both_modes () =
     (match Bp_pbft.Msg.verify_envelope cfg sealed with
     | Ok _ -> ()
     | Error e -> Alcotest.fail ("cache-less verifier rejected: " ^ e));
-    (* Tampering with the op must invalidate the signature in this mode
-       too: the content-addressed payload binds the op through its
+    (* Tampering with the op must invalidate the signature under either
+       payload: the content-addressed one binds the op through its
        digest. *)
     let tampered = flip_byte sealed (String.length sealed - 40) in
     (match Bp_pbft.Msg.verify_envelope ~cache cfg tampered with
@@ -257,13 +276,19 @@ let test_envelope_both_modes () =
            forbidden is accepting a different op silently. *)
         ()
     | Error _ -> ());
-    String.length sealed
+    sealed
   in
-  let len_on = roundtrip () in
-  let len_off = with_cache_off roundtrip in
-  (* Same envelope size in both modes: signatures are fixed-width, so the
-     mode cannot leak into message timing or wire-size accounting. *)
-  Alcotest.(check int) "envelope size mode-independent" len_on len_off
+  List.iter
+    (fun size ->
+      let full = roundtrip ~size (fun ks -> Verify_cache.create ks) in
+      let empty =
+        roundtrip ~size (Verify_cache.create ~capacity:0 ~digest_budget:0)
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%d-byte op: same envelope with a zero-capacity cache"
+           size)
+        full empty)
+    [ 16; 4096 ]
 
 let suite =
   [
@@ -271,9 +296,11 @@ let suite =
       List.map QCheck_alcotest.to_alcotest
         [
           diff_verify_test ~name:"cached verify = raw verify (hmac)"
-            ~scheme:`Hmac;
+            ~scheme:`Hmac ();
           diff_verify_test ~name:"cached verify = raw verify (hash-based)"
-            ~scheme:`Hash_based;
+            ~scheme:`Hash_based ();
+          diff_verify_test ~capacity:0
+            ~name:"cached verify = raw verify (capacity 0)" ~scheme:`Hmac ();
           diff_digest_test;
           diff_lookup_digest_test;
           diff_batch_digest_test;
@@ -284,8 +311,10 @@ let suite =
             test_generation_invalidation;
           Alcotest.test_case "sign seeds own verdict" `Quick
             test_sign_seeds_cache;
+          Alcotest.test_case "zero-capacity cache keeps nothing" `Quick
+            test_zero_capacity_keeps_nothing;
           Alcotest.test_case "envelope round-trip in both modes" `Quick
-            test_envelope_both_modes;
+            test_envelope_both_payloads;
           Alcotest.test_case "Crc32.combine edge lengths" `Quick
             test_crc_combine_edges;
         ] );

@@ -46,6 +46,7 @@ let test_valid_flags () =
   check [ "--load-trace"; "bursty" ] { k with load_shape = `Bursty };
   check [ "--load-trace"; "diurnal" ] { k with load_shape = `Diurnal };
   check [ "--skew"; "0" ] { k with skew = 0.0 };
+  check [ "--no-cache" ] { k with cache = false };
   check [ "--shards"; "4" ] { k with shards = 4 };
   check [ "--batch-min-fill"; "1" ] { k with batch_min_fill = Some 1 };
   check [ "--batch-hold"; "0.25" ]
@@ -59,7 +60,7 @@ let test_valid_flags () =
     };
   let t = parsed [] in
   Alcotest.(check (float 0.0)) "default scale" 1.0 t.Bp_cli.scale;
-  Alcotest.(check bool) "cache on by default" false t.Bp_cli.no_cache;
+  Alcotest.(check bool) "cache on by default" true t.Bp_cli.knobs.cache;
   Alcotest.(check (float 0.0)) "--scale" 0.2 (parsed [ "--scale"; "0.2" ]).scale;
   Alcotest.(check (float 0.0)) "-s" 0.2 (parsed [ "-s"; "0.2" ]).scale;
   Alcotest.(check (float 0.0)) "BP_BENCH_SCALE fallback" 0.3
@@ -67,8 +68,7 @@ let test_valid_flags () =
   Alcotest.(check (float 0.0)) "--scale wins over BP_BENCH_SCALE" 0.2
     (parsed ~env:[ ("BP_BENCH_SCALE", "0.3") ] [ "--scale"; "0.2" ]).scale;
   Alcotest.(check int) "-j" 3 (parsed [ "-j"; "3" ]).jobs;
-  Alcotest.(check int) "--jobs" 2 (parsed [ "--jobs"; "2" ]).jobs;
-  Alcotest.(check bool) "--no-cache" true (parsed [ "--no-cache" ]).no_cache
+  Alcotest.(check int) "--jobs" 2 (parsed [ "--jobs"; "2" ]).jobs
 
 let test_bad_values () =
   let rejected ?env args =
@@ -129,6 +129,30 @@ let test_unstartable_pools () =
   | Ok (`Ok ()), _ -> ()
   | _, err -> Alcotest.failf "--jobs 2 --verify-jobs 2: %s" err
 
+(* [--no-cache] is a knob value, not a process mode: after a run under
+   it, a default world in the same process still memoizes — its nodes'
+   caches record verify hits. *)
+let test_no_cache_does_not_leak () =
+  (match Bp_cli.with_pool (parsed [ "--no-cache"; "-j"; "1" ]) (fun _ -> ()) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let w = Bp_harness.Runner.fresh_world ~n_participants:1 () in
+  let api = Blockplane.Deployment.api w.Bp_harness.Runner.dep 0 in
+  for i = 1 to 4 do
+    Blockplane.Api.log_commit api (Printf.sprintf "op-%d" i) ~on_done:ignore
+  done;
+  Bp_sim.Engine.run ~until:(Bp_sim.Time.of_sec 1.0) w.Bp_harness.Runner.engine;
+  let hits =
+    Array.fold_left
+      (fun acc node ->
+        acc
+        + (Bp_crypto.Verify_cache.instance_counters (Blockplane.Unit_node.vcache node))
+            .Bp_crypto.Verify_cache.verify_hits)
+      0
+      (Blockplane.Deployment.nodes_of w.Bp_harness.Runner.dep 0)
+  in
+  Alcotest.(check bool) "default world's node caches hit" true (hits > 0)
+
 let suite =
   [
     ( "cli",
@@ -137,5 +161,7 @@ let suite =
         Alcotest.test_case "bad values are flag errors" `Quick test_bad_values;
         Alcotest.test_case "unstartable worker counts are flag errors" `Quick
           test_unstartable_pools;
+        Alcotest.test_case "--no-cache leaves later worlds cached" `Quick
+          test_no_cache_does_not_leak;
       ] );
   ]

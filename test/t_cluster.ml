@@ -146,7 +146,13 @@ let test_junk_sign_response () =
 
 (* -------- differential: cluster ≡ bundle, byte for byte -------- *)
 
-type profile = Clean | Lossy | Dup_reorder | Withhold | Sign_anything
+type profile =
+  | Clean
+  | Lossy
+  | Dup_reorder
+  | Withhold
+  | Sign_anything
+  | Equivocate
 
 let profile_name = function
   | Clean -> "clean"
@@ -154,6 +160,7 @@ let profile_name = function
   | Dup_reorder -> "dup+reorder"
   | Withhold -> "withhold"
   | Sign_anything -> "sign-anything"
+  | Equivocate -> "equivocate"
 
 let profile_faults = function
   | Clean -> Network.no_faults
@@ -162,10 +169,26 @@ let profile_faults = function
       { Network.no_faults with Network.duplicate = 0.05; jitter_ms = 4.0 }
   | Withhold -> { Network.no_faults with Network.drop = 0.01 }
   | Sign_anything -> { Network.no_faults with Network.drop = 0.02 }
+  | Equivocate -> Network.no_faults
+
+(* The top fi nodes of each unit: the byzantine ones in every profile
+   that has any (the primaries, node 0, stay honest). *)
+let byzantine_node ~fi i = i >= 2 * fi + 1
 
 let apply_byzantine profile dep ~fi =
   let n_nodes = (3 * fi) + 1 in
   match profile with
+  | Equivocate ->
+      (* Cluster-sending signers that attest a forked chain head; in
+         bundle mode there is no agent and the run is honest. *)
+      List.iter
+        (fun p ->
+          for i = n_nodes - fi to n_nodes - 1 do
+            Option.iter
+              (fun agent -> Cluster_send.set_byzantine_equivocate agent true)
+              (Unit_node.cluster_agent (Deployment.node dep p i))
+          done)
+        [ 0; 1 ]
   | Clean | Lossy | Dup_reorder -> ()
   | Withhold ->
       (* Top fi indices comm-muted in both units; primaries honest. *)
@@ -193,16 +216,31 @@ let run_one ~cluster ~fi ~profile ~verify_jobs ~seed =
   send_all (Deployment.api dep 0) ~dest:1 a;
   send_all (Deployment.api dep 1) ~dest:0 b;
   Engine.run ~until:(Time.of_sec 60.0) engine;
+  (* Probes the honest nodes' cluster-send agents dropped. *)
+  let honest_rejected =
+    List.fold_left
+      (fun acc p ->
+        Array.fold_left ( + ) acc
+          (Array.mapi
+             (fun i node ->
+               match Unit_node.cluster_agent node with
+               | Some agent when not (byzantine_node ~fi i) ->
+                   (Cluster_send.stats agent).Cluster_send.rejected
+               | Some _ | None -> 0)
+             (Deployment.nodes_of dep p)))
+      0 [ 0; 1 ]
+  in
   ( drain (Deployment.api dep 1) ~src:0,
     drain (Deployment.api dep 0) ~src:1,
     a,
-    b )
+    b,
+    honest_rejected )
 
 let differential_case ~fi ~profile ~verify_jobs ~seed =
-  let c01, c10, a, b =
+  let c01, c10, a, b, rejected =
     run_one ~cluster:true ~fi ~profile ~verify_jobs ~seed
   in
-  let b01, b10, _, _ =
+  let b01, b10, _, _, _ =
     run_one ~cluster:false ~fi ~profile ~verify_jobs ~seed
   in
   (* Both paths must deliver the complete sent stream in order — and
@@ -213,7 +251,10 @@ let differential_case ~fi ~profile ~verify_jobs ~seed =
   check_stream (tag "cluster 0->1") a c01;
   check_stream (tag "cluster 1->0") b c10;
   check_stream (tag "bundle 0->1") a b01;
-  check_stream (tag "bundle 1->0") b b10
+  check_stream (tag "bundle 1->0") b b10;
+  (* The forked heads reached honest destinations and were refused. *)
+  if profile = Equivocate then
+    Alcotest.(check bool) (tag "forked probes rejected") true (rejected > 0)
 
 let test_differential_matrix () =
   (* The fixed matrix covers every profile at fi = 1 and the heavier
@@ -228,15 +269,17 @@ let test_differential_matrix () =
       (1, Dup_reorder, 4, 203L);
       (1, Withhold, 1, 204L);
       (1, Sign_anything, 2, 205L);
+      (1, Equivocate, 1, 209L);
       (2, Clean, 4, 206L);
       (2, Lossy, 1, 207L);
       (2, Withhold, 2, 208L);
+      (2, Equivocate, 2, 210L);
     ]
 
 let prop_differential =
   QCheck.Test.make ~name:"cluster ≡ bundle delivered stream" ~count:6
     QCheck.(
-      pair (int_bound 4) (pair (int_bound 1) (int_bound 1000)))
+      pair (int_bound 5) (pair (int_bound 1) (int_bound 1000)))
     (fun (p, (fi0, seed)) ->
       let profile =
         match p with
@@ -244,7 +287,8 @@ let prop_differential =
         | 1 -> Lossy
         | 2 -> Dup_reorder
         | 3 -> Withhold
-        | _ -> Sign_anything
+        | 4 -> Sign_anything
+        | _ -> Equivocate
       in
       let fi = fi0 + 1 in
       differential_case ~fi ~profile ~verify_jobs:1

@@ -197,26 +197,20 @@ let test_experiments_deterministic () =
   let f = render_all (Exp_local.fig4 ~scale:0.2 ()) in
   Alcotest.(check string) "fig4 twice, identical" e f
 
-(* The verification caches and content-addressed signing are pure
-   accelerators: disabling them (--no-cache) must reproduce every
-   experiment table byte for byte. Signature values differ between the
-   modes, but they are fixed-width and never rendered, so nothing
-   measurable moves. *)
+(* The verification caches are pure accelerators: zero-capacity caches
+   (--no-cache, [Knobs.t.cache = false]) must reproduce every experiment
+   table byte for byte. Signing never depends on a cache, so not even a
+   signature value moves. *)
 let test_experiments_identical_without_cache () =
   let render_all reports =
     String.concat "\n" (List.map Report.render reports)
   in
-  let uncached f =
-    Bp_crypto.Verify_cache.set_enabled false;
-    Fun.protect
-      ~finally:(fun () -> Bp_crypto.Verify_cache.set_enabled true)
-      f
-  in
+  let knobs = { Knobs.default with cache = false } in
   let on4 = render_all (Exp_local.fig4 ~scale:0.08 ()) in
-  let off4 = uncached (fun () -> render_all (Exp_local.fig4 ~scale:0.08 ())) in
+  let off4 = render_all (Exp_local.fig4 ~knobs ~scale:0.08 ()) in
   Alcotest.(check string) "fig4 identical with caches off" on4 off4;
   let on5 = render_all (Exp_geo.fig5 ~scale:0.2 ()) in
-  let off5 = uncached (fun () -> render_all (Exp_geo.fig5 ~scale:0.2 ())) in
+  let off5 = render_all (Exp_geo.fig5 ~knobs ~scale:0.2 ()) in
   Alcotest.(check string) "fig5 identical with caches off" on5 off5
 
 (* The harness defaults to pipeline depth 1, and at depth 1 the pipelined

@@ -1,11 +1,13 @@
 open Bp_sim
 open Blockplane
 
-let make_world ?(fi = 1) ?(fg = 0) ?faults ?(seed = 71L)
+let make_world ?(fi = 1) ?(fg = 0) ?faults ?(seed = 71L) ?cache
     ?(app = fun () -> App.make (module App.Null)) () =
   let engine = Engine.create ~seed () in
   let net = Network.create engine Topology.aws_paper ?faults () in
-  let dep = Deployment.create ~network:net ~n_participants:4 ~fi ~fg ~app () in
+  let dep =
+    Deployment.create ~network:net ~n_participants:4 ~fi ~fg ?cache ~app ()
+  in
   (engine, net, dep)
 
 (* ---------- WAL persistence and crash recovery (§III-C) ---------- *)
@@ -65,11 +67,11 @@ let test_wal_replay_torn_tail () =
   Alcotest.(check string) "prefix state" (App.digest reference) (App.digest fresh)
 
 (* The digest memo only changes which code computes a SHA-256, never its
-   value: a run with the cache off must leave byte-identical logs and app
-   states. *)
+   value: a run with zero-capacity caches must leave byte-identical logs
+   and app states. *)
 let test_cache_off_same_digests () =
-  let run () =
-    let engine, _net, dep = make_world ~seed:77L () in
+  let run ~cache =
+    let engine, _net, dep = make_world ~seed:77L ~cache () in
     let api = Deployment.api dep 0 in
     for i = 1 to 12 do
       Api.log_commit api (event i) ~on_done:ignore
@@ -89,18 +91,12 @@ let test_cache_off_same_digests () =
              (Deployment.nodes_of dep p)))
       [ 0; 1 ]
   in
-  let cached = run () in
+  let cached = run ~cache:true in
   Alcotest.(check bool) "sender logs hold every commit" true
     (List.for_all
        (fun s -> Scanf.sscanf s "%d/" (fun n -> n >= 13))
        (List.filteri (fun i _ -> i < 4) cached));
-  let uncached =
-    Fun.protect
-      ~finally:(fun () -> Bp_crypto.Verify_cache.set_enabled true)
-      (fun () ->
-        Bp_crypto.Verify_cache.set_enabled false;
-        run ())
-  in
+  let uncached = run ~cache:false in
   Alcotest.(check (list string)) "log and app digests" cached uncached
 
 let test_wal_covers_receives () =

@@ -111,10 +111,12 @@ let policy ~source =
              scope): a stray Signer.verify silently bypasses both the memo
              and its generation-stamped invalidation discipline. *)
           (if in_dirs [ "crypto" ] then [] else [ "R5-rawverify" ]);
-          (* The harness is configured by explicit values (Knobs.t)
-             passed down each call; module-level mutable state there is
-             a hidden second configuration surface. *)
-          (if in_dirs [ "harness" ] then [ "R8-harnessglobal" ] else []);
+          (* The harness and the crypto layer are configured by explicit
+             values (Knobs.t, down to each world's caches) passed down
+             each call; module-level mutable state there is a hidden
+             second configuration surface. *)
+          (if in_dirs [ "harness"; "crypto" ] then [ "R8-harnessglobal" ]
+           else []);
           interproc_rules;
         ]
   | "bench" :: _ :: _ | "bin" :: _ :: _ ->
@@ -314,9 +316,9 @@ let mutable_allocators =
 let report_global ctx ~loc what =
   report ctx ~rule:"R8-harnessglobal" ~loc
     (Printf.sprintf
-       "module-level mutable state (%s): harness configuration travels as \
-        explicit values (Knobs.t) and state is allocated inside the function \
-        that owns it"
+       "module-level mutable state (%s): configuration travels as explicit \
+        values (Knobs.t) and state is allocated inside the function that \
+        owns it"
        what)
 
 let check_ident ctx (e : Typedtree.expression) path =
