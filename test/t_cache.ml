@@ -234,8 +234,8 @@ let test_crc_combine_edges () =
 
 (* Envelopes round-trip under both signing payloads: a 4 KiB op signs
    its content-addressed image, a 16-byte one its plain encoding. Which
-   payload is signed depends on the message alone, so a full cache, a
-   zero-capacity cache and no cache seal byte-identical envelopes. *)
+   payload is signed depends on the message alone, so a full cache and
+   a zero-capacity cache seal byte-identical envelopes. *)
 let test_envelope_both_payloads () =
   let roundtrip ~size make_cache =
     let ks = make_keystore () in
