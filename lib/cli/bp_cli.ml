@@ -128,8 +128,9 @@ let no_cache =
     & info [ "no-cache" ]
         ~doc:
           "Disable the per-node verification and digest memoization: every \
-           node's cache is built with zero capacity, so each signature check \
-           and content digest is recomputed. Signing is unchanged (which \
+           node's cache and each replica's batch-digest memo are built with \
+           zero capacity, so each signature check and content digest is \
+           recomputed. Signing is unchanged (which \
            bytes a message signs never depends on a cache), so every \
            experiment table is bit-identical either way; only wall time \
            changes.")

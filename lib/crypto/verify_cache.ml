@@ -273,8 +273,18 @@ let digest_memo_min = 256
 let memoized bucket s =
   List.find_opt (fun (k, _) -> k == s || String.equal k s) bucket
 
+let digest_miss t =
+  incr c_digest_misses;
+  t.i_digest_misses <- t.i_digest_misses + 1
+
+(* A zero budget keeps nothing, so it skips the table outright: a counted
+   miss and a direct hash, with no insertion to evict again at once. *)
 let digest t s =
   if String.length s < digest_memo_min then Sha256.digest s
+  else if t.digest_budget <= 0 then begin
+    digest_miss t;
+    Sha256.digest s
+  end
   else begin
     let fp = fingerprint s in
     let bucket =
@@ -286,8 +296,7 @@ let digest t s =
         t.i_digest_hits <- t.i_digest_hits + 1;
         d
     | None ->
-        incr c_digest_misses;
-        t.i_digest_misses <- t.i_digest_misses + 1;
+        digest_miss t;
         let d = Sha256.digest s in
         Digest_tbl.replace t.digests fp ((s, d) :: bucket);
         Queue.push (fp, s) t.dqueue;
@@ -300,7 +309,8 @@ let digest t s =
    on its signing path (a committed op reaching the log and the app). It
    neither inserts nor counts, so reusing a digest changes no statistic. *)
 let lookup_digest t s =
-  if String.length s < digest_memo_min then Sha256.digest s
+  if t.digest_budget <= 0 || String.length s < digest_memo_min then
+    Sha256.digest s
   else
     match Digest_tbl.find_opt t.digests (fingerprint s) with
     | None -> Sha256.digest s
@@ -313,7 +323,9 @@ let lookup_digest t s =
 
 type 'a memo = { mutable entries : ('a * string) list; mcap : int }
 
-let memo ?(capacity = 8) () = { entries = []; mcap = max 1 capacity }
+let memo ?(capacity = 8) () = { entries = []; mcap = max 0 capacity }
+
+let keeps_nothing t = Array.length t.ring = 0 && t.digest_budget <= 0
 
 let memoize m key f =
   match List.assq_opt key m.entries with
@@ -323,10 +335,12 @@ let memoize m key f =
   | None ->
       incr c_memo_misses;
       let v = f () in
-      let kept =
-        if List.length m.entries >= m.mcap then
-          List.filteri (fun i _ -> i < m.mcap - 1) m.entries
-        else m.entries
-      in
-      m.entries <- (key, v) :: kept;
+      if m.mcap > 0 then begin
+        let kept =
+          if List.length m.entries >= m.mcap then
+            List.filteri (fun i _ -> i < m.mcap - 1) m.entries
+          else m.entries
+        in
+        m.entries <- (key, v) :: kept
+      end;
       v

@@ -85,12 +85,18 @@ val lookup_digest : t -> string -> string
 type 'a memo
 
 val memo : ?capacity:int -> unit -> 'a memo
-(** Bounded association list, newest first (default capacity 8). *)
+(** Bounded association list, newest first (default capacity 8;
+    capacity 0 keeps nothing). *)
+
+val keeps_nothing : t -> bool
+(** The cache was built with [~capacity:0 ~digest_budget:0]. A node
+    whose cache keeps nothing sizes its memos at capacity 0 too, so a
+    run without caching recomputes every batch digest as well. *)
 
 val memoize : 'a memo -> 'a -> (unit -> string) -> string
 (** [memoize m key f] returns the memoized value for [key] (compared with
-    physical equality) or computes, stores and returns [f ()]. It is
-    independent of any {!t}, so a zero-capacity cache leaves it on. *)
+    physical equality) or computes, stores and returns [f ()]. At
+    capacity 0 every call is a counted miss that computes [f ()]. *)
 
 (** {1 Diagnostics}
 

@@ -298,5 +298,5 @@ let load_plan ~knobs ~scale =
       merge = load_merge;
     }
 
-let load ?(knobs = Knobs.default) ?(scale = 1.0) () =
-  Runner.run_plan (load_plan ~knobs ~scale)
+let load ?(scale = 1.0) () =
+  Runner.run_plan (load_plan ~knobs:Knobs.default ~scale)

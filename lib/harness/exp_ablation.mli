@@ -10,7 +10,7 @@
     - [loss]: commit latency under increasing network loss — what the
       reliable-transport layer absorbs. *)
 
-val load : ?knobs:Knobs.t -> ?scale:float -> unit -> Report.t list
+val load : ?scale:float -> unit -> Report.t list
 (** Open-loop offered load vs commit latency: the queueing/batching knee
     of group commit (§VI-C) under a Poisson arrival process. *)
 

@@ -107,5 +107,5 @@ let costs_plan ~knobs ~scale =
       merge = costs_merge;
     }
 
-let costs ?(knobs = Knobs.default) ?(scale = 1.0) () =
-  Runner.run_plan (costs_plan ~knobs ~scale)
+let costs ?(scale = 1.0) () =
+  Runner.run_plan (costs_plan ~knobs:Knobs.default ~scale)

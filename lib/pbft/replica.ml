@@ -1123,7 +1123,13 @@ let create ?cache transport cfg ~id ~execute () =
       transport;
       engine;
       cache;
-      batch_memo = Bp_crypto.Verify_cache.memo ~capacity:16 ();
+      batch_memo =
+        Bp_crypto.Verify_cache.memo
+          ~capacity:
+            (match cache with
+            | Some c when Bp_crypto.Verify_cache.keeps_nothing c -> 0
+            | _ -> 16)
+          ();
       execute;
       on_executed = (fun ~seq:_ _ -> ());
       verifier = (fun ~kind:_ ~op:_ -> true);

@@ -48,7 +48,8 @@ val create :
     its return value is the client-visible result.
 
     [cache] memoizes signature verdicts and batch digests for this
-    replica. Purely a performance knob: protocol outputs are bit-identical
+    replica; a cache that keeps nothing also sizes the batch-digest memo
+    at 0. Purely a performance knob: protocol outputs are bit-identical
     with or without it (see {!Msg}). *)
 
 val id : t -> int

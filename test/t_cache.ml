@@ -93,7 +93,7 @@ let test_sign_seeds_cache () =
 
 (* What [--no-cache] builds: a cache with zero capacity and digest budget
    keeps nothing. Every verify and every memo-sized digest is a counted
-   miss, and signing seeds no verdict. *)
+   miss, signing seeds no verdict, and a capacity-0 memo recomputes. *)
 let test_zero_capacity_keeps_nothing () =
   let ks = make_keystore () in
   let cache = Verify_cache.create ~capacity:0 ~digest_budget:0 ks in
@@ -112,7 +112,15 @@ let test_zero_capacity_keeps_nothing () =
   Alcotest.(check int) "no verify hit" 0 c.Verify_cache.verify_hits;
   Alcotest.(check int) "every verify a miss" 3 c.Verify_cache.verify_misses;
   Alcotest.(check int) "no digest hit" 0 c.Verify_cache.digest_hits;
-  Alcotest.(check int) "every digest a miss" 2 c.Verify_cache.digest_misses
+  Alcotest.(check int) "every digest a miss" 2 c.Verify_cache.digest_misses;
+  Alcotest.(check bool) "keeps_nothing" true (Verify_cache.keeps_nothing cache);
+  let m = Verify_cache.memo ~capacity:0 () in
+  let calls = ref 0 in
+  let key = [ "batch" ] in
+  for _ = 1 to 2 do
+    ignore (Verify_cache.memoize m key (fun () -> incr calls; "d"))
+  done;
+  Alcotest.(check int) "capacity-0 memo recomputes" 2 !calls
 
 (* Digest memo: always equals Sha256.digest, including under a byte budget
    small enough to evict on nearly every insertion, and for re-allocated
