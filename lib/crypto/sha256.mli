@@ -1,8 +1,12 @@
-(** SHA-256 (FIPS 180-4), pure OCaml.
+(** SHA-256 (FIPS 180-4).
 
     Used for log digests, Merkle trees, HMAC and the hash-based signature
-    schemes. The implementation processes 64-byte blocks over an
-    incremental context, so large batches can be hashed without copying. *)
+    schemes. Buffering, padding and midstates are OCaml over an
+    incremental context, so large batches can be hashed without copying;
+    the 64-byte block compression is a C kernel, chosen once when the
+    module initialises: the x86 SHA extensions (SHA-NI) when the CPU has
+    them, portable C otherwise. Both give the same digests; only host
+    time differs. *)
 
 type ctx
 (** Mutable hashing context. *)
@@ -39,3 +43,25 @@ val hex : string -> string
 
 val digest_length : int
 (** 32. *)
+
+(** The compression kernels, for differential testing. Everything above
+    uses {!Kernel.selected}; nothing selects a kernel at run time. *)
+module Kernel : sig
+  type t
+
+  val name : t -> string
+  (** ["portable"] or ["sha-ni"]. *)
+
+  val available : t list
+  (** Every kernel this CPU can run, portable first. *)
+
+  val selected : t
+  (** The fastest available kernel: the one every other function here
+      uses. *)
+
+  val update_bytes : t -> ctx -> bytes -> off:int -> len:int -> unit
+  (** {!val-update_bytes} through the given kernel. *)
+
+  val finalize : t -> ctx -> string
+  (** {!val-finalize} through the given kernel. *)
+end

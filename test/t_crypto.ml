@@ -291,6 +291,105 @@ let qcheck_sha256_incremental_differential =
       Sha256_ref.update rctx b;
       Sha256.finalize ctx = Sha256_ref.finalize rctx)
 
+(* ---------- compression kernels ----------
+   Every kernel this CPU can run, driven directly through Sha256.Kernel,
+   so the kernel the module did not select is checked against the
+   reference too. *)
+
+let kernel_digest k s =
+  let ctx = Sha256.init () in
+  Sha256.Kernel.update_bytes k ctx (Bytes.of_string s) ~off:0
+    ~len:(String.length s);
+  Sha256.Kernel.finalize k ctx
+
+let every_kernel f = List.for_all f Sha256.Kernel.available
+
+let test_kernel_selection () =
+  let names = List.map Sha256.Kernel.name Sha256.Kernel.available in
+  Alcotest.(check string) "portable is always available" "portable"
+    (List.hd names);
+  Alcotest.(check string) "the fastest available kernel is selected"
+    (List.nth names (List.length names - 1))
+    (Sha256.Kernel.name Sha256.Kernel.selected)
+
+let qcheck_kernel_lengths =
+  QCheck.Test.make ~name:"every kernel = reference (lengths 0-300)" ~count:300
+    QCheck.(string_of_size Gen.(0 -- 300))
+    (fun s ->
+      let want = Sha256_ref.digest s in
+      every_kernel (fun k -> String.equal (kernel_digest k s) want))
+
+let test_kernel_padding_boundaries () =
+  List.iter
+    (fun k ->
+      List.iter
+        (fun n ->
+          let s = String.init n (fun i -> Char.chr (((i * 31) + n) land 0xff)) in
+          Alcotest.(check string)
+            (Printf.sprintf "%s, %d bytes" (Sha256.Kernel.name k) n)
+            (Hex.encode (Sha256_ref.digest s))
+            (Hex.encode (kernel_digest k s)))
+        [ 0; 1; 55; 56; 63; 64; 65; 119; 120; 128 ])
+    Sha256.Kernel.available
+
+(* A prefix leaves the context mid-block; then one update_bytes at a
+   non-zero, mostly unaligned offset spans whole blocks plus a tail. *)
+let qcheck_kernel_unaligned_multiblock =
+  QCheck.Test.make ~name:"every kernel: multi-block update_bytes at ~off > 0"
+    ~count:200
+    QCheck.(
+      triple
+        (string_of_size Gen.(0 -- 130))
+        (int_range 1 67)
+        (string_of_size Gen.(128 -- 1200)))
+    (fun (prefix, off, body) ->
+      let len = String.length body in
+      let src = Bytes.make (off + len + 5) '\xa5' in
+      Bytes.blit_string body 0 src off len;
+      let want = Sha256_ref.digest (prefix ^ body) in
+      every_kernel (fun k ->
+          let ctx = Sha256.init () in
+          Sha256.Kernel.update_bytes k ctx (Bytes.of_string prefix) ~off:0
+            ~len:(String.length prefix);
+          Sha256.Kernel.update_bytes k ctx src ~off ~len;
+          String.equal (Sha256.Kernel.finalize k ctx) want))
+
+(* Two pool domains hash the same inputs at once, each several times
+   over, split at varying points; both must reproduce the sequential
+   digests. *)
+let test_sha256_two_domains () =
+  let inputs =
+    List.init 48 (fun i ->
+        String.init (i * 997 mod 20_000) (fun j -> Char.chr ((i + j) land 0xff)))
+  in
+  let sequential = List.map Sha256.digest inputs in
+  let hash_all round =
+    List.map
+      (fun s ->
+        let cut = if s = "" then 0 else (round * 61) mod String.length s in
+        let ctx = Sha256.init () in
+        Sha256.update ctx (String.sub s 0 cut);
+        Sha256.update ctx (String.sub s cut (String.length s - cut));
+        Sha256.finalize ctx)
+      inputs
+  in
+  let task () = List.init 8 hash_all in
+  let pool = Bp_parallel.Pool.create ~jobs:2 in
+  let results =
+    Fun.protect
+      ~finally:(fun () -> Bp_parallel.Pool.shutdown pool)
+      (fun () -> Bp_parallel.Pool.run pool [ task; task ])
+  in
+  List.iteri
+    (fun d rounds ->
+      List.iteri
+        (fun r digests ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "domain task %d, round %d" d r)
+            sequential digests)
+        rounds)
+    results
+
 let crc32_bitwise s =
   let crc = ref 0xffffffff in
   String.iter
@@ -389,6 +488,11 @@ let suite =
         QCheck_alcotest.to_alcotest qcheck_sha256_incremental_differential;
         tc "midstate needs a block boundary" test_sha256_midstate_needs_block_boundary;
         QCheck_alcotest.to_alcotest qcheck_sha256_resume;
+        tc "kernel selection" test_kernel_selection;
+        QCheck_alcotest.to_alcotest qcheck_kernel_lengths;
+        tc "kernel padding boundaries" test_kernel_padding_boundaries;
+        QCheck_alcotest.to_alcotest qcheck_kernel_unaligned_multiblock;
+        tc "two domains hash at once" test_sha256_two_domains;
       ] );
     ( "crypto.hmac",
       [

@@ -146,6 +146,31 @@ let test_r8_harnessglobal () =
   Alcotest.(check bool) "R8 is scoped to harness and crypto" false
     (has "R8-harnessglobal" "lib/pbft/replica.ml")
 
+(* R9-external: the top-level and the nested external are flagged, the
+   allow-attributed one is not; only lib/crypto/sha256.ml may declare
+   one, matched on whole path segments. *)
+let test_r9_external () =
+  let diags = Lint.lint_cmt ~rules:[ "R9-external" ] (fixture "Fx_r9") in
+  check_count ~msg:"top-level + nested external" "R9-external" 2 diags;
+  Alcotest.(check int) "total findings" 2 (List.length diags);
+  Alcotest.(check bool) "names the external" true
+    (message_mem "external bad_nested" diags);
+  let has rule source = List.mem rule (Lint.policy ~source) in
+  Alcotest.(check bool) "sha256.ml may declare externals" false
+    (has "R9-external" "lib/crypto/sha256.ml");
+  Alcotest.(check bool) "sha256x.ml may not" true
+    (has "R9-external" "lib/crypto/sha256x.ml");
+  Alcotest.(check bool) "rest of crypto may not" true
+    (has "R9-external" "lib/crypto/crc32.ml");
+  Alcotest.(check bool) "other lib dirs may not" true
+    (has "R9-external" "lib/util/hex.ml");
+  Alcotest.(check bool) "bench may not" true
+    (has "R9-external" "bench/e2e/bpbench.ml");
+  Alcotest.(check bool) "bin may not" true
+    (has "R9-external" "bin/blockplane_cli.ml");
+  Alcotest.(check bool) "tools may not" true
+    (has "R9-external" "tools/bplint/main.ml")
+
 let test_clean_fixture () =
   let diags = Lint.lint_cmt ~rules:Lint.all_rules (fixture "Fx_clean") in
   Alcotest.(check int) (Printf.sprintf "clean module\n%s" (show diags)) 0
@@ -322,6 +347,8 @@ let suite =
           test_r7_parpure;
         Alcotest.test_case "R8 no module-level state in harness" `Quick
           test_r8_harnessglobal;
+        Alcotest.test_case "R9 externals confined to sha256.ml" `Quick
+          test_r9_external;
         Alcotest.test_case "clean fixture" `Quick test_clean_fixture;
         Alcotest.test_case "allowlist suppression" `Quick test_allowlist;
         Alcotest.test_case "segment-anchored path matching" `Quick

@@ -20,6 +20,7 @@ let all_rules =
     "R6-domainescape";
     "R7-parpure";
     "R8-harnessglobal";
+    "R9-external";
   ]
 
 let to_string = Lint_diag.to_string
@@ -85,6 +86,16 @@ let r2_domain_exempt source =
           String.equal (Filename.remove_extension file) "verify_batch"
       | _ -> false)
 
+(* lib/crypto/sha256.ml is the one module allowed to declare
+   [external]s: its C stubs are the tree's whole foreign surface. Matched
+   on whole path segments like the R2-domain exemption. *)
+let r9_external source =
+  match source_segments source with
+  | [ "lib"; "crypto"; file ]
+    when String.equal (Filename.remove_extension file) "sha256" ->
+      []
+  | _ -> [ "R9-external" ]
+
 (* R6/R7 run everywhere fan-out calls can appear — which after PR 6 is
    any scanned directory. The passes are no-ops on files with no fan-out
    sites, so applying them broadly costs nothing. *)
@@ -117,13 +128,14 @@ let policy ~source =
              second configuration surface. *)
           (if in_dirs [ "harness"; "crypto" ] then [ "R8-harnessglobal" ]
            else []);
+          r9_external source;
           interproc_rules;
         ]
   | "bench" :: _ :: _ | "bin" :: _ :: _ ->
       (* Executables: no .mli to require and console output is their job,
          but they feed the golden tables, so determinism and totality
          still apply — and so does the parallel-purity discipline. *)
-      [ "R2-nondet"; "R3-partial" ] @ interproc_rules
+      [ "R2-nondet"; "R3-partial"; "R9-external" ] @ interproc_rules
   | "tools" :: rest when rest <> [] ->
       if List.mem "fixtures" rest then
         (* Lint fixtures violate rules on purpose; they are linted
@@ -136,7 +148,7 @@ let policy ~source =
           | Some f -> String.equal (Filename.remove_extension f) "main"
           | None -> false
         in
-        [ "R2-nondet"; "R3-partial" ]
+        [ "R2-nondet"; "R3-partial"; "R9-external" ]
         @ (if is_main then [] else [ "R4-mli" ])
         @ interproc_rules
   | _ -> []
@@ -482,12 +494,19 @@ let make_iterator ctx =
         super.Tast_iterator.value_binding sub vb)
   in
   let structure_item sub (si : Typedtree.structure_item) =
-    let attrs =
-      match si.Typedtree.str_desc with
-      | Typedtree.Tstr_attribute a -> [ a ]
-      | _ -> []
-    in
-    with_allows attrs (fun () -> super.Tast_iterator.structure_item sub si)
+    match si.Typedtree.str_desc with
+    | Typedtree.Tstr_attribute a ->
+        with_allows [ a ] (fun () -> super.Tast_iterator.structure_item sub si)
+    | Typedtree.Tstr_primitive vd ->
+        with_allows vd.Typedtree.val_attributes (fun () ->
+            report ctx ~rule:"R9-external" ~loc:vd.Typedtree.val_loc
+              (Printf.sprintf
+                 "external %s: foreign declarations are confined to \
+                  lib/crypto/sha256.ml (and its sha256_stubs.c), so the C \
+                  surface stays one audited file"
+                 (Ident.name vd.Typedtree.val_id));
+            super.Tast_iterator.structure_item sub si)
+    | _ -> super.Tast_iterator.structure_item sub si
   in
   { super with Tast_iterator.expr; value_binding; structure_item }
 

@@ -43,6 +43,9 @@
       the simulator engine/clock, [Random]/shared [Rng] streams, wall
       clocks. [[@@bplint.parallel_pure]] on a binding is the audited
       escape hatch.
+    - [R9-external]: an [external] declaration anywhere but
+      [lib/crypto/sha256.ml], whose C stubs are the tree's only foreign
+      code.
 
     Suppression: a site can carry [[@bplint.allow "RULE ..."]] (on the
     expression or enclosing [let]); whole files can be excused in an
