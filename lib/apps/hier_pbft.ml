@@ -91,6 +91,11 @@ let create ~network ~n_participants ?(fi = 1) () =
   let keystore =
     Bp_crypto.Signer.create (Bp_util.Rng.split (Engine.rng engine))
   in
+  (* One cache per principal, keeping nothing: this baseline memoizes no
+     verdict or digest. *)
+  let new_cache () =
+    Bp_crypto.Verify_cache.create ~capacity:0 ~digest_budget:0 keystore
+  in
   let t = { n = n_participants; agents = [||] } in
   let agents =
     Array.init n_participants (fun p ->
@@ -102,12 +107,12 @@ let create ~network ~n_participants ?(fi = 1) () =
           (fun i addr ->
             let transport = Bp_net.Transport.create network addr in
             ignore
-              (Bp_pbft.Replica.create transport cfg ~id:i
+              (Bp_pbft.Replica.create ~cache:(new_cache ()) transport cfg ~id:i
                  ~execute:(fun ~seq:_ r -> "ok:" ^ string_of_int (String.length r.Bp_pbft.Msg.op))
                  ()))
           nodes;
         let transport = Bp_net.Transport.create network (agent_addr p) in
-        let client = Bp_pbft.Client.create transport cfg in
+        let client = Bp_pbft.Client.create ~cache:(new_cache ()) transport cfg in
         let agent =
           { participant = p; transport; client; next_inst = 0; rounds = []; decided = 0 }
         in

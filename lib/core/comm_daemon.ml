@@ -385,7 +385,6 @@ let on_sign_response t ~dest ~comm_seq ~identity ~signature =
                per-node cache discipline (probe/record on the protocol
                domain only — enforced by bplint R7-parpure). *)
             Bp_crypto.Verify_batch.verify_one ~cache:vcache
-              ~keystore:(Unit_node.keystore t.node)
               (Bp_crypto.Verify_batch.global ())
               ~signer:identity ~msg:statement ~signature
           then begin

@@ -72,7 +72,6 @@ let set_geo_request_handler t f = t.geo_handler <- Some f
 
 let mirror_digest t ~owner ~pos = Hashtbl.find_opt t.mirror_index (owner, pos)
 
-let keystore t = t.pbft_cfg.Bp_pbft.Config.keystore
 let vcache t = t.vcache
 
 let sign_mirror t ~owner ~pos ~digest =
@@ -124,7 +123,6 @@ let valid_sig_bundle t ~from_participant ~statement ~needed sigs =
   in
   let verdicts =
     Bp_crypto.Verify_batch.verify ~cache:t.vcache
-      ~keystore:t.pbft_cfg.Bp_pbft.Config.keystore
       (Bp_crypto.Verify_batch.global ())
       jobs
   in
@@ -323,7 +321,6 @@ let preverify t batch =
   | jobs ->
       let handle =
         Bp_crypto.Verify_batch.submit ~cache:t.vcache
-          ~keystore:t.pbft_cfg.Bp_pbft.Config.keystore
           (Bp_crypto.Verify_batch.global ())
           jobs
       in
@@ -609,7 +606,6 @@ let create ~network ~pbft_cfg ~participant ~n_participants ~node_idx ~fg
           verify =
             (fun ~signer ~msg ~signature ->
               Bp_crypto.Verify_batch.verify_one ~cache:vcache
-                ~keystore:pbft_cfg.Bp_pbft.Config.keystore
                 (Bp_crypto.Verify_batch.global ())
                 ~signer ~msg ~signature);
           send = (fun ~dst msg -> send_aux t ~dst msg);

@@ -33,7 +33,6 @@ val peers : t -> Bp_sim.Addr.t array
 (** All node addresses of this unit (including this node). *)
 
 val fi : t -> int
-val keystore : t -> Bp_crypto.Signer.t
 
 val vcache : t -> Bp_crypto.Verify_cache.t
 (** The node's verification/digest memo (see {!Bp_crypto.Verify_cache}).

@@ -124,13 +124,14 @@ type handle = {
   h_verdicts : bool option array; (* [Some] = resolved by cache probe *)
   h_pending : (int * (string * string * string) option) array;
       (* verdict index + the (signer, msg, signature) to [record] after
-         the join (None for lamport jobs / no cache) *)
+         the join (None for lamport jobs) *)
   h_join : unit -> bool list;
-  h_cache : Verify_cache.t option;
+  h_cache : Verify_cache.t;
   mutable h_results : bool list option;
 }
 
-let submit ?cache ~keystore t jobs_list =
+let submit ~cache t jobs_list =
+  let keystore = Verify_cache.keystore cache in
   let n = List.length jobs_list in
   let verdicts = Array.make (Stdlib.max 1 n) None in
   let pending = ref [] (* reversed (idx, record-key, thunk) *) in
@@ -141,21 +142,11 @@ let submit ?cache ~keystore t jobs_list =
       | Lamport { key; msg; signature } ->
           pending := (i, None, fun () -> Lamport.verify key msg signature) :: !pending
       | Keyed { signer; msg; signature } -> (
-          let probed =
-            match cache with
-            | None -> None
-            | Some c -> Verify_cache.probe c ~signer ~msg ~signature
-          in
-          match probed with
+          match Verify_cache.probe cache ~signer ~msg ~signature with
           | Some v ->
               incr n_hits;
               verdicts.(i) <- Some v
           | None ->
-              let rkey =
-                match cache with
-                | None -> None
-                | Some _ -> Some (signer, msg, signature)
-              in
               let thunk =
                 (* Snapshot on the calling domain, before fan-out. The
                    thunk closes over the immutable [key] view only —
@@ -168,7 +159,7 @@ let submit ?cache ~keystore t jobs_list =
                 | Some key ->
                     fun () -> Signer.verify_key key ~msg ~signature
               in
-              pending := (i, rkey, thunk) :: !pending))
+              pending := (i, Some (signer, msg, signature), thunk) :: !pending))
     jobs_list;
   let pending = Array.of_list (List.rev !pending) in
   let thunks = Array.to_list (Array.map (fun (_, _, f) -> f) pending) in
@@ -215,10 +206,10 @@ let await h =
           let i, rkey = h.h_pending.(k) in
           h.h_verdicts.(i) <- Some v;
           (* Record on the calling domain, after the join. *)
-          match (rkey, h.h_cache) with
-          | Some (signer, msg, signature), Some c ->
-              Verify_cache.record c ~signer ~msg ~signature ~verdict:v
-          | _ -> ())
+          match rkey with
+          | Some (signer, msg, signature) ->
+              Verify_cache.record h.h_cache ~signer ~msg ~signature ~verdict:v
+          | None -> ())
         computed;
       let n = Array.length h.h_verdicts in
       let rec collect i acc =
@@ -232,11 +223,10 @@ let await h =
       h.h_results <- Some rs;
       rs
 
-let verify ?cache ~keystore t jobs_list =
-  await (submit ?cache ~keystore t jobs_list)
+let verify ~cache t jobs_list = await (submit ~cache t jobs_list)
 
-let verify_one ?cache ~keystore t ~signer ~msg ~signature =
-  match verify ?cache ~keystore t [ Keyed { signer; msg; signature } ] with
+let verify_one ~cache t ~signer ~msg ~signature =
+  match verify ~cache t [ Keyed { signer; msg; signature } ] with
   | [ v ] -> v
   | _ -> false
 

@@ -12,7 +12,7 @@
     - {b Snapshot at submit}: keyed signers are resolved to immutable
       {!Signer.key} snapshots on the calling domain; workers run the
       pure {!Signer.verify_key} and never touch the keystore.
-    - {b Cache partition}: the optional per-node {!Verify_cache} is
+    - {b Cache partition}: the per-node {!Verify_cache} is
       consulted once per batch on the calling domain — {!Verify_cache.probe}
       before fan-out, {!Verify_cache.record} after the join. Worker
       domains never see the cache.
@@ -25,8 +25,8 @@ type t
 
 type job =
   | Keyed of { signer : string; msg : string; signature : string }
-      (** Verified against the shared keystore registry, through the
-          per-node cache when one is supplied. *)
+      (** Verified against the cache's keystore registry, through the
+          per-node cache. *)
   | Lamport of {
       key : Lamport.public_key;
       msg : string;
@@ -47,26 +47,27 @@ val shutdown : t -> unit
 type handle
 (** An outstanding batch; claim it with {!await}. *)
 
-val submit : ?cache:Verify_cache.t -> keystore:Signer.t -> t -> job list -> handle
-(** Probe the cache, snapshot signer keys, and enqueue the residue on
-    the worker pool without blocking — the caller may overlap other
-    work before {!await}ing. Must be called on the domain that owns
-    [cache] and [keystore]. *)
+val submit : cache:Verify_cache.t -> t -> job list -> handle
+(** Probe the cache, snapshot signer keys from its keystore
+    ({!Verify_cache.keystore}), and enqueue the residue on the worker
+    pool without blocking — the caller may overlap other work before
+    {!await}ing. Must be called on the domain that owns [cache]. A
+    cache that keeps nothing probes as a miss every time, so every job
+    is computed. *)
 
 val await : handle -> bool list
 (** Join the batch: verdicts in job order, cache records written (on
     the calling domain). Idempotent — a second await returns the cached
     verdict list. *)
 
-val verify : ?cache:Verify_cache.t -> keystore:Signer.t -> t -> job list -> bool list
-(** [verify ?cache ~keystore t jobs] is [await (submit ...)]: verdicts
+val verify : cache:Verify_cache.t -> t -> job list -> bool list
+(** [verify ~cache t jobs] is [await (submit ~cache t jobs)]: verdicts
     in job order, equal element-wise to the sequential reference
     ([Verify_cache.verify] / [Signer.verify] for keyed jobs,
     [Lamport.verify] for lamport jobs). *)
 
 val verify_one :
-  ?cache:Verify_cache.t ->
-  keystore:Signer.t ->
+  cache:Verify_cache.t ->
   t ->
   signer:string ->
   msg:string ->

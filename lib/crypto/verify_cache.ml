@@ -54,22 +54,13 @@ let counters () =
     memo_misses = !c_memo_misses;
   }
 
-(* Caches created since the last [reset_counters] — one per node, so
-   this is the divisor that turns the aggregate tallies above into
-   honest per-node figures (the bench used to report the aggregate as
-   if it were a single node's). *)
-let c_instances = ref 0 [@@bplint.allow "R8-harnessglobal"]
-
-let instances () = !c_instances
-
 let reset_counters () =
   c_verify_hits := 0;
   c_verify_misses := 0;
   c_digest_hits := 0;
   c_digest_misses := 0;
   c_memo_hits := 0;
-  c_memo_misses := 0;
-  c_instances := 0
+  c_memo_misses := 0
 
 (* ---------- the cache ---------- *)
 
@@ -128,7 +119,6 @@ type t = {
    flight (a few pipelined batches); a huge budget would just pin dead
    operations on the major heap for the GC to trace. *)
 let create ?(capacity = 4096) ?(digest_budget = 8 * 1024 * 1024) keystore =
-  incr c_instances;
   {
     keystore;
     verdicts = Verdict_tbl.create (2 * capacity);
@@ -165,12 +155,6 @@ let insert t key entry =
     Verdict_tbl.replace t.verdicts key entry;
     t.cursor <- (t.cursor + 1) mod Array.length t.ring
   end
-
-(* Raw pass-through, so modules outside lib/crypto can express "verify
-   without a cache" without naming [Signer.verify] (which the R5-rawverify
-   lint rule confines to this directory). *)
-let verify_uncached keystore ~signer ~msg ~signature =
-  Signer.verify keystore ~signer ~msg ~signature
 
 let hit t =
   incr c_verify_hits;

@@ -55,12 +55,6 @@ val sign : t -> signer:string -> string -> string
     verdict so a node's own loopback deliveries verify for free.
     @raise Not_found like {!Signer.sign} for unregistered identities. *)
 
-val verify_uncached :
-  Signer.t -> signer:string -> msg:string -> signature:string -> bool
-(** Raw pass-through to {!Signer.verify}, for callers that have no cache
-    in scope. Outside [lib/crypto] this is the only sanctioned spelling of
-    a direct verification (lint rule R5-rawverify). *)
-
 val digest : t -> string -> string
 (** Memoized {!Sha256.digest}. Probes by physical identity first, then by
     content (a fingerprint of length plus first/last 64 bytes narrows the
@@ -115,15 +109,11 @@ type counters = {
 val counters : unit -> counters
 (** Process-global tallies (exact at [-j 1]; see implementation note).
     These aggregate over {e every} cache instance in the process — one
-    per node — so they are not a single node's figures; divide by
-    {!instances} (or read {!instance_counters}) for per-node rates. *)
+    per node — so they are not a single node's figures; read
+    {!instance_counters} for per-node rates. *)
 
 val instance_counters : t -> counters
 (** This cache's own verify/digest tallies ([memo_*] are always 0: the
     generic memo is not tied to an instance). *)
-
-val instances : unit -> int
-(** Number of caches created since the last {!reset_counters} — the
-    node count behind the {!counters} aggregate. *)
 
 val reset_counters : unit -> unit

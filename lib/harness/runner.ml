@@ -18,7 +18,7 @@ type world = {
    Config.make. The min-fill/hold pair rule is judged by Config.make on
    the COMPOSED pair, so an explicit min-fill and a knob hold compose. *)
 let fresh_world ?(knobs = Knobs.default) ?(fi = 1) ?(fg = 0) ?(seed = 4242L)
-    ?(n_participants = 4) ?topology ?scheme ?batch_max ?batch_min_fill
+    ?(n_participants = 4) ?scheme ?batch_max ?batch_min_fill
     ?batch_hold ?max_in_flight ?verify_cost ?verify_jobs ?extra_verify_units
     ?cluster_send ?shards ?shard_map
     ?(app = fun () -> Blockplane.App.make (module Blockplane.App.Null)) () =
@@ -27,12 +27,9 @@ let fresh_world ?(knobs = Knobs.default) ?(fi = 1) ?(fg = 0) ?(seed = 4242L)
      topology (metro twins per region) so every unit still gets its own
      datacenter. Deployments within the first four sites are unchanged. *)
   let topology =
-    match topology with
-    | Some topo -> topo
-    | None ->
-        if n_participants <= Topology.num_dcs Topology.aws_paper then
-          Topology.aws_paper
-        else Topology.tiled Topology.aws_paper ~sites:n_participants
+    if n_participants <= Topology.num_dcs Topology.aws_paper then
+      Topology.aws_paper
+    else Topology.tiled Topology.aws_paper ~sites:n_participants
   in
   let net = Network.create engine topology () in
   let batch_min_fill =
@@ -79,15 +76,22 @@ let flat_pbft ~seed ~primary ~client_dc =
   let cfg =
     Bp_pbft.Config.make ~nodes:addrs ~keystore ~request_timeout:(Time.of_sec 5.0) ()
   in
+  (* One cache per principal, keeping nothing: the baseline memoizes no
+     verdict or digest. *)
+  let new_cache () =
+    Bp_crypto.Verify_cache.create ~capacity:0 ~digest_budget:0 keystore
+  in
   Array.iteri
     (fun i addr ->
       ignore
-        (Bp_pbft.Replica.create (Bp_net.Transport.create net addr) cfg ~id:i
+        (Bp_pbft.Replica.create ~cache:(new_cache ())
+           (Bp_net.Transport.create net addr)
+           cfg ~id:i
            ~execute:(fun ~seq:_ _ -> "ok")
            ()))
     addrs;
   let client =
-    Bp_pbft.Client.create
+    Bp_pbft.Client.create ~cache:(new_cache ())
       (Bp_net.Transport.create net (Addr.make ~dc:client_dc ~idx:100))
       cfg
   in

@@ -14,7 +14,6 @@ val fresh_world :
   ?fg:int ->
   ?seed:int64 ->
   ?n_participants:int ->
-  ?topology:Bp_sim.Topology.t ->
   ?scheme:Bp_crypto.Signer.scheme ->
   ?batch_max:int ->
   ?batch_min_fill:int ->
@@ -29,10 +28,10 @@ val fresh_world :
   ?app:(unit -> Blockplane.App.instance) ->
   unit ->
   world
-(** A deterministic world: engine, network and deployment. [topology]
-    defaults to the paper's Table I; when [n_participants] exceeds its
-    four regions the default becomes {!Bp_sim.Topology.tiled} over it,
-    so scale-out worlds get one datacenter per unit at fixed per-unit
+(** A deterministic world: engine, network and deployment, on the
+    paper's Table I topology; when [n_participants] exceeds its four
+    regions the topology is {!Bp_sim.Topology.tiled} over it, so
+    scale-out worlds get one datacenter per unit at fixed per-unit
     resources. [shards] / [shard_map] select the keyspace partition
     (explicit map wins). [scheme] and [extra_verify_units] pass through
     to {!Blockplane.Deployment.create}.

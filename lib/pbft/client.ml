@@ -14,7 +14,7 @@ type t = {
   cfg : Config.t;
   transport : Bp_net.Transport.t;
   engine : Engine.t;
-  cache : Bp_crypto.Verify_cache.t option;
+  cache : Bp_crypto.Verify_cache.t;
   mutable next_ts : int;
   mutable view_estimate : int;
   mutable pending : pending Int_map.t; (* keyed by ts *)
@@ -26,13 +26,13 @@ let send_to_primary t request =
   let primary = Config.primary_of_view t.cfg t.view_estimate in
   Bp_net.Transport.send t.transport ~dst:t.cfg.Config.nodes.(primary)
     ~tag:t.cfg.Config.tag
-    (Msg.seal ?cache:t.cache t.cfg
+    (Msg.seal ~cache:t.cache t.cfg
        ~sender:(Bp_net.Transport.addr t.transport)
        (Msg.Request request))
 
 let broadcast_request t request =
   let sealed =
-    Msg.seal ?cache:t.cache t.cfg
+    Msg.seal ~cache:t.cache t.cfg
       ~sender:(Bp_net.Transport.addr t.transport)
       (Msg.Request request)
   in
@@ -74,7 +74,7 @@ let on_reply t body =
       | _ -> ())
   | _ -> ()
 
-let create ?cache transport cfg =
+let create ~cache transport cfg =
   let engine = Network.engine (Bp_net.Transport.network transport) in
   let t =
     {
@@ -89,7 +89,7 @@ let create ?cache transport cfg =
   in
   Bp_net.Transport.set_handler transport ~tag:(cfg.Config.tag ^ ".reply")
     (fun ~src:_ payload ->
-      match Msg.verify_envelope ?cache cfg payload with
+      match Msg.verify_envelope ~cache cfg payload with
       | Ok body -> on_reply t body
       | Error _ -> ());
   t
@@ -98,7 +98,7 @@ let submit t ?(kind = 0) op ~on_result =
   let ts = t.next_ts in
   t.next_ts <- ts + 1;
   let request =
-    Msg.make_request ?cache:t.cache t.cfg
+    Msg.make_request ~cache:t.cache t.cfg
       ~client:(Bp_net.Transport.addr t.transport)
       ~ts ~kind ~op
   in

@@ -6,10 +6,11 @@
 
 type t
 
-val create : ?cache:Bp_crypto.Verify_cache.t -> Bp_net.Transport.t -> Config.t -> t
+val create : cache:Bp_crypto.Verify_cache.t -> Bp_net.Transport.t -> Config.t -> t
 (** Installs the reply handler (tag [cfg.tag ^ ".reply"]). One client per
-    transport endpoint per cluster. [cache] memoizes signature verdicts;
-    it never changes any produced byte or verdict. *)
+    transport endpoint per cluster. [cache] signs requests and checks
+    replies, memoizing verdicts; how much it keeps never changes any
+    produced byte or verdict. *)
 
 val submit : t -> ?kind:int -> string -> on_result:(string -> unit) -> unit
 (** Fire an operation ([kind] is the Blockplane record annotation,

@@ -69,8 +69,8 @@ let decode_addr d =
    digest-amortization — the MAC/signature pass touches kilobytes instead
    of megabytes, while binding exactly the same semantic content, since
    SHA-256 pins the op bytes. The choice depends on the message's content
-   alone, never on whether a caller holds a cache, so every signer and
-   verifier agrees byte-for-byte on what was signed; a per-call [?cache]
+   alone, never on how much a caller's cache keeps, so every signer and
+   verifier agrees byte-for-byte on what was signed; the per-node cache
    only memoizes the digests and verdicts.
 
    Domain separation: content-addressed body payloads start with byte
@@ -80,11 +80,6 @@ let decode_addr d =
    Fetch) keep signing their exact encoding — there is nothing to
    amortize, and view-change proof checking can reconstruct their signed
    bytes without any op in hand. *)
-
-let digest_op cache op =
-  match cache with
-  | Some c -> Bp_crypto.Verify_cache.digest c op
-  | None -> Bp_crypto.Sha256.digest op
 
 (* Digest amortization only pays for itself when the content it would
    digest is big enough that one SHA-256 pass (memoized per node)
@@ -97,14 +92,14 @@ let digest_op cache op =
    on the wire, only which bytes the signature covers. *)
 let ca_min_bytes = 256
 
-let request_signing_payload ?cache ~client ~ts ~kind ~op () =
+let request_signing_payload ~cache ~client ~ts ~kind ~op =
   if String.length op >= ca_min_bytes then
     Wire.encode (fun e ->
         Wire.u8 e 0xCB;
         encode_addr e client;
         Wire.varint e ts;
         Wire.u8 e kind;
-        Wire.string e (digest_op cache op))
+        Wire.string e (Bp_crypto.Verify_cache.digest cache op))
   else
     Wire.encode (fun e ->
         encode_addr e client;
@@ -295,7 +290,7 @@ let decode_body s =
    envelopes) replaced by their digests. Only the bulky constructors are
    transformed; the small ones sign their exact encoding. *)
 
-let ca_request cache r = { r with op = digest_op cache r.op }
+let ca_request cache r = { r with op = Bp_crypto.Verify_cache.digest cache r.op }
 
 let ca_proof cache p = { p with pbatch = List.map (ca_request cache) p.pbatch }
 
@@ -321,7 +316,8 @@ let ca_body cache = function
       New_view
         {
           view;
-          view_change_envelopes = List.map (digest_op cache) view_change_envelopes;
+          view_change_envelopes =
+            List.map (Bp_crypto.Verify_cache.digest cache) view_change_envelopes;
           batches = ca_batches cache batches;
           replica;
         }
@@ -331,8 +327,7 @@ let ca_body cache = function
 
 (* Bulk weight of a body: the bytes the CA transform would digest away.
    Bodies at or above {!ca_min_bytes} sign the content-addressed payload;
-   lighter ones sign their exact encoding, exactly as in [--no-cache]
-   mode. *)
+   lighter ones sign their exact encoding. *)
 let batch_weight batch =
   List.fold_left (fun acc r -> acc + String.length r.op) 0 batch
 
@@ -358,7 +353,7 @@ let content_addressed body = bulk_weight body >= ca_min_bytes
    content-addressed payload is built on an uncounted raw encoder: it is
    derived bookkeeping, not a message serialization, and must not perturb
    the encode-once accounting that {!Wire.encode_calls} tests pin. *)
-let signing_payload ?cache ~encoded body =
+let signing_payload ~cache ~encoded body =
   if content_addressed body then begin
     let e = Wire.encoder ~size_hint:512 () in
     Wire.u8 e 0xCA;
@@ -367,45 +362,36 @@ let signing_payload ?cache ~encoded body =
   end
   else encoded
 
-let make_request ?cache cfg ~client ~ts ~kind ~op =
-  let payload = request_signing_payload ?cache ~client ~ts ~kind ~op () in
-  let identity = Config.identity cfg client in
+let make_request ~cache cfg ~client ~ts ~kind ~op =
+  let payload = request_signing_payload ~cache ~client ~ts ~kind ~op in
   let client_sig =
-    match cache with
-    | Some c -> Bp_crypto.Verify_cache.sign c ~signer:identity payload
-    | None -> Bp_crypto.Signer.sign cfg.Config.keystore ~signer:identity payload
+    Bp_crypto.Verify_cache.sign cache ~signer:(Config.identity cfg client) payload
   in
   { client; ts; kind; op; client_sig }
 
-let request_valid ?cache cfg r =
+let request_valid ~cache cfg r =
   let payload =
-    request_signing_payload ?cache ~client:r.client ~ts:r.ts ~kind:r.kind
-      ~op:r.op ()
+    request_signing_payload ~cache ~client:r.client ~ts:r.ts ~kind:r.kind
+      ~op:r.op
   in
-  let signer = Config.identity cfg r.client in
-  match cache with
-  | Some c ->
-      Bp_crypto.Verify_cache.verify c ~signer ~msg:payload
-        ~signature:r.client_sig
-  | None ->
-      Bp_crypto.Verify_cache.verify_uncached cfg.Config.keystore ~signer
-        ~msg:payload ~signature:r.client_sig
+  Bp_crypto.Verify_cache.verify cache ~signer:(Config.identity cfg r.client)
+    ~msg:payload ~signature:r.client_sig
 
-(* Batched spelling of [List.for_all (request_valid ?cache cfg)]: the
+(* Batched spelling of [List.for_all (request_valid ~cache cfg)]: the
    per-request payloads and identities are derived on the calling
    domain, then every signature checks as one [Verify_batch] fan-out.
    Index-ordered join makes the verdict independent of worker count. *)
-let requests_valid ?cache cfg batch =
+let requests_valid ~cache cfg batch =
   match batch with
   | [] -> true
-  | [ r ] -> request_valid ?cache cfg r
+  | [ r ] -> request_valid ~cache cfg r
   | _ ->
       let jobs =
         List.map
           (fun r ->
             let payload =
-              request_signing_payload ?cache ~client:r.client ~ts:r.ts
-                ~kind:r.kind ~op:r.op ()
+              request_signing_payload ~cache ~client:r.client ~ts:r.ts
+                ~kind:r.kind ~op:r.op
             in
             Bp_crypto.Verify_batch.Keyed
               {
@@ -416,13 +402,10 @@ let requests_valid ?cache cfg batch =
           batch
       in
       let ctx = Bp_crypto.Verify_batch.global () in
-      let verdicts =
-        Bp_crypto.Verify_batch.verify ?cache ~keystore:cfg.Config.keystore ctx
-          jobs
-      in
+      let verdicts = Bp_crypto.Verify_batch.verify ~cache ctx jobs in
       List.for_all Fun.id verdicts
 
-let batch_digest ?cache batch =
+let batch_digest ~cache batch =
   let ctx = Bp_crypto.Sha256.init () in
   let image =
     if batch_weight batch >= ca_min_bytes then fun r -> ca_request cache r
@@ -451,14 +434,12 @@ let sender_of cfg = function
         Some cfg.Config.nodes.(replica)
       else None
 
-let seal ?cache cfg ~sender body =
+let seal ~cache cfg ~sender body =
   let encoded = encode_body body in
-  let payload = signing_payload ?cache ~encoded body in
-  let signer = Config.identity cfg sender in
+  let payload = signing_payload ~cache ~encoded body in
   let signature =
-    match cache with
-    | Some c -> Bp_crypto.Verify_cache.sign c ~signer payload
-    | None -> Bp_crypto.Signer.sign cfg.Config.keystore ~signer payload
+    Bp_crypto.Verify_cache.sign cache ~signer:(Config.identity cfg sender)
+      payload
   in
   Wire.encode (fun e ->
       Wire.string e encoded;
@@ -471,7 +452,9 @@ let seal_forged cfg ~sender body =
       Wire.string e encoded;
       Wire.string e (String.make 32 '\x00'))
 
-let open_envelope ?cache cfg ~claimed s =
+(* Decode and check the signature against the identity the body itself
+   claims ([sender_of]), so a node cannot speak for another. *)
+let verify_envelope ~cache cfg s =
   match
     Wire.decode s (fun d ->
         let encoded = Wire.read_string d in
@@ -483,21 +466,12 @@ let open_envelope ?cache cfg ~claimed s =
       match decode_body encoded with
       | Error e -> Error e
       | Ok body -> (
-          match claimed body with
+          match sender_of cfg body with
           | None -> Error "no sender identity"
           | Some sender ->
-              let payload = signing_payload ?cache ~encoded body in
-              let signer = Config.identity cfg sender in
-              let ok =
-                match cache with
-                | Some c ->
-                    Bp_crypto.Verify_cache.verify c ~signer ~msg:payload
-                      ~signature
-                | None ->
-                    Bp_crypto.Verify_cache.verify_uncached cfg.Config.keystore
-                      ~signer ~msg:payload ~signature
-              in
-              if ok then Ok body else Error "bad signature"))
-
-let verify_envelope ?cache cfg s =
-  open_envelope ?cache cfg ~claimed:(sender_of cfg) s
+              let payload = signing_payload ~cache ~encoded body in
+              if
+                Bp_crypto.Verify_cache.verify cache
+                  ~signer:(Config.identity cfg sender) ~msg:payload ~signature
+              then Ok body
+              else Error "bad signature"))

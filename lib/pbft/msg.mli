@@ -74,13 +74,16 @@ type body =
     bytes) — below it the transform saves nothing and the extra encoding
     pass and hash would tax tiny-operation workloads. That weight is the
     one signing rule: a pure function of the message, so all parties agree
-    on the payload, and never decided by whether a caller passes [?cache].
-    A cache (or a zero-capacity one under [--no-cache]) only memoizes
-    digests and verdicts per node, so passing or omitting it can never
-    change any produced byte or verdict — only how fast they come back. *)
+    on the payload.
+
+    Every signing and checking function takes the calling principal's
+    [cache]: its keystore ({!Bp_crypto.Verify_cache.keystore}) signs and
+    verifies, and it memoizes digests and verdicts per node. How much the
+    cache keeps (a zero-capacity one under [--no-cache]) never changes any
+    produced byte or verdict — only how fast they come back. *)
 
 val make_request :
-  ?cache:Bp_crypto.Verify_cache.t ->
+  cache:Bp_crypto.Verify_cache.t ->
   Config.t ->
   client:Bp_sim.Addr.t ->
   ts:int ->
@@ -89,10 +92,10 @@ val make_request :
   request
 (** Builds and client-signs a request. *)
 
-val request_valid : ?cache:Bp_crypto.Verify_cache.t -> Config.t -> request -> bool
+val request_valid : cache:Bp_crypto.Verify_cache.t -> Config.t -> request -> bool
 
 val requests_valid :
-  ?cache:Bp_crypto.Verify_cache.t -> Config.t -> request list -> bool
+  cache:Bp_crypto.Verify_cache.t -> Config.t -> request list -> bool
 (** Conjunction of {!request_valid} over the batch, with the signature
     checks fanned out as one [Bp_crypto.Verify_batch] batch (through the
     process-global context, so [--verify-jobs] applies). Verdict is
@@ -100,16 +103,16 @@ val requests_valid :
     observable difference is that verification does not short-circuit at
     the first invalid request. *)
 
-val batch_digest : ?cache:Bp_crypto.Verify_cache.t -> request list -> string
+val batch_digest : cache:Bp_crypto.Verify_cache.t -> request list -> string
 (** Digest of a batch proposal. Above the content-weight cutoff this
-    hashes the requests' content-addressed images (same value for the same batch
-    whether or not a cache is supplied). *)
+    hashes the requests' content-addressed images (same value for the
+    same batch whatever the cache keeps). *)
 
 val encode_body : body -> string
 val decode_body : string -> (body, string) result
 
 val seal :
-  ?cache:Bp_crypto.Verify_cache.t ->
+  cache:Bp_crypto.Verify_cache.t ->
   Config.t ->
   sender:Bp_sim.Addr.t ->
   body ->
@@ -120,18 +123,8 @@ val seal_forged : Config.t -> sender:Bp_sim.Addr.t -> body -> string
 (** Test hook: envelope with a garbage signature (models a node that
     cannot actually sign for the identity it impersonates). *)
 
-val open_envelope :
-  ?cache:Bp_crypto.Verify_cache.t ->
-  Config.t ->
-  claimed:(body -> Bp_sim.Addr.t option) ->
-  string ->
-  (body, string) result
-(** Decode and verify: [claimed] maps the decoded body to the address
-    whose signature must check (normally {!sender_of}). *)
-
-val sender_of : Config.t -> body -> Bp_sim.Addr.t option
-(** The address implied by the body's replica index / client field. *)
-
 val verify_envelope :
-  ?cache:Bp_crypto.Verify_cache.t -> Config.t -> string -> (body, string) result
-(** [open_envelope] with [claimed = sender_of config]. *)
+  cache:Bp_crypto.Verify_cache.t -> Config.t -> string -> (body, string) result
+(** Decode and verify: the signature must check against the address the
+    body itself names (its replica index, the view's primary for a
+    pre-prepare, or the request's client). *)

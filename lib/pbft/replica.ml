@@ -43,7 +43,7 @@ type t = {
   id : int;
   transport : Bp_net.Transport.t;
   engine : Engine.t;
-  cache : Bp_crypto.Verify_cache.t option; (* per-node memoization *)
+  cache : Bp_crypto.Verify_cache.t; (* per-node keystore view and memo *)
   batch_memo : Msg.request list Bp_crypto.Verify_cache.memo;
   execute : seq:int -> Msg.request -> string;
   mutable on_executed : seq:int -> Msg.request list -> unit;
@@ -221,7 +221,7 @@ let batches_equal a b =
 let broadcast t body =
   (* Seal once, serialize the transport suffix once: the whole broadcast
      encodes the message exactly one time regardless of cluster size. *)
-  let sealed = Msg.seal ?cache:t.cache t.cfg ~sender:(self_addr t) body in
+  let sealed = Msg.seal ~cache:t.cache t.cfg ~sender:(self_addr t) body in
   Bp_net.Transport.broadcast t.transport ~dsts:t.cfg.Config.nodes
     ~tag:t.cfg.Config.tag sealed
 
@@ -230,7 +230,7 @@ let broadcast t body =
    digested once and looked up by physical identity afterwards. *)
 let digest_of_batch t batch =
   Bp_crypto.Verify_cache.memoize t.batch_memo batch (fun () ->
-      Msg.batch_digest ?cache:t.cache batch)
+      Msg.batch_digest ~cache:t.cache batch)
 
 let reply_tag cfg = cfg.Config.tag ^ ".reply"
 
@@ -239,7 +239,7 @@ let send_reply t (r : Msg.request) result =
     Msg.Reply
       { view = t.view; ts = r.Msg.ts; client = r.Msg.client; replica = t.id; result }
   in
-  let sealed = Msg.seal ?cache:t.cache t.cfg ~sender:(self_addr t) body in
+  let sealed = Msg.seal ~cache:t.cache t.cfg ~sender:(self_addr t) body in
   Hashtbl.replace t.last_reply (client_key r.Msg.client) (r.Msg.ts, sealed);
   Bp_net.Transport.send t.transport ~dst:r.Msg.client ~tag:(reply_tag t.cfg) sealed
 
@@ -346,7 +346,7 @@ let rec move_to_view t target =
         }
     in
     (* Record our own view-change message. *)
-    let sealed = Msg.seal ?cache:t.cache t.cfg ~sender:(self_addr t) body in
+    let sealed = Msg.seal ~cache:t.cache t.cfg ~sender:(self_addr t) body in
     record_view_change t target t.id sealed;
     broadcast t body;
     (match t.vc_timer with Some timer -> Engine.cancel timer | None -> ());
@@ -372,7 +372,7 @@ and maybe_new_view t target =
   if Config.primary_of_view t.cfg target = t.id && target > t.view then begin
     let vcs = Option.value ~default:[] (Int_map.find_opt target t.view_changes) in
     if List.length vcs >= Config.quorum t.cfg then begin
-      match compute_new_view_batches ?cache:t.cache t.cfg (List.map snd vcs) with
+      match compute_new_view_batches ~cache:t.cache t.cfg (List.map snd vcs) with
       | None -> ()
       | Some batches ->
           let body =
@@ -389,13 +389,13 @@ and maybe_new_view t target =
     end
   end
 
-and verified_view_changes ?cache cfg target envelopes =
+and verified_view_changes ~cache cfg target envelopes =
   (* Returns (replica, View_change fields) for envelopes that verify and
      target the right view, at most one per replica. *)
   let seen = Hashtbl.create 8 in
   List.filter_map
     (fun env ->
-      match Msg.verify_envelope ?cache cfg env with
+      match Msg.verify_envelope ~cache cfg env with
       | Ok (Msg.View_change vc) when vc.Msg.new_view = target ->
           if Hashtbl.mem seen vc.Msg.vc_replica then None
           else begin
@@ -405,12 +405,12 @@ and verified_view_changes ?cache cfg target envelopes =
       | _ -> None)
     envelopes
 
-and proof_valid ?cache cfg (p : Msg.prepared_proof) =
-  String.equal p.Msg.pdigest (Msg.batch_digest ?cache p.Msg.pbatch)
+and proof_valid ~cache cfg (p : Msg.prepared_proof) =
+  String.equal p.Msg.pdigest (Msg.batch_digest ~cache p.Msg.pbatch)
   && begin
        (* 2f distinct, valid prepare signatures over the reconstructed
           prepare body. Prepare is a small-bodied message, so its signed
-          bytes are its exact encoding in both signing modes. *)
+          bytes are its exact encoding. *)
        let distinct = Hashtbl.create 8 in
        let valid =
          List.filter
@@ -428,15 +428,10 @@ and proof_valid ?cache cfg (p : Msg.prepared_proof) =
                         replica;
                       })
                in
-               let signer = Config.identity cfg cfg.Config.nodes.(replica) in
                let ok =
-                 match cache with
-                 | Some c ->
-                     Bp_crypto.Verify_cache.verify c ~signer ~msg:body
-                       ~signature
-                 | None ->
-                     Bp_crypto.Verify_cache.verify_uncached cfg.Config.keystore
-                       ~signer ~msg:body ~signature
+                 Bp_crypto.Verify_cache.verify cache
+                   ~signer:(Config.identity cfg cfg.Config.nodes.(replica))
+                   ~msg:body ~signature
                in
                if ok then Hashtbl.add distinct replica ();
                ok
@@ -446,20 +441,20 @@ and proof_valid ?cache cfg (p : Msg.prepared_proof) =
        List.length valid >= 2 * cfg.Config.f
      end
 
-and compute_new_view_batches ?cache cfg envelopes =
+and compute_new_view_batches ~cache cfg envelopes =
   (* Deterministic function of the view-change set: both the new primary
      and the backups run it and must agree. *)
   let target =
     List.fold_left
       (fun acc env ->
-        match Msg.verify_envelope ?cache cfg env with
+        match Msg.verify_envelope ~cache cfg env with
         | Ok (Msg.View_change vc) -> Stdlib.max acc vc.Msg.new_view
         | _ -> acc)
       (-1) envelopes
   in
   if target < 0 then None
   else begin
-    let vcs = verified_view_changes ?cache cfg target envelopes in
+    let vcs = verified_view_changes ~cache cfg target envelopes in
     if List.length vcs < Config.quorum cfg then None
     else begin
       (* min_s: the highest stable sequence supported by at least f+1
@@ -479,7 +474,7 @@ and compute_new_view_batches ?cache cfg envelopes =
         (fun vc ->
           List.iter
             (fun p ->
-              if p.Msg.pseq > min_s && proof_valid cfg p then
+              if p.Msg.pseq > min_s && proof_valid ~cache cfg p then
                 match Int_map.find_opt p.Msg.pseq !best with
                 | Some existing when existing.Msg.pview >= p.Msg.pview -> ()
                 | _ -> best := Int_map.add p.Msg.pseq p !best)
@@ -495,7 +490,7 @@ and compute_new_view_batches ?cache cfg envelopes =
             let seq = min_s + 1 + i in
             match Int_map.find_opt seq !best with
             | Some p -> (seq, p.Msg.pdigest, p.Msg.pbatch)
-            | None -> (seq, Msg.batch_digest ?cache [], []))
+            | None -> (seq, Msg.batch_digest ~cache [], []))
       in
       Some batches
     end
@@ -670,18 +665,13 @@ and try_execute t =
         t.on_executed ~seq:s.seq s.batch;
         if s.seq mod t.cfg.Config.checkpoint_interval = 0 then begin
           t.own_checkpoints <- Int_map.add s.seq t.chain t.own_checkpoints;
-          (* Pipelined mode overlaps checkpoint production with pipeline
-             progress: the digest is recorded here (it is this point of
-             the chain), but the broadcast is deferred until the whole
-             execution drain finishes, so the replies and commit votes of
-             the slots behind this one are not NIC-queued behind
-             checkpoint traffic. Depth 1 keeps the seed's inline
-             broadcast, byte-for-byte. *)
-          if t.cfg.Config.max_in_flight > 1 then
-            deferred_checkpoints := (s.seq, t.chain) :: !deferred_checkpoints
-          else
-            broadcast t
-              (Msg.Checkpoint { seq = s.seq; state_digest = t.chain; replica = t.id })
+          (* Checkpoint production overlaps pipeline progress: the
+             digest is recorded here (it is this point of the chain), but
+             the broadcast is deferred until the whole execution drain
+             finishes, so the replies and commit votes of the slots
+             behind this one are not NIC-queued behind checkpoint
+             traffic. *)
+          deferred_checkpoints := (s.seq, t.chain) :: !deferred_checkpoints
         end;
         go ()
     | _ -> ()
@@ -701,9 +691,9 @@ and try_execute t =
           check_committed t s
         end)
       t.slots;
-  (* Flush deferred checkpoint broadcasts (pipelined mode only, see
-     above): protocol-critical traffic — replies, commit votes, the
-     re-judged slots' votes — has already been queued ahead of them. *)
+  (* Flush deferred checkpoint broadcasts (see above): protocol-critical
+     traffic — replies, commit votes, the re-judged slots' votes — has
+     already been queued ahead of them. *)
   List.iter
     (fun (seq, digest) ->
       broadcast t (Msg.Checkpoint { seq; state_digest = digest; replica = t.id }))
@@ -818,7 +808,7 @@ and arm_request_timer t (r : Msg.request) =
   end
 
 and handle_request t ~envelope (r : Msg.request) =
-  if Msg.request_valid ?cache:t.cache t.cfg r then begin
+  if Msg.request_valid ~cache:t.cache t.cfg r then begin
     let ck = client_key r.Msg.client in
     match Hashtbl.find_opt t.last_reply ck with
     | Some (ts, envelope) when ts >= r.Msg.ts ->
@@ -842,7 +832,7 @@ and handle_request t ~envelope (r : Msg.request) =
             }
         in
         Bp_net.Transport.send t.transport ~dst:r.Msg.client ~tag:(reply_tag t.cfg)
-          (Msg.seal ?cache:t.cache t.cfg ~sender:(self_addr t) body)
+          (Msg.seal ~cache:t.cache t.cfg ~sender:(self_addr t) body)
     | _ ->
         if is_primary t && is_normal t then begin
           let qk = timer_key (request_key r) in
@@ -874,7 +864,7 @@ and handle_pre_prepare t ~view ~seq ~digest ~batch =
     && String.equal digest (digest_of_batch t batch)
     (* One fanned Verify_batch submission for the whole batch's client
        signatures, not a per-request loop (verdict identical). *)
-    && Msg.requests_valid ?cache:t.cache t.cfg batch
+    && Msg.requests_valid ~cache:t.cache t.cfg batch
   then begin
     let s = slot_of t seq in
     match s.digest with
@@ -983,7 +973,7 @@ and handle_fetch t ~from_seq ~replica =
       let body = Msg.Fetch_reply { batches = !batches; replica = t.id } in
       Bp_net.Transport.send t.transport ~dst:t.cfg.Config.nodes.(replica)
         ~tag:t.cfg.Config.tag
-        (Msg.seal ?cache:t.cache t.cfg ~sender:(self_addr t) body)
+        (Msg.seal ~cache:t.cache t.cfg ~sender:(self_addr t) body)
     end
   end
 
@@ -1068,7 +1058,7 @@ let extract_prepare_signature envelope =
 
 let on_envelope t ~src:_ envelope =
   if not t.stopped then
-    match Msg.verify_envelope ?cache:t.cache t.cfg envelope with
+    match Msg.verify_envelope ~cache:t.cache t.cfg envelope with
     | Error e -> Log.debug (fun m -> m "pbft %d: rejected envelope: %s" t.id e)
     | Ok body -> (
         match body with
@@ -1104,7 +1094,7 @@ let on_envelope t ~src:_ envelope =
               && Config.primary_of_view t.cfg view = replica
               && replica <> t.id
             then begin
-              match compute_new_view_batches ?cache:t.cache t.cfg view_change_envelopes with
+              match compute_new_view_batches ~cache:t.cache t.cfg view_change_envelopes with
               | Some expected when batches_equal expected batches ->
                   enter_new_view t view batches
               | _ ->
@@ -1114,7 +1104,7 @@ let on_envelope t ~src:_ envelope =
         | Msg.Fetch_reply { batches; replica } ->
             handle_fetch_reply t ~batches ~replica)
 
-let create ?cache transport cfg ~id ~execute () =
+let create ~cache transport cfg ~id ~execute () =
   let engine = Network.engine (Bp_net.Transport.network transport) in
   let t =
     {
@@ -1125,10 +1115,7 @@ let create ?cache transport cfg ~id ~execute () =
       cache;
       batch_memo =
         Bp_crypto.Verify_cache.memo
-          ~capacity:
-            (match cache with
-            | Some c when Bp_crypto.Verify_cache.keeps_nothing c -> 0
-            | _ -> 16)
+          ~capacity:(if Bp_crypto.Verify_cache.keeps_nothing cache then 0 else 16)
           ();
       execute;
       on_executed = (fun ~seq:_ _ -> ());

@@ -36,7 +36,7 @@ exception Invariant_violation of string
     slot coordinates. *)
 
 val create :
-  ?cache:Bp_crypto.Verify_cache.t ->
+  cache:Bp_crypto.Verify_cache.t ->
   Bp_net.Transport.t ->
   Config.t ->
   id:int ->
@@ -47,14 +47,14 @@ val create :
     once per request, in global sequence order, on every correct replica;
     its return value is the client-visible result.
 
-    [cache] memoizes signature verdicts and batch digests for this
-    replica; a cache that keeps nothing also sizes the batch-digest memo
-    at 0. Purely a performance knob: protocol outputs are bit-identical
-    with or without it (see {!Msg}). *)
+    [cache] is this replica's view of the keystore and its memo of
+    signature verdicts and batch digests; a cache that keeps nothing
+    also sizes the batch-digest memo at 0. How much it keeps is purely a
+    performance knob: protocol outputs are bit-identical whatever its
+    capacity (see {!Msg}). *)
 
 val id : t -> int
 val view : t -> int
-val is_primary : t -> bool
 val last_executed : t -> int
 val low_watermark : t -> int
 val exec_chain : t -> string

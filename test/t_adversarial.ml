@@ -113,12 +113,16 @@ let test_pbft_watermark_progression () =
   in
   let replicas =
     Array.init 4 (fun i ->
-        Bp_pbft.Replica.create (Bp_net.Transport.create net addrs.(i)) cfg ~id:i
+        Bp_pbft.Replica.create ~cache:(T_pbft.no_cache cfg)
+          (Bp_net.Transport.create net addrs.(i))
+          cfg ~id:i
           ~execute:(fun ~seq:_ _ -> "ok")
           ())
   in
   let client =
-    Bp_pbft.Client.create (Bp_net.Transport.create net (Addr.make ~dc:0 ~idx:100)) cfg
+    Bp_pbft.Client.create ~cache:(T_pbft.no_cache cfg)
+      (Bp_net.Transport.create net (Addr.make ~dc:0 ~idx:100))
+      cfg
   in
   let served = ref 0 in
   let rec go i =
@@ -148,20 +152,29 @@ let test_pbft_duplicate_request_single_execution () =
   Array.iteri
     (fun i addr ->
       ignore
-        (Bp_pbft.Replica.create (Bp_net.Transport.create net addr) cfg ~id:i
+        (Bp_pbft.Replica.create ~cache:(T_pbft.no_cache cfg)
+           (Bp_net.Transport.create net addr)
+           cfg ~id:i
            ~execute:(fun ~seq:_ _ ->
              if i = 0 then incr executions;
              "ok")
            ()))
     addrs;
   let ct = Bp_net.Transport.create net (Addr.make ~dc:0 ~idx:100) in
-  let client = Bp_pbft.Client.create ct cfg in
+  let client = Bp_pbft.Client.create ~cache:(T_pbft.no_cache cfg) ct cfg in
   let results = ref 0 in
   Bp_pbft.Client.submit client "only-once" ~on_result:(fun _ -> incr results);
   Engine.run ~until:(Time.of_sec 1.0) engine;
   (* Replay the identical request envelope straight at every replica. *)
-  let r = Bp_pbft.Msg.make_request cfg ~client:(Addr.make ~dc:0 ~idx:100) ~ts:1 ~kind:0 ~op:"only-once" in
-  let sealed = Bp_pbft.Msg.seal cfg ~sender:(Addr.make ~dc:0 ~idx:100) (Bp_pbft.Msg.Request r) in
+  let cache = T_pbft.no_cache cfg in
+  let r =
+    Bp_pbft.Msg.make_request ~cache cfg ~client:(Addr.make ~dc:0 ~idx:100) ~ts:1
+      ~kind:0 ~op:"only-once"
+  in
+  let sealed =
+    Bp_pbft.Msg.seal ~cache cfg ~sender:(Addr.make ~dc:0 ~idx:100)
+      (Bp_pbft.Msg.Request r)
+  in
   Array.iter
     (fun addr -> Bp_net.Transport.send ct ~dst:addr ~tag:"pbft" sealed)
     addrs;

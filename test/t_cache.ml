@@ -48,7 +48,7 @@ let diff_verify_test ?(capacity = 4) ~name ~scheme () =
           in
           let msg = msgs.(m) in
           let cached = Verify_cache.verify cache ~signer ~msg ~signature in
-          let raw = Verify_cache.verify_uncached ks ~signer ~msg ~signature in
+          let raw = Signer.verify ks ~signer ~msg ~signature in
           cached = raw)
         ops)
 
@@ -175,17 +175,19 @@ let mk_batch ops =
       })
     ops
 
-(* Batch digest: the memoized form, the cache-assisted form, and the bare
-   form must produce the same bytes for the same batch. *)
+(* Batch digest: the memoized form, the cache-assisted form, and the form
+   through a zero-capacity cache must produce the same bytes for the same
+   batch. *)
 let diff_batch_digest_test =
   let ks = make_keystore () in
   let cache = Verify_cache.create ks in
+  let empty = Verify_cache.create ~capacity:0 ~digest_budget:0 ks in
   let memo = Verify_cache.memo ~capacity:4 () in
   QCheck.Test.make ~name:"memoized batch digest = Msg.batch_digest" ~count:200
     QCheck.(small_list (string_of_size Gen.(0 -- 200)))
     (fun ops ->
       let batch = mk_batch ops in
-      let direct = Bp_pbft.Msg.batch_digest batch in
+      let direct = Bp_pbft.Msg.batch_digest ~cache:empty batch in
       let cached = Bp_pbft.Msg.batch_digest ~cache batch in
       let memoized =
         Verify_cache.memoize memo batch (fun () ->
@@ -240,63 +242,113 @@ let test_crc_combine_edges () =
   Alcotest.check_raises "negative length" (Invalid_argument "Crc32.combine")
     (fun () -> ignore (Crc32.combine c c (-1)))
 
-(* Envelopes round-trip under both signing payloads: a 4 KiB op signs
-   its content-addressed image, a 16-byte one its plain encoding. Which
-   payload is signed depends on the message alone, so a full cache and
-   a zero-capacity cache seal byte-identical envelopes. *)
+(* Envelopes round-trip under both signing payloads, for every bulky
+   body: content lighter than the 256-byte cutoff signs its plain
+   encoding, heavier content its content-addressed image (op sizes 16
+   and 255 sit below it, 256 and 4096 at or above). Which payload is
+   signed depends on the message alone, so a full cache and a
+   zero-capacity cache seal byte-identical envelopes, each verifies the
+   other's, and both give the same batch digest. *)
 let test_envelope_both_payloads () =
-  let roundtrip ~size make_cache =
-    let ks = make_keystore () in
-    let nodes = Array.init 4 (fun i -> Bp_sim.Addr.make ~dc:0 ~idx:i) in
-    let cfg = Bp_pbft.Config.make ~nodes ~keystore:ks () in
-    let cache = make_cache ks in
-    let big_op = String.init size (fun i -> Char.chr (i land 0xff)) in
-    let request =
-      Bp_pbft.Msg.make_request ~cache cfg ~client:nodes.(1) ~ts:1 ~kind:0
-        ~op:big_op
-    in
-    Alcotest.(check bool) "request valid (cached)" true
-      (Bp_pbft.Msg.request_valid ~cache cfg request);
-    Alcotest.(check bool) "request valid (no cache)" true
-      (Bp_pbft.Msg.request_valid cfg request);
-    (* A Request envelope's claimed sender is the client inside it. *)
-    let sealed =
-      Bp_pbft.Msg.seal ~cache cfg ~sender:nodes.(1)
-        (Bp_pbft.Msg.Request request)
-    in
-    (match Bp_pbft.Msg.verify_envelope ~cache cfg sealed with
-    | Ok (Bp_pbft.Msg.Request r) ->
-        Alcotest.(check string) "op intact" big_op r.Bp_pbft.Msg.op
-    | Ok _ -> Alcotest.fail "wrong body"
-    | Error e -> Alcotest.fail ("rejected: " ^ e));
-    (* A cache-less verifier must agree with the cached one. *)
-    (match Bp_pbft.Msg.verify_envelope cfg sealed with
-    | Ok _ -> ()
-    | Error e -> Alcotest.fail ("cache-less verifier rejected: " ^ e));
-    (* Tampering with the op must invalidate the signature under either
-       payload: the content-addressed one binds the op through its
-       digest. *)
-    let tampered = flip_byte sealed (String.length sealed - 40) in
-    (match Bp_pbft.Msg.verify_envelope ~cache cfg tampered with
-    | Ok _ ->
-        (* A flipped byte can land in framing rather than content; the
-           decoder rejecting with Error is equally acceptable — what is
-           forbidden is accepting a different op silently. *)
-        ()
-    | Error _ -> ());
-    sealed
+  let module M = Bp_pbft.Msg in
+  let ks = make_keystore () in
+  let nodes = Array.init 4 (fun i -> Bp_sim.Addr.make ~dc:0 ~idx:i) in
+  let cfg = Bp_pbft.Config.make ~nodes ~keystore:ks () in
+  let full = Verify_cache.create ks in
+  let empty = Verify_cache.create ~capacity:0 ~digest_budget:0 ks in
+  let verifies cache sealed body =
+    match M.verify_envelope ~cache cfg sealed with
+    | Ok b -> b = body
+    | Error _ -> false
   in
   List.iter
     (fun size ->
-      let full = roundtrip ~size (fun ks -> Verify_cache.create ks) in
-      let empty =
-        roundtrip ~size (Verify_cache.create ~capacity:0 ~digest_budget:0)
+      let label what = Printf.sprintf "%d-byte op: %s" size what in
+      let op = String.init size (fun i -> Char.chr (i land 0xff)) in
+      let request =
+        M.make_request ~cache:full cfg ~client:nodes.(1) ~ts:1 ~kind:0 ~op
       in
-      Alcotest.(check string)
-        (Printf.sprintf "%d-byte op: same envelope with a zero-capacity cache"
-           size)
-        full empty)
-    [ 16; 4096 ]
+      Alcotest.(check bool) (label "request valid (cached)") true
+        (M.request_valid ~cache:full cfg request);
+      Alcotest.(check bool) (label "request valid (zero-capacity cache)") true
+        (M.request_valid ~cache:empty cfg request);
+      let batch = [ request ] in
+      let digest = M.batch_digest ~cache:full batch in
+      Alcotest.(check string) (label "same batch digest under both caches")
+        digest
+        (M.batch_digest ~cache:empty batch);
+      let view_change =
+        M.View_change
+          {
+            new_view = 1;
+            stable_seq = 0;
+            stable_digest = "";
+            prepared =
+              [
+                {
+                  M.pview = 0;
+                  pseq = 1;
+                  pdigest = digest;
+                  pbatch = batch;
+                  prepare_sigs = [ (2, "sig") ];
+                };
+              ];
+            vc_replica = 3;
+          }
+      in
+      (* (name, the sender the body names, body) *)
+      let bodies =
+        [
+          ("Request", nodes.(1), M.Request request);
+          ("Pre_prepare", nodes.(0), M.Pre_prepare { view = 0; seq = 1; digest; batch });
+          ("View_change", nodes.(3), view_change);
+          ( "New_view",
+            nodes.(1),
+            M.New_view
+              {
+                view = 1;
+                view_change_envelopes =
+                  [ M.seal ~cache:full cfg ~sender:nodes.(3) view_change ];
+                batches = [ (1, digest, batch) ];
+                replica = 1;
+              } );
+          ( "Fetch_reply",
+            nodes.(2),
+            M.Fetch_reply { batches = [ (1, digest, batch) ]; replica = 2 } );
+        ]
+      in
+      List.iter
+        (fun (name, sender, body) ->
+          let label what = label (name ^ ", " ^ what) in
+          let sealed = M.seal ~cache:full cfg ~sender body in
+          let sealed_empty = M.seal ~cache:empty cfg ~sender body in
+          Alcotest.(check string)
+            (label "same envelope with a zero-capacity cache")
+            sealed sealed_empty;
+          Alcotest.(check bool) (label "verifies under the full cache") true
+            (verifies full sealed_empty body);
+          (* A zero-capacity verifier must agree with the cached one. *)
+          Alcotest.(check bool) (label "verifies under a zero-capacity cache")
+            true
+            (verifies empty sealed body))
+        bodies;
+      let sealed = M.seal ~cache:full cfg ~sender:nodes.(1) (M.Request request) in
+      (match M.verify_envelope ~cache:full cfg sealed with
+      | Ok (M.Request r) -> Alcotest.(check string) (label "op intact") op r.M.op
+      | Ok _ -> Alcotest.fail "wrong body"
+      | Error e -> Alcotest.fail ("rejected: " ^ e));
+      (* Tampering with the op must invalidate the signature under either
+         payload: the content-addressed one binds the op through its
+         digest. *)
+      let tampered = flip_byte sealed (String.length sealed - 40) in
+      match M.verify_envelope ~cache:full cfg tampered with
+      | Ok _ ->
+          (* A flipped byte can land in framing rather than content; the
+             decoder rejecting with Error is equally acceptable — what is
+             forbidden is accepting a different op silently. *)
+          ()
+      | Error _ -> ())
+    [ 16; 255; 256; 4096 ]
 
 let suite =
   [

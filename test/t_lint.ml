@@ -87,9 +87,8 @@ let test_r4 () =
 
 let test_r5 () =
   let diags = Lint.lint_cmt ~rules:[ "R5-rawverify" ] (fixture "Fx_r5") in
-  (* The bare Signer.verify is flagged; Verify_cache.verify and
-     verify_uncached are sanctioned; the allow-attributed site is
-     suppressed. *)
+  (* The bare Signer.verify is flagged; Verify_cache.verify is
+     sanctioned; the allow-attributed site is suppressed. *)
   check_count ~msg:"bare Signer.verify" "R5-rawverify" 1 diags;
   Alcotest.(check int) "total findings" 1 (List.length diags)
 

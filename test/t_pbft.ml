@@ -3,6 +3,11 @@ open Bp_pbft
 
 let ms = Time.of_ms
 
+(* A cache that keeps nothing, over [cfg]'s keystore: every signature
+   and digest is recomputed. *)
+let no_cache (cfg : Config.t) =
+  Bp_crypto.Verify_cache.create ~capacity:0 ~digest_budget:0 cfg.Config.keystore
+
 type cluster = {
   engine : Engine.t;
   net : Network.t;
@@ -34,12 +39,13 @@ let make_cluster ?(n = 4) ?(geo = false) ?faults ?(seed = 31L)
   let replicas =
     Array.init n (fun i ->
         let r =
-          Replica.create transports.(i) cfg ~id:i
+          Replica.create ~cache:(no_cache cfg) transports.(i) cfg ~id:i
             ~execute:(fun ~seq:_ r -> "ok:" ^ r.Msg.op)
             ()
         in
+        let cache = no_cache cfg in
         Replica.set_on_executed r (fun ~seq batch ->
-            executed.(i) := (seq, Msg.batch_digest batch) :: !(executed.(i)));
+            executed.(i) := (seq, Msg.batch_digest ~cache batch) :: !(executed.(i)));
         r)
   in
   { engine; net; cfg; replicas; transports; executed }
@@ -47,7 +53,7 @@ let make_cluster ?(n = 4) ?(geo = false) ?faults ?(seed = 31L)
 let make_client c ~dc ~idx =
   let addr = Addr.make ~dc ~idx in
   let transport = Bp_net.Transport.create c.net addr in
-  Client.create transport c.cfg
+  Client.create ~cache:(no_cache c.cfg) transport c.cfg
 
 (* Honest replicas must never execute different batches at one sequence. *)
 let check_agreement c =
@@ -69,8 +75,12 @@ let test_msg_roundtrip () =
   let keystore = Bp_crypto.Signer.create (Bp_util.Rng.split (Engine.rng engine)) in
   let addrs = Array.init 4 (fun i -> Addr.make ~dc:0 ~idx:i) in
   let cfg = Config.make ~nodes:addrs ~keystore () in
-  let r = Msg.make_request cfg ~client:(Addr.make ~dc:1 ~idx:9) ~ts:3 ~kind:1 ~op:"op" in
-  Alcotest.(check bool) "request valid" true (Msg.request_valid cfg r);
+  let cache = no_cache cfg in
+  let r =
+    Msg.make_request ~cache cfg ~client:(Addr.make ~dc:1 ~idx:9) ~ts:3 ~kind:1
+      ~op:"op"
+  in
+  Alcotest.(check bool) "request valid" true (Msg.request_valid ~cache cfg r);
   let bodies =
     [
       Msg.Request r;
@@ -113,17 +123,18 @@ let test_envelope_verification () =
   let keystore = Bp_crypto.Signer.create (Bp_util.Rng.split (Engine.rng engine)) in
   let addrs = Array.init 4 (fun i -> Addr.make ~dc:0 ~idx:i) in
   let cfg = Config.make ~nodes:addrs ~keystore () in
+  let cache = no_cache cfg in
   let body = Msg.Prepare { view = 0; seq = 1; digest = "d"; replica = 2 } in
   (* Properly signed by replica 2. *)
-  (match Msg.verify_envelope cfg (Msg.seal cfg ~sender:addrs.(2) body) with
+  (match Msg.verify_envelope ~cache cfg (Msg.seal ~cache cfg ~sender:addrs.(2) body) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "valid envelope rejected: %s" e);
   (* Signed by replica 1 but claiming to be replica 2: impersonation. *)
-  (match Msg.verify_envelope cfg (Msg.seal cfg ~sender:addrs.(1) body) with
+  (match Msg.verify_envelope ~cache cfg (Msg.seal ~cache cfg ~sender:addrs.(1) body) with
   | Ok _ -> Alcotest.fail "impersonation accepted"
   | Error _ -> ());
   (* Garbage signature. *)
-  match Msg.verify_envelope cfg (Msg.seal_forged cfg ~sender:addrs.(2) body) with
+  match Msg.verify_envelope ~cache cfg (Msg.seal_forged cfg ~sender:addrs.(2) body) with
   | Ok _ -> Alcotest.fail "forged signature accepted"
   | Error _ -> ()
 
@@ -280,11 +291,15 @@ let test_equivocating_primary_no_divergence () =
   (* Take over the primary: silence the honest logic and send conflicting
      pre-prepares to different backups for the same (view 0, seq 1). *)
   Replica.stop c.replicas.(0);
-  let mk op = Msg.make_request c.cfg ~client:(Addr.make ~dc:2 ~idx:50) ~ts:1 ~kind:0 ~op in
+  let cache = no_cache c.cfg in
+  let mk op =
+    Msg.make_request ~cache c.cfg ~client:(Addr.make ~dc:2 ~idx:50) ~ts:1 ~kind:0 ~op
+  in
   let batch_a = [ mk "A" ] and batch_b = [ mk "B" ] in
   let pp batch =
-    Msg.seal c.cfg ~sender:c.cfg.Config.nodes.(0)
-      (Msg.Pre_prepare { view = 0; seq = 1; digest = Msg.batch_digest batch; batch })
+    Msg.seal ~cache c.cfg ~sender:c.cfg.Config.nodes.(0)
+      (Msg.Pre_prepare
+         { view = 0; seq = 1; digest = Msg.batch_digest ~cache batch; batch })
   in
   let send i payload =
     Bp_net.Transport.send c.transports.(0) ~dst:c.cfg.Config.nodes.(i)
@@ -444,8 +459,9 @@ let test_identity_memo () =
      signed envelope bytes. *)
   let sealed cfg =
     ignore (Config.identity cfg client);
-    let r = Msg.make_request cfg ~client ~ts:1 ~kind:0 ~op:"op" in
-    Msg.seal cfg ~sender:client (Msg.Request r)
+    let cache = no_cache cfg in
+    let r = Msg.make_request ~cache cfg ~client ~ts:1 ~kind:0 ~op:"op" in
+    Msg.seal ~cache cfg ~sender:client (Msg.Request r)
   in
   let _, twin = build () in
   Alcotest.(check string) "same seed signs identically" (sealed cfg)
@@ -458,7 +474,7 @@ let pbft_broadcast_encode_delta ~n =
   let c = make_cluster ~n () in
   let body = Msg.Prepare { view = 0; seq = 1; digest = "d"; replica = 0 } in
   let before = Bp_codec.Wire.encode_calls () in
-  let sealed = Msg.seal c.cfg ~sender:c.cfg.Config.nodes.(0) body in
+  let sealed = Msg.seal ~cache:(no_cache c.cfg) c.cfg ~sender:c.cfg.Config.nodes.(0) body in
   Bp_net.Transport.broadcast c.transports.(0) ~dsts:c.cfg.Config.nodes
     ~tag:c.cfg.Config.tag sealed;
   Bp_codec.Wire.encode_calls () - before

@@ -154,13 +154,15 @@ let test_state_transfer_after_amnesia () =
   in
   let transports = Array.map (fun a -> Bp_net.Transport.create net a) addrs in
   let mk i =
-    Bp_pbft.Replica.create transports.(i) cfg ~id:i
+    Bp_pbft.Replica.create ~cache:(T_pbft.no_cache cfg) transports.(i) cfg ~id:i
       ~execute:(fun ~seq:_ r -> "ok:" ^ r.Bp_pbft.Msg.op)
       ()
   in
   let replicas = Array.init 4 mk in
   let client =
-    Bp_pbft.Client.create (Bp_net.Transport.create net (Addr.make ~dc:0 ~idx:100)) cfg
+    Bp_pbft.Client.create ~cache:(T_pbft.no_cache cfg)
+      (Bp_net.Transport.create net (Addr.make ~dc:0 ~idx:100))
+      cfg
   in
   (* Node 3's process dies: handler detached, state lost. *)
   Bp_pbft.Replica.stop replicas.(3);
@@ -209,10 +211,14 @@ let test_lying_reply_masked_by_quorum () =
       let execute ~seq:_ (r : Bp_pbft.Msg.request) =
         if i = 2 then "LIES" else "ok:" ^ r.Bp_pbft.Msg.op
       in
-      ignore (Bp_pbft.Replica.create transport cfg ~id:i ~execute ()))
+      ignore
+        (Bp_pbft.Replica.create ~cache:(T_pbft.no_cache cfg) transport cfg ~id:i
+           ~execute ()))
     addrs;
   let client =
-    Bp_pbft.Client.create (Bp_net.Transport.create net (Addr.make ~dc:2 ~idx:100)) cfg
+    Bp_pbft.Client.create ~cache:(T_pbft.no_cache cfg)
+      (Bp_net.Transport.create net (Addr.make ~dc:2 ~idx:100))
+      cfg
   in
   let result = ref "" in
   Bp_pbft.Client.submit client "probe" ~on_result:(fun r -> result := r);

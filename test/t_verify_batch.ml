@@ -4,10 +4,14 @@
 
    The contract under test: for any batch of jobs, [Verify_batch.verify]
    returns exactly the verdict list the sequential [Signer.verify] /
-   [Lamport.verify] calls would — at any worker count, with or without a
-   [Verify_cache], and across keystore generation churn. *)
+   [Lamport.verify] calls would — at any worker count, through a full
+   or a zero-capacity [Verify_cache], and across keystore generation
+   churn. *)
 
 open Bp_crypto
+
+(* A cache that keeps nothing: every keyed job is computed. *)
+let no_cache keystore = Verify_cache.create ~capacity:0 ~digest_budget:0 keystore
 
 let idents = [| "node-0"; "node-1"; "node-2" |]
 
@@ -80,14 +84,14 @@ let differential_test =
       List.for_all
         (fun n ->
           let ctx = Verify_batch.create ~jobs:n () in
-          let plain = Verify_batch.verify ~keystore ctx jobs in
+          let plain = Verify_batch.verify ~cache:(no_cache keystore) ctx jobs in
           (* Same batch twice through one cache, with a generation bump
              between the runs: memoized verdicts must never change a
              verdict, and stale-generation entries must re-verify. *)
           let cache = Verify_cache.create keystore in
-          let cached1 = Verify_batch.verify ~cache ~keystore ctx jobs in
+          let cached1 = Verify_batch.verify ~cache ctx jobs in
           Signer.add_identity keystore (Printf.sprintf "churn-%d" n);
-          let cached2 = Verify_batch.verify ~cache ~keystore ctx jobs in
+          let cached2 = Verify_batch.verify ~cache ctx jobs in
           Verify_batch.shutdown ctx;
           List.equal Bool.equal expected plain
           && List.equal Bool.equal expected cached1
@@ -119,7 +123,7 @@ let test_hash_based_batch () =
       Alcotest.(check (list bool))
         (Printf.sprintf "hash-based verdicts at jobs %d" n)
         expected
-        (Verify_batch.verify ~keystore ctx jobs);
+        (Verify_batch.verify ~cache:(no_cache keystore) ctx jobs);
       Verify_batch.shutdown ctx)
     [ 1; 4 ]
 
@@ -138,8 +142,8 @@ let test_submit_overlap_and_stats () =
   let expected = List.map (reference ~keystore) jobs in
   let ctx = Verify_batch.create ~jobs:2 () in
   let cache = Verify_cache.create keystore in
-  let h1 = Verify_batch.submit ~cache ~keystore ctx jobs in
-  let h2 = Verify_batch.submit ~cache ~keystore ctx jobs in
+  let h1 = Verify_batch.submit ~cache ctx jobs in
+  let h2 = Verify_batch.submit ~cache ctx jobs in
   Alcotest.(check (list bool)) "h2 verdicts" expected (Verify_batch.await h2);
   Alcotest.(check (list bool)) "h1 verdicts" expected (Verify_batch.await h1);
   Alcotest.(check (list bool)) "await idempotent" expected

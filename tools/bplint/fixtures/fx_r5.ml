@@ -4,12 +4,9 @@
 let raw keystore ~signer ~msg ~signature =
   Bp_crypto.Signer.verify keystore ~signer ~msg ~signature
 
-(* The sanctioned spellings must NOT be flagged. *)
+(* The sanctioned spelling must NOT be flagged. *)
 let cached cache ~signer ~msg ~signature =
   Bp_crypto.Verify_cache.verify cache ~signer ~msg ~signature
-
-let uncached keystore ~signer ~msg ~signature =
-  Bp_crypto.Verify_cache.verify_uncached keystore ~signer ~msg ~signature
 
 (* Site-level escape hatch: suppressed by the allow attribute. *)
 let excused keystore ~signer ~msg ~signature =

@@ -118,9 +118,9 @@ let policy ~source =
              [ "R3-partial"; "R3-catchall" ]
            else []);
           (* Signature verification outside lib/crypto must go through
-             Verify_cache (verify, or verify_uncached when no cache is in
-             scope): a stray Signer.verify silently bypasses both the memo
-             and its generation-stamped invalidation discipline. *)
+             the caller's Verify_cache: a stray Signer.verify silently
+             bypasses both the memo and its generation-stamped
+             invalidation discipline. *)
           (if in_dirs [ "crypto" ] then [] else [ "R5-rawverify" ]);
           (* The harness and the crypto layer are configured by explicit
              values (Knobs.t, down to each world's caches) passed down
@@ -390,9 +390,8 @@ let check_ident ctx (e : Typedtree.expression) path =
   if List.mem qual raw_verify_fns then
     report ctx ~rule:"R5-rawverify" ~loc
       "direct Signer.verify bypasses the per-node verification cache; call \
-       Bp_crypto.Verify_cache.verify (or verify_uncached when no cache is \
-       in scope) so verdict memoization and its generation-based \
-       invalidation stay in force"
+       Bp_crypto.Verify_cache.verify so verdict memoization and its \
+       generation-based invalidation stay in force"
 
 let rec pattern_catches_all : type k. k Typedtree.general_pattern -> bool =
  fun p ->
