@@ -40,11 +40,11 @@ let pipeline =
 let verify_jobs =
   opt count 1 [ "verify-jobs" ] ~docv:"N"
     ~doc:
-      "Verification parallelism: fans in-replica batch crypto across this \
-       many worker domains (and sets the modeled verify parallelism for \
-       worlds that charge simulated verification time). Every experiment \
-       table except the ablation-verify/ablation-pipeline cost models is \
-       bit-identical at any value; only wall time changes."
+      "Modeled verification cores: simulated signature-verification time \
+       is divided across this many cores in worlds that charge it and do \
+       not pick their own count (the ablation-pipeline cost model; \
+       ablation-verify sweeps 1, 2 and 4). Every other experiment table \
+       is bit-identical at any value. No worker domain is started."
 
 let cluster_send =
   opt
@@ -178,28 +178,18 @@ let term =
   let+ knobs and+ scale and+ jobs in
   { knobs; scale; jobs }
 
-(* Both pools start before [f] runs: the batch-verify workers (which
-   would otherwise spawn lazily at the first verify) and then the task
-   pool. A count the runtime cannot host is reported against its flag. *)
+(* The pool starts before [f] runs, so a count the runtime cannot host
+   is reported against its flag. *)
 let with_pool t f =
-  Bp_crypto.Verify_batch.set_default_jobs t.knobs.verify_jobs;
-  let release pool =
-    Option.iter Bp_parallel.Pool.shutdown pool;
-    Bp_crypto.Verify_batch.set_default_jobs 1
-  in
-  let start flag n spawn =
-    try Ok (spawn ())
-    with Failure msg ->
-      release None;
+  match
+    if t.jobs > 1 then Some (Bp_parallel.Pool.create ~jobs:t.jobs) else None
+  with
+  | exception Failure msg ->
       Error
-        (Printf.sprintf "%s %d: cannot start that many worker domains (%s)"
-           flag n msg)
-  in
-  Result.bind
-    (start "--verify-jobs" t.knobs.verify_jobs Bp_crypto.Verify_batch.global)
-    (fun _ ->
-      start "--jobs" t.jobs (fun () ->
-          if t.jobs > 1 then Some (Bp_parallel.Pool.create ~jobs:t.jobs)
-          else None))
-  |> Result.map (fun pool ->
-         Fun.protect ~finally:(fun () -> release pool) (fun () -> f pool))
+        (Printf.sprintf "--jobs %d: cannot start that many worker domains (%s)"
+           t.jobs msg)
+  | pool ->
+      Ok
+        (Fun.protect
+           ~finally:(fun () -> Option.iter Bp_parallel.Pool.shutdown pool)
+           (fun () -> f pool))

@@ -23,13 +23,10 @@ val term : t Cmdliner.Term.t
 
 val with_pool :
   t -> (Bp_parallel.Pool.t option -> 'a) -> ('a, string) result
-(** Apply the one process-wide setting of [t] (the real batch-crypto
-    fan-out sized by [--verify-jobs]), run [f] with a
-    pool of [t.jobs] domains ([None] at 1), then shut the pool and the
-    batch-verify workers down, whatever [f] does.
+(** Run [f] with a pool of [t.jobs] domains ([None] at 1), then shut the
+    pool down, whatever [f] does.
 
-    Both sets of worker domains are started before [f] runs. If the
-    runtime cannot host the count [--verify-jobs] or [--jobs] asks for,
-    the domains already started are joined and the result is an error
-    naming that flag ([f] never runs); pass it to
+    The pool is started before [f] runs. If the runtime cannot host the
+    count [--jobs] asks for, the domains already started are joined and
+    the result is an error naming that flag ([f] never runs); pass it to
     [Cmdliner.Term.term_result'] to make it a command-line error. *)

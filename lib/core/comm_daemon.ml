@@ -379,11 +379,9 @@ let on_sign_response t ~dest ~comm_seq ~identity ~signature =
               st.txn
           in
           if
-            (* Single-signature batch: stays inline on this domain, but
-               goes through the same probe/verify/record path as the
-               fanned bundles, so the daemon's verdicts share the
-               per-node cache discipline (probe/record on the protocol
-               domain only — enforced by bplint R7-parpure). *)
+            (* Single-signature batch: the same probe/verify/record
+               path as the bundles, so the daemon's verdicts share the
+               per-node cache. *)
             Bp_crypto.Verify_batch.verify_one ~cache:vcache
               (Bp_crypto.Verify_batch.global ())
               ~signer:identity ~msg:statement ~signature

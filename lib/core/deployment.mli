@@ -15,7 +15,6 @@ val create :
   ?batch_max:int ->
   ?batch_min_fill:int ->
   ?batch_hold:Bp_sim.Time.t ->
-  ?request_timeout:Bp_sim.Time.t ->
   ?max_in_flight:int ->
   ?verify_cost:Bp_sim.Time.t ->
   ?verify_jobs:int ->

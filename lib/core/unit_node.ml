@@ -98,27 +98,21 @@ let eligible_sigs ~from_participant sigs =
 let bundle_jobs ~from_participant ~statement sigs =
   List.map
     (fun (identity, _, signature) ->
-      Bp_crypto.Verify_batch.Keyed
-        { signer = identity; msg = statement; signature })
+      { Bp_crypto.Verify_batch.signer = identity; msg = statement; signature })
     (Record.signature_jobs ~statement (eligible_sigs ~from_participant sigs))
 
-(* One fanned Verify_batch submission for the whole fi+1 bundle instead
-   of a per-signature loop. The fold over verdicts reproduces the
-   sequential counting rule exactly: an identity only enters [seen] once
-   a signature of its verifies, so several (even byzantine-duplicated)
-   copies count at most once, and the count — hence the accept verdict —
-   is identical at any worker count. The jobs carry only immutable data
-   (strings); everything mutable — [t.vcache], [seen], the keystore —
-   stays on this domain, a discipline bplint's R6-domainescape and
-   R7-parpure passes check mechanically on every build. *)
+(* One Verify_batch batch for the whole fi+1 bundle instead of a
+   per-signature loop. The fold over verdicts reproduces the sequential
+   counting rule exactly: an identity only enters [seen] once a
+   signature of its verifies, so several (even byzantine-duplicated)
+   copies count at most once. *)
 let valid_sig_bundle t ~from_participant ~statement ~needed sigs =
   let eligible = eligible_sigs ~from_participant sigs in
   t.sig_jobs <- t.sig_jobs + List.length eligible;
   let jobs =
     List.map
       (fun (identity, signature) ->
-        Bp_crypto.Verify_batch.Keyed
-          { signer = identity; msg = statement; signature })
+        { Bp_crypto.Verify_batch.signer = identity; msg = statement; signature })
       eligible
   in
   let verdicts =
@@ -310,11 +304,11 @@ let prefetch_jobs t batch =
     batch
 
 (* The replica calls this when a pre-prepare lands for a slot that is
-   not next to execute: submit the batch's signature checks to the
-   worker pool and hand back the join closure. The join [record]s every
-   verdict in the per-node cache, so when the slot is judged the
-   bundle verification above is all probe hits — verdicts identical
-   with or without the prefetch, at any worker count. *)
+   not next to execute: submit the batch's signature checks and hand
+   back the await closure, which the replica runs before it judges the
+   slot. The await [record]s every verdict in the per-node cache, so
+   the bundle verification above is then all probe hits — verdicts
+   identical with or without the prefetch. *)
 let preverify t batch =
   match prefetch_jobs t batch with
   | [] -> None

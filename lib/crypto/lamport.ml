@@ -67,10 +67,6 @@ let verify pk msg { revealed; other_hash } =
    immutable inputs and touches no protocol-domain state. *)
 [@@bplint.parallel_pure]
 
-let signature_size { revealed; other_hash } =
-  Array.fold_left (fun acc s -> acc + String.length s) 0 revealed
-  + Array.fold_left (fun acc s -> acc + String.length s) 0 other_hash
-
 let encode { revealed; other_hash } =
   let buf = Buffer.create (2 * bits * chunk) in
   Array.iter (Buffer.add_string buf) revealed;

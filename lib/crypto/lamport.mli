@@ -19,8 +19,5 @@ val sign : secret_key -> string -> signature
 
 val verify : public_key -> string -> signature -> bool
 
-val signature_size : signature -> int
-(** Wire size in bytes (for the network cost model). *)
-
 val encode : signature -> string
 val decode : string -> signature option

@@ -35,11 +35,6 @@ let sign t msg =
 let verify root msg { leaf_pk; ots; proof } =
   Merkle.verify ~root ~leaf:leaf_pk proof && Lamport.verify leaf_pk msg ots
 
-let signature_size { leaf_pk; ots; proof } =
-  String.length leaf_pk
-  + Lamport.signature_size ots
-  + List.fold_left (fun acc (h, _) -> acc + String.length h + 1) 0 proof.path
-
 let encode { leaf_pk; ots; proof } =
   let buf = Buffer.create 1024 in
   let add_u16 n =

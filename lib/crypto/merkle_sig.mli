@@ -22,7 +22,5 @@ val sign : signer -> string -> signature
 
 val verify : public_key -> string -> signature -> bool
 
-val signature_size : signature -> int
-
 val encode : signature -> string
 val decode : string -> signature option

@@ -40,8 +40,9 @@ type key = Hmac_key of Hmac.prepared | Hash_roots of string list
 (** An immutable snapshot of one identity's verification state. Unlike
     the keystore itself — whose hash-based root lists grow on one-time
     pool rollover — a [key] never changes after {!snapshot} returns it,
-    so it may be handed to another domain (see [Verify_batch]) and
-    verified against without synchronization. *)
+    so a verdict computed from it later (see [Verify_batch]) cannot
+    depend on keystore changes made since, and it may be verified
+    against on any domain without synchronization. *)
 
 val snapshot : t -> signer:string -> key option
 (** The identity's current verification key, or [None] if it was never

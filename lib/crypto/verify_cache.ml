@@ -164,11 +164,10 @@ let miss t =
   incr c_verify_misses;
   t.i_verify_misses <- t.i_verify_misses + 1
 
-(* Cache-partitioning primitives for batched verification: the protocol
-   domain [probe]s every job before fan-out and [record]s the computed
-   verdicts after the join, so worker domains never see the cache. The
-   counter accounting matches [verify] exactly — a probe counts the
-   hit/miss, a record counts nothing. *)
+(* Cache-partitioning primitives for batched verification: a batch
+   [probe]s every job at submit and [record]s the computed verdicts at
+   await. The counter accounting matches [verify] exactly — a probe
+   counts the hit/miss, a record counts nothing. *)
 
 let current e ~gen ~msg =
   e.e_gen = gen && (e.e_msg == msg || String.equal e.e_msg msg)

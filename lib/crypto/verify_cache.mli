@@ -41,14 +41,13 @@ val probe : t -> signer:string -> msg:string -> signature:string -> bool option
     [Verify_batch]): [Some verdict] on a fresh-generation hit, [None]
     otherwise (always [None] at capacity 0). Counts the
     hit/miss exactly as {!verify} would. Must be called on the domain
-    that owns the cache — the protocol domain probes every job {e before}
-    fanning the residue out to workers. *)
+    that owns the cache. *)
 
 val record : t -> signer:string -> msg:string -> signature:string -> verdict:bool -> unit
 (** Insertion half of {!verify}: store a verdict computed elsewhere
     (stamped with the current generation), without counting anything.
     No-op at capacity 0. Must be called on the domain that
-    owns the cache — after the batch join, never from a worker. *)
+    owns the cache. *)
 
 val sign : t -> signer:string -> string -> string
 (** {!Signer.sign}, additionally seeding the cache with the (known-true)

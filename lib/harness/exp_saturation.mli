@@ -11,9 +11,6 @@
     bench JSON. [peak_arrivals_pending] certifies the generator's
     O(1)-per-process heap occupancy. *)
 
-val slo_p99_ms : float
-(** The tail SLO defining the knee. *)
-
 val plan : knobs:Knobs.t -> scale:float -> Runner.plan
 (** One task per (series, rate) point — 25 independent worlds. *)
 

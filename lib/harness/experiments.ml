@@ -108,6 +108,3 @@ let find id = List.find_opt (fun e -> String.equal e.id id) all
 
 let run ?pool ?(knobs = Knobs.default) e ~scale =
   Runner.run_plan ?pool (e.plan ~knobs ~scale)
-
-let run_all ?pool ?(scale = 1.0) () =
-  List.concat_map (fun e -> run ?pool e ~scale) all

@@ -27,5 +27,3 @@ val run :
 (** Execute one experiment — on the pool's worker domains when [pool] is
     given, inline otherwise. Output is identical either way. [knobs]
     (default {!Knobs.default}) reaches every world the plan builds. *)
-
-val run_all : ?pool:Bp_parallel.Pool.t -> ?scale:float -> unit -> Report.t list

@@ -164,8 +164,6 @@ let mix ~rng spec =
   in
   { mspec = spec; mrng = rng; mzipf }
 
-let mix_spec m = m.mspec
-
 let draw_shard m =
   match m.mzipf with
   | Some z -> Bp_util.Zipf.sample z m.mrng

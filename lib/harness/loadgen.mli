@@ -82,8 +82,6 @@ val mix : rng:Bp_util.Rng.t -> mix_spec -> mix
     [cross_fraction] outside [0, 1], [txn_keys < 2] or a negative or
     non-finite [shard_skew]. *)
 
-val mix_spec : mix -> mix_spec
-
 val draw_targets : mix -> int list
 (** The target shards of the next arrival: a singleton for a
     single-shard op, [min txn_keys shards] distinct shards (sorted

@@ -1,19 +1,15 @@
-(* A mutex/condition work-sharing pool over OCaml 5 domains — the one
-   place in the tree where multicore primitives are allowed (bplint
-   R2-domain). Workers pull task indices from the batch at the head of a
-   FIFO queue under the pool mutex, run the task unlocked, and publish
-   the result into a per-batch slot keyed by that index; the caller
-   merges by index, so scheduling order never leaks into results.
-
-   Batches are first-class: {!submit} enqueues one and returns a handle,
-   {!await} blocks on it, and {!run} is submit-then-await. Several
-   batches may be outstanding at once (they drain in FIFO order), which
-   is what lets verification batches overlap with protocol work.
+(* A mutex/condition work-sharing pool over OCaml 5 domains — with the
+   stats mutex in lib/crypto/verify_batch, the one place in the tree
+   where multicore primitives are allowed (bplint R2-domain). Workers
+   pull task indices from the batch at the head of a FIFO queue under
+   the pool mutex, run the task unlocked, and publish the result into a
+   per-batch slot keyed by that index; the caller merges by index, so
+   scheduling order never leaks into results.
 
    Everything mutable is protected by [mutex]; there are no atomics and
-   no lock-free cleverness. The tasks themselves dwarf the per-task
-   locking cost (each is a whole simulation or a signature check), so
-   contention on the cursor is irrelevant. *)
+   no lock-free cleverness. Each task is a whole simulation, which
+   dwarfs the per-task locking cost, so contention on the cursor is
+   irrelevant. *)
 
 type batch = {
   b_run : int -> unit;
@@ -30,22 +26,13 @@ type t = {
   jobs : int;
   mutex : Mutex.t;
   work : Condition.t; (* workers wait here for a batch / more indices *)
-  idle : Condition.t; (* awaiting callers wait here for completion *)
+  idle : Condition.t; (* callers of run wait here for completion *)
   mutable queue : batch list;
       (* FIFO of batches that still have unclaimed indices; a batch is
          removed as soon as its last index is claimed (or abandoned) *)
   mutable stopping : bool;
   mutable workers : unit Domain.t list;
 }
-
-type 'a state =
-  | Deferred of (unit -> 'a) array
-      (* inline path (jobs <= 1 or trivial batch): tasks run on the
-         awaiting domain, exactly like the sequential reference *)
-  | Pending of batch * 'a option array
-  | Done of 'a list
-
-type 'a handle = { h_pool : t; mutable h_state : 'a state }
 
 (* Called with [t.mutex] held; returns with it held. *)
 let rec next_job t =
@@ -102,7 +89,7 @@ let shutdown t =
   if not t.stopping then begin
     t.stopping <- true;
     (* Fail batches that still have unclaimed work: with the workers
-       gone nobody would ever finish them, and await would hang. *)
+       gone nobody would ever finish them, and run would hang. *)
     List.iter
       (fun b ->
         if b.b_next < b.b_total then begin
@@ -112,7 +99,7 @@ let shutdown t =
           | None ->
               b.b_failure <-
                 Some
-                  ( Invalid_argument "Pool.await: pool was shut down",
+                  ( Invalid_argument "Pool.run: pool was shut down",
                     Printexc.get_callstack 0 )
         end;
         if b.b_active = 0 then b.b_done <- true)
@@ -153,14 +140,14 @@ let create ~jobs =
 
 let jobs t = t.jobs
 
-let submit_exn msg t tasks =
-  if t.stopping then invalid_arg msg;
+let run t tasks =
+  if t.stopping then invalid_arg "Pool.run: pool is shut down";
   let tasks = Array.of_list tasks in
   let n = Array.length tasks in
   if t.jobs <= 1 || n <= 1 then
-    (* Defer to the awaiting domain: this is the [-j 1] reference path,
+    (* Inline on the calling domain: this is the [-j 1] reference path,
        and trivially bit-identical to the sequential harness. *)
-    { h_pool = t; h_state = Deferred tasks }
+    Array.to_list (Array.map (fun f -> f ()) tasks)
   else begin
     let results = Array.make n None in
     let b =
@@ -176,48 +163,27 @@ let submit_exn msg t tasks =
     Mutex.lock t.mutex;
     if t.stopping then begin
       Mutex.unlock t.mutex;
-      invalid_arg msg
+      invalid_arg "Pool.run: pool is shut down"
     end;
     t.queue <- t.queue @ [ b ];
     Condition.broadcast t.work;
+    while not b.b_done do
+      Condition.wait t.idle t.mutex
+    done;
+    let failure = b.b_failure in
     Mutex.unlock t.mutex;
-    { h_pool = t; h_state = Pending (b, results) }
+    match failure with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None ->
+        Array.to_list
+          (Array.map
+             (function
+               | Some v -> v
+               | None ->
+                   (* Unreachable: every index claimed and completed. *)
+                   invalid_arg "Pool.run: missing result")
+             results)
   end
-
-let submit t tasks = submit_exn "Pool.submit: pool is shut down" t tasks
-
-let await h =
-  match h.h_state with
-  | Done rs -> rs
-  | Deferred tasks ->
-      let rs = Array.to_list (Array.map (fun f -> f ()) tasks) in
-      h.h_state <- Done rs;
-      rs
-  | Pending (b, results) ->
-      let t = h.h_pool in
-      Mutex.lock t.mutex;
-      while not b.b_done do
-        Condition.wait t.idle t.mutex
-      done;
-      let failure = b.b_failure in
-      Mutex.unlock t.mutex;
-      (match failure with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None ->
-          let rs =
-            Array.to_list
-              (Array.map
-                 (function
-                   | Some v -> v
-                   | None ->
-                       (* Unreachable: every index claimed and completed. *)
-                       invalid_arg "Pool.await: missing result")
-                 results)
-          in
-          h.h_state <- Done rs;
-          rs)
-
-let run t tasks = await (submit_exn "Pool.run: pool is shut down" t tasks)
 
 let map ~jobs tasks =
   let t = create ~jobs in

@@ -378,9 +378,8 @@ let request_valid ~cache cfg r =
     ~msg:payload ~signature:r.client_sig
 
 (* Batched spelling of [List.for_all (request_valid ~cache cfg)]: the
-   per-request payloads and identities are derived on the calling
-   domain, then every signature checks as one [Verify_batch] fan-out.
-   Index-ordered join makes the verdict independent of worker count. *)
+   per-request payloads and identities are derived first, then every
+   signature checks as one [Verify_batch] batch. *)
 let requests_valid ~cache cfg batch =
   match batch with
   | [] -> true
@@ -393,12 +392,11 @@ let requests_valid ~cache cfg batch =
               request_signing_payload ~cache ~client:r.client ~ts:r.ts
                 ~kind:r.kind ~op:r.op
             in
-            Bp_crypto.Verify_batch.Keyed
-              {
-                signer = Config.identity cfg r.client;
-                msg = payload;
-                signature = r.client_sig;
-              })
+            {
+              Bp_crypto.Verify_batch.signer = Config.identity cfg r.client;
+              msg = payload;
+              signature = r.client_sig;
+            })
           batch
       in
       let ctx = Bp_crypto.Verify_batch.global () in

@@ -97,11 +97,10 @@ val request_valid : cache:Bp_crypto.Verify_cache.t -> Config.t -> request -> boo
 val requests_valid :
   cache:Bp_crypto.Verify_cache.t -> Config.t -> request list -> bool
 (** Conjunction of {!request_valid} over the batch, with the signature
-    checks fanned out as one [Bp_crypto.Verify_batch] batch (through the
-    process-global context, so [--verify-jobs] applies). Verdict is
-    identical to the sequential fold at any worker count; the only
-    observable difference is that verification does not short-circuit at
-    the first invalid request. *)
+    checks submitted as one [Bp_crypto.Verify_batch] batch (through the
+    process-global context). Verdict is identical to the sequential fold;
+    the only observable difference is that verification does not
+    short-circuit at the first invalid request. *)
 
 val batch_digest : cache:Bp_crypto.Verify_cache.t -> request list -> string
 (** Digest of a batch proposal. Above the content-weight cutoff this

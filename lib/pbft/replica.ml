@@ -26,9 +26,9 @@ type slot = {
          resource; [Time.zero] (always, when the model is off) means
          "already done" *)
   mutable prefetch : (unit -> unit) option;
-      (* join handle of an asynchronous verification prefetch submitted
-         when the slot entered the pipeline as a non-head slot; invoked
-         (once) before the slot is judged in check_prepared *)
+      (* await closure of a verification prefetch submitted when the
+         slot entered the pipeline as a non-head slot; invoked (once)
+         before the slot is judged in check_prepared *)
 }
 
 type status = Normal | View_changing of int
@@ -49,9 +49,9 @@ type t = {
   mutable on_executed : seq:int -> Msg.request list -> unit;
   mutable verifier : kind:int -> op:string -> bool;
   mutable preverify : Msg.request list -> (unit -> unit) option;
-      (* asynchronous verification prefetch hook (see set_preverifier):
-         submit whatever crypto the verification routines will need for
-         this batch, return the join closure — or None if nothing to do *)
+      (* verification prefetch hook (see set_preverifier): submit
+         whatever crypto the verification routines will need for this
+         batch, return the await closure — or None if nothing to do *)
   mutable view : int;
   mutable status : status;
   mutable next_seq : int; (* primary: next sequence to assign *)
@@ -562,17 +562,14 @@ and check_prepared t s =
            rejections. Without that, a prepared-but-invalid slot wedges
            the window behind endless view changes. At depth 1 the seed
            semantics are unchanged: a failing verdict always withholds. *)
-        (* Join the asynchronous verification prefetch first, if one was
-           submitted when the slot entered the pipeline: the signature
-           checks it fanned out land in the per-node cache, so the
-           verification routines below mostly hit. Joining is free when
-           the batch already drained on worker domains. Cache writes
-           happen here, after the join, never on the workers — the
-           submit/record split that bplint R7-parpure verifies. *)
+        (* Await the verification prefetch first, if one was submitted
+           when the slot entered the pipeline: the signature checks it
+           submitted land in the per-node cache here, so the
+           verification routines below mostly hit. *)
         (match s.prefetch with
-        | Some join ->
+        | Some await ->
             s.prefetch <- None;
-            join ()
+            await ()
         | None -> ());
         let all_valid =
           List.for_all (fun r -> t.verifier ~kind:r.Msg.kind ~op:r.Msg.op) s.batch
@@ -862,8 +859,8 @@ and handle_pre_prepare t ~view ~seq ~digest ~batch =
     is_normal t && view = t.view && in_window t seq
     && Config.primary_of_view t.cfg view <> t.id
     && String.equal digest (digest_of_batch t batch)
-    (* One fanned Verify_batch submission for the whole batch's client
-       signatures, not a per-request loop (verdict identical). *)
+    (* One Verify_batch batch for the whole batch's client signatures,
+       not a per-request loop (verdict identical). *)
     && Msg.requests_valid ~cache:t.cache t.cfg batch
   then begin
     let s = slot_of t seq in
@@ -883,10 +880,9 @@ and handle_pre_prepare t ~view ~seq ~digest ~batch =
           s.batch <- batch;
           pipeline_enter t s;
           (* Non-head slot: its verdict can wait (provisional/final
-             machinery above), so kick the verification routines' crypto
-             off the critical path now and join when the slot is judged
-             in check_prepared. The head slot is judged synchronously —
-             nothing to overlap with. *)
+             machinery above), so submit the verification routines'
+             crypto now and await it when the slot is judged in
+             check_prepared. The head slot is judged synchronously. *)
           if s.seq > t.last_exec + 1 then s.prefetch <- t.preverify batch;
           List.iter (fun r -> cancel_request_timer t (request_key r)) batch;
           List.iter (fun r -> arm_request_timer t r) batch;

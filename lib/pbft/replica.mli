@@ -100,16 +100,15 @@ val set_verifier : t -> (kind:int -> op:string -> bool) -> unit
 (** Install the Blockplane verification routine (default: accept all). *)
 
 val set_preverifier : t -> (Msg.request list -> (unit -> unit) option) -> unit
-(** Install the asynchronous verification prefetch hook (default: none).
-    When a pre-prepare is accepted for a slot that is {e not} next to
-    execute, the replica calls the hook with the batch; the hook may
-    submit whatever crypto the verification routines will need (e.g. a
+(** Install the verification prefetch hook (default: none). When a
+    pre-prepare is accepted for a slot that is {e not} next to execute,
+    the replica calls the hook with the batch; the hook may submit
+    whatever crypto the verification routines will need (e.g. a
     [Bp_crypto.Verify_batch] of the transmission-record signature sets)
-    and return the join closure, which the replica invokes exactly once
-    before judging the slot in the prepared check. Because the verdict
-    for a non-head slot is provisional anyway, this only warms the
-    per-node cache — verdicts are identical whether or not a hook is
-    installed, at any [--verify-jobs]. *)
+    and return the await closure, which the replica invokes exactly once
+    before judging the slot in the prepared check. This only defers
+    cache work — verdicts are identical whether or not a hook is
+    installed. *)
 
 val set_on_executed : t -> (seq:int -> Msg.request list -> unit) -> unit
 (** Batch-level notification after execution (Blockplane's Local Log

@@ -73,8 +73,6 @@ let rtt t i j =
 
 let one_way t i j = Time.scale (rtt t i j) 0.5
 
-let bandwidth t = t.bandwidth_bps
-
 let transfer_time t bytes =
   Time.of_sec (float_of_int bytes /. t.bandwidth_bps)
 

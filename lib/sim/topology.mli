@@ -44,9 +44,6 @@ val rtt : t -> int -> int -> Time.t
 val one_way : t -> int -> int -> Time.t
 (** Half the RTT. *)
 
-val bandwidth : t -> float
-(** Bytes per second of one NIC. *)
-
 val transfer_time : t -> int -> Time.t
 (** Serialization delay for that many bytes on one NIC. *)
 

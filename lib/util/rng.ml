@@ -65,6 +65,3 @@ let shuffle t a =
     a.(j) <- tmp
   done
 
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
-  a.(int t (Array.length a))

@@ -41,5 +41,3 @@ val bytes : t -> int -> bytes
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 
-val pick : t -> 'a array -> 'a
-(** Uniformly random element of a non-empty array. *)

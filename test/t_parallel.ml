@@ -68,64 +68,6 @@ let test_pool_exception () =
     [ 100; 101; 102; 103; 104 ] ok;
   Bp_parallel.Pool.shutdown pool
 
-let test_submit_await () =
-  let pool = Bp_parallel.Pool.create ~jobs:3 in
-  (* Several outstanding handles, awaited out of submission order: each
-     must still deliver its own results in task-index order. *)
-  let h1 =
-    Bp_parallel.Pool.submit pool (List.init 10 (fun i () -> i * 2))
-  in
-  let h2 =
-    Bp_parallel.Pool.submit pool (List.init 4 (fun i () -> string_of_int i))
-  in
-  let h3 = Bp_parallel.Pool.submit pool [] in
-  Alcotest.(check (list string)) "h2 first" [ "0"; "1"; "2"; "3" ]
-    (Bp_parallel.Pool.await h2);
-  Alcotest.(check (list int)) "h1 after h2"
-    [ 0; 2; 4; 6; 8; 10; 12; 14; 16; 18 ]
-    (Bp_parallel.Pool.await h1);
-  Alcotest.(check (list int)) "empty handle" [] (Bp_parallel.Pool.await h3);
-  (* await is idempotent: a second await returns the cached results. *)
-  Alcotest.(check (list int)) "await twice"
-    [ 0; 2; 4; 6; 8; 10; 12; 14; 16; 18 ]
-    (Bp_parallel.Pool.await h1);
-  (* A failing task surfaces at await, and only from its own handle. *)
-  let bad =
-    Bp_parallel.Pool.submit pool
-      (List.init 6 (fun i () -> if i = 2 then raise (Boom i) else i))
-  in
-  let good = Bp_parallel.Pool.submit pool (List.init 3 (fun i () -> i + 7)) in
-  (match Bp_parallel.Pool.await bad with
-  | _ -> Alcotest.fail "expected Boom from the failing batch"
-  | exception Boom 2 -> ());
-  Alcotest.(check (list int)) "other handle unaffected" [ 7; 8; 9 ]
-    (Bp_parallel.Pool.await good);
-  (* Re-awaiting a failed handle re-raises the same failure. *)
-  (match Bp_parallel.Pool.await bad with
-  | _ -> Alcotest.fail "expected Boom again"
-  | exception Boom 2 -> ());
-  Bp_parallel.Pool.shutdown pool;
-  (* Submitting on a shut-down pool refuses work. *)
-  Alcotest.check_raises "submit after shutdown"
-    (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
-      ignore (Bp_parallel.Pool.submit pool [ (fun () -> 0) ]))
-
-let test_submit_inline () =
-  (* jobs:1 pools defer work to await — no domains, same semantics. *)
-  let pool = Bp_parallel.Pool.create ~jobs:1 in
-  let h = Bp_parallel.Pool.submit pool (List.init 5 (fun i () -> i * i)) in
-  Alcotest.(check (list int)) "deferred batch" [ 0; 1; 4; 9; 16 ]
-    (Bp_parallel.Pool.await h);
-  Alcotest.(check (list int)) "deferred await idempotent" [ 0; 1; 4; 9; 16 ]
-    (Bp_parallel.Pool.await h);
-  (* Single-task batches run inline even on a multi-domain pool. *)
-  let pool4 = Bp_parallel.Pool.create ~jobs:4 in
-  let h1 = Bp_parallel.Pool.submit pool4 [ (fun () -> 42) ] in
-  Alcotest.(check (list int)) "singleton inline" [ 42 ]
-    (Bp_parallel.Pool.await h1);
-  Bp_parallel.Pool.shutdown pool4;
-  Bp_parallel.Pool.shutdown pool
-
 (* The tentpole property: fanning an experiment's tasks over worker
    domains must not change a byte of its report — every sweep point is an
    isolated seeded simulation and results merge by task index. *)
@@ -158,9 +100,6 @@ let suite =
         Alcotest.test_case "results follow task index" `Quick test_pool_order;
         Alcotest.test_case "exception propagates, pool survives" `Quick
           test_pool_exception;
-        Alcotest.test_case "submit/await futures" `Quick test_submit_await;
-        Alcotest.test_case "submit defers inline at jobs 1" `Quick
-          test_submit_inline;
         Alcotest.test_case "parallel run bit-identical to -j 1" `Quick
           test_parallel_reports_identical;
       ] );

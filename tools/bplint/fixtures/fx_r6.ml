@@ -22,15 +22,8 @@ let bad_field_write c = Pool.map ~jobs:2 [ (fun () -> c.value <- 1) ]
 let bad_hashtbl_read () =
   Pool.map ~jobs:2 [ (fun () -> Hashtbl.find_opt shared_tbl "k") ]
 
-(* BAD: the captured ref is written between submit and join. *)
-let bad_post_submit_write pool =
-  let acc = ref 1 in
-  let h = Pool.submit pool [ (fun () -> !acc) ] in
-  acc := 2;
-  Pool.await h
-
-(* BAD: thunks accumulated through a list ref (the Verify_batch.submit
-   shape) are still sliced — the leaky closure inside is found. *)
+(* BAD: thunks accumulated through a list ref are still sliced — the
+   leaky closure inside is found. *)
 let bad_accumulated_thunks pool =
   let pending = ref [] in
   pending := (fun () -> !shared_counter) :: !pending;
@@ -42,12 +35,11 @@ let good_value_snapshot () =
   let v = !shared_counter in
   Pool.map ~jobs:2 [ (fun () -> v + 1) ]
 
-(* OK: a ref constructed in the submitting scope and never written after
-   the submit call is a recognized snapshot. *)
+(* OK: a ref constructed in the submitting scope is a recognized
+   snapshot. *)
 let good_local_ref pool =
   let acc = ref 5 in
-  let h = Pool.submit pool [ (fun () -> !acc) ] in
-  Pool.await h
+  Pool.run pool [ (fun () -> !acc) ]
 
 (* OK: job-local mutable state never escapes the worker. *)
 let good_job_local_state () =

@@ -68,11 +68,12 @@ let lib_dir_of source =
   | "lib" :: dir :: _ :: _ -> Some dir
   | _ -> None
 
-(* Shared-memory parallelism is confined to two audited modules: the
-   domain pool itself (all of lib/parallel) and the batched-verification
-   wrapper built directly on it (lib/crypto/verify_batch, whose global
-   context and stats need a mutex). Everything else in lib/crypto — and
-   every other lib directory — stays single-domain deterministic.
+(* Shared-memory parallelism is confined to the domain pool (all of
+   lib/parallel). lib/crypto/verify_batch is exempt only for the mutex
+   around its stats, which [-j] experiment tasks on several domains
+   update through its global context; it starts no domain. Everything
+   else in lib/crypto — and every other lib directory — stays
+   single-domain deterministic.
 
    The exemption is matched on whole path segments (with the extension
    stripped), never on prefixes or substrings: lib/crypto/verify_batchx.ml
@@ -365,8 +366,8 @@ let check_ident ctx (e : Typedtree.expression) path =
       (Printf.sprintf
          "%s brings shared-memory parallelism into deterministic code; \
           multicore primitives (Domain/Atomic/Mutex/Condition) are confined \
-          to lib/parallel and lib/crypto/verify_batch — express the work as \
-          independent Runner.plan tasks or a Verify_batch batch instead"
+          to lib/parallel (and the stats mutex of lib/crypto/verify_batch) \
+          — express the work as independent Runner.plan tasks instead"
          name);
   if List.mem qual hiter_fns then
     report ctx ~rule:"R2-hiter" ~loc

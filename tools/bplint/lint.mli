@@ -20,7 +20,7 @@
       [Condition.*]) outside [lib/parallel] and [lib/crypto/verify_batch].
       Replicas and the simulator are single-domain deterministic; the only
       shared-memory code allowed is the audited worker pool and the
-      batched-verification wrapper on top of it.
+      mutex around [Verify_batch]'s stats.
     - [R3-partial]: partial functions ([Option.get], [List.hd], [List.tl],
       [List.nth]) on verification/consensus paths.
     - [R3-catchall]: [try ... with _ ->] catch-alls that turn programming
@@ -30,12 +30,10 @@
     - [R4-mli]: a library module compiled without an [.mli].
     - [R5-rawverify]: a bare [Signer.verify] outside [lib/crypto], which
       bypasses the verification cache and its invalidation discipline.
-    - [R6-domainescape] (interprocedural): a closure submitted to the
-      domain pool ([Pool.submit]/[run]/[map], the [Verify_batch] wrappers)
-      captures mutable state that is not a submit-scope snapshot — ref
-      reads/writes, mutable record fields, [Hashtbl]/[Buffer]/[Bytes]/
-      [Array] access, or mutation of captured state after an asynchronous
-      submit.
+    - [R6-domainescape] (interprocedural): a closure handed to the
+      domain pool ([Pool.run]/[Pool.map]) captures mutable state that is
+      not a submit-scope snapshot — ref reads/writes, mutable record
+      fields, [Hashtbl]/[Buffer]/[Bytes]/[Array] access.
     - [R7-parpure] (interprocedural): a pool job reaches — through any
       chain of calls in the cross-module call graph — a
       protocol-domain-only operation: [Verify_cache] access, [Signer]

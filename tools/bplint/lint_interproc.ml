@@ -1,26 +1,25 @@
-(* R6-domainescape / R7-parpure: the PR-6 parallel-verification
-   discipline (DESIGN.md §5.11), statically enforced.
+(* R6-domainescape / R7-parpure: the domain-pool task discipline
+   (DESIGN.md §7, "Parallel purity"), statically enforced.
 
    Both passes start from the same place: the closures that actually run
    on pool worker domains. A *task* is a unit-argument closure
    ([fun () -> ...]) that flows into an argument of one of the fan-out
-   entry points (Pool.submit/run/map and the Verify_batch wrappers).
-   "Flows into" is a small intra-item slice: starting from the argument
-   expressions we follow let-bound identifiers of the same structure
-   item and the right-hand sides of [r := ...] assignments (so thunks
-   accumulated through a list ref, as Verify_batch.submit does, are
-   found), but we do not enter non-unit closures (a [fun r -> Keyed
-   {...}] job-data builder runs on the calling domain, not a worker) and
-   we do not follow parameters or module-level functions (a task list
-   received as an argument is the submitting caller's to prove).
+   entry points (Pool.run/map). "Flows into" is a small intra-item
+   slice: starting from the argument expressions we follow let-bound
+   identifiers of the same structure item and the right-hand sides of
+   [r := ...] assignments (so thunks accumulated through a list ref are
+   found), but we do not enter non-unit closures (a [fun x -> ...]
+   task-list builder runs on the calling domain, not a worker) and we do
+   not follow parameters or module-level functions (a task list received
+   as an argument is the submitting caller's to prove).
 
    R6-domainescape then checks each task body for captured mutable
    state: reads of refs that are not submitting-scope snapshots, any
    write to a captured ref / mutable record field / Hashtbl / Buffer /
-   Bytes / Array, any Hashtbl or Buffer access at all (hashtables and
-   buffers are never recognized snapshots), and — for the asynchronous
-   fan-outs, where a submit→join window exists — mutations of captured
-   state *after* the submit call.
+   Bytes / Array, and any Hashtbl or Buffer access at all (hashtables
+   and buffers are never recognized snapshots). Pool.run and Pool.map
+   block until every task has finished, so no submit→join window exists
+   in which the caller could mutate what a task captured.
 
    R7-parpure collects the functions a task body references and walks
    the cross-module call graph (Lint_graph) looking for
@@ -38,20 +37,7 @@ let rules = [ "R6-domainescape"; "R7-parpure" ]
 (* Entry points that fan work out to pool domains. Calls inside the
    defining modules resolve to local idents; [qualify] names those the
    same way, so the set needs only the canonical spellings. *)
-let fanout_fns =
-  [
-    "Bp_parallel.Pool.submit";
-    "Bp_parallel.Pool.run";
-    "Bp_parallel.Pool.map";
-    "Bp_crypto.Verify_batch.submit";
-    "Bp_crypto.Verify_batch.verify";
-    "Bp_crypto.Verify_batch.verify_one";
-  ]
-
-(* The subset with a submit→join window during which the submitting
-   domain keeps running: only these get the post-submit-write check
-   (after Pool.run/map return, the join has already happened). *)
-let async_fanout_fns = [ "Bp_parallel.Pool.submit"; "Bp_crypto.Verify_batch.submit" ]
+let fanout_fns = [ "Bp_parallel.Pool.run"; "Bp_parallel.Pool.map" ]
 
 (* ---------- R7 forbidden set ---------- *)
 
@@ -60,11 +46,11 @@ let parallel_safe = [ "Bp_crypto.Signer.verify_key" ]
 let forbidden_prefixes =
   [
     ( "Bp_crypto.Verify_cache.",
-      "the verify cache is protocol-domain state: probe before fan-out, \
-       record after the join" );
+      "the verify cache is protocol-domain state: a pool job must not \
+       probe or record it" );
     ( "Bp_crypto.Signer.",
-      "the keystore is protocol-domain state: snapshot keys before submit; \
-       workers may only run Signer.verify_key" );
+      "the keystore is protocol-domain state: snapshot keys before \
+       Pool.run; a pool job may only run Signer.verify_key" );
     ("Bp_net.", "network access from a pool job");
     ("Bp_sim.Network.", "simulated network access from a pool job");
     ("Bp_sim.Engine.", "simulator engine/clock access from a pool job");
@@ -147,8 +133,6 @@ type item_tables = {
       (* ident -> binding exprs (all lets anywhere in the item) *)
   ref_assigns : (string, Typedtree.expression list) Hashtbl.t;
       (* ident -> RHS exprs of [ident := ...] *)
-  mutable mutations : (string * Location.t * string) list;
-      (* ident -> write sites in the item (for the post-submit check) *)
 }
 
 let table_add tbl key v =
@@ -156,76 +140,27 @@ let table_add tbl key v =
   Hashtbl.replace tbl key (v :: prev)
 
 let collect_tables (si : Typedtree.structure_item) =
-  let t =
-    {
-      let_defs = Hashtbl.create 32;
-      ref_assigns = Hashtbl.create 8;
-      mutations = [];
-    }
-  in
-  let note_mutation id loc what =
-    t.mutations <- (ident_key id, loc, what) :: t.mutations
+  let t = { let_defs = Hashtbl.create 32; ref_assigns = Hashtbl.create 8 } in
+  let add_lets vbs =
+    List.iter
+      (fun (vb : Typedtree.value_binding) ->
+        match vb.Typedtree.vb_pat.Typedtree.pat_desc with
+        | Typedtree.Tpat_var (id, _) ->
+            table_add t.let_defs (ident_key id) vb.Typedtree.vb_expr
+        | _ -> ())
+      vbs
   in
   let on_expr (e : Typedtree.expression) =
     match e.Typedtree.exp_desc with
-    | Typedtree.Texp_setfield (obj, _, label, _) -> (
-        match access_root obj with
-        | Some (`Local id) ->
-            note_mutation id e.Typedtree.exp_loc
-              ("<- on field " ^ label.Types.lbl_name)
-        | _ -> ())
-    | Typedtree.Texp_apply (fn, args) -> (
-        match fn.Typedtree.exp_desc with
-        | Typedtree.Texp_ident (p, _, _) -> (
-            let q = Path.name p in
-            let pos = positional_args args in
-            let root_of_first () =
-              match pos with a :: _ -> access_root a | [] -> None
-            in
-            match q with
-            | "Stdlib.:=" -> (
-                match pos with
-                | [ lhs; rhs ] -> (
-                    match access_root lhs with
-                    | Some (`Local id) ->
-                        table_add t.ref_assigns (ident_key id) rhs;
-                        note_mutation id e.Typedtree.exp_loc ":="
-                    | _ -> ())
-                | _ -> ())
-            | "Stdlib.incr" | "Stdlib.decr" -> (
-                match root_of_first () with
-                | Some (`Local id) ->
-                    note_mutation id e.Typedtree.exp_loc
-                      (Filename.extension q)
-                | _ -> ())
-            | _ -> (
-                let flag_if mutators m =
-                  match module_fn ~m q with
-                  | Some fn_name when List.mem fn_name mutators -> (
-                      match root_of_first () with
-                      | Some (`Local id) ->
-                          note_mutation id e.Typedtree.exp_loc q
-                      | _ -> ())
-                  | _ -> ()
-                in
-                flag_if array_mutators "Array";
-                flag_if bytes_mutators "Bytes";
-                (match module_fn ~m:"Hashtbl" q with
-                | Some ("hash" | "seeded_hash" | "create" | "is_randomized") | None
-                  ->
-                    ()
-                | Some _ -> (
-                    match root_of_first () with
-                    | Some (`Local id) ->
-                        note_mutation id e.Typedtree.exp_loc q
-                    | _ -> ()));
-                match module_fn ~m:"Buffer" q with
-                | Some "create" | None -> ()
-                | Some _ -> (
-                    match root_of_first () with
-                    | Some (`Local id) ->
-                        note_mutation id e.Typedtree.exp_loc q
-                    | _ -> ())))
+    | Typedtree.Texp_let (_, vbs, _) -> add_lets vbs
+    | Typedtree.Texp_apply
+        ({ Typedtree.exp_desc = Typedtree.Texp_ident (p, _, _); _ }, args)
+      when String.equal (Path.name p) "Stdlib.:=" -> (
+        match positional_args args with
+        | [ lhs; rhs ] -> (
+            match access_root lhs with
+            | Some (`Local id) -> table_add t.ref_assigns (ident_key id) rhs
+            | _ -> ())
         | _ -> ())
     | _ -> ()
   in
@@ -234,29 +169,12 @@ let collect_tables (si : Typedtree.structure_item) =
       Tast_iterator.default_iterator with
       Tast_iterator.expr =
         (fun sub e ->
-          (match e.Typedtree.exp_desc with
-          | Typedtree.Texp_let (_, vbs, _) ->
-              List.iter
-                (fun (vb : Typedtree.value_binding) ->
-                  match vb.Typedtree.vb_pat.Typedtree.pat_desc with
-                  | Typedtree.Tpat_var (id, _) ->
-                      table_add t.let_defs (ident_key id) vb.Typedtree.vb_expr
-                  | _ -> ())
-                vbs
-          | _ -> ());
           on_expr e;
           Tast_iterator.default_iterator.Tast_iterator.expr sub e);
       Tast_iterator.structure_item =
         (fun sub si ->
           (match si.Typedtree.str_desc with
-          | Typedtree.Tstr_value (_, vbs) ->
-              List.iter
-                (fun (vb : Typedtree.value_binding) ->
-                  match vb.Typedtree.vb_pat.Typedtree.pat_desc with
-                  | Typedtree.Tpat_var (id, _) ->
-                      table_add t.let_defs (ident_key id) vb.Typedtree.vb_expr
-                  | _ -> ())
-                vbs
+          | Typedtree.Tstr_value (_, vbs) -> add_lets vbs
           | _ -> ());
           Tast_iterator.default_iterator.Tast_iterator.structure_item sub si);
     }
@@ -267,8 +185,6 @@ let collect_tables (si : Typedtree.structure_item) =
 (* ---------- fan-out sites ---------- *)
 
 type fanout = {
-  f_name : string;
-  f_loc : Location.t;
   f_args : Typedtree.expression list;
   f_allows : string list; (* [@bplint.allow] prefixes in force at the site *)
 }
@@ -295,12 +211,7 @@ let collect_fanouts ~locals (si : Typedtree.structure_item) =
                       match Lint_graph.qualify ~locals p with
                       | Some name when List.mem name fanout_fns ->
                           sites :=
-                            {
-                              f_name = name;
-                              f_loc = e.Typedtree.exp_loc;
-                              f_args = positional_args args;
-                              f_allows = !stack;
-                            }
+                            { f_args = positional_args args; f_allows = !stack }
                             :: !sites
                       | _ -> ())
                   | _ -> ())
@@ -371,7 +282,7 @@ let bound_idents (e : Typedtree.expression) =
   it.Tast_iterator.expr it e;
   bound
 
-let check_task_r6 ~report ~tables ~task_allows ~captured task =
+let check_task_r6 ~report ~tables ~task_allows task =
   let body = match closure_body task with Some b -> b | None -> task in
   let bound = bound_idents task in
   let is_captured id = not (Hashtbl.mem bound (ident_key id)) in
@@ -387,15 +298,10 @@ let check_task_r6 ~report ~tables ~task_allows ~captured task =
   in
   let snapshot_read id =
     (* A captured ref may be read iff it was let-bound in the submitting
-       structure item — i.e. constructed in the submitting scope. Writes
-       after submit are reported separately, at the write site. *)
+       structure item — i.e. constructed in the submitting scope. *)
     Hashtbl.mem tables.let_defs (ident_key id)
   in
   let on_expr (e : Typedtree.expression) =
-    (match e.Typedtree.exp_desc with
-    | Typedtree.Texp_ident (Path.Pident id, _, _) ->
-        if is_captured id then Hashtbl.replace captured (ident_key id) ()
-    | _ -> ());
     match e.Typedtree.exp_desc with
     | Typedtree.Texp_setfield (obj, _, label, _) -> (
         match access_root obj with
@@ -529,38 +435,21 @@ let check_task_r7 ~report ~graph ~locals ~task_allows task =
 
 (* ---------- driver ---------- *)
 
-let after (loc : Location.t) (site : Location.t) =
-  loc.Location.loc_start.Lexing.pos_cnum
-  > site.Location.loc_end.Lexing.pos_cnum
-
 let check_item ~report ~graph ~locals (si : Typedtree.structure_item) =
   let fanouts = collect_fanouts ~locals si in
   if fanouts <> [] then begin
     let tables = collect_tables si in
     List.iter
       (fun f ->
-        let tasks = slice_tasks tables f.f_args in
-        let captured : (string, unit) Hashtbl.t = Hashtbl.create 16 in
         List.iter
           (fun task ->
             let task_allows =
               Lint_diag.allows_of_attributes task.Typedtree.exp_attributes
               @ f.f_allows
             in
-            check_task_r6 ~report ~tables ~task_allows ~captured task;
+            check_task_r6 ~report ~tables ~task_allows task;
             check_task_r7 ~report ~graph ~locals ~task_allows task)
-          tasks;
-        if List.mem f.f_name async_fanout_fns then
-          List.iter
-            (fun (key, mloc, what) ->
-              if Hashtbl.mem captured key && after mloc f.f_loc then
-                report ~rule:"R6-domainescape" ~loc:mloc ~allows:f.f_allows
-                  (Printf.sprintf
-                     "state captured by a pool job is mutated (%s) after \
-                      the submit call; jobs capture snapshots — mutate \
-                      only after the join"
-                     what))
-            (List.rev tables.mutations))
+          (slice_tasks tables f.f_args))
       fanouts
   end
 

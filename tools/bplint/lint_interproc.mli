@@ -1,8 +1,8 @@
-(** R6-domainescape / R7-parpure: the parallel-verification discipline
-    (snapshot-at-submit, cache partition), statically enforced over the
-    closures that flow into [Pool.submit]/[run]/[map] and the
-    [Verify_batch] wrappers. See DESIGN.md §5.12 for the semantics and
-    the limits of the analysis. *)
+(** R6-domainescape / R7-parpure: the domain-pool task discipline
+    (capture immutable snapshots, never reach protocol-domain state),
+    statically enforced over the closures that flow into
+    [Pool.run]/[Pool.map]. See DESIGN.md §7, "Parallel purity", for the
+    semantics and the limits of the analysis. *)
 
 type report_fn =
   rule:string -> loc:Location.t -> allows:string list -> string -> unit
