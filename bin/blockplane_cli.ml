@@ -21,11 +21,17 @@ let run_experiments (common : Bp_cli.t) verbose experiments =
 
 let list_cmd =
   let run () =
+    let all = Bp_harness.Experiments.all in
+    let width =
+      List.fold_left
+        (fun w e -> Stdlib.max w (String.length e.Bp_harness.Experiments.id))
+        0 all
+    in
     List.iter
       (fun e ->
-        Printf.printf "%-8s %s\n" e.Bp_harness.Experiments.id
+        Printf.printf "%-*s %s\n" width e.Bp_harness.Experiments.id
           e.Bp_harness.Experiments.title)
-      Bp_harness.Experiments.all
+      all
   in
   Cmd.v (Cmd.info "list" ~doc:"List available experiments")
     Term.(const run $ const ())

@@ -22,7 +22,6 @@ type op =
       (** source-side debit that licenses exactly one transfer message *)
 
 val encode_op : op -> string
-val decode_op : string -> (op, string) result
 
 type t
 

@@ -182,7 +182,6 @@ type t = {
   mutable decided : (int * string) list;
 }
 
-let participant t = t.me
 let is_leader t = t.l
 let decided t = t.decided
 

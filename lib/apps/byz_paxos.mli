@@ -21,7 +21,6 @@ type t
 val attach : Blockplane.Api.t -> n_participants:int -> t
 (** Bind a driver to a participant's API (installs the receive handler). *)
 
-val participant : t -> int
 val is_leader : t -> bool
 
 val elect : t -> on_elected:(bool -> unit) -> unit

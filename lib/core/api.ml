@@ -26,7 +26,6 @@ let next_comm_seq t ~dest = t.next_comm_seq.(dest)
 let pipeline_occupancy t = Unit_node.pipeline_occupancy t.lead_node
 let batch_stats t = Bp_pbft.Replica.batch_stats (Unit_node.replica t.lead_node)
 let queue_depth t = Bp_pbft.Replica.queue_depth (Unit_node.replica t.lead_node)
-let cluster_send t = Unit_node.cluster_enabled t.lead_node
 let xs_staged t = Unit_node.xs_staged t.lead_node
 
 let quorum t = (2 * t.pbft_cfg.Bp_pbft.Config.f) + 1

@@ -68,11 +68,6 @@ val batch_stats : t -> Bp_pbft.Replica.batch_stats
 val queue_depth : t -> int
 (** Requests queued at the unit's lead node awaiting batch formation. *)
 
-val cluster_send : t -> bool
-(** Whether this participant's unit runs the expected-constant
-    cluster-sending path ({!Cluster_send}) instead of fi+1-signature
-    bundles on the inter-participant hot path. *)
-
 val xs_staged : t -> int
 (** Cross-shard transactions staged (prepared, undecided) at this unit's
     lead node — see {!Unit_node.xs_staged}. 0 at quiescence. *)

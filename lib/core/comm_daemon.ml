@@ -80,7 +80,6 @@ type t = {
   mutable rtt : Time.t;
 }
 
-let dest t = t.dest
 let acked t = t.acked
 let set_enabled t b = t.enabled <- b
 
@@ -94,10 +93,6 @@ let counters t =
   }
 
 let on_acked t f = t.ack_subs <- f :: t.ack_subs
-
-let send_aux t ~dst msg =
-  Bp_net.Transport.send (Unit_node.transport t.node) ~dst
-    ~tag:(Proto.aux_tag dst.Addr.dc) (Proto.encode msg)
 
 (* ---------- destination rotation with demotion ---------- *)
 
@@ -145,7 +140,7 @@ let transmit t st =
     let target = t.dest_nodes.(t.target mod Array.length t.dest_nodes) in
     st.transmitted <- true;
     t.sent_count <- t.sent_count + 1;
-    send_aux t ~dst:target
+    Unit_node.send_aux t.node ~dst:target
       (Proto.Transmit
          {
            transmission =
@@ -315,7 +310,7 @@ let solicit ?(ship_all = false) t ~fresh =
           end;
           t.sols <- (t.highest, sender, receiver) :: t.sols;
           t.sent_count <- t.sent_count + 1;
-          send_aux t ~dst:peers.(sender)
+          Unit_node.send_aux t.node ~dst:peers.(sender)
             (Proto.Probe_request
                {
                  pr_dest = t.dest;
@@ -502,8 +497,7 @@ let on_tick t =
     else retry_bundle t
   end
 
-let create ~node ~dest ~dest_nodes ?geo_proofs ?(cluster_send = false)
-    ?(start_after = -1) () =
+let create ~node ~dest ~dest_nodes ?geo_proofs ?(start_after = -1) () =
   let engine =
     Network.engine (Bp_net.Transport.network (Unit_node.transport node))
   in
@@ -515,11 +509,7 @@ let create ~node ~dest ~dest_nodes ?geo_proofs ?(cluster_send = false)
       geo_proofs;
       engine;
       needed_sigs = Unit_node.fi node + 1;
-      (* geo-proof records must carry bundles for the mirrors: the knob
-         falls back to the bundle path when fg-proofs are in play. *)
-      cluster =
-        cluster_send && Option.is_none geo_proofs
-        && Unit_node.cluster_enabled node;
+      cluster = Unit_node.cluster_enabled node;
       pending = Int_map.empty;
       ready_count = 0;
       highest = start_after;

@@ -27,21 +27,17 @@ val create :
   dest:int ->
   dest_nodes:Bp_sim.Addr.t array ->
   ?geo_proofs:(pos:int -> on_ready:((int * (string * string) list) list -> unit) -> unit) ->
-  ?cluster_send:bool ->
   ?start_after:int ->
   unit ->
   t
 (** [geo_proofs] asynchronously supplies the §V proof bundles for a log
-    position (required iff fg > 0). [cluster_send] (default off) runs
-    the probe-solicitation path instead of signature bundles; it
-    requires the host node's {!Cluster_send} agent and is forced off
-    when [geo_proofs] is supplied (mirror bundles must travel with the
-    record). [start_after] skips communication records with comm_seq <=
+    position (required iff fg > 0). The daemon runs the
+    probe-solicitation path instead of signature bundles exactly when
+    its host node runs cluster-sending ({!Unit_node.cluster_enabled}).
+    [start_after] skips communication records with comm_seq <=
     it (used by promoted reserves that know the destination's frontier).
     Scans the host node's existing log for backlog, then follows new
     executions via the node hook. *)
-
-val dest : t -> int
 
 val acked : t -> int
 (** Destination's cumulative acknowledgement frontier. *)

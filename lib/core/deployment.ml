@@ -12,18 +12,12 @@ type unit_t = {
 
 type t = {
   n_participants : int;
-  fi : int;
-  fg : int;
-  cluster : bool;
   units : unit_t array;
   shard_map : Shard.map;
   shard_router : Shard.t;
 }
 
 let n_participants t = t.n_participants
-let fi t = t.fi
-let fg t = t.fg
-let cluster_send t = t.cluster
 let shard_map t = t.shard_map
 let shard_router t = t.shard_router
 let api t p = t.units.(p).api
@@ -46,10 +40,6 @@ let create ~network ~n_participants ?(fi = 1) ?(fg = 0) ?(scheme = `Hmac)
   in
   if Shard.shards shard_map > n_participants then
     invalid_arg "Deployment.create: more shards than participants";
-  (* Cluster-sending covers the plain inter-participant path; geo-proof
-     records (fg > 0) still need the signature bundles every mirror
-     checks, so the knob falls back to bundle mode there. *)
-  let cluster_send = cluster_send && fg = 0 in
   let engine = Network.engine network in
   let topology = Network.topology network in
   if n_participants > Topology.num_dcs topology then
@@ -111,7 +101,7 @@ let create ~network ~n_participants ?(fi = 1) ?(fg = 0) ?(scheme = `Hmac)
             (fun dest ->
               ( dest,
                 Comm_daemon.create ~node:nodes.(0) ~dest
-                  ~dest_nodes:all_addrs.(dest) ?geo_proofs ~cluster_send () ))
+                  ~dest_nodes:all_addrs.(dest) ?geo_proofs () ))
             others
         in
         let reserves =
@@ -137,7 +127,7 @@ let create ~network ~n_participants ?(fi = 1) ?(fg = 0) ?(scheme = `Hmac)
   let shard_router =
     Shard.router ~map:shard_map ~engine ~api:(fun p -> units.(p).api)
   in
-  { n_participants; fi; fg; cluster = cluster_send; units; shard_map; shard_router }
+  { n_participants; units; shard_map; shard_router }
 
 let app_digests_agree t p =
   let nodes = t.units.(p).nodes in

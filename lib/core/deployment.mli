@@ -54,12 +54,6 @@ val create :
     way. *)
 
 val n_participants : t -> int
-val fi : t -> int
-val fg : t -> int
-
-val cluster_send : t -> bool
-(** Whether the deployment runs the cluster-sending path (the requested
-    knob after the fg > 0 fallback). *)
 
 val shard_map : t -> Shard.map
 (** The static shard map this deployment was built with. *)

@@ -2,10 +2,6 @@ open Bp_sim
 
 module Int_map = Map.Make (Int)
 
-let send_aux node ~dst msg =
-  Bp_net.Transport.send (Unit_node.transport node) ~dst
-    ~tag:(Proto.aux_tag dst.Addr.dc) (Proto.encode msg)
-
 (* ---------- the mirror-side agent ---------- *)
 
 module Agent = struct
@@ -28,7 +24,7 @@ module Agent = struct
   let respond t duty =
     if (not duty.responded) && List.length duty.sigs >= needed t then begin
       duty.responded <- true;
-      send_aux t.node ~dst:duty.requester
+      Unit_node.send_aux t.node ~dst:duty.requester
         (Proto.Mirror_proof
            {
              owner = duty.owner;
@@ -49,7 +45,7 @@ module Agent = struct
     Array.iter
       (fun peer ->
         if not (Addr.equal peer self) then
-          send_aux t.node ~dst:peer
+          Unit_node.send_aux t.node ~dst:peer
             (Proto.Mirror_sign_request
                { owner = duty.owner; pos = duty.pos; digest = duty.digest }))
       (Unit_node.peers t.node);
@@ -78,7 +74,7 @@ module Agent = struct
     match Unit_node.sign_mirror t.node ~owner ~pos ~digest with
     | None -> ()
     | Some signature ->
-        send_aux t.node ~dst:src
+        Unit_node.send_aux t.node ~dst:src
           (Proto.Mirror_sign_response
              { owner; pos; identity = Unit_node.identity t.node; signature })
 
@@ -161,7 +157,7 @@ let request_proofs t pos e =
   List.iter
     (fun participant ->
       let nodes = t.all_unit_nodes participant in
-      send_aux t.node ~dst:nodes.(0)
+      Unit_node.send_aux t.node ~dst:nodes.(0)
         (Proto.Mirror_request
            { owner = Unit_node.participant t.node; pos; value = e.value }))
     (current_targets t)

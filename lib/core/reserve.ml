@@ -20,11 +20,6 @@ let probe_every = Time.of_ms 500.0
 let patience = 3
 
 let promoted t = Option.is_some t.promoted_daemon
-let daemon t = t.promoted_daemon
-
-let send_aux t ~dst msg =
-  Bp_net.Transport.send (Unit_node.transport t.node) ~dst
-    ~tag:(Proto.aux_tag dst.Addr.dc) (Proto.encode msg)
 
 (* The paper's rule: with responses from more than f+1 nodes, pick the set
    of f+1 that maximises the lowest reported position — i.e. the (f+1)-th
@@ -43,9 +38,7 @@ let promote t floor =
     t.promoted_daemon <-
       Some
         (Comm_daemon.create ~node:t.node ~dest:t.dest ~dest_nodes:t.dest_nodes
-           ?geo_proofs:t.geo_proofs
-           ~cluster_send:(Unit_node.cluster_enabled t.node)
-           ~start_after:floor ());
+           ?geo_proofs:t.geo_proofs ~start_after:floor ());
     match t.probe_timer with
     | Some timer ->
         Engine.cancel timer;
@@ -70,7 +63,7 @@ let probe t =
     (* Ask up to 2f+1 destination nodes. *)
     let count = Stdlib.min (Array.length t.dest_nodes) ((2 * t.fi) + 1) in
     for i = 0 to count - 1 do
-      send_aux t ~dst:t.dest_nodes.(i)
+      Unit_node.send_aux t.node ~dst:t.dest_nodes.(i)
         (Proto.Reserve_query { src = Unit_node.participant t.node })
     done
   end

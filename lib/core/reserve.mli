@@ -23,6 +23,3 @@ val create :
     observations. *)
 
 val promoted : t -> bool
-
-val daemon : t -> Comm_daemon.t option
-(** The daemon spawned on promotion, if any. *)

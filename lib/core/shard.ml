@@ -26,7 +26,6 @@ let make ?(policy = Hash) ~shards () =
   { n_shards = shards; pol = policy }
 
 let shards m = m.n_shards
-let policy m = m.pol
 
 let shard_of_key m key =
   match m.pol with

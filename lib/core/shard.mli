@@ -59,7 +59,6 @@ val make : ?policy:policy -> shards:int -> unit -> map
     (wrong split count, unsorted or duplicate splits). *)
 
 val shards : map -> int
-val policy : map -> policy
 
 val shard_of_key : map -> string -> int
 

@@ -24,7 +24,10 @@ val create :
     [cluster_send] (default off) installs a {!Cluster_send} agent: the
     node answers probe/dispersal traffic and accepts proofs-free
     transmission records backed by fi+1 chain-head signers instead of the
-    fi+1-signature bundle. Only honoured when [fg = 0]. [vcache] is the
+    fi+1-signature bundle. Only honoured when [fg = 0]: geo-proof
+    records still need the bundles every mirror checks. This is the one
+    place the mode is decided; {!Comm_daemon} follows
+    {!cluster_enabled}. [vcache] is the
     node's own verification cache, shared by its replica, client and
     receive checks. *)
 
@@ -40,6 +43,11 @@ val vcache : t -> Bp_crypto.Verify_cache.t
     verdicts stand in for another's. *)
 
 val transport : t -> Bp_net.Transport.t
+
+val send_aux : t -> dst:Bp_sim.Addr.t -> Proto.t -> unit
+(** Send a communication-layer message from this node to [dst], on the
+    aux tag of [dst]'s unit. *)
+
 val replica : t -> Bp_pbft.Replica.t
 
 val pipeline_occupancy : t -> float

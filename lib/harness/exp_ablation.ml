@@ -49,7 +49,6 @@ let reads_reports ~knobs ~scale =
           [ "2f+1 quorum"; Report.ms (Bp_util.Stats.mean rq); "f byzantine nodes" ];
           [ "linearizable (committed marker)"; Report.ms (Bp_util.Stats.mean rl); "f byzantine + stale reads" ];
         ];
-      metrics = [];
       notes = [ "each stronger strategy buys safety with one more protocol round" ];
     };
   ]
@@ -104,7 +103,6 @@ let batching_merge ~burst results =
           [ "off (1 request per PBFT batch)"; Report.ms mk1; Printf.sprintf "%.0f" th1 ];
           [ "on (up to 64 per batch)"; Report.ms mk64; Printf.sprintf "%.0f" th64 ];
         ];
-      metrics = [];
       notes = [ "batching amortizes the three-phase protocol across the whole burst" ];
     };
   ]
@@ -178,7 +176,6 @@ let signatures_merge results =
             string_of_int hash_bytes;
           ];
         ];
-      metrics = [];
       notes =
         [
           "hash-based signatures need no trusted registry; each signature is ~500x larger (message-level traffic ~23x)";
@@ -234,7 +231,6 @@ let loss_merge rows =
       paper_ref = "extension: the reliable-transport layer the paper assumes from TCP";
       header = [ "drop rate"; "mean ms"; "p50 ms"; "max ms" ];
       rows;
-      metrics = [];
       notes =
         [
           "losses surface as retransmission delays, never as protocol failures";
@@ -283,7 +279,6 @@ let load_merge rows =
       paper_ref = "extension: the queueing knee of group commit (SVI-C), Poisson arrivals, 1 KB ops";
       header = [ "offered"; "achieved"; "mean ms"; "p99 ms" ];
       rows;
-      metrics = [];
       notes =
         [
           "group commit absorbs load almost flat until the unit saturates, then queueing delay takes over";
@@ -297,6 +292,3 @@ let load_plan ~knobs ~scale =
       tasks = List.mapi (fun i r -> load_task ~knobs ~scale i r) load_rates;
       merge = load_merge;
     }
-
-let load ?(scale = 1.0) () =
-  Runner.run_plan (load_plan ~knobs:Knobs.default ~scale)

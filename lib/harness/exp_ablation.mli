@@ -8,13 +8,12 @@
     - [signatures]: HMAC-registry vs real hash-based (Lamport/Merkle)
       signatures — the wire-size and CPU cost of full crypto fidelity.
     - [loss]: commit latency under increasing network loss — what the
-      reliable-transport layer absorbs. *)
+      reliable-transport layer absorbs.
+    - [load]: open-loop offered load vs commit latency — the
+      queueing/batching knee of group commit (§VI-C) under a Poisson
+      arrival process.
 
-val load : ?scale:float -> unit -> Report.t list
-(** Open-loop offered load vs commit latency: the queueing/batching knee
-    of group commit (§VI-C) under a Poisson arrival process. *)
-
-(** Plan decompositions for the domain pool: [reads] is one task (its
+    Plan decompositions for the domain pool: [reads] is one task (its
     three strategies share a populated world); [batching] and
     [signatures] are one task per configuration; [loss] and [load] one
     task per rate. Every world comes from {!Runner.fresh_world} with

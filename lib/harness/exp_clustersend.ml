@@ -27,20 +27,6 @@ let combos =
         fis)
     [ Bundle; Cluster ]
 
-(* Per-task result: the rendered row plus the raw numbers the merge
-   needs for cross-mode speedup metrics. *)
-type result = {
-  r_mode : mode;
-  r_fi : int;
-  r_scenario : scenario;
-  r_thr : float; (* delivered records / simulated second *)
-  r_p50 : float;
-  r_p99 : float;
-  r_wan_msgs : float; (* WAN messages per delivered record *)
-  r_wan_kb : float;
-  r_verifies : float; (* signature verifications per delivered record *)
-}
-
 let task ~knobs ~scale idx (mode, fi, scenario) () =
   let cluster_send = match mode with Cluster -> true | Bundle -> false in
   let w =
@@ -127,72 +113,20 @@ let task ~knobs ~scale idx (mode, fi, scenario) () =
       [ 0; 1 ];
     float_of_int !sum /. delivered
   in
-  {
-    r_mode = mode;
-    r_fi = fi;
-    r_scenario = scenario;
-    r_thr = delivered /. Time.to_sec makespan;
-    r_p50 = s.Bp_util.Stats.p50;
-    r_p99 = s.Bp_util.Stats.p99;
-    r_wan_msgs = wan_msgs;
-    r_wan_kb = wan_kb;
-    r_verifies = verifies;
-  }
-
-let row r =
   [
-    mode_name r.r_mode;
-    string_of_int ((3 * r.r_fi) + 1);
-    string_of_int r.r_fi;
-    scenario_name r.r_scenario;
-    Printf.sprintf "%.1f" r.r_thr;
-    Report.ms r.r_p50;
-    Report.ms r.r_p99;
-    Printf.sprintf "%.1f" r.r_wan_msgs;
-    Printf.sprintf "%.1f" r.r_wan_kb;
-    Printf.sprintf "%.1f" r.r_verifies;
+    mode_name mode;
+    string_of_int n_nodes;
+    string_of_int fi;
+    scenario_name scenario;
+    Printf.sprintf "%.1f" (delivered /. Time.to_sec makespan);
+    Report.ms s.Bp_util.Stats.p50;
+    Report.ms s.Bp_util.Stats.p99;
+    Printf.sprintf "%.1f" wan_msgs;
+    Printf.sprintf "%.1f" wan_kb;
+    Printf.sprintf "%.1f" verifies;
   ]
 
-let find results mode fi scenario =
-  List.find_opt
-    (fun r ->
-      (match (r.r_mode, mode) with
-      | Bundle, Bundle | Cluster, Cluster -> true
-      | Bundle, Cluster | Cluster, Bundle -> false)
-      && r.r_fi = fi
-      &&
-      match (r.r_scenario, scenario) with
-      | Clean, Clean | Loss, Loss | Byz, Byz -> true
-      | _, _ -> false)
-    results
-
-let merge results =
-  let metrics =
-    List.concat_map
-      (fun fi ->
-        List.concat_map
-          (fun sc ->
-            match (find results Bundle fi sc, find results Cluster fi sc) with
-            | Some b, Some c ->
-                let tag =
-                  Printf.sprintf "n%d_%s" ((3 * fi) + 1)
-                    (match sc with
-                    | Clean -> "clean"
-                    | Loss -> "loss"
-                    | Byz -> "byz")
-                in
-                [
-                  (Printf.sprintf "%s_speedup" tag, c.r_thr /. b.r_thr);
-                  (Printf.sprintf "%s_p99_ratio" tag, c.r_p99 /. b.r_p99);
-                  ( Printf.sprintf "%s_wan_msgs_ratio" tag,
-                    c.r_wan_msgs /. b.r_wan_msgs );
-                  ( Printf.sprintf "%s_verify_ratio" tag,
-                    c.r_verifies /. b.r_verifies );
-                ]
-            | _, _ -> [])
-          [ Clean; Loss; Byz ])
-      fis
-  in
+let merge rows =
   [
     {
       Report.id = "ablation-clustersend";
@@ -215,8 +149,7 @@ let merge results =
           "WAN KB/rec";
           "verifies/rec";
         ];
-      rows = List.map row results;
-      metrics;
+      rows;
       notes =
         [
           "C->O closed loop (outstanding 8); delivery = source daemon's cumulative ack frontier";

@@ -3,8 +3,7 @@
     baseline, swept over unit size n = 3fi+1 (4/7/10/13) under clean,
     lossy, and byzantine-withholding networks. Reports throughput,
     latency percentiles, WAN messages and kilobytes per delivered
-    record, and signature verifications per delivered record; the merge
-    adds cluster-vs-bundle ratio metrics per (n, scenario) cell. *)
+    record, and signature verifications per delivered record. *)
 
 val plan : knobs:Knobs.t -> scale:float -> Runner.plan
 (** One task per (mode, n, scenario) cell, each a {!Runner.fresh_world}

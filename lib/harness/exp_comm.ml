@@ -1,6 +1,7 @@
 open Bp_sim
 open Blockplane
 
+(* Table I is a pure topology readout — a single trivial task. *)
 let table1 () =
   let topo = Topology.aws_paper in
   let n = Topology.num_dcs topo in
@@ -14,17 +15,14 @@ let table1 () =
         :: List.init n (fun j ->
                Printf.sprintf "%.0f" (if i = j then 0.0 else Time.to_ms (Topology.rtt topo i j))))
   in
-  [
-    {
-      Report.id = "table1";
-      title = "Round-trip times between the four datacenters (ms)";
-      paper_ref = "Table I (these are the simulator's inputs)";
-      header;
-      rows;
-      metrics = [];
-      notes = [ "C=California O=Oregon V=Virginia I=Ireland" ];
-    };
-  ]
+  {
+    Report.id = "table1";
+    title = "Round-trip times between the four datacenters (ms)";
+    paper_ref = "Table I (these are the simulator's inputs)";
+    header;
+    rows;
+    notes = [ "C=California O=Oregon V=Virginia I=Ireland" ];
+  }
 
 (* Paper readings for Fig. 6 (from the SVIII-C text). *)
 let pairs =
@@ -99,7 +97,6 @@ let fig6_merge rows =
           "overhead (paper)";
         ];
       rows;
-      metrics = [];
       notes =
         [
           "overhead = the two local commitments + signature round on top of the raw RTT";
@@ -115,9 +112,4 @@ let fig6_plan ~knobs ~scale =
       merge = fig6_merge;
     }
 
-let fig6 ?(knobs = Knobs.default) ?(scale = 1.0) () =
-  Runner.run_plan (fig6_plan ~knobs ~scale)
-
-(* Table I is a pure topology readout — a single trivial task. *)
-let table1_plan () =
-  Runner.Plan { tasks = [ (fun () -> table1 ()) ]; merge = List.concat }
+let table1_plan () = Runner.Plan { tasks = [ table1 ]; merge = Fun.id }

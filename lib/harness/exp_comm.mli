@@ -6,9 +6,6 @@
 val fig6_plan : knobs:Knobs.t -> scale:float -> Runner.plan
 (** One task per datacenter pair — 6 worlds. *)
 
-val fig6 : ?knobs:Knobs.t -> ?scale:float -> unit -> Report.t list
-
-(** Table I is reproduced for completeness (the topology inputs). *)
-val table1 : unit -> Report.t list
-
 val table1_plan : unit -> Runner.plan
+(** Table I, reproduced for completeness (the topology inputs): one
+    trivial task. *)

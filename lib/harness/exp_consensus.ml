@@ -119,7 +119,6 @@ let fig7_merge means =
       paper_ref = "Fig. 7, SVIII-D: leader at each datacenter; measured (paper) in ms";
       header = [ "leader"; "paxos"; "blockplane-paxos"; "PBFT"; "hier. PBFT" ];
       rows;
-      metrics = [];
       notes =
         [
           "expected order: paxos <= hier. PBFT <= blockplane-paxos << flat PBFT";
@@ -137,6 +136,3 @@ let fig7_plan ~knobs ~scale =
       [ 0; 1; 2; 3 ]
   in
   Runner.Plan { tasks; merge = fig7_merge }
-
-let fig7 ?(knobs = Knobs.default) ?(scale = 1.0) () =
-  Runner.run_plan (fig7_plan ~knobs ~scale)

@@ -5,5 +5,3 @@
 val fig7_plan : knobs:Knobs.t -> scale:float -> Runner.plan
 (** One task per (leader, system) cell — 16 independent simulations,
     leader-major. *)
-
-val fig7 : ?knobs:Knobs.t -> ?scale:float -> unit -> Report.t list

@@ -91,7 +91,6 @@ let costs_merge rows =
           "KB/send";
         ];
       rows;
-      metrics = [];
       notes =
         [
           "a benign single-copy deployment would use 1 node/participant and ~2 msgs/send";
@@ -106,6 +105,3 @@ let costs_plan ~knobs ~scale =
       tasks = List.mapi (fun i c -> costs_task ~knobs ~scale i c) configs;
       merge = costs_merge;
     }
-
-let costs ?(scale = 1.0) () =
-  Runner.run_plan (costs_plan ~knobs:Knobs.default ~scale)

@@ -10,5 +10,3 @@
 val costs_plan : knobs:Knobs.t -> scale:float -> Runner.plan
 (** One task per (fi, fg) configuration, each a {!Runner.fresh_world}
     with [knobs] at pipeline depth 8. *)
-
-val costs : ?scale:float -> unit -> Report.t list

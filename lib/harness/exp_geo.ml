@@ -43,7 +43,6 @@ let fig5_merge rows =
       paper_ref = "Fig. 5, SVIII-B: fi=1, fg varies; X(g) = commit at X with fg=g";
       header = [ "scenario"; "ms (measured)"; "ms (paper)" ];
       rows;
-      metrics = [];
       notes =
         [
           "latency ~= local commit + RTT to the fg-th closest datacenter + mirror commit";
@@ -57,9 +56,6 @@ let fig5_plan ~knobs ~scale =
       tasks = List.map (fun p -> fig5_task ~knobs ~scale p) fig5_points;
       merge = fig5_merge;
     }
-
-let fig5 ?(knobs = Knobs.default) ?(scale = 1.0) () =
-  Runner.run_plan (fig5_plan ~knobs ~scale)
 
 (* ---------- Fig. 8 ---------- *)
 
@@ -126,7 +122,6 @@ let fig8a ~knobs ~scale =
         failure_at;
     header = [ "batch"; "latency ms" ];
     rows = summarize_series (List.rev !series) ~failure_at;
-    metrics = [];
     notes =
       [
         "expected shape: ~20-40 ms while Oregon lives, ~60-80 ms after (proofs from Virginia)";
@@ -191,7 +186,6 @@ let fig8b ~knobs ~scale =
         "Fig. 8(b), SVIII-E: fi=fg=1; primary killed after batch %d" failure_at;
     header = [ "batch"; "latency ms" ];
     rows = summarize_series (List.rev !series) ~failure_at;
-    metrics = [];
     notes =
       [
         "expected shape: ~20-40 ms at California, then a takeover spike (~250 ms)";
@@ -206,6 +200,3 @@ let fig8_plan ~knobs ~scale =
         [ (fun () -> fig8a ~knobs ~scale); (fun () -> fig8b ~knobs ~scale) ];
       merge = (fun reports -> reports);
     }
-
-let fig8 ?(knobs = Knobs.default) ?(scale = 1.0) () =
-  Runner.run_plan (fig8_plan ~knobs ~scale)

@@ -9,9 +9,5 @@
 val fig5_plan : knobs:Knobs.t -> scale:float -> Runner.plan
 (** One task per (datacenter, fg) scenario — 12 worlds. *)
 
-val fig5 : ?knobs:Knobs.t -> ?scale:float -> unit -> Report.t list
-
 val fig8_plan : knobs:Knobs.t -> scale:float -> Runner.plan
 (** Two tasks: the backup-failure and primary-failure runs. *)
-
-val fig8 : ?knobs:Knobs.t -> ?scale:float -> unit -> Report.t list

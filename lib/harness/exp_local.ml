@@ -26,25 +26,6 @@ let fig4_points =
     (2000, 20, "8.2", "~240");
   ]
 
-(* Latency percentiles over every measured operation of an experiment,
-   plus the units' mean pipeline occupancy — the bench JSON counters. *)
-let op_metrics ~stats_list ~occupancies =
-  let all = Bp_util.Stats.create () in
-  List.iter
-    (fun s -> Bp_util.Stats.add_list all (Array.to_list (Bp_util.Stats.samples s)))
-    stats_list;
-  let occ =
-    match occupancies with
-    | [] -> 0.0
-    | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
-  in
-  [
-    ("p50_ms", Bp_util.Stats.percentile all 50.0);
-    ("p95_ms", Bp_util.Stats.percentile all 95.0);
-    ("p99_ms", Bp_util.Stats.percentile all 99.0);
-    ("pipeline_occupancy", occ);
-  ]
-
 (* One task per batch size: each point gets its own world and seed. *)
 let fig4_task ~knobs ~scale (kb, batches, paper_lat, paper_thr) () =
   let world = local_world ~knobs ~fi:1 ~seed:(Int64.of_int (1000 + kb)) in
@@ -52,28 +33,22 @@ let fig4_task ~knobs ~scale (kb, batches, paper_lat, paper_thr) () =
   let warmup = Stdlib.max 1 (n / 10) in
   let stats = commit_loop world ~size:(kb * 1000) ~n ~warmup in
   let mean_ms = Bp_util.Stats.mean stats in
-  let occ = Api.pipeline_occupancy (Deployment.api world.Runner.dep 0) in
   (* Group commit, one batch at a time: throughput = size/latency. *)
   let throughput_mbps = float_of_int kb /. 1000.0 /. (mean_ms /. 1000.0) in
-  (kb, mean_ms, throughput_mbps, paper_lat, paper_thr, stats, occ)
+  (kb, mean_ms, throughput_mbps, paper_lat, paper_thr)
 
 let fig4_merge results =
   let lat_rows =
     List.map
-      (fun (kb, mean_ms, _, paper_lat, _, _, _) ->
+      (fun (kb, mean_ms, _, paper_lat, _) ->
         [ Printf.sprintf "%d KB" kb; Report.ms mean_ms; paper_lat ])
       results
   in
   let thr_rows =
     List.map
-      (fun (kb, _, thr, _, paper_thr, _, _) ->
+      (fun (kb, _, thr, _, paper_thr) ->
         [ Printf.sprintf "%d KB" kb; Report.mbps thr; paper_thr ])
       results
-  in
-  let metrics =
-    op_metrics
-      ~stats_list:(List.map (fun (_, _, _, _, _, s, _) -> s) results)
-      ~occupancies:(List.map (fun (_, _, _, _, _, _, o) -> o) results)
   in
   [
     {
@@ -82,7 +57,6 @@ let fig4_merge results =
       paper_ref = "Fig. 4(a), SVIII-A: Virginia, fi=1, 4 nodes";
       header = [ "batch size"; "latency ms (measured)"; "latency ms (paper)" ];
       rows = lat_rows;
-      metrics;
       notes =
         [
           "expected shape: ~1 ms up to 100 KB, then growing with NIC serialization";
@@ -94,7 +68,6 @@ let fig4_merge results =
       paper_ref = "Fig. 4(b), SVIII-A";
       header = [ "batch size"; "MB/s (measured)"; "MB/s (paper)" ];
       rows = thr_rows;
-      metrics;
       notes =
         [
           "expected shape: steep growth to 100 KB (~60x from 1 KB), +~160% to 1 MB, ~+10% to 2 MB";
@@ -109,9 +82,6 @@ let fig4_plan ~knobs ~scale =
       merge = fig4_merge;
     }
 
-let fig4 ?(knobs = Knobs.default) ?(scale = 1.0) () =
-  Runner.run_plan (fig4_plan ~knobs ~scale)
-
 let table2_points =
   [ (1, "83", "1.2"); (2, "51", "1.9"); (3, "28", "3.5"); (4, "25", "4") ]
 
@@ -121,20 +91,16 @@ let table2_task ~knobs ~scale (fi, paper_thr, paper_lat) () =
   let warmup = Stdlib.max 1 (n / 10) in
   let stats = commit_loop world ~size:100_000 ~n ~warmup in
   let mean_ms = Bp_util.Stats.mean stats in
-  let occ = Api.pipeline_occupancy (Deployment.api world.Runner.dep 0) in
   let thr = 0.1 /. (mean_ms /. 1000.0) in
-  ( [
-      Printf.sprintf "%d (fi=%d)" ((3 * fi) + 1) fi;
-      Report.mbps thr;
-      paper_thr;
-      Report.ms mean_ms;
-      paper_lat;
-    ],
-    stats,
-    occ )
+  [
+    Printf.sprintf "%d (fi=%d)" ((3 * fi) + 1) fi;
+    Report.mbps thr;
+    paper_thr;
+    Report.ms mean_ms;
+    paper_lat;
+  ]
 
-let table2_merge results =
-  let rows = List.map (fun (row, _, _) -> row) results in
+let table2_merge rows =
   [
     {
       Report.id = "table2";
@@ -143,10 +109,6 @@ let table2_merge results =
       header =
         [ "nodes"; "MB/s (measured)"; "MB/s (paper)"; "ms (measured)"; "ms (paper)" ];
       rows;
-      metrics =
-        op_metrics
-          ~stats_list:(List.map (fun (_, s, _) -> s) results)
-          ~occupancies:(List.map (fun (_, _, o) -> o) results);
       notes = [ "expected shape: throughput falls and latency rises with n" ];
     };
   ]
@@ -157,9 +119,6 @@ let table2_plan ~knobs ~scale =
       tasks = List.map (fun p -> table2_task ~knobs ~scale p) table2_points;
       merge = table2_merge;
     }
-
-let table2 ?(knobs = Knobs.default) ?(scale = 1.0) () =
-  Runner.run_plan (table2_plan ~knobs ~scale)
 
 (* ---------- pipeline-depth ablation (beyond the paper) ---------- *)
 
@@ -225,20 +184,6 @@ let pipeline_merge results =
         ])
       results
   in
-  let metrics =
-    List.concat_map
-      (fun (depth, thr, stats, occ) ->
-        let d name = Printf.sprintf "d%d_%s" depth name in
-        [
-          (d "throughput_mbps", thr);
-          (d "speedup_vs_d1", if base_thr > 0.0 then thr /. base_thr else 0.0);
-          (d "p50_ms", Bp_util.Stats.percentile stats 50.0);
-          (d "p95_ms", Bp_util.Stats.percentile stats 95.0);
-          (d "p99_ms", Bp_util.Stats.percentile stats 99.0);
-          (d "pipeline_occupancy", occ);
-        ])
-      results
-  in
   [
     {
       Report.id = "pipeline";
@@ -247,7 +192,6 @@ let pipeline_merge results =
       header =
         [ "depth"; "MB/s"; "speedup"; "mean ms"; "p95 ms"; "occupancy" ];
       rows;
-      metrics;
       notes =
         [
           "closed loop, 16 outstanding 100 KB commits, batch_max=1: depth is the only concurrency lever";
@@ -262,9 +206,6 @@ let pipeline_plan ~knobs ~scale =
       tasks = List.map (fun d -> pipeline_task ~knobs ~scale d) pipeline_depths;
       merge = pipeline_merge;
     }
-
-let pipeline ?(knobs = Knobs.default) ?(scale = 1.0) () =
-  Runner.run_plan (pipeline_plan ~knobs ~scale)
 
 (* ---------- verify-jobs ablation (beyond the paper) ---------- *)
 
@@ -323,19 +264,6 @@ let verify_merge results =
         ])
       results
   in
-  let metrics =
-    List.concat_map
-      (fun (jobs, depth, thr, stats, occ) ->
-        let base = base_thr jobs in
-        let m name = Printf.sprintf "j%d_d%d_%s" jobs depth name in
-        [
-          (m "throughput_mbps", thr);
-          (m "speedup_vs_d1", if base > 0.0 then thr /. base else 0.0);
-          (m "p95_ms", Bp_util.Stats.percentile stats 95.0);
-          (m "pipeline_occupancy", occ);
-        ])
-      results
-  in
   [
     {
       Report.id = "verify";
@@ -343,7 +271,6 @@ let verify_merge results =
       paper_ref = "beyond the paper; modeled in-replica verify cost, cf. SVIII-A setup";
       header = [ "jobs"; "depth"; "MB/s"; "speedup"; "mean ms"; "occupancy" ];
       rows;
-      metrics;
       notes =
         [
           Printf.sprintf
@@ -360,6 +287,3 @@ let verify_plan ~knobs ~scale =
       tasks = List.map (fun p -> verify_task ~knobs ~scale p) verify_points;
       merge = verify_merge;
     }
-
-let verify_ablation ?(knobs = Knobs.default) ?(scale = 1.0) () =
-  Runner.run_plan (verify_plan ~knobs ~scale)

@@ -63,7 +63,6 @@ let locality_merge ~reps results =
           "SIII-A locality argument; %d replicated commands, leader at Virginia" reps;
       header = [ "system"; "intra-DC KB"; "wide-area KB"; "wide-area share" ];
       rows = [ row "blockplane-paxos" (bp_intra, bp_wide); row "flat PBFT" (fp_intra, fp_wide) ];
-      metrics = [];
       notes =
         [
           "Blockplane masks byzantine failures inside datacenters, so its byzantine-protocol";
@@ -84,6 +83,3 @@ let locality_plan ~knobs ~scale =
         ];
       merge = locality_merge ~reps;
     }
-
-let locality ?(knobs = Knobs.default) ?(scale = 1.0) () =
-  Runner.run_plan (locality_plan ~knobs ~scale)

@@ -10,5 +10,3 @@
 
 val locality_plan : knobs:Knobs.t -> scale:float -> Runner.plan
 (** Two tasks: the Blockplane-Paxos and flat-PBFT runs. *)
-
-val locality : ?knobs:Knobs.t -> ?scale:float -> unit -> Report.t list

@@ -74,6 +74,12 @@ let payload ~client i =
   Bytes.blit_string stamp 0 b 0 (Stdlib.min (String.length stamp) 1000);
   Bytes.unsafe_to_string b
 
+let mean_fill (bs : Bp_pbft.Replica.batch_stats) =
+  if bs.Bp_pbft.Replica.batches_cut = 0 then 0.0
+  else
+    float_of_int bs.Bp_pbft.Replica.ops_proposed
+    /. float_of_int bs.Bp_pbft.Replica.batches_cut
+
 let sat_task ~knobs ~scale ~series ~rate ~seed () =
   let world =
     Runner.fresh_world ~knobs ~fi:1 ~seed ~n_participants:1
@@ -99,73 +105,19 @@ let sat_task ~knobs ~scale ~series ~rate ~seed () =
     Loadgen.run engine ~gen ~submit:(fun i ~client ~on_done ->
         Api.log_commit api (payload ~client i) ~on_done)
   in
-  (rate, r, Api.batch_stats api, Api.pipeline_occupancy api)
+  let p pct = Bp_util.Stats.percentile r.Loadgen.latencies pct in
+  [
+    series.key;
+    Printf.sprintf "%.0f/s" rate;
+    Printf.sprintf "%.0f/s" r.Loadgen.achieved_per_sec;
+    Report.ms (p 50.0);
+    Report.ms (p 95.0);
+    Report.ms (p 99.0);
+    Printf.sprintf "%.1f" (mean_fill (Api.batch_stats api));
+    Printf.sprintf "%.2f" (Api.pipeline_occupancy api);
+  ]
 
-let mean_fill (bs : Bp_pbft.Replica.batch_stats) =
-  if bs.Bp_pbft.Replica.batches_cut = 0 then 0.0
-  else
-    float_of_int bs.Bp_pbft.Replica.ops_proposed
-    /. float_of_int bs.Bp_pbft.Replica.batches_cut
-
-(* results arrive grouped by series, rates ascending within each. *)
-let sat_merge ~skew ~nrates results =
-  let groups =
-    List.mapi
-      (fun si series ->
-        let points = List.filteri (fun i _ -> i / nrates = si) results in
-        (series, points))
-      series_list
-  in
-  let knee points =
-    List.fold_left
-      (fun acc (rate, r, _, _) ->
-        if Bp_util.Stats.percentile r.Loadgen.latencies 99.0 <= slo_p99_ms then
-          Stdlib.max acc rate
-        else acc)
-      0.0 points
-  in
-  let rows =
-    List.concat_map
-      (fun (series, points) ->
-        List.map
-          (fun (rate, r, bs, occ) ->
-            let p pct = Bp_util.Stats.percentile r.Loadgen.latencies pct in
-            [
-              series.key;
-              Printf.sprintf "%.0f/s" rate;
-              Printf.sprintf "%.0f/s" r.Loadgen.achieved_per_sec;
-              Report.ms (p 50.0);
-              Report.ms (p 95.0);
-              Report.ms (p 99.0);
-              Printf.sprintf "%.1f" (mean_fill bs);
-              Printf.sprintf "%.2f" occ;
-            ])
-          points)
-      groups
-  in
-  let peak_arrivals =
-    List.fold_left
-      (fun acc (_, r, _, _) -> Stdlib.max acc r.Loadgen.peak_arrivals_pending)
-      0 results
-  in
-  let metrics =
-    List.concat_map
-      (fun (series, points) ->
-        let m name = Printf.sprintf "%s_%s" series.key name in
-        let top =
-          match List.rev points with
-          | (_, r, bs, _) :: _ -> [
-              (m "top_achieved_rps", r.Loadgen.achieved_per_sec);
-              (m "top_mean_fill", mean_fill bs);
-              ( m "top_window_stalls",
-                float_of_int bs.Bp_pbft.Replica.window_stalls );
-            ]
-          | [] -> []
-        in
-        (m "saturation_knee_rps", knee points) :: top)
-      groups
-    @ [ ("peak_arrivals_pending", float_of_int peak_arrivals) ]
-  in
+let sat_merge ~skew rows =
   [
     {
       Report.id = "ablation-saturation";
@@ -177,7 +129,6 @@ let sat_merge ~skew ~nrates results =
       header =
         [ "series"; "offered"; "achieved"; "p50 ms"; "p95 ms"; "p99 ms"; "fill"; "occ" ];
       rows;
-      metrics;
       notes =
         [
           Printf.sprintf
@@ -202,8 +153,4 @@ let plan ~knobs ~scale =
              rates)
          series_list)
   in
-  Runner.Plan
-    { tasks; merge = sat_merge ~skew:knobs.skew ~nrates:(List.length rates) }
-
-let saturation ?(knobs = Knobs.default) ?(scale = 1.0) () =
-  Runner.run_plan (plan ~knobs ~scale)
+  Runner.Plan { tasks; merge = sat_merge ~skew:knobs.skew }

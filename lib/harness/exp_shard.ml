@@ -104,72 +104,30 @@ let shard_task ~knobs ~scale ~series ~nshards ~seed () =
            deterministic no-op outcome, counted by the router's stats. *)
         Shard.submit router ~on_aborted:on_done ~on_done ops)
   in
+  (* 2PC atomicity: once the load has drained, every prepare must have
+     been decided, so no unit may still hold a staged write. *)
   let staged_left =
     List.init nshards (fun p -> Api.xs_staged (Deployment.api world.Runner.dep p))
     |> List.fold_left ( + ) 0
   in
-  (nshards, r, Shard.stats router, staged_left)
+  if staged_left <> 0 then
+    failwith
+      (Printf.sprintf "ablation-shard: series %s, %d shards: %d prepares left staged"
+         series.key nshards staged_left);
+  let st = Shard.stats router in
+  let p pct = Bp_util.Stats.percentile r.Loadgen.latencies pct in
+  [
+    series.key;
+    string_of_int nshards;
+    Printf.sprintf "%.0f/s" (per_unit_rate *. float_of_int nshards);
+    Printf.sprintf "%.0f/s" r.Loadgen.achieved_per_sec;
+    Report.ms (p 50.0);
+    Report.ms (p 99.0);
+    string_of_int st.Shard.cross_shard;
+    string_of_int st.Shard.aborted;
+  ]
 
-let shard_merge results =
-  let nper = List.length shard_counts in
-  let groups =
-    List.mapi
-      (fun si series ->
-        let points = List.filteri (fun i _ -> i / nper = si) results in
-        (series, points))
-      series_list
-  in
-  let rows =
-    List.concat_map
-      (fun ((series : series), points) ->
-        List.map
-          (fun (nshards, r, (st : Shard.stats), _) ->
-            let p pct = Bp_util.Stats.percentile r.Loadgen.latencies pct in
-            [
-              series.key;
-              string_of_int nshards;
-              Printf.sprintf "%.0f/s" (per_unit_rate *. float_of_int nshards);
-              Printf.sprintf "%.0f/s" r.Loadgen.achieved_per_sec;
-              Report.ms (p 50.0);
-              Report.ms (p 99.0);
-              string_of_int st.Shard.cross_shard;
-              string_of_int st.Shard.aborted;
-            ])
-          points)
-      groups
-  in
-  let achieved_at key n =
-    List.concat_map
-      (fun ((series : series), points) ->
-        if String.equal series.key key then
-          List.filter_map
-            (fun (nshards, r, _, _) ->
-              if nshards = n then Some r.Loadgen.achieved_per_sec else None)
-            points
-        else [])
-      groups
-  in
-  let metrics =
-    List.concat_map
-      (fun ((series : series), points) ->
-        List.concat_map
-          (fun (nshards, r, (st : Shard.stats), staged_left) ->
-            let m name = Printf.sprintf "%s_s%d_%s" series.key nshards name in
-            [
-              (m "achieved_rps", r.Loadgen.achieved_per_sec);
-              (m "p99_ms", Bp_util.Stats.percentile r.Loadgen.latencies 99.0);
-              (m "cross", float_of_int st.Shard.cross_shard);
-              (m "aborted", float_of_int st.Shard.aborted);
-              (m "timeouts", float_of_int st.Shard.timeouts);
-              (m "staged_left", float_of_int staged_left);
-            ])
-          points)
-      groups
-    @
-    match (achieved_at "x0" 1, achieved_at "x0" (List.fold_left Stdlib.max 1 shard_counts)) with
-    | [ one ], [ top ] when one > 0.0 -> [ ("x0_scaleout", top /. one) ]
-    | _ -> []
-  in
+let shard_merge rows =
   [
     {
       Report.id = "ablation-shard";
@@ -181,7 +139,6 @@ let shard_merge results =
       header =
         [ "series"; "shards"; "offered"; "achieved"; "p50 ms"; "p99 ms"; "cross"; "abort" ];
       rows;
-      metrics;
       notes =
         [
           Printf.sprintf
@@ -208,6 +165,3 @@ let plan ~knobs ~scale =
          series_list)
   in
   Runner.Plan { tasks; merge = shard_merge }
-
-let shard ?(knobs = Knobs.default) ?(scale = 1.0) () =
-  Runner.run_plan (plan ~knobs ~scale)

@@ -8,14 +8,12 @@
 
     Series: 0% / 5% / 20% cross-shard transaction mix (uniform shard
     popularity) plus 5% with zipf(0.99) shard skew. The 0% series is the
-    scale-out headline ([x0_scaleout] = aggregate throughput at 16 units
-    over the 1-unit point); the others price the cross-shard BFT
-    two-phase commit and hot-shard contention honestly, including abort
-    downgrades. Per-point metrics land in the bench JSON as
-    [<series>_s<shards>_{achieved_rps,p99_ms,cross,aborted,timeouts,
-    staged_left}]. *)
+    scale-out headline (aggregate throughput at 16 units over the 1-unit
+    point); the others price the cross-shard BFT two-phase commit and
+    hot-shard contention honestly, including abort downgrades. *)
 
 val plan : knobs:Knobs.t -> scale:float -> Runner.plan
-(** One task per (series, shard-count) point — 20 independent worlds. *)
-
-val shard : ?knobs:Knobs.t -> ?scale:float -> unit -> Report.t list
+(** One task per (series, shard-count) point — 20 independent worlds.
+    A task fails, naming its series and shard count, if any unit still
+    holds a staged cross-shard prepare once the load has drained: every
+    prepare must be decided. *)

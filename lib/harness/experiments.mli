@@ -1,4 +1,6 @@
-(** The experiment registry: every table and figure of §VIII, by id.
+(** The experiment registry: every table and figure of §VIII, by id —
+    the only way to run an experiment, and its rendered {!Report.t}
+    tables the only output.
 
     Each experiment is registered as a {!Runner.plan} factory — a sweep
     decomposed into independent single-simulation tasks — so a run can
@@ -14,7 +16,9 @@ type t = {
 
 val all : t list
 (** In paper order: table1, fig4, table2, fig5, fig6, fig7, fig8 — then
-    the ablations (ablation-reads, -batch, -sig, -loss). *)
+    the ten ablations (ablation-reads, -batch, -sig, -loss, -load,
+    -saturation, -pipeline, -verify, -shard, -clustersend), then
+    locality and costs. *)
 
 val find : string -> t option
 

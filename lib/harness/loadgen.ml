@@ -64,8 +64,6 @@ let create ~rng spec =
   in
   { spec; rng; zipf; on_left_ms; seg = 0; seg_left_ms }
 
-let spec t = t.spec
-
 let offered_per_sec t =
   match t.spec.process with
   | Poisson { rate_per_sec } -> rate_per_sec
@@ -185,28 +183,6 @@ let draw_targets m =
     done;
     List.sort compare !chosen
   end
-
-type arrival = { index : int; client : int; at : Time.t }
-
-(* The canonical per-arrival draw order — shared, by construction, with
-   the streaming [run] below: gap_0 at start; then, inside arrival i,
-   gap_{i+1} (when a successor exists) followed by client_i. The qcheck
-   equivalence property holds [run] to this reference. *)
-let plan ?(start = Time.zero) ~rng spec =
-  let t = create ~rng spec in
-  let arr = Array.make spec.count { index = 0; client = 0; at = Time.zero } in
-  let rec fill i at =
-    let next =
-      if i + 1 < spec.count then
-        Some (Time.add at (Time.of_ms (next_gap_ms t)))
-      else None
-    in
-    let client = next_client t in
-    arr.(i) <- { index = i; client; at };
-    match next with Some a -> fill (i + 1) a | None -> ()
-  in
-  fill 0 (Time.add start (Time.of_ms (next_gap_ms t)));
-  arr
 
 type result = {
   latencies : Bp_util.Stats.t;

@@ -44,15 +44,12 @@ val create : rng:Bp_util.Rng.t -> spec -> t
 (** @raise Invalid_argument on non-positive rates/durations/counts, a
     negative skew, or a diurnal trace with no positive-rate segment. *)
 
-val spec : t -> spec
-
 val offered_per_sec : t -> float
 (** Long-run mean offered rate implied by the process parameters. *)
 
 val next_gap_ms : t -> float
-(** Draw the next inter-arrival gap, advancing phase state. Exposed for
-    the eager reference and distribution tests; {!run} calls it from
-    inside arrival events. *)
+(** Draw the next inter-arrival gap, advancing phase state. {!run} calls
+    it from inside arrival events. *)
 
 val next_client : t -> int
 (** Draw the arriving client's rank in [0, clients-1] (zipf when
@@ -88,16 +85,6 @@ val draw_targets : mix -> int list
     ascending) for a cross-shard transaction. With one shard every draw
     is a singleton. *)
 
-type arrival = { index : int; client : int; at : Bp_sim.Time.t }
-
-val plan :
-  ?start:Bp_sim.Time.t -> rng:Bp_util.Rng.t -> spec -> arrival array
-(** Eager reference: the full arrival sequence a generator over [rng]
-    produces, materialised up front (O(count) memory — test-sized runs
-    only). Draw order per arrival matches {!run} exactly, so for equal
-    seeds the streamed arrivals are identical — the qcheck property
-    pinning the streaming scheduler. *)
-
 type result = {
   latencies : Bp_util.Stats.t;  (** per-request completion latency, ms *)
   makespan_ms : float;  (** first arrival to last completion *)
@@ -119,4 +106,6 @@ val run :
   result
 (** Stream the generator's [count] arrivals into [submit] and drive the
     engine with {!Runner.drive} until every request completes.
-    [submit i ~client ~on_done] must eventually call [on_done]. *)
+    [submit i ~client ~on_done] must eventually call [on_done]. Draw
+    order: the first gap at start; then, inside arrival [i], the next
+    gap (when a successor exists) followed by [i]'s client. *)

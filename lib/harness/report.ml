@@ -5,7 +5,6 @@ type t = {
   header : string list;
   rows : string list list;
   notes : string list;
-  metrics : (string * float) list;
 }
 
 let render t =

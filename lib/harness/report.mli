@@ -8,11 +8,6 @@ type t = {
   header : string list;
   rows : string list list;
   notes : string list;
-  metrics : (string * float) list;
-      (** Machine-readable counters for the bench JSON (pipeline
-          occupancy, percentile latencies, speedups) — never rendered
-          into the table text, so they cannot perturb golden-table
-          comparisons. *)
 }
 
 val render : t -> string

@@ -48,7 +48,6 @@ type t = {
   proposals : (int, proposal) Hashtbl.t;
 }
 
-let id t = t.id
 let is_leader t = t.leading
 let majority t = (Array.length t.cfg.nodes / 2) + 1
 

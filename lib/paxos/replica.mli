@@ -31,7 +31,6 @@ val create :
     election is retried with a higher ballot after a randomized backoff —
     needed for liveness under duelling proposers. *)
 
-val id : t -> int
 val is_leader : t -> bool
 
 val try_lead : t -> on_elected:(unit -> unit) -> unit

@@ -109,7 +109,6 @@ type t = {
          replica's verification cores drain the work already booked *)
 }
 
-let id t = t.id
 let view t = t.view
 let is_primary t = Config.primary_of_view t.cfg t.view = t.id
 let is_normal t = match t.status with Normal -> true | View_changing _ -> false

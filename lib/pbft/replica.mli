@@ -53,7 +53,6 @@ val create :
     performance knob: protocol outputs are bit-identical whatever its
     capacity (see {!Msg}). *)
 
-val id : t -> int
 val view : t -> int
 val last_executed : t -> int
 val low_watermark : t -> int

@@ -50,8 +50,6 @@ let create ~n ~s =
     cut = 2.0 -. h_integral_inverse ~s (h_integral ~s 2.5 -. h ~s 2.0);
   }
 
-let n t = t.n
-let s t = t.s
 
 let sample t rng =
   if t.n = 1 then 0

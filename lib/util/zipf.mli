@@ -13,9 +13,6 @@ val create : n:int -> s:float -> t
 (** Sampler over ranks [0, n-1] with exponent [s].
     @raise Invalid_argument when [n < 1] or [s] is negative or non-finite. *)
 
-val n : t -> int
-val s : t -> float
-
 val sample : t -> Rng.t -> int
 (** Draw a rank in [0, n-1]. Deterministic given the rng state; draws a
     geometric(~1) number of rng variates (1 draw in the common case). *)

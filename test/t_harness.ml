@@ -9,8 +9,19 @@ let cell_float s =
       | None -> Alcotest.failf "cell %S is not numeric" s)
   | [] -> Alcotest.failf "empty cell"
 
+(* A cell whose number carries a unit suffix: "5000/s", "1.32x", "12%". *)
+let unit_float s =
+  cell_float (String.map (fun c -> if c = '/' || c = 'x' || c = '%' then ' ' else c) s)
+
 let row_label r = List.nth r 0
 let col r i = cell_float (List.nth r i)
+
+(* Run a registered experiment the way blockplane-cli does: look it up
+   in the registry and execute its plan. *)
+let run ?knobs id ~scale =
+  match Experiments.find id with
+  | Some e -> Experiments.run ?knobs e ~scale
+  | None -> Alcotest.failf "experiment %s not registered" id
 
 let find_report id reports =
   match List.find_opt (fun r -> String.equal r.Report.id id) reports with
@@ -32,7 +43,7 @@ let test_registry_complete () =
   Alcotest.(check bool) "unknown id" true (Experiments.find "fig99" = None)
 
 let test_table1_matches_paper () =
-  let r = find_report "table1" (Exp_comm.table1 ()) in
+  let r = find_report "table1" (run "table1" ~scale:1.0) in
   (* Spot-check the published matrix. *)
   let row name = List.find (fun row -> row_label row = name) r.Report.rows in
   Alcotest.(check (float 0.01)) "C-O" 19.0 (col (row "C") 2);
@@ -41,7 +52,7 @@ let test_table1_matches_paper () =
   Alcotest.(check (float 0.01)) "diagonal" 0.0 (col (row "O") 2)
 
 let test_fig4_shapes () =
-  let reports = Exp_local.fig4 ~scale:0.08 () in
+  let reports = run "fig4" ~scale:0.08 in
   let lat = find_report "fig4a" reports and thr = find_report "fig4b" reports in
   let lat_of label = col (List.find (fun r -> row_label r = label) lat.Report.rows) 1 in
   let thr_of label = col (List.find (fun r -> row_label r = label) thr.Report.rows) 1 in
@@ -55,7 +66,7 @@ let test_fig4_shapes () =
     (thr_of "2000 KB" > 0.5 *. thr_of "1000 KB")
 
 let test_table2_shape () =
-  let r = find_report "table2" (Exp_local.table2 ~scale:0.2 ()) in
+  let r = find_report "table2" (run "table2" ~scale:0.2) in
   let lats = List.map (fun row -> col row 3) r.Report.rows in
   let rec increasing = function
     | a :: b :: rest -> a <= b +. 0.01 && increasing (b :: rest)
@@ -67,7 +78,7 @@ let test_table2_shape () =
     (increasing (List.rev thrs))
 
 let test_fig5_shape () =
-  let r = find_report "fig5" (Exp_geo.fig5 ~scale:0.2 ()) in
+  let r = find_report "fig5" (run "fig5" ~scale:0.2) in
   let v label = col (List.find (fun row -> row_label row = label) r.Report.rows) 1 in
   (* fg monotonicity at California, and the paper's crossing points. *)
   Alcotest.(check bool) "C(1)<C(2)<C(3)" true (v "C(1)" < v "C(2)" && v "C(2)" < v "C(3)");
@@ -78,7 +89,7 @@ let test_fig5_shape () =
     (v "I(1)" > v "C(1)" && v "I(1)" > v "O(1)" && v "I(1)" > v "V(1)")
 
 let test_fig6_shape () =
-  let r = find_report "fig6" (Exp_comm.fig6 ~scale:0.2 ()) in
+  let r = find_report "fig6" (run "fig6" ~scale:0.2) in
   let v label = col (List.find (fun row -> row_label row = label) r.Report.rows) 1 in
   Alcotest.(check bool) "CO smallest" true (v "CO" < v "CV" && v "CO" < v "VI");
   Alcotest.(check bool) "CI and OI largest" true
@@ -86,7 +97,7 @@ let test_fig6_shape () =
   Alcotest.(check bool) "CO close to paper 23.4" true (v "CO" >= 19.5 && v "CO" <= 27.0)
 
 let test_fig7_ordering () =
-  let r = find_report "fig7" (Exp_consensus.fig7 ~scale:0.2 ()) in
+  let r = find_report "fig7" (run "fig7" ~scale:0.2) in
   List.iter
     (fun row ->
       let paxos = col row 1 and bp = col row 2 and pbft = col row 3 and hier = col row 4 in
@@ -101,7 +112,7 @@ let test_fig7_ordering () =
     r.Report.rows
 
 let test_fig8_shapes () =
-  let reports = Exp_geo.fig8 ~scale:0.25 () in
+  let reports = run "fig8" ~scale:0.25 in
   let a = find_report "fig8a" reports and b = find_report "fig8b" reports in
   let first_region r = col (List.hd r.Report.rows) 1 in
   let last_region r = col (List.nth r.Report.rows (List.length r.Report.rows - 1)) 1 in
@@ -120,16 +131,15 @@ let test_fig8_shapes () =
   Alcotest.(check bool) "8b: takeover spike present" true spike
 
 let test_locality_shape () =
-  let r = find_report "locality" (Exp_locality.locality ~scale:0.3 ()) in
+  let r = find_report "locality" (run "locality" ~scale:0.3) in
   let share label =
-    let row = List.find (fun row -> row_label row = label) r.Report.rows in
-    cell_float (String.map (fun c -> if c = '%' then ' ' else c) (List.nth row 3))
+    unit_float (List.nth (List.find (fun row -> row_label row = label) r.Report.rows) 3)
   in
   Alcotest.(check bool) "blockplane mostly local" true (share "blockplane-paxos" < 50.0);
   Alcotest.(check bool) "flat PBFT mostly wide-area" true (share "flat PBFT" > 80.0)
 
 let test_costs_sanity () =
-  let r = find_report "costs" (Exp_costs.costs ~scale:0.3 ()) in
+  let r = find_report "costs" (run "costs" ~scale:0.3) in
   List.iter
     (fun row ->
       let msgs_commit = col row 3 and msgs_send = col row 5 in
@@ -184,17 +194,17 @@ let test_experiments_deterministic () =
   let render_all reports =
     String.concat "\n" (List.map Report.render reports)
   in
-  let a = render_all (Exp_consensus.fig7 ~scale:0.2 ()) in
-  let b = render_all (Exp_consensus.fig7 ~scale:0.2 ()) in
+  let a = render_all (run "fig7" ~scale:0.2) in
+  let b = render_all (run "fig7" ~scale:0.2) in
   Alcotest.(check string) "fig7 twice, identical" a b;
-  let c = render_all (Exp_comm.fig6 ~scale:0.2 ()) in
-  let d = render_all (Exp_comm.fig6 ~scale:0.2 ()) in
+  let c = render_all (run "fig6" ~scale:0.2) in
+  let d = render_all (run "fig6" ~scale:0.2) in
   Alcotest.(check string) "fig6 twice, identical" c d;
   (* fig7 exercises the paxos side and fig4 the PBFT local-commitment
      path, so both protocols' replicas are covered: any order-dependent
      container iteration reintroduced there shows up as a diff here. *)
-  let e = render_all (Exp_local.fig4 ~scale:0.2 ()) in
-  let f = render_all (Exp_local.fig4 ~scale:0.2 ()) in
+  let e = render_all (run "fig4" ~scale:0.2) in
+  let f = render_all (run "fig4" ~scale:0.2) in
   Alcotest.(check string) "fig4 twice, identical" e f
 
 (* The verification caches are pure accelerators: zero-capacity caches
@@ -206,11 +216,11 @@ let test_experiments_identical_without_cache () =
     String.concat "\n" (List.map Report.render reports)
   in
   let knobs = { Knobs.default with cache = false } in
-  let on4 = render_all (Exp_local.fig4 ~scale:0.08 ()) in
-  let off4 = render_all (Exp_local.fig4 ~knobs ~scale:0.08 ()) in
+  let on4 = render_all (run "fig4" ~scale:0.08) in
+  let off4 = render_all (run ~knobs "fig4" ~scale:0.08) in
   Alcotest.(check string) "fig4 identical with caches off" on4 off4;
-  let on5 = render_all (Exp_geo.fig5 ~scale:0.2 ()) in
-  let off5 = render_all (Exp_geo.fig5 ~knobs ~scale:0.2 ()) in
+  let on5 = render_all (run "fig5" ~scale:0.2) in
+  let off5 = render_all (run ~knobs "fig5" ~scale:0.2) in
   Alcotest.(check string) "fig5 identical with caches off" on5 off5
 
 (* The harness defaults to pipeline depth 1, and at depth 1 the pipelined
@@ -252,7 +262,7 @@ let test_fig4_depth1_matches_seed () =
   let knobs = { Knobs.default with pipeline = 1 } in
   let rendered =
     String.concat ""
-      (List.map Report.render (Exp_local.fig4 ~knobs ~scale:0.08 ()))
+      (List.map Report.render (run ~knobs "fig4" ~scale:0.08))
   in
   Alcotest.(check string) "depth-1 fig4 bytes = pre-pipeline seed"
     fig4_depth1_golden rendered
@@ -281,36 +291,36 @@ let ablation_load_golden =
 let test_ablation_load_matches_eager_seed () =
   let rendered =
     String.concat ""
-      (List.map Report.render (Exp_ablation.load ~scale:0.25 ()))
+      (List.map Report.render (run "ablation-load" ~scale:0.25))
   in
   Alcotest.(check string) "streaming open_loop bytes = eager seed"
     ablation_load_golden rendered
 
 let test_saturation_shape () =
-  let reports = Exp_saturation.saturation ~scale:0.1 () in
+  let reports = run "ablation-saturation" ~scale:0.1 in
   let r = find_report "ablation-saturation" reports in
   (* 5 series (d1 d2 d4 d8 d8mf16) x 5 rates. *)
   Alcotest.(check int) "25 rows" 25 (List.length r.Report.rows);
-  let metric name =
-    match List.assoc_opt name r.Report.metrics with
-    | Some v -> v
-    | None -> Alcotest.failf "metric %s missing" name
+  (* Rows: series, offered, achieved, p50, p95, p99, fill, occupancy. *)
+  let series_rows s = List.filter (fun row -> row_label row = s) r.Report.rows in
+  (* The saturation knee of the table's first note: the highest offered
+     rate whose p99 meets the 10 ms SLO. *)
+  let knee s =
+    List.fold_left
+      (fun acc row ->
+        if col row 5 <= 10.0 then Float.max acc (unit_float (List.nth row 1))
+        else acc)
+      0.0 (series_rows s)
   in
-  (* The generator never holds more than one pending arrival per
-     process — the O(1)-heap contract of the streaming scheduler. *)
-  Alcotest.(check (float 0.0)) "O(1) arrival heap occupancy" 1.0
-    (metric "peak_arrivals_pending");
   List.iter
     (fun series ->
-      Alcotest.(check bool)
-        (series ^ " knee positive")
-        true
-        (metric (series ^ "_saturation_knee_rps") > 0.0))
+      Alcotest.(check bool) (series ^ " knee positive") true (knee series > 0.0))
     [ "d1"; "d2"; "d4"; "d8"; "d8mf16" ];
   (* Deeper pipelines must not lose to shallow ones at the top rate, and
      the min-fill/hold cut policy must repair depth 8's degenerate tiny
      batches (the regression this experiment exists to catch). *)
-  let top s = metric (s ^ "_top_achieved_rps") in
+  let top_row s = List.hd (List.rev (series_rows s)) in
+  let top s = unit_float (List.nth (top_row s) 2) in
   Alcotest.(check bool) "d8 >= d2 at top rate" true
     (top "d8" >= 0.95 *. top "d2");
   Alcotest.(check bool) "d8 >= d1 at top rate" true (top "d8" >= top "d1");
@@ -319,7 +329,7 @@ let test_saturation_shape () =
   (* Default policy at depth 8 degrades into small batches under
      open-loop load; the adaptive policy holds fill up. *)
   Alcotest.(check bool) "default d8 fill degenerates vs d1" true
-    (metric "d8_top_mean_fill" < metric "d1_top_mean_fill")
+    (col (top_row "d8") 6 < col (top_row "d1") 6)
 
 (* --load-rate collapses the sweep to one probed rate per series;
    --load-trace / --skew reshape the arrival process. *)
@@ -334,7 +344,7 @@ let test_saturation_load_knobs () =
   in
   let r =
     find_report "ablation-saturation"
-      (Exp_saturation.saturation ~knobs ~scale:0.05 ())
+      (run ~knobs "ablation-saturation" ~scale:0.05)
   in
   Alcotest.(check int) "one rate x 5 series" 5 (List.length r.Report.rows);
   List.iter
@@ -342,28 +352,23 @@ let test_saturation_load_knobs () =
     r.Report.rows
 
 let test_pipeline_ablation_shape () =
-  let r = find_report "pipeline" (Exp_local.pipeline ~scale:0.3 ()) in
+  let r = find_report "pipeline" (run "ablation-pipeline" ~scale:0.3) in
   Alcotest.(check (list string)) "one row per depth" [ "1"; "2"; "4"; "8" ]
     (List.map row_label r.Report.rows);
   let d1 = List.hd r.Report.rows in
   Alcotest.(check string) "depth 1 is its own baseline" "1.00x" (List.nth d1 2);
-  let metric name =
-    match List.assoc_opt name r.Report.metrics with
-    | Some v -> v
-    | None -> Alcotest.failf "metric %s missing" name
-  in
+  (* Rows: depth, MB/s, speedup, mean ms, p95 ms, occupancy. *)
+  let row d = List.find (fun row -> row_label row = d) r.Report.rows in
+  let speedup d = unit_float (List.nth (row d) 2) and occupancy d = col (row d) 5 in
   (* The acceptance bar: the default depth beats stop-and-wait by >=1.3x
      in closed-loop throughput, with the window actually occupied. *)
   Alcotest.(check bool)
-    (Printf.sprintf "depth-8 speedup %.2fx >= 1.3" (metric "d8_speedup_vs_d1"))
+    (Printf.sprintf "depth-8 speedup %.2fx >= 1.3" (speedup "8"))
     true
-    (metric "d8_speedup_vs_d1" >= 1.3);
-  Alcotest.(check bool) "depth-8 occupancy > 2" true
-    (metric "d8_pipeline_occupancy" > 2.0);
+    (speedup "8" >= 1.3);
+  Alcotest.(check bool) "depth-8 occupancy > 2" true (occupancy "8" > 2.0);
   Alcotest.(check bool) "depth-1 occupancy = 1" true
-    (abs_float (metric "d1_pipeline_occupancy" -. 1.0) < 0.01);
-  Alcotest.(check bool) "latency percentiles recorded" true
-    (metric "d8_p99_ms" >= metric "d8_p50_ms")
+    (abs_float (occupancy "1" -. 1.0) < 0.01)
 
 (* A run-wide min-fill larger than a world's batch_max clamps to it, as
    run-wide shards clamp to participants: the batch_max = 1 ablations
@@ -381,8 +386,8 @@ let test_batch_knobs_clamp_to_batch_max () =
       Alcotest.(check bool) (id ^ " completes") true
         ((find_report id reports).Report.rows <> []))
     [
-      ("pipeline", Exp_local.pipeline ~knobs ~scale:0.1 ());
-      ("verify", Exp_local.verify_ablation ~knobs ~scale:0.1 ());
+      ("pipeline", run ~knobs "ablation-pipeline" ~scale:0.1);
+      ("verify", run ~knobs "ablation-verify" ~scale:0.1);
     ]
 
 let suite =

@@ -63,10 +63,10 @@ let test_zipf_validation () =
 (* --- arrival processes: offered rate sanity --- *)
 
 let empirical_rate spec seed =
-  let arrivals = Loadgen.plan ~rng:(rng seed) spec in
+  let arrivals = Loadgen_ref.plan ~rng:(rng seed) spec in
   let last = arrivals.(Array.length arrivals - 1) in
   float_of_int (Array.length arrivals)
-  /. (Bp_sim.Time.to_ms last.Loadgen.at /. 1000.0)
+  /. (Bp_sim.Time.to_ms last.Loadgen_ref.at /. 1000.0)
 
 let test_poisson_rate () =
   let spec =
@@ -119,13 +119,13 @@ let test_diurnal_rate_and_quiet () =
   Alcotest.(check bool) "empirical near offered" true (r > 800.0 && r < 1200.0);
   Array.iter
     (fun a ->
-      let pos = Float.rem (Bp_sim.Time.to_ms a.Loadgen.at) 4.0 in
+      let pos = Float.rem (Bp_sim.Time.to_ms a.Loadgen_ref.at) 4.0 in
       (* Active window is [0, 2]; allow the ns-rounding boundary case. *)
       Alcotest.(check bool)
         (Printf.sprintf "arrival at %.6f ms cycle-pos outside quiet window" pos)
         true
         (pos <= 2.0 +. 1e-6))
-    (Loadgen.plan ~rng:(rng 26L) spec)
+    (Loadgen_ref.plan ~rng:(rng 26L) spec)
 
 let test_validation () =
   let invalid spec =
@@ -235,14 +235,14 @@ let streaming_matches_eager =
     (fun ((process, clients, count), seed) ->
       let seed = Int64.of_int seed in
       let spec = { Loadgen.process; clients; skew = 0.99; count } in
-      let eager = Loadgen.plan ~rng:(rng seed) spec in
+      let eager = Loadgen_ref.plan ~rng:(rng seed) spec in
       let engine = Bp_sim.Engine.create ~seed:7L () in
       let gen = Loadgen.create ~rng:(rng seed) spec in
       let streamed = ref [] in
       let r =
         Loadgen.run engine ~gen ~submit:(fun i ~client ~on_done ->
             streamed :=
-              { Loadgen.index = i; client; at = Bp_sim.Engine.now engine }
+              { Loadgen_ref.index = i; client; at = Bp_sim.Engine.now engine }
               :: !streamed;
             on_done ())
       in
@@ -282,20 +282,17 @@ let test_heap_occupancy () =
 (* --- saturation sweep: bit-identical at any --jobs --- *)
 
 let test_saturation_jobs_deterministic () =
-  let render_all () =
+  let sat = Option.get (Experiments.find "ablation-saturation") in
+  let render_all pool =
     String.concat ""
-      (List.map Report.render
-         (Runner.run_plan (Exp_saturation.plan ~knobs:Knobs.default ~scale:0.05)))
+      (List.map Report.render (Experiments.run ?pool sat ~scale:0.05))
   in
-  let seq = render_all () in
+  let seq = render_all None in
   let pool = Bp_parallel.Pool.create ~jobs:2 in
   let par =
     Fun.protect
       ~finally:(fun () -> Bp_parallel.Pool.shutdown pool)
-      (fun () ->
-        String.concat ""
-          (List.map Report.render
-             (Runner.run_plan ~pool (Exp_saturation.plan ~knobs:Knobs.default ~scale:0.05))))
+      (fun () -> render_all (Some pool))
   in
   Alcotest.(check string) "jobs 1 == jobs 2, byte-identical" seq par
 

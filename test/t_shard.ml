@@ -310,6 +310,11 @@ let test_runner_knobs () =
    clamps to one shard and the router installs nothing: these bytes must
    not move at ANY --shards value. A diff here means the shard layer
    leaked into unsharded worlds — a bug, not a table to re-pin. *)
+let registered id =
+  match Bp_harness.Experiments.find id with
+  | Some e -> e
+  | None -> Alcotest.failf "experiment %s not registered" id
+
 let table2_golden =
   "== table2: Local commitment vs unit size (batch 100 KB) ==\n\
    \   (Table II, SVIII-A)\n\
@@ -327,7 +332,7 @@ let test_table2_golden_any_shards () =
   let render knobs =
     String.concat ""
       (List.map Bp_harness.Report.render
-         (Bp_harness.Exp_local.table2 ~knobs ~scale:0.2 ()))
+         (Bp_harness.Experiments.run ~knobs (registered "table2") ~scale:0.2))
   in
   Alcotest.(check string) "table2 bytes at default shards" table2_golden
     (render Bp_harness.Knobs.default);
@@ -340,9 +345,8 @@ let test_shard_sweep_jobs_deterministic () =
   let render_all pool =
     String.concat ""
       (List.map Bp_harness.Report.render
-         (Bp_harness.Runner.run_plan ?pool
-            (Bp_harness.Exp_shard.plan ~knobs:Bp_harness.Knobs.default
-               ~scale:0.01)))
+         (Bp_harness.Experiments.run ?pool (registered "ablation-shard")
+            ~scale:0.01))
   in
   let seq = render_all None in
   let pool = Bp_parallel.Pool.create ~jobs:2 in
