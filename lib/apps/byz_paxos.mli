@@ -1,9 +1,13 @@
 (** Paxos byzantized with Blockplane (§VI-E, Algorithm 3) —
     "Blockplane-Paxos" in the evaluation.
 
-    The benign Paxos protocol is rewritten against the Blockplane API:
-    every state change is log-committed and every message goes through
-    [send]/[receive] (Definition 1). Byzantine behaviour inside a
+    The benign Paxos protocol ({!Bp_paxos.Replica}, the same core as the
+    plain-Paxos baseline) runs unchanged behind the Blockplane API: this
+    module is only its network adapter. Every message goes through
+    [send]/[receive] after a log-committed event that grants it, and
+    Algorithm 3's state changes (replication, le-won, committed,
+    le-failed, deposed) are log-committed around the core's calls and
+    callbacks (Definition 1). Byzantine behaviour inside a
     participant is masked by its unit, so the *wide-area* pattern stays
     exactly Paxos's: the Replication phase costs one round trip to the
     closest majority plus local-commitment overhead (Fig. 7).

@@ -76,6 +76,10 @@ let measure_hier ~leader ~reps ~seed =
   let engine = Engine.create ~seed () in
   let net = Network.create engine Topology.aws_paper () in
   let h = Bp_apps.Hier_pbft.create ~network:net ~n_participants:4 () in
+  let ready = ref false in
+  Bp_apps.Hier_pbft.elect h ~leader ~on_elected:(fun ok -> ready := ok);
+  Engine.run ~until:(Time.of_sec 2.0) engine;
+  if not !ready then failwith "hierarchical PBFT election failed";
   Runner.sequential engine ~n:reps ~warmup:1 ~run_one:(fun i ~on_done ->
       let started = Engine.now engine in
       Bp_apps.Hier_pbft.replicate h ~leader

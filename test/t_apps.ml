@@ -121,10 +121,15 @@ let test_byz_paxos_forged_message_rejected () =
      committed an event for: the send-verification routine rejects it. *)
   let engine, _net, dep, _drivers = make_paxos_world () in
   let api0 = Deployment.api dep 0 in
-  let forged_payload =
-    (* a syntactically valid paxos message *)
-    Record.Comm { Record.dest = 1; comm_seq = 0; payload = "\x00\x01\x00" }
+  let payload =
+    Bp_paxos.Msg.encode
+      (Bp_paxos.Msg.Prepare
+         { ballot = Bp_paxos.Ballot.next Bp_paxos.Ballot.zero ~node:0; from_instance = 0 })
   in
+  (* Well-formed, so only the credit check can reject it. *)
+  Alcotest.(check bool) "forged payload decodes" true
+    (Result.is_ok (Bp_paxos.Msg.decode payload));
+  let forged_payload = Record.Comm { Record.dest = 1; comm_seq = 0; payload } in
   let rejected = ref false in
   Api.submit_record api0 forged_payload ~on_done:ignore
     ~on_rejected:(fun () -> rejected := true);
@@ -148,17 +153,75 @@ let test_byz_paxos_two_leaders_last_wins () =
   Engine.run ~until:(Time.of_sec 15.0) engine;
   Alcotest.(check (option bool)) "stale leader loses" (Some false) !result
 
+(* Blockplane-Paxos runs plain Paxos's protocol core, so each unit's
+   Local Log carries exactly the messages a plain Paxos node sends. *)
+let test_byz_paxos_sends_plain_paxos_messages () =
+  let engine, _net, dep, drivers = make_paxos_world () in
+  let v = Topology.dc_virginia in
+  let values = [ "a"; "b"; "c" ] in
+  let rec replicate_all = function
+    | [] -> ()
+    | value :: rest ->
+        Byz_paxos.replicate drivers.(v) value ~on_result:(fun ok ->
+            if ok then replicate_all rest)
+  in
+  Byz_paxos.elect drivers.(v) ~on_elected:(fun ok -> if ok then replicate_all values);
+  Engine.run ~until:(Time.of_sec 10.0) engine;
+  let kind = function
+    | Bp_paxos.Msg.Prepare _ -> "prepare"
+    | Promise _ -> "promise"
+    | Propose _ -> "propose"
+    | Accepted _ -> "accepted"
+    | Learn _ -> "learn"
+  in
+  for p = 0 to 3 do
+    let sent = Hashtbl.create 8 and learned = ref [] in
+    let decode payload =
+      match Bp_paxos.Msg.decode payload with
+      | Ok m -> m
+      | Error e -> Alcotest.fail e
+    in
+    Bp_storage.Log_store.iter_from (Unit_node.log (Deployment.node dep p 0)) 0
+      (fun entry ->
+        match Record.decode entry.Bp_storage.Log_store.payload with
+        | Ok (Record.Comm { Record.payload; _ }) ->
+            let k = kind (decode payload) in
+            Hashtbl.replace sent k (1 + Option.value ~default:0 (Hashtbl.find_opt sent k))
+        | Ok (Record.Recv { Record.tpayload; _ }) -> (
+            match decode tpayload with
+            | Learn { instance; value } -> learned := (instance, value) :: !learned
+            | _ -> ())
+        | _ -> ());
+    let counts =
+      List.sort compare (Hashtbl.fold (fun k c acc -> (k, c) :: acc) sent [])
+    in
+    let expected, expected_learned =
+      if p = v then ([ ("learn", 9); ("prepare", 3); ("propose", 9) ], [])
+      else ([ ("accepted", 3); ("promise", 1) ], [ (0, "a"); (1, "b"); (2, "c") ])
+    in
+    Alcotest.(check (list (pair string int)))
+      (Printf.sprintf "unit %d sent" p)
+      expected counts;
+    Alcotest.(check (list (pair int string)))
+      (Printf.sprintf "unit %d learned" p)
+      expected_learned (List.sort compare !learned)
+  done
+
 (* ---------- hierarchical PBFT baseline ---------- *)
 
 let test_hier_pbft_replication () =
   let engine = Engine.create ~seed:63L () in
   let net = Network.create engine Topology.aws_paper () in
   let h = Hier_pbft.create ~network:net ~n_participants:4 () in
+  let elected = ref false in
+  Hier_pbft.elect h ~leader:Topology.dc_virginia ~on_elected:(fun ok -> elected := ok);
+  Engine.run ~until:(Time.of_sec 2.0) engine;
+  Alcotest.(check bool) "elected" true !elected;
   let lat = ref None in
   let started = Engine.now engine in
   Hier_pbft.replicate h ~leader:Topology.dc_virginia "v" ~on_committed:(fun () ->
       lat := Some (Time.to_ms (Time.diff (Engine.now engine) started)));
-  Engine.run ~until:(Time.of_sec 5.0) engine;
+  Engine.run ~until:(Time.of_sec 7.0) engine;
   (match !lat with
   | None -> Alcotest.fail "no commit"
   | Some ms ->
@@ -334,6 +397,7 @@ let suite =
         tc "non-leader cannot replicate" test_byz_paxos_non_leader_cannot_replicate;
         tc "forged paxos message rejected" test_byz_paxos_forged_message_rejected;
         tc "two leaders, last wins" test_byz_paxos_two_leaders_last_wins;
+        tc "sends plain paxos messages" test_byz_paxos_sends_plain_paxos_messages;
       ] );
     ( "apps.hier_pbft",
       [ tc "replication latency between baselines" test_hier_pbft_replication ] );

@@ -145,6 +145,32 @@ let test_deposed_leader_cannot_commit () =
     Alcotest.(check bool) "stepped down" false (Replica.is_leader c.replicas.(0))
   end
 
+(* Driven through the network seam alone: a refused promise ends the
+   election and a refused accept deposes the leader, each reported to
+   the caller (Blockplane-Paxos commits le-failed / deposed on them). *)
+let test_nacks_reported () =
+  let net = { Replica.send = (fun ~dst:_ _ -> ()); broadcast = ignore } in
+  let r = Replica.of_net net ~n:3 ~id:0 ~on_learn:(fun _ _ -> ()) in
+  let promise ballot ok = Msg.Promise { ballot; ok; accepted = [] } in
+  let outcome = ref "" in
+  Replica.try_lead r
+    ~on_elected:(fun () -> outcome := "elected")
+    ~on_nack:(fun () -> outcome := "election nacked");
+  let b1 = Ballot.next Ballot.zero ~node:0 in
+  Replica.receive r ~src:1 (promise b1 false);
+  Alcotest.(check string) "refused promise" "election nacked" !outcome;
+  Replica.try_lead r ~on_elected:(fun () -> outcome := "elected");
+  let b2 = Ballot.next b1 ~node:0 in
+  Replica.receive r ~src:0 (promise b2 true);
+  Replica.receive r ~src:1 (promise b2 true);
+  Alcotest.(check string) "majority of promises" "elected" !outcome;
+  Replica.propose r "v"
+    ~on_commit:(fun _ -> outcome := "committed")
+    ~on_nack:(fun () -> outcome := "proposal nacked");
+  Replica.receive r ~src:2 (Msg.Accepted { ballot = b2; instance = 0; ok = false });
+  Alcotest.(check string) "refused accept" "proposal nacked" !outcome;
+  Alcotest.(check bool) "stepped down" false (Replica.is_leader r)
+
 let test_survives_minority_crash () =
   let c = make_cluster () in
   Network.crash c.net (Addr.make ~dc:3 ~idx:0);
@@ -223,6 +249,7 @@ let suite =
         tc "commit latency = majority RTT" test_commit_latency_is_majority_rtt;
         tc "leader change preserves values" test_leader_change_preserves_values;
         tc "deposed leader cannot commit" test_deposed_leader_cannot_commit;
+        tc "nacks are reported" test_nacks_reported;
         tc "survives minority crash" test_survives_minority_crash;
         tc "blocks without majority" test_blocks_without_majority;
         tc "duelling leaders liveness" test_duelling_leaders_liveness;
