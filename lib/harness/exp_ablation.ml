@@ -257,16 +257,19 @@ let load_task ~knobs ~scale i rate () =
   in
   let engine = w.Runner.engine in
   let api = Deployment.api w.Runner.dep 0 in
-  let rng = Bp_util.Rng.split (Engine.rng engine) in
+  let gen =
+    Loadgen.create
+      ~rng:(Bp_util.Rng.split (Engine.rng engine))
+      { Loadgen.process = Poisson { rate_per_sec = rate }; clients = 1; skew = 0.0; count }
+  in
   let r =
-    Workload.open_loop engine ~rng ~rate_per_sec:rate ~count
-      ~submit:(fun i ~on_done ->
+    Loadgen.run engine ~gen ~submit:(fun i ~client:_ ~on_done ->
         Api.log_commit api (Runner.payload ~size:1000 i) ~on_done)
   in
-  let s = Bp_util.Stats.summarize r.Workload.latencies in
+  let s = Bp_util.Stats.summarize r.Loadgen.latencies in
   [
     Printf.sprintf "%.0f/s" rate;
-    Printf.sprintf "%.0f/s" r.Workload.achieved_per_sec;
+    Printf.sprintf "%.0f/s" r.Loadgen.achieved_per_sec;
     Report.ms s.Bp_util.Stats.mean;
     Report.ms s.Bp_util.Stats.p99;
   ]

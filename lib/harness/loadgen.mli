@@ -5,10 +5,9 @@
     process keeps O(1) state (its rng split and phase position) and at
     most one pending event in the engine heap at any instant, because
     each arrival schedules its successor from inside its own event.
-    {!Workload.open_loop} is the single-process Poisson special case of
-    this module; this one adds bursty and diurnal-trace rate processes
-    and zipfian client/key skew, and reports the heap-occupancy
-    telemetry that backs the O(1) claim.
+    Besides Poisson arrivals it offers bursty and diurnal-trace rate
+    processes and zipfian client/key skew, and reports the
+    heap-occupancy telemetry that backs the O(1) claim.
 
     Determinism: all randomness flows through the [rng] handed to
     {!create} (a per-task split under the harness's per-seed plan
