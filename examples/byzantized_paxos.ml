@@ -1,13 +1,16 @@
 (* Byzantizing a benign consensus protocol (§VI-E / §VIII-D).
 
-   Plain Paxos tolerates crashes but not lies. Rewritten against the
-   Blockplane API — every state change log-committed, every message
-   through send/receive — it tolerates byzantine nodes *inside* each
-   datacenter while keeping Paxos's one-round wide-area latency.
+   Plain Paxos tolerates crashes but not lies. Run unchanged behind the
+   Blockplane API — the same Bp_paxos.Replica as the plain baseline, with
+   every state change log-committed and every message through
+   send/receive — it tolerates byzantine nodes *inside* each datacenter
+   while keeping Paxos's one-round wide-area latency.
 
    This demo elects a leader at Virginia, replicates a few commands, and
    prints the wide-area latency of each Replication phase; compare them
-   with Table I's 70 ms RTT from Virginia to its closest majority.
+   with Table I's 70 ms RTT from Virginia to its closest majority. It
+   exits 1 if the election or a command fails, or if a unit's replicas
+   disagree.
 
    Run with:  dune exec examples/byzantized_paxos.exe *)
 
@@ -27,11 +30,13 @@ let () =
     Array.init 4 (fun p -> Byz_paxos.attach (Deployment.api dep p) ~n_participants:4)
   in
   let v = Topology.dc_virginia in
+  let failed = ref false in
 
   Printf.printf "electing a leader at Virginia...\n";
   let elected_at = ref Time.zero in
   Byz_paxos.elect drivers.(v) ~on_elected:(fun ok ->
       elected_at := Engine.now engine;
+      if not ok then failed := true;
       Printf.printf "[%7.1f ms] election %s\n"
         (Time.to_ms (Engine.now engine))
         (if ok then "won" else "lost"));
@@ -44,6 +49,7 @@ let () =
       Byz_paxos.replicate drivers.(v)
         (Printf.sprintf "command-%d" i)
         ~on_result:(fun ok ->
+          if not ok then failed := true;
           Printf.printf "[%7.1f ms] command-%d %s in %.1f ms\n"
             (Time.to_ms (Engine.now engine))
             i
@@ -59,7 +65,7 @@ let () =
     (String.concat ", "
        (List.rev_map (fun (i, value) -> Printf.sprintf "#%d=%s" i value)
           (Byz_paxos.decided drivers.(v))));
-  Printf.printf "every unit's protocol replicas agree: %b\n"
-    (List.for_all
-       (fun p -> Deployment.app_digests_agree dep p)
-       [ 0; 1; 2; 3 ])
+  let agree = List.for_all (Deployment.app_digests_agree dep) [ 0; 1; 2; 3 ] in
+  Printf.printf "every unit's protocol replicas agree: %b\n" agree;
+  if !failed || (not agree) || List.length (Byz_paxos.decided drivers.(v)) <> 3 then
+    exit 1
