@@ -12,6 +12,13 @@ val overhead : int
 val seal : string -> string
 (** Wrap a payload into a frame. *)
 
+val seal_into : bytes -> off:int -> crc:int32 -> string -> unit
+(** [seal_into dst ~off ~crc payload] writes [seal payload] into [dst] at
+    [off], given [crc = Crc32.string payload]: no checksum pass, no
+    allocation. For images assembled from many frames whose checksums are
+    already known (the WAL).
+    @raise Invalid_argument if the frame does not fit in [dst] at [off]. *)
+
 val seal_with : Wire.encoder -> (Wire.encoder -> unit) -> string
 (** [seal_with enc write] builds a frame by running [write] directly
     after the header inside [enc] (resetting it first), then patching the

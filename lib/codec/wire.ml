@@ -100,7 +100,8 @@ let decoder src =
    offset, so [remaining]/[at_end] confine every read to the window while
    reads index the original bytes directly — no [String.sub] up front. *)
 let decoder_sub src ~off ~len =
-  if off < 0 || len < 0 || off + len > String.length src then
+  (* [off + len] would wrap for huge [len]; the difference cannot. *)
+  if off < 0 || len < 0 || len > String.length src - off then
     invalid_arg "Wire.decoder_sub";
   { src; bytes = Bytes.unsafe_of_string src; len = off + len; pos = off }
 

@@ -1,77 +1,27 @@
-(* CRC-32 (IEEE 802.3, zlib variant) on untagged native-int arithmetic.
-   The tables and accumulator are plain [int]s; the hot loop is the
-   slicing-by-8 formulation — eight bytes per iteration, eight table
-   loads and seven xors, no boxing. The public API stays [int32] so
-   checksums round-trip through the 4-byte wire field.
+(* CRC-32 (IEEE 802.3, zlib variant). The register update is C
+   ([Native.crc32_update]): a PCLMULQDQ folding kernel where the CPU has
+   carry-less multiply, and portable slicing-by-8 otherwise and for the
+   last few bytes. This module owns the bounds check and the initial and
+   final inversion. The public API stays [int32] so checksums round-trip
+   through the 4-byte wire field. The test suite keeps a bitwise
+   transcription as a differential-testing oracle for both kernels. *)
 
-   The tables are built eagerly at module initialization (8 x 256 ints,
-   16 KiB) rather than under [lazy]: worker domains of the experiment
-   pool checksum frames concurrently, and a shared lazy thunk forced
-   from two domains at once raises [Lazy.RacyLazy]. Nothing writes them
-   after initialization, so they are constants, not module state (hence
-   the R8 allow on the two arrays filled in place). *)
+type kernel = Native.crc32_kernel
 
-let t0 =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 0 to 7 do
-        if !c land 1 <> 0 then c := 0xedb88320 lxor (!c lsr 1)
-        else c := !c lsr 1
-      done;
-      !c)
-
-(* tables.(k).(b) = CRC of byte [b] followed by [k] zero bytes, so eight
-   single-byte steps collapse into one lookup per input byte. *)
-let tables =
-  let t = (Array.make 8 t0 [@bplint.allow "R8-harnessglobal"]) in
-  for k = 1 to 7 do
-    t.(k) <-
-      Array.map (fun prev -> Array.unsafe_get t0 (prev land 0xff) lxor (prev lsr 8)) t.(k - 1)
-  done;
-  t
+(* Asked once: the CPU does not change under a running process. *)
+let selected =
+  if Native.has_pclmul () then Native.Pclmulqdq else Native.Crc32_portable
 
 let empty = 0l
 
-let update crc buf ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length buf then
+let update_with kernel crc buf ~off ~len =
+  (* [off + len] would wrap for huge [len]; the difference cannot. *)
+  if off < 0 || len < 0 || len > Bytes.length buf - off then
     invalid_arg "Crc32.update";
-  let t1 = tables.(1) and t2 = tables.(2) and t3 = tables.(3) in
-  let t4 = tables.(4) and t5 = tables.(5) and t6 = tables.(6) in
-  let t7 = tables.(7) in
-  let c = ref (Int32.to_int crc land 0xffffffff lxor 0xffffffff) in
-  let i = ref off in
-  let limit = off + len - 7 in
-  while !i < limit do
-    let p = !i in
-    let b0 = Char.code (Bytes.unsafe_get buf p)
-    and b1 = Char.code (Bytes.unsafe_get buf (p + 1))
-    and b2 = Char.code (Bytes.unsafe_get buf (p + 2))
-    and b3 = Char.code (Bytes.unsafe_get buf (p + 3)) in
-    let b4 = Char.code (Bytes.unsafe_get buf (p + 4))
-    and b5 = Char.code (Bytes.unsafe_get buf (p + 5))
-    and b6 = Char.code (Bytes.unsafe_get buf (p + 6))
-    and b7 = Char.code (Bytes.unsafe_get buf (p + 7)) in
-    (* The running CRC only mixes into the first word; the second word is
-       raw input shifted eight bytes further through the polynomial. *)
-    let lo = !c lxor (b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24)) in
-    c :=
-      Array.unsafe_get t7 (lo land 0xff)
-      lxor Array.unsafe_get t6 ((lo lsr 8) land 0xff)
-      lxor Array.unsafe_get t5 ((lo lsr 16) land 0xff)
-      lxor Array.unsafe_get t4 ((lo lsr 24) land 0xff)
-      lxor Array.unsafe_get t3 b4
-      lxor Array.unsafe_get t2 b5
-      lxor Array.unsafe_get t1 b6
-      lxor Array.unsafe_get t0 b7;
-    i := p + 8
-  done;
-  for j = !i to off + len - 1 do
-    c :=
-      Array.unsafe_get t0
-        ((!c lxor Char.code (Bytes.unsafe_get buf j)) land 0xff)
-      lxor (!c lsr 8)
-  done;
-  Int32.of_int (!c lxor 0xffffffff)
+  let reg = Int32.to_int crc land 0xffffffff lxor 0xffffffff in
+  Int32.of_int (Native.crc32_update kernel reg buf off len lxor 0xffffffff)
+
+let update crc buf ~off ~len = update_with selected crc buf ~off ~len
 
 let bytes buf ~off ~len = update empty buf ~off ~len
 
@@ -103,7 +53,11 @@ let multmodp a b =
 
 (* x^(2^k) mod p for k < 32. The multiplicative order of x divides
    2^32 - 1, so x^(2^32) = x and exponents past 31 wrap around. Built
-   eagerly, like the CRC tables, for the same cross-domain reason. *)
+   eagerly at module initialization rather than under [lazy]: worker
+   domains combine checksums concurrently, and a shared lazy thunk forced
+   from two domains at once raises [Lazy.RacyLazy]. Nothing writes it
+   after initialization, so it is a constant, not module state (hence
+   the R8 allow on the array filled in place). *)
 let x2n_table =
   let t = (Array.make 32 (1 lsl 30) [@bplint.allow "R8-harnessglobal"]) (* x^1 *) in
   for k = 1 to 31 do
@@ -131,3 +85,19 @@ let combine crc1 crc2 len2 =
     Int32.of_int
       (multmodp (x2nmodp len2 3) (Int32.to_int crc1 land 0xffffffff)
       lxor (Int32.to_int crc2 land 0xffffffff))
+
+module Kernel = struct
+  type t = kernel
+
+  let name = function
+    | Native.Crc32_portable -> "portable"
+    | Native.Pclmulqdq -> "pclmulqdq"
+
+  let available =
+    match selected with
+    | Native.Pclmulqdq -> [ Native.Crc32_portable; Native.Pclmulqdq ]
+    | Native.Crc32_portable -> [ Native.Crc32_portable ]
+
+  let selected = selected
+  let update = update_with
+end

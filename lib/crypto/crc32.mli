@@ -1,14 +1,20 @@
 (** CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant).
 
     Used by the framing layer to detect in-flight corruption, modelling the
-    paper's reliance on TCP-style checksums. *)
+    paper's reliance on TCP-style checksums. The register update is a C
+    kernel, chosen once when the module initialises: carry-less multiply
+    folding (PCLMULQDQ) when the x86 CPU has it, portable C slicing-by-8
+    otherwise. Both give the same checksums; only host time differs.
+    Safe to call from any number of domains at once. *)
 
 val string : string -> int32
 
 val bytes : bytes -> off:int -> len:int -> int32
 
 val update : int32 -> bytes -> off:int -> len:int -> int32
-(** Incremental: feed successive chunks, starting from {!empty}. *)
+(** Incremental: feed successive chunks, starting from {!empty}.
+    @raise Invalid_argument unless [0 <= off], [0 <= len] and
+    [off + len <= Bytes.length buf] (as does {!bytes}). *)
 
 val empty : int32
 (** The CRC of the empty string (the initial accumulator). *)
@@ -23,3 +29,22 @@ val combine : int32 -> int32 -> int -> int32
     [crc1].
 
     @raise Invalid_argument if [len2] is negative. *)
+
+(** The checksum kernels, for differential testing. Everything above
+    uses {!Kernel.selected}; nothing selects a kernel at run time. *)
+module Kernel : sig
+  type t
+
+  val name : t -> string
+  (** ["portable"] or ["pclmulqdq"]. *)
+
+  val available : t list
+  (** Every kernel this CPU can run, portable first. *)
+
+  val selected : t
+  (** The fastest available kernel: the one every other function here
+      uses. *)
+
+  val update : t -> int32 -> bytes -> off:int -> len:int -> int32
+  (** {!val-update} through the given kernel. *)
+end

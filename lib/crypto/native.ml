@@ -1,0 +1,15 @@
+type sha256_kernel = Sha256_portable | Sha_ni
+type crc32_kernel = Crc32_portable | Pclmulqdq
+
+external sha256_compress :
+  sha256_kernel -> int array -> bytes -> int -> int -> unit
+  = "bp_sha256_compress"
+[@@noalloc]
+
+external has_sha_ni : unit -> bool = "bp_sha256_has_sha_ni" [@@noalloc]
+
+external crc32_update : crc32_kernel -> int -> bytes -> int -> int -> int
+  = "bp_crc32_update"
+[@@noalloc]
+
+external has_pclmul : unit -> bool = "bp_crc32_has_pclmul" [@@noalloc]

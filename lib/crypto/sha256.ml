@@ -1,24 +1,15 @@
 (* SHA-256 per FIPS 180-4. The block compression is C
-   ([sha256_stubs.c]): the x86 SHA extensions where the CPU has them,
-   portable C otherwise. This module owns the buffering, padding and
-   midstates; the kernel only ever sees whole 64-byte blocks, and a
+   ([Native.sha256_compress]): the x86 SHA extensions where the CPU has
+   them, portable C otherwise. This module owns the buffering, padding
+   and midstates; the kernel only ever sees whole 64-byte blocks, and a
    multi-block [update_bytes] crosses into C once. The test suite keeps
    the Int32 transcription ([test/sha256_ref.ml]) as a
    differential-testing oracle for both kernels. *)
 
-(* The C stub reads the constructor as an int: 0 portable, 1 SHA-NI. *)
-type kernel = Portable | Sha_ni
-
-(* [compress k h buf off n] folds the [n] blocks at [buf.[off]] into the
-   8-word chaining value [h]; the caller guarantees the bounds. *)
-external compress : kernel -> int array -> bytes -> int -> int -> unit
-  = "bp_sha256_compress"
-[@@noalloc]
-
-external has_sha_ni : unit -> bool = "bp_sha256_has_sha_ni" [@@noalloc]
+type kernel = Native.sha256_kernel
 
 (* Asked once: the CPU does not change under a running process. *)
-let selected = if has_sha_ni () then Sha_ni else Portable
+let selected = if Native.has_sha_ni () then Native.Sha_ni else Native.Sha256_portable
 
 type ctx = {
   h : int array; (* 8 state words, each < 2^32 *)
@@ -40,7 +31,8 @@ let init () =
   }
 
 let update_bytes_with kernel ctx src ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length src then
+  (* [off + len] would wrap for huge [len]; the difference cannot. *)
+  if off < 0 || len < 0 || len > Bytes.length src - off then
     invalid_arg "Sha256.update_bytes";
   ctx.length <- ctx.length + len;
   (* Top up a partial block first. *)
@@ -49,13 +41,13 @@ let update_bytes_with kernel ctx src ~off ~len =
     Bytes.blit src off ctx.block ctx.fill take;
     ctx.fill <- ctx.fill + take;
     if ctx.fill = 64 then begin
-      compress kernel ctx.h ctx.block 0 1;
+      Native.sha256_compress kernel ctx.h ctx.block 0 1;
       ctx.fill <- 0
     end
   end;
   let off = off + take and len = len - take in
   let blocks = len / 64 in
-  if blocks > 0 then compress kernel ctx.h src off blocks;
+  if blocks > 0 then Native.sha256_compress kernel ctx.h src off blocks;
   let tail = len - (64 * blocks) in
   if tail > 0 then begin
     Bytes.blit src (off + (64 * blocks)) ctx.block 0 tail;
@@ -71,11 +63,11 @@ let finalize_with kernel ctx =
   if fill + 1 + 8 <= 64 then Bytes.fill ctx.block (fill + 1) (55 - fill) '\x00'
   else begin
     Bytes.fill ctx.block (fill + 1) (63 - fill) '\x00';
-    compress kernel ctx.h ctx.block 0 1;
+    Native.sha256_compress kernel ctx.h ctx.block 0 1;
     Bytes.fill ctx.block 0 56 '\x00'
   end;
   Bytes.set_int64_be ctx.block 56 (Int64.of_int bit_length);
-  compress kernel ctx.h ctx.block 0 1;
+  Native.sha256_compress kernel ctx.h ctx.block 0 1;
   ctx.fill <- 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
@@ -132,10 +124,12 @@ let digest_length = 32
 module Kernel = struct
   type t = kernel
 
-  let name = function Portable -> "portable" | Sha_ni -> "sha-ni"
+  let name = function Native.Sha256_portable -> "portable" | Native.Sha_ni -> "sha-ni"
 
   let available =
-    match selected with Sha_ni -> [ Portable; Sha_ni ] | Portable -> [ Portable ]
+    match selected with
+    | Native.Sha_ni -> [ Native.Sha256_portable; Native.Sha_ni ]
+    | Native.Sha256_portable -> [ Native.Sha256_portable ]
 
   let selected = selected
   let update_bytes = update_bytes_with

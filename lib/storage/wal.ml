@@ -1,14 +1,36 @@
-type t = { buf : Buffer.t; mutable recs : string list (* newest first *) }
+(* Each record is kept as its payload and its CRC, not as frame bytes:
+   the payload string is the one the caller also holds (a unit node's
+   Log_store entry), so the WAL adds a few words per record, not a
+   second framed copy of the log. The image is assembled on demand, and
+   is byte for byte the concatenation of [Frame.seal] of every record. *)
 
-let create () = { buf = Buffer.create 256; recs = [] }
+type record = { payload : string; crc : int32 }
+
+type t = {
+  mutable recs : record list; (* newest first *)
+  mutable size : int; (* bytes of the image *)
+}
+
+let create () = { recs = []; size = 0 }
 
 let append t payload =
-  Buffer.add_string t.buf (Bp_codec.Frame.seal payload);
-  t.recs <- payload :: t.recs
+  t.recs <- { payload; crc = Bp_crypto.Crc32.string payload } :: t.recs;
+  t.size <- t.size + Bp_codec.Frame.overhead + String.length payload
 
-let size t = Buffer.length t.buf
-let contents t = Buffer.contents t.buf
-let records t = List.rev t.recs
+let size t = t.size
+let records t = List.rev_map (fun r -> r.payload) t.recs
+
+let contents t =
+  let image = Bytes.create t.size in
+  (* Newest first, so fill from the end. *)
+  ignore
+    (List.fold_left
+       (fun off r ->
+         let off = off - Bp_codec.Frame.overhead - String.length r.payload in
+         Bp_codec.Frame.seal_into image ~off ~crc:r.crc r.payload;
+         off)
+       t.size t.recs);
+  Bytes.unsafe_to_string image
 
 let of_contents image =
   let t = create () in

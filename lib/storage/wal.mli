@@ -4,7 +4,12 @@
     disk file in the simulation) as CRC-framed records. Recovery scans from
     the start and stops at the first torn or corrupt record, recovering
     exactly the durable prefix — the semantics Blockplane nodes need to
-    restart after a crash (§VI-B). *)
+    restart after a crash (§VI-B).
+
+    Memory holds each record's payload (shared with the caller, not
+    copied) and its CRC, computed once at {!append}. The framed image is
+    built only when {!contents} asks for it: recovery, fault injection or
+    a probe. *)
 
 type t
 
@@ -13,10 +18,12 @@ val create : unit -> t
 val append : t -> string -> unit
 
 val size : t -> int
-(** Bytes of the on-disk image. *)
+(** Bytes of the on-disk image, without building it. *)
 
 val contents : t -> string
-(** The raw image (what would be on disk). *)
+(** The raw image (what would be on disk): the concatenation of
+    [Frame.seal] of every record, in append order. Built fresh on each
+    call, one allocation of {!size} bytes and no checksum pass. *)
 
 val of_contents : string -> t * int
 (** Rebuild from a (possibly damaged) image. Returns the WAL holding every

@@ -237,6 +237,16 @@ let qcheck_frame_roundtrip =
     QCheck.(string_of_size Gen.(0 -- 256))
     (fun s -> Frame.unseal (Frame.seal s) = Ok s)
 
+(* [off + len] wraps negative for [len = max_int]: the window must still
+   be refused, not accepted with 2^62 bytes remaining. *)
+let test_decoder_sub_huge_length () =
+  Alcotest.check_raises "len = max_int" (Invalid_argument "Wire.decoder_sub")
+    (fun () -> ignore (Wire.decoder_sub "abcdefgh" ~off:1 ~len:max_int));
+  Alcotest.check_raises "off past the end" (Invalid_argument "Wire.decoder_sub")
+    (fun () -> ignore (Wire.decoder_sub "abcdefgh" ~off:9 ~len:0));
+  Alcotest.(check int) "whole tail accepted" 7
+    (Wire.remaining (Wire.decoder_sub "abcdefgh" ~off:1 ~len:7))
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [
@@ -256,6 +266,7 @@ let suite =
         tc "truncated input" test_decode_truncated;
         tc "hostile list length" test_decode_hostile_list_length;
         tc "overlong varint" test_decode_overlong_varint;
+        tc "decoder_sub rejects huge lengths" test_decoder_sub_huge_length;
         QCheck_alcotest.to_alcotest qcheck_wire_string_list;
         QCheck_alcotest.to_alcotest qcheck_zigzag_total;
         QCheck_alcotest.to_alcotest qcheck_wire_never_raises;

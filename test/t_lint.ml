@@ -143,7 +143,7 @@ let test_r8_harnessglobal () =
     (has "R8-harnessglobal" "lib/pbft/replica.ml")
 
 (* R9-external: the top-level and the nested external are flagged, the
-   allow-attributed one is not; only lib/crypto/sha256.ml may declare
+   allow-attributed one is not; only lib/crypto/native.ml may declare
    one, matched on whole path segments. *)
 let test_r9_external () =
   let diags = Lint.lint_cmt ~rules:[ "R9-external" ] (fixture "Fx_r9") in
@@ -152,10 +152,12 @@ let test_r9_external () =
   Alcotest.(check bool) "names the external" true
     (message_mem "external bad_nested" diags);
   let has rule source = List.mem rule (Lint.policy ~source) in
-  Alcotest.(check bool) "sha256.ml may declare externals" false
+  Alcotest.(check bool) "native.ml may declare externals" false
+    (has "R9-external" "lib/crypto/native.ml");
+  Alcotest.(check bool) "nativex.ml may not" true
+    (has "R9-external" "lib/crypto/nativex.ml");
+  Alcotest.(check bool) "sha256.ml may not" true
     (has "R9-external" "lib/crypto/sha256.ml");
-  Alcotest.(check bool) "sha256x.ml may not" true
-    (has "R9-external" "lib/crypto/sha256x.ml");
   Alcotest.(check bool) "rest of crypto may not" true
     (has "R9-external" "lib/crypto/crc32.ml");
   Alcotest.(check bool) "other lib dirs may not" true
@@ -343,7 +345,7 @@ let suite =
           test_r7_parpure;
         Alcotest.test_case "R8 no module-level state in harness" `Quick
           test_r8_harnessglobal;
-        Alcotest.test_case "R9 externals confined to sha256.ml" `Quick
+        Alcotest.test_case "R9 externals confined to native.ml" `Quick
           test_r9_external;
         Alcotest.test_case "clean fixture" `Quick test_clean_fixture;
         Alcotest.test_case "allowlist suppression" `Quick test_allowlist;

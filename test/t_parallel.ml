@@ -89,6 +89,42 @@ let test_parallel_reports_identical () =
     [ "fig5"; "fig6"; "costs" ];
   Bp_parallel.Pool.shutdown pool
 
+(* Two pool domains checksum the same buffers at once, through every
+   CRC-32 kernel this CPU runs, each several times over; both must
+   reproduce the sequential checksums. The C kernels keep no state and
+   their tables are constants, so nothing is shared but the inputs. *)
+let test_crc32_two_domains () =
+  let open Bp_crypto in
+  let inputs =
+    List.init 32 (fun i ->
+        Bytes.init (i * 4099 mod 70_000) (fun j -> Char.chr ((i * 7 + j) land 0xff)))
+  in
+  let checksum_all () =
+    List.concat_map
+      (fun k ->
+        List.map
+          (fun b -> Crc32.Kernel.update k Crc32.empty b ~off:0 ~len:(Bytes.length b))
+          inputs)
+      Crc32.Kernel.available
+  in
+  let sequential = checksum_all () in
+  let task () = List.init 8 (fun _ -> checksum_all ()) in
+  let pool = Bp_parallel.Pool.create ~jobs:2 in
+  let results =
+    Fun.protect
+      ~finally:(fun () -> Bp_parallel.Pool.shutdown pool)
+      (fun () -> Bp_parallel.Pool.run pool [ task; task ])
+  in
+  List.iteri
+    (fun d rounds ->
+      List.iteri
+        (fun r crcs ->
+          Alcotest.(check (list int32))
+            (Printf.sprintf "domain task %d, round %d" d r)
+            sequential crcs)
+        rounds)
+    results
+
 let suite =
   [
     ( "parallel",
@@ -102,5 +138,7 @@ let suite =
           test_pool_exception;
         Alcotest.test_case "parallel run bit-identical to -j 1" `Quick
           test_parallel_reports_identical;
+        Alcotest.test_case "two domains checksum at once" `Quick
+          test_crc32_two_domains;
       ] );
   ]

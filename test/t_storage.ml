@@ -235,6 +235,20 @@ let qcheck_wal_recovery_prefix =
       in
       is_prefix recovered recs)
 
+(* The image is assembled on demand from (payload, CRC) pairs; it must
+   be exactly the concatenation of sealed frames a WAL that framed every
+   record at append time would hold, and [size] must track it. *)
+let qcheck_wal_image_is_sealed_frames =
+  QCheck.Test.make ~name:"wal image = concatenated Frame.seal" ~count:200
+    QCheck.(list_of_size Gen.(0 -- 12) (string_of_size Gen.(0 -- 300)))
+    (fun recs ->
+      let w = Wal.create () in
+      List.iter (Wal.append w) recs;
+      let image = Wal.contents w in
+      String.equal image (String.concat "" (List.map Bp_codec.Frame.seal recs))
+      && Wal.size w = String.length image
+      && String.equal (Wal.contents (fst (Wal.of_contents image))) image)
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [
@@ -258,6 +272,7 @@ let suite =
         tc "total loss" test_wal_total_loss;
         tc "garbage prefix" test_wal_garbage_prefix;
         QCheck_alcotest.to_alcotest qcheck_wal_recovery_prefix;
+        QCheck_alcotest.to_alcotest qcheck_wal_image_is_sealed_frames;
       ] );
     ( "storage.kv",
       [

@@ -1,4 +1,4 @@
-(* R9-external fixtures: every [external] outside lib/crypto/sha256.ml is
+(* R9-external fixtures: every [external] outside lib/crypto/native.ml is
    flagged, at module level or nested, whether it names a C stub or a
    compiler primitive. *)
 

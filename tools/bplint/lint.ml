@@ -87,13 +87,13 @@ let r2_domain_exempt source =
           String.equal (Filename.remove_extension file) "verify_batch"
       | _ -> false)
 
-(* lib/crypto/sha256.ml is the one module allowed to declare
+(* lib/crypto/native.ml is the one module allowed to declare
    [external]s: its C stubs are the tree's whole foreign surface. Matched
    on whole path segments like the R2-domain exemption. *)
 let r9_external source =
   match source_segments source with
   | [ "lib"; "crypto"; file ]
-    when String.equal (Filename.remove_extension file) "sha256" ->
+    when String.equal (Filename.remove_extension file) "native" ->
       []
   | _ -> [ "R9-external" ]
 
@@ -502,7 +502,7 @@ let make_iterator ctx =
             report ctx ~rule:"R9-external" ~loc:vd.Typedtree.val_loc
               (Printf.sprintf
                  "external %s: foreign declarations are confined to \
-                  lib/crypto/sha256.ml (and its sha256_stubs.c), so the C \
+                  lib/crypto/native.ml (and its native_stubs.c), so the C \
                   surface stays one audited file"
                  (Ident.name vd.Typedtree.val_id));
             super.Tast_iterator.structure_item sub si)
