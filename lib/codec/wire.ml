@@ -46,16 +46,14 @@ let encode_calls () = !encode_calls_counter
 
 (* Writes [n] as an unsigned 63-bit LEB128 varint: negative inputs are
    reinterpreted as their 63-bit two's-complement bit pattern (at most
-   9 bytes). Only {!zigzag} feeds it negatives. *)
-let varint_raw buf n =
-  let rec go n =
-    if n >= 0 && n < 0x80 then add_char buf (Char.unsafe_chr n)
-    else begin
-      add_char buf (Char.unsafe_chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
+   9 bytes). Only {!zigzag} feeds it negatives. Top-level recursion, so
+   no closure is allocated per varint. *)
+let rec varint_raw buf n =
+  if n >= 0 && n < 0x80 then add_char buf (Char.unsafe_chr n)
+  else begin
+    add_char buf (Char.unsafe_chr (0x80 lor (n land 0x7f)));
+    varint_raw buf (n lsr 7)
+  end
 
 let varint buf n =
   if n < 0 then invalid_arg "Wire.varint: negative";
@@ -120,16 +118,15 @@ let read_u8 d =
    pattern, so the result may be negative (zigzag of a negative number).
    Valid encodings span at most 9 bytes; a 10th byte cannot contribute
    any bits to a 63-bit int and is rejected. *)
-let read_varint_raw d =
-  let rec go shift acc =
-    let b = read_u8 d in
-    if shift >= 63 then fail "varint: exceeds 10 bytes (overflows 63-bit int)"
-    else begin
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
-    end
-  in
-  go 0 0
+let rec read_varint_from d shift acc =
+  let b = read_u8 d in
+  if shift >= 63 then fail "varint: exceeds 10 bytes (overflows 63-bit int)"
+  else begin
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then acc else read_varint_from d (shift + 7) acc
+  end
+
+let read_varint_raw d = read_varint_from d 0 0
 
 let read_varint d =
   let v = read_varint_raw d in

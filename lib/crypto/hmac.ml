@@ -17,7 +17,8 @@ let xor_pad key byte =
 
 (* Each pad is exactly one block, so the hash of [pad ‖ ·] can start from
    a saved midstate: a MAC under a prepared key compresses two blocks
-   fewer and never re-pads the key. *)
+   fewer and never re-pads the key. Both passes and the tag comparison
+   run in C ([Sha256.Kernel.hmac]), with no context on the OCaml heap. *)
 type prepared = { inner : string; outer : string }
 
 let pad_midstate key byte =
@@ -29,24 +30,14 @@ let prepare key =
   let key = normalize_key key in
   { inner = pad_midstate key 0x36; outer = pad_midstate key 0x5c }
 
-let mac k msg =
-  let ctx = Sha256.resume k.inner in
-  Sha256.update ctx msg;
-  let inner = Sha256.finalize ctx in
-  let ctx = Sha256.resume k.outer in
-  Sha256.update ctx inner;
-  Sha256.finalize ctx
+module Kernel = struct
+  let mac kernel k msg = Sha256.Kernel.hmac kernel ~inner:k.inner ~outer:k.outer msg
 
+  let verify_prepared kernel k ~msg ~tag =
+    Sha256.Kernel.hmac_equal kernel ~inner:k.inner ~outer:k.outer msg ~tag
+end
+
+let mac k msg = Kernel.mac Sha256.Kernel.selected k msg
 let sha256 ~key msg = mac (prepare key) msg
-
-let constant_time_equal a b =
-  String.length a = String.length b
-  && begin
-       let acc = ref 0 in
-       String.iteri (fun i c -> acc := !acc lor (Char.code c lxor Char.code b.[i])) a;
-       !acc = 0
-     end
-
-let verify_prepared k ~msg ~tag = constant_time_equal (mac k msg) tag
-
+let verify_prepared k ~msg ~tag = Kernel.verify_prepared Sha256.Kernel.selected k ~msg ~tag
 let verify ~key ~msg ~tag = verify_prepared (prepare key) ~msg ~tag

@@ -8,6 +8,19 @@ external sha256_compress :
 
 external has_sha_ni : unit -> bool = "bp_sha256_has_sha_ni" [@@noalloc]
 
+external sha256_digest : sha256_kernel -> string -> bytes -> unit
+  = "bp_sha256_digest"
+[@@noalloc]
+
+external hmac_sha256 : sha256_kernel -> string -> string -> string -> bytes -> unit
+  = "bp_hmac_sha256"
+[@@noalloc]
+
+external hmac_sha256_verify :
+  sha256_kernel -> string -> string -> string -> string -> bool
+  = "bp_hmac_sha256_verify"
+[@@noalloc]
+
 external crc32_update : crc32_kernel -> int -> bytes -> int -> int -> int
   = "bp_crc32_update"
 [@@noalloc]

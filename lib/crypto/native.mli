@@ -5,7 +5,8 @@
     The stubs read raw memory and never allocate: every caller checks its
     bounds before the call. Each kernel is chosen once per process from
     the [cpuid] probes, and both kernels of a pair give the same results;
-    only host time differs. *)
+    only host time differs. The whole-message stubs write their result
+    into a [bytes] the caller allocated. *)
 
 type sha256_kernel = Sha256_portable | Sha_ni
 (** The stub reads the constructor as an int: 0 portable C, 1 the x86
@@ -23,6 +24,27 @@ external sha256_compress :
     [buf.[off]] into the 8-word chaining value [h]. *)
 
 external has_sha_ni : unit -> bool = "bp_sha256_has_sha_ni" [@@noalloc]
+
+external sha256_digest : sha256_kernel -> string -> bytes -> unit
+  = "bp_sha256_digest"
+[@@noalloc]
+(** [sha256_digest k s out] writes the digest of all of [s] into the
+    first 32 bytes of [out]. *)
+
+external hmac_sha256 : sha256_kernel -> string -> string -> string -> bytes -> unit
+  = "bp_hmac_sha256"
+[@@noalloc]
+(** [hmac_sha256 k inner outer msg out] writes into the first 32 bytes of
+    [out] the HMAC of [msg] under the key whose inner and outer pads
+    hash to the 40-byte midstates [inner] and [outer]. *)
+
+external hmac_sha256_verify :
+  sha256_kernel -> string -> string -> string -> string -> bool
+  = "bp_hmac_sha256_verify"
+[@@noalloc]
+(** [hmac_sha256_verify k inner outer msg tag]: whether [tag] is that
+    HMAC, compared in constant time; [false] for a tag that is not 32
+    bytes long. *)
 
 external crc32_update : crc32_kernel -> int -> bytes -> int -> int -> int
   = "bp_crc32_update"

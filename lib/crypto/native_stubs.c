@@ -1,6 +1,7 @@
 /* The C surface of Bp_crypto, declared in [native.mli]: SHA-256 block
-   compression (FIPS 180-4) for Sha256 and the CRC-32 register update
-   (IEEE 802.3, zlib's reflected polynomial) for Crc32.
+   compression (FIPS 180-4), one-shot digests and HMAC-SHA256 (RFC 2104)
+   from prepared pad midstates for Sha256 and Hmac, and the CRC-32
+   register update (IEEE 802.3, zlib's reflected polynomial) for Crc32.
 
    Each has a portable C kernel and, on x86, one built on CPU extensions:
    the SHA extensions (SHA-NI) and carry-less multiply (PCLMULQDQ). The
@@ -12,11 +13,14 @@
    The SHA-256 chaining value lives on the OCaml heap as an 8-element
    [int array] of 32-bit words. It is copied into a local uint32_t array,
    the blocks are compressed, and the words are written back as immediate
-   ints; the CRC register travels as an immediate int. So the stubs never
+   ints; the CRC register travels as an immediate int. The one-shot
+   digest and HMAC stubs keep their whole state on the C stack and write
+   the result into a caller-allocated [bytes]. So the stubs never
    allocate and never need the write barrier. */
 
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 #include <caml/mlvalues.h>
 
@@ -153,6 +157,76 @@ compress_sha_ni(uint32_t s[8], const unsigned char *p, size_t blocks)
 }
 
 #endif
+
+/* ---------- SHA-256: whole messages ---------- */
+
+static void compress(long kernel, uint32_t s[8], const unsigned char *p,
+                     size_t blocks)
+{
+#ifdef BP_X86
+  if (kernel == 1) {
+    compress_sha_ni(s, p, blocks);
+    return;
+  }
+#endif
+  (void)kernel;
+  compress_portable(s, p, blocks);
+}
+
+/* Absorb the [n] bytes at [p] into the chaining value [s], which has
+   already absorbed [prefix] bytes (a whole number of blocks), then pad
+   and fold the final one or two blocks. */
+static void finish(long kernel, uint32_t s[8], uint64_t prefix,
+                   const unsigned char *p, size_t n)
+{
+  unsigned char tail[128];
+  size_t whole = n / 64, rest = n % 64;
+  size_t blocks = rest + 1 + 8 <= 64 ? 1 : 2;
+  uint64_t bits = (prefix + n) * 8;
+  if (whole > 0) compress(kernel, s, p, whole);
+  memcpy(tail, p + 64 * whole, rest);
+  tail[rest] = 0x80;
+  memset(tail + rest + 1, 0, 64 * blocks - 8 - (rest + 1));
+  for (int i = 0; i < 8; i++)
+    tail[64 * blocks - 1 - i] = (unsigned char)(bits >> (8 * i));
+  compress(kernel, s, tail, blocks);
+}
+
+static void store_digest(unsigned char *out, const uint32_t s[8])
+{
+  for (int i = 0; i < 8; i++) {
+    out[4 * i] = (unsigned char)(s[i] >> 24);
+    out[4 * i + 1] = (unsigned char)(s[i] >> 16);
+    out[4 * i + 2] = (unsigned char)(s[i] >> 8);
+    out[4 * i + 3] = (unsigned char)s[i];
+  }
+}
+
+/* A midstate (see Sha256.midstate) is the 8 chaining words big-endian,
+   then the absorbed byte count as a 64-bit big-endian integer. */
+static uint64_t load_midstate(uint32_t s[8], const unsigned char *m)
+{
+  uint64_t len = 0;
+  for (int i = 0; i < 8; i++) s[i] = load_be32(m + 4 * i);
+  for (int i = 0; i < 8; i++) len = (len << 8) | m[32 + i];
+  return len;
+}
+
+/* HMAC's two passes: the inner hash of [msg] resumed from the inner pad
+   midstate, then the outer hash of that digest resumed from the outer
+   pad midstate. */
+static void hmac(long kernel, const unsigned char *inner,
+                 const unsigned char *outer, const unsigned char *msg,
+                 size_t n, unsigned char tag[32])
+{
+  uint32_t s[8];
+  uint64_t prefix = load_midstate(s, inner);
+  finish(kernel, s, prefix, msg, n);
+  store_digest(tag, s);
+  prefix = load_midstate(s, outer);
+  finish(kernel, s, prefix, tag, 32);
+  store_digest(tag, s);
+}
 
 /* ---------- CRC-32: portable kernel ---------- */
 
@@ -668,4 +742,44 @@ value bp_crc32_update(value kernel, value crc, value buf, value off,
 #endif
   (void)kernel;
   return Val_long(crc32_portable(c, p, n));
+}
+
+/* [src] is the whole message; [out] is a 32-byte [bytes]. */
+value bp_sha256_digest(value kernel, value src, value out)
+{
+  uint32_t s[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                   0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  finish(Long_val(kernel), s, 0, (const unsigned char *)String_val(src),
+         caml_string_length(src));
+  store_digest(Bytes_val(out), s);
+  return Val_unit;
+}
+
+/* [inner] and [outer] are 40-byte midstates (the OCaml caller checks);
+   [out] is a 32-byte [bytes]. */
+value bp_hmac_sha256(value kernel, value inner, value outer, value msg,
+                     value out)
+{
+  hmac(Long_val(kernel), (const unsigned char *)String_val(inner),
+       (const unsigned char *)String_val(outer),
+       (const unsigned char *)String_val(msg), caml_string_length(msg),
+       Bytes_val(out));
+  return Val_unit;
+}
+
+/* Whether [tag] is the HMAC of [msg]. A tag of the wrong length is
+   rejected outright (the length is public); otherwise every byte is
+   compared, so the time taken does not depend on where they differ. */
+value bp_hmac_sha256_verify(value kernel, value inner, value outer,
+                            value msg, value tag)
+{
+  unsigned char want[32];
+  const unsigned char *got = (const unsigned char *)String_val(tag);
+  unsigned char diff = 0;
+  if (caml_string_length(tag) != 32) return Val_false;
+  hmac(Long_val(kernel), (const unsigned char *)String_val(inner),
+       (const unsigned char *)String_val(outer),
+       (const unsigned char *)String_val(msg), caml_string_length(msg), want);
+  for (int i = 0; i < 32; i++) diff |= (unsigned char)(want[i] ^ got[i]);
+  return Val_bool(diff == 0);
 }

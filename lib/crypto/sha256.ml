@@ -1,12 +1,16 @@
 (* SHA-256 per FIPS 180-4. The block compression is C
    ([Native.sha256_compress]): the x86 SHA extensions where the CPU has
-   them, portable C otherwise. This module owns the buffering, padding
-   and midstates; the kernel only ever sees whole 64-byte blocks, and a
-   multi-block [update_bytes] crosses into C once. The test suite keeps
+   them, portable C otherwise. This module owns the streaming context's
+   buffering, padding and midstates; the kernel only ever sees whole
+   64-byte blocks, and a multi-block [update_bytes] crosses into C once.
+   A one-shot [digest] and the HMAC passes over two saved midstates are
+   one C call each, with no context on the OCaml heap. The test suite keeps
    the Int32 transcription ([test/sha256_ref.ml]) as a
    differential-testing oracle for both kernels. *)
 
 type kernel = Native.sha256_kernel
+
+let digest_length = 32
 
 (* Asked once: the CPU does not change under a running process. *)
 let selected = if Native.has_sha_ni () then Native.Sha_ni else Native.Sha256_portable
@@ -107,10 +111,12 @@ let resume m =
   ctx.length <- Int64.to_int (String.get_int64_be m 32);
   ctx
 
-let digest s =
-  let ctx = init () in
-  update ctx s;
-  finalize ctx
+let digest_with kernel s =
+  let out = Bytes.create digest_length in
+  Native.sha256_digest kernel s out;
+  Bytes.unsafe_to_string out
+
+let digest s = digest_with selected s
 
 let digest_list parts =
   let ctx = init () in
@@ -118,8 +124,6 @@ let digest_list parts =
   finalize ctx
 
 let hex s = Bp_util.Hex.encode (digest s)
-
-let digest_length = 32
 
 module Kernel = struct
   type t = kernel
@@ -134,4 +138,19 @@ module Kernel = struct
   let selected = selected
   let update_bytes = update_bytes_with
   let finalize = finalize_with
+  let digest = digest_with
+
+  let check_midstates ~inner ~outer =
+    if String.length inner <> midstate_length || String.length outer <> midstate_length
+    then invalid_arg "Sha256.Kernel.hmac: not a midstate"
+
+  let hmac kernel ~inner ~outer msg =
+    check_midstates ~inner ~outer;
+    let out = Bytes.create digest_length in
+    Native.hmac_sha256 kernel inner outer msg out;
+    Bytes.unsafe_to_string out
+
+  let hmac_equal kernel ~inner ~outer msg ~tag =
+    check_midstates ~inner ~outer;
+    Native.hmac_sha256_verify kernel inner outer msg tag
 end

@@ -33,7 +33,8 @@ val resume : string -> ctx
     @raise Invalid_argument if the string is not a midstate. *)
 
 val digest : string -> string
-(** One-shot hash of a string; 32 raw bytes. *)
+(** One-shot hash of a string; 32 raw bytes. One C call, with no
+    streaming context. *)
 
 val digest_list : string list -> string
 (** Hash of the concatenation, without building the concatenation. *)
@@ -64,4 +65,20 @@ module Kernel : sig
 
   val finalize : t -> ctx -> string
   (** {!val-finalize} through the given kernel. *)
+
+  val digest : t -> string -> string
+  (** {!val-digest} through the given kernel. *)
+
+  val hmac : t -> inner:string -> outer:string -> string -> string
+  (** [hmac k ~inner ~outer msg] is the HMAC-SHA256 tag of [msg] under
+      the key whose inner and outer pads hash to the {!midstate}s
+      [inner] and [outer]: [H(outer ‖ H(inner ‖ msg))], both passes in
+      one C call. [Hmac] builds on it.
+      @raise Invalid_argument if either string is not a midstate. *)
+
+  val hmac_equal : t -> inner:string -> outer:string -> string -> tag:string -> bool
+  (** Whether [tag] equals [hmac k ~inner ~outer msg], compared in
+      constant time inside the same C call. A [tag] that is not 32 bytes
+      long gives [false]; it never raises on [tag].
+      @raise Invalid_argument if either midstate is not one. *)
 end

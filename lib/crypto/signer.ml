@@ -79,20 +79,25 @@ let snapshot t ~signer =
   | Some (Hmac_secret key) -> Some (Hmac_key key)
   | Some (Hash_keys keys) -> Some (Hash_roots keys.roots)
 
+let verify_roots roots ~msg ~signature =
+  match Merkle_sig.decode signature with
+  | None -> false
+  | Some s -> List.exists (fun root -> Merkle_sig.verify root msg s) roots
+
 let verify_key key ~msg ~signature =
   match key with
   | Hmac_key key -> Hmac.verify_prepared key ~msg ~tag:signature
-  | Hash_roots roots -> (
-      match Merkle_sig.decode signature with
-      | None -> false
-      | Some s -> List.exists (fun root -> Merkle_sig.verify root msg s) roots)
+  | Hash_roots roots -> verify_roots roots ~msg ~signature
 (* Audited for pool workers (bplint R7-parpure): operates on an immutable
    [key] snapshot and never touches the keystore hashtable, the verify
    cache, or any other protocol-domain state. *)
 [@@bplint.parallel_pure]
 
+(* The same verdict as [verify_key] over [snapshot], read straight from
+   the identity: no key snapshot is allocated on the per-message path. *)
 let verify t ~signer ~msg ~signature =
-  match snapshot t ~signer with
-  | None -> false
-  | Some key -> verify_key key ~msg ~signature
+  match Id_tbl.find t.identities signer with
+  | exception Not_found -> false
+  | Hmac_secret key -> Hmac.verify_prepared key ~msg ~tag:signature
+  | Hash_keys keys -> verify_roots keys.roots ~msg ~signature
 

@@ -64,17 +64,6 @@ let reset_counters () =
 
 (* ---------- the cache ---------- *)
 
-(* Monomorphic tables on the per-message path: probes compare keys with
-   [String.equal]/[Int.equal] rather than polymorphic compare. Hashing is
-   [Hashtbl.hash], exactly what the polymorphic table used, so the bucket
-   layout is unchanged. *)
-module Verdict_tbl = Hashtbl.Make (struct
-  type t = string * string
-
-  let equal (s1, g1) (s2, g2) = String.equal s1 s2 && String.equal g1 g2
-  let hash = Hashtbl.hash
-end)
-
 module Digest_tbl = Hashtbl.Make (struct
   type t = int
 
@@ -82,23 +71,31 @@ module Digest_tbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-type entry = {
-  mutable e_msg : string;
-  mutable e_gen : int;
-  mutable e_verdict : bool;
-}
-
+(* The verdict table is flat: one array per field, indexed by slot, and
+   an open-addressed index from the key's hash to its slot. Slots are
+   written in FIFO ring order, so the slot at the cursor is always the
+   oldest entry and the next to be evicted; a probe allocates nothing. *)
 type t = {
   keystore : Signer.t;
+  capacity : int;
   (* Keyed by (signer, signature): for honest traffic the signature alone
      pins the message, and the stored message is compared on every probe,
      so colliding keys (e.g. the all-zero forged signature under several
      bodies) just overwrite each other — never cross-talk. Hashing the
-     message instead would cost as much as the verify being saved. *)
-  verdicts : entry Verdict_tbl.t;
-  ring : (string * string) option array;
-      (* FIFO eviction; slots = table keys; empty = keep nothing *)
-  mutable cursor : int;
+     message instead would cost as much as the verify being saved. The
+     slot arrays grow by doubling up to [capacity] while the ring first
+     fills, so a short-lived cache never pays for its full size. *)
+  mutable v_signer : string array;
+  mutable v_signature : string array;
+  mutable v_msg : string array;
+  mutable v_gen : int array;
+  mutable v_verdict : bool array;
+  mutable v_hash : int array;
+  (* Linear probing over a power-of-two table at least twice [capacity],
+     so it is never more than half full: each cell holds a slot or -1. *)
+  index : int array;
+  mutable cursor : int; (* next slot to write *)
+  mutable filled : int; (* slots in use: [capacity] once the ring wraps *)
   (* Digest memo: cheap fingerprint -> bucket of (content, digest).
      Bounded by bytes (not entries) because the keys it pins alive can be
      megabytes each. *)
@@ -115,15 +112,26 @@ type t = {
   mutable i_digest_misses : int;
 }
 
+let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
+
 (* The digest memo's FIFO window only has to cover content still in
    flight (a few pipelined batches); a huge budget would just pin dead
    operations on the major heap for the GC to trace. *)
 let create ?(capacity = 4096) ?(digest_budget = 8 * 1024 * 1024) keystore =
+  let capacity = max 0 capacity in
+  let slots = min capacity 64 in
   {
     keystore;
-    verdicts = Verdict_tbl.create (2 * capacity);
-    ring = Array.make (max 0 capacity) None;
+    capacity;
+    v_signer = Array.make slots "";
+    v_signature = Array.make slots "";
+    v_msg = Array.make slots "";
+    v_gen = Array.make slots 0;
+    v_verdict = Array.make slots false;
+    v_hash = Array.make slots 0;
+    index = Array.make (pow2_at_least (2 * capacity) 1) (-1);
     cursor = 0;
+    filled = 0;
     digests = Digest_tbl.create 256;
     dqueue = Queue.create ();
     dbytes = 0;
@@ -146,14 +154,76 @@ let instance_counters t =
     memo_misses = 0;
   }
 
-let insert t key entry =
-  if Array.length t.ring > 0 then begin
-    (match t.ring.(t.cursor) with
-    | Some old -> Verdict_tbl.remove t.verdicts old
-    | None -> ());
-    t.ring.(t.cursor) <- Some key;
-    Verdict_tbl.replace t.verdicts key entry;
-    t.cursor <- (t.cursor + 1) mod Array.length t.ring
+let hash_key ~signature = Hashtbl.hash signature
+
+(* The slot holding (signer, signature), or -1. A capacity-0 cache has a
+   one-cell index that stays empty, so every probe misses at once. *)
+let rec find t ~signer ~signature h i =
+  let s = t.index.(i) in
+  if s < 0 then -1
+  else if
+    t.v_hash.(s) = h
+    && String.equal t.v_signature.(s) signature
+    && String.equal t.v_signer.(s) signer
+  then s
+  else find t ~signer ~signature h ((i + 1) land (Array.length t.index - 1))
+
+let rec link t slot i =
+  if t.index.(i) < 0 then t.index.(i) <- slot
+  else link t slot ((i + 1) land (Array.length t.index - 1))
+
+(* Backward-shift deletion: refill the hole at [hole] with the first later
+   entry in the run whose home does not lie strictly between the hole and
+   that entry, then repeat from the entry's old cell, until the run ends.
+   No tombstones, so probe runs never lengthen with churn. *)
+let rec close_hole t hole j =
+  let mask = Array.length t.index - 1 in
+  let s = t.index.(j) in
+  if s < 0 then t.index.(hole) <- -1
+  else if (j - (t.v_hash.(s) land mask)) land mask >= (j - hole) land mask then begin
+    t.index.(hole) <- s;
+    close_hole t j ((j + 1) land mask)
+  end
+  else close_hole t hole ((j + 1) land mask)
+
+let rec unlink t slot i =
+  let mask = Array.length t.index - 1 in
+  if t.index.(i) = slot then close_hole t i ((i + 1) land mask)
+  else unlink t slot ((i + 1) land mask)
+
+let grow t =
+  let n = min t.capacity (2 * Array.length t.v_hash) in
+  let extend a fill =
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  t.v_signer <- extend t.v_signer "";
+  t.v_signature <- extend t.v_signature "";
+  t.v_msg <- extend t.v_msg "";
+  t.v_gen <- extend t.v_gen 0;
+  t.v_verdict <- extend t.v_verdict false;
+  t.v_hash <- extend t.v_hash 0
+
+(* Write a new entry at the cursor, evicting the oldest once the ring is
+   full. No-op at capacity 0. *)
+let insert t ~signer ~signature h ~msg ~gen verdict =
+  if t.capacity > 0 then begin
+    let slot = t.cursor in
+    let mask = Array.length t.index - 1 in
+    if t.filled = t.capacity then unlink t slot (t.v_hash.(slot) land mask)
+    else begin
+      if slot = Array.length t.v_hash then grow t;
+      t.filled <- t.filled + 1
+    end;
+    t.v_signer.(slot) <- signer;
+    t.v_signature.(slot) <- signature;
+    t.v_msg.(slot) <- msg;
+    t.v_gen.(slot) <- gen;
+    t.v_verdict.(slot) <- verdict;
+    t.v_hash.(slot) <- h;
+    link t slot (h land mask);
+    t.cursor <- (if slot + 1 = t.capacity then 0 else slot + 1)
   end
 
 let hit t =
@@ -169,47 +239,58 @@ let miss t =
    await. The counter accounting matches [verify] exactly — a probe
    counts the hit/miss, a record counts nothing. *)
 
-let current e ~gen ~msg =
-  e.e_gen = gen && (e.e_msg == msg || String.equal e.e_msg msg)
+let current t slot ~gen ~msg =
+  slot >= 0
+  && t.v_gen.(slot) = gen
+  && (t.v_msg.(slot) == msg || String.equal t.v_msg.(slot) msg)
 
-(* Store a verdict under [key]. A [found] entry (stale generation, or a
-   key collision with a different message) is refreshed in place, with no
+(* Store a verdict for the key. A [found] slot (stale generation, or a key
+   collision with a different message) is refreshed in place, with no
    ring movement. *)
-let store t key found ~msg ~gen verdict =
-  match found with
-  | Some e ->
-      e.e_msg <- msg;
-      e.e_gen <- gen;
-      e.e_verdict <- verdict
-  | None -> insert t key { e_msg = msg; e_gen = gen; e_verdict = verdict }
+let store t ~signer ~signature h found ~msg ~gen verdict =
+  if found >= 0 then begin
+    t.v_msg.(found) <- msg;
+    t.v_gen.(found) <- gen;
+    t.v_verdict.(found) <- verdict
+  end
+  else insert t ~signer ~signature h ~msg ~gen verdict
+
+let lookup t ~signer ~signature h =
+  find t ~signer ~signature h (h land (Array.length t.index - 1))
 
 let probe t ~signer ~msg ~signature =
-  match Verdict_tbl.find_opt t.verdicts (signer, signature) with
-  | Some e when current e ~gen:(Signer.generation t.keystore) ~msg ->
-      hit t;
-      Some e.e_verdict
-  | Some _ | None ->
-      miss t;
-      None
+  let h = hash_key ~signature in
+  let slot = lookup t ~signer ~signature h in
+  if current t slot ~gen:(Signer.generation t.keystore) ~msg then begin
+    hit t;
+    (* Both options are constants: a hit allocates nothing. *)
+    if t.v_verdict.(slot) then Some true else Some false
+  end
+  else begin
+    miss t;
+    None
+  end
 
 let record t ~signer ~msg ~signature ~verdict =
-  let key = (signer, signature) in
-  store t key
-    (Verdict_tbl.find_opt t.verdicts key)
+  let h = hash_key ~signature in
+  store t ~signer ~signature h
+    (lookup t ~signer ~signature h)
     ~msg ~gen:(Signer.generation t.keystore) verdict
 
 let verify t ~signer ~msg ~signature =
   let gen = Signer.generation t.keystore in
-  let key = (signer, signature) in
-  match Verdict_tbl.find_opt t.verdicts key with
-  | Some e when current e ~gen ~msg ->
-      hit t;
-      e.e_verdict
-  | found ->
-      miss t;
-      let v = Signer.verify t.keystore ~signer ~msg ~signature in
-      store t key found ~msg ~gen v;
-      v
+  let h = hash_key ~signature in
+  let slot = lookup t ~signer ~signature h in
+  if current t slot ~gen ~msg then begin
+    hit t;
+    t.v_verdict.(slot)
+  end
+  else begin
+    miss t;
+    let v = Signer.verify t.keystore ~signer ~msg ~signature in
+    store t ~signer ~signature h slot ~msg ~gen v;
+    v
+  end
 
 let sign t ~signer msg =
   let signature = Signer.sign t.keystore ~signer msg in
@@ -308,7 +389,7 @@ type 'a memo = { mutable entries : ('a * string) list; mcap : int }
 
 let memo ?(capacity = 8) () = { entries = []; mcap = max 0 capacity }
 
-let keeps_nothing t = Array.length t.ring = 0 && t.digest_budget <= 0
+let keeps_nothing t = t.capacity = 0 && t.digest_budget <= 0
 
 let memoize m key f =
   match List.assq_opt key m.entries with

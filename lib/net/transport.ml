@@ -47,17 +47,26 @@ let packet_reader d =
    payload can never borrow a hint. *)
 type Network.hint += Decoded of { frame : string; packet : packet }
 
+(* The send side of a stream is a ring of the unacked segments: seqs
+   [acked, next_send_seq), segment [seq] at index [seq land (capacity - 1)]
+   of three parallel arrays whose length is a power of two, doubled when
+   full. [first_sent] holds the first-transmission time in ns (Karn's
+   rule), or [-1] once the segment has been retransmitted. *)
 type peer = {
   remote : Addr.t;
   mutable next_send_seq : int;
-  mutable unacked : (string * string) Int_map.t; (* seq -> tag, payload *)
+  mutable acked : int; (* lowest unacked seq *)
+  mutable seg_tag : string array;
+  mutable seg_payload : string array;
+  mutable first_sent : int array;
   mutable retransmit : Engine.timer option;
   mutable next_recv_seq : int;
-  mutable reorder_buffer : (string * string) Int_map.t;
-  mutable send_times : Time.t Int_map.t; (* first-transmission times (Karn) *)
+  mutable reorder_buffer : (string * string) Int_map.t; (* out-of-order arrivals only *)
   mutable srtt : Time.t option; (* smoothed round-trip estimate *)
   mutable backoff : int; (* exponential RTO backoff (resets on a sample) *)
 }
+
+let initial_window = 16
 
 type t = {
   net : Network.t;
@@ -82,11 +91,13 @@ let peer_of t remote =
         {
           remote;
           next_send_seq = 0;
-          unacked = Int_map.empty;
+          acked = 0;
+          seg_tag = Array.make initial_window "";
+          seg_payload = Array.make initial_window "";
+          first_sent = Array.make initial_window (-1);
           retransmit = None;
           next_recv_seq = 0;
           reorder_buffer = Int_map.empty;
-          send_times = Int_map.empty;
           srtt = None;
           backoff = 0;
         }
@@ -122,6 +133,18 @@ let raw_send t ~dst packet =
   in
   Network.send t.net ~src:t.self ~dst ~hint:(Decoded { frame; packet }) frame
 
+(* Resend every unacked segment, in ascending seq order. *)
+let retransmit_all t p =
+  let mask = Array.length p.first_sent - 1 in
+  for seq = p.acked to p.next_send_seq - 1 do
+    let i = seq land mask in
+    t.retransmissions <- t.retransmissions + 1;
+    (* Karn: retransmitted segments never produce RTT samples. *)
+    p.first_sent.(i) <- -1;
+    raw_send t ~dst:p.remote
+      (Data { seq; tag = p.seg_tag.(i); payload = p.seg_payload.(i) })
+  done
+
 let rec arm_retransmit t p =
   match p.retransmit with
   | Some _ -> ()
@@ -130,16 +153,9 @@ let rec arm_retransmit t p =
         let timer =
           Engine.schedule t.engine ~after:(rto t p) (fun () ->
               p.retransmit <- None;
-              if not (Int_map.is_empty p.unacked) then begin
+              if p.acked < p.next_send_seq then begin
                 p.backoff <- p.backoff + 1;
-                Int_map.iter
-                  (fun seq (tag, payload) ->
-                    t.retransmissions <- t.retransmissions + 1;
-                    (* Karn: retransmitted segments never produce RTT
-                       samples. *)
-                    p.send_times <- Int_map.remove seq p.send_times;
-                    raw_send t ~dst:p.remote (Data { seq; tag; payload }))
-                  p.unacked;
+                retransmit_all t p;
                 arm_retransmit t p
               end)
         in
@@ -153,47 +169,48 @@ let dispatch t ~src ~tag payload =
           m "%s: no handler for tag %S (from %s)" (Addr.to_string t.self) tag
             (Addr.to_string src))
 
+(* Deliver the buffered segments that are now in order. *)
+let rec drain t p ~src =
+  match Int_map.find_opt p.next_recv_seq p.reorder_buffer with
+  | Some (tag, payload) ->
+      p.reorder_buffer <- Int_map.remove p.next_recv_seq p.reorder_buffer;
+      p.next_recv_seq <- p.next_recv_seq + 1;
+      dispatch t ~src ~tag payload;
+      drain t p ~src
+  | None -> ()
+
+(* The in-order segment, the common case, is delivered at once; only a
+   segment that arrives ahead of a gap waits in [reorder_buffer]. *)
 let handle_data t p ~src ~seq ~tag payload =
   if seq < p.next_recv_seq then
     (* Duplicate of something already delivered: just re-ack. *)
     raw_send t ~dst:src (Ack { next_expected = p.next_recv_seq })
   else begin
-    if not (Int_map.mem seq p.reorder_buffer) then
+    if seq = p.next_recv_seq then begin
+      p.next_recv_seq <- seq + 1;
+      dispatch t ~src ~tag payload;
+      drain t p ~src
+    end
+    else if not (Int_map.mem seq p.reorder_buffer) then
       p.reorder_buffer <- Int_map.add seq (tag, payload) p.reorder_buffer;
-    (* Drain any in-order prefix. *)
-    let rec drain () =
-      match Int_map.find_opt p.next_recv_seq p.reorder_buffer with
-      | Some (tag, payload) ->
-          p.reorder_buffer <- Int_map.remove p.next_recv_seq p.reorder_buffer;
-          p.next_recv_seq <- p.next_recv_seq + 1;
-          dispatch t ~src ~tag payload;
-          drain ()
-      | None -> ()
-    in
-    drain ();
     raw_send t ~dst:src (Ack { next_expected = p.next_recv_seq })
   end
 
-(* [split_below k m] = (bindings below [k], bindings at or above [k]),
-   returning [m] itself when nothing lies below [k]. *)
-let split_below k m =
-  match Int_map.min_binding_opt m with
-  | Some (lowest, _) when lowest < k ->
-      let below, at, above = Int_map.split k m in
-      (below, match at with Some v -> Int_map.add k v above | None -> above)
-  | Some _ | None -> (Int_map.empty, m)
-
-(* An ack costs what it acknowledges: only the acked prefix of the stream
+(* An ack costs what it acknowledges: only the acked prefix of the ring
    is visited, never the whole in-flight window. Stale and duplicate acks
-   split off an empty prefix and change nothing. *)
+   visit nothing, and an ack beyond [next_send_seq] acknowledges only
+   what was sent. *)
 let handle_ack t p ~next_expected =
-  let acked_times, in_flight = split_below next_expected p.send_times in
+  let upto = Stdlib.min next_expected p.next_send_seq in
+  let mask = Array.length p.first_sent - 1 in
+  let now = Engine.now t.engine in
   (* RTT samples from first-transmission times of newly acked segments,
      folded in ascending sequence order. *)
-  let now = Engine.now t.engine in
-  Int_map.iter
-    (fun _ sent_at ->
-      let sample = Time.diff now sent_at in
+  while p.acked < upto do
+    let i = p.acked land mask in
+    let sent_at = p.first_sent.(i) in
+    if sent_at >= 0 then begin
+      let sample = Time.diff now (Time.of_ns sent_at) in
       let smoothed =
         match p.srtt with
         | None -> sample
@@ -201,12 +218,15 @@ let handle_ack t p ~next_expected =
             Time.of_ns (((7 * Time.to_ns srtt) + Time.to_ns sample) / 8)
       in
       p.srtt <- Some smoothed;
-      p.backoff <- 0)
-    acked_times;
-  p.send_times <- in_flight;
-  p.unacked <- snd (split_below next_expected p.unacked)
-(* The retransmit timer stays armed; it self-disarms when it finds the
-   unacked map empty. *)
+      p.backoff <- 0
+    end;
+    (* Release the payload: a ring slot must not pin a large batch. *)
+    p.seg_tag.(i) <- "";
+    p.seg_payload.(i) <- "";
+    p.acked <- p.acked + 1
+  done
+(* The retransmit timer stays armed; it self-disarms when it finds no
+   segment unacked. *)
 
 let handle_packet t ~src packet =
   match packet with
@@ -263,13 +283,34 @@ let loopback t ~tag payload =
     (Engine.schedule t.engine ~after:Time.zero (fun () ->
          dispatch t ~src:t.self ~tag payload))
 
-(* Register [seq] on the peer's reliable stream (send_times must be
-   stamped before the packet departs so Karn's sample is conservative). *)
+(* Double the ring, keeping each unacked seq at its index under the new
+   mask. *)
+let grow_window p =
+  let cap = 2 * Array.length p.first_sent in
+  let tags = Array.make cap "" and payloads = Array.make cap "" in
+  let sent = Array.make cap (-1) in
+  let old_mask = Array.length p.first_sent - 1 in
+  for seq = p.acked to p.next_send_seq - 1 do
+    let i = seq land old_mask and j = seq land (cap - 1) in
+    tags.(j) <- p.seg_tag.(i);
+    payloads.(j) <- p.seg_payload.(i);
+    sent.(j) <- p.first_sent.(i)
+  done;
+  p.seg_tag <- tags;
+  p.seg_payload <- payloads;
+  p.first_sent <- sent
+
+(* Register [seq] on the peer's reliable stream (the first-send time must
+   be stamped before the packet departs so Karn's sample is
+   conservative). *)
 let reserve_seq t p ~tag payload =
+  if p.next_send_seq - p.acked = Array.length p.first_sent then grow_window p;
   let seq = p.next_send_seq in
+  let i = seq land (Array.length p.first_sent - 1) in
   p.next_send_seq <- seq + 1;
-  p.unacked <- Int_map.add seq (tag, payload) p.unacked;
-  p.send_times <- Int_map.add seq (Engine.now t.engine) p.send_times;
+  p.seg_tag.(i) <- tag;
+  p.seg_payload.(i) <- payload;
+  p.first_sent.(i) <- Time.to_ns (Engine.now t.engine);
   seq
 
 let send t ?(reliable = true) ~dst ~tag payload =

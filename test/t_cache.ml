@@ -52,6 +52,71 @@ let diff_verify_test ?(capacity = 4) ~name ~scheme () =
           cached = raw)
         ops)
 
+(* Model check of the flat verdict table against the original
+   Hashtbl-and-ring implementation ([Verify_cache_ref]): random sequences
+   of [verify], [probe], [record] and [sign] calls, with keystore
+   generation bumps mixed in, must give the same verdicts and the same
+   hit/miss counts after every single step. The signature pool is small
+   (valid tags, tampered tags and the all-zero forged tag under every
+   signer), so keys collide in the index and entries are refreshed in
+   place; capacities 1, 2 and 17 evict constantly, 4096 grows the slot
+   arrays without evicting, and 0 keeps nothing. *)
+let model_test ~capacity =
+  let msgs = Array.init 6 (fun i -> Printf.sprintf "model message %d" i) in
+  let zero_tag = String.make 32 '\x00' in
+  QCheck.Test.make ~count:200
+    ~name:(Printf.sprintf "verdict cache = reference model (capacity %d)" capacity)
+    QCheck.(
+      list_of_size Gen.(0 -- 300)
+        (quad (int_bound 9) (int_bound 8) (int_bound 5) (int_bound 55)))
+    (fun ops ->
+      let ks = make_keystore () in
+      let sigs =
+        Array.map
+          (fun id -> Array.map (fun m -> Signer.sign ks ~signer:id m) msgs)
+          ids
+      in
+      let signature_of c =
+        if c < 48 then sigs.(c / 6).(c mod 6)
+        else if c < 52 then zero_tag
+        else flip_byte sigs.(c - 52).(0) c
+      in
+      let cache = Verify_cache.create ~capacity ks in
+      let model = Verify_cache_ref.create ~capacity ks in
+      let bumps = ref 0 in
+      List.for_all
+        (fun (kind, who, m, c) ->
+          let signer = if who < Array.length ids then ids.(who) else "cache/ghost" in
+          let msg = msgs.(m) and signature = signature_of c in
+          let same =
+            match kind with
+            | 0 | 1 | 2 | 3 ->
+                Verify_cache.verify cache ~signer ~msg ~signature
+                = Verify_cache_ref.verify model ~signer ~msg ~signature
+            | 4 | 5 ->
+                Verify_cache.probe cache ~signer ~msg ~signature
+                = Verify_cache_ref.probe model ~signer ~msg ~signature
+            | 6 ->
+                let verdict = c mod 2 = 0 in
+                Verify_cache.record cache ~signer ~msg ~signature ~verdict;
+                Verify_cache_ref.record model ~signer ~msg ~signature ~verdict;
+                true
+            | 7 | 8 ->
+                let signer = ids.(who mod Array.length ids) in
+                String.equal
+                  (Verify_cache.sign cache ~signer msg)
+                  (Verify_cache_ref.sign model ~signer msg)
+            | _ ->
+                incr bumps;
+                Signer.add_identity ks (Printf.sprintf "cache/bump%d" !bumps);
+                true
+          in
+          let c = Verify_cache.instance_counters cache in
+          same
+          && c.Verify_cache.verify_hits = Verify_cache_ref.hits model
+          && c.Verify_cache.verify_misses = Verify_cache_ref.misses model)
+        ops)
+
 (* The soundness invariant, observed through the counters: provisioning an
    identity bumps the keystore generation, after which a previously cached
    verdict must be recomputed (miss), not replayed. *)
@@ -377,5 +442,8 @@ let suite =
             test_envelope_both_payloads;
           Alcotest.test_case "Crc32.combine edge lengths" `Quick
             test_crc_combine_edges;
-        ] );
+        ]
+      @ List.map
+          (fun capacity -> QCheck_alcotest.to_alcotest (model_test ~capacity))
+          [ 0; 1; 2; 17; 4096 ] );
   ]

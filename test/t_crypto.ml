@@ -557,6 +557,116 @@ let qcheck_merkle_inclusion =
       let root = Merkle.root leaves in
       Merkle.verify ~root ~leaf:(List.nth leaves i) (Merkle.prove leaves i))
 
+(* ---------- whole-message C kernels ----------
+   The one-shot digest and both HMAC passes run in one C call each. They
+   are checked on every kernel this CPU can run: against the streaming
+   context, against the reference hash, and against RFC 2104 spelled out
+   on the reference hash. *)
+
+let rfc4231 =
+  let long_key = String.make 131 '\xaa' in
+  [
+    ( "case 1", String.make 20 '\x0b', "Hi There",
+      "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7" );
+    ( "case 2", "Jefe", "what do ya want for nothing?",
+      "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843" );
+    ( "case 3", String.make 20 '\xaa', String.make 50 '\xdd',
+      "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe" );
+    ( "case 4", String.init 25 (fun i -> Char.chr (i + 1)), String.make 50 '\xcd',
+      "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b" );
+    ( "case 6", long_key, "Test Using Larger Than Block-Size Key - Hash Key First",
+      "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54" );
+    ( "case 7", long_key,
+      "This is a test using a larger than block-size key and a larger than \
+       block-size data. The key needs to be hashed before being used by the \
+       HMAC algorithm.",
+      "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2" );
+  ]
+
+let test_hmac_rfc4231_every_kernel () =
+  List.iter
+    (fun k ->
+      List.iter
+        (fun (case, key, msg, want) ->
+          let label = Printf.sprintf "%s, %s" (Sha256.Kernel.name k) case in
+          let prepared = Hmac.prepare key in
+          Alcotest.(check string) label want
+            (Hex.encode (Hmac.Kernel.mac k prepared msg));
+          Alcotest.(check bool) (label ^ " verifies") true
+            (Hmac.Kernel.verify_prepared k prepared ~msg ~tag:(Hex.decode want)))
+        rfc4231)
+    Sha256.Kernel.available
+
+let pattern n = String.init n (fun i -> Char.chr (((i * 131) + n) land 0xff))
+
+(* Every length 0-300 covers the padding edges 55/56 (one or two final
+   blocks), 63/64 and 119/120. *)
+let test_oneshot_digest_lengths () =
+  List.iter
+    (fun k ->
+      for n = 0 to 300 do
+        let s = pattern n in
+        let label = Printf.sprintf "%s, %d bytes" (Sha256.Kernel.name k) n in
+        let want = Sha256_ref.digest s in
+        Alcotest.(check string) (label ^ ": one-shot = reference") (Hex.encode want)
+          (Hex.encode (Sha256.Kernel.digest k s));
+        Alcotest.(check string) (label ^ ": one-shot = streaming")
+          (Hex.encode (kernel_digest k s))
+          (Hex.encode (Sha256.Kernel.digest k s))
+      done)
+    Sha256.Kernel.available
+
+let test_hmac_lengths_every_kernel () =
+  List.iter
+    (fun key ->
+      let prepared = Hmac.prepare key in
+      List.iter
+        (fun k ->
+          for n = 0 to 300 do
+            let msg = pattern n in
+            let label =
+              Printf.sprintf "%s, %d-byte key, %d bytes" (Sha256.Kernel.name k)
+                (String.length key) n
+            in
+            let tag = Hmac.Kernel.mac k prepared msg in
+            Alcotest.(check string) label (Hex.encode (hmac_ref ~key msg))
+              (Hex.encode tag);
+            Alcotest.(check bool) (label ^ " verifies") true
+              (Hmac.Kernel.verify_prepared k prepared ~msg ~tag)
+          done)
+        Sha256.Kernel.available)
+    [ ""; "k"; String.make 64 '\x5a'; String.make 131 '\xaa' ]
+
+(* A tag of any length but 32 is rejected without raising, and so is a
+   32-byte tag off by one bit anywhere. *)
+let test_hmac_wrong_tags () =
+  let prepared = Hmac.prepare "key" and msg = "message" in
+  List.iter
+    (fun k ->
+      let name = Sha256.Kernel.name k in
+      let tag = Hmac.Kernel.mac k prepared msg in
+      List.iter
+        (fun n ->
+          let bad = String.init n (fun i -> if i < 32 then tag.[i] else '\x00') in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %d-byte tag" name n)
+            false
+            (Hmac.Kernel.verify_prepared k prepared ~msg ~tag:bad))
+        [ 0; 1; 16; 31; 33; 64; 1000 ];
+      for bit = 0 to 255 do
+        let b = Bytes.of_string tag in
+        let i = bit / 8 in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: bit %d flipped" name bit)
+          false
+          (Hmac.Kernel.verify_prepared k prepared ~msg ~tag:(Bytes.to_string b))
+      done;
+      Alcotest.check_raises (name ^ ": bad midstate")
+        (Invalid_argument "Sha256.Kernel.hmac: not a midstate") (fun () ->
+          ignore (Sha256.Kernel.hmac k ~inner:"short" ~outer:"short" msg)))
+    Sha256.Kernel.available
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [
@@ -578,6 +688,7 @@ let suite =
         tc "kernel padding boundaries" test_kernel_padding_boundaries;
         QCheck_alcotest.to_alcotest qcheck_kernel_unaligned_multiblock;
         tc "two domains hash at once" test_sha256_two_domains;
+        tc "every kernel: one-shot digest, lengths 0-300" test_oneshot_digest_lengths;
       ] );
     ( "crypto.hmac",
       [
@@ -586,6 +697,10 @@ let suite =
         tc "verify accepts/rejects" test_hmac_verify;
         QCheck_alcotest.to_alcotest qcheck_hmac_key_separation;
         QCheck_alcotest.to_alcotest qcheck_hmac_prepared_differential;
+        tc "every kernel: RFC 4231 cases 1-4, 6, 7" test_hmac_rfc4231_every_kernel;
+        tc "every kernel: lengths 0-300 = RFC 2104 reference"
+          test_hmac_lengths_every_kernel;
+        tc "every kernel: wrong tags rejected, never raise" test_hmac_wrong_tags;
       ] );
     ( "crypto.crc32",
       [

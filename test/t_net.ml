@@ -144,6 +144,132 @@ let test_transport_hostile_acks () =
   Alcotest.(check int) "retransmissions pinned" 164 retrans;
   Alcotest.(check int) "arrival times pinned" 513264339917 !arrivals
 
+(* The send window is a ring that starts with 16 slots. Bursts of 23
+   and 40 segments in flight make it grow, and waves that start while
+   earlier ones are still unacked move its head around the ring, so live
+   segments wrap past the end of the array. Under loss every one of them
+   is retransmitted from its slot, and delivery stays exactly-once and in
+   order. *)
+let test_transport_window_grows_and_wraps () =
+  let faults = { Network.no_faults with drop = 0.25 } in
+  let e, net = setup ~faults ~seed:31L () in
+  let a = Transport.create net (node 0 0) in
+  let b = Transport.create net (node 2 0) in
+  let got = ref [] in
+  Transport.set_handler b ~tag:"app" (fun ~src:_ p -> got := p :: !got);
+  let sizes = [ 23; 5; 40; 11; 17; 3; 29 ] in
+  List.iteri
+    (fun wave n ->
+      ignore
+        (Engine.schedule e ~after:(ms (70.0 *. Float.of_int wave)) (fun () ->
+             for i = 1 to n do
+               Transport.send a ~dst:(Transport.addr b) ~tag:"app"
+                 (Printf.sprintf "%d.%d" wave i)
+             done)))
+    sizes;
+  Engine.run ~until:(Time.of_sec 60.0) e;
+  let expected =
+    List.concat
+      (List.mapi
+         (fun wave n -> List.init n (fun i -> Printf.sprintf "%d.%d" wave (i + 1)))
+         sizes)
+  in
+  Alcotest.(check (list string)) "exactly once, in order" expected (List.rev !got);
+  let retrans, _ = Transport.stats a in
+  Alcotest.(check bool) "loss forced retransmissions" true (retrans > 0)
+
+(* A raw endpoint speaking the transport's packet format: Data is kind 1
+   (seq, tag, payload), Ack is kind 2 (next expected seq). *)
+let data_frame ~seq ~tag payload =
+  Bp_codec.Frame.seal
+    (Bp_codec.Wire.encode (fun e ->
+         Bp_codec.Wire.u8 e 1;
+         Bp_codec.Wire.varint e seq;
+         Bp_codec.Wire.string e tag;
+         Bp_codec.Wire.string e payload))
+
+let ack_frame next_expected =
+  Bp_codec.Frame.seal
+    (Bp_codec.Wire.encode (fun e ->
+         Bp_codec.Wire.u8 e 2;
+         Bp_codec.Wire.varint e next_expected))
+
+let read_ack frame =
+  match Bp_codec.Frame.unseal frame with
+  | Error _ -> Alcotest.fail "corrupt frame"
+  | Ok body -> (
+      match
+        Bp_codec.Wire.decode body (fun d ->
+            let kind = Bp_codec.Wire.read_u8 d in
+            (kind, Bp_codec.Wire.read_varint d))
+      with
+      | Ok (2, next_expected) -> next_expected
+      | _ -> Alcotest.fail "not an ack")
+
+(* Acks the sender must shrug off: one beyond everything it has sent
+   (forged before any data arrives), then stale ones below what is
+   already acknowledged, and duplicates. None may break the stream: later
+   segments still get fresh seqs and, when the link turns lossy, are
+   retransmitted until they are delivered, exactly once and in order. *)
+let test_transport_odd_acks () =
+  let e, net = setup ~seed:13L () in
+  let a = Transport.create net (node 0 0) in
+  let b = Transport.create net (node 1 0) in
+  let got = ref [] in
+  Transport.set_handler b ~tag:"app" (fun ~src:_ p -> got := p :: !got);
+  let inject next_expected =
+    Network.send net ~src:(Transport.addr b) ~dst:(Transport.addr a)
+      (ack_frame next_expected)
+  in
+  let send_range lo hi =
+    for i = lo to hi do
+      Transport.send a ~dst:(Transport.addr b) ~tag:"app" (string_of_int i)
+    done
+  in
+  send_range 0 4;
+  inject 1000;
+  Engine.run e;
+  let retrans, _ = Transport.stats a in
+  Alcotest.(check int) "lossless: nothing retransmitted" 0 retrans;
+  Network.set_faults net { Network.no_faults with drop = 0.3 };
+  send_range 5 14;
+  List.iter inject [ 0; 3; 5; 5; 2 ];
+  Engine.run ~until:(Time.of_sec 30.0) e;
+  let retrans, _ = Transport.stats a in
+  Alcotest.(check bool) "lossy: retransmitted" true (retrans > 0);
+  Network.set_faults net Network.no_faults;
+  send_range 15 17;
+  Engine.run e;
+  Alcotest.(check (list string)) "exactly once, in order"
+    (List.init 18 string_of_int) (List.rev !got);
+  Alcotest.(check int) "no timer left" 0 (Engine.pending e)
+
+(* Segments that arrive ahead of a gap wait in the reorder buffer and are
+   released, in order, when the gap fills; every arrival is acked with
+   the next seq still missing, and a duplicate of a delivered segment is
+   only re-acked. *)
+let test_transport_out_of_order_arrival () =
+  let e, net = setup () in
+  let b = Transport.create net (node 0 1) in
+  let raw = node 0 2 in
+  let acks = ref [] in
+  Network.register net raw (fun ~src:_ ~hint:_ frame -> acks := read_ack frame :: !acks);
+  let got = ref [] in
+  Transport.set_handler b ~tag:"app" (fun ~src:_ p -> got := p :: !got);
+  List.iteri
+    (fun i seq ->
+      ignore
+        (Engine.schedule e ~after:(ms (10.0 *. Float.of_int i)) (fun () ->
+             Network.send net ~src:raw ~dst:(Transport.addr b)
+               (data_frame ~seq ~tag:"app" (Printf.sprintf "m%d" seq)))))
+    [ 2; 1; 4; 0; 1; 3; 5; 4 ];
+  Engine.run e;
+  Alcotest.(check (list string)) "delivered in seq order, once"
+    [ "m0"; "m1"; "m2"; "m3"; "m4"; "m5" ]
+    (List.rev !got);
+  Alcotest.(check (list int)) "each arrival acks the first missing seq"
+    [ 0; 0; 0; 3; 3; 5; 6; 6 ] (List.rev !acks)
+
 let test_transport_unreliable_lossy () =
   let faults = { Network.no_faults with drop = 1.0 } in
   let e, net = setup ~faults () in
@@ -270,6 +396,9 @@ let suite =
         tc "bidirectional" test_transport_bidirectional;
         tc "many peers" test_transport_many_peers;
         tc "broadcast encodes once" test_broadcast_encodes_once;
+        tc "send window grows and wraps" test_transport_window_grows_and_wraps;
+        tc "odd acks: beyond, stale, duplicate" test_transport_odd_acks;
+        tc "out-of-order arrival is buffered" test_transport_out_of_order_arrival;
       ] );
     ( "net.heartbeat",
       [
