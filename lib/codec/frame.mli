@@ -48,13 +48,16 @@ val seal_with_suffix :
   Wire.encoder ->
   suffix:string ->
   suffix_crc:int32 ->
+  suffix_shift:Bp_crypto.Crc32.shift ->
   (Wire.encoder -> unit) ->
   string
-(** [seal_with_suffix enc ~suffix ~suffix_crc write_prefix] is
-    [seal_with enc (fun e -> write_prefix e; Wire.fixed e suffix)] — bit
-    for bit — but checksums only the prefix and stitches on the
-    precomputed [suffix_crc = Crc32.string suffix] with {!Crc32.combine}.
-    Broadcast paths use it to pay one payload-sized CRC pass per
-    broadcast instead of one per destination. Combining is arithmetic
-    (a table of x^(2^k) mod p, under a microsecond per call), not a
-    cache, so it runs in every mode, [--no-cache] included. *)
+(** [seal_with_suffix enc ~suffix ~suffix_crc ~suffix_shift write_prefix]
+    is [seal_with enc (fun e -> write_prefix e; Wire.fixed e suffix)] —
+    bit for bit — but checksums only the prefix and stitches on the
+    precomputed [suffix_crc = Crc32.string suffix] with
+    {!Crc32.combine_shift}, given
+    [suffix_shift = Crc32.shift (String.length suffix)]. Broadcast paths
+    compute both once and pay one payload-sized CRC pass and one shift
+    per broadcast, then one modular multiply per destination. Combining
+    is arithmetic, not a cache, so it runs in every mode, [--no-cache]
+    included. *)

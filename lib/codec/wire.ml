@@ -73,6 +73,17 @@ let string buf s =
 
 let fixed buf s = add_string buf s
 
+(* Encoded lengths, for callers that know their message's exact size up
+   front and pass it to {!encode} as the hint. *)
+let rec varint_size_from n acc =
+  if n >= 0 && n < 0x80 then acc else varint_size_from (n lsr 7) (acc + 1)
+
+let varint_size n =
+  if n < 0 then invalid_arg "Wire.varint_size: negative";
+  varint_size_from n 1
+
+let string_size s = varint_size (String.length s) + String.length s
+
 let list buf enc xs =
   varint buf (List.length xs);
   List.iter enc xs
@@ -164,6 +175,13 @@ let read_string d =
   let n = read_varint d in
   read_fixed d n
 
+let read_string_window d =
+  let n = read_varint d in
+  if remaining d < n then fail "fixed: end of input";
+  let off = d.pos in
+  d.pos <- d.pos + n;
+  (off, n)
+
 let read_list d elt =
   let n = read_varint d in
   if n > remaining d then fail "list: length exceeds input";
@@ -184,11 +202,16 @@ let decode_sub src ~off ~len reader =
   | d -> run_reader d reader
   | exception Invalid_argument msg -> Error msg
 
+(* The encoder is local to this call, so when the write filled its
+   buffer exactly the buffer itself becomes the result: an exact
+   [size_hint] costs one allocation and no final copy. A buffer with
+   spare room (an inexact hint) is trimmed by copying, as before. *)
 let encode ?size_hint f =
   incr encode_calls_counter;
   let e = encoder ?size_hint () in
   f e;
-  to_string e
+  if e.len = Bytes.length e.buf then Bytes.unsafe_to_string e.buf
+  else to_string e
 
 let encode_with e f =
   incr encode_calls_counter;

@@ -44,6 +44,13 @@ val string : encoder -> string -> unit
 val fixed : encoder -> string -> unit
 (** Raw bytes with no length prefix (both sides must know the length). *)
 
+val varint_size : int -> int
+(** Bytes {!varint} writes for a non-negative [n] (1 to 9).
+    @raise Invalid_argument on negative input. *)
+
+val string_size : string -> int
+(** Bytes {!string} writes for [s]: its length prefix plus its bytes. *)
+
 val list : encoder -> ('a -> unit) -> 'a list -> unit
 (** Length-prefixed list; the element encoder writes into the same buffer. *)
 
@@ -75,6 +82,11 @@ val read_u8 : decoder -> int
 val read_bool : decoder -> bool
 val read_string : decoder -> string
 
+val read_string_window : decoder -> int * int
+(** {!read_string} without the copy: consumes a length-prefixed string
+    and returns its [(offset, length)] in the decoded source, failing
+    exactly as {!read_string} would. Pair with {!decode_sub}. *)
+
 val read_fixed : decoder -> int -> string
 (** When the read spans the entire input, the original string is returned
     without copying (the bulk-payload fast path). *)
@@ -94,7 +106,11 @@ val decode_sub :
     separate string; trailing bytes within the window are an error. *)
 
 val encode : ?size_hint:int -> (encoder -> unit) -> string
-(** Convenience: run an encoding function over a fresh encoder. *)
+(** Run an encoding function over a fresh encoder. When the bytes written
+    fill the buffer exactly — [size_hint] was the exact encoded length
+    (and at least 16) — the buffer itself is returned, with no final
+    copy; it is never written again. Any other hint is still correct,
+    just one copy dearer. *)
 
 val encode_with : encoder -> (encoder -> unit) -> string
 (** [encode_with e f] resets [e], runs [f e] and returns the bytes — the

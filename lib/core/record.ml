@@ -45,8 +45,15 @@ let decode_sig_list d =
       let signature = Wire.read_string d in
       (identity, signature))
 
+(* Exact encoded length of a log-commit, the bulk record, so
+   {!Wire.encode} writes its payload into one buffer and hands that
+   buffer back. *)
+let encoded_size = function
+  | Commit payload -> Some (1 + Wire.string_size payload)
+  | Comm _ | Recv _ | Mirrored _ -> None
+
 let encode r =
-  Wire.encode (fun e ->
+  Wire.encode ?size_hint:(encoded_size r) (fun e ->
       match r with
       | Commit payload ->
           Wire.u8 e 0;
@@ -195,19 +202,14 @@ let xs_payload xs =
             Wire.string e txid;
             Wire.bool e commit)
 
-let is_xs_payload payload =
-  String.length payload >= String.length xs_prefix
-  && String.equal (String.sub payload 0 (String.length xs_prefix)) xs_prefix
+let is_xs_payload payload = String.starts_with ~prefix:xs_prefix payload
 
 let xs_of_payload payload =
   if not (is_xs_payload payload) then `Not_xs
   else
-    let body =
-      String.sub payload (String.length xs_prefix)
-        (String.length payload - String.length xs_prefix)
-    in
+    let off = String.length xs_prefix in
     match
-      Wire.decode body (fun d ->
+      Wire.decode_sub payload ~off ~len:(String.length payload - off) (fun d ->
           let xs =
             match Wire.read_u8 d with
             | 0 ->

@@ -188,8 +188,7 @@ let verify_transmission t (tr : Record.transmission) =
 
 (* Read markers (§VI-A linearizable reads) are middleware-internal
    commit records: they order reads but never reach the user protocol. *)
-let is_read_marker payload =
-  String.length payload >= 13 && String.sub payload 0 13 = "_read_marker:"
+let is_read_marker payload = String.starts_with ~prefix:"_read_marker:" payload
 
 (* What the user protocol sees of a committed record — shared between
    live execution and WAL replay so recovery is exact. Cross-shard
@@ -236,11 +235,26 @@ let replay ~image ~app =
     (Bp_storage.Wal.records wal);
   (!count, if discarded = 0 then Ok () else Error `Corrupt_tail)
 
-let verifier t ~kind ~op =
-  match Record.decode op with
+(* A request's op decoded once per node: the pre-screen, the batch-cut
+   screen, the prepared check, the pipelined re-verify, the prefetch and
+   execution all read the [Record.t] memoized in the request itself. The
+   replica drops the memo when the request executes; a dropped request
+   takes its memo with it. *)
+type Bp_pbft.Msg.decoded += Decoded_record of (Record.t, string) result
+
+let record_of (r : Bp_pbft.Msg.request) =
+  match r.Bp_pbft.Msg.decoded with
+  | Decoded_record decoded -> decoded
+  | _ ->
+      let decoded = Record.decode r.Bp_pbft.Msg.op in
+      r.Bp_pbft.Msg.decoded <- Decoded_record decoded;
+      decoded
+
+let verifier t (r : Bp_pbft.Msg.request) =
+  match record_of r with
   | Error _ -> false
   | Ok record -> (
-      Record.kind_to_int (Record.kind_of record) = kind
+      Record.kind_to_int (Record.kind_of record) = r.Bp_pbft.Msg.kind
       &&
       match record with
       | Record.Recv tr -> verify_transmission t tr && App.verify t.app record
@@ -271,7 +285,7 @@ let verifier t ~kind ~op =
 let prefetch_jobs t batch =
   List.concat_map
     (fun (r : Bp_pbft.Msg.request) ->
-      match Record.decode r.Bp_pbft.Msg.op with
+      match record_of r with
       | Ok (Record.Recv tr) when tr.Record.tdest = t.participant ->
           let statement =
             Record.transmission_statement
@@ -376,7 +390,7 @@ let submit_record t record ~on_result =
     (Record.encode record) ~on_result
 
 let execute t ~seq:_ (r : Bp_pbft.Msg.request) =
-  match Record.decode r.Bp_pbft.Msg.op with
+  match record_of r with
   | Error msg ->
       (* Cannot happen for records that passed verification. *)
       Log.err (fun m -> m "%s: executing undecodable record: %s" (Addr.to_string t.addr) msg);
@@ -573,7 +587,7 @@ let create ~network ~pbft_cfg ~participant ~n_participants ~node_idx ~fg
       ~execute:(fun ~seq r -> execute t ~seq r)
       ()
   in
-  Bp_pbft.Replica.set_verifier replica (fun ~kind ~op -> verifier t ~kind ~op);
+  Bp_pbft.Replica.set_verifier replica (fun r -> verifier t r);
   Bp_pbft.Replica.set_preverifier replica (fun batch -> preverify t batch);
   t.replica <- Some replica;
   Bp_net.Transport.set_handler transport ~tag:(Proto.aux_tag participant)

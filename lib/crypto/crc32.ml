@@ -77,14 +77,21 @@ let x2nmodp n k =
   done;
   !p
 
+type shift = int
+
+(* x2nmodp len 3 = x^(8 * len): one factor of x per appended bit. *)
+let shift len =
+  if len < 0 then invalid_arg "Crc32.shift";
+  x2nmodp len 3
+
+let combine_shift crc1 crc2 shift =
+  Int32.of_int
+    (multmodp shift (Int32.to_int crc1 land 0xffffffff)
+    lxor (Int32.to_int crc2 land 0xffffffff))
+
 let combine crc1 crc2 len2 =
   if len2 < 0 then invalid_arg "Crc32.combine";
-  if len2 = 0 then crc1
-  else
-    (* x2nmodp len2 3 = x^(8 * len2): one factor of x per appended bit. *)
-    Int32.of_int
-      (multmodp (x2nmodp len2 3) (Int32.to_int crc1 land 0xffffffff)
-      lxor (Int32.to_int crc2 land 0xffffffff))
+  if len2 = 0 then crc1 else combine_shift crc1 crc2 (shift len2)
 
 module Kernel = struct
   type t = kernel

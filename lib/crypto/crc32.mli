@@ -30,6 +30,20 @@ val combine : int32 -> int32 -> int -> int32
 
     @raise Invalid_argument if [len2] is negative. *)
 
+type shift
+(** The factor [x^(8·len) mod p] that appending [len] bytes applies to a
+    checksum: the part of {!combine} that depends only on [len2]. *)
+
+val shift : int -> shift
+(** [shift len] costs what one {!combine} does; each {!combine_shift}
+    that reuses it costs one modular multiply. A broadcast computes its
+    suffix's shift once and stitches every per-destination frame with it.
+    @raise Invalid_argument if [len] is negative. *)
+
+val combine_shift : int32 -> int32 -> shift -> int32
+(** [combine_shift crc1 crc2 (shift len2) = combine crc1 crc2 len2] for
+    every [len2 > 0], and for [len2 = 0] when [crc2 = empty]. *)
+
 (** The checksum kernels, for differential testing. Everything above
     uses {!Kernel.selected}; nothing selects a kernel at run time. *)
 module Kernel : sig

@@ -334,19 +334,23 @@ let broadcast t ?(reliable = true) ~dsts ~tag payload =
   if Array.length dsts > 0 then begin
     let suffix =
       Bp_codec.Wire.encode
-        ~size_hint:(String.length tag + String.length payload + 12)
+        ~size_hint:
+          (Bp_codec.Wire.string_size tag + Bp_codec.Wire.string_size payload)
         (fun e ->
           Bp_codec.Wire.string e tag;
           Bp_codec.Wire.string e payload)
     in
-    (* One payload-sized CRC pass per broadcast: per-destination frames
-       stitch the precomputed suffix checksum on with [Crc32.combine]
-       instead of re-checksumming megabytes per destination. *)
+    (* One payload-sized CRC pass and one shift per broadcast:
+       per-destination frames stitch the suffix checksum on with one
+       modular multiply instead of re-checksumming megabytes (or
+       re-deriving the shift) per destination. *)
     let suffix_crc = Bp_crypto.Crc32.string suffix in
+    let suffix_shift = Bp_crypto.Crc32.shift (String.length suffix) in
     (* Per-destination assembly reuses the endpoint's scratch encoder and
        does not re-walk the message (not counted by Wire.encode_calls). *)
     let assemble header_kind seq =
-      Bp_codec.Frame.seal_with_suffix t.scratch ~suffix ~suffix_crc (fun e ->
+      Bp_codec.Frame.seal_with_suffix t.scratch ~suffix ~suffix_crc
+        ~suffix_shift (fun e ->
           Bp_codec.Wire.u8 e header_kind;
           match seq with
           | Some s -> Bp_codec.Wire.varint e s

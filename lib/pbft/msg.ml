@@ -1,11 +1,15 @@
 open Bp_codec
 
+type decoded = ..
+type decoded += Not_decoded
+
 type request = {
   client : Bp_sim.Addr.t;
   ts : int;
   kind : int;
   op : string;
   client_sig : string;
+  mutable decoded : decoded;
 }
 
 type prepared_proof = {
@@ -120,7 +124,7 @@ let decode_request d =
   let kind = Wire.read_u8 d in
   let op = Wire.read_string d in
   let client_sig = Wire.read_string d in
-  { client; ts; kind; op; client_sig }
+  { client; ts; kind; op; client_sig; decoded = Not_decoded }
 
 let encode_proof e p =
   Wire.varint e p.pview;
@@ -213,76 +217,100 @@ let encode_body_into e body =
             batches;
           Wire.varint e replica)
 
-let encode_body body = Wire.encode (fun e -> encode_body_into e body)
+(* Exact encoded sizes of the bulk-carrying bodies, so their encodes
+   write each op once into a buffer that becomes the message. *)
+let request_size r =
+  Wire.varint_size r.client.Bp_sim.Addr.dc
+  + Wire.varint_size r.client.Bp_sim.Addr.idx
+  + Wire.varint_size r.ts + 1 + Wire.string_size r.op
+  + Wire.string_size r.client_sig
 
-let decode_body s =
-  Wire.decode s (fun d ->
-      match Wire.read_u8 d with
-      | 0 -> Request (decode_request d)
-      | 1 ->
-          let view = Wire.read_varint d in
-          let seq = Wire.read_varint d in
-          let digest = Wire.read_string d in
-          let batch = Wire.read_list d decode_request in
-          Pre_prepare { view; seq; digest; batch }
-      | 2 ->
-          let view = Wire.read_varint d in
-          let seq = Wire.read_varint d in
-          let digest = Wire.read_string d in
-          let replica = Wire.read_varint d in
-          Prepare { view; seq; digest; replica }
-      | 3 ->
-          let view = Wire.read_varint d in
-          let seq = Wire.read_varint d in
-          let digest = Wire.read_string d in
-          let replica = Wire.read_varint d in
-          Commit { view; seq; digest; replica }
-      | 4 ->
-          let view = Wire.read_varint d in
-          let ts = Wire.read_varint d in
-          let client = decode_addr d in
-          let replica = Wire.read_varint d in
-          let result = Wire.read_string d in
-          Reply { view; ts; client; replica; result }
-      | 5 ->
-          let seq = Wire.read_varint d in
-          let state_digest = Wire.read_string d in
-          let replica = Wire.read_varint d in
-          Checkpoint { seq; state_digest; replica }
-      | 6 ->
-          let new_view = Wire.read_varint d in
-          let stable_seq = Wire.read_varint d in
-          let stable_digest = Wire.read_string d in
-          let prepared = Wire.read_list d decode_proof in
-          let replica = Wire.read_varint d in
-          View_change { new_view; stable_seq; stable_digest; prepared; vc_replica = replica }
-      | 7 ->
-          let view = Wire.read_varint d in
-          let view_change_envelopes = Wire.read_list d Wire.read_string in
-          let batches =
-            Wire.read_list d (fun d ->
-                let seq = Wire.read_varint d in
-                let digest = Wire.read_string d in
-                let batch = Wire.read_list d decode_request in
-                (seq, digest, batch))
-          in
-          let replica = Wire.read_varint d in
-          New_view { view; view_change_envelopes; batches; replica }
-      | 8 ->
-          let from_seq = Wire.read_varint d in
-          let replica = Wire.read_varint d in
-          Fetch { from_seq; replica }
-      | 9 ->
-          let batches =
-            Wire.read_list d (fun d ->
-                let seq = Wire.read_varint d in
-                let digest = Wire.read_string d in
-                let batch = Wire.read_list d decode_request in
-                (seq, digest, batch))
-          in
-          let replica = Wire.read_varint d in
-          Fetch_reply { batches; replica }
-      | n -> raise (Wire.Malformed (Printf.sprintf "pbft msg tag %d" n)))
+let body_size = function
+  | Request r -> Some (1 + request_size r)
+  | Pre_prepare { view; seq; digest; batch } ->
+      Some
+        (List.fold_left
+           (fun acc r -> acc + request_size r)
+           (1 + Wire.varint_size view + Wire.varint_size seq
+           + Wire.string_size digest
+           + Wire.varint_size (List.length batch))
+           batch)
+  | Prepare _ | Commit _ | Reply _ | Checkpoint _ | View_change _ | New_view _
+  | Fetch _ | Fetch_reply _ ->
+      None
+
+let encode_body body =
+  Wire.encode ?size_hint:(body_size body) (fun e -> encode_body_into e body)
+
+let read_body d =
+  match Wire.read_u8 d with
+  | 0 -> Request (decode_request d)
+  | 1 ->
+      let view = Wire.read_varint d in
+      let seq = Wire.read_varint d in
+      let digest = Wire.read_string d in
+      let batch = Wire.read_list d decode_request in
+      Pre_prepare { view; seq; digest; batch }
+  | 2 ->
+      let view = Wire.read_varint d in
+      let seq = Wire.read_varint d in
+      let digest = Wire.read_string d in
+      let replica = Wire.read_varint d in
+      Prepare { view; seq; digest; replica }
+  | 3 ->
+      let view = Wire.read_varint d in
+      let seq = Wire.read_varint d in
+      let digest = Wire.read_string d in
+      let replica = Wire.read_varint d in
+      Commit { view; seq; digest; replica }
+  | 4 ->
+      let view = Wire.read_varint d in
+      let ts = Wire.read_varint d in
+      let client = decode_addr d in
+      let replica = Wire.read_varint d in
+      let result = Wire.read_string d in
+      Reply { view; ts; client; replica; result }
+  | 5 ->
+      let seq = Wire.read_varint d in
+      let state_digest = Wire.read_string d in
+      let replica = Wire.read_varint d in
+      Checkpoint { seq; state_digest; replica }
+  | 6 ->
+      let new_view = Wire.read_varint d in
+      let stable_seq = Wire.read_varint d in
+      let stable_digest = Wire.read_string d in
+      let prepared = Wire.read_list d decode_proof in
+      let replica = Wire.read_varint d in
+      View_change { new_view; stable_seq; stable_digest; prepared; vc_replica = replica }
+  | 7 ->
+      let view = Wire.read_varint d in
+      let view_change_envelopes = Wire.read_list d Wire.read_string in
+      let batches =
+        Wire.read_list d (fun d ->
+            let seq = Wire.read_varint d in
+            let digest = Wire.read_string d in
+            let batch = Wire.read_list d decode_request in
+            (seq, digest, batch))
+      in
+      let replica = Wire.read_varint d in
+      New_view { view; view_change_envelopes; batches; replica }
+  | 8 ->
+      let from_seq = Wire.read_varint d in
+      let replica = Wire.read_varint d in
+      Fetch { from_seq; replica }
+  | 9 ->
+      let batches =
+        Wire.read_list d (fun d ->
+            let seq = Wire.read_varint d in
+            let digest = Wire.read_string d in
+            let batch = Wire.read_list d decode_request in
+            (seq, digest, batch))
+      in
+      let replica = Wire.read_varint d in
+      Fetch_reply { batches; replica }
+  | n -> raise (Wire.Malformed (Printf.sprintf "pbft msg tag %d" n))
+
+let decode_body s = Wire.decode s read_body
 
 (* ---------- signatures ---------- *)
 
@@ -290,7 +318,8 @@ let decode_body s =
    envelopes) replaced by their digests. Only the bulky constructors are
    transformed; the small ones sign their exact encoding. *)
 
-let ca_request cache r = { r with op = Bp_crypto.Verify_cache.digest cache r.op }
+let ca_request cache r =
+  { r with op = Bp_crypto.Verify_cache.digest cache r.op; decoded = Not_decoded }
 
 let ca_proof cache p = { p with pbatch = List.map (ca_request cache) p.pbatch }
 
@@ -348,11 +377,12 @@ let bulk_weight = function
 
 let content_addressed body = bulk_weight body >= ca_min_bytes
 
-(* The bytes a body's envelope signature covers. [encoded] is the body's
-   wire encoding (always computed — it is what travels). The
-   content-addressed payload is built on an uncounted raw encoder: it is
-   derived bookkeeping, not a message serialization, and must not perturb
-   the encode-once accounting that {!Wire.encode_calls} tests pin. *)
+(* The bytes a body's envelope signature covers. [encoded] produces the
+   body's wire encoding, asked for only when that is the signed payload.
+   The content-addressed payload is built on an uncounted raw encoder: it
+   is derived bookkeeping, not a message serialization, and must not
+   perturb the encode-once accounting that {!Wire.encode_calls} tests
+   pin. *)
 let signing_payload ~cache ~encoded body =
   if content_addressed body then begin
     let e = Wire.encoder ~size_hint:512 () in
@@ -360,14 +390,14 @@ let signing_payload ~cache ~encoded body =
     encode_body_into e (ca_body cache body);
     Wire.to_string e
   end
-  else encoded
+  else encoded ()
 
 let make_request ~cache cfg ~client ~ts ~kind ~op =
   let payload = request_signing_payload ~cache ~client ~ts ~kind ~op in
   let client_sig =
     Bp_crypto.Verify_cache.sign cache ~signer:(Config.identity cfg client) payload
   in
-  { client; ts; kind; op; client_sig }
+  { client; ts; kind; op; client_sig; decoded = Not_decoded }
 
 let request_valid ~cache cfg r =
   let payload =
@@ -434,12 +464,14 @@ let sender_of cfg = function
 
 let seal ~cache cfg ~sender body =
   let encoded = encode_body body in
-  let payload = signing_payload ~cache ~encoded body in
+  let payload = signing_payload ~cache ~encoded:(fun () -> encoded) body in
   let signature =
     Bp_crypto.Verify_cache.sign cache ~signer:(Config.identity cfg sender)
       payload
   in
-  Wire.encode (fun e ->
+  Wire.encode
+    ~size_hint:(Wire.string_size encoded + Wire.string_size signature)
+    (fun e ->
       Wire.string e encoded;
       Wire.string e signature)
 
@@ -451,23 +483,32 @@ let seal_forged cfg ~sender body =
       Wire.string e (String.make 32 '\x00'))
 
 (* Decode and check the signature against the identity the body itself
-   claims ([sender_of]), so a node cannot speak for another. *)
+   claims ([sender_of]), so a node cannot speak for another. The body is
+   decoded from its window of the envelope; its bytes are copied out only
+   when they are themselves the signed payload (a body under the
+   content-addressing cutoff). The envelope's framing is checked first,
+   so a malformed envelope fails exactly as a decode of the whole
+   envelope would. *)
 let verify_envelope ~cache cfg s =
   match
     Wire.decode s (fun d ->
-        let encoded = Wire.read_string d in
+        let off, len = Wire.read_string_window d in
         let signature = Wire.read_string d in
-        (encoded, signature))
+        (off, len, signature))
   with
   | Error e -> Error e
-  | Ok (encoded, signature) -> (
-      match decode_body encoded with
+  | Ok (off, len, signature) -> (
+      match Wire.decode_sub s ~off ~len read_body with
       | Error e -> Error e
       | Ok body -> (
           match sender_of cfg body with
           | None -> Error "no sender identity"
           | Some sender ->
-              let payload = signing_payload ~cache ~encoded body in
+              let payload =
+                signing_payload ~cache
+                  ~encoded:(fun () -> String.sub s off len)
+                  body
+              in
               if
                 Bp_crypto.Verify_cache.verify cache
                   ~signer:(Config.identity cfg sender) ~msg:payload ~signature

@@ -10,12 +10,24 @@
     - replicas run a verification routine between the prepared and commit
       phases (see {!Replica.set_verifier}). *)
 
+type decoded = ..
+(** A node's decoded view of a request's [op]. The application layer
+    extends this type with its own form, so it can decode an op once and
+    reuse the value in every verification and execution of the request. *)
+
+type decoded += Not_decoded
+
 type request = {
   client : Bp_sim.Addr.t;
   ts : int;  (** client-local, monotone; (client, ts) identifies a request *)
   kind : int;  (** Blockplane record-type annotation *)
   op : string;
   client_sig : string;
+  mutable decoded : decoded;
+      (** Memo of [op]'s decoding, local to the node holding this value:
+          never encoded, [Not_decoded] when built or decoded, and reset by
+          the replica once the request has executed. It must be a pure
+          function of [op]. *)
 }
 
 type prepared_proof = {
@@ -108,7 +120,26 @@ val batch_digest : cache:Bp_crypto.Verify_cache.t -> request list -> string
     same batch whatever the cache keeps). *)
 
 val encode_body : body -> string
+
+val body_size : body -> int option
+(** The exact length of [encode_body body] for the bulk-carrying
+    [Request] and [Pre_prepare]; [None] for the other constructors. *)
+
 val decode_body : string -> (body, string) result
+
+val sender_of : Config.t -> body -> Bp_sim.Addr.t option
+(** The address whose identity must have signed [body]: its replica
+    index, the view's primary for a pre-prepare, or the request's
+    client. [None] for an out-of-range replica index. *)
+
+val signing_payload :
+  cache:Bp_crypto.Verify_cache.t ->
+  encoded:(unit -> string) ->
+  body ->
+  string
+(** The bytes an envelope signature over [body] covers: its
+    content-addressed image above the cutoff, else [encoded ()], the
+    body's exact wire encoding (called only in that case). *)
 
 val seal :
   cache:Bp_crypto.Verify_cache.t ->

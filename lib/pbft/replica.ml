@@ -47,7 +47,7 @@ type t = {
   batch_memo : Msg.request list Bp_crypto.Verify_cache.memo;
   execute : seq:int -> Msg.request -> string;
   mutable on_executed : seq:int -> Msg.request list -> unit;
-  mutable verifier : kind:int -> op:string -> bool;
+  mutable verifier : Msg.request -> bool;
   mutable preverify : Msg.request list -> (unit -> unit) option;
       (* verification prefetch hook (see set_preverifier): submit
          whatever crypto the verification routines will need for this
@@ -571,7 +571,7 @@ and check_prepared t s =
             await ()
         | None -> ());
         let all_valid =
-          List.for_all (fun r -> t.verifier ~kind:r.Msg.kind ~op:r.Msg.op) s.batch
+          List.for_all t.verifier s.batch
         in
         let verdict_final =
           t.cfg.Config.max_in_flight > 1 && s.seq = t.last_exec + 1
@@ -646,12 +646,13 @@ and try_execute t =
                replica evaluates this at the identical sequential state,
                so the downgrade to a no-op rejection is unanimous. *)
             let result =
-              if
-                t.cfg.Config.max_in_flight > 1
-                && not (t.verifier ~kind:r.Msg.kind ~op:r.Msg.op)
-              then "__rejected"
+              if t.cfg.Config.max_in_flight > 1 && not (t.verifier r) then
+                "__rejected"
               else t.execute ~seq:s.seq r
             in
+            (* The archive keeps this request for state transfer; its
+               decoded op must not outlive the execution. *)
+            r.Msg.decoded <- Msg.Not_decoded;
             cancel_request_timer t (request_key r);
             send_reply t r result)
           s.batch;
@@ -753,7 +754,7 @@ and try_form_batch t =
         Hashtbl.remove t.queued_keys (timer_key (request_key r));
         (* Pre-screen with the verification routine; invalid requests are
            dropped here (an honest primary never proposes them). *)
-        if t.verifier ~kind:r.Msg.kind ~op:r.Msg.op then begin
+        if t.verifier r then begin
           batch := r :: !batch;
           incr blen
         end
@@ -812,7 +813,7 @@ and handle_request t ~envelope (r : Msg.request) =
         if ts = r.Msg.ts then
           Bp_net.Transport.send t.transport ~dst:r.Msg.client
             ~tag:(reply_tag t.cfg) envelope
-    | _ when not (t.verifier ~kind:r.Msg.kind ~op:r.Msg.op) ->
+    | _ when not (t.verifier r) ->
         (* Pre-screen: an op the verification routine rejects can never
            commit; answer immediately instead of letting request timers
            churn view changes. The client waits for f+1 of these, so up
@@ -1114,7 +1115,7 @@ let create ~cache transport cfg ~id ~execute () =
           ();
       execute;
       on_executed = (fun ~seq:_ _ -> ());
-      verifier = (fun ~kind:_ ~op:_ -> true);
+      verifier = (fun _ -> true);
       preverify = (fun _ -> None);
       view = 0;
       status = Normal;

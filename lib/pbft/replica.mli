@@ -95,8 +95,10 @@ type batch_stats = {
 val batch_stats : t -> batch_stats
 (** Batch-formation telemetry since creation; all zero on backups. *)
 
-val set_verifier : t -> (kind:int -> op:string -> bool) -> unit
-(** Install the Blockplane verification routine (default: accept all). *)
+val set_verifier : t -> (Msg.request -> bool) -> unit
+(** Install the Blockplane verification routine (default: accept all).
+    It judges a request by its [kind] and [op], and may memoize the op's
+    decoding in [decoded] (cleared once the request executes). *)
 
 val set_preverifier : t -> (Msg.request list -> (unit -> unit) option) -> unit
 (** Install the verification prefetch hook (default: none). When a

@@ -237,6 +237,7 @@ let mk_batch ops =
         kind = i land 3;
         op;
         client_sig = String.make 32 (Char.chr (65 + (i land 7)));
+        decoded = Bp_pbft.Msg.Not_decoded;
       })
     ops
 
@@ -306,6 +307,37 @@ let test_crc_combine_edges () =
   Alcotest.(check int32) "len2 = 0 is the identity" c (Crc32.combine c 0l 0);
   Alcotest.check_raises "negative length" (Invalid_argument "Crc32.combine")
     (fun () -> ignore (Crc32.combine c c (-1)))
+
+(* A broadcast computes its suffix's shift once and stitches every
+   destination's frame with it. One shift, reused across prefixes of
+   several lengths, must give the checksum of each concatenation, and
+   [Frame.seal_with_suffix] must emit the very frame [Frame.seal] builds
+   from the concatenated payload. *)
+let test_crc_shift_reuse () =
+  let prefixes =
+    [ ""; "\001"; "\001\007"; String.make 63 'p'; String.init 300 (fun i -> Char.chr (i land 0xff)) ]
+  in
+  let enc = Bp_codec.Wire.encoder () in
+  List.iter
+    (fun len ->
+      let suffix = String.init len (fun i -> Char.chr (((i * 131) + len) land 0xff)) in
+      let suffix_crc = Crc32.string suffix and suffix_shift = Crc32.shift len in
+      List.iter
+        (fun prefix ->
+          let label what =
+            Printf.sprintf "%d-byte prefix, %d-byte suffix: %s" (String.length prefix) len what
+          in
+          Alcotest.(check int32) (label "checksum")
+            (Crc32.string (prefix ^ suffix))
+            (Crc32.combine_shift (Crc32.string prefix) suffix_crc suffix_shift);
+          Alcotest.(check string) (label "frame")
+            (Bp_codec.Frame.seal (prefix ^ suffix))
+            (Bp_codec.Frame.seal_with_suffix enc ~suffix ~suffix_crc ~suffix_shift
+               (fun e -> Bp_codec.Wire.fixed e prefix)))
+        prefixes)
+    [ 0; 1; 63; 64; 4095; 65536 ];
+  Alcotest.check_raises "negative length" (Invalid_argument "Crc32.shift")
+    (fun () -> ignore (Crc32.shift (-1)))
 
 (* Envelopes round-trip under both signing payloads, for every bulky
    body: content lighter than the 256-byte cutoff signs its plain
@@ -442,6 +474,8 @@ let suite =
             test_envelope_both_payloads;
           Alcotest.test_case "Crc32.combine edge lengths" `Quick
             test_crc_combine_edges;
+          Alcotest.test_case "Crc32.shift reused across frames" `Quick
+            test_crc_shift_reuse;
         ]
       @ List.map
           (fun capacity -> QCheck_alcotest.to_alcotest (model_test ~capacity))

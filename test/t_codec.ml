@@ -67,6 +67,59 @@ let test_varint_negative_result_rejected () =
   | Ok m -> Alcotest.fail (Printf.sprintf "negative varint accepted: %d" m)
   | Error _ -> ()
 
+(* The size helpers that exact-size encodes rely on, at every varint
+   length boundary up to the largest int. *)
+let test_encoded_sizes () =
+  List.iter
+    (fun n ->
+      Alcotest.(check int)
+        (Printf.sprintf "varint_size %d" n)
+        (String.length (Wire.encode (fun e -> Wire.varint e n)))
+        (Wire.varint_size n);
+      let s = String.make (n land 0xffff) 'x' in
+      Alcotest.(check int)
+        (Printf.sprintf "string_size of %d bytes" (String.length s))
+        (String.length (Wire.encode (fun e -> Wire.string e s)))
+        (Wire.string_size s))
+    [ 0; 127; 128; 16383; 16384; max_int ];
+  Alcotest.check_raises "negative" (Invalid_argument "Wire.varint_size: negative")
+    (fun () -> ignore (Wire.varint_size (-1)))
+
+(* An exact-size encode hands its own buffer out as the result. That
+   string must never change afterwards, whatever later encodes write. *)
+let test_exact_encode_is_stable () =
+  let payload = String.init 1000 (fun i -> Char.chr (i land 0xff)) in
+  let exact =
+    Wire.encode ~size_hint:(Wire.string_size payload) (fun e ->
+        Wire.string e payload)
+  in
+  let copy = String.sub exact 0 (String.length exact) in
+  for i = 1 to 50 do
+    ignore
+      (Wire.encode ~size_hint:(Wire.string_size payload) (fun e ->
+           Wire.string e (String.make 1000 (Char.chr i))))
+  done;
+  Alcotest.(check string) "unchanged after later encodes" copy exact;
+  Alcotest.(check (result string string)) "decodes" (Ok payload)
+    (Wire.decode exact Wire.read_string)
+
+(* The hint is only a hint: writers that overrun it (the buffer grows)
+   or fall short of it (the result is trimmed) still produce exactly the
+   bytes they wrote. *)
+let qcheck_encode_any_hint =
+  QCheck.Test.make ~name:"encode is exact under any size hint" ~count:300
+    QCheck.(pair (int_bound 600) (small_list (string_of_size Gen.(0 -- 200))))
+    (fun (hint, parts) ->
+      let write e = List.iter (Wire.string e) parts in
+      let reference =
+        String.concat ""
+          (List.map (fun p -> Wire.encode (fun e -> Wire.string e p)) parts)
+      in
+      String.equal (Wire.encode ~size_hint:hint write) reference
+      && String.equal
+           (Wire.encode ~size_hint:(String.length reference) write)
+           reference)
+
 let test_encoder_reuse () =
   let e = Wire.encoder ~size_hint:8 () in
   let one = Wire.encode_with e (fun e -> Wire.string e "first payload") in
@@ -258,6 +311,9 @@ let suite =
         tc "zigzag extremes" test_zigzag_extremes;
         tc "varint rejection is precise" test_varint_rejection_is_precise;
         tc "varint negative result rejected" test_varint_negative_result_rejected;
+        tc "encoded sizes" test_encoded_sizes;
+        tc "exact-size encode is stable" test_exact_encode_is_stable;
+        QCheck_alcotest.to_alcotest qcheck_encode_any_hint;
         tc "encoder reuse" test_encoder_reuse;
         tc "read_fixed + skip" test_read_fixed_and_skip;
         tc "string roundtrip" test_string_roundtrip;

@@ -138,6 +138,175 @@ let test_envelope_verification () =
   | Ok _ -> Alcotest.fail "forged signature accepted"
   | Error _ -> ()
 
+(* Random bulk-carrying bodies, with field values across varint length
+   boundaries, for the exact-size encoder. *)
+let gen_request =
+  QCheck.Gen.(
+    let big = oneof [ 0 -- 200; 0 -- 100_000; oneofl [ 127; 128; 16383; 16384; max_int ] ] in
+    map
+      (fun ((dc, idx, ts), (kind, op, client_sig)) ->
+        { Msg.client = Addr.make ~dc ~idx; ts; kind; op; client_sig; decoded = Msg.Not_decoded })
+      (pair (triple big big big)
+         (triple (0 -- 255)
+            (string_size (oneof [ 0 -- 300; oneofl [ 16383; 16384 ] ]))
+            (string_size (0 -- 64)))))
+
+let gen_bulk_body =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun r -> Msg.Request r) gen_request;
+        map
+          (fun ((view, seq), (digest, batch)) -> Msg.Pre_prepare { view; seq; digest; batch })
+          (pair
+             (pair (oneof [ 0 -- 200; 0 -- max_int ]) (oneof [ 0 -- 200; 0 -- max_int ]))
+             (pair (string_size (0 -- 40)) (list_size (0 -- 20) gen_request)));
+      ])
+
+let qcheck_body_size =
+  QCheck.Test.make ~name:"body_size = length of encode_body" ~count:100
+    (QCheck.make gen_bulk_body) (fun b ->
+      match Msg.body_size b with
+      | Some n -> n = String.length (Msg.encode_body b)
+      | None -> false)
+
+(* The envelope check against its reference ([Msg_ref]): sealed bodies of
+   every constructor, some left intact and some damaged, must get the
+   same verdict (the same body, or the same error) and leave the two
+   verify caches with the same counters. Mutations: truncation, a flipped
+   bit, trailing bytes, a length prefix claiming more than the envelope
+   holds, and a seal by some other identity than the one the body names. *)
+let qcheck_envelope_matches_reference =
+  let engine = Engine.create () in
+  let keystore = Bp_crypto.Signer.create (Bp_util.Rng.split (Engine.rng engine)) in
+  let nodes = Array.init 4 (fun i -> Addr.make ~dc:0 ~idx:i) in
+  let client = Addr.make ~dc:1 ~idx:9 in
+  let cfg = Config.make ~nodes ~keystore () in
+  (* Provision every identity up front, so neither path adds one (and
+     bumps the keystore generation) half way through a comparison. *)
+  Array.iter (fun a -> ignore (Config.identity cfg a)) nodes;
+  ignore (Config.identity cfg client);
+  let signing = Bp_crypto.Verify_cache.create keystore in
+  let gen_op = QCheck.Gen.(string_size (oneof [ 0 -- 40; 200 -- 600 ])) in
+  let gen_signed_request =
+    QCheck.Gen.map
+      (fun (ts, kind, op) ->
+        Msg.make_request ~cache:signing cfg ~client ~ts ~kind ~op)
+      QCheck.Gen.(triple (0 -- 1000) (0 -- 3) gen_op)
+  in
+  let gen_batches =
+    QCheck.Gen.(
+      list_size (0 -- 3)
+        (triple (0 -- 50) (string_size (return 32)) (list_size (0 -- 3) gen_signed_request)))
+  in
+  let gen_body =
+    QCheck.Gen.(
+      let replica = 0 -- 4 (* 4 names no replica *) and small = 0 -- 50 in
+      let digest = string_size (0 -- 32) in
+      oneof
+        [
+          map (fun r -> Msg.Request r) gen_signed_request;
+          map
+            (fun (view, seq, batch) ->
+              Msg.Pre_prepare
+                { view; seq; digest = Msg.batch_digest ~cache:signing batch; batch })
+            (triple small small (list_size (0 -- 4) gen_signed_request));
+          map
+            (fun ((view, seq), (digest, replica)) -> Msg.Prepare { view; seq; digest; replica })
+            (pair (pair small small) (pair digest replica));
+          map
+            (fun ((view, seq), (digest, replica)) -> Msg.Commit { view; seq; digest; replica })
+            (pair (pair small small) (pair digest replica));
+          map
+            (fun ((view, ts), (replica, result)) ->
+              Msg.Reply { view; ts; client; replica; result })
+            (pair (pair small small) (pair replica (string_size (0 -- 20))));
+          map
+            (fun (seq, state_digest, replica) -> Msg.Checkpoint { seq; state_digest; replica })
+            (triple small digest replica);
+          map
+            (fun ((new_view, stable_seq), (batches, vc_replica)) ->
+              Msg.View_change
+                {
+                  new_view;
+                  stable_seq;
+                  stable_digest = "";
+                  prepared =
+                    List.map
+                      (fun (pseq, pdigest, pbatch) ->
+                        { Msg.pview = 0; pseq; pdigest; pbatch; prepare_sigs = [ (1, "sig") ] })
+                      batches;
+                  vc_replica;
+                })
+            (pair (pair small small) (pair gen_batches replica));
+          map
+            (fun ((view, envelopes), (batches, replica)) ->
+              Msg.New_view { view; view_change_envelopes = envelopes; batches; replica })
+            (pair
+               (pair small (list_size (0 -- 3) (string_size (oneof [ 0 -- 20; 100 -- 300 ]))))
+               (pair gen_batches replica));
+          map (fun (from_seq, replica) -> Msg.Fetch { from_seq; replica }) (pair small replica);
+          map
+            (fun (batches, replica) -> Msg.Fetch_reply { batches; replica })
+            (pair gen_batches replica);
+        ])
+  in
+  let split_envelope env =
+    match
+      Bp_codec.Wire.decode env (fun d ->
+          let encoded = Bp_codec.Wire.read_string d in
+          (encoded, Bp_codec.Wire.read_string d))
+    with
+    | Ok parts -> parts
+    | Error e -> failwith e
+  in
+  (* (mutation, position, amount) *)
+  let gen_case = QCheck.Gen.(pair gen_body (triple (0 -- 6) nat nat)) in
+  QCheck.Test.make ~name:"verify_envelope = reference on every mutation" ~count:300
+    (QCheck.make gen_case)
+    (fun (body, (mutation, pos, amount)) ->
+      let named = Option.value ~default:nodes.(0) (Msg.sender_of cfg body) in
+      let sealed = Msg.seal ~cache:signing cfg ~sender:named body in
+      let len = String.length sealed in
+      let envelope =
+        match mutation with
+        | 0 -> sealed
+        | 1 -> String.sub sealed 0 (pos mod len)
+        | 2 ->
+            let b = Bytes.of_string sealed in
+            let i = pos mod len in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (amount land 7))));
+            Bytes.to_string b
+        | 3 -> sealed ^ String.make (1 + (amount mod 8)) '\x00'
+        | 4 ->
+            let encoded, signature = split_envelope sealed in
+            let claimed =
+              if amount land 1 = 0 then String.length encoded + 1 + (amount mod 5000)
+              else max_int - (amount mod 1000)
+            in
+            Bp_codec.Wire.encode (fun e ->
+                Bp_codec.Wire.varint e claimed;
+                Bp_codec.Wire.fixed e encoded;
+                Bp_codec.Wire.string e signature)
+        | 5 ->
+            let other = if pos mod 5 = 4 then client else nodes.(pos mod 4) in
+            Msg.seal ~cache:signing cfg ~sender:other body
+        | _ -> Msg.seal_forged cfg ~sender:named body
+      in
+      let fresh () = Bp_crypto.Verify_cache.create ~capacity:16 keystore in
+      let c_ref = fresh () and c_new = fresh () in
+      let expected = Msg_ref.verify_envelope ~cache:c_ref cfg envelope in
+      let actual = Msg.verify_envelope ~cache:c_new cfg envelope in
+      let same =
+        match (expected, actual) with
+        | Ok a, Ok b -> String.equal (Msg.encode_body a) (Msg.encode_body b)
+        | Error a, Error b -> String.equal a b
+        | Ok _, Error _ | Error _, Ok _ -> false
+      in
+      same
+      && Bp_crypto.Verify_cache.instance_counters c_ref
+         = Bp_crypto.Verify_cache.instance_counters c_new)
+
 let test_normal_case_commit () =
   let c = make_cluster () in
   let client = make_client c ~dc:2 ~idx:100 in
@@ -275,7 +444,7 @@ let test_verification_routine_blocks_invalid () =
      commit vote; an op every honest replica rejects can never commit. *)
   let c = make_cluster () in
   Array.iter
-    (fun r -> Replica.set_verifier r (fun ~kind ~op:_ -> kind <> 7))
+    (fun r -> Replica.set_verifier r (fun req -> req.Msg.kind <> 7))
     c.replicas;
   let client = make_client c ~dc:2 ~idx:100 in
   let bad = ref false and good = ref false in
@@ -644,6 +813,8 @@ let suite =
       [
         tc "body roundtrip" test_msg_roundtrip;
         tc "envelope verification" test_envelope_verification;
+        QCheck_alcotest.to_alcotest qcheck_body_size;
+        QCheck_alcotest.to_alcotest qcheck_envelope_matches_reference;
         tc "config validation" test_config_validation;
         tc "identity memo keeps provisioning order" test_identity_memo;
         tc "broadcast seals and encodes once" test_broadcast_seals_and_encodes_once;
