@@ -21,10 +21,9 @@ let header_rest = String.make (overhead - 4) '\000'
 
 (* Frame assembly without the intermediate payload string: the writer
    serializes the payload directly after the header inside [enc], then
-   the length and CRC words are patched in place. Against the old
-   encode-then-seal send path this drops one of two big allocations and
-   one of three whole-payload moves — the difference senders of
-   megabyte batches feel as GC pressure. *)
+   the length and CRC words are patched in place, and the frame is
+   copied out of [enc]. Against encode-then-seal this drops one of two
+   big allocations and one of three whole-payload moves. *)
 let seal_with enc write =
   Wire.reset enc;
   Wire.fixed enc magic;

@@ -23,9 +23,11 @@ val seal_with : Wire.encoder -> (Wire.encoder -> unit) -> string
 (** [seal_with enc write] builds a frame by running [write] directly
     after the header inside [enc] (resetting it first), then patching the
     length and checksum in place — equivalent to
-    [seal (Wire.encode write)] but with a single exactly-sized string
-    allocation and no intermediate payload copy. [enc] is typically a
-    retained scratch encoder; its contents are clobbered. *)
+    [seal (Wire.encode write)] but with no intermediate payload string:
+    the only allocation is the returned copy of [enc]'s contents (plus
+    [enc]'s growth, if the frame outgrows it). [enc] is typically a
+    retained scratch encoder; its contents are clobbered. The transport
+    builds a frame's bytes this way only when something reads them. *)
 
 val unseal : string -> (string, [ `Corrupt | `Malformed ]) result
 (** Recover the payload. [`Corrupt] means the checksum failed (in-flight

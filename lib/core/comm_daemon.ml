@@ -28,6 +28,9 @@ type t = {
     option;
   engine : Engine.t;
   needed_sigs : int;
+  (* intra-unit sign requests: the host unit's aux tag and its other nodes *)
+  aux_tag : string;
+  sign_peers : Addr.t array;
   cluster : bool; (* cluster-sending mode: solicit probes, ship no bundles *)
   mutable pending : txn_state Int_map.t; (* comm_seq -> state *)
   mutable ready_count : int; (* pending entries with [ready = true] *)
@@ -168,17 +171,10 @@ let request_signatures t st =
   (match Unit_node.sign_transmission t.node st.txn with
   | Some pair -> st.sigs <- [ pair ]
   | None -> ());
-  let self = Unit_node.addr t.node in
   (* Unit peers all live in one datacenter, so the fan-out shares one aux
      tag — encode the sign request once for the whole round. *)
-  let others =
-    Array.of_list
-      (List.filter
-         (fun peer -> not (Addr.equal peer self))
-         (Array.to_list (Unit_node.peers t.node)))
-  in
-  Bp_net.Transport.broadcast (Unit_node.transport t.node) ~dsts:others
-    ~tag:(Proto.aux_tag self.Addr.dc)
+  Bp_net.Transport.broadcast (Unit_node.transport t.node) ~dsts:t.sign_peers
+    ~tag:t.aux_tag
     (Proto.encode (Proto.Sign_request { transmission = st.txn }));
   maybe_ready t st
 
@@ -509,6 +505,13 @@ let create ~node ~dest ~dest_nodes ?geo_proofs ?(start_after = -1) () =
       geo_proofs;
       engine;
       needed_sigs = Unit_node.fi node + 1;
+      aux_tag = Proto.aux_tag (Unit_node.addr node).Addr.dc;
+      sign_peers =
+        (let self = Unit_node.addr node in
+         Array.of_list
+           (List.filter
+              (fun peer -> not (Addr.equal peer self))
+              (Array.to_list (Unit_node.peers node))));
       cluster = Unit_node.cluster_enabled node;
       pending = Int_map.empty;
       ready_count = 0;

@@ -16,6 +16,8 @@ type t = {
   fg : int;
   addr : Addr.t;
   transport : Bp_net.Transport.t;
+  aux_tags : string array; (* Proto.aux_tag of each unit, built once *)
+  identity_prefixes : string array; (* Proto.identity_prefix of each unit *)
   vcache : Bp_crypto.Verify_cache.t;
   mutable replica : Bp_pbft.Replica.t option; (* set right after create *)
   client : Bp_pbft.Client.t;
@@ -84,22 +86,26 @@ let sign_mirror t ~owner ~pos ~digest =
 
 (* ---------- built-in receive verification (§IV-C) ---------- *)
 
+(* A per-unit string from its table; a unit number outside the
+   deployment (a byzantine claim) gets a fresh one. *)
+let per_unit table make u =
+  if u >= 0 && u < Array.length table then table.(u) else make u
+
 (* Signatures whose claimed identity belongs to the attesting unit; the
    screen is pure string work, so it runs before any crypto. *)
-let eligible_sigs ~from_participant sigs =
-  let prefix = Proto.identity_prefix from_participant in
+let eligible_sigs t ~from_participant sigs =
+  let prefix = per_unit t.identity_prefixes Proto.identity_prefix from_participant in
   let plen = String.length prefix in
   List.filter
     (fun (identity, _) ->
-      String.length identity > plen
-      && String.equal (String.sub identity 0 plen) prefix)
+      String.length identity > plen && String.starts_with ~prefix identity)
     sigs
 
-let bundle_jobs ~from_participant ~statement sigs =
+let bundle_jobs t ~from_participant ~statement sigs =
   List.map
     (fun (identity, _, signature) ->
       { Bp_crypto.Verify_batch.signer = identity; msg = statement; signature })
-    (Record.signature_jobs ~statement (eligible_sigs ~from_participant sigs))
+    (Record.signature_jobs ~statement (eligible_sigs t ~from_participant sigs))
 
 (* One Verify_batch batch for the whole fi+1 bundle instead of a
    per-signature loop. The fold over verdicts reproduces the sequential
@@ -107,7 +113,7 @@ let bundle_jobs ~from_participant ~statement sigs =
    signature of its verifies, so several (even byzantine-duplicated)
    copies count at most once. *)
 let valid_sig_bundle t ~from_participant ~statement ~needed sigs =
-  let eligible = eligible_sigs ~from_participant sigs in
+  let eligible = eligible_sigs t ~from_participant sigs in
   t.sig_jobs <- t.sig_jobs + List.length eligible;
   let jobs =
     List.map
@@ -293,7 +299,7 @@ let prefetch_jobs t batch =
               tr
           in
           let main =
-            bundle_jobs ~from_participant:tr.Record.src ~statement
+            bundle_jobs t ~from_participant:tr.Record.src ~statement
               tr.Record.proofs
           in
           let geo =
@@ -303,7 +309,7 @@ let prefetch_jobs t batch =
                 (fun (p, sigs) ->
                   if p = tr.Record.src then []
                   else
-                    bundle_jobs ~from_participant:p
+                    bundle_jobs t ~from_participant:p
                       ~statement:
                         (Proto.mirror_statement ~owner:tr.Record.src
                            ~pos:tr.Record.log_pos
@@ -339,7 +345,8 @@ let preverify t batch =
 (* Participants map 1:1 to datacenters, so an address's unit — and hence
    its aux tag — is its [dc] component. *)
 let send_aux t ~dst msg =
-  Bp_net.Transport.send t.transport ~dst ~tag:(Proto.aux_tag dst.Addr.dc)
+  Bp_net.Transport.send t.transport ~dst
+    ~tag:(per_unit t.aux_tags Proto.aux_tag dst.Addr.dc)
     (Proto.encode msg)
 
 let ack_pending t src =
@@ -561,6 +568,8 @@ let create ~network ~pbft_cfg ~participant ~n_participants ~node_idx ~fg
       fg;
       addr;
       transport;
+      aux_tags = Array.init n_participants Proto.aux_tag;
+      identity_prefixes = Array.init n_participants Proto.identity_prefix;
       vcache;
       replica = None;
       client;
@@ -590,7 +599,8 @@ let create ~network ~pbft_cfg ~participant ~n_participants ~node_idx ~fg
   Bp_pbft.Replica.set_verifier replica (fun r -> verifier t r);
   Bp_pbft.Replica.set_preverifier replica (fun batch -> preverify t batch);
   t.replica <- Some replica;
-  Bp_net.Transport.set_handler transport ~tag:(Proto.aux_tag participant)
+  Bp_net.Transport.set_handler transport
+    ~tag:(per_unit t.aux_tags Proto.aux_tag participant)
     (fun ~src payload -> on_aux t ~src payload);
   (* Cluster-sending agent: strictly per-node, gated on the knob so the
      default-off path installs no hooks and stays byte-identical to the

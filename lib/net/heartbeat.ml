@@ -49,7 +49,7 @@ let create transport ~peers ~period ~timeout ~on_suspect ?(on_restore = ignore) 
   let ping_timer =
     Engine.periodic engine ~every:period (fun () ->
         (* Collect in table-iteration order (matching the old per-peer
-           send loop), then ping with one shared sealed frame. *)
+           send loop), then ping with one shared frame. *)
         let dsts = ref [] in
         Addr.Tbl.iter (fun p _ -> dsts := p :: !dsts) t.peers;
         Transport.broadcast transport ~reliable:false

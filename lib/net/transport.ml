@@ -40,12 +40,19 @@ let packet_reader d =
   | 2 -> Ack { next_expected = Bp_codec.Wire.read_varint d }
   | n -> raise (Bp_codec.Wire.Malformed (Printf.sprintf "packet kind %d" n))
 
-(* Decode-once fan-out: when one sealed frame is sent to many recipients,
-   the sender attaches its own decoded view of the packet. A receiver may
-   use it only after proving the hint describes the very bytes it was
-   handed — physical identity, so a corrupted (rewritten) or unrelated
-   payload can never borrow a hint. *)
-type Network.hint += Decoded of { frame : string; packet : packet }
+(* The sender's packet rides with its frame as a delivery hint, so the
+   receiver neither builds nor checksums nor decodes the bytes. The network
+   drops the hint from a corrupted copy, which then takes the checked
+   slow path in [on_frame]. *)
+type Network.hint += Decoded of packet
+
+let packet_length = function
+  | Unreliable { tag; payload } ->
+      1 + Bp_codec.Wire.string_size tag + Bp_codec.Wire.string_size payload
+  | Data { seq; tag; payload } ->
+      1 + Bp_codec.Wire.varint_size seq + Bp_codec.Wire.string_size tag
+      + Bp_codec.Wire.string_size payload
+  | Ack { next_expected } -> 1 + Bp_codec.Wire.varint_size next_expected
 
 (* The send side of a stream is a ring of the unacked segments: seqs
    [acked, next_send_seq), segment [seq] at index [seq land (capacity - 1)]
@@ -74,7 +81,7 @@ type t = {
   self : Addr.t;
   handlers : (string, src:Addr.t -> string -> unit) Hashtbl.t;
   peers : peer Addr.Tbl.t;
-  scratch : Bp_codec.Wire.encoder; (* frame assembly (Frame.seal_with) *)
+  scratch : Bp_codec.Wire.encoder; (* frame bytes, when built (Frame.seal_with) *)
   mutable retransmissions : int;
   mutable discarded : int;
   mutable stopped : bool;
@@ -123,15 +130,17 @@ let rto t p =
      forever and never yield an RTT sample. *)
   Time.scale base (Float.of_int (1 lsl Stdlib.min p.backoff 6))
 
-(* The packet is serialized straight into the frame inside the endpoint's
-   scratch encoder (Frame.seal_with): one exactly-sized string allocation
-   per send, no intermediate payload copy — the 2 MB fig4 batches pay one
-   blit instead of two. *)
+(* The frame is accounted by its length, computed from the packet; its
+   bytes (and their CRC) are built by [Frame.seal_with] in the endpoint's
+   scratch encoder only if something reads them. *)
+let frame t packet =
+  Network.frame t.net
+    ~len:(Bp_codec.Frame.overhead + packet_length packet)
+    (fun () ->
+      Bp_codec.Frame.seal_with t.scratch (fun e -> encode_packet_into e packet))
+
 let raw_send t ~dst packet =
-  let frame =
-    Bp_codec.Frame.seal_with t.scratch (fun e -> encode_packet_into e packet)
-  in
-  Network.send t.net ~src:t.self ~dst ~hint:(Decoded { frame; packet }) frame
+  Network.send t.net ~src:t.self ~dst ~hint:(Decoded packet) (frame t packet)
 
 (* Resend every unacked segment, in ascending seq order. *)
 let retransmit_all t p =
@@ -237,16 +246,16 @@ let handle_packet t ~src packet =
 
 let on_frame t ~src ~hint frame =
   match hint with
-  | Some (Decoded h) when h.frame == frame ->
-      (* The hint describes these exact bytes (physical identity), so the
-         checksum and the re-decode are provably redundant. Corrupted
-         deliveries never take this path: fault injection rewrites the
-         payload string and drops the hint. *)
-      handle_packet t ~src h.packet
+  | Some (Decoded packet) ->
+      (* The hint came with this very send and the bytes were not
+         rewritten (the network drops hints from corrupted copies), so
+         the checksum and the decode are provably redundant. *)
+      handle_packet t ~src packet
   | _ -> (
       (* Zero-copy slow path: validate the checksum in place, then decode
          the packet from a window of the frame — no payload-sized
          [String.sub] before the fields are read. *)
+      let frame = Network.bytes frame in
       match Bp_codec.Frame.unseal_sub frame ~off:0 with
       | Error (`Corrupt | `Malformed) -> t.discarded <- t.discarded + 1
       | Ok (off, len) ->
@@ -323,41 +332,52 @@ let send t ?(reliable = true) ~dst ~tag payload =
     arm_retransmit t p
   end
 
-(* Encode-once broadcast. The (tag, payload) suffix — all of the message
-   body except the per-peer stream header — is serialized exactly once
-   per broadcast; each destination then costs one small header write plus
-   a blit into the frame, instead of a full re-serialization. Unreliable
-   broadcasts share the entire sealed frame. Wire format and send order
-   are identical to a loop of {!send}, so virtual-time results do not
-   change. *)
+(* A broadcast's frames share the (tag, payload) suffix, serialized once
+   per broadcast. Each destination's frame is accounted by its length:
+   the packet kind, the seq when [seq] is given, and the suffix. The
+   suffix's CRC and shift are derived the first time any of the frames is
+   built, and then serve them all: each built frame checksums only its
+   few header bytes and stitches the suffix CRC on with one modular
+   multiply. The bytes are what [frame] would build for the same packet. *)
+let suffix_frames t ~tag payload =
+  let suffix =
+    Bp_codec.Wire.encode
+      ~size_hint:
+        (Bp_codec.Wire.string_size tag + Bp_codec.Wire.string_size payload)
+      (fun e ->
+        Bp_codec.Wire.string e tag;
+        Bp_codec.Wire.string e payload)
+  in
+  let sums =
+    lazy
+      (Bp_crypto.Crc32.string suffix, Bp_crypto.Crc32.shift (String.length suffix))
+  in
+  fun ~seq ->
+    let header =
+      match seq with Some s -> 1 + Bp_codec.Wire.varint_size s | None -> 1
+    in
+    Network.frame t.net
+      ~len:(Bp_codec.Frame.overhead + header + String.length suffix)
+      (fun () ->
+        let suffix_crc, suffix_shift = Lazy.force sums in
+        Bp_codec.Frame.seal_with_suffix t.scratch ~suffix ~suffix_crc
+          ~suffix_shift (fun e ->
+            match seq with
+            | Some s ->
+                Bp_codec.Wire.u8 e 1;
+                Bp_codec.Wire.varint e s
+            | None -> Bp_codec.Wire.u8 e 0))
+
+(* Encode-once broadcast: the message body is serialized exactly once
+   ([suffix_frames]), whatever the fan-out. Unreliable broadcasts share
+   one frame and one hint across destinations. Wire format and send
+   order are identical to a loop of {!send}, so virtual-time results do
+   not change. *)
 let broadcast t ?(reliable = true) ~dsts ~tag payload =
   if Array.length dsts > 0 then begin
-    let suffix =
-      Bp_codec.Wire.encode
-        ~size_hint:
-          (Bp_codec.Wire.string_size tag + Bp_codec.Wire.string_size payload)
-        (fun e ->
-          Bp_codec.Wire.string e tag;
-          Bp_codec.Wire.string e payload)
-    in
-    (* One payload-sized CRC pass and one shift per broadcast:
-       per-destination frames stitch the suffix checksum on with one
-       modular multiply instead of re-checksumming megabytes (or
-       re-deriving the shift) per destination. *)
-    let suffix_crc = Bp_crypto.Crc32.string suffix in
-    let suffix_shift = Bp_crypto.Crc32.shift (String.length suffix) in
-    (* Per-destination assembly reuses the endpoint's scratch encoder and
-       does not re-walk the message (not counted by Wire.encode_calls). *)
-    let assemble header_kind seq =
-      Bp_codec.Frame.seal_with_suffix t.scratch ~suffix ~suffix_crc
-        ~suffix_shift (fun e ->
-          Bp_codec.Wire.u8 e header_kind;
-          match seq with
-          | Some s -> Bp_codec.Wire.varint e s
-          | None -> ())
-    in
+    let frame_for = suffix_frames t ~tag payload in
     if not reliable then begin
-      (* All recipients share one sealed frame and one decoded view. *)
+      (* All recipients share one frame and one hint. *)
       let shared = ref None in
       Array.iter
         (fun dst ->
@@ -367,9 +387,8 @@ let broadcast t ?(reliable = true) ~dsts ~tag payload =
               match !shared with
               | Some fh -> fh
               | None ->
-                  let frame = assemble 0 None in
                   let fh =
-                    (frame, Decoded { frame; packet = Unreliable { tag; payload } })
+                    (frame_for ~seq:None, Decoded (Unreliable { tag; payload }))
                   in
                   shared := Some fh;
                   fh
@@ -385,10 +404,9 @@ let broadcast t ?(reliable = true) ~dsts ~tag payload =
           else begin
             let p = peer_of t dst in
             let seq = reserve_seq t p ~tag payload in
-            let frame = assemble 1 (Some seq) in
             Network.send t.net ~src:t.self ~dst
-              ~hint:(Decoded { frame; packet = Data { seq; tag; payload } })
-              frame;
+              ~hint:(Decoded (Data { seq; tag; payload }))
+              (frame_for ~seq:(Some seq));
             arm_retransmit t p
           end)
         dsts

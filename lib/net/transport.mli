@@ -35,9 +35,35 @@ val broadcast :
 (** Semantically identical to calling {!send} for each destination in
     array order (self-destinations loop back), but the message body is
     serialized exactly once per broadcast: destinations share the encoded
-    (tag, payload) suffix, and unreliable broadcasts share the entire
-    sealed frame. Wire bytes and send order are unchanged, so simulated
-    timings are identical to the send-loop equivalent. *)
+    (tag, payload) suffix ({!suffix_frames}), and unreliable broadcasts
+    share one frame. Wire bytes and send order are unchanged, so
+    simulated timings are identical to the send-loop equivalent. *)
+
+(** {2 Frames}
+
+    What a send puts on the simulated wire. A frame is accounted by its
+    exact length; its bytes are built only if something reads them
+    ({!Bp_sim.Network.bytes}): the corrupt fault, or a receiver that
+    gets no hint. Exposed so tests can check the bytes and lengths. *)
+
+type packet =
+  | Unreliable of { tag : string; payload : string }
+  | Data of { seq : int; tag : string; payload : string }
+  | Ack of { next_expected : int }
+
+val frame : t -> packet -> Bp_sim.Network.frame
+(** The frame {!send} (or an ack) puts on the wire for [packet]:
+    [Frame.seal] of the encoded packet, built in the endpoint's scratch
+    encoder. *)
+
+val suffix_frames :
+  t -> tag:string -> string -> seq:int option -> Bp_sim.Network.frame
+(** [suffix_frames t ~tag payload] encodes the (tag, payload) suffix once
+    (one [Wire.encode]) and returns the frame maker {!broadcast} uses per
+    destination: [~seq:(Some s)] gives the bytes of [frame] for
+    [Data { seq = s; tag; payload }], [~seq:None] those for
+    [Unreliable { tag; payload }]. The suffix CRC is computed once, when
+    the first of its frames is built. *)
 
 val stop : t -> unit
 (** Cancel all retransmission timers (used at controlled shutdown). *)

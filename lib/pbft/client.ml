@@ -87,7 +87,7 @@ let create ~cache transport cfg =
       pending = Int_map.empty;
     }
   in
-  Bp_net.Transport.set_handler transport ~tag:(cfg.Config.tag ^ ".reply")
+  Bp_net.Transport.set_handler transport ~tag:(Config.reply_tag cfg)
     (fun ~src:_ payload ->
       match Msg.verify_envelope ~cache cfg payload with
       | Ok body -> on_reply t body

@@ -31,6 +31,8 @@ let identity t addr =
       Bp_sim.Addr.Tbl.add t.identities addr id;
       id
 
+let reply_tag t = t.tag ^ ".reply"
+
 let default_batch_max = 64
 
 let check_batch_policy ~batch_max ~batch_min_fill ~batch_hold =

@@ -110,6 +110,10 @@ val quorum : t -> int
 val primary_of_view : t -> int -> int
 (** Round-robin: view mod n. *)
 
+val reply_tag : t -> string
+(** The transport tag replies to clients travel on ([tag ^ ".reply"]).
+    Replicas and clients build it once, at create. *)
+
 val identity : t -> Bp_sim.Addr.t -> string
 (** Signing identity for an address within this cluster; registers it in
     the keystore on first use (clients as well as replicas). Memoized per

@@ -96,16 +96,21 @@ let decode_addr d =
    on the wire, only which bytes the signature covers. *)
 let ca_min_bytes = 256
 
+let addr_size (a : Bp_sim.Addr.t) =
+  Wire.varint_size a.Bp_sim.Addr.dc + Wire.varint_size a.Bp_sim.Addr.idx
+
 let request_signing_payload ~cache ~client ~ts ~kind ~op =
+  let header = addr_size client + Wire.varint_size ts + 1 in
   if String.length op >= ca_min_bytes then
-    Wire.encode (fun e ->
+    (* 1 marker byte, then a 32-byte digest behind its 1-byte length *)
+    Wire.encode ~size_hint:(header + 34) (fun e ->
         Wire.u8 e 0xCB;
         encode_addr e client;
         Wire.varint e ts;
         Wire.u8 e kind;
         Wire.string e (Bp_crypto.Verify_cache.digest cache op))
   else
-    Wire.encode (fun e ->
+    Wire.encode ~size_hint:(header + Wire.string_size op) (fun e ->
         encode_addr e client;
         Wire.varint e ts;
         Wire.u8 e kind;
@@ -217,12 +222,10 @@ let encode_body_into e body =
             batches;
           Wire.varint e replica)
 
-(* Exact encoded sizes of the bulk-carrying bodies, so their encodes
-   write each op once into a buffer that becomes the message. *)
+(* Exact encoded sizes, so an encode writes into one buffer that becomes
+   the message: no oversized scratch buffer, no trimming copy. *)
 let request_size r =
-  Wire.varint_size r.client.Bp_sim.Addr.dc
-  + Wire.varint_size r.client.Bp_sim.Addr.idx
-  + Wire.varint_size r.ts + 1 + Wire.string_size r.op
+  addr_size r.client + Wire.varint_size r.ts + 1 + Wire.string_size r.op
   + Wire.string_size r.client_sig
 
 let body_size = function
@@ -235,9 +238,22 @@ let body_size = function
            + Wire.string_size digest
            + Wire.varint_size (List.length batch))
            batch)
-  | Prepare _ | Commit _ | Reply _ | Checkpoint _ | View_change _ | New_view _
-  | Fetch _ | Fetch_reply _ ->
-      None
+  | Prepare { view; seq; digest; replica } | Commit { view; seq; digest; replica }
+    ->
+      Some
+        (1 + Wire.varint_size view + Wire.varint_size seq
+        + Wire.string_size digest + Wire.varint_size replica)
+  | Reply { view; ts; client; replica; result } ->
+      Some
+        (1 + Wire.varint_size view + Wire.varint_size ts + addr_size client
+        + Wire.varint_size replica + Wire.string_size result)
+  | Checkpoint { seq; state_digest; replica } ->
+      Some
+        (1 + Wire.varint_size seq + Wire.string_size state_digest
+        + Wire.varint_size replica)
+  | Fetch { from_seq; replica } ->
+      Some (1 + Wire.varint_size from_seq + Wire.varint_size replica)
+  | View_change _ | New_view _ | Fetch_reply _ -> None
 
 let encode_body body =
   Wire.encode ?size_hint:(body_size body) (fun e -> encode_body_into e body)
@@ -385,9 +401,14 @@ let content_addressed body = bulk_weight body >= ca_min_bytes
    pin. *)
 let signing_payload ~cache ~encoded body =
   if content_addressed body then begin
-    let e = Wire.encoder ~size_hint:512 () in
+    let ca = ca_body cache body in
+    let e =
+      Wire.encoder
+        ~size_hint:(match body_size ca with Some n -> 1 + n | None -> 512)
+        ()
+    in
     Wire.u8 e 0xCA;
-    encode_body_into e (ca_body cache body);
+    encode_body_into e ca;
     Wire.to_string e
   end
   else encoded ()
@@ -441,8 +462,9 @@ let batch_digest ~cache batch =
   in
   List.iter
     (fun r ->
+      let r = image r in
       Bp_crypto.Sha256.update ctx
-        (Wire.encode (fun e -> encode_request e (image r))))
+        (Wire.encode ~size_hint:(request_size r) (fun e -> encode_request e r)))
     batch;
   Bp_crypto.Sha256.finalize ctx
 

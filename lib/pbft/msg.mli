@@ -122,8 +122,8 @@ val batch_digest : cache:Bp_crypto.Verify_cache.t -> request list -> string
 val encode_body : body -> string
 
 val body_size : body -> int option
-(** The exact length of [encode_body body] for the bulk-carrying
-    [Request] and [Pre_prepare]; [None] for the other constructors. *)
+(** The exact length of [encode_body body]; [None] for the
+    list-carrying [View_change], [New_view] and [Fetch_reply]. *)
 
 val decode_body : string -> (body, string) result
 

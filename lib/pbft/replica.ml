@@ -6,6 +6,14 @@ module Log = (val Logs.src_log log : Logs.LOG)
 module Int_map = Map.Make (Int)
 module Int_set = Set.Make (Int)
 
+(* A client request's identity: its client address and timestamp. *)
+module Req_tbl = Hashtbl.Make (struct
+  type t = Addr.t * int
+
+  let equal ((a : Addr.t), ts) ((b : Addr.t), ts') = ts = ts' && Addr.equal a b
+  let hash ((a : Addr.t), ts) = (Addr.hash a * 65599) + ts
+end)
+
 type slot = {
   seq : int;
   mutable sview : int; (* view in which the pre-prepare was accepted *)
@@ -61,8 +69,8 @@ type t = {
   mutable chain : string; (* hash chain over executed batches *)
   (* primary batching *)
   queue : Msg.request Queue.t;
-  queued_keys : (string, unit) Hashtbl.t;
-      (* dedup of queued requests, keyed [timer_key (request_key r)].
+  queued_keys : unit Req_tbl.t;
+      (* dedup of queued requests, keyed [request_key r].
          O(1) membership/removal: under open-loop saturation the queue
          holds tens of thousands of requests, and the list this replaced
          made every enqueue/dequeue a linear scan. *)
@@ -88,9 +96,10 @@ type t = {
   mutable occ_sum : int;
   mutable occ_samples : int;
   (* client bookkeeping *)
-  last_reply : (string, int * string) Hashtbl.t; (* client key -> ts, reply envelope *)
-  (* request timers: key -> timer *)
-  timers : (string, Engine.timer) Hashtbl.t;
+  last_reply : (int * string) Addr.Tbl.t; (* client -> ts, reply envelope *)
+  reply_tag : string; (* Config.reply_tag, built once *)
+  (* request timers: request key -> timer *)
+  timers : Engine.timer Req_tbl.t;
   (* checkpoints: seq -> replica -> digest *)
   mutable checkpoints : (int * string) list Int_map.t;
   mutable own_checkpoints : string Int_map.t; (* seq -> digest, ours *)
@@ -194,11 +203,7 @@ let pipeline_leave t s =
 
 let self_addr t = t.cfg.Config.nodes.(t.id)
 
-let client_key (a : Addr.t) = Addr.to_string a
-let request_key (r : Msg.request) = (client_key r.Msg.client, r.Msg.ts)
-(* Same bytes as [Printf.sprintf "%s#%d"]: identical keys keep the
-   iteration order over [t.timers] unchanged. *)
-let timer_key (ck, ts) = String.concat "" [ ck; "#"; Int.to_string ts ]
+let request_key (r : Msg.request) = (r.Msg.client, r.Msg.ts)
 
 let request_equal (a : Msg.request) (b : Msg.request) =
   Addr.equal a.Msg.client b.Msg.client
@@ -231,16 +236,14 @@ let digest_of_batch t batch =
   Bp_crypto.Verify_cache.memoize t.batch_memo batch (fun () ->
       Msg.batch_digest ~cache:t.cache batch)
 
-let reply_tag cfg = cfg.Config.tag ^ ".reply"
-
 let send_reply t (r : Msg.request) result =
   let body =
     Msg.Reply
       { view = t.view; ts = r.Msg.ts; client = r.Msg.client; replica = t.id; result }
   in
   let sealed = Msg.seal ~cache:t.cache t.cfg ~sender:(self_addr t) body in
-  Hashtbl.replace t.last_reply (client_key r.Msg.client) (r.Msg.ts, sealed);
-  Bp_net.Transport.send t.transport ~dst:r.Msg.client ~tag:(reply_tag t.cfg) sealed
+  Addr.Tbl.replace t.last_reply r.Msg.client (r.Msg.ts, sealed);
+  Bp_net.Transport.send t.transport ~dst:r.Msg.client ~tag:t.reply_tag sealed
 
 let slot_of t seq =
   match Int_map.find_opt seq t.slots with
@@ -282,10 +285,10 @@ let slot_digest_exn t s =
 (* ---------- view change triggering ---------- *)
 
 let cancel_request_timer t key =
-  match Hashtbl.find_opt t.timers (timer_key key) with
+  match Req_tbl.find_opt t.timers key with
   | Some timer ->
       Engine.cancel timer;
-      Hashtbl.remove t.timers (timer_key key)
+      Req_tbl.remove t.timers key
   | None -> ()
 
 let matching_prepares s =
@@ -326,11 +329,11 @@ let rec move_to_view t target =
     Log.debug (fun m -> m "pbft %d: view change -> %d" t.id target);
     t.status <- View_changing target;
     (* Clear per-request timers; the new view re-arms protocol progress.
-       Cancellation order cannot affect protocol state, so the
-       order-dependent iteration is safe here. *)
-    (Hashtbl.iter (fun _ timer -> Engine.cancel timer) t.timers
+       Cancelling only marks each timer, so the result does not depend
+       on the table's iteration order. *)
+    (Req_tbl.iter (fun _ timer -> Engine.cancel timer) t.timers
     [@bplint.allow "R2-hiter"]);
-    Hashtbl.reset t.timers;
+    Req_tbl.reset t.timers;
     let body =
       Msg.View_change
         {
@@ -751,7 +754,7 @@ and try_form_batch t =
          the loop guard made each cut O(batch^2). *)
       while (not (Queue.is_empty t.queue)) && !blen < t.cfg.Config.batch_max do
         let r = Queue.pop t.queue in
-        Hashtbl.remove t.queued_keys (timer_key (request_key r));
+        Req_tbl.remove t.queued_keys (request_key r);
         (* Pre-screen with the verification routine; invalid requests are
            dropped here (an honest primary never proposes them). *)
         if t.verifier r then begin
@@ -791,28 +794,26 @@ and try_form_batch t =
 
 and arm_request_timer t (r : Msg.request) =
   let key = request_key r in
-  let tk = timer_key key in
-  if not (Hashtbl.mem t.timers tk) then begin
+  if not (Req_tbl.mem t.timers key) then begin
     let timer =
       Engine.schedule t.engine ~after:t.cfg.Config.request_timeout (fun () ->
-          Hashtbl.remove t.timers tk;
+          Req_tbl.remove t.timers key;
           (* The request did not execute in time: suspect the primary. *)
           match t.status with
           | Normal -> move_to_view t (t.view + 1)
           | View_changing _ -> ())
     in
-    Hashtbl.replace t.timers tk timer
+    Req_tbl.replace t.timers key timer
   end
 
 and handle_request t ~envelope (r : Msg.request) =
   if Msg.request_valid ~cache:t.cache t.cfg r then begin
-    let ck = client_key r.Msg.client in
-    match Hashtbl.find_opt t.last_reply ck with
+    match Addr.Tbl.find_opt t.last_reply r.Msg.client with
     | Some (ts, envelope) when ts >= r.Msg.ts ->
         (* Already executed: re-send the cached reply. *)
         if ts = r.Msg.ts then
-          Bp_net.Transport.send t.transport ~dst:r.Msg.client
-            ~tag:(reply_tag t.cfg) envelope
+          Bp_net.Transport.send t.transport ~dst:r.Msg.client ~tag:t.reply_tag
+            envelope
     | _ when not (t.verifier r) ->
         (* Pre-screen: an op the verification routine rejects can never
            commit; answer immediately instead of letting request timers
@@ -828,14 +829,14 @@ and handle_request t ~envelope (r : Msg.request) =
               result = "__rejected";
             }
         in
-        Bp_net.Transport.send t.transport ~dst:r.Msg.client ~tag:(reply_tag t.cfg)
+        Bp_net.Transport.send t.transport ~dst:r.Msg.client ~tag:t.reply_tag
           (Msg.seal ~cache:t.cache t.cfg ~sender:(self_addr t) body)
     | _ ->
         if is_primary t && is_normal t then begin
-          let qk = timer_key (request_key r) in
-          if not (Hashtbl.mem t.queued_keys qk) then begin
+          let qk = request_key r in
+          if not (Req_tbl.mem t.queued_keys qk) then begin
             Queue.push r t.queue;
-            Hashtbl.replace t.queued_keys qk ();
+            Req_tbl.replace t.queued_keys qk ();
             arm_request_timer t r;
             try_form_batch t
           end
@@ -1125,7 +1126,7 @@ let create ~cache transport cfg ~id ~execute () =
       last_exec = 0;
       chain = Bp_crypto.Sha256.digest "pbft-genesis";
       queue = Queue.create ();
-      queued_keys = Hashtbl.create 64;
+      queued_keys = Req_tbl.create 64;
       hold_timer = None;
       cut_forced = false;
       batches_cut = 0;
@@ -1135,8 +1136,9 @@ let create ~cache transport cfg ~id ~execute () =
       pipeline = 0;
       occ_sum = 0;
       occ_samples = 0;
-      last_reply = Hashtbl.create 32;
-      timers = Hashtbl.create 32;
+      last_reply = Addr.Tbl.create 32;
+      reply_tag = Config.reply_tag cfg;
+      timers = Req_tbl.create 32;
       checkpoints = Int_map.empty;
       own_checkpoints = Int_map.empty;
       view_changes = Int_map.empty;
@@ -1158,9 +1160,9 @@ let create ~cache transport cfg ~id ~execute () =
 let stop t =
   t.stopped <- true;
   (* Shutdown path: cancellation order cannot affect protocol state. *)
-  (Hashtbl.iter (fun _ timer -> Engine.cancel timer) t.timers
+  (Req_tbl.iter (fun _ timer -> Engine.cancel timer) t.timers
   [@bplint.allow "R2-hiter"]);
-  Hashtbl.reset t.timers;
+  Req_tbl.reset t.timers;
   (match t.vc_timer with Some timer -> Engine.cancel timer | None -> ());
   t.vc_timer <- None;
   (match t.hold_timer with Some timer -> Engine.cancel timer | None -> ());

@@ -7,6 +7,7 @@ let compare a b =
   if c <> 0 then c else Int.compare a.idx b.idx
 
 let equal a b = compare a b = 0
+let hash a = (a.dc * 8191) + a.idx
 (* Same bytes as [Printf.sprintf "n%d.%d"], without the format
    interpreter: addresses are rendered on per-message paths. *)
 let to_string a =
@@ -26,5 +27,5 @@ module Tbl = Hashtbl.Make (struct
   type nonrec t = t
 
   let equal = equal
-  let hash a = (a.dc * 8191) + a.idx
+  let hash = hash
 end)

@@ -7,6 +7,10 @@ type t = { dc : int; idx : int }
 val make : dc:int -> idx:int -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
+
+val hash : t -> int
+(** The int hash {!Tbl} uses. *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

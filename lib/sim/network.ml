@@ -15,24 +15,29 @@ type counters = {
   corrupted : int;
   duplicated : int;
   bytes_sent : int;
+  materialized : int;
 }
 
 (* Delivery hints are an in-simulator optimization channel: a sender that
-   already holds a decoded form of the payload can attach it, and a
-   receiver that trusts physical identity (hint carries the very same
-   payload string it was handed) may skip re-parsing. Hints ride outside
-   the byte stream — they never change what is delivered, only how fast a
-   receiver can interpret it — and are dropped whenever fault injection
-   rewrites the payload. *)
+   already holds a decoded form of the frame attaches it to the send, and
+   the receiver acts on it without reading the bytes. Hints ride outside
+   the byte stream and are dropped whenever fault injection rewrites the
+   bytes, so a hint always describes the frame it arrives with. *)
 type hint = ..
 
-type node_state = {
-  handler : src:Addr.t -> hint:hint option -> string -> unit;
+(* A frame is its exact length plus its bytes on demand: [Pending] holds
+   the builder and the network whose [materialized] counter its one run
+   bumps, and turns into [Built] on first read. *)
+type frame = { len : int; mutable state : frame_state }
+and frame_state = Built of string | Pending of t * (unit -> string)
+
+and node_state = {
+  handler : src:Addr.t -> hint:hint option -> frame -> unit;
   mutable crashed : bool;
   mutable nic_busy_until : Time.t;
 }
 
-type t = {
+and t = {
   engine : Engine.t;
   topology : Topology.t;
   mutable faults : faults;
@@ -48,9 +53,27 @@ type t = {
   mutable corrupted : int;
   mutable duplicated : int;
   mutable bytes_sent : int;
+  mutable materialized : int;
   traffic : int array array; (* bytes by (src dc, dst dc) *)
   traffic_msgs : int array array; (* messages by (src dc, dst dc) *)
 }
+
+let frame t ~len build = { len; state = Pending (t, build) }
+let frame_of_string s = { len = String.length s; state = Built s }
+let length f = f.len
+
+let bytes f =
+  match f.state with
+  | Built s -> s
+  | Pending (t, build) ->
+      let s = build () in
+      if String.length s <> f.len then
+        invalid_arg
+          (Printf.sprintf "Network.bytes: builder made %d bytes, frame is %d"
+             (String.length s) f.len);
+      t.materialized <- t.materialized + 1;
+      f.state <- Built s;
+      s
 
 let create engine topology ?(faults = no_faults) () =
   {
@@ -67,6 +90,7 @@ let create engine topology ?(faults = no_faults) () =
     corrupted = 0;
     duplicated = 0;
     bytes_sent = 0;
+    materialized = 0;
     traffic =
       (let n = Topology.num_dcs topology in
        Array.make_matrix n n 0);
@@ -123,14 +147,14 @@ let flip_byte rng payload =
     Bytes.unsafe_to_string b
   end
 
-let deliver t ~src ~dst ~hint payload =
+let deliver t ~src ~dst ~hint frame =
   match Addr.Tbl.find_opt t.nodes dst with
   | None -> t.dropped <- t.dropped + 1
   | Some node ->
       if node.crashed then t.dropped <- t.dropped + 1
       else begin
         t.delivered <- t.delivered + 1;
-        node.handler ~src ~hint payload
+        node.handler ~src ~hint frame
       end
 
 (* The send never leaves the source NIC: it is neither offered traffic
@@ -141,7 +165,7 @@ let drop_at_source t =
   t.dropped <- t.dropped + 1;
   t.dropped_at_source <- t.dropped_at_source + 1
 
-let send t ~src ~dst ?hint payload =
+let send t ~src ~dst ?hint frame =
   match Addr.Tbl.find_opt t.nodes src with
   | None -> drop_at_source t
   | Some sender ->
@@ -150,14 +174,15 @@ let send t ~src ~dst ?hint payload =
       else begin
         (* The packet actually departs: count it as offered traffic even
            if the drop fault loses it in flight below. *)
+        let len = frame.len in
         t.sent <- t.sent + 1;
-        t.bytes_sent <- t.bytes_sent + String.length payload;
+        t.bytes_sent <- t.bytes_sent + len;
         t.traffic.(src.Addr.dc).(dst.Addr.dc) <-
-          t.traffic.(src.Addr.dc).(dst.Addr.dc) + String.length payload;
+          t.traffic.(src.Addr.dc).(dst.Addr.dc) + len;
         t.traffic_msgs.(src.Addr.dc).(dst.Addr.dc) <-
           t.traffic_msgs.(src.Addr.dc).(dst.Addr.dc) + 1;
         let now = Engine.now t.engine in
-        let serialization = Topology.transfer_time t.topology (String.length payload) in
+        let serialization = Topology.transfer_time t.topology len in
         let depart = Time.add (Time.max now sender.nic_busy_until) serialization in
         sender.nic_busy_until <- depart;
         let propagation = Topology.one_way t.topology src.Addr.dc dst.Addr.dc in
@@ -169,24 +194,26 @@ let send t ~src ~dst ?hint payload =
         let arrive = Time.add (Time.add depart propagation) jitter in
         if Bp_util.Rng.bernoulli t.rng t.faults.drop then t.dropped <- t.dropped + 1
         else begin
-          let payload, hint =
+          let frame, hint =
             if Bp_util.Rng.bernoulli t.rng t.faults.corrupt then begin
               t.corrupted <- t.corrupted + 1;
-              (* The bytes changed, so any decoded form of the original is
-                 a lie: the hint must not survive corruption. *)
-              (flip_byte t.rng payload, None)
+              (* The only sender-side reader of the bytes: they are built
+                 here, before [flip_byte] draws. The bytes changed, so any
+                 decoded form of the original is a lie: the hint must not
+                 survive corruption. *)
+              (frame_of_string (flip_byte t.rng (bytes frame)), None)
             end
-            else (payload, hint)
+            else (frame, hint)
           in
           ignore
             (Engine.schedule_at t.engine arrive (fun () ->
-                 deliver t ~src ~dst ~hint payload));
+                 deliver t ~src ~dst ~hint frame));
           if Bp_util.Rng.bernoulli t.rng t.faults.duplicate then begin
             t.duplicated <- t.duplicated + 1;
             let again = Time.add arrive (Time.of_ms 0.1) in
             ignore
               (Engine.schedule_at t.engine again (fun () ->
-                   deliver t ~src ~dst ~hint payload))
+                   deliver t ~src ~dst ~hint frame))
           end
         end
       end
@@ -203,4 +230,5 @@ let counters t =
     corrupted = t.corrupted;
     duplicated = t.duplicated;
     bytes_sent = t.bytes_sent;
+    materialized = t.materialized;
   }

@@ -29,24 +29,50 @@ val engine : t -> Engine.t
 val topology : t -> Topology.t
 val set_faults : t -> faults -> unit
 
+type frame
+(** One datagram on the simulated wire: its exact length, and its bytes
+    on demand. The network accounts a frame by its length alone (NIC
+    serialization, [bytes_sent], the traffic matrix). Its bytes are built
+    at most once, and only when something reads them: the corrupt fault,
+    which flips one of them at send time, or a receiver that calls
+    {!bytes}. *)
+
+val frame : t -> len:int -> (unit -> string) -> frame
+(** [frame t ~len build] is a frame of exactly [len] bytes that
+    [build ()] produces. [build] runs at most once, on the first
+    {!bytes}; each run counts in [materialized] of [t]. It may run long
+    after the send, so it must not depend on state the sender mutates in
+    between. *)
+
+val frame_of_string : string -> frame
+(** A frame whose bytes already exist; reading them builds nothing. *)
+
+val length : frame -> int
+
+val bytes : frame -> string
+(** The frame's bytes, built on the first call.
+    @raise Invalid_argument if the builder's output is not {!length}
+    bytes long. *)
+
 type hint = ..
 (** Sender-supplied delivery hints. A hint carries a pre-interpreted form
-    of the payload (e.g. {!Bp_net.Transport} attaches the decoded packet
-    when one encoded frame fans out to many recipients). Hints never
-    change the delivered bytes; a receiver must only honour one after
-    checking physical identity with the payload it refers to, and fault
-    injection drops the hint whenever it rewrites the payload. Extensible
-    so upper layers can define hint shapes the simulator knows nothing
-    about. *)
+    of the frame it is sent with (e.g. {!Bp_net.Transport} attaches the
+    packet the frame encodes), so a receiver handed a hint can act on it
+    without reading the bytes. A hint belongs to the one {!send} that
+    carries it, and fault injection drops it whenever it rewrites the
+    bytes: a corrupted copy always arrives without a hint. Hints never
+    change the accounted length. Extensible so upper layers can define
+    hint shapes the simulator knows nothing about. *)
 
 val register :
-  t -> Addr.t -> (src:Addr.t -> hint:hint option -> string -> unit) -> unit
+  t -> Addr.t -> (src:Addr.t -> hint:hint option -> frame -> unit) -> unit
 (** Attach a node's receive handler. @raise Invalid_argument if already
     registered. *)
 
-val send : t -> src:Addr.t -> dst:Addr.t -> ?hint:hint -> string -> unit
+val send : t -> src:Addr.t -> dst:Addr.t -> ?hint:hint -> frame -> unit
 (** Fire-and-forget datagram. Sends from/to crashed or unregistered nodes
-    are silently dropped (the sender cannot tell — like UDP). *)
+    are silently dropped (the sender cannot tell — like UDP). A
+    duplicated delivery hands the receiver the same frame again. *)
 
 val crash : t -> Addr.t -> unit
 (** The node stops sending and receiving until {!recover}. In-flight
@@ -69,7 +95,10 @@ val set_link : t -> int -> int -> [ `Up | `Down ] -> unit
     the source (unregistered or crashed sender, administratively downed
     link) appear in [dropped] and, additionally, in [dropped_at_source].
     Packets lost to the in-flight drop fault departed, so they count as
-    sent and dropped but not dropped-at-source. *)
+    sent and dropped but not dropped-at-source. [bytes_sent] sums frame
+    lengths; [materialized] counts the frames whose bytes a builder
+    produced (see {!frame}), which a fault-free run of the transport
+    keeps at 0. *)
 type counters = {
   sent : int;
   delivered : int;
@@ -78,6 +107,7 @@ type counters = {
   corrupted : int;
   duplicated : int;
   bytes_sent : int;
+  materialized : int;
 }
 
 val counters : t -> counters

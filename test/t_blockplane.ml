@@ -504,12 +504,81 @@ let test_bulk_copy_budget () =
   if copies > 27.0 then
     Alcotest.failf "bulk log_commit copies %.2f op sizes per op (budget 27)" copies
 
+(* A 4-node unit with the d8mf16 cut policy (depth 8, batches of at
+   least 16, 0.25 ms hold) committing 1 KB records, as in the local-small
+   benchmark: minor-heap words allocated per committed op after a
+   warm-up, summed over the client and the four replicas. The simulation
+   is deterministic, so the figure is too. *)
+let d8mf16_world () =
+  Bp_harness.Runner.fresh_world ~fi:1 ~n_participants:1 ~max_in_flight:8
+    ~batch_min_fill:16 ~batch_hold:(ms 0.25) ()
+
+let commit_1k w ~warm ~ops =
+  let engine = w.Bp_harness.Runner.engine in
+  let api = Deployment.api w.Bp_harness.Runner.dep 0 in
+  let payloads =
+    Array.init (warm + ops) (fun i -> Bp_harness.Runner.payload ~size:1024 i)
+  in
+  let completed = ref 0 in
+  let commit_range lo hi =
+    for i = lo to hi - 1 do
+      Api.log_commit api payloads.(i) ~on_done:(fun () -> incr completed)
+    done;
+    Bp_harness.Runner.drive engine ~what:"1 KB commits" ~finished:(fun () ->
+        !completed = hi)
+  in
+  commit_range 0 warm;
+  let before = Gc.minor_words () in
+  commit_range warm (warm + ops);
+  (Gc.minor_words () -. before) /. float_of_int ops
+
+(* Measured at 5375 words per op when the bound was set. Before request
+   keys became (client, ts) pairs, frames were built only on demand and
+   the per-message encodes were sized exactly, it was 6438; the bound is
+   84.7% of that, so per-request formatting or eager frame building
+   creeping back fails here. *)
+let test_small_alloc_budget () =
+  let words = commit_1k (d8mf16_world ()) ~warm:64 ~ops:512 in
+  if words > 5450.0 then
+    Alcotest.failf "1 KB log_commit allocates %.0f minor words per op (budget 5450)"
+      words
+
+(* Nothing in a fault-free world reads frame bytes: every delivery acts
+   on the sender's hint. Covers a unit's PBFT traffic and, with four
+   participants, the comm daemons' aux and WAN traffic. *)
+let test_fault_free_builds_no_frames () =
+  let w = d8mf16_world () in
+  ignore (commit_1k w ~warm:16 ~ops:64);
+  Alcotest.(check int) "one unit: frames built" 0
+    (Network.counters w.Bp_harness.Runner.net).Network.materialized;
+  let w = Bp_harness.Runner.fresh_world ~fi:1 ~n_participants:4 () in
+  let delivered = ref 0 in
+  for dst = 0 to 3 do
+    Api.on_receive (Deployment.api w.Bp_harness.Runner.dep dst) (fun ~src:_ _ ->
+        incr delivered)
+  done;
+  for src = 0 to 3 do
+    for k = 1 to 3 do
+      Api.send (Deployment.api w.Bp_harness.Runner.dep src)
+        ~dest:((src + k) mod 4) (Printf.sprintf "m%d-%d" src k) ~on_done:ignore
+    done
+  done;
+  Bp_harness.Runner.drive w.Bp_harness.Runner.engine ~what:"geo sends"
+    ~finished:(fun () -> !delivered = 12);
+  Alcotest.(check int) "four participants: frames built" 0
+    (Network.counters w.Bp_harness.Runner.net).Network.materialized
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [
     ( "blockplane.record",
       [ tc "codec roundtrip" test_record_codec_roundtrip ] );
     ( "blockplane.bulk", [ tc "copy budget per op" test_bulk_copy_budget ] );
+    ( "blockplane.small",
+      [
+        tc "allocation budget per op" test_small_alloc_budget;
+        tc "fault-free runs build no frame bytes" test_fault_free_builds_no_frames;
+      ] );
     ( "blockplane.commit",
       [
         tc "log-commit roundtrip" test_log_commit_roundtrip;

@@ -219,7 +219,7 @@ let test_transport_odd_acks () =
   Transport.set_handler b ~tag:"app" (fun ~src:_ p -> got := p :: !got);
   let inject next_expected =
     Network.send net ~src:(Transport.addr b) ~dst:(Transport.addr a)
-      (ack_frame next_expected)
+      (Network.frame_of_string (ack_frame next_expected))
   in
   let send_range lo hi =
     for i = lo to hi do
@@ -253,7 +253,8 @@ let test_transport_out_of_order_arrival () =
   let b = Transport.create net (node 0 1) in
   let raw = node 0 2 in
   let acks = ref [] in
-  Network.register net raw (fun ~src:_ ~hint:_ frame -> acks := read_ack frame :: !acks);
+  Network.register net raw (fun ~src:_ ~hint:_ frame ->
+      acks := read_ack (Network.bytes frame) :: !acks);
   let got = ref [] in
   Transport.set_handler b ~tag:"app" (fun ~src:_ p -> got := p :: !got);
   List.iteri
@@ -261,7 +262,8 @@ let test_transport_out_of_order_arrival () =
       ignore
         (Engine.schedule e ~after:(ms (10.0 *. Float.of_int i)) (fun () ->
              Network.send net ~src:raw ~dst:(Transport.addr b)
-               (data_frame ~seq ~tag:"app" (Printf.sprintf "m%d" seq)))))
+               (Network.frame_of_string
+                  (data_frame ~seq ~tag:"app" (Printf.sprintf "m%d" seq))))))
     [ 2; 1; 4; 0; 1; 3; 5; 4 ];
   Engine.run e;
   Alcotest.(check (list string)) "delivered in seq order, once"
@@ -380,6 +382,153 @@ let test_broadcast_encodes_once () =
   Alcotest.(check int) "unreliable: one serialization per broadcast" 1 u2;
   Alcotest.(check int) "unreliable: fan-out does not re-encode" u2 u6
 
+(* ---------- virtual frames ---------- *)
+
+(* A frame is accounted by its length and built only when read. Against
+   the eager assembly the transport used before ([Frame_ref]), on every
+   packet kind, with tags and payloads across the 1- and 2-byte varint
+   length boundaries and up to 64 KiB, and seqs up to 2^20: the built
+   bytes must equal the oracle's, and the accounted length their length.
+   Data and unreliable packets are checked on the unicast path and on
+   the broadcast path (shared suffix, stitched CRC). *)
+let frame_sizes = [ 0; 1; 127; 128; 16384; 65536 ]
+let frame_seqs = [ 0; 127; 128; 1 lsl 20 ]
+
+let packet_gen =
+  QCheck.Gen.(
+    let text = oneofl frame_sizes >>= fun n -> string_size (return n) in
+    oneof
+      [
+        map2 (fun tag payload -> Transport.Unreliable { tag; payload }) text text;
+        map3
+          (fun seq tag payload -> Transport.Data { seq; tag; payload })
+          (oneofl frame_seqs) text text;
+        map (fun next_expected -> Transport.Ack { next_expected }) (oneofl frame_seqs);
+      ])
+
+let print_packet = function
+  | Transport.Unreliable { tag; payload } ->
+      Printf.sprintf "Unreliable tag=%d payload=%d" (String.length tag)
+        (String.length payload)
+  | Transport.Data { seq; tag; payload } ->
+      Printf.sprintf "Data seq=%d tag=%d payload=%d" seq (String.length tag)
+        (String.length payload)
+  | Transport.Ack { next_expected } -> Printf.sprintf "Ack %d" next_expected
+
+let frame_oracle_test =
+  let _, net = setup () in
+  let t = Transport.create net (node 0 0) in
+  let matches frame expected =
+    Network.length frame = String.length expected
+    && String.equal (Network.bytes frame) expected
+  in
+  QCheck.Test.make ~name:"virtual frames = eager assembly (bytes, length)"
+    ~count:200
+    (QCheck.make ~print:print_packet packet_gen)
+    (fun packet ->
+      let expected = Frame_ref.raw packet in
+      matches (Transport.frame t packet) expected
+      &&
+      match packet with
+      | Transport.Data { seq; tag; payload } ->
+          matches (Transport.suffix_frames t ~tag payload ~seq:(Some seq)) expected
+          && String.equal (Frame_ref.broadcast ~tag ~payload ~seq:(Some seq)) expected
+      | Transport.Unreliable { tag; payload } ->
+          matches (Transport.suffix_frames t ~tag payload ~seq:None) expected
+          && String.equal (Frame_ref.broadcast ~tag ~payload ~seq:None) expected
+      | Transport.Ack _ -> true)
+
+(* Three endpoints under every fault at once, on unicast and broadcast,
+   reliable and unreliable sends. The delivery log (receiver, source,
+   tag, payload digest, arrival time), the transports' stats and the
+   network's counters are pinned to the values the eager-frame transport
+   produced: building bytes only on demand must not move one RNG draw,
+   one corruption verdict or one retransmission. *)
+let fault_scenario () =
+  let faults =
+    { Network.drop = 0.1; duplicate = 0.1; corrupt = 0.2; jitter_ms = 3.0 }
+  in
+  let e = Engine.create ~seed:29L () in
+  let net = Network.create e Topology.aws_paper ~faults () in
+  let ts = Array.map (Transport.create net) [| node 0 0; node 1 0; node 2 0 |] in
+  let log = Buffer.create 4096 and deliveries = ref 0 in
+  Array.iteri
+    (fun i t ->
+      List.iter
+        (fun tag ->
+          Transport.set_handler t ~tag (fun ~src p ->
+              incr deliveries;
+              Buffer.add_string log
+                (Printf.sprintf "%d<%s %s %s @%d\n" i (Addr.to_string src) tag
+                   (Digest.to_hex (Digest.string p))
+                   (Time.to_ns (Engine.now e)))))
+        [ "app"; "bc"; "u"; "ubc" ])
+    ts;
+  let all = Array.map Transport.addr ts in
+  for k = 0 to 59 do
+    ignore
+      (Engine.schedule e ~after:(ms (2.0 *. Float.of_int k)) (fun () ->
+           let s = ts.(k mod 3) and d = all.((k + 1) mod 3) in
+           let body = Printf.sprintf "m%d:%s" k (String.make (k * 97 mod 3000) 'p') in
+           Transport.send s ~dst:d ~tag:"app" body;
+           if k mod 5 = 0 then Transport.broadcast s ~dsts:all ~tag:"bc" body;
+           if k mod 7 = 0 then Transport.send s ~reliable:false ~dst:d ~tag:"u" body;
+           if k mod 11 = 0 then
+             Transport.broadcast s ~reliable:false ~dsts:all ~tag:"ubc" body))
+  done;
+  Engine.run ~until:(Time.of_sec 120.0) e;
+  (net, ts, Buffer.contents log, !deliveries)
+
+let test_fault_regression () =
+  let net, ts, log, deliveries = fault_scenario () in
+  Alcotest.(check int) "deliveries" 121 deliveries;
+  Alcotest.(check string) "delivery log digest" "31f6aae14bb2fa775b1a0486bf5d109f"
+    (Digest.to_hex (Digest.string log));
+  Alcotest.(check (list (pair int int)))
+    "transport stats (retransmissions, discarded)"
+    [ (53, 31); (56, 37); (39, 32) ]
+    (Array.to_list (Array.map Transport.stats ts));
+  let c = Network.counters net in
+  Alcotest.(check (list int))
+    "sent, delivered, dropped, dropped at source, corrupted, duplicated, bytes"
+    [ 427; 420; 46; 0; 85; 39; 385072 ]
+    Network.
+      [
+        c.sent;
+        c.delivered;
+        c.dropped;
+        c.dropped_at_source;
+        c.corrupted;
+        c.duplicated;
+        c.bytes_sent;
+      ];
+  (* Only the corrupt fault reads bytes here (every clean copy carries
+     its hint); an unreliable broadcast's shared frame is built once
+     however many of its copies are corrupted. *)
+  Alcotest.(check bool) "materialized <= corrupted" true
+    (c.Network.materialized > 0 && c.Network.materialized <= c.Network.corrupted)
+
+(* With corruption the only fault and no shared frames, each corrupted
+   send builds its frame's bytes once, and nothing else builds any. *)
+let test_corrupt_only_materializes () =
+  let faults = { Network.no_faults with corrupt = 0.25 } in
+  let e, net = setup ~faults ~seed:17L () in
+  let a = Transport.create net (node 0 0) in
+  let b = Transport.create net (node 1 0) in
+  let got = ref [] in
+  Transport.set_handler b ~tag:"app" (fun ~src:_ p -> got := p :: !got);
+  for i = 1 to 40 do
+    Transport.send a ~dst:(Transport.addr b) ~tag:"app" (string_of_int i)
+  done;
+  Engine.run ~until:(Time.of_sec 30.0) e;
+  Alcotest.(check (list string)) "exactly once, in order"
+    (List.init 40 (fun i -> string_of_int (i + 1)))
+    (List.rev !got);
+  let c = Network.counters net in
+  Alcotest.(check bool) "some frames corrupted" true (c.Network.corrupted > 0);
+  Alcotest.(check int) "materialized = corrupted" c.Network.corrupted
+    c.Network.materialized
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [
@@ -399,6 +548,9 @@ let suite =
         tc "send window grows and wraps" test_transport_window_grows_and_wraps;
         tc "odd acks: beyond, stale, duplicate" test_transport_odd_acks;
         tc "out-of-order arrival is buffered" test_transport_out_of_order_arrival;
+        tc "faults: pinned delivery, stats, counters" test_fault_regression;
+        tc "corrupt only: materialized = corrupted" test_corrupt_only_materializes;
+        QCheck_alcotest.to_alcotest frame_oracle_test;
       ] );
     ( "net.heartbeat",
       [

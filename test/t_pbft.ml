@@ -138,8 +138,8 @@ let test_envelope_verification () =
   | Ok _ -> Alcotest.fail "forged signature accepted"
   | Error _ -> ()
 
-(* Random bulk-carrying bodies, with field values across varint length
-   boundaries, for the exact-size encoder. *)
+(* Random bodies of every constructor [Msg.body_size] sizes, with field
+   values across varint length boundaries, for the exact-size encoder. *)
 let gen_request =
   QCheck.Gen.(
     let big = oneof [ 0 -- 200; 0 -- 100_000; oneofl [ 127; 128; 16383; 16384; max_int ] ] in
@@ -151,8 +151,10 @@ let gen_request =
             (string_size (oneof [ 0 -- 300; oneofl [ 16383; 16384 ] ]))
             (string_size (0 -- 64)))))
 
-let gen_bulk_body =
+let gen_sized_body =
   QCheck.Gen.(
+    let num = oneof [ 0 -- 200; 0 -- max_int; oneofl [ 127; 128; 16383; 16384 ] ] in
+    let text = string_size (oneof [ 0 -- 40; oneofl [ 127; 128 ] ]) in
     oneof
       [
         map (fun r -> Msg.Request r) gen_request;
@@ -161,11 +163,26 @@ let gen_bulk_body =
           (pair
              (pair (oneof [ 0 -- 200; 0 -- max_int ]) (oneof [ 0 -- 200; 0 -- max_int ]))
              (pair (string_size (0 -- 40)) (list_size (0 -- 20) gen_request)));
+        map
+          (fun ((view, seq, replica), digest) -> Msg.Prepare { view; seq; digest; replica })
+          (pair (triple num num num) text);
+        map
+          (fun ((view, seq, replica), digest) -> Msg.Commit { view; seq; digest; replica })
+          (pair (triple num num num) text);
+        map
+          (fun ((view, ts, replica), (dc, idx, result)) ->
+            Msg.Reply { view; ts; client = Addr.make ~dc ~idx; replica; result })
+          (pair (triple num num num) (triple num num text));
+        map
+          (fun ((seq, replica), state_digest) ->
+            Msg.Checkpoint { seq; state_digest; replica })
+          (pair (pair num num) text);
+        map (fun (from_seq, replica) -> Msg.Fetch { from_seq; replica }) (pair num num);
       ])
 
 let qcheck_body_size =
   QCheck.Test.make ~name:"body_size = length of encode_body" ~count:100
-    (QCheck.make gen_bulk_body) (fun b ->
+    (QCheck.make gen_sized_body) (fun b ->
       match Msg.body_size b with
       | Some n -> n = String.length (Msg.encode_body b)
       | None -> false)

@@ -238,13 +238,16 @@ let setup ?faults () =
   let net = Network.create e Topology.aws_paper ?faults () in
   (e, net)
 
+let send_string net ~src ~dst s =
+  Network.send net ~src ~dst (Network.frame_of_string s)
+
 let test_network_latency () =
   let e, net = setup () in
   let a = node Topology.dc_california 0 and b = node Topology.dc_oregon 0 in
   Network.register net a (fun ~src:_ ~hint:_ _ -> ());
   let arrival = ref Time.zero in
   Network.register net b (fun ~src:_ ~hint:_ _ -> arrival := Engine.now e);
-  Network.send net ~src:a ~dst:b "hi";
+  send_string net ~src:a ~dst:b "hi";
   Engine.run e;
   (* one-way C-O = 9.5ms plus 2-byte serialization (negligible). *)
   let got = Time.to_ms !arrival in
@@ -256,7 +259,7 @@ let test_network_intra_dc_latency () =
   Network.register net a (fun ~src:_ ~hint:_ _ -> ());
   let arrival = ref Time.zero in
   Network.register net b (fun ~src:_ ~hint:_ _ -> arrival := Engine.now e);
-  Network.send net ~src:a ~dst:b "hi";
+  send_string net ~src:a ~dst:b "hi";
   Engine.run e;
   let got = Time.to_ms !arrival in
   Alcotest.(check bool) "about 0.25ms" true (got >= 0.25 && got < 0.3)
@@ -270,8 +273,8 @@ let test_network_nic_serialization () =
   let arrivals = ref [] in
   Network.register net b (fun ~src:_ ~hint:_ _ -> arrivals := Engine.now e :: !arrivals);
   let payload = String.make 640_000 'x' in
-  Network.send net ~src:a ~dst:b payload;
-  Network.send net ~src:a ~dst:b payload;
+  send_string net ~src:a ~dst:b payload;
+  send_string net ~src:a ~dst:b payload;
   Engine.run e;
   match List.rev !arrivals with
   | [ t1; t2 ] ->
@@ -287,11 +290,11 @@ let test_network_crashed_receiver_drops () =
   let got = ref 0 in
   Network.register net b (fun ~src:_ ~hint:_ _ -> incr got);
   Network.crash net b;
-  Network.send net ~src:a ~dst:b "hi";
+  send_string net ~src:a ~dst:b "hi";
   Engine.run e;
   Alcotest.(check int) "dropped" 0 !got;
   Network.recover net b;
-  Network.send net ~src:a ~dst:b "hi";
+  send_string net ~src:a ~dst:b "hi";
   Engine.run e;
   Alcotest.(check int) "delivered after recover" 1 !got
 
@@ -302,7 +305,7 @@ let test_network_crashed_sender_drops () =
   let got = ref 0 in
   Network.register net b (fun ~src:_ ~hint:_ _ -> incr got);
   Network.crash net a;
-  Network.send net ~src:a ~dst:b "hi";
+  send_string net ~src:a ~dst:b "hi";
   Engine.run e;
   Alcotest.(check int) "dropped" 0 !got
 
@@ -315,12 +318,12 @@ let test_network_crash_dc () =
   Network.register net c (fun ~src:_ ~hint:_ _ -> incr got_c);
   Network.crash_dc net 0;
   (* a is crashed too: send from c instead. *)
-  Network.send net ~src:c ~dst:b "hi";
+  send_string net ~src:c ~dst:b "hi";
   Engine.run e;
   Alcotest.(check int) "dc-0 node unreachable" 0 !got_b;
   Alcotest.(check bool) "a crashed" true (Network.is_crashed net a);
   Network.recover_dc net 0;
-  Network.send net ~src:c ~dst:b "hi";
+  send_string net ~src:c ~dst:b "hi";
   Engine.run e;
   Alcotest.(check int) "after recovery" 1 !got_b
 
@@ -331,11 +334,11 @@ let test_network_partition () =
   let got = ref 0 in
   Network.register net b (fun ~src:_ ~hint:_ _ -> incr got);
   Network.set_link net 0 1 `Down;
-  Network.send net ~src:a ~dst:b "hi";
+  send_string net ~src:a ~dst:b "hi";
   Engine.run e;
   Alcotest.(check int) "partitioned" 0 !got;
   Network.set_link net 0 1 `Up;
-  Network.send net ~src:a ~dst:b "hi";
+  send_string net ~src:a ~dst:b "hi";
   Engine.run e;
   Alcotest.(check int) "healed" 1 !got
 
@@ -347,7 +350,7 @@ let test_network_drop_fault () =
   let got = ref 0 in
   Network.register net b (fun ~src:_ ~hint:_ _ -> incr got);
   for _ = 1 to 10 do
-    Network.send net ~src:a ~dst:b "hi"
+    send_string net ~src:a ~dst:b "hi"
   done;
   Engine.run e;
   Alcotest.(check int) "all dropped" 0 !got;
@@ -360,7 +363,7 @@ let test_network_duplicate_fault () =
   Network.register net a (fun ~src:_ ~hint:_ _ -> ());
   let got = ref 0 in
   Network.register net b (fun ~src:_ ~hint:_ _ -> incr got);
-  Network.send net ~src:a ~dst:b "hi";
+  send_string net ~src:a ~dst:b "hi";
   Engine.run e;
   Alcotest.(check int) "delivered twice" 2 !got
 
@@ -370,8 +373,8 @@ let test_network_corrupt_fault () =
   let a = node 0 0 and b = node 0 1 in
   Network.register net a (fun ~src:_ ~hint:_ _ -> ());
   let received = ref "" in
-  Network.register net b (fun ~src:_ ~hint:_ p -> received := p);
-  Network.send net ~src:a ~dst:b "payload";
+  Network.register net b (fun ~src:_ ~hint:_ p -> received := Network.bytes p);
+  send_string net ~src:a ~dst:b "payload";
   Engine.run e;
   Alcotest.(check bool) "mutated" false (String.equal !received "payload");
   Alcotest.(check int) "same length" 7 (String.length !received)
@@ -381,7 +384,7 @@ let test_network_counters () =
   let a = node 0 0 and b = node 0 1 in
   Network.register net a (fun ~src:_ ~hint:_ _ -> ());
   Network.register net b (fun ~src:_ ~hint:_ _ -> ());
-  Network.send net ~src:a ~dst:b "12345";
+  send_string net ~src:a ~dst:b "12345";
   Engine.run e;
   let c = Network.counters net in
   Alcotest.(check int) "sent" 1 c.Network.sent;
