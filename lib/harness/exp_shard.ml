@@ -145,8 +145,8 @@ let shard_merge rows =
             "offered load = %.0f/s per unit (just under the d8mf16 knee); x0/x5/x20 = cross-shard fraction, x5skew adds zipf(0.99) shard popularity"
             per_unit_rate;
           "cross-shard txns span 2 shards; every 2PC step (prepare, vote, decide) is a committed record, votes/decides ride the communication path";
-          "x0_scaleout = aggregate throughput at 16 units over the 1-unit point; single-core container: scale-out is in simulated time, wall-clock runs the units sequentially";
-          "abort = timeout/NO-vote downgrades (deterministic no-ops); staged_left metrics must be 0 (every prepare decided)";
+          "scale-out = the x0 rows' achieved column read down from 1 to 16 units; it is simulated-time throughput, and one simulation runs all of a world's units on one core";
+          "abort = timeout/NO-vote downgrades (deterministic no-ops); a run fails if any prepare is left staged after the drain";
           "achieved = completions/makespan for the whole window INCLUDING the cross-shard drain tail (two WAN rounds, ~300 ms on tiled Table I), which is why any cross mix collapses it while p50 stays at the local-commit floor — steady-state single-shard capacity is the x0 row";
         ];
     };
