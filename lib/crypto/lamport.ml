@@ -63,9 +63,6 @@ let verify pk msg { revealed; other_hash } =
         with Exit -> false)
        && String.equal (Sha256.digest (Buffer.contents buf)) pk
      end
-(* Audited for pool workers (bplint R7-parpure): verification hashes
-   immutable inputs and touches no protocol-domain state. *)
-[@@bplint.parallel_pure]
 
 let encode { revealed; other_hash } =
   let buf = Buffer.create (2 * bits * chunk) in

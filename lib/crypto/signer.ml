@@ -88,10 +88,6 @@ let verify_key key ~msg ~signature =
   match key with
   | Hmac_key key -> Hmac.verify_prepared key ~msg ~tag:signature
   | Hash_roots roots -> verify_roots roots ~msg ~signature
-(* Audited for pool workers (bplint R7-parpure): operates on an immutable
-   [key] snapshot and never touches the keystore hashtable, the verify
-   cache, or any other protocol-domain state. *)
-[@@bplint.parallel_pure]
 
 (* The same verdict as [verify_key] over [snapshot], read straight from
    the identity: no key snapshot is allocated on the per-message path. *)

@@ -185,15 +185,4 @@ let run t tasks =
              results)
   end
 
-let map ~jobs tasks =
-  let t = create ~jobs in
-  match run t tasks with
-  | results ->
-      shutdown t;
-      results
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      shutdown t;
-      Printexc.raise_with_backtrace e bt
-
 let default_jobs () = Domain.recommended_domain_count ()

@@ -9,13 +9,13 @@
     returns results in task-index order, so a parallel run is
     observationally identical to [List.map (fun f -> f ()) tasks].
 
-    The task contract — capture only immutable snapshots, never reach
-    protocol-domain state (verify cache, keystore, network, RNG, wall
-    clock) from inside a task — is not just documentation: bplint's
-    interprocedural R6-domainescape and R7-parpure passes check every
-    closure passed to {!run} / {!map} against it on each build,
-    following calls across modules through a whole-program call graph.
-    Audited leaf functions opt in with [[@@bplint.parallel_pure]]. *)
+    The tree's one {!run} site is [Bp_harness.Runner.run_plan]. Its task
+    contract — a task builds its own world and shares no mutable state
+    with another — is checked twice: bplint's R6-planescape rejects a
+    task closure that writes a value bound outside it, in every
+    structure item that constructs a [Runner.Plan]; and a test renders
+    every registered experiment with no pool and on a 2-domain pool and
+    compares the bytes. *)
 
 type t
 
@@ -45,10 +45,6 @@ val run : t -> (unit -> 'a) list -> 'a list
 
 val shutdown : t -> unit
 (** Join all workers. Idempotent. The pool cannot run batches after. *)
-
-val map : jobs:int -> (unit -> 'a) list -> 'a list
-(** One-shot convenience: create a pool, {!run} the batch, {!shutdown}
-    (also on exception). *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the [--jobs] default. *)

@@ -214,6 +214,31 @@ let test_experiments_deterministic () =
   let f = render_all (run "fig4" ~scale:0.2) in
   Alcotest.(check string) "fig4 twice, identical" e f
 
+(* Runner.plan's contract at any -j: every registered experiment renders
+   the same bytes with no pool as on a 2-domain pool. bplint's
+   R6-planescape checks the plan-building code for shared writes; this
+   checks the output the tables are made of. *)
+let test_experiments_same_at_any_jobs () =
+  let render_all pool =
+    List.map
+      (fun (e : Experiments.t) ->
+        ( e.Experiments.id,
+          String.concat ""
+            (List.map Report.render (Experiments.run ?pool e ~scale:0.05)) ))
+      Experiments.all
+  in
+  let seq = render_all None in
+  let pool = Bp_parallel.Pool.create ~jobs:2 in
+  let par =
+    Fun.protect
+      ~finally:(fun () -> Bp_parallel.Pool.shutdown pool)
+      (fun () -> render_all (Some pool))
+  in
+  List.iter2
+    (fun (id, a) (_, b) ->
+      Alcotest.(check string) (id ^ ": -j 1 == -j 2, byte-identical") a b)
+    seq par
+
 (* The verification caches are pure accelerators: zero-capacity caches
    (--no-cache, [Knobs.t.cache = false]) must reproduce every experiment
    table byte for byte. Signing never depends on a cache, so not even a
@@ -420,6 +445,7 @@ let suite =
         tc "saturation load knobs" test_saturation_load_knobs;
         tc "runner helpers" test_runner_helpers;
         tc "experiments deterministic" test_experiments_deterministic;
+        tc "experiments same at any -j" test_experiments_same_at_any_jobs;
         tc "experiments identical without cache"
           test_experiments_identical_without_cache;
       ] );

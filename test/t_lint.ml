@@ -2,8 +2,8 @@
    tools/bplint/fixtures exercise each rule, and a final test scans the
    real tree and requires zero findings, so reintroducing a hazard
    (polymorphic compare on protocol state, a wall-clock read, a swallowed
-   exception on a verification path, a pool job touching the verify
-   cache, ...) fails `dune runtest` even before `dune build @lint` runs. *)
+   exception on a verification path, plan tasks sharing a ref, ...)
+   fails `dune runtest` even before `dune build @lint` runs. *)
 
 (* The test binary runs in [_build/default/test]; the .cmt artifacts live
    one level up, in the build context root. *)
@@ -92,35 +92,18 @@ let test_r5 () =
   check_count ~msg:"bare Signer.verify" "R5-rawverify" 1 diags;
   Alcotest.(check int) "total findings" 1 (List.length diags)
 
-(* R6-domainescape: each bad_* pattern in the fixture yields exactly one
-   finding; the good_* twins and the allow-attributed site yield none. *)
-let test_r6_domainescape () =
-  let diags = Lint.lint_cmt ~rules:[ "R6-domainescape" ] (fixture "Fx_r6") in
-  check_count
-    ~msg:
-      "module-ref read + field write + hashtbl read + thunk accumulation"
-    "R6-domainescape" 4 diags;
-  Alcotest.(check bool) "hashtable capture is called out" true
-    (message_mem "hashtable" diags)
-
-(* R7-parpure: direct violations, a cross-module hop, and a two-hop
-   chain that only the call graph can see; the pure twin, the
-   probe-before-fan-out twin and the [@@bplint.parallel_pure]-annotated
-   path stay clean. *)
-let test_r7_parpure () =
-  let graph = Lint.build_graph [ fixture "Fx_r7"; fixture "Fx_r7_helper" ] in
-  let diags = Lint.lint_cmt ~graph ~rules:[ "R7-parpure" ] (fixture "Fx_r7") in
-  check_count
-    ~msg:"cache record + keystore + two hops + cross module" "R7-parpure" 4
-    diags;
-  Alcotest.(check bool) "multi-hop chain is spelled out" true
-    (message_mem "call path:" diags);
-  Alcotest.(check bool) "Random is the two-hop target" true
-    (message_mem "Stdlib.Random.int" diags);
-  (* Without the graph the interprocedural hops are invisible, but the
-     direct violations (cache record, keystore) are still caught. *)
-  let direct = Lint.lint_cmt ~rules:[ "R7-parpure" ] (fixture "Fx_r7") in
-  check_count ~msg:"graph-free: direct violations only" "R7-parpure" 2 direct
+(* R6-planescape: the planted Exp_costs.costs_plan escape (tasks sharing
+   one ref) is the one finding; state a task builds for itself, and a
+   closure outside any plan item, stay clean. *)
+let test_r6_planescape () =
+  let diags, stats =
+    Lint.lint_files ~rules:[ "R6-planescape" ] [ fixture "Fx_r6" ]
+  in
+  check_count ~msg:"planted costs_plan escape" "R6-planescape" 1 diags;
+  Alcotest.(check int) "total findings" 1 (List.length diags);
+  Alcotest.(check bool) "names the shared ref" true
+    (message_mem "writes shared" diags);
+  Alcotest.(check int) "both plan items inspected" 2 stats.Lint.plan_sites
 
 (* R8-harnessglobal: every module-level allocation of mutable state is
    flagged (ref, Hashtbl, Array, Buffer, Atomic, a mutable record, a
@@ -234,13 +217,8 @@ let test_policy () =
     (has "R5-rawverify" "lib/core/unit_node.ml");
   Alcotest.(check bool) "crypto exempt from R5-rawverify" false
     (has "R5-rawverify" "lib/crypto/verify_cache.ml");
-  (* The parallel-purity rules run across the whole scanned tree. *)
-  Alcotest.(check bool) "lib gets R6" true
-    (has "R6-domainescape" "lib/crypto/verify_batch.ml");
-  Alcotest.(check bool) "lib gets R7" true
-    (has "R7-parpure" "lib/core/unit_node.ml");
-  Alcotest.(check bool) "bench gets R7" true
-    (has "R7-parpure" "bench/e2e/bpbench.ml");
+  Alcotest.(check bool) "harness gets R6-planescape" true
+    (has "R6-planescape" "lib/harness/exp_costs.ml");
   (* The former coverage gap: bench/bin/tools now carry a baseline. *)
   Alcotest.(check bool) "bench gets R2-nondet" true
     (has "R2-nondet" "bench/e2e/bpbench.ml");
@@ -274,7 +252,7 @@ let test_r2_domain_exemption_applies () =
 let test_json_format () =
   let d =
     {
-      Lint.rule = "R7-parpure";
+      Lint.rule = "R6-planescape";
       file = "a.ml";
       line = 2;
       col = 4;
@@ -282,7 +260,7 @@ let test_json_format () =
     }
   in
   Alcotest.(check string) "stable schema"
-    "[{\"rule\":\"R7-parpure\",\"file\":\"a.ml\",\"line\":2,\"col\":4,\"message\":\"needs \\\"quoting\\\"\"}]"
+    "[{\"rule\":\"R6-planescape\",\"file\":\"a.ml\",\"line\":2,\"col\":4,\"message\":\"needs \\\"quoting\\\"\"}]"
     (Lint_diag.findings_json [ d ])
 
 (* Baseline subtraction keys on (rule, file, message) and ignores
@@ -308,8 +286,8 @@ let test_baseline () =
         (List.length other) (show other)
 
 (* The teeth of the suite: the real tree must be clean. Any regression —
-   a reintroduced Option.get, a new module without an .mli, a pool job
-   reaching the verify cache — lands here as a test failure with
+   a reintroduced Option.get, a new module without an .mli, plan tasks
+   sharing a ref — lands here as a test failure with
    file:line diagnostics. *)
 let test_real_tree_clean () =
   let allowlist =
@@ -320,13 +298,14 @@ let test_real_tree_clean () =
   Alcotest.(check int)
     (Printf.sprintf "tree has findings:\n%s" (show diags))
     0 (List.length diags);
-  (* The scan really did cover the tree and build a whole-program graph. *)
+  (* The scan really did cover the tree, and R6-planescape reached every
+     registered experiment's plan. *)
   Alcotest.(check bool) "scanned a real number of files" true
     (stats.Lint.files_scanned > 20);
-  Alcotest.(check bool) "call graph has definitions" true
-    (stats.Lint.graph_defs > 200);
-  Alcotest.(check bool) "call graph has edges" true
-    (stats.Lint.graph_edges > stats.Lint.graph_defs)
+  Alcotest.(check bool)
+    (Printf.sprintf "R6 inspected %d Runner.Plan sites" stats.Lint.plan_sites)
+    true
+    (stats.Lint.plan_sites >= List.length Bp_harness.Experiments.all)
 
 let suite =
   [
@@ -339,10 +318,8 @@ let suite =
         Alcotest.test_case "R3 partial functions and catch-alls" `Quick test_r3;
         Alcotest.test_case "R4 printing and missing mli" `Quick test_r4;
         Alcotest.test_case "R5 raw verify confined to crypto" `Quick test_r5;
-        Alcotest.test_case "R6 domain escape on pool jobs" `Quick
-          test_r6_domainescape;
-        Alcotest.test_case "R7 parallel purity via call graph" `Quick
-          test_r7_parpure;
+        Alcotest.test_case "R6 plan tasks share no state" `Quick
+          test_r6_planescape;
         Alcotest.test_case "R8 no module-level state in harness" `Quick
           test_r8_harnessglobal;
         Alcotest.test_case "R9 externals confined to native.ml" `Quick

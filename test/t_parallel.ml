@@ -17,8 +17,16 @@ let test_pool_basics () =
     Bp_parallel.Pool.run pool (List.init 4 (fun i () -> string_of_int i))
   in
   Alcotest.(check (list string)) "strings" [ "0"; "1"; "2"; "3" ] strs;
-  (* jobs:1 never spawns domains and runs inline. *)
-  let inline = Bp_parallel.Pool.map ~jobs:1 (List.init 3 (fun i () -> -i)) in
+  (* jobs:1 never spawns domains and runs inline: on the calling domain. *)
+  let single = Bp_parallel.Pool.create ~jobs:1 in
+  let self = Domain.self () in
+  let inline =
+    Bp_parallel.Pool.run single
+      (List.init 3 (fun i () ->
+           if Domain.self () <> self then Alcotest.fail "ran off the caller";
+           -i))
+  in
+  Bp_parallel.Pool.shutdown single;
   Alcotest.(check (list int)) "jobs:1 inline" [ 0; -1; -2 ] inline;
   Bp_parallel.Pool.shutdown pool;
   (* Shutdown is idempotent, and a shut-down pool refuses work. *)
@@ -53,7 +61,9 @@ let test_pool_order () =
         ignore !acc;
         i)
   in
-  let got = Bp_parallel.Pool.map ~jobs:4 tasks in
+  let pool = Bp_parallel.Pool.create ~jobs:4 in
+  let got = Bp_parallel.Pool.run pool tasks in
+  Bp_parallel.Pool.shutdown pool;
   Alcotest.(check (list int)) "index order" (List.init 16 Fun.id) got
 
 let test_pool_exception () =

@@ -17,8 +17,7 @@ let all_rules =
     "R4-print";
     "R4-mli";
     "R5-rawverify";
-    "R6-domainescape";
-    "R7-parpure";
+    "R6-planescape";
     "R8-harnessglobal";
     "R9-external";
   ]
@@ -34,14 +33,6 @@ let allowlist_of_lines = Lint_diag.allowlist_of_lines
 let load_allowlist = Lint_diag.load_allowlist
 let allowlisted = Lint_diag.allowlisted
 let rule_matches ~prefix rule = String.starts_with ~prefix rule
-
-(* ---------- call graph ---------- *)
-
-type graph = Lint_graph.t
-
-let empty_graph = Lint_graph.empty
-let build_graph = Lint_graph.build
-let graph_size = Lint_graph.size
 
 (* ---------- policy ---------- *)
 
@@ -97,10 +88,9 @@ let r9_external source =
       []
   | _ -> [ "R9-external" ]
 
-(* R6/R7 run everywhere fan-out calls can appear — which after PR 6 is
-   any scanned directory. The passes are no-ops on files with no fan-out
-   sites, so applying them broadly costs nothing. *)
-let interproc_rules = Lint_interproc.rules
+(* R6-planescape runs wherever a Runner.Plan can be built; it is a no-op
+   on files that build none. *)
+let plan_rule = "R6-planescape"
 
 let policy ~source =
   match source_segments source with
@@ -130,13 +120,13 @@ let policy ~source =
           (if in_dirs [ "harness"; "crypto" ] then [ "R8-harnessglobal" ]
            else []);
           r9_external source;
-          interproc_rules;
+          [ plan_rule ];
         ]
   | "bench" :: _ :: _ | "bin" :: _ :: _ ->
       (* Executables: no .mli to require and console output is their job,
          but they feed the golden tables, so determinism and totality
-         still apply — and so does the parallel-purity discipline. *)
-      [ "R2-nondet"; "R3-partial"; "R9-external" ] @ interproc_rules
+         still apply — and so does the plan-task discipline. *)
+      [ "R2-nondet"; "R3-partial"; "R9-external"; plan_rule ]
   | "tools" :: rest when rest <> [] ->
       if List.mem "fixtures" rest then
         (* Lint fixtures violate rules on purpose; they are linted
@@ -149,9 +139,8 @@ let policy ~source =
           | Some f -> String.equal (Filename.remove_extension f) "main"
           | None -> false
         in
-        [ "R2-nondet"; "R3-partial"; "R9-external" ]
+        [ "R2-nondet"; "R3-partial"; "R9-external"; plan_rule ]
         @ (if is_main then [] else [ "R4-mli" ])
-        @ interproc_rules
   | _ -> []
 
 (* ---------- AST checks ---------- *)
@@ -164,6 +153,7 @@ type ctx = {
   mutable diags : diagnostic list;
   mutable fun_depth : int;
       (** enclosing function bodies; 0 = evaluated at module init *)
+  mutable plan_sites : int;  (** structure items R6 inspected *)
 }
 
 let report ctx ~rule ~(loc : Location.t) message =
@@ -187,16 +177,11 @@ let report ctx ~rule ~(loc : Location.t) message =
       :: ctx.diags
   end
 
-(* The interprocedural passes track their own [@bplint.allow] scopes
-   (they slice across binding boundaries, so the iterator stack above
-   does not apply); bridge their findings into this context's filters. *)
-let interproc_report ctx ~rule ~loc ~allows message =
+let with_allows ctx attrs k =
   let saved = ctx.allow_stack in
-  ctx.allow_stack <- allows @ saved;
-  report ctx ~rule ~loc message;
+  ctx.allow_stack <- Lint_diag.allows_of_attributes attrs @ saved;
+  k ();
   ctx.allow_stack <- saved
-
-let allows_of_attributes = Lint_diag.allows_of_attributes
 
 let strip_stdlib name =
   let prefix = "Stdlib." in
@@ -469,15 +454,151 @@ let check_expr ctx (e : Typedtree.expression) =
         cases
   | _ -> ()
 
+(* R6-planescape: the Runner.plan contract — tasks share no mutable
+   state, so a -j N run renders the -j 1 bytes — checked where a plan is
+   built. In a structure item that constructs Runner.Plan, no
+   [fun () -> ...] closure may write a value bound outside it. Closures
+   nested in such a closure belong to it, and calls into other items are
+   not followed: module-level state in lib/harness and lib/crypto is
+   R8's job. *)
+
+let is_plan_constructor (cd : Types.constructor_description) =
+  String.equal cd.Types.cstr_name "Plan"
+  &&
+  match Types.get_desc cd.Types.cstr_res with
+  | Types.Tconstr (Path.Pdot (m, "plan"), _, _) ->
+      let m = Path.last m in
+      String.equal m "Runner" || String.ends_with ~suffix:"__Runner" m
+  | _ -> false
+
+(* Whether the tree [walk] runs an iterator over constructs a plan. *)
+let builds_plan walk =
+  let found = ref false in
+  let expr sub (e : Typedtree.expression) =
+    (match e.Typedtree.exp_desc with
+    | Typedtree.Texp_construct (_, cd, _) when is_plan_constructor cd ->
+        found := true
+    | _ -> ());
+    Tast_iterator.default_iterator.Tast_iterator.expr sub e
+  in
+  walk { Tast_iterator.default_iterator with Tast_iterator.expr };
+  !found
+
+let is_unit_closure (e : Typedtree.expression) =
+  match e.Typedtree.exp_desc with
+  | Typedtree.Texp_function { cases = [ c ]; _ } -> (
+      match c.Typedtree.c_lhs.Typedtree.pat_desc with
+      | Typedtree.Tpat_construct (_, cd, [], _) ->
+          String.equal cd.Types.cstr_name "()"
+      | _ -> false)
+  | _ -> false
+
+(* Idents bound anywhere inside [e]: writes to those stay in the task. *)
+let bound_idents (e : Typedtree.expression) =
+  let bound = Hashtbl.create 32 in
+  let pat : type k. Tast_iterator.iterator -> k Typedtree.general_pattern -> unit
+      =
+   fun sub p ->
+    (match p.Typedtree.pat_desc with
+    | Typedtree.Tpat_var (id, _) | Typedtree.Tpat_alias (_, id, _) ->
+        Hashtbl.replace bound (Ident.unique_name id) ()
+    | _ -> ());
+    Tast_iterator.default_iterator.Tast_iterator.pat sub p
+  in
+  let it = { Tast_iterator.default_iterator with Tast_iterator.pat } in
+  it.Tast_iterator.expr it e;
+  bound
+
+(* The identifier at the root of [x], [x.f], [x.f.g], ... *)
+let rec access_root (e : Typedtree.expression) =
+  match e.Typedtree.exp_desc with
+  | Typedtree.Texp_ident (p, _, _) -> Some p
+  | Typedtree.Texp_field (inner, _, _) -> access_root inner
+  | _ -> None
+
+(* Which positional argument a stdlib write mutates. *)
+let mutated_arg fn =
+  match String.split_on_char '.' fn with
+  | [ "Stdlib"; (":=" | "incr" | "decr") ] -> Some 0
+  | [
+   "Stdlib";
+   "Hashtbl";
+   ( "add" | "replace" | "remove" | "clear" | "reset" | "filter_map_inplace"
+   | "add_seq" | "replace_seq" );
+  ] ->
+      Some 0
+  | [ "Stdlib"; "Buffer"; f ] ->
+      if
+        String.starts_with ~prefix:"add_" f
+        || List.mem f [ "clear"; "reset"; "truncate" ]
+      then Some 0
+      else None
+  | [ "Stdlib"; ("Array" | "Bytes"); ("set" | "unsafe_set" | "fill") ] -> Some 0
+  | [ "Stdlib"; ("Array" | "Bytes"); ("blit" | "blit_string") ] -> Some 2
+  | [ "Stdlib"; "Array"; ("sort" | "stable_sort" | "fast_sort") ] -> Some 1
+  | _ -> None
+
+let check_plan_task ctx (task : Typedtree.expression) =
+  let bound = bound_idents task in
+  let check_write ~loc target =
+    match Option.bind target access_root with
+    | Some (Path.Pident id) when Hashtbl.mem bound (Ident.unique_name id) -> ()
+    | Some p ->
+        report ctx ~rule:plan_rule ~loc
+          (Printf.sprintf
+             "Runner.Plan task writes %s, which is bound outside the task; \
+              tasks run on any domain in any order, so each must own its \
+              state and return its result through merge"
+             (Path.name p))
+    | None -> ()
+  in
+  let expr sub (e : Typedtree.expression) =
+    with_allows ctx e.Typedtree.exp_attributes (fun () ->
+        let loc = e.Typedtree.exp_loc in
+        (match e.Typedtree.exp_desc with
+        | Typedtree.Texp_setfield (obj, _, _, _) -> check_write ~loc (Some obj)
+        | Typedtree.Texp_apply
+            ({ Typedtree.exp_desc = Typedtree.Texp_ident (p, _, _); _ }, args)
+          -> (
+            match mutated_arg (Path.name p) with
+            | Some i ->
+                let positional =
+                  List.filter_map
+                    (function Asttypes.Nolabel, a -> a | _ -> None)
+                    args
+                in
+                check_write ~loc (List.nth_opt positional i)
+            | None -> ())
+        | _ -> ());
+        Tast_iterator.default_iterator.Tast_iterator.expr sub e)
+  in
+  let it = { Tast_iterator.default_iterator with Tast_iterator.expr } in
+  it.Tast_iterator.expr it task
+
+(* Check the outermost unit closures of a plan-building item that are
+   not themselves the plan builder (as in [let table1_plan () = Plan ...]). *)
+let check_plan_item ctx (si : Typedtree.structure_item) =
+  ctx.plan_sites <- ctx.plan_sites + 1;
+  let expr sub (e : Typedtree.expression) =
+    with_allows ctx e.Typedtree.exp_attributes (fun () ->
+        if
+          is_unit_closure e
+          && not (builds_plan (fun it -> it.Tast_iterator.expr it e))
+        then check_plan_task ctx e
+        else Tast_iterator.default_iterator.Tast_iterator.expr sub e)
+  in
+  let value_binding sub (vb : Typedtree.value_binding) =
+    with_allows ctx vb.Typedtree.vb_attributes (fun () ->
+        Tast_iterator.default_iterator.Tast_iterator.value_binding sub vb)
+  in
+  let it =
+    { Tast_iterator.default_iterator with Tast_iterator.expr; value_binding }
+  in
+  it.Tast_iterator.structure_item it si
+
 let make_iterator ctx =
   let super = Tast_iterator.default_iterator in
-  let with_allows attrs k =
-    let pushed = allows_of_attributes attrs in
-    let saved = ctx.allow_stack in
-    ctx.allow_stack <- pushed @ saved;
-    k ();
-    ctx.allow_stack <- saved
-  in
+  let with_allows = with_allows ctx in
   let expr sub (e : Typedtree.expression) =
     with_allows e.Typedtree.exp_attributes (fun () ->
         check_global ctx e;
@@ -506,6 +627,11 @@ let make_iterator ctx =
                   surface stays one audited file"
                  (Ident.name vd.Typedtree.val_id));
             super.Tast_iterator.structure_item sub si)
+    | Typedtree.Tstr_value _
+      when List.mem plan_rule ctx.rules
+           && builds_plan (fun it -> it.Tast_iterator.structure_item it si) ->
+        check_plan_item ctx si;
+        super.Tast_iterator.structure_item sub si
     | _ -> super.Tast_iterator.structure_item sub si
   in
   { super with Tast_iterator.expr; value_binding; structure_item }
@@ -547,58 +673,94 @@ let init_cmt_env ~cmt_path (cmt : Cmt_format.cmt_infos) =
   Env.reset_cache ();
   Envaux.reset_cache ()
 
-let lint_cmt ?(allowlist = empty_allowlist) ?(graph = Lint_graph.empty) ~rules
-    path =
-  let cmt = Cmt_format.read_cmt path in
-  init_cmt_env ~cmt_path:path cmt;
-  if generated_source cmt.Cmt_format.cmt_sourcefile then []
-  else begin
-    let source =
-      match cmt.Cmt_format.cmt_sourcefile with
-      | Some s -> normalize_source s
-      | None -> path
-    in
-    let ctx =
-      { source; rules; allowlist; allow_stack = []; diags = []; fun_depth = 0 }
-    in
-    (if
-       List.mem "R4-mli" rules
-       && (not (allowlisted allowlist ~rule:"R4-mli" ~file:source))
-       && Filename.check_suffix source ".ml"
-     then
-       let cmti = Filename.remove_extension path ^ ".cmti" in
-       if not (Sys.file_exists cmti) then
-         ctx.diags <-
-           {
-             rule = "R4-mli";
-             file = source;
-             line = 1;
-             col = 0;
-             message =
-               "library module has no .mli; every lib/ module must declare \
-                its interface";
-           }
-           :: ctx.diags);
-    (match cmt.Cmt_format.cmt_annots with
-    | Cmt_format.Implementation str ->
-        let iter = make_iterator ctx in
-        iter.Tast_iterator.structure iter str;
-        if List.exists (fun r -> List.mem r rules) Lint_interproc.rules then
-          Lint_interproc.check ~report:(interproc_report ctx) ~graph
-            ~modname:(Lint_graph.normalize_name cmt.Cmt_format.cmt_modname)
-            str
-    | _ -> ());
-    List.rev ctx.diags
-  end
+(* Lint one read [.cmt] under the rules [rules_of] picks for its source.
+   [None] for generated modules and for sources given no rules. *)
+let lint_file ~allowlist ~rules_of path (cmt : Cmt_format.cmt_infos) =
+  let source =
+    match cmt.Cmt_format.cmt_sourcefile with
+    | Some s -> normalize_source s
+    | None -> path
+  in
+  match rules_of source with
+  | [] -> None
+  | _ when generated_source cmt.Cmt_format.cmt_sourcefile -> None
+  | rules ->
+      init_cmt_env ~cmt_path:path cmt;
+      let ctx =
+        {
+          source;
+          rules;
+          allowlist;
+          allow_stack = [];
+          diags = [];
+          fun_depth = 0;
+          plan_sites = 0;
+        }
+      in
+      (if
+         List.mem "R4-mli" rules
+         && (not (allowlisted allowlist ~rule:"R4-mli" ~file:source))
+         && Filename.check_suffix source ".ml"
+       then
+         let cmti = Filename.remove_extension path ^ ".cmti" in
+         if not (Sys.file_exists cmti) then
+           ctx.diags <-
+             {
+               rule = "R4-mli";
+               file = source;
+               line = 1;
+               col = 0;
+               message =
+                 "library module has no .mli; every lib/ module must declare \
+                  its interface";
+             }
+             :: ctx.diags);
+      (match cmt.Cmt_format.cmt_annots with
+      | Cmt_format.Implementation str ->
+          let iter = make_iterator ctx in
+          iter.Tast_iterator.structure iter str
+      | _ -> ());
+      Some (List.rev ctx.diags, ctx.plan_sites)
 
-(* ---------- whole-tree scan ---------- *)
+let lint_cmt ?(allowlist = empty_allowlist) ~rules path =
+  match
+    lint_file ~allowlist ~rules_of:(fun _ -> rules) path
+      (Cmt_format.read_cmt path)
+  with
+  | Some (diags, _) -> diags
+  | None -> []
+
+(* ---------- statistics and the whole-tree scan ---------- *)
 
 type scan_stats = {
   files_scanned : int;
-  graph_defs : int;
-  graph_edges : int;
+  plan_sites : int;
   rule_hits : (string * int) list;
 }
+
+let summarize results =
+  let diags = List.sort Lint_diag.compare_diag (List.concat_map fst results) in
+  let rule_hits =
+    List.map
+      (fun rule ->
+        ( rule,
+          List.length (List.filter (fun d -> String.equal d.rule rule) diags) ))
+      all_rules
+  in
+  ( diags,
+    {
+      files_scanned = List.length results;
+      plan_sites = List.fold_left (fun n (_, sites) -> n + sites) 0 results;
+      rule_hits;
+    } )
+
+let lint_files ?(allowlist = empty_allowlist) ~rules paths =
+  summarize
+    (List.filter_map
+       (fun path ->
+         lint_file ~allowlist ~rules_of:(fun _ -> rules) path
+           (Cmt_format.read_cmt path))
+       paths)
 
 let scan ?(allowlist = empty_allowlist) ~root () =
   let cmts = ref [] in
@@ -625,40 +787,12 @@ let scan ?(allowlist = empty_allowlist) ~root () =
       let dir = Filename.concat root d in
       if Sys.file_exists dir && Sys.is_directory dir then walk dir)
     scanned_dirs;
-  let cmts = List.sort String.compare !cmts in
-  (* The call graph spans every scanned .cmt, so a pool job in lib/core
-     is checked through helpers it calls in lib/crypto. *)
-  let graph = Lint_graph.build cmts in
-  let files_scanned = ref 0 in
-  let diags =
-    List.concat_map
-      (fun path ->
-        match Cmt_format.read_cmt path with
-        | exception _ -> []
-        | cmt ->
-            if generated_source cmt.Cmt_format.cmt_sourcefile then []
-            else begin
-              let source =
-                match cmt.Cmt_format.cmt_sourcefile with
-                | Some s -> normalize_source s
-                | None -> path
-              in
-              let rules = policy ~source in
-              if rules = [] then []
-              else begin
-                incr files_scanned;
-                lint_cmt ~allowlist ~graph ~rules path
-              end
-            end)
-      cmts
-  in
-  let diags = List.sort Lint_diag.compare_diag diags in
-  let graph_defs, graph_edges = Lint_graph.size graph in
-  let rule_hits =
-    List.map
-      (fun rule ->
-        ( rule,
-          List.length (List.filter (fun d -> String.equal d.rule rule) diags) ))
-      all_rules
-  in
-  (diags, { files_scanned = !files_scanned; graph_defs; graph_edges; rule_hits })
+  summarize
+    (List.filter_map
+       (fun path ->
+         match Cmt_format.read_cmt path with
+         | exception _ -> None
+         | cmt ->
+             lint_file ~allowlist ~rules_of:(fun source -> policy ~source) path
+               cmt)
+       (List.sort String.compare !cmts))

@@ -30,19 +30,16 @@
     - [R4-mli]: a library module compiled without an [.mli].
     - [R5-rawverify]: a bare [Signer.verify] outside [lib/crypto], which
       bypasses the verification cache and its invalidation discipline.
-    - [R6-domainescape] (interprocedural): a closure handed to the
-      domain pool ([Pool.run]/[Pool.map]) captures mutable state that is
-      not a submit-scope snapshot — ref reads/writes, mutable record
-      fields, [Hashtbl]/[Buffer]/[Bytes]/[Array] access.
-    - [R7-parpure] (interprocedural): a pool job reaches — through any
-      chain of calls in the cross-module call graph — a
-      protocol-domain-only operation: [Verify_cache] access, [Signer]
-      keystore access (only [verify_key] is domain-safe), network sends,
-      the simulator engine/clock, [Random]/shared [Rng] streams, wall
-      clocks. [[@@bplint.parallel_pure]] on a binding is the audited
-      escape hatch.
+    - [R6-planescape]: in a structure item that constructs a
+      [Runner.Plan], a [fun () -> ...] closure writes a value bound
+      outside it ([:=], [incr]/[decr], a mutable field, a
+      [Hashtbl]/[Array]/[Bytes]/[Buffer] mutator). Plan tasks run on
+      any domain in any order; sharing state would make the tables
+      depend on [-j].
+    - [R8-harnessglobal]: module-level mutable state in [lib/harness] or
+      [lib/crypto].
     - [R9-external]: an [external] declaration anywhere but
-      [lib/crypto/sha256.ml], whose C stubs are the tree's only foreign
+      [lib/crypto/native.ml], whose C stubs are the tree's only foreign
       code.
 
     Suppression: a site can carry [[@bplint.allow "RULE ..."]] (on the
@@ -77,47 +74,39 @@ val allowlist_of_lines : string list -> allowlist
 val load_allowlist : string -> allowlist
 (** Read an allowlist file from disk. Missing file = empty allowlist. *)
 
-type graph = Lint_graph.t
-(** Cross-module call graph for the interprocedural rules (R6/R7). *)
-
-val empty_graph : graph
-
-val build_graph : string list -> graph
-(** Build the call graph from a list of [.cmt] paths. *)
-
-val graph_size : graph -> int * int
-(** (definitions, edges). *)
-
 val policy : source:string -> string list
 (** The repo policy: which rules apply to a source path (as recorded in
     the [.cmt], e.g. ["lib/pbft/replica.ml"]). [lib/] gets the full
     per-directory matrix; [bench/], [bin/] and [tools/] get a baseline
-    (determinism, totality, and the parallel-purity rules; [tools/]
-    non-[main] modules also need an [.mli]); lint fixtures get none. *)
+    (determinism, totality and R6-planescape; [tools/] non-[main]
+    modules also need an [.mli]); lint fixtures get none. *)
 
 val lint_cmt :
-  ?allowlist:allowlist ->
-  ?graph:graph ->
-  rules:string list ->
-  string ->
-  diagnostic list
+  ?allowlist:allowlist -> rules:string list -> string -> diagnostic list
 (** [lint_cmt ~rules path] reads one [.cmt] file and returns the findings
     for the requested rules, already filtered through [allowlist] and any
-    [[@bplint.allow]] attributes. R6/R7 need [graph] for multi-hop
-    reachability (without it they still catch direct violations).
-    Generated modules (dune's [*.ml-gen] alias modules) yield no
-    findings. *)
+    [[@bplint.allow]] attributes. Generated modules (dune's [*.ml-gen]
+    alias modules) yield no findings. *)
 
 type scan_stats = {
   files_scanned : int;
-  graph_defs : int;
-  graph_edges : int;
+  plan_sites : int;
+      (** structure items constructing a [Runner.Plan] that R6-planescape
+          inspected: a coverage count, so the rule cannot go dead
+          silently *)
   rule_hits : (string * int) list;
 }
+
+val lint_files :
+  ?allowlist:allowlist ->
+  rules:string list ->
+  string list ->
+  diagnostic list * scan_stats
+(** {!lint_cmt} over several files, with findings sorted by file/line
+    and statistics for [--stats]. *)
 
 val scan :
   ?allowlist:allowlist -> root:string -> unit -> diagnostic list * scan_stats
 (** Walk [root]'s lib/, bench/, bin/ and tools/ for every [.cmt] dune
-    produced, build the cross-module call graph over all of them, apply
-    [policy] to each file, and return all findings sorted by file/line,
-    plus scan statistics for [--stats]. *)
+    produced, apply [policy] to each file, and return all findings
+    sorted by file/line, plus scan statistics for [--stats]. *)

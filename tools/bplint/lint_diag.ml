@@ -194,9 +194,3 @@ let allows_of_attributes (attrs : Parsetree.attributes) =
             |> List.filter (fun r -> r <> "")
         | _ -> [])
     attrs
-
-let has_attribute name (attrs : Parsetree.attributes) =
-  List.exists
-    (fun (a : Parsetree.attribute) ->
-      String.equal a.Parsetree.attr_name.Location.txt name)
-    attrs

@@ -67,7 +67,3 @@ val filter_baseline : baseline -> diagnostic list -> diagnostic list
 
 val allows_of_attributes : Parsetree.attributes -> string list
 (** Rule prefixes named by [[@bplint.allow "R1 R2-nondet"]] attributes. *)
-
-val has_attribute : string -> Parsetree.attributes -> bool
-(** Whether an attribute with the given name is present (e.g.
-    ["bplint.parallel_pure"]). *)

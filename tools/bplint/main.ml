@@ -3,35 +3,33 @@
    Modes:
      main.exe --root DIR [--allowlist FILE] [--baseline FILE]
               [--update-baseline] [--format text|json] [--stats]
-       Scan DIR's lib/bench/bin/tools for every .cmt dune produced, build
-       the cross-module call graph, apply the repo policy (Lint.policy)
-       per source file, print findings, exit 1 if any. With --baseline,
-       findings listed in the baseline file are subtracted first, so CI
-       fails only on new ones; --update-baseline rewrites the file from
-       the current findings instead of failing.
+       Scan DIR's lib/bench/bin/tools for every .cmt dune produced, apply
+       the repo policy (Lint.policy) per source file, print findings,
+       exit 1 if any. With --baseline, findings listed in the baseline
+       file are subtracted first, so CI fails only on new ones;
+       --update-baseline rewrites the file from the current findings
+       instead of failing.
 
-     main.exe --rules R1-polycmp,R7-parpure [--allowlist FILE]
+     main.exe --rules R1-polycmp,R6-planescape [--allowlist FILE]
               [--format text|json] a.cmt b.cmt
        Lint explicit .cmt files with an explicit rule set (used by tests
-       and for one-off investigation); the call graph for R7 spans
-       exactly the listed files. *)
+       and for one-off investigation).
+
+   --stats prints files_scanned, plan_sites (the Runner.Plan items
+   R6-planescape inspected), wall time, finding counts and per-rule hits. *)
 
 let usage () =
   prerr_endline
-    "usage: bplint --root DIR [--allowlist FILE] [--baseline FILE]\n\
-    \              [--update-baseline] [--format text|json] [--stats]\n\
-    \       bplint --rules R1,R2,... [--allowlist FILE] [--format text|json] \
-     FILE.cmt...";
+    ("usage: bplint --root DIR [--allowlist FILE] [--baseline FILE]\n\
+     \              [--update-baseline] [--format text|json] [--stats]\n\
+     \       bplint --rules R1,R2,... [--allowlist FILE] [--format text|json] \
+      FILE.cmt...\n\
+      rules: "
+    ^ String.concat " " Lint.all_rules
+    ^ "\n\
+       --stats also counts plan_sites, the Runner.Plan items R6-planescape \
+       checked");
   exit 2
-
-let rule_hits_of diags =
-  List.map
-    (fun rule ->
-      ( rule,
-        List.length
-          (List.filter (fun (d : Lint.diagnostic) -> String.equal d.Lint.rule rule) diags)
-      ))
-    Lint.all_rules
 
 let () =
   let root = ref None in
@@ -85,18 +83,7 @@ let () =
     match (!root, !rules, List.rev !files) with
     | Some root, None, [] -> Lint.scan ~allowlist ~root ()
     | None, Some rules, (_ :: _ as files) ->
-        let graph = Lint.build_graph files in
-        let diags =
-          List.concat_map (Lint.lint_cmt ~allowlist ~graph ~rules) files
-        in
-        let graph_defs, graph_edges = Lint.graph_size graph in
-        ( diags,
-          {
-            Lint.files_scanned = List.length files;
-            graph_defs;
-            graph_edges;
-            rule_hits = rule_hits_of diags;
-          } )
+        Lint.lint_files ~allowlist ~rules files
     | _ -> usage ()
   in
   let wall = (Unix.gettimeofday () [@bplint.allow "R2-nondet"]) -. t0 in
@@ -125,10 +112,9 @@ let () =
     if !json then print_endline (Lint_diag.findings_json fresh)
     else List.iter (fun d -> prerr_endline (Lint.to_string d)) fresh;
     if !stats_mode then begin
-      Printf.printf "bplint stats: files_scanned=%d graph_defs=%d \
-                     graph_edges=%d wall_s=%.3f findings=%d baselined=%d\n"
-        stats.Lint.files_scanned stats.Lint.graph_defs stats.Lint.graph_edges
-        wall (List.length fresh)
+      Printf.printf "bplint stats: files_scanned=%d plan_sites=%d \
+                     wall_s=%.3f findings=%d baselined=%d\n"
+        stats.Lint.files_scanned stats.Lint.plan_sites wall (List.length fresh)
         (List.length diags - List.length fresh);
       List.iter
         (fun (rule, n) -> Printf.printf "bplint stats: rule %s hits=%d\n" rule n)
