@@ -35,16 +35,8 @@ let pipeline =
        flight concurrently. 1 (the default) is the stop-and-wait baseline \
        and reproduces the pre-pipeline tables byte-for-byte; deeper values \
        overlap successive three-phase rounds. The ablation-pipeline \
-       experiment sweeps its own depths regardless of this flag."
-
-let verify_jobs =
-  opt count 1 [ "verify-jobs" ] ~docv:"N"
-    ~doc:
-      "Modeled verification cores: simulated signature-verification time \
-       is divided across this many cores in worlds that charge it and do \
-       not pick their own count (the ablation-pipeline cost model; \
-       ablation-verify sweeps 1, 2 and 4). Every other experiment table \
-       is bit-identical at any value. No worker domain is started."
+       experiment sweeps its own depths and modeled verification cores \
+       regardless of this flag."
 
 let cluster_send =
   opt
@@ -137,14 +129,13 @@ let no_cache =
 
 let knobs =
   Term.term_result'
-    (let+ pipeline and+ verify_jobs and+ cluster_send and+ load_rate
+    (let+ pipeline and+ cluster_send and+ load_rate
      and+ load_shape and+ skew and+ shards and+ batch_min_fill
      and+ batch_hold and+ no_cache in
      Result.map
        (fun (batch_min_fill, batch_hold) ->
          {
            Knobs.pipeline;
-           verify_jobs;
            cluster_send;
            load_shape;
            load_rate;

@@ -16,7 +16,7 @@ type t = {
 }
 
 val term : t Cmdliner.Term.t
-(** The ten knob flags ([--pipeline], [--verify-jobs], [--cluster-send],
+(** The nine knob flags ([--pipeline], [--cluster-send],
     [--load-rate], [--load-trace], [--skew], [--shards],
     [--batch-min-fill], [--batch-hold], [--no-cache]; absent flags keep
     {!Bp_harness.Knobs.default}) plus [--scale] and [--jobs]. *)

@@ -59,7 +59,7 @@ let reads_plan ~knobs ~scale =
 
 (* ---------- batching / group commit (§VI-C) ---------- *)
 
-(* This world and those of the signature, loss and load ablations pin the
+(* This world and those of the signature and loss ablations pin the
    consensus pipeline at depth 8, the Config.make default their tables
    were recorded at ([--pipeline] does not reach them); every other knob
    fills in as usual. *)
@@ -243,55 +243,4 @@ let loss_plan ~knobs ~scale =
     {
       tasks = List.mapi (fun i r -> loss_task ~knobs ~scale i r) loss_rates;
       merge = loss_merge;
-    }
-
-(* ---------- offered load vs latency (open loop) ---------- *)
-
-let load_rates = [ 1_000.0; 5_000.0; 20_000.0; 40_000.0; 80_000.0 ]
-
-let load_task ~knobs ~scale i rate () =
-  let count = Runner.scaled scale 400 in
-  let w =
-    Runner.fresh_world ~knobs ~seed:(Int64.of_int (6600 + i)) ~n_participants:1
-      ~max_in_flight:8 ()
-  in
-  let engine = w.Runner.engine in
-  let api = Deployment.api w.Runner.dep 0 in
-  let gen =
-    Loadgen.create
-      ~rng:(Bp_util.Rng.split (Engine.rng engine))
-      { Loadgen.process = Poisson { rate_per_sec = rate }; clients = 1; skew = 0.0; count }
-  in
-  let r =
-    Loadgen.run engine ~gen ~submit:(fun i ~client:_ ~on_done ->
-        Api.log_commit api (Runner.payload ~size:1000 i) ~on_done)
-  in
-  let s = Bp_util.Stats.summarize r.Loadgen.latencies in
-  [
-    Printf.sprintf "%.0f/s" rate;
-    Printf.sprintf "%.0f/s" r.Loadgen.achieved_per_sec;
-    Report.ms s.Bp_util.Stats.mean;
-    Report.ms s.Bp_util.Stats.p99;
-  ]
-
-let load_merge rows =
-  [
-    {
-      Report.id = "ablation-load";
-      title = "Open-loop offered load vs local-commit latency";
-      paper_ref = "extension: the queueing knee of group commit (SVI-C), Poisson arrivals, 1 KB ops";
-      header = [ "offered"; "achieved"; "mean ms"; "p99 ms" ];
-      rows;
-      notes =
-        [
-          "group commit absorbs load almost flat until the unit saturates, then queueing delay takes over";
-        ];
-    };
-  ]
-
-let load_plan ~knobs ~scale =
-  Runner.Plan
-    {
-      tasks = List.mapi (fun i r -> load_task ~knobs ~scale i r) load_rates;
-      merge = load_merge;
     }

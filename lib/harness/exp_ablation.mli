@@ -9,18 +9,14 @@
       signatures — the wire-size and CPU cost of full crypto fidelity.
     - [loss]: commit latency under increasing network loss — what the
       reliable-transport layer absorbs.
-    - [load]: open-loop offered load vs commit latency — the
-      queueing/batching knee of group commit (§VI-C) under a Poisson
-      arrival process.
 
     Plan decompositions for the domain pool: [reads] is one task (its
     three strategies share a populated world); [batching] and
-    [signatures] are one task per configuration; [loss] and [load] one
-    task per rate. Every world comes from {!Runner.fresh_world} with
+    [signatures] are one task per configuration; [loss] one task per
+    rate. Every world comes from {!Runner.fresh_world} with
     [knobs]; all but [reads] pin pipeline depth 8. *)
 
 val reads_plan : knobs:Knobs.t -> scale:float -> Runner.plan
 val batching_plan : knobs:Knobs.t -> scale:float -> Runner.plan
 val signatures_plan : knobs:Knobs.t -> scale:float -> Runner.plan
 val loss_plan : knobs:Knobs.t -> scale:float -> Runner.plan
-val load_plan : knobs:Knobs.t -> scale:float -> Runner.plan

@@ -31,19 +31,19 @@ let task ~knobs ~scale idx (mode, fi, scenario) () =
   let cluster_send = match mode with Cluster -> true | Bundle -> false in
   let w =
     (* The modeled verification cost (same constant the pipeline
-       ablations use, see exp_local) with proof bundles priced in: under
+       ablation uses, see exp_local) with proof bundles priced in: under
        bundles, every replica of the receiving unit checks fi+1 embedded
        signatures per record before voting, so consensus pays
        Theta(n*fi) signature time per record; under cluster-sending Recv
        records carry no bundle (coverage was established by chain-head
        probes, one signature each) and only the base batch units are
        charged. Without this the crypto gap between the modes is
-       invisible in throughput — signatures would be free. Depth 8 and
-       one modeled verify job are pinned: the sweep compares the two
-       paths at one fixed cost model. *)
+       invisible in throughput — signatures would be free. Depth 8 is
+       pinned and verification runs on one modeled core (the default):
+       the sweep compares the two paths at one fixed cost model. *)
     Runner.fresh_world ~knobs ~seed:(Int64.of_int (8000 + idx)) ~fi
       ~n_participants:2 ~cluster_send ~max_in_flight:8
-      ~verify_cost:(Time.of_ms 0.4) ~verify_jobs:1
+      ~verify_cost:(Time.of_ms 0.4)
       ~extra_verify_units:Record.proof_units ()
   in
   let engine = w.Runner.engine and net = w.Runner.net and dep = w.Runner.dep in

@@ -120,110 +120,37 @@ let table2_plan ~knobs ~scale =
       merge = table2_merge;
     }
 
-(* ---------- pipeline-depth ablation (beyond the paper) ---------- *)
+(* ---------- pipeline depth x verification parallelism (beyond the paper) ---------- *)
 
-let pipeline_depths = [ 1; 2; 4; 8 ]
+(* jobs x depth grid. Depth 1 rows are each jobs level's own baseline, so
+   the speedup column isolates how much of the pipeline's promise the
+   verify resource lets through at that parallelism. *)
+let pipeline_points =
+  List.concat_map
+    (fun jobs -> List.map (fun depth -> (jobs, depth)) [ 1; 2; 4; 8 ])
+    [ 1; 2; 4 ]
 
-(* Modeled per-signature verification cost for the pipeline/verify
-   ablations (Config.verify_cost). The value matches the measured
-   hash-based signature verify on real hardware (~0.4 ms — see the
-   "lamport verify" micro row in the bench), so the ablations study the
-   regime the paper's middleware actually sits in when it runs a real
+(* Modeled per-signature verification cost for the pipeline ablation
+   (Config.verify_cost). The value matches the measured hash-based
+   signature verify on real hardware (~0.4 ms — see the "lamport
+   verify" micro row in the bench), so the ablation studies the regime
+   the paper's middleware actually sits in when it runs a real
    asymmetric scheme. The golden experiments keep the cost at zero:
    crypto is free in simulated time there, exactly the seed model. *)
 let verify_model_cost = Time.of_ms 0.4
 
 (* Fig4-style local commitment, but closed-loop with several requests
-   outstanding and [batch_max = 1], so the consensus pipeline depth is
-   the only concurrency lever: at depth 1 the primary is the seed's
-   stop-and-wait one; deeper pipelines overlap the three-phase rounds of
-   successive 100 KB batches. Depth 1 is the honesty baseline the
-   speedups are quoted against. Verification pays the modeled cost
-   above, divided across [--verify-jobs] simulated cores (default 1):
+   outstanding and [batch_max = 1], so the consensus pipeline depth and
+   the verify cores are the only concurrency levers: at depth 1 the
+   primary is the seed's stop-and-wait one; deeper pipelines overlap the
+   three-phase rounds of successive 100 KB batches. Verification pays
+   the modeled cost above, divided across [jobs] simulated cores:
    pipelining can only hide verification latency to the extent the
-   verify resource keeps up, which is precisely what the companion
-   ablation-verify sweep quantifies. *)
-let pipeline_task ~knobs ~scale depth () =
+   verify resource keeps up. The seed depends on the depth alone, so
+   rows that differ only in jobs differ only in the verify resource. *)
+let pipeline_task ~knobs ~scale (jobs, depth) () =
   let world =
     Runner.fresh_world ~knobs ~fi:1 ~seed:(Int64.of_int (7000 + depth))
-      ~n_participants:1 ~batch_max:1 ~max_in_flight:depth
-      ~verify_cost:verify_model_cost ()
-  in
-  let api = Deployment.api world.Runner.dep 0 in
-  let size = 100_000 in
-  let total = Runner.scaled scale 60 in
-  let stats, makespan =
-    Runner.closed_loop world.Runner.engine ~total ~outstanding:16
-      ~run_one:(fun i ~on_done ->
-        let started = Engine.now world.Runner.engine in
-        Api.log_commit api (Runner.payload ~size i) ~on_done:(fun () ->
-            on_done
-              (Time.to_ms (Time.diff (Engine.now world.Runner.engine) started))))
-  in
-  let span_s = Time.to_sec makespan in
-  let thr_mbps =
-    float_of_int total *. float_of_int size /. 1e6 /. Stdlib.max 1e-9 span_s
-  in
-  (depth, thr_mbps, stats, Api.pipeline_occupancy api)
-
-let pipeline_merge results =
-  let base_thr =
-    match results with (1, thr, _, _) :: _ -> thr | _ -> 0.0
-  in
-  let rows =
-    List.map
-      (fun (depth, thr, stats, occ) ->
-        [
-          string_of_int depth;
-          Report.mbps thr;
-          (if base_thr > 0.0 then Printf.sprintf "%.2fx" (thr /. base_thr)
-           else "-");
-          Report.ms (Bp_util.Stats.mean stats);
-          Report.ms (Bp_util.Stats.percentile stats 95.0);
-          Printf.sprintf "%.2f" occ;
-        ])
-      results
-  in
-  [
-    {
-      Report.id = "pipeline";
-      title = "Consensus pipeline depth (windowed multi-slot PBFT)";
-      paper_ref = "beyond the paper; cf. Fig. 4 setup (SVIII-A), 100 KB batches";
-      header =
-        [ "depth"; "MB/s"; "speedup"; "mean ms"; "p95 ms"; "occupancy" ];
-      rows;
-      notes =
-        [
-          "closed loop, 16 outstanding 100 KB commits, batch_max=1: depth is the only concurrency lever";
-          "depth 1 = the stop-and-wait baseline; execution stays in order at any depth";
-        ];
-    };
-  ]
-
-let pipeline_plan ~knobs ~scale =
-  Runner.Plan
-    {
-      tasks = List.map (fun d -> pipeline_task ~knobs ~scale d) pipeline_depths;
-      merge = pipeline_merge;
-    }
-
-(* ---------- verify-jobs ablation (beyond the paper) ---------- *)
-
-(* jobs x depth grid. Depth 1 rows are each jobs level's own baseline, so
-   the speedup column isolates how much of the pipeline's promise the
-   verify resource lets through at that parallelism. *)
-let verify_points =
-  List.concat_map
-    (fun jobs -> List.map (fun depth -> (jobs, depth)) [ 1; 2; 8 ])
-    [ 1; 2; 4 ]
-
-(* Same closed-loop workload as the pipeline ablation, but the world pins
-   its own verify_jobs instead of inheriting the --verify-jobs default:
-   the sweep is the knob. *)
-let verify_task ~knobs ~scale (jobs, depth) () =
-  let world =
-    Runner.fresh_world ~knobs ~fi:1
-      ~seed:(Int64.of_int (8000 + (10 * jobs) + depth))
       ~n_participants:1 ~batch_max:1 ~max_in_flight:depth
       ~verify_cost:verify_model_cost ~verify_jobs:jobs ()
   in
@@ -244,7 +171,7 @@ let verify_task ~knobs ~scale (jobs, depth) () =
   in
   (jobs, depth, thr_mbps, stats, Api.pipeline_occupancy api)
 
-let verify_merge results =
+let pipeline_merge results =
   let base_thr jobs =
     List.fold_left
       (fun acc (j, d, thr, _, _) -> if j = jobs && d = 1 then thr else acc)
@@ -260,30 +187,33 @@ let verify_merge results =
           Report.mbps thr;
           (if base > 0.0 then Printf.sprintf "%.2fx" (thr /. base) else "-");
           Report.ms (Bp_util.Stats.mean stats);
+          Report.ms (Bp_util.Stats.percentile stats 95.0);
           Printf.sprintf "%.2f" occ;
         ])
       results
   in
   [
     {
-      Report.id = "verify";
-      title = "Verification parallelism vs pipeline depth";
-      paper_ref = "beyond the paper; modeled in-replica verify cost, cf. SVIII-A setup";
-      header = [ "jobs"; "depth"; "MB/s"; "speedup"; "mean ms"; "occupancy" ];
+      Report.id = "pipeline";
+      title = "Consensus pipeline depth x verification parallelism";
+      paper_ref = "beyond the paper; cf. Fig. 4 setup (SVIII-A), 100 KB batches";
+      header =
+        [ "jobs"; "depth"; "MB/s"; "speedup"; "mean ms"; "p95 ms"; "occupancy" ];
       rows;
       notes =
         [
+          "closed loop, 16 outstanding 100 KB commits, batch_max=1: depth and verify jobs are the only concurrency levers";
           Printf.sprintf
             "each slot charges (batch + 2f) x %.2f ms of verification, served by `jobs` simulated cores"
             (Time.to_ms verify_model_cost);
-          "speedup is vs the same jobs level at depth 1: it shows how much pipeline overlap the verify resource admits";
+          "speedup is vs the same jobs level at depth 1, the stop-and-wait baseline; execution stays in order at any depth";
         ];
     };
   ]
 
-let verify_plan ~knobs ~scale =
+let pipeline_plan ~knobs ~scale =
   Runner.Plan
     {
-      tasks = List.map (fun p -> verify_task ~knobs ~scale p) verify_points;
-      merge = verify_merge;
+      tasks = List.map (fun p -> pipeline_task ~knobs ~scale p) pipeline_points;
+      merge = pipeline_merge;
     }

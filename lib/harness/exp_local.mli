@@ -13,16 +13,10 @@ val table2_plan : knobs:Knobs.t -> scale:float -> Runner.plan
 (** One task per unit size (fi 1..4). *)
 
 val pipeline_plan : knobs:Knobs.t -> scale:float -> Runner.plan
-(** Pipeline-depth ablation (beyond the paper): closed-loop 100 KB
-    commits with [batch_max = 1] at depths 1/2/4/8, one task per depth.
-    Depth 1 reproduces the stop-and-wait baseline; the rows carry
-    per-depth throughput, speedup vs depth 1, mean and p95 latency and
-    mean pipeline occupancy. *)
-
-val verify_plan : knobs:Knobs.t -> scale:float -> Runner.plan
-(** Verification-parallelism ablation (beyond the paper): the pipeline
-    workload swept over a (verify_jobs, depth) grid with the modeled
-    per-signature verification cost enabled — one task per grid point,
-    each pinning its own [verify_jobs]. The rows carry throughput, the
-    speedup vs the same jobs level at depth 1, mean latency and mean
-    pipeline occupancy. *)
+(** Pipeline ablation (beyond the paper): closed-loop 100 KB commits
+    with [batch_max = 1] and the modeled per-signature verification cost
+    enabled, over a grid of verify jobs 1/2/4 x depths 1/2/4/8, one task
+    per grid point, each pinning its own [verify_jobs]. Depth 1
+    reproduces the stop-and-wait baseline; the rows carry throughput,
+    the speedup vs the same jobs level at depth 1, mean and p95 latency
+    and mean pipeline occupancy. *)

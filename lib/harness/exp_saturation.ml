@@ -2,12 +2,12 @@ open Bp_sim
 open Blockplane
 
 (* Saturation sweep: open-loop load from a zipf-skewed modeled client
-   population (Loadgen) against the pipelined primary, rate x depth.
-   Where the ablation-load experiment probes the group-commit knee of
-   the stop-and-wait seed at a handful of rates, this one drives every
-   pipeline depth past its knee and reports the throughput-vs-tail
-   curve, the batch fill the adaptive cut policy achieves, and the
-   saturation knee (highest offered rate whose p99 still meets the SLO).
+   population (Loadgen) against the pipelined primary, rate x depth. It
+   drives every pipeline depth past its knee and reports the
+   throughput-vs-tail curve, the batch fill the adaptive cut policy
+   achieves, and the saturation knee (highest offered rate whose p99
+   still meets the SLO). Under --skew 0 its d8 rows are the group-commit
+   knee of one unit under uniform Poisson load.
 
    The open question this sweep answers (and the pipeline ablation
    cannot): at depth 8 the cut-on-any-signal policy degenerates under

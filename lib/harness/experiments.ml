@@ -63,24 +63,14 @@ let all =
       plan = Exp_ablation.loss_plan;
     };
     {
-      id = "ablation-load";
-      title = "Offered load vs latency (open loop)";
-      plan = Exp_ablation.load_plan;
-    };
-    {
       id = "ablation-saturation";
       title = "Saturation sweep: open-loop rate x pipeline depth";
       plan = Exp_saturation.plan;
     };
     {
       id = "ablation-pipeline";
-      title = "Consensus pipeline depth (windowed multi-slot PBFT)";
+      title = "Consensus pipeline depth x verification parallelism";
       plan = Exp_local.pipeline_plan;
-    };
-    {
-      id = "ablation-verify";
-      title = "Verification parallelism vs pipeline depth";
-      plan = Exp_local.verify_plan;
     };
     {
       id = "ablation-shard";

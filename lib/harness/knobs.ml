@@ -2,7 +2,6 @@ type load_shape = [ `Poisson | `Bursty | `Diurnal ]
 
 type t = {
   pipeline : int;
-  verify_jobs : int;
   cluster_send : bool;
   load_shape : load_shape;
   load_rate : float option;
@@ -16,7 +15,6 @@ type t = {
 let default =
   {
     pipeline = 1;
-    verify_jobs = 1;
     cluster_send = false;
     load_shape = `Poisson;
     load_rate = None;

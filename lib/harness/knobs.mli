@@ -12,10 +12,6 @@ type t = {
   pipeline : int;
       (** consensus pipeline depth for worlds that don't pick one
           ([--pipeline]); 1 is the stop-and-wait seed. *)
-  verify_jobs : int;
-      (** modeled verification parallelism for worlds that don't pick
-          one ([--verify-jobs]); only observable where [verify_cost] is
-          enabled. *)
   cluster_send : bool;
       (** inter-participant path ([--cluster-send]): expected-constant
           cluster-sending when on, fi+1 signature bundles when off. *)
@@ -43,7 +39,7 @@ type t = {
 }
 
 val default : t
-(** The seed configuration: depth 1, one verify job, bundles, Poisson
+(** The seed configuration: depth 1, bundles, Poisson
     arrivals over the stock rate sweep, skew 0.99, one shard and the
     cut-on-any-signal batch policy, caches on. Every golden table is
     recorded under it. *)

@@ -59,9 +59,7 @@ let fresh_world ?(knobs = Knobs.default) ?(fi = 1) ?(fg = 0) ?(seed = 4242L)
     Blockplane.Deployment.create ~network:net ~n_participants ~fi ~fg ?scheme
       ?batch_max ?batch_min_fill ?batch_hold
       ~max_in_flight:(Option.value max_in_flight ~default:knobs.pipeline)
-      ?verify_cost
-      ~verify_jobs:(Option.value verify_jobs ~default:knobs.verify_jobs)
-      ?extra_verify_units
+      ?verify_cost ?verify_jobs ?extra_verify_units
       ~cluster_send:(Option.value cluster_send ~default:knobs.cluster_send)
       ~shard_map ~cache:knobs.cache ~app ()
   in

@@ -37,7 +37,7 @@ val fresh_world :
     to {!Blockplane.Deployment.create}.
 
     [knobs] (default {!Knobs.default}) fills every argument the caller
-    leaves out: pipeline depth, verify jobs, cluster-send, shards and
+    leaves out: pipeline depth, cluster-send, shards and
     the batch-cut pair. An explicit argument always wins. [knobs.cache]
     has no per-world override: it always reaches the deployment. Two knob
     values are clamped to the world: [knobs.shards] to [n_participants]

@@ -39,7 +39,6 @@ let test_valid_flags () =
   in
   check [] k;
   check [ "--pipeline"; "4" ] { k with pipeline = 4 };
-  check [ "--verify-jobs"; "2" ] { k with verify_jobs = 2 };
   check [ "--cluster-send"; "on" ] { k with cluster_send = true };
   check [ "--cluster-send"; "off" ] k;
   check [ "--load-rate"; "20000" ] { k with load_rate = Some 20_000.0 };
@@ -94,7 +93,8 @@ let test_bad_values () =
   rejected [ "--batch-hold"; "nan" ];
   rejected [ "--batch-hold"; "-1" ];
   rejected [ "--pipeline"; "0" ];
-  rejected [ "--verify-jobs"; "0" ];
+  (* Removed flag: a script that still passes it fails loudly. *)
+  rejected [ "--verify-jobs"; "2" ];
   rejected [ "--shards"; "0" ];
   rejected [ "--jobs"; "0" ];
   rejected [ "--cluster-send"; "maybe" ];
@@ -106,8 +106,7 @@ let test_bad_values () =
 
 (* A worker count the runtime cannot host is a flag error as well, found
    before anything runs: blockplane-cli evaluates [with_pool] through
-   [term_result'], as here. [--verify-jobs] only counts modeled
-   verification cores and starts no domain, so any count is accepted. *)
+   [term_result'], as here. *)
 let test_unstartable_pools () =
   let started =
     Term.term_result'
@@ -124,13 +123,10 @@ let test_unstartable_pools () =
       | Error (`Parse | `Exn), err -> Alcotest.failf "%s: %s" flag err
       | Ok _, _ -> Alcotest.failf "%s 10000: accepted" flag)
     [ "--jobs" ];
-  (match eval_term started [ "-j"; "1"; "--verify-jobs"; "10000" ] with
-  | Ok (`Ok ()), _ -> ()
-  | _, err -> Alcotest.failf "--verify-jobs 10000: %s" err);
   (* Every domain spawned on the way was joined again. *)
-  match eval_term started [ "--jobs"; "2"; "--verify-jobs"; "2" ] with
+  match eval_term started [ "--jobs"; "2" ] with
   | Ok (`Ok ()), _ -> ()
-  | _, err -> Alcotest.failf "--jobs 2 --verify-jobs 2: %s" err
+  | _, err -> Alcotest.failf "--jobs 2: %s" err
 
 (* [--no-cache] is a knob value, not a process mode: after a run under
    it, a default world in the same process still memoizes — its nodes'

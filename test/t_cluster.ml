@@ -8,13 +8,12 @@ open Blockplane
    the delivered per-source stream — same records, same order, same
    bytes — under loss, duplication, reordering and byzantine nodes. *)
 
-let make_world ?(fi = 1) ?(cluster = true) ?faults ?verify_jobs ?(seed = 91L) ()
-    =
+let make_world ?(fi = 1) ?(cluster = true) ?faults ?(seed = 91L) () =
   let engine = Engine.create ~seed () in
   let net = Network.create engine Topology.aws_paper ?faults () in
   let dep =
     Deployment.create ~network:net ~n_participants:2 ~fi
-      ~cluster_send:cluster ?verify_jobs
+      ~cluster_send:cluster
       ~app:(fun () -> App.make (module App.Null))
       ()
   in
@@ -206,10 +205,9 @@ let apply_byzantine profile dep ~fi =
           done)
         [ 0; 1 ]
 
-let run_one ~cluster ~fi ~profile ~verify_jobs ~seed =
+let run_one ~cluster ~fi ~profile ~seed =
   let engine, _net, dep =
-    make_world ~fi ~cluster ~faults:(profile_faults profile) ~verify_jobs ~seed
-      ()
+    make_world ~fi ~cluster ~faults:(profile_faults profile) ~seed ()
   in
   apply_byzantine profile dep ~fi;
   let a = payloads "fwd" 8 and b = payloads "rev" 5 in
@@ -236,18 +234,12 @@ let run_one ~cluster ~fi ~profile ~verify_jobs ~seed =
     b,
     honest_rejected )
 
-let differential_case ~fi ~profile ~verify_jobs ~seed =
-  let c01, c10, a, b, rejected =
-    run_one ~cluster:true ~fi ~profile ~verify_jobs ~seed
-  in
-  let b01, b10, _, _, _ =
-    run_one ~cluster:false ~fi ~profile ~verify_jobs ~seed
-  in
+let differential_case ~fi ~profile ~seed =
+  let c01, c10, a, b, rejected = run_one ~cluster:true ~fi ~profile ~seed in
+  let b01, b10, _, _, _ = run_one ~cluster:false ~fi ~profile ~seed in
   (* Both paths must deliver the complete sent stream in order — and
      therefore agree with each other byte for byte. *)
-  let tag dir = Printf.sprintf "%s fi=%d vj=%d %s" (profile_name profile) fi
-      verify_jobs dir
-  in
+  let tag dir = Printf.sprintf "%s fi=%d %s" (profile_name profile) fi dir in
   check_stream (tag "cluster 0->1") a c01;
   check_stream (tag "cluster 1->0") b c10;
   check_stream (tag "bundle 0->1") a b01;
@@ -258,22 +250,21 @@ let differential_case ~fi ~profile ~verify_jobs ~seed =
 
 let test_differential_matrix () =
   (* The fixed matrix covers every profile at fi = 1 and the heavier
-     unit at fi = 2, across modeled verification parallelism 1/2/4 (the
-     delivered bytes must be invariant in all of it). *)
+     unit at fi = 2 (the delivered bytes must be invariant in all of
+     it). *)
   List.iter
-    (fun (fi, profile, verify_jobs, seed) ->
-      differential_case ~fi ~profile ~verify_jobs ~seed)
+    (fun (fi, profile, seed) -> differential_case ~fi ~profile ~seed)
     [
-      (1, Clean, 1, 201L);
-      (1, Lossy, 2, 202L);
-      (1, Dup_reorder, 4, 203L);
-      (1, Withhold, 1, 204L);
-      (1, Sign_anything, 2, 205L);
-      (1, Equivocate, 1, 209L);
-      (2, Clean, 4, 206L);
-      (2, Lossy, 1, 207L);
-      (2, Withhold, 2, 208L);
-      (2, Equivocate, 2, 210L);
+      (1, Clean, 201L);
+      (1, Lossy, 202L);
+      (1, Dup_reorder, 203L);
+      (1, Withhold, 204L);
+      (1, Sign_anything, 205L);
+      (1, Equivocate, 209L);
+      (2, Clean, 206L);
+      (2, Lossy, 207L);
+      (2, Withhold, 208L);
+      (2, Equivocate, 210L);
     ]
 
 let prop_differential =
@@ -291,8 +282,7 @@ let prop_differential =
         | _ -> Equivocate
       in
       let fi = fi0 + 1 in
-      differential_case ~fi ~profile ~verify_jobs:1
-        ~seed:(Int64.of_int (3000 + seed));
+      differential_case ~fi ~profile ~seed:(Int64.of_int (3000 + seed));
       true)
 
 let suite =
