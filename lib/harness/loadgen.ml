@@ -188,6 +188,8 @@ type result = {
   latencies : Bp_util.Stats.t;
   makespan_ms : float;
   achieved_per_sec : float;
+  steady_per_sec : float;
+  drain_ms : float;
   offered_per_sec : float;
   peak_arrivals_pending : int;
   peak_engine_pending : int;
@@ -197,7 +199,11 @@ let run engine ~gen ~submit =
   let count = gen.spec.count in
   let stats = Bp_util.Stats.create () in
   let completed = ref 0 in
+  (* Completions that land while arrivals are still due, or at the
+     instant of the last one. *)
+  let steady = ref 0 in
   let first_arrival = ref None in
+  let last_arrival = ref None in
   let last_completion = ref Time.zero in
   let arrivals_pending = ref 0 in
   let peak_arrivals = ref 0 in
@@ -219,9 +225,13 @@ let run engine ~gen ~submit =
            if p > !peak_engine then peak_engine := p;
            let client = next_client gen in
            if !first_arrival = None then first_arrival := Some (Engine.now engine);
+           if i + 1 = count then last_arrival := Some (Engine.now engine);
            let t0 = Engine.now engine in
            submit i ~client ~on_done:(fun () ->
                incr completed;
+               (match !last_arrival with
+               | Some t when Time.(Engine.now engine > t) -> ()
+               | _ -> incr steady);
                last_completion := Engine.now engine;
                Bp_util.Stats.add stats
                  (Time.to_ms (Time.diff (Engine.now engine) t0)))))
@@ -229,11 +239,17 @@ let run engine ~gen ~submit =
   arrive 0 (Time.add (Engine.now engine) (Time.of_ms (next_gap_ms gen)));
   Runner.drive engine ~what:"Loadgen.run" ~finished:(fun () -> !completed >= count);
   let start = Option.value ~default:Time.zero !first_arrival in
+  let last = Option.value ~default:Time.zero !last_arrival in
   let makespan_ms = Time.to_ms (Time.diff !last_completion start) in
+  let window_ms = Time.to_ms (Time.diff last start) in
   {
     latencies = stats;
     makespan_ms;
     achieved_per_sec = float_of_int count /. (makespan_ms /. 1000.0);
+    steady_per_sec =
+      (if window_ms > 0.0 then float_of_int !steady /. (window_ms /. 1000.0)
+       else 0.0);
+    drain_ms = Time.to_ms (Time.diff !last_completion last);
     offered_per_sec = offered_per_sec gen;
     peak_arrivals_pending = !peak_arrivals;
     peak_engine_pending = !peak_engine;

@@ -88,6 +88,10 @@ type result = {
   latencies : Bp_util.Stats.t;  (** per-request completion latency, ms *)
   makespan_ms : float;  (** first arrival to last completion *)
   achieved_per_sec : float;  (** completions / makespan *)
+  steady_per_sec : float;
+      (** completions that land by the last arrival, divided by the
+          arrival window (first to last arrival); 0 with one arrival *)
+  drain_ms : float;  (** last arrival to last completion *)
   offered_per_sec : float;  (** {!offered_per_sec} of the generator *)
   peak_arrivals_pending : int;
       (** max generator arrivals simultaneously in the heap — 1 by
