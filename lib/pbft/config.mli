@@ -36,8 +36,9 @@ type t = {
           [ceil(units / verify_jobs) * verify_cost] on the replica's
           single verification resource (units = batch size + 2f proof
           signatures) and the slot's commit vote waits for it. Used by
-          the ablation-pipeline / ablation-verify experiments to study
-          how parallel verification interacts with pipelining. *)
+          the ablation-pipeline experiment, whose jobs x depth grid
+          studies how parallel verification interacts with pipelining,
+          and by ablation-clustersend. *)
   verify_jobs : int;
       (** modeled verification parallelism dividing [verify_cost]
           charges (default 1). Irrelevant while [verify_cost] is zero. *)
