@@ -38,18 +38,6 @@ let pipeline =
        experiment sweeps its own depths and modeled verification cores \
        regardless of this flag."
 
-let cluster_send =
-  opt
-    (Arg.enum [ ("on", true); ("off", false) ])
-    false [ "cluster-send" ] ~docv:"on|off"
-    ~doc:
-      "Inter-participant WAN path: $(b,off) (the default) ships fi+1 \
-       signature bundles per record, $(b,on) switches every world to \
-       expected-constant byzantine cluster-sending (chain-head probes with \
-       one signature each, receiver-side local agreement and intra-unit \
-       dispersal). The golden paper tables are recorded under $(b,off); \
-       the ablation-clustersend experiment sweeps both modes regardless."
-
 let load_rate =
   opt (Arg.some positive) None [ "load-rate" ] ~docv:"RATE"
     ~doc:
@@ -129,14 +117,13 @@ let no_cache =
 
 let knobs =
   Term.term_result'
-    (let+ pipeline and+ cluster_send and+ load_rate
+    (let+ pipeline and+ load_rate
      and+ load_shape and+ skew and+ shards and+ batch_min_fill
      and+ batch_hold and+ no_cache in
      Result.map
        (fun (batch_min_fill, batch_hold) ->
          {
            Knobs.pipeline;
-           cluster_send;
            load_shape;
            load_rate;
            skew;

@@ -16,9 +16,9 @@ type t = {
 }
 
 val term : t Cmdliner.Term.t
-(** The nine knob flags ([--pipeline], [--cluster-send],
-    [--load-rate], [--load-trace], [--skew], [--shards],
-    [--batch-min-fill], [--batch-hold], [--no-cache]; absent flags keep
+(** The eight knob flags ([--pipeline], [--load-rate], [--load-trace],
+    [--skew], [--shards], [--batch-min-fill], [--batch-hold],
+    [--no-cache]; absent flags keep
     {!Bp_harness.Knobs.default}) plus [--scale] and [--jobs]. *)
 
 val with_pool :

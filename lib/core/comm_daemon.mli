@@ -11,14 +11,7 @@
     destination node that burns a delivery attempt is demoted — skipped
     by the rotation — until every node has been demoted, and the retry
     cadence backs off exponentially (capped, deterministically jittered)
-    while no acknowledgement progress is made.
-
-    In cluster-sending mode ({!Cluster_send}) the daemon ships no
-    signature bundles at all: it keeps fi+1 sender/receiver probe
-    solicitations outstanding against the pairing schedule, delegating
-    the actual windowed, single-signature probes to the scheduled sender
-    nodes, and retries with fresh pairs (demoting burned ones) until the
-    cumulative ack frontier catches up. *)
+    while no acknowledgement progress is made. *)
 
 type t
 
@@ -31,13 +24,10 @@ val create :
   unit ->
   t
 (** [geo_proofs] asynchronously supplies the §V proof bundles for a log
-    position (required iff fg > 0). The daemon runs the
-    probe-solicitation path instead of signature bundles exactly when
-    its host node runs cluster-sending ({!Unit_node.cluster_enabled}).
-    [start_after] skips communication records with comm_seq <=
-    it (used by promoted reserves that know the destination's frontier).
-    Scans the host node's existing log for backlog, then follows new
-    executions via the node hook. *)
+    position (required iff fg > 0). [start_after] skips communication
+    records with comm_seq <= it (used by promoted reserves that know the
+    destination's frontier). Scans the host node's existing log for
+    backlog, then follows new executions via the node hook. *)
 
 val acked : t -> int
 (** Destination's cumulative acknowledgement frontier. *)
@@ -47,7 +37,7 @@ val set_enabled : t -> bool -> unit
     (maliciously delaying messages, §IV-C) — reserves must take over. *)
 
 type counters = {
-  sent : int;  (** transmissions / solicitations, incl. retries *)
+  sent : int;  (** transmissions, incl. retries *)
   acks : int;  (** cumulative-ack messages honoured *)
   retries : int;  (** retry-tick fires *)
   backoff : int;  (** current cadence: ticks between fires (1 = every) *)

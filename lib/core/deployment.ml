@@ -33,8 +33,7 @@ let addrs_for ~fi p = Array.init ((3 * fi) + 1) (fun i -> Addr.make ~dc:p ~idx:i
 
 let create ~network ~n_participants ?(fi = 1) ?(fg = 0) ?(scheme = `Hmac)
     ?batch_max ?batch_min_fill ?batch_hold ?max_in_flight
-    ?verify_cost ?verify_jobs ?extra_verify_units ?(cluster_send = false)
-    ?shard_map ?(cache = true) ~app () =
+    ?verify_cost ?verify_jobs ?shard_map ?(cache = true) ~app () =
   let shard_map =
     match shard_map with Some m -> m | None -> Shard.make ~shards:1 ()
   in
@@ -62,14 +61,14 @@ let create ~network ~n_participants ?(fi = 1) ?(fg = 0) ?(scheme = `Hmac)
           Bp_pbft.Config.make ~nodes:all_addrs.(p) ~keystore
             ~tag:(Proto.unit_tag p) ?batch_max ?batch_min_fill
             ?batch_hold ?max_in_flight ?verify_cost
-            ?verify_jobs ?extra_verify_units ()
+            ?verify_jobs ()
         in
         let nodes =
           Array.init
             ((3 * fi) + 1)
             (fun i ->
               Unit_node.create ~network ~pbft_cfg ~participant:p ~n_participants
-                ~node_idx:i ~fg ~cluster_send ~vcache:(new_cache ())
+                ~node_idx:i ~fg ~vcache:(new_cache ())
                 ~app:(app ()) ())
         in
         (* Every node serves mirror duties (fg > 0 traffic). *)

@@ -18,8 +18,6 @@ val create :
   ?max_in_flight:int ->
   ?verify_cost:Bp_sim.Time.t ->
   ?verify_jobs:int ->
-  ?extra_verify_units:(string -> int) ->
-  ?cluster_send:bool ->
   ?shard_map:Shard.map ->
   ?cache:bool ->
   app:(unit -> App.instance) ->
@@ -34,14 +32,6 @@ val create :
     [verify_cost] / [verify_jobs] configure the modeled in-replica
     verification cost (see {!Bp_pbft.Config}); by default the model is
     off and crypto is free in simulated time, as in the paper.
-    [extra_verify_units] (see {!Bp_pbft.Config.extra_verify_units})
-    prices per-request signature bundles into that model — pass
-    {!Record.proof_units} to charge fi+1-proof [Recv] records at the
-    receiving unit.
-    [cluster_send] (default off) switches the inter-participant path to
-    expected-constant cluster-sending ({!Cluster_send}); it is forced
-    off when fg > 0, where records must carry signature bundles for the
-    mirrors.
     [shard_map] (default: one shard) partitions the keyspace across the
     participants' units — shard [s] is participant [s]'s unit, so the
     map may not have more shards than participants. A {!Shard.router}

@@ -6,32 +6,6 @@
     ["u<u>.reply"]):
     - ["u<u>.aux"] — everything below, dispatched by constructor. *)
 
-type probe = {
-  p_src : int;
-  p_dest : int;
-  p_base : int;
-      (** chain anchor: the sender's view of the destination's committed
-          frontier; the receiver recomputes the chain from its own
-          committed digest at this sequence number *)
-  p_payload_from : int;
-      (** entries with [comm_seq > p_payload_from] carry the record
-          payload; entries at or below it carry the record's statement
-          digest instead — enough to recompute the chain head, so the
-          parallel probes of a coverage wave stay digest-sized and only
-          one probe ships the window's bytes *)
-  p_window : (int * int * string) list;
-      (** (comm_seq, log_pos, payload-or-statement-digest), contiguous
-          over (p_base, head] *)
-  p_signer : string;
-  p_signature : string;  (** over {!Record.chain_statement} at the head *)
-  p_reply_to : Bp_sim.Addr.t;
-      (** where destination nodes send cumulative acks (the daemon host) *)
-}
-(** A cluster-sending probe (expected-constant byzantine cluster-sending,
-    Hellings & Sadoghi): a single source-node signature over the
-    statement-chain head vouches for every record in (and before) the
-    window, replacing the fi+1-signature bundle of {!Transmit}. *)
-
 type t =
   | Sign_request of { transmission : Record.transmission }
       (** daemon -> local node: attest this transmission record (proofs
@@ -70,24 +44,6 @@ type t =
   | Read_query of { pos : int }
       (** read strategies (§VI-A): fetch Local Log entry [pos] *)
   | Read_reply of { pos : int; payload : string option }
-  | Probe of probe
-      (** WAN: scheduled sender node -> the scheduled destination node *)
-  | Disperse of probe
-      (** intra-unit dispersal: the destination node that accepted a probe
-          re-broadcasts it so every unit peer accumulates coverage *)
-  | Probe_request of {
-      pr_dest : int;
-      pr_base : int;
-      pr_head : int;
-      pr_payload_from : int;
-      pr_receiver : int;
-      pr_reply_to : Bp_sim.Addr.t;
-    }
-      (** intra-unit delegation: daemon -> scheduled sender node. The
-          sender builds the window from its {e own} log copy (the daemon
-          is not trusted with record contents) and probes destination
-          node [pr_receiver]; payloads ship only above
-          [pr_payload_from]. *)
 
 val encode : t -> string
 val decode : string -> (t, string) result

@@ -120,42 +120,6 @@ let transmission_statement ?(digest = Bp_crypto.Sha256.digest) t =
       Wire.varint e t.log_pos;
       Wire.string e (digest t.tpayload))
 
-(* ---------- cluster-sending statement chain ----------
-
-   Per (source, destination) pair the transmission statements form a hash
-   chain: [chain k = H(link(chain (k-1), statement_digest k))] with
-   [chain (-1) = ""]. A single signature over {!chain_statement} at head
-   [k] therefore vouches for the entire statement prefix up to [k] — the
-   receiver-side local-agreement rule of the cluster-sending layer counts
-   distinct source-unit signers per chain head instead of verifying fi+1
-   signatures per record. *)
-
-let chain_genesis = ""
-
-let chain_step ~digest ~prev ~stmt_digest =
-  digest
-    (Wire.encode (fun e ->
-         Wire.string e "bp-chain-link";
-         Wire.string e prev;
-         Wire.string e stmt_digest))
-
-let chain_statement ~src ~dest ~head_seq ~head =
-  Wire.encode (fun e ->
-      Wire.string e "bp-chain-head";
-      Wire.varint e src;
-      Wire.varint e dest;
-      Wire.zigzag e head_seq;
-      Wire.string e head)
-
-let strip_proofs t = { t with proofs = []; geo_proofs = [] }
-
-let proof_units op =
-  match decode op with
-  | Ok (Recv tr) ->
-      List.length tr.proofs
-      + List.fold_left (fun acc (_, ps) -> acc + List.length ps) 0 tr.geo_proofs
-  | Ok (Commit _ | Comm _ | Mirrored _) | Error _ -> 0
-
 (* ---------- cross-shard transaction records ----------
 
    The shard layer drives its BFT two-phase commit through ordinary

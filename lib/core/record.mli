@@ -50,35 +50,6 @@ val transmission_statement : ?digest:(string -> string) -> transmission -> strin
     SHA-256 of its argument; pass {!Bp_crypto.Verify_cache.digest} to reuse
     a node's memoized payload digest (default: the plain digest). *)
 
-val chain_genesis : string
-(** Anchor of the per-(source, destination) statement chain: the chain
-    digest "before" comm_seq 0. *)
-
-val chain_step :
-  digest:(string -> string) -> prev:string -> stmt_digest:string -> string
-(** One link of the statement chain:
-    [chain k = chain_step ~prev:(chain (k-1)) ~stmt_digest:(digest
-    (transmission_statement tr_k))]. Binding each statement to the whole
-    prefix is what lets a single chain-head signature vouch for every
-    earlier record of the stream (cluster-sending, Hellings & Sadoghi). *)
-
-val chain_statement : src:int -> dest:int -> head_seq:int -> head:string -> string
-(** The byte string a source-unit node signs to attest chain digest
-    [head] at [head_seq] of its (src, dest) stream — the single-signature
-    payload of a cluster-sending probe. *)
-
-val proof_units : string -> int
-(** Signature-bundle size carried by an encoded record: the number of
-    unit proofs plus geo proofs embedded in a [Recv], 0 for every other
-    form (and for undecodable bytes). This is the per-request argument
-    for {!Bp_pbft.Config.extra_verify_units} — under the modeled
-    verification cost, every replica of the receiving unit pays for
-    checking the bundle before voting. *)
-
-val strip_proofs : transmission -> transmission
-(** Proofs and geo-proofs cleared — the canonical form stored in the
-    receiver's log (signatures are checked, not re-stored). *)
-
 val comm_image : transmission -> t
 (** The communication record this transmission claims to carry — what the
     source appended to its Local Log. Its encoding is the content that

@@ -1,5 +1,4 @@
-(** Multi-unit keyspace sharding (ROADMAP: "Multi-unit sharding with
-    byzantine cluster-sending").
+(** Multi-unit keyspace sharding.
 
     The paper runs ONE logical log mirrored across participants; this
     layer runs N independent Blockplane units — one per participant —
@@ -19,7 +18,7 @@
       slice of the ops to every participant's log (the coordinator's own
       prepare is its YES vote; the others send their votes back over the
       ordinary communication path — commit-then-transmit, so each vote
-      rides the cluster-sending/reserve machinery of §IV);
+      rides the daemon/reserve machinery of §IV);
     + a prepare that fails the unit's verification routine (f+1 replicas
       pre-reject, the PR 5 [__rejected] downgrade) is that shard's NO
       vote — the op slice never stages;

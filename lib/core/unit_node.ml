@@ -8,11 +8,9 @@ module Int_map = Map.Make (Int)
 type pending_txn = { txn : Record.transmission; requester : Addr.t }
 
 type t = {
-  net : Network.t;
   pbft_cfg : Bp_pbft.Config.t;
   participant : int;
   n_participants : int;
-  node_idx : int;
   fg : int;
   addr : Addr.t;
   transport : Bp_net.Transport.t;
@@ -35,8 +33,6 @@ type t = {
   mirror_index : (int * int, string) Hashtbl.t; (* owner, pos -> value digest *)
   mutable byz_sign_anything : bool;
   mutable byz_drop_comm : bool;
-  mutable cluster : Cluster_send.t option; (* set by create iff cluster-send on *)
-  mutable sig_jobs : int; (* transmission-proof signature checks demanded *)
   (* cross-shard 2PC: ops staged by a committed prepare record, awaiting
      the decide record of the same txid (see Shard) *)
   xs_staging : (string, (string * string) list) Hashtbl.t;
@@ -60,8 +56,6 @@ let identity t = Bp_pbft.Config.identity t.pbft_cfg t.addr
 let last_received t ~src = t.last_received.(src)
 let set_byzantine_sign_anything t b = t.byz_sign_anything <- b
 let set_byzantine_drop_comm t b = t.byz_drop_comm <- b
-let cluster_agent t = t.cluster
-let cluster_enabled t = Option.is_some t.cluster
 let xs_staged t = Hashtbl.length t.xs_staging
 
 let poll_receive t ~src =
@@ -114,7 +108,6 @@ let bundle_jobs t ~from_participant ~statement sigs =
    copies count at most once. *)
 let valid_sig_bundle t ~from_participant ~statement ~needed sigs =
   let eligible = eligible_sigs t ~from_participant sigs in
-  t.sig_jobs <- t.sig_jobs + List.length eligible;
   let jobs =
     List.map
       (fun (identity, signature) ->
@@ -142,32 +135,18 @@ let valid_sig_bundle t ~from_participant ~statement ~needed sigs =
 
 let fi t = t.pbft_cfg.Bp_pbft.Config.f
 
-let verify_effort t =
-  t.sig_jobs
-  + (match t.cluster with
-    | Some agent -> (Cluster_send.stats agent).Cluster_send.sig_verifies
-    | None -> 0)
-
 let verify_transmission t (tr : Record.transmission) =
   tr.Record.tdest = t.participant
   && tr.Record.src >= 0
   && tr.Record.src < t.n_participants
   && tr.Record.src <> t.participant
-  (* (1) fi+1 signatures from the source unit over the statement — or,
-     in cluster-sending mode, fi+1 distinct source-unit signers attesting
-     a chain head that covers exactly this record (the probe signatures
-     were verified once on arrival; this is a pure table lookup). The
-     bundle path stays live even with the agent installed: reserves or a
-     mixed deployment may still ship proof-carrying records. *)
-  && (match (t.cluster, tr.Record.proofs) with
-     | Some agent, [] when t.fg = 0 -> Cluster_send.covered agent tr
-     | _ ->
-         valid_sig_bundle t ~from_participant:tr.Record.src
-           ~statement:
-             (Record.transmission_statement
-                ~digest:(Bp_crypto.Verify_cache.digest t.vcache)
-                tr)
-           ~needed:(fi t + 1) tr.Record.proofs)
+  (* (1) fi+1 signatures from the source unit over the statement *)
+  && valid_sig_bundle t ~from_participant:tr.Record.src
+       ~statement:
+         (Record.transmission_statement
+            ~digest:(Bp_crypto.Verify_cache.digest t.vcache)
+            tr)
+       ~needed:(fi t + 1) tr.Record.proofs
   (* (2) not received before and (3) no gap: strictly the next one *)
   && tr.Record.tcomm_seq = t.last_received.(tr.Record.src) + 1
   (* (4) with fg > 0, proofs from fg other participants (§V) *)
@@ -473,20 +452,9 @@ let enqueue_pending t (tr : Record.transmission) ~requester =
   then begin
     let s = tr.Record.src in
     let map = Option.value ~default:Int_map.empty (Hashtbl.find_opt t.pending s) in
-    (match Int_map.find_opt tr.Record.tcomm_seq map with
-    | None ->
-        Hashtbl.replace t.pending s
-          (Int_map.add tr.Record.tcomm_seq { txn = tr; requester } map)
-    | Some entry
-      when entry.requester.Addr.dc = t.participant
-           && requester.Addr.dc <> t.participant ->
-        (* A remote requester (the source's daemon) supersedes a local
-           placeholder: cluster-sending dispersals enqueue on the unit's
-           own behalf, and if one landed first the eventual direct probe
-           must still get its WAN acknowledgement. *)
-        Hashtbl.replace t.pending s
-          (Int_map.add tr.Record.tcomm_seq { entry with requester } map)
-    | Some _ -> ());
+    if not (Int_map.mem tr.Record.tcomm_seq map) then
+      Hashtbl.replace t.pending s
+        (Int_map.add tr.Record.tcomm_seq { txn = tr; requester } map);
     pump_receive t s
   end
 
@@ -509,29 +477,12 @@ let on_aux t ~src payload =
   | Ok msg -> (
       match msg with
       (* The withholding knob mutes this node's communication-layer
-         duties only (signing, receiving, probing) — its PBFT replica
+         duties only (signing, receiving) — its PBFT replica
          stays honest, as a byzantine-but-careful node's would. *)
       | Proto.Sign_request { transmission } ->
           if not t.byz_drop_comm then handle_sign_request t ~src transmission
       | Proto.Transmit { transmission } ->
           if not t.byz_drop_comm then handle_transmit t ~src transmission
-      | Proto.Probe p -> (
-          match t.cluster with
-          | Some agent when not t.byz_drop_comm -> Cluster_send.on_probe agent p
-          | _ -> ())
-      | Proto.Disperse p -> (
-          match t.cluster with
-          | Some agent when not t.byz_drop_comm -> Cluster_send.on_disperse agent p
-          | _ -> ())
-      | Proto.Probe_request
-          { pr_dest; pr_base; pr_head; pr_payload_from; pr_receiver; pr_reply_to }
-        -> (
-          match t.cluster with
-          | Some agent when not t.byz_drop_comm ->
-              Cluster_send.on_probe_request agent ~dest:pr_dest ~base:pr_base
-                ~head:pr_head ~payload_from:pr_payload_from ~receiver:pr_receiver
-                ~reply_to:pr_reply_to
-          | _ -> ())
       | Proto.Reserve_query { src = from } ->
           send_aux t ~dst:src
             (Proto.Reserve_reply { src = from; last = t.last_received.(from) })
@@ -554,17 +505,15 @@ let on_aux t ~src payload =
           dispatch t.aux_listeners)
 
 let create ~network ~pbft_cfg ~participant ~n_participants ~node_idx ~fg
-    ?(cluster_send = false) ~vcache ~app () =
+    ~vcache ~app () =
   let addr = pbft_cfg.Bp_pbft.Config.nodes.(node_idx) in
   let transport = Bp_net.Transport.create network addr in
   let client = Bp_pbft.Client.create ~cache:vcache transport pbft_cfg in
   let t =
     {
-      net = network;
       pbft_cfg;
       participant;
       n_participants;
-      node_idx;
       fg;
       addr;
       transport;
@@ -586,8 +535,6 @@ let create ~network ~pbft_cfg ~participant ~n_participants ~node_idx ~fg
       mirror_index = Hashtbl.create 64;
       byz_sign_anything = false;
       byz_drop_comm = false;
-      cluster = None;
-      sig_jobs = 0;
       xs_staging = Hashtbl.create 8;
     }
   in
@@ -602,36 +549,4 @@ let create ~network ~pbft_cfg ~participant ~n_participants ~node_idx ~fg
   Bp_net.Transport.set_handler transport
     ~tag:(per_unit t.aux_tags Proto.aux_tag participant)
     (fun ~src payload -> on_aux t ~src payload);
-  (* Cluster-sending agent: strictly per-node, gated on the knob so the
-     default-off path installs no hooks and stays byte-identical to the
-     fi+1-bundle deployment. *)
-  if cluster_send && fg = 0 then begin
-    let agent =
-      Cluster_send.create
-        {
-          Cluster_send.participant;
-          n_participants;
-          node_idx;
-          fi = pbft_cfg.Bp_pbft.Config.f;
-          identity = identity t;
-          addr;
-          peers = pbft_cfg.Bp_pbft.Config.nodes;
-          peer_addr = (fun p i -> Addr.make ~dc:p ~idx:i);
-          digest = Bp_crypto.Verify_cache.digest vcache;
-          sign =
-            (fun statement ->
-              Bp_crypto.Verify_cache.sign vcache ~signer:(identity t) statement);
-          verify =
-            (fun ~signer ~msg ~signature ->
-              Bp_crypto.Verify_batch.verify_one ~cache:vcache
-                (Bp_crypto.Verify_batch.global ())
-                ~signer ~msg ~signature);
-          send = (fun ~dst msg -> send_aux t ~dst msg);
-          last_received = (fun src -> t.last_received.(src));
-          enqueue_recv = (fun tr ~requester -> enqueue_pending t tr ~requester);
-        }
-    in
-    t.cluster <- Some agent;
-    add_executed_hook t (fun ~pos record -> Cluster_send.on_committed agent ~pos record)
-  end;
   t

@@ -13,7 +13,6 @@ val create :
   n_participants:int ->
   node_idx:int ->
   fg:int ->
-  ?cluster_send:bool ->
   vcache:Bp_crypto.Verify_cache.t ->
   app:App.instance ->
   unit ->
@@ -21,15 +20,8 @@ val create :
 (** Builds the transport, PBFT replica and client for node [node_idx] of
     the participant's unit, and installs the verification routine (the
     built-in receive checks of §IV-C plus the app's own [verify]).
-    [cluster_send] (default off) installs a {!Cluster_send} agent: the
-    node answers probe/dispersal traffic and accepts proofs-free
-    transmission records backed by fi+1 chain-head signers instead of the
-    fi+1-signature bundle. Only honoured when [fg = 0]: geo-proof
-    records still need the bundles every mirror checks. This is the one
-    place the mode is decided; {!Comm_daemon} follows
-    {!cluster_enabled}. [vcache] is the
-    node's own verification cache, shared by its replica, client and
-    receive checks. *)
+    [vcache] is the node's own verification cache, shared by its
+    replica, client and receive checks. *)
 
 val addr : t -> Bp_sim.Addr.t
 val peers : t -> Bp_sim.Addr.t array
@@ -103,26 +95,14 @@ val set_byzantine_sign_anything : t -> bool -> unit
 
 val set_byzantine_drop_comm : t -> bool -> unit
 (** Byzantine knob: this node silently ignores communication-layer
-    traffic — sign requests, transmits, probes, dispersals, probe
-    requests. Its PBFT replica stays honest (withholding only). *)
-
-val cluster_agent : t -> Cluster_send.t option
-(** The node's cluster-sending agent, if [create] was given
-    [~cluster_send:true] (and [fg = 0]). *)
-
-val cluster_enabled : t -> bool
+    traffic — sign requests and transmits. Its PBFT replica stays
+    honest (withholding only). *)
 
 val xs_staged : t -> int
 (** Cross-shard transactions whose prepare has committed in this node's
     log copy but whose decide has not yet: staged op slices awaiting the
     coordinator's decision. 0 at quiescence — every prepared txid is
     eventually decided (commit or the timeout downgrade). *)
-
-val verify_effort : t -> int
-(** Transmission-proof signature verifications this node has demanded so
-    far: fi+1-bundle checks submitted by the receive verifier plus
-    chain-head checks by the cluster-sending agent. Per-node, so sums
-    across a unit are reproducible at any [--jobs]. *)
 
 val wal_image : t -> string
 (** The node's durable write-ahead log: every executed Local Log record,

@@ -78,11 +78,6 @@ let all =
       plan = Exp_shard.plan;
     };
     {
-      id = "ablation-clustersend";
-      title = "Cluster-sending vs fi+1-signature bundles";
-      plan = Exp_clustersend.plan;
-    };
-    {
       id = "locality";
       title = "Intra-DC vs wide-area traffic share (SIII-A)";
       plan = Exp_locality.locality_plan;

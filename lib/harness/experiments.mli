@@ -16,9 +16,8 @@ type t = {
 
 val all : t list
 (** In paper order: table1, fig4, table2, fig5, fig6, fig7, fig8 — then
-    the ten ablations (ablation-reads, -batch, -sig, -loss, -load,
-    -saturation, -pipeline, -verify, -shard, -clustersend), then
-    locality and costs. *)
+    the seven ablations (ablation-reads, -batch, -sig, -loss,
+    -saturation, -pipeline, -shard), then locality and costs. *)
 
 val find : string -> t option
 

@@ -2,7 +2,6 @@ type load_shape = [ `Poisson | `Bursty | `Diurnal ]
 
 type t = {
   pipeline : int;
-  cluster_send : bool;
   load_shape : load_shape;
   load_rate : float option;
   skew : float;
@@ -15,7 +14,6 @@ type t = {
 let default =
   {
     pipeline = 1;
-    cluster_send = false;
     load_shape = `Poisson;
     load_rate = None;
     skew = 0.99;

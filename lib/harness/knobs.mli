@@ -12,9 +12,6 @@ type t = {
   pipeline : int;
       (** consensus pipeline depth for worlds that don't pick one
           ([--pipeline]); 1 is the stop-and-wait seed. *)
-  cluster_send : bool;
-      (** inter-participant path ([--cluster-send]): expected-constant
-          cluster-sending when on, fi+1 signature bundles when off. *)
   load_shape : load_shape;
       (** arrival process of Loadgen-driven experiments ([--load-trace]). *)
   load_rate : float option;
@@ -39,7 +36,7 @@ type t = {
 }
 
 val default : t
-(** The seed configuration: depth 1, bundles, Poisson
+(** The seed configuration: depth 1, Poisson
     arrivals over the stock rate sweep, skew 0.99, one shard and the
     cut-on-any-signal batch policy, caches on. Every golden table is
     recorded under it. *)

@@ -19,8 +19,7 @@ type world = {
    the COMPOSED pair, so an explicit min-fill and a knob hold compose. *)
 let fresh_world ?(knobs = Knobs.default) ?(fi = 1) ?(fg = 0) ?(seed = 4242L)
     ?(n_participants = 4) ?scheme ?batch_max ?batch_min_fill
-    ?batch_hold ?max_in_flight ?verify_cost ?verify_jobs ?extra_verify_units
-    ?cluster_send ?shards ?shard_map
+    ?batch_hold ?max_in_flight ?verify_cost ?verify_jobs ?shards ?shard_map
     ?(app = fun () -> Blockplane.App.make (module Blockplane.App.Null)) () =
   let engine = Engine.create ~seed () in
   (* More participants than the paper's four regions: tile the Table I
@@ -59,9 +58,7 @@ let fresh_world ?(knobs = Knobs.default) ?(fi = 1) ?(fg = 0) ?(seed = 4242L)
     Blockplane.Deployment.create ~network:net ~n_participants ~fi ~fg ?scheme
       ?batch_max ?batch_min_fill ?batch_hold
       ~max_in_flight:(Option.value max_in_flight ~default:knobs.pipeline)
-      ?verify_cost ?verify_jobs ?extra_verify_units
-      ~cluster_send:(Option.value cluster_send ~default:knobs.cluster_send)
-      ~shard_map ~cache:knobs.cache ~app ()
+      ?verify_cost ?verify_jobs ~shard_map ~cache:knobs.cache ~app ()
   in
   { engine; net; dep }
 

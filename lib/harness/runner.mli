@@ -21,8 +21,6 @@ val fresh_world :
   ?max_in_flight:int ->
   ?verify_cost:Bp_sim.Time.t ->
   ?verify_jobs:int ->
-  ?extra_verify_units:(string -> int) ->
-  ?cluster_send:bool ->
   ?shards:int ->
   ?shard_map:Blockplane.Shard.map ->
   ?app:(unit -> Blockplane.App.instance) ->
@@ -33,12 +31,11 @@ val fresh_world :
     regions the topology is {!Bp_sim.Topology.tiled} over it, so
     scale-out worlds get one datacenter per unit at fixed per-unit
     resources. [shards] / [shard_map] select the keyspace partition
-    (explicit map wins). [scheme] and [extra_verify_units] pass through
-    to {!Blockplane.Deployment.create}.
+    (explicit map wins). [scheme] passes through to
+    {!Blockplane.Deployment.create}.
 
     [knobs] (default {!Knobs.default}) fills every argument the caller
-    leaves out: pipeline depth, cluster-send, shards and
-    the batch-cut pair. An explicit argument always wins. [knobs.cache]
+    leaves out: pipeline depth, shards and the batch-cut pair. An explicit argument always wins. [knobs.cache]
     has no per-world override: it always reaches the deployment. Two knob
     values are clamped to the world: [knobs.shards] to [n_participants]
     and [knobs.batch_min_fill] to [batch_max], so one run-wide setting

@@ -12,7 +12,6 @@ type t = {
   max_in_flight : int;
   verify_cost : Bp_sim.Time.t;
   verify_jobs : int;
-  extra_verify_units : string -> int;
   identities : string Bp_sim.Addr.Tbl.t;
 }
 
@@ -55,8 +54,7 @@ let make ~nodes ~keystore ?(tag = "pbft") ?(batch_max = default_batch_max)
     ?(batch_min_fill = 1) ?(batch_hold = Bp_sim.Time.zero)
     ?(request_timeout = Bp_sim.Time.of_ms 500.0) ?(checkpoint_interval = 32)
     ?(watermark_window = 128) ?(max_in_flight = 8)
-    ?(verify_cost = Bp_sim.Time.zero) ?(verify_jobs = 1)
-    ?(extra_verify_units = fun _ -> 0) () =
+    ?(verify_cost = Bp_sim.Time.zero) ?(verify_jobs = 1) () =
   let n = Array.length nodes in
   if n < 4 || (n - 1) mod 3 <> 0 then
     invalid_arg "Pbft.Config.make: need n = 3f+1 >= 4 nodes";
@@ -96,7 +94,6 @@ let make ~nodes ~keystore ?(tag = "pbft") ?(batch_max = default_batch_max)
       max_in_flight = Stdlib.min max_in_flight watermark_window;
       verify_cost;
       verify_jobs;
-      extra_verify_units;
       identities = Bp_sim.Addr.Tbl.create 16;
     }
   in

@@ -37,19 +37,10 @@ type t = {
           single verification resource (units = batch size + 2f proof
           signatures) and the slot's commit vote waits for it. Used by
           the ablation-pipeline experiment, whose jobs x depth grid
-          studies how parallel verification interacts with pipelining,
-          and by ablation-clustersend. *)
+          studies how parallel verification interacts with pipelining. *)
   verify_jobs : int;
       (** modeled verification parallelism dividing [verify_cost]
           charges (default 1). Irrelevant while [verify_cost] is zero. *)
-  extra_verify_units : string -> int;
-      (** additional verification units a request op carries beyond its
-          own client signature — e.g. the fi+1-proof bundle embedded in
-          a Blockplane [Recv] record, which every replica must check
-          before voting. Summed over the batch and added to the
-          [verify_cost] charge. Default [fun _ -> 0]: batch entries cost
-          one unit each, the seed model. Irrelevant while [verify_cost]
-          is zero. *)
   identities : string Bp_sim.Addr.Tbl.t;
       (** memo behind {!identity}, filled by {!make} and on first use;
           not for direct use. *)
@@ -83,7 +74,6 @@ val make :
   ?max_in_flight:int ->
   ?verify_cost:Bp_sim.Time.t ->
   ?verify_jobs:int ->
-  ?extra_verify_units:(string -> int) ->
   unit ->
   t
 (** [f] is derived as [(n-1)/3]; requires [n = 3f+1 >= 4]. Registers every

@@ -157,9 +157,7 @@ let batch_stats (t : t) =
    right for the golden experiments but hides the verify bottleneck the
    pipeline ablations study. When [Config.verify_cost] is positive, a
    slot entering the pipeline books its verification work — batch size
-   plus 2f proof signatures, plus whatever extra units each request op
-   carries ([Config.extra_verify_units], e.g. embedded signature
-   bundles), divided across [Config.verify_jobs]
+   plus 2f proof signatures, divided across [Config.verify_jobs]
    simulated cores — on the replica's single verification resource, and
    the slot's commit vote waits for the booked work to drain (see
    check_prepared). With the default zero cost nothing is booked and
@@ -167,12 +165,7 @@ let batch_stats (t : t) =
 let charge_verification t s =
   let cost = t.cfg.Config.verify_cost in
   if Time.(cost > Time.zero) then begin
-    let extra =
-      List.fold_left
-        (fun acc r -> acc + t.cfg.Config.extra_verify_units r.Msg.op)
-        0 s.batch
-    in
-    let units = List.length s.batch + (2 * t.cfg.Config.f) + extra in
+    let units = List.length s.batch + (2 * t.cfg.Config.f) in
     let jobs = t.cfg.Config.verify_jobs in
     let rounds = (units + jobs - 1) / jobs in
     let service = Time.scale cost (float_of_int rounds) in

@@ -120,5 +120,4 @@ val traffic_matrix : t -> int array array
 
 val message_matrix : t -> int array array
 (** Same accounting as {!traffic_matrix} but in messages rather than
-    bytes — the WAN-messages-per-delivered-record metric of the
-    cluster-sending ablation reads the off-diagonal cells. *)
+    bytes. *)

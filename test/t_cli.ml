@@ -39,8 +39,6 @@ let test_valid_flags () =
   in
   check [] k;
   check [ "--pipeline"; "4" ] { k with pipeline = 4 };
-  check [ "--cluster-send"; "on" ] { k with cluster_send = true };
-  check [ "--cluster-send"; "off" ] k;
   check [ "--load-rate"; "20000" ] { k with load_rate = Some 20_000.0 };
   check [ "--load-trace"; "bursty" ] { k with load_shape = `Bursty };
   check [ "--load-trace"; "diurnal" ] { k with load_shape = `Diurnal };
@@ -93,11 +91,11 @@ let test_bad_values () =
   rejected [ "--batch-hold"; "nan" ];
   rejected [ "--batch-hold"; "-1" ];
   rejected [ "--pipeline"; "0" ];
-  (* Removed flag: a script that still passes it fails loudly. *)
+  (* Removed flags: a script that still passes one fails loudly. *)
   rejected [ "--verify-jobs"; "2" ];
+  rejected [ "--cluster-send"; "on" ];
   rejected [ "--shards"; "0" ];
   rejected [ "--jobs"; "0" ];
-  rejected [ "--cluster-send"; "maybe" ];
   rejected [ "--load-trace"; "square" ];
   rejected [ "--scale"; "inf" ];
   rejected [ "--scale"; "0" ];

@@ -1,19 +1,18 @@
 open Bp_sim
 open Blockplane
 
-(* Cluster-sending (expected-constant WAN path) end-to-end, plus the
-   comm daemon's adversarial input handling. The differential property
-   at the bottom is the PR's core safety claim: switching the WAN path
-   between fi+1-signature bundles and cluster-sending must never change
-   the delivered per-source stream — same records, same order, same
-   bytes — under loss, duplication, reordering and byzantine nodes. *)
+(* The inter-unit send path (fi+1-signature bundles, §IV-C) end to
+   end, plus the comm daemon's adversarial input handling. The fault
+   matrix at the bottom is the path's delivery claim: the delivered
+   per-source stream is exactly the sent one — same records, same order,
+   same bytes — under loss, duplication, reordering and byzantine
+   nodes. *)
 
-let make_world ?(fi = 1) ?(cluster = true) ?faults ?(seed = 91L) () =
+let make_world ?(fi = 1) ?faults ?(seed = 91L) () =
   let engine = Engine.create ~seed () in
   let net = Network.create engine Topology.aws_paper ?faults () in
   let dep =
     Deployment.create ~network:net ~n_participants:2 ~fi
-      ~cluster_send:cluster
       ~app:(fun () -> App.make (module App.Null))
       ()
   in
@@ -52,8 +51,9 @@ let test_clean_fi1 () =
 
 let test_loss_withholding_fi2 () =
   (* 3% loss and fi comm-muted nodes per unit (top indices; primaries
-     honest): cluster-sending must still deliver the whole stream within
-     its 3fi+1 node budget — retry-with-repair, no external help. *)
+     honest): the daemon must still deliver the whole stream within its
+     3fi+1 node budget — retries against rotating destination nodes, no
+     external help. *)
   let faults = { Network.no_faults with Network.drop = 0.03 } in
   let engine, _net, dep = make_world ~fi:2 ~faults ~seed:92L () in
   let n_nodes = 7 in
@@ -86,7 +86,7 @@ let test_ack_replay_and_forgery () =
      rewind nor fast-forward the daemon's frontier: replays are stale
      (comm_seq <= acked), forgeries exceed what the daemon has seen
      committed (comm_seq > highest). *)
-  let engine, net, dep = make_world ~cluster:false ~seed:93L () in
+  let engine, net, dep = make_world ~seed:93L () in
   let atk = attacker net ~dc:0 in
   let a = payloads "ack" 3 in
   send_all (Deployment.api dep 0) ~dest:1 a;
@@ -113,7 +113,7 @@ let test_junk_sign_response () =
      unit round: if the daemon counted them, the bundle would carry
      invalid proofs and the destination would reject the record. The
      daemon verifies before counting, so delivery completes. *)
-  let engine, net, dep = make_world ~cluster:false ~seed:94L () in
+  let engine, net, dep = make_world ~seed:94L () in
   let atk = attacker net ~dc:0 in
   let identities =
     Array.to_list (Deployment.nodes_of dep 0)
@@ -143,15 +143,9 @@ let test_junk_sign_response () =
   check_stream "junk signatures never counted" [ "signed-for-real" ]
     (drain (Deployment.api dep 1) ~src:0)
 
-(* -------- differential: cluster ≡ bundle, byte for byte -------- *)
+(* -------- fault matrix: the delivered stream is the sent one -------- *)
 
-type profile =
-  | Clean
-  | Lossy
-  | Dup_reorder
-  | Withhold
-  | Sign_anything
-  | Equivocate
+type profile = Clean | Lossy | Dup_reorder | Withhold | Sign_anything
 
 let profile_name = function
   | Clean -> "clean"
@@ -159,7 +153,6 @@ let profile_name = function
   | Dup_reorder -> "dup+reorder"
   | Withhold -> "withhold"
   | Sign_anything -> "sign-anything"
-  | Equivocate -> "equivocate"
 
 let profile_faults = function
   | Clean -> Network.no_faults
@@ -168,109 +161,55 @@ let profile_faults = function
       { Network.no_faults with Network.duplicate = 0.05; jitter_ms = 4.0 }
   | Withhold -> { Network.no_faults with Network.drop = 0.01 }
   | Sign_anything -> { Network.no_faults with Network.drop = 0.02 }
-  | Equivocate -> Network.no_faults
 
-(* The top fi nodes of each unit: the byzantine ones in every profile
+(* The top fi nodes of each unit are the byzantine ones in every profile
    that has any (the primaries, node 0, stay honest). *)
-let byzantine_node ~fi i = i >= 2 * fi + 1
-
 let apply_byzantine profile dep ~fi =
   let n_nodes = (3 * fi) + 1 in
+  let each_byzantine f =
+    List.iter
+      (fun p ->
+        for i = n_nodes - fi to n_nodes - 1 do
+          f (Deployment.node dep p i) true
+        done)
+      [ 0; 1 ]
+  in
   match profile with
-  | Equivocate ->
-      (* Cluster-sending signers that attest a forked chain head; in
-         bundle mode there is no agent and the run is honest. *)
-      List.iter
-        (fun p ->
-          for i = n_nodes - fi to n_nodes - 1 do
-            Option.iter
-              (fun agent -> Cluster_send.set_byzantine_equivocate agent true)
-              (Unit_node.cluster_agent (Deployment.node dep p i))
-          done)
-        [ 0; 1 ]
   | Clean | Lossy | Dup_reorder -> ()
-  | Withhold ->
-      (* Top fi indices comm-muted in both units; primaries honest. *)
-      List.iter
-        (fun p ->
-          for i = n_nodes - fi to n_nodes - 1 do
-            Unit_node.set_byzantine_drop_comm (Deployment.node dep p i) true
-          done)
-        [ 0; 1 ]
-  | Sign_anything ->
-      List.iter
-        (fun p ->
-          for i = n_nodes - fi to n_nodes - 1 do
-            Unit_node.set_byzantine_sign_anything (Deployment.node dep p i) true
-          done)
-        [ 0; 1 ]
+  | Withhold -> each_byzantine Unit_node.set_byzantine_drop_comm
+  | Sign_anything -> each_byzantine Unit_node.set_byzantine_sign_anything
 
-let run_one ~cluster ~fi ~profile ~seed =
+let fault_case ~fi ~profile ~seed =
   let engine, _net, dep =
-    make_world ~fi ~cluster ~faults:(profile_faults profile) ~seed ()
+    make_world ~fi ~faults:(profile_faults profile) ~seed ()
   in
   apply_byzantine profile dep ~fi;
   let a = payloads "fwd" 8 and b = payloads "rev" 5 in
   send_all (Deployment.api dep 0) ~dest:1 a;
   send_all (Deployment.api dep 1) ~dest:0 b;
   Engine.run ~until:(Time.of_sec 60.0) engine;
-  (* Probes the honest nodes' cluster-send agents dropped. *)
-  let honest_rejected =
-    List.fold_left
-      (fun acc p ->
-        Array.fold_left ( + ) acc
-          (Array.mapi
-             (fun i node ->
-               match Unit_node.cluster_agent node with
-               | Some agent when not (byzantine_node ~fi i) ->
-                   (Cluster_send.stats agent).Cluster_send.rejected
-               | Some _ | None -> 0)
-             (Deployment.nodes_of dep p)))
-      0 [ 0; 1 ]
-  in
-  ( drain (Deployment.api dep 1) ~src:0,
-    drain (Deployment.api dep 0) ~src:1,
-    a,
-    b,
-    honest_rejected )
-
-let differential_case ~fi ~profile ~seed =
-  let c01, c10, a, b, rejected = run_one ~cluster:true ~fi ~profile ~seed in
-  let b01, b10, _, _, _ = run_one ~cluster:false ~fi ~profile ~seed in
-  (* Both paths must deliver the complete sent stream in order — and
-     therefore agree with each other byte for byte. *)
   let tag dir = Printf.sprintf "%s fi=%d %s" (profile_name profile) fi dir in
-  check_stream (tag "cluster 0->1") a c01;
-  check_stream (tag "cluster 1->0") b c10;
-  check_stream (tag "bundle 0->1") a b01;
-  check_stream (tag "bundle 1->0") b b10;
-  (* The forked heads reached honest destinations and were refused. *)
-  if profile = Equivocate then
-    Alcotest.(check bool) (tag "forked probes rejected") true (rejected > 0)
+  check_stream (tag "0->1") a (drain (Deployment.api dep 1) ~src:0);
+  check_stream (tag "1->0") b (drain (Deployment.api dep 0) ~src:1)
 
-let test_differential_matrix () =
-  (* The fixed matrix covers every profile at fi = 1 and the heavier
-     unit at fi = 2 (the delivered bytes must be invariant in all of
-     it). *)
+let test_fault_matrix () =
+  (* Every profile at fi = 1 and the heavier unit at fi = 2. *)
   List.iter
-    (fun (fi, profile, seed) -> differential_case ~fi ~profile ~seed)
+    (fun (fi, profile, seed) -> fault_case ~fi ~profile ~seed)
     [
       (1, Clean, 201L);
       (1, Lossy, 202L);
       (1, Dup_reorder, 203L);
       (1, Withhold, 204L);
       (1, Sign_anything, 205L);
-      (1, Equivocate, 209L);
       (2, Clean, 206L);
       (2, Lossy, 207L);
       (2, Withhold, 208L);
-      (2, Equivocate, 210L);
     ]
 
-let prop_differential =
-  QCheck.Test.make ~name:"cluster ≡ bundle delivered stream" ~count:6
-    QCheck.(
-      pair (int_bound 5) (pair (int_bound 1) (int_bound 1000)))
+let prop_fault_stream =
+  QCheck.Test.make ~name:"bundle delivered stream under faults" ~count:6
+    QCheck.(pair (int_bound 4) (pair (int_bound 1) (int_bound 1000)))
     (fun (p, (fi0, seed)) ->
       let profile =
         match p with
@@ -278,11 +217,9 @@ let prop_differential =
         | 1 -> Lossy
         | 2 -> Dup_reorder
         | 3 -> Withhold
-        | 4 -> Sign_anything
-        | _ -> Equivocate
+        | _ -> Sign_anything
       in
-      let fi = fi0 + 1 in
-      differential_case ~fi ~profile ~seed:(Int64.of_int (3000 + seed));
+      fault_case ~fi:(fi0 + 1) ~profile ~seed:(Int64.of_int (3000 + seed));
       true)
 
 let suite =
@@ -296,8 +233,8 @@ let suite =
           test_ack_replay_and_forgery;
         Alcotest.test_case "junk sign_response rejected" `Quick
           test_junk_sign_response;
-        Alcotest.test_case "differential matrix cluster≡bundle" `Slow
-          test_differential_matrix;
-        QCheck_alcotest.to_alcotest ~long:true prop_differential;
+        Alcotest.test_case "fault matrix delivers the sent stream" `Slow
+          test_fault_matrix;
+        QCheck_alcotest.to_alcotest ~long:true prop_fault_stream;
       ] );
   ]

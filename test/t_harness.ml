@@ -35,7 +35,7 @@ let test_registry_complete () =
       "table1"; "fig4"; "table2"; "fig5"; "fig6"; "fig7"; "fig8";
       "ablation-reads"; "ablation-batch"; "ablation-sig"; "ablation-loss";
       "ablation-saturation"; "ablation-pipeline"; "ablation-shard";
-      "ablation-clustersend"; "locality"; "costs";
+      "locality"; "costs";
     ]
     ids;
   Alcotest.(check bool) "find works" true (Experiments.find "fig7" <> None);
@@ -43,7 +43,7 @@ let test_registry_complete () =
   List.iter
     (fun id ->
       Alcotest.(check bool) (id ^ " is gone") true (Experiments.find id = None))
-    [ "ablation-load"; "ablation-verify" ]
+    [ "ablation-load"; "ablation-verify"; "ablation-clustersend" ]
 
 let test_table1_matches_paper () =
   let r = find_report "table1" (run "table1" ~scale:1.0) in
