@@ -10,14 +10,13 @@ let verbose_arg =
 let run_experiments (common : Bp_cli.t) verbose experiments =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (if verbose then Some Logs.Debug else Some Logs.Warning);
-  Bp_cli.with_pool common (fun pool ->
+  List.iter
+    (fun e ->
       List.iter
-        (fun e ->
-          List.iter
-            (fun r -> print_string (Bp_harness.Report.render r))
-            (Bp_harness.Experiments.run ?pool ~knobs:common.knobs e
-               ~scale:common.scale))
-        experiments)
+        (fun r -> print_string (Bp_harness.Report.render r))
+        (Bp_harness.Experiments.run ~jobs:common.jobs ~knobs:common.knobs e
+           ~scale:common.scale))
+    experiments
 
 let list_cmd =
   let run () =
@@ -54,15 +53,14 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:"Run experiments and print their paper-vs-measured tables")
-    Term.(term_result' (const run $ Bp_cli.term $ verbose_arg $ experiments))
+    Term.(const run $ Bp_cli.term $ verbose_arg $ experiments)
 
 let all_cmd =
   Cmd.v
     (Cmd.info "all" ~doc:"Run every table and figure of the evaluation")
     Term.(
-      term_result'
-        (const run_experiments $ Bp_cli.term $ verbose_arg
-        $ const Bp_harness.Experiments.all))
+      const run_experiments $ Bp_cli.term $ verbose_arg
+      $ const Bp_harness.Experiments.all)
 
 let () =
   let info =

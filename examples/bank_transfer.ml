@@ -5,7 +5,8 @@
    debits the source ledger, ships a credit message through Blockplane's
    communication interface, and credits the destination only when the
    verified message arrives. Along the way we let a byzantine replica try
-   to mint money and watch the verification routines stop it.
+   to mint money and watch the verification routines stop it. It exits 1
+   if an attack is accepted or a unit's replicas disagree.
 
    Run with:  dune exec examples/bank_transfer.exe *)
 
@@ -70,6 +71,8 @@ let () =
   Printf.printf "  minted credit rejected: %b\n" !mint_rejected;
   Printf.printf "\nfinal ledgers (unchanged by the attacks):\n";
   show ();
-  Printf.printf "units consistent: %b %b\n"
-    (Deployment.app_digests_agree dep c)
-    (Deployment.app_digests_agree dep i)
+  let agree_c = Deployment.app_digests_agree dep c
+  and agree_i = Deployment.app_digests_agree dep i in
+  Printf.printf "units consistent: %b %b\n" agree_c agree_i;
+  if not (!overdraft_rejected && !mint_rejected && agree_c && agree_i) then
+    exit 1

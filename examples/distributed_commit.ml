@@ -5,7 +5,8 @@
    Virginia and Ireland. The benign protocol is unchanged; Blockplane's
    verification routines make every step unfakeable: a cohort cannot vote
    YES for an inapplicable operation, and the coordinator cannot decide
-   COMMIT unless every YES vote was genuinely received.
+   COMMIT unless every YES vote was genuinely received. It exits 1 if the
+   byzantine force-COMMIT is accepted.
 
    Run with:  dune exec examples/distributed_commit.exe *)
 
@@ -82,4 +83,5 @@ let () =
   Engine.run ~until:(Time.of_sec 6.0) engine;
   Printf.printf "\nbyzantine force-COMMIT of the aborted txn rejected: %b\n" !rejected;
   let committed, aborted = Two_phase.decided_count coord in
-  Printf.printf "coordinator tally: %d committed, %d aborted\n" committed aborted
+  Printf.printf "coordinator tally: %d committed, %d aborted\n" committed aborted;
+  if not !rejected then exit 1

@@ -4,7 +4,8 @@
    a Blockplane unit of 4 nodes (fi = 1). A user triggers requests at
    California addressed to Virginia; Virginia's counter increments once
    per *genuinely received* message, on every replica of its unit, even
-   though any single node could be byzantine.
+   though any single node could be byzantine. It exits 1 if the replicas
+   disagree or the forged increment is accepted.
 
    Run with:  dune exec examples/quickstart.exe *)
 
@@ -46,7 +47,8 @@ let () =
         (Addr.to_string (Unit_node.addr node))
         (Bp_apps.Counter.value node))
     (Deployment.nodes_of dep virginia);
-  Printf.printf "replicas agree: %b\n" (Deployment.app_digests_agree dep virginia);
+  let agree = Deployment.app_digests_agree dep virginia in
+  Printf.printf "replicas agree: %b\n" agree;
 
   (* 6. The byzantine attack from the paper: committing an increment with
         no received message behind it is rejected by the verification
@@ -58,4 +60,5 @@ let () =
   Engine.run ~until:(Time.of_sec 2.0) engine;
   Printf.printf "\nforged increment rejected by verification routines: %b\n" !rejected;
   Printf.printf "counter still %d\n"
-    (Bp_apps.Counter.value (Deployment.node dep virginia 0))
+    (Bp_apps.Counter.value (Deployment.node dep virginia 0));
+  if not (agree && !rejected) then exit 1

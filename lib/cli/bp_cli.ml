@@ -148,26 +148,11 @@ let scale =
 let jobs =
   opt count (Bp_parallel.Pool.default_jobs ()) [ "j"; "jobs" ] ~docv:"N"
     ~doc:
-      "Number of worker domains to fan independent simulation tasks across. \
-       Results are bit-identical at any job count; only wall time changes. \
-       Defaults to the number of cores; 1 runs everything inline."
+      "Number of domains to fan independent simulation tasks across, at \
+       most one per task. Results are bit-identical at any job count; only \
+       wall time changes. Defaults to the number of cores; 1 runs \
+       everything inline."
 
 let term =
   let+ knobs and+ scale and+ jobs in
   { knobs; scale; jobs }
-
-(* The pool starts before [f] runs, so a count the runtime cannot host
-   is reported against its flag. *)
-let with_pool t f =
-  match
-    if t.jobs > 1 then Some (Bp_parallel.Pool.create ~jobs:t.jobs) else None
-  with
-  | exception Failure msg ->
-      Error
-        (Printf.sprintf "--jobs %d: cannot start that many worker domains (%s)"
-           t.jobs msg)
-  | pool ->
-      Ok
-        (Fun.protect
-           ~finally:(fun () -> Option.iter Bp_parallel.Pool.shutdown pool)
-           (fun () -> f pool))

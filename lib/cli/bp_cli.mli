@@ -12,7 +12,9 @@
 type t = {
   knobs : Bp_harness.Knobs.t;
   scale : float;  (** [-s/--scale], falling back to [BP_BENCH_SCALE] *)
-  jobs : int;  (** [-j/--jobs]: worker domains for independent tasks *)
+  jobs : int;
+      (** [-j/--jobs]: domains per experiment, passed to
+          {!Bp_parallel.Pool.run}, which caps it at the task count *)
 }
 
 val term : t Cmdliner.Term.t
@@ -20,13 +22,3 @@ val term : t Cmdliner.Term.t
     [--skew], [--shards], [--batch-min-fill], [--batch-hold],
     [--no-cache]; absent flags keep
     {!Bp_harness.Knobs.default}) plus [--scale] and [--jobs]. *)
-
-val with_pool :
-  t -> (Bp_parallel.Pool.t option -> 'a) -> ('a, string) result
-(** Run [f] with a pool of [t.jobs] domains ([None] at 1), then shut the
-    pool down, whatever [f] does.
-
-    The pool is started before [f] runs. If the runtime cannot host the
-    count [--jobs] asks for, the domains already started are joined and
-    the result is an error naming that flag ([f] never runs); pass it to
-    [Cmdliner.Term.term_result'] to make it a command-line error. *)

@@ -21,8 +21,8 @@
 (* ---------- counters ---------- *)
 
 (* Process-global, plain [int] refs: exact under the deterministic
-   single-domain runs that reports are generated from ([-j 1]); with the
-   experiment pool fanning work across domains concurrent increments can
+   single-domain runs that reports are generated from ([-j 1]); with
+   [-j] fanning experiment tasks across domains concurrent increments can
    drop, which only under-counts diagnostics and never affects results.
    They configure nothing: their reader is the benchmark probe
    ([bench/e2e/probe.ml]), hence the R8 allow on each until a per-node

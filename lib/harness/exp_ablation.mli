@@ -10,7 +10,7 @@
     - [loss]: commit latency under increasing network loss — what the
       reliable-transport layer absorbs.
 
-    Plan decompositions for the domain pool: [reads] is one task (its
+    Plan decompositions for [Pool.run]: [reads] is one task (its
     three strategies share a populated world); [batching] and
     [signatures] are one task per configuration; [loss] one task per
     rate. Every world comes from {!Runner.fresh_world} with

@@ -91,5 +91,5 @@ let all =
 
 let find id = List.find_opt (fun e -> String.equal e.id id) all
 
-let run ?pool ?(knobs = Knobs.default) e ~scale =
-  Runner.run_plan ?pool (e.plan ~knobs ~scale)
+let run ?jobs ?(knobs = Knobs.default) e ~scale =
+  Runner.run_plan ?jobs (e.plan ~knobs ~scale)

@@ -4,8 +4,8 @@
 
     Each experiment is registered as a {!Runner.plan} factory — a sweep
     decomposed into independent single-simulation tasks — so a run can
-    be executed sequentially or fanned out over a {!Bp_parallel.Pool}
-    with bit-identical output. *)
+    be executed sequentially or fanned out over domains by
+    {!Bp_parallel.Pool.run} with bit-identical output. *)
 
 type t = {
   id : string;
@@ -22,11 +22,11 @@ val all : t list
 val find : string -> t option
 
 val run :
-  ?pool:Bp_parallel.Pool.t ->
+  ?jobs:int ->
   ?knobs:Knobs.t ->
   t ->
   scale:float ->
   Report.t list
-(** Execute one experiment — on the pool's worker domains when [pool] is
-    given, inline otherwise. Output is identical either way. [knobs]
+(** Execute one experiment on up to [jobs] domains (default 1: inline).
+    Output is identical at every job count. [knobs]
     (default {!Knobs.default}) reaches every world the plan builds. *)

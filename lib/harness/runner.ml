@@ -153,7 +153,7 @@ let closed_loop engine ~total ~outstanding ~run_one =
 
 let scaled s n = Stdlib.max 1 (int_of_float (Float.round (s *. float_of_int n)))
 
-(* An experiment decomposed for the domain pool: independent closed
+(* An experiment decomposed for [Pool.run]: independent closed
    tasks (each builds its own engine/network/deployment from its own
    seed — nothing is shared) plus a merge over the results in task-index
    order. The existential keeps per-experiment result types out of the
@@ -165,10 +165,5 @@ type plan =
     }
       -> plan
 
-let run_plan ?pool (Plan { tasks; merge }) =
-  let results =
-    match pool with
-    | None -> List.map (fun task -> task ()) tasks
-    | Some pool -> Bp_parallel.Pool.run pool tasks
-  in
-  merge results
+let run_plan ?(jobs = 1) (Plan { tasks; merge }) =
+  merge (Bp_parallel.Pool.run ~jobs tasks)

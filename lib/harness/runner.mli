@@ -103,7 +103,7 @@ type plan =
     task-index order — which is why parallel output is bit-identical to
     sequential. *)
 
-val run_plan : ?pool:Bp_parallel.Pool.t -> plan -> Report.t list
-(** Execute a plan's tasks — sequentially in task order when [pool] is
-    absent, on the pool's worker domains otherwise — and merge the
-    results. The two modes produce identical reports by construction. *)
+val run_plan : ?jobs:int -> plan -> Report.t list
+(** Execute a plan's tasks on up to [jobs] domains (default 1: inline,
+    in task order) and merge the results. Every job count produces
+    identical reports by construction. *)

@@ -102,37 +102,26 @@ let test_bad_values () =
   rejected ~env:[ ("BP_BENCH_SCALE", "abc") ] [];
   rejected ~env:[ ("BP_BENCH_SCALE", "nan") ] []
 
-(* A worker count the runtime cannot host is a flag error as well, found
-   before anything runs: blockplane-cli evaluates [with_pool] through
-   [term_result'], as here. *)
-let test_unstartable_pools () =
-  let started =
-    Term.term_result'
-      (Term.map (fun t -> Bp_cli.with_pool t (fun _ -> ())) Bp_cli.term)
+(* Any count >= 1 is a valid [--jobs]: Pool.run caps it at the task
+   count, so 10000 runs table2's four tasks on four domains (three
+   helpers) and renders the bytes of [-j 1]. *)
+let test_huge_jobs_count () =
+  let t = parsed [ "--jobs"; "10000"; "--scale"; "0.05" ] in
+  Alcotest.(check int) "--jobs parsed" 10_000 t.Bp_cli.jobs;
+  let render jobs =
+    String.concat ""
+      (List.map Bp_harness.Report.render
+         (Bp_harness.Experiments.run ~jobs
+            (Option.get (Bp_harness.Experiments.find "table2"))
+            ~scale:t.Bp_cli.scale))
   in
-  List.iter
-    (fun flag ->
-      match eval_term started [ flag; "10000" ] with
-      | Error `Term, err ->
-          Alcotest.(check bool)
-            (flag ^ " named in " ^ err)
-            true
-            (String.starts_with ~prefix:("t: " ^ flag ^ " 10000:") err)
-      | Error (`Parse | `Exn), err -> Alcotest.failf "%s: %s" flag err
-      | Ok _, _ -> Alcotest.failf "%s 10000: accepted" flag)
-    [ "--jobs" ];
-  (* Every domain spawned on the way was joined again. *)
-  match eval_term started [ "--jobs"; "2" ] with
-  | Ok (`Ok ()), _ -> ()
-  | _, err -> Alcotest.failf "--jobs 2: %s" err
+  Alcotest.(check string) "table2 bytes" (render 1) (render t.Bp_cli.jobs)
 
-(* [--no-cache] is a knob value, not a process mode: after a run under
-   it, a default world in the same process still memoizes — its nodes'
+(* [--no-cache] is a knob value, not a process mode: after parsing it,
+   a default world in the same process still memoizes — its nodes'
    caches record verify hits. *)
 let test_no_cache_does_not_leak () =
-  (match Bp_cli.with_pool (parsed [ "--no-cache"; "-j"; "1" ]) (fun _ -> ()) with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
+  ignore (parsed [ "--no-cache"; "-j"; "1" ]);
   let w = Bp_harness.Runner.fresh_world ~n_participants:1 () in
   let api = Blockplane.Deployment.api w.Bp_harness.Runner.dep 0 in
   for i = 1 to 4 do
@@ -156,8 +145,8 @@ let suite =
       [
         Alcotest.test_case "one valid argv per flag" `Quick test_valid_flags;
         Alcotest.test_case "bad values are flag errors" `Quick test_bad_values;
-        Alcotest.test_case "unstartable worker counts are flag errors" `Quick
-          test_unstartable_pools;
+        Alcotest.test_case "--jobs 10000 renders table2 like -j 1" `Quick
+          test_huge_jobs_count;
         Alcotest.test_case "--no-cache leaves later worlds cached" `Quick
           test_no_cache_does_not_leak;
       ] );

@@ -354,7 +354,7 @@ let qcheck_kernel_unaligned_multiblock =
           Sha256.Kernel.update_bytes k ctx src ~off ~len;
           String.equal (Sha256.Kernel.finalize k ctx) want))
 
-(* Two pool domains hash the same inputs at once, each several times
+(* Two domains hash the same inputs at once, each several times
    over, split at varying points; both must reproduce the sequential
    digests. *)
 let test_sha256_two_domains () =
@@ -374,12 +374,7 @@ let test_sha256_two_domains () =
       inputs
   in
   let task () = List.init 8 hash_all in
-  let pool = Bp_parallel.Pool.create ~jobs:2 in
-  let results =
-    Fun.protect
-      ~finally:(fun () -> Bp_parallel.Pool.shutdown pool)
-      (fun () -> Bp_parallel.Pool.run pool [ task; task ])
-  in
+  let results = Bp_parallel.Pool.run ~jobs:2 [ task; task ] in
   List.iteri
     (fun d rounds ->
       List.iteri

@@ -235,25 +235,20 @@ let test_experiments_deterministic () =
   Alcotest.(check string) "fig4 twice, identical" e f
 
 (* Runner.plan's contract at any -j: every registered experiment renders
-   the same bytes with no pool as on a 2-domain pool. bplint's
+   the same bytes at [~jobs:1] as at [~jobs:2]. bplint's
    R6-planescape checks the plan-building code for shared writes; this
    checks the output the tables are made of. *)
 let test_experiments_same_at_any_jobs () =
-  let render_all pool =
+  let render_all jobs =
     List.map
       (fun (e : Experiments.t) ->
         ( e.Experiments.id,
           String.concat ""
-            (List.map Report.render (Experiments.run ?pool e ~scale:0.05)) ))
+            (List.map Report.render (Experiments.run ~jobs e ~scale:0.05)) ))
       Experiments.all
   in
-  let seq = render_all None in
-  let pool = Bp_parallel.Pool.create ~jobs:2 in
-  let par =
-    Fun.protect
-      ~finally:(fun () -> Bp_parallel.Pool.shutdown pool)
-      (fun () -> render_all (Some pool))
-  in
+  let seq = render_all 1 in
+  let par = render_all 2 in
   List.iter2
     (fun (id, a) (_, b) ->
       Alcotest.(check string) (id ^ ": -j 1 == -j 2, byte-identical") a b)

@@ -157,37 +157,27 @@ let test_clean_fixture () =
   Alcotest.(check int) (Printf.sprintf "clean module\n%s" (show diags)) 0
     (List.length diags)
 
-let test_allowlist () =
-  (* A file-level allowlist entry excuses a whole module; the rule field
-     matches by prefix so "R1" covers "R1-polycmp". *)
-  let allowlist = Lint.allowlist_of_lines [ "# comment"; ""; "R1 fx_r1" ] in
-  let diags = Lint.lint_cmt ~allowlist ~rules:[ "R1-polycmp" ] (fixture "Fx_r1") in
-  Alcotest.(check int) "allowlisted module" 0 (List.length diags);
-  (* ...but an entry for a different path does not. *)
-  let other = Lint.allowlist_of_lines [ "R1 some/other/file.ml" ] in
-  let diags = Lint.lint_cmt ~allowlist:other ~rules:[ "R1-polycmp" ] (fixture "Fx_r1") in
-  Alcotest.(check int) "non-matching entry" 4 (List.length diags)
-
-(* Satellite regression: allowlist patterns and the R2-domain exemption
-   are anchored on whole path segments — a near-miss filename sharing a
-   prefix must not inherit either. *)
+(* The R2-domain exemption is anchored on whole path segments — a
+   near-miss filename sharing a prefix must not inherit it. *)
 let test_segment_matching () =
   Alcotest.(check bool) "exact file matches" true
-    (Lint_diag.path_matches ~pattern:"lib/crypto/verify_batch"
+    (Lint.path_matches ~pattern:"lib/crypto/verify_batch"
        "lib/crypto/verify_batch.ml");
   Alcotest.(check bool) "prefix near-miss does not match" false
-    (Lint_diag.path_matches ~pattern:"lib/crypto/verify_batch"
+    (Lint.path_matches ~pattern:"lib/crypto/verify_batch"
        "lib/crypto/verify_batchx.ml");
   Alcotest.(check bool) "substring inside a segment does not match" false
-    (Lint_diag.path_matches ~pattern:"crypto" "lib/mycrypto/foo.ml");
+    (Lint.path_matches ~pattern:"crypto" "lib/mycrypto/foo.ml");
   Alcotest.(check bool) "segment run matches mid-path" true
-    (Lint_diag.path_matches ~pattern:"crypto/verify_batch"
+    (Lint.path_matches ~pattern:"crypto/verify_batch"
        "lib/crypto/verify_batch.ml");
   let has rule source = List.mem rule (Lint.policy ~source) in
   Alcotest.(check bool) "verify_batch.ml is R2-domain exempt" false
     (has "R2-domain" "lib/crypto/verify_batch.ml");
   Alcotest.(check bool) "verify_batchx.ml is NOT exempt" true
-    (has "R2-domain" "lib/crypto/verify_batchx.ml")
+    (has "R2-domain" "lib/crypto/verify_batchx.ml");
+  Alcotest.(check bool) "lib/parallelx is NOT exempt" true
+    (has "R2-domain" "lib/parallelx/pool.ml")
 
 let test_policy () =
   (* Consensus code gets the full rule set; generic lib code a subset;
@@ -248,53 +238,12 @@ let test_r2_domain_exemption_applies () =
   Alcotest.(check int) "parallel source: no R2-domain findings" 0
     (count "R2-domain" (lint_as "lib/parallel/pool.ml"))
 
-(* The stable machine-readable output consumed by CI tooling. *)
-let test_json_format () =
-  let d =
-    {
-      Lint.rule = "R6-planescape";
-      file = "a.ml";
-      line = 2;
-      col = 4;
-      message = "needs \"quoting\"";
-    }
-  in
-  Alcotest.(check string) "stable schema"
-    "[{\"rule\":\"R6-planescape\",\"file\":\"a.ml\",\"line\":2,\"col\":4,\"message\":\"needs \\\"quoting\\\"\"}]"
-    (Lint_diag.findings_json [ d ])
-
-(* Baseline subtraction keys on (rule, file, message) and ignores
-   line/col, so recorded debt survives unrelated code motion while new
-   findings still fail. *)
-let test_baseline () =
-  let d rule file message = { Lint.rule; file; line = 3; col = 1; message } in
-  let diags =
-    [
-      d "R2-nondet" "bench/e2e/bpbench.ml" "m1"; d "R3-partial" "bin/x.ml" "m2";
-    ]
-  in
-  let baseline =
-    Lint_diag.baseline_of_lines
-      [ "# comment"; "R2-nondet\tbench/e2e/bpbench.ml\tm1" ]
-  in
-  match Lint_diag.filter_baseline baseline diags with
-  | [ keep ] ->
-      Alcotest.(check string) "only the new finding survives" "R3-partial"
-        keep.Lint.rule
-  | other ->
-      Alcotest.failf "expected exactly one surviving finding, got %d:\n%s"
-        (List.length other) (show other)
-
 (* The teeth of the suite: the real tree must be clean. Any regression —
    a reintroduced Option.get, a new module without an .mli, plan tasks
    sharing a ref — lands here as a test failure with
    file:line diagnostics. *)
 let test_real_tree_clean () =
-  let allowlist =
-    Lint.load_allowlist
-      (Filename.concat (root ()) (Filename.concat "tools/bplint" "bplint.allow"))
-  in
-  let diags, stats = Lint.scan ~allowlist ~root:(root ()) () in
+  let diags, stats = Lint.scan ~root:(root ()) in
   Alcotest.(check int)
     (Printf.sprintf "tree has findings:\n%s" (show diags))
     0 (List.length diags);
@@ -325,14 +274,11 @@ let suite =
         Alcotest.test_case "R9 externals confined to native.ml" `Quick
           test_r9_external;
         Alcotest.test_case "clean fixture" `Quick test_clean_fixture;
-        Alcotest.test_case "allowlist suppression" `Quick test_allowlist;
         Alcotest.test_case "segment-anchored path matching" `Quick
           test_segment_matching;
         Alcotest.test_case "per-directory policy" `Quick test_policy;
         Alcotest.test_case "R2-domain exemption is path-scoped" `Quick
           test_r2_domain_exemption_applies;
-        Alcotest.test_case "json diagnostic schema" `Quick test_json_format;
-        Alcotest.test_case "baseline subtraction" `Quick test_baseline;
         Alcotest.test_case "real tree is clean" `Quick test_real_tree_clean;
       ] );
   ]

@@ -1,53 +1,67 @@
-(* The domain pool (lib/parallel) and the parallel experiment harness.
+(* Pool.run (lib/parallel) and the parallel experiment harness.
 
    CI may run on a single core, so these tests assert scheduling
-   semantics — index-ordered results, exception propagation, pool reuse,
-   and bit-identical experiment output — not wall-clock speedups. *)
+   semantics — index-ordered results, helper counts, exception
+   propagation, reuse, and bit-identical experiment output — not
+   wall-clock speedups. *)
 
 exception Boom of int
 
-let test_pool_basics () =
-  let pool = Bp_parallel.Pool.create ~jobs:3 in
-  Alcotest.(check int) "jobs" 3 (Bp_parallel.Pool.jobs pool);
-  Alcotest.(check (list int)) "empty batch" [] (Bp_parallel.Pool.run pool []);
-  (* Consecutive batches on one pool, with different result types. *)
-  let squares = Bp_parallel.Pool.run pool (List.init 8 (fun i () -> i * i)) in
-  Alcotest.(check (list int)) "squares" [ 0; 1; 4; 9; 16; 25; 36; 49 ] squares;
-  let strs =
-    Bp_parallel.Pool.run pool (List.init 4 (fun i () -> string_of_int i))
-  in
-  Alcotest.(check (list string)) "strings" [ "0"; "1"; "2"; "3" ] strs;
-  (* jobs:1 never spawns domains and runs inline: on the calling domain. *)
-  let single = Bp_parallel.Pool.create ~jobs:1 in
-  let self = Domain.self () in
-  let inline =
-    Bp_parallel.Pool.run single
-      (List.init 3 (fun i () ->
-           if Domain.self () <> self then Alcotest.fail "ran off the caller";
-           -i))
-  in
-  Bp_parallel.Pool.shutdown single;
-  Alcotest.(check (list int)) "jobs:1 inline" [ 0; -1; -2 ] inline;
-  Bp_parallel.Pool.shutdown pool;
-  (* Shutdown is idempotent, and a shut-down pool refuses work. *)
-  Bp_parallel.Pool.shutdown pool;
-  Alcotest.check_raises "run after shutdown"
-    (Invalid_argument "Pool.run: pool is shut down") (fun () ->
-      ignore (Bp_parallel.Pool.run pool [ (fun () -> 0) ]))
+let run = Bp_parallel.Pool.run
 
-(* A worker count beyond the runtime's domain limit fails create, and
-   the domains spawned before the refusal are joined again: a later pool
-   still starts. *)
-let test_pool_create_over_limit () =
-  (match Bp_parallel.Pool.create ~jobs:10_000 with
-  | pool ->
-      Bp_parallel.Pool.shutdown pool;
-      Alcotest.fail "the runtime hosted 10000 domains"
-  | exception Failure _ -> ());
-  let pool = Bp_parallel.Pool.create ~jobs:3 in
-  Alcotest.(check (list int)) "fresh pool runs" [ 0; 1; 2; 3 ]
-    (Bp_parallel.Pool.run pool (List.init 4 (fun i () -> i)));
-  Bp_parallel.Pool.shutdown pool
+(* Counts every [Domain.spawn] in the process: a domain-local key with
+   [split_from_parent] has its split function called once per spawn, on
+   the spawning domain. *)
+let spawned = Atomic.make 0
+
+let _spawn_counter : unit Domain.DLS.key =
+  Domain.DLS.new_key ~split_from_parent:(fun () -> Atomic.incr spawned) ignore
+
+let helpers_spawned f =
+  let before = Atomic.get spawned in
+  let v = f () in
+  (v, Atomic.get spawned - before)
+
+let test_pool_basics () =
+  let caller = Domain.self () in
+  let empty, n = helpers_spawned (fun () -> run ~jobs:3 []) in
+  Alcotest.(check (list int)) "empty task list" [] empty;
+  Alcotest.(check int) "empty: no helper" 0 n;
+  (* Consecutive runs, with different result types. *)
+  let squares, n =
+    helpers_spawned (fun () -> run ~jobs:3 (List.init 8 (fun i () -> i * i)))
+  in
+  Alcotest.(check (list int)) "squares" [ 0; 1; 4; 9; 16; 25; 36; 49 ] squares;
+  Alcotest.(check int) "jobs:3 spawns 2 helpers" 2 n;
+  Alcotest.(check (list string)) "strings" [ "0"; "1"; "2"; "3" ]
+    (run ~jobs:3 (List.init 4 (fun i () -> string_of_int i)));
+  (* jobs:1, and a single task, run inline on the calling domain. *)
+  let on_caller i () =
+    if Domain.self () <> caller then Alcotest.fail "ran off the caller";
+    -i
+  in
+  let inline, n =
+    helpers_spawned (fun () -> run ~jobs:1 (List.init 3 on_caller))
+  in
+  Alcotest.(check (list int)) "jobs:1 inline" [ 0; -1; -2 ] inline;
+  Alcotest.(check int) "jobs:1 spawns nothing" 0 n;
+  let single, n = helpers_spawned (fun () -> run ~jobs:4 [ on_caller 7 ]) in
+  Alcotest.(check (list int)) "one task inline" [ -7 ] single;
+  Alcotest.(check int) "one task spawns nothing" 0 n;
+  (* More jobs than tasks: one domain per task, the caller included.
+     Every helper that ran a task has exited once run returns. *)
+  let exited = Atomic.make 0 in
+  let task i () =
+    let self = Domain.self () in
+    if self <> caller then Domain.at_exit (fun () -> Atomic.incr exited);
+    (i, self)
+  in
+  let got, n = helpers_spawned (fun () -> run ~jobs:64 (List.init 3 task)) in
+  Alcotest.(check (list int)) "jobs > tasks" [ 0; 1; 2 ] (List.map fst got);
+  Alcotest.(check int) "jobs:64 over 3 tasks spawns 2 helpers" 2 n;
+  Alcotest.(check int) "helpers exited before run returns"
+    (List.length (List.filter (fun (_, d) -> d <> caller) got))
+    (Atomic.get exited)
 
 let test_pool_order () =
   (* Early tasks spin longer, so on a multicore box later indices finish
@@ -61,22 +75,37 @@ let test_pool_order () =
         ignore !acc;
         i)
   in
-  let pool = Bp_parallel.Pool.create ~jobs:4 in
-  let got = Bp_parallel.Pool.run pool tasks in
-  Bp_parallel.Pool.shutdown pool;
-  Alcotest.(check (list int)) "index order" (List.init 16 Fun.id) got
+  Alcotest.(check (list int)) "index order" (List.init 16 Fun.id)
+    (run ~jobs:4 tasks)
 
+(* Two tasks fail, the higher index first in time: task 0 waits (for
+   at most 10 s of CPU) until task 1 has raised, so the two run on
+   different domains. The lower index is re-raised on every round, and
+   the next run is unaffected. *)
 let test_pool_exception () =
-  let pool = Bp_parallel.Pool.create ~jobs:3 in
-  let tasks = List.init 8 (fun i () -> if i = 3 then raise (Boom i) else i) in
-  (match Bp_parallel.Pool.run pool tasks with
-  | _ -> Alcotest.fail "expected Boom from the failing task"
-  | exception Boom 3 -> ());
-  (* The pool survives a failed batch and runs the next one normally. *)
-  let ok = Bp_parallel.Pool.run pool (List.init 5 (fun i () -> i + 100)) in
-  Alcotest.(check (list int)) "pool reusable after failure"
-    [ 100; 101; 102; 103; 104 ] ok;
-  Bp_parallel.Pool.shutdown pool
+  for round = 1 to 20 do
+    let one_failed = Atomic.make false in
+    let tasks =
+      [
+        (fun () ->
+          let deadline = Sys.time () +. 10.0 in
+          while (not (Atomic.get one_failed)) && Sys.time () < deadline do
+            Domain.cpu_relax ()
+          done;
+          raise (Boom 0));
+        (fun () ->
+          Atomic.set one_failed true;
+          raise (Boom 1));
+        (fun () -> 2);
+      ]
+    in
+    match run ~jobs:2 tasks with
+    | _ -> Alcotest.failf "round %d: no exception" round
+    | exception Boom i ->
+        Alcotest.(check int) (Printf.sprintf "round %d: lowest index" round) 0 i
+  done;
+  Alcotest.(check (list int)) "a later run works" [ 100; 101; 102; 103; 104 ]
+    (run ~jobs:3 (List.init 5 (fun i () -> i + 100)))
 
 (* The tentpole property: fanning an experiment's tasks over worker
    domains must not change a byte of its report — every sweep point is an
@@ -85,21 +114,19 @@ let test_parallel_reports_identical () =
   let render_all reports =
     String.concat "" (List.map Bp_harness.Report.render reports)
   in
-  let pool = Bp_parallel.Pool.create ~jobs:3 in
   List.iter
     (fun id ->
       match Bp_harness.Experiments.find id with
       | None -> Alcotest.failf "unknown experiment %s" id
       | Some e ->
           let seq = Bp_harness.Experiments.run e ~scale:0.1 in
-          let par = Bp_harness.Experiments.run ~pool e ~scale:0.1 in
+          let par = Bp_harness.Experiments.run ~jobs:3 e ~scale:0.1 in
           Alcotest.(check string)
             (id ^ ": parallel output bit-identical to sequential")
             (render_all seq) (render_all par))
-    [ "fig5"; "fig6"; "costs" ];
-  Bp_parallel.Pool.shutdown pool
+    [ "fig5"; "fig6"; "costs" ]
 
-(* Two pool domains checksum the same buffers at once, through every
+(* Two domains checksum the same buffers at once, through every
    CRC-32 kernel this CPU runs, each several times over; both must
    reproduce the sequential checksums. The C kernels keep no state and
    their tables are constants, so nothing is shared but the inputs. *)
@@ -119,12 +146,7 @@ let test_crc32_two_domains () =
   in
   let sequential = checksum_all () in
   let task () = List.init 8 (fun _ -> checksum_all ()) in
-  let pool = Bp_parallel.Pool.create ~jobs:2 in
-  let results =
-    Fun.protect
-      ~finally:(fun () -> Bp_parallel.Pool.shutdown pool)
-      (fun () -> Bp_parallel.Pool.run pool [ task; task ])
-  in
+  let results = run ~jobs:2 [ task; task ] in
   List.iteri
     (fun d rounds ->
       List.iteri
@@ -141,8 +163,6 @@ let suite =
       [
         Alcotest.test_case "pool basics, reuse, shutdown" `Quick
           test_pool_basics;
-        Alcotest.test_case "create over the domain limit cleans up" `Quick
-          test_pool_create_over_limit;
         Alcotest.test_case "results follow task index" `Quick test_pool_order;
         Alcotest.test_case "exception propagates, pool survives" `Quick
           test_pool_exception;

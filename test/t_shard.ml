@@ -342,20 +342,14 @@ let test_table2_golden_any_shards () =
 (* --- the shard sweep is bit-identical at any --jobs --- *)
 
 let test_shard_sweep_jobs_deterministic () =
-  let render_all pool =
+  let render_all jobs =
     String.concat ""
       (List.map Bp_harness.Report.render
-         (Bp_harness.Experiments.run ?pool (registered "ablation-shard")
+         (Bp_harness.Experiments.run ~jobs (registered "ablation-shard")
             ~scale:0.01))
   in
-  let seq = render_all None in
-  let pool = Bp_parallel.Pool.create ~jobs:2 in
-  let par =
-    Fun.protect
-      ~finally:(fun () -> Bp_parallel.Pool.shutdown pool)
-      (fun () -> render_all (Some pool))
-  in
-  Alcotest.(check string) "jobs 1 == jobs 2, byte-identical" seq par
+  Alcotest.(check string) "jobs 1 == jobs 2, byte-identical" (render_all 1)
+    (render_all 2)
 
 let suite =
   [

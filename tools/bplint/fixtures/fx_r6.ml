@@ -6,7 +6,7 @@ open Bp_harness
 let costs_task i () = [ string_of_int i ]
 
 (* BAD: every task increments one ref bound outside the tasks, so what
-   each task sees depends on how the pool schedules them. *)
+   each task sees depends on how Pool.run schedules them. *)
 let costs_plan () =
   let shared = ref 0 in
   Runner.Plan

@@ -1,4 +1,4 @@
-type diagnostic = Lint_diag.diagnostic = {
+type diagnostic = {
   rule : string;
   file : string;
   line : int;
@@ -22,17 +22,37 @@ let all_rules =
     "R9-external";
   ]
 
-let to_string = Lint_diag.to_string
+let to_string d =
+  Printf.sprintf "%s:%d:%d: [%s] %s" d.file d.line d.col d.rule d.message
 
-(* ---------- allowlist (Lint_diag: segment-anchored path matching) ---------- *)
-
-type allowlist = Lint_diag.allowlist
-
-let empty_allowlist = Lint_diag.empty_allowlist
-let allowlist_of_lines = Lint_diag.allowlist_of_lines
-let load_allowlist = Lint_diag.load_allowlist
-let allowlisted = Lint_diag.allowlisted
 let rule_matches ~prefix rule = String.starts_with ~prefix rule
+
+(* Path patterns are anchored on '/'-separated segments: the pattern's
+   segments must match a contiguous run of the file's segments exactly,
+   except that the final pattern segment may also match a segment with
+   its extension stripped ("verify_batch" matches ".../verify_batch.ml").
+   Substrings inside a segment never match: a "verify_batch" pattern does
+   not match "verify_batchx.ml". *)
+let path_matches ~pattern file =
+  let psegs =
+    List.filter (fun s -> s <> "") (String.split_on_char '/' pattern)
+  in
+  let fsegs = String.split_on_char '/' file in
+  if psegs = [] then false
+  else begin
+    let rec run ps fs =
+      match (ps, fs) with
+      | [], _ -> true
+      | [ p ], f :: _ ->
+          String.equal p f || String.equal p (Filename.remove_extension f)
+      | p :: ps', f :: fs' -> String.equal p f && run ps' fs'
+      | _ :: _, [] -> false
+    in
+    let rec scan fs =
+      run psegs fs || match fs with [] -> false | _ :: tl -> scan tl
+    in
+    scan fsegs
+  end
 
 (* ---------- policy ---------- *)
 
@@ -54,39 +74,29 @@ let normalize_source source =
 
 let source_segments source = String.split_on_char '/' (normalize_source source)
 
-let lib_dir_of source =
-  match source_segments source with
-  | "lib" :: dir :: _ :: _ -> Some dir
-  | _ -> None
+let matches_any patterns source =
+  List.exists
+    (fun pattern -> path_matches ~pattern (normalize_source source))
+    patterns
 
-(* Shared-memory parallelism is confined to the domain pool (all of
+(* Shared-memory parallelism is confined to the [-j] fork-join (all of
    lib/parallel). lib/crypto/verify_batch is exempt only for the mutex
    around its stats, which [-j] experiment tasks on several domains
    update through its global context; it starts no domain. Everything
    else in lib/crypto — and every other lib directory — stays
    single-domain deterministic.
 
-   The exemption is matched on whole path segments (with the extension
-   stripped), never on prefixes or substrings: lib/crypto/verify_batchx.ml
-   does NOT inherit it. *)
-let r2_domain_exempt source =
-  match lib_dir_of source with
-  | Some "parallel" -> true
-  | _ -> (
-      match source_segments source with
-      | [ "lib"; "crypto"; file ] ->
-          String.equal (Filename.remove_extension file) "verify_batch"
-      | _ -> false)
+   The exemption is matched by [path_matches], on whole path segments,
+   never on prefixes or substrings: lib/crypto/verify_batchx.ml does NOT
+   inherit it. *)
+let r2_domain_exempt =
+  matches_any [ "lib/parallel"; "lib/crypto/verify_batch" ]
 
 (* lib/crypto/native.ml is the one module allowed to declare
    [external]s: its C stubs are the tree's whole foreign surface. Matched
-   on whole path segments like the R2-domain exemption. *)
+   like the R2-domain exemption. *)
 let r9_external source =
-  match source_segments source with
-  | [ "lib"; "crypto"; file ]
-    when String.equal (Filename.remove_extension file) "native" ->
-      []
-  | _ -> [ "R9-external" ]
+  if matches_any [ "lib/crypto/native" ] source then [] else [ "R9-external" ]
 
 (* R6-planescape runs wherever a Runner.Plan can be built; it is a no-op
    on files that build none. *)
@@ -148,7 +158,6 @@ let policy ~source =
 type ctx = {
   source : string;
   rules : string list;
-  allowlist : allowlist;
   mutable allow_stack : string list;
   mutable diags : diagnostic list;
   mutable fun_depth : int;
@@ -160,11 +169,7 @@ let report ctx ~rule ~(loc : Location.t) message =
   let site_allowed =
     List.exists (fun prefix -> rule_matches ~prefix rule) ctx.allow_stack
   in
-  if
-    List.mem rule ctx.rules
-    && (not site_allowed)
-    && not (allowlisted ctx.allowlist ~rule ~file:ctx.source)
-  then begin
+  if List.mem rule ctx.rules && not site_allowed then begin
     let p = loc.Location.loc_start in
     ctx.diags <-
       {
@@ -177,9 +182,38 @@ let report ctx ~rule ~(loc : Location.t) message =
       :: ctx.diags
   end
 
+(* Rule prefixes named by [[@bplint.allow "R1 R2-nondet"]] attributes. *)
+let allows_of_attributes (attrs : Parsetree.attributes) =
+  List.concat_map
+    (fun (a : Parsetree.attribute) ->
+      if not (String.equal a.Parsetree.attr_name.Location.txt "bplint.allow")
+      then []
+      else
+        match a.Parsetree.attr_payload with
+        | Parsetree.PStr
+            [
+              {
+                Parsetree.pstr_desc =
+                  Parsetree.Pstr_eval
+                    ( {
+                        Parsetree.pexp_desc =
+                          Parsetree.Pexp_constant
+                            (Parsetree.Pconst_string (s, _, _));
+                        _;
+                      },
+                      _ );
+                _;
+              };
+            ] ->
+            String.split_on_char ' ' s
+            |> List.concat_map (String.split_on_char ',')
+            |> List.filter (fun r -> r <> "")
+        | _ -> [])
+    attrs
+
 let with_allows ctx attrs k =
   let saved = ctx.allow_stack in
-  ctx.allow_stack <- Lint_diag.allows_of_attributes attrs @ saved;
+  ctx.allow_stack <- allows_of_attributes attrs @ saved;
   k ();
   ctx.allow_stack <- saved
 
@@ -675,7 +709,7 @@ let init_cmt_env ~cmt_path (cmt : Cmt_format.cmt_infos) =
 
 (* Lint one read [.cmt] under the rules [rules_of] picks for its source.
    [None] for generated modules and for sources given no rules. *)
-let lint_file ~allowlist ~rules_of path (cmt : Cmt_format.cmt_infos) =
+let lint_file ~rules_of path (cmt : Cmt_format.cmt_infos) =
   let source =
     match cmt.Cmt_format.cmt_sourcefile with
     | Some s -> normalize_source s
@@ -690,7 +724,6 @@ let lint_file ~allowlist ~rules_of path (cmt : Cmt_format.cmt_infos) =
         {
           source;
           rules;
-          allowlist;
           allow_stack = [];
           diags = [];
           fun_depth = 0;
@@ -698,9 +731,7 @@ let lint_file ~allowlist ~rules_of path (cmt : Cmt_format.cmt_infos) =
         }
       in
       (if
-         List.mem "R4-mli" rules
-         && (not (allowlisted allowlist ~rule:"R4-mli" ~file:source))
-         && Filename.check_suffix source ".ml"
+         List.mem "R4-mli" rules && Filename.check_suffix source ".ml"
        then
          let cmti = Filename.remove_extension path ^ ".cmti" in
          if not (Sys.file_exists cmti) then
@@ -722,10 +753,8 @@ let lint_file ~allowlist ~rules_of path (cmt : Cmt_format.cmt_infos) =
       | _ -> ());
       Some (List.rev ctx.diags, ctx.plan_sites)
 
-let lint_cmt ?(allowlist = empty_allowlist) ~rules path =
-  match
-    lint_file ~allowlist ~rules_of:(fun _ -> rules) path
-      (Cmt_format.read_cmt path)
+let lint_cmt ~rules path =
+  match lint_file ~rules_of:(fun _ -> rules) path (Cmt_format.read_cmt path)
   with
   | Some (diags, _) -> diags
   | None -> []
@@ -739,7 +768,13 @@ type scan_stats = {
 }
 
 let summarize results =
-  let diags = List.sort Lint_diag.compare_diag (List.concat_map fst results) in
+  (* Sorted by file, then (line, col, rule). *)
+  let compare_diag a b =
+    match String.compare a.file b.file with
+    | 0 -> Stdlib.compare (a.line, a.col, a.rule) (b.line, b.col, b.rule)
+    | c -> c
+  in
+  let diags = List.sort compare_diag (List.concat_map fst results) in
   let rule_hits =
     List.map
       (fun rule ->
@@ -754,15 +789,14 @@ let summarize results =
       rule_hits;
     } )
 
-let lint_files ?(allowlist = empty_allowlist) ~rules paths =
+let lint_files ~rules paths =
   summarize
     (List.filter_map
        (fun path ->
-         lint_file ~allowlist ~rules_of:(fun _ -> rules) path
-           (Cmt_format.read_cmt path))
+         lint_file ~rules_of:(fun _ -> rules) path (Cmt_format.read_cmt path))
        paths)
 
-let scan ?(allowlist = empty_allowlist) ~root () =
+let scan ~root =
   let cmts = ref [] in
   let rec walk dir =
     match Sys.readdir dir with
@@ -793,6 +827,5 @@ let scan ?(allowlist = empty_allowlist) ~root () =
          match Cmt_format.read_cmt path with
          | exception _ -> None
          | cmt ->
-             lint_file ~allowlist ~rules_of:(fun source -> policy ~source) path
-               cmt)
+             lint_file ~rules_of:(fun source -> policy ~source) path cmt)
        (List.sort String.compare !cmts))

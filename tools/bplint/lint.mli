@@ -19,7 +19,7 @@
     - [R2-domain]: multicore primitives ([Domain.*], [Atomic.*], [Mutex.*],
       [Condition.*]) outside [lib/parallel] and [lib/crypto/verify_batch].
       Replicas and the simulator are single-domain deterministic; the only
-      shared-memory code allowed is the audited worker pool and the
+      shared-memory code allowed is the audited [-j] fork-join and the
       mutex around [Verify_batch]'s stats.
     - [R3-partial]: partial functions ([Option.get], [List.hd], [List.tl],
       [List.nth]) on verification/consensus paths.
@@ -43,11 +43,11 @@
       code.
 
     Suppression: a site can carry [[@bplint.allow "RULE ..."]] (on the
-    expression or enclosing [let]); whole files can be excused in an
-    allowlist file of [RULE path-pattern] lines, where the pattern is
-    anchored on whole path segments (see {!Lint_diag.path_matches}). *)
+    expression or enclosing [let]); the rule names match by prefix, so
+    [R2] excuses both [R2-nondet] and [R2-hiter]. It is the only
+    suppression. *)
 
-type diagnostic = Lint_diag.diagnostic = {
+type diagnostic = {
   rule : string;
   file : string;
   line : int;
@@ -61,18 +61,13 @@ val all_rules : string list
 val to_string : diagnostic -> string
 (** ["file:line:col: [rule] message"] — one line per finding. *)
 
-type allowlist = Lint_diag.allowlist
-
-val empty_allowlist : allowlist
-
-val allowlist_of_lines : string list -> allowlist
-(** Each non-empty, non-[#] line is [RULE path-pattern] (trailing words
-    are a free-form comment). [RULE] matches by prefix, so [R2] excuses
-    both [R2-nondet] and [R2-hiter]; the pattern matches whole path
-    segments, never substrings. *)
-
-val load_allowlist : string -> allowlist
-(** Read an allowlist file from disk. Missing file = empty allowlist. *)
+val path_matches : pattern:string -> string -> bool
+(** Anchored on ['/']-separated path segments: the pattern's segments
+    must equal a contiguous run of the file's segments, except that the
+    final pattern segment may also match a segment with its extension
+    stripped (["verify_batch"] matches ["lib/crypto/verify_batch.ml"]
+    but not ["lib/crypto/verify_batchx.ml"]). The R2-domain and
+    R9-external exemptions in {!policy} are matched this way. *)
 
 val policy : source:string -> string list
 (** The repo policy: which rules apply to a source path (as recorded in
@@ -81,10 +76,9 @@ val policy : source:string -> string list
     (determinism, totality and R6-planescape; [tools/] non-[main]
     modules also need an [.mli]); lint fixtures get none. *)
 
-val lint_cmt :
-  ?allowlist:allowlist -> rules:string list -> string -> diagnostic list
+val lint_cmt : rules:string list -> string -> diagnostic list
 (** [lint_cmt ~rules path] reads one [.cmt] file and returns the findings
-    for the requested rules, already filtered through [allowlist] and any
+    for the requested rules, already filtered through any
     [[@bplint.allow]] attributes. Generated modules (dune's [*.ml-gen]
     alias modules) yield no findings. *)
 
@@ -97,16 +91,11 @@ type scan_stats = {
   rule_hits : (string * int) list;
 }
 
-val lint_files :
-  ?allowlist:allowlist ->
-  rules:string list ->
-  string list ->
-  diagnostic list * scan_stats
+val lint_files : rules:string list -> string list -> diagnostic list * scan_stats
 (** {!lint_cmt} over several files, with findings sorted by file/line
     and statistics for [--stats]. *)
 
-val scan :
-  ?allowlist:allowlist -> root:string -> unit -> diagnostic list * scan_stats
+val scan : root:string -> diagnostic list * scan_stats
 (** Walk [root]'s lib/, bench/, bin/ and tools/ for every [.cmt] dune
     produced, apply [policy] to each file, and return all findings
     sorted by file/line, plus scan statistics for [--stats]. *)
