@@ -1,6 +1,6 @@
 (* Command-line entry point: run any of the paper's experiments. The
-   run-wide flags (the knobs, --no-cache among them, plus --scale and
-   --jobs) come from the shared term in lib/cli. *)
+   run-wide flags (the three load knobs plus --scale and --jobs) come
+   from the shared term in lib/cli. *)
 
 open Cmdliner
 

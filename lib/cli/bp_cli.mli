@@ -4,10 +4,8 @@
     worker-domain count.
 
     Every bad value is a command-line error naming its flag (Cmdliner
-    exits 124): non-positive counts, non-finite or out-of-range floats,
-    a malformed [BP_BENCH_SCALE], and a batch-cut pair that
-    {!Bp_pbft.Config.check_batch_policy} rejects once the hold is
-    converted to simulated time. *)
+    exits 124): non-positive counts, non-finite or out-of-range floats
+    and a malformed [BP_BENCH_SCALE]. *)
 
 type t = {
   knobs : Bp_harness.Knobs.t;
@@ -18,7 +16,6 @@ type t = {
 }
 
 val term : t Cmdliner.Term.t
-(** The eight knob flags ([--pipeline], [--load-rate], [--load-trace],
-    [--skew], [--shards], [--batch-min-fill], [--batch-hold],
-    [--no-cache]; absent flags keep
-    {!Bp_harness.Knobs.default}) plus [--scale] and [--jobs]. *)
+(** The three load-knob flags ([--load-rate], [--load-trace], [--skew];
+    absent flags keep {!Bp_harness.Knobs.default}) plus [--scale] and
+    [--jobs]. *)

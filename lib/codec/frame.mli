@@ -61,5 +61,4 @@ val seal_with_suffix :
     [suffix_shift = Crc32.shift (String.length suffix)]. Broadcast paths
     compute both once and pay one payload-sized CRC pass and one shift
     per broadcast, then one modular multiply per destination. Combining
-    is arithmetic, not a cache, so it runs in every mode, [--no-cache]
-    included. *)
+    is arithmetic, not a cache, so it runs whatever the caches keep. *)

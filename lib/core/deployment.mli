@@ -39,8 +39,9 @@ val create :
     handlers and every submit is the seed-identical direct path.
     [cache] (default on) gives every node and API endpoint its own
     {!Bp_crypto.Verify_cache}; off, each one is created with zero
-    capacity and digest budget, so it memoizes nothing. Which bytes get
-    signed does not depend on it, so every table is identical either
+    capacity and digest budget, so it memoizes nothing. Off is a test
+    seam: the zero-capacity cache is the tests' reference model. Which
+    bytes get signed does not depend on it, so a run is identical either
     way. *)
 
 val n_participants : t -> int

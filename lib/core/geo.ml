@@ -131,7 +131,6 @@ type t = {
   mutable entries : entry_state Int_map.t;
   mutable suspected : int list;
   mutable suspect_subs : (int -> unit) list;
-  mutable restore_subs : (int -> unit) list;
 }
 
 let current_targets t =
@@ -149,9 +148,7 @@ let is_proved t ~pos =
   | Some e -> e.proved
   | None -> false
 
-let suspected t p = List.mem p t.suspected
 let on_suspect t f = t.suspect_subs <- f :: t.suspect_subs
-let on_restore t f = t.restore_subs <- f :: t.restore_subs
 
 let request_proofs t pos e =
   List.iter
@@ -239,7 +236,6 @@ let create ~node ~fg ~mirror_set ~all_unit_nodes () =
       entries = Int_map.empty;
       suspected = [];
       suspect_subs = [];
-      restore_subs = [];
     }
   in
   if fg > 0 then begin
@@ -284,8 +280,7 @@ let create ~node ~fg ~mirror_set ~all_unit_nodes () =
            end)
          ~on_restore:(fun a ->
            let p = addr_to_participant a in
-           t.suspected <- List.filter (fun q -> q <> p) t.suspected;
-           List.iter (fun f -> f p) t.restore_subs)
+           t.suspected <- List.filter (fun q -> q <> p) t.suspected)
          ());
     (* Slow retry for unproved entries (lost requests, lagging mirrors). *)
     ignore

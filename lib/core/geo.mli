@@ -14,7 +14,7 @@
     A heartbeat failure detector reroutes proof requests around suspected
     (crashed) mirror participants, which is what Fig. 8(a) measures; full
     primary takeover (Fig. 8(b)) is orchestrated by the caller using
-    {!on_suspect}/{!on_restore}. *)
+    {!on_suspect}. *)
 
 module Agent : sig
   type t
@@ -56,7 +56,3 @@ val current_targets : t -> int list
 
 val on_suspect : t -> (int -> unit) -> unit
 (** Register for mirror-participant suspicion events. *)
-
-val on_restore : t -> (int -> unit) -> unit
-
-val suspected : t -> int -> bool

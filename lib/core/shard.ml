@@ -108,19 +108,14 @@ let encode_msg msg =
             Wire.u8 e 3;
             Wire.string e txid)
 
-let is_msg payload =
-  String.length payload >= String.length msg_prefix
-  && String.equal (String.sub payload 0 (String.length msg_prefix)) msg_prefix
+let is_msg payload = String.starts_with ~prefix:msg_prefix payload
 
 let decode_msg payload =
   if not (is_msg payload) then None
   else
-    let body =
-      String.sub payload (String.length msg_prefix)
-        (String.length payload - String.length msg_prefix)
-    in
+    let off = String.length msg_prefix in
     match
-      Wire.decode body (fun d ->
+      Wire.decode_sub payload ~off ~len:(String.length payload - off) (fun d ->
           match Wire.read_u8 d with
           | 0 ->
               let txid = Wire.read_string d in

@@ -16,7 +16,8 @@
     Everything is deterministic: FIFO eviction, no wall-clock, no
     randomness. A cache created with [~capacity:0 ~digest_budget:0] keeps
     nothing, so every call is the exact uncached computation (still
-    counted as a miss); that is what [--no-cache] builds. There is no
+    counted as a miss); that is what [Deployment.create ~cache:false]
+    builds, the tests' reference model. There is no
     process-wide mode: which bytes a message signs never depends on a
     cache (see {!Bp_pbft.Msg}). *)
 

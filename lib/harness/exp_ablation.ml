@@ -5,8 +5,8 @@ open Blockplane
 
 (* Internally sequential (three strategies share one populated world),
    so the plan is a single task. *)
-let reads_reports ~knobs ~scale =
-  let world = Runner.fresh_world ~knobs ~seed:6100L () in
+let reads_reports ~scale =
+  let world = Runner.fresh_world ~seed:6100L () in
   let engine = world.Runner.engine in
   let api = Deployment.api world.Runner.dep 0 in
   (* Populate a few entries first. *)
@@ -53,20 +53,19 @@ let reads_reports ~knobs ~scale =
     };
   ]
 
-let reads_plan ~knobs ~scale =
+let reads_plan ~scale =
   Runner.Plan
-    { tasks = [ (fun () -> reads_reports ~knobs ~scale) ]; merge = List.concat }
+    { tasks = [ (fun () -> reads_reports ~scale) ]; merge = List.concat }
 
 (* ---------- batching / group commit (§VI-C) ---------- *)
 
 (* This world and those of the signature and loss ablations pin the
    consensus pipeline at depth 8, the Config.make default their tables
-   were recorded at ([--pipeline] does not reach them); every other knob
-   fills in as usual. *)
+   were recorded at, where Runner.fresh_world alone would give depth 1. *)
 
-let run_burst ~knobs ~burst ~batch_max ~seed =
+let run_burst ~burst ~batch_max ~seed =
   let w =
-    Runner.fresh_world ~knobs ~seed ~n_participants:1 ~batch_max
+    Runner.fresh_world ~seed ~n_participants:1 ~batch_max
       ~max_in_flight:8 ()
   in
   let engine = w.Runner.engine in
@@ -107,23 +106,23 @@ let batching_merge ~burst results =
     };
   ]
 
-let batching_plan ~knobs ~scale =
+let batching_plan ~scale =
   let burst = Runner.scaled scale 50 in
   Runner.Plan
     {
       tasks =
         [
-          (fun () -> run_burst ~knobs ~burst ~batch_max:1 ~seed:6200L);
-          (fun () -> run_burst ~knobs ~burst ~batch_max:64 ~seed:6201L);
+          (fun () -> run_burst ~burst ~batch_max:1 ~seed:6200L);
+          (fun () -> run_burst ~burst ~batch_max:64 ~seed:6201L);
         ];
       merge = batching_merge ~burst;
     }
 
 (* ---------- signature schemes ---------- *)
 
-let run_scheme ~knobs ~n ~scheme ~seed =
+let run_scheme ~n ~scheme ~seed =
   let w =
-    Runner.fresh_world ~knobs ~seed ~n_participants:2 ~scheme ~max_in_flight:8
+    Runner.fresh_world ~seed ~n_participants:2 ~scheme ~max_in_flight:8
       ()
   in
   let engine = w.Runner.engine and dep = w.Runner.dep in
@@ -184,14 +183,14 @@ let signatures_merge results =
     };
   ]
 
-let signatures_plan ~knobs ~scale =
+let signatures_plan ~scale =
   let n = Stdlib.max 2 (Runner.scaled scale 5) in
   Runner.Plan
     {
       tasks =
         [
-          (fun () -> run_scheme ~knobs ~n ~scheme:`Hmac ~seed:6300L);
-          (fun () -> run_scheme ~knobs ~n ~scheme:`Hash_based ~seed:6301L);
+          (fun () -> run_scheme ~n ~scheme:`Hmac ~seed:6300L);
+          (fun () -> run_scheme ~n ~scheme:`Hash_based ~seed:6301L);
         ];
       merge = signatures_merge;
     }
@@ -200,10 +199,10 @@ let signatures_plan ~knobs ~scale =
 
 let loss_rates = [ 0.0; 0.01; 0.05; 0.10 ]
 
-let loss_task ~knobs ~scale i rate () =
+let loss_task ~scale i rate () =
   let n = Runner.scaled scale 30 in
   let w =
-    Runner.fresh_world ~knobs ~seed:(Int64.of_int (6400 + i)) ~n_participants:1
+    Runner.fresh_world ~seed:(Int64.of_int (6400 + i)) ~n_participants:1
       ~max_in_flight:8 ()
   in
   Network.set_faults w.Runner.net { Network.no_faults with drop = rate };
@@ -238,9 +237,9 @@ let loss_merge rows =
     };
   ]
 
-let loss_plan ~knobs ~scale =
+let loss_plan ~scale =
   Runner.Plan
     {
-      tasks = List.mapi (fun i r -> loss_task ~knobs ~scale i r) loss_rates;
+      tasks = List.mapi (fun i r -> loss_task ~scale i r) loss_rates;
       merge = loss_merge;
     }

@@ -13,10 +13,10 @@
     Plan decompositions for [Pool.run]: [reads] is one task (its
     three strategies share a populated world); [batching] and
     [signatures] are one task per configuration; [loss] one task per
-    rate. Every world comes from {!Runner.fresh_world} with
-    [knobs]; all but [reads] pin pipeline depth 8. *)
+    rate. Every world comes from {!Runner.fresh_world}; all but
+    [reads] pin pipeline depth 8. *)
 
-val reads_plan : knobs:Knobs.t -> scale:float -> Runner.plan
-val batching_plan : knobs:Knobs.t -> scale:float -> Runner.plan
-val signatures_plan : knobs:Knobs.t -> scale:float -> Runner.plan
-val loss_plan : knobs:Knobs.t -> scale:float -> Runner.plan
+val reads_plan : scale:float -> Runner.plan
+val batching_plan : scale:float -> Runner.plan
+val signatures_plan : scale:float -> Runner.plan
+val loss_plan : scale:float -> Runner.plan

@@ -36,9 +36,9 @@ let measure_paxos ~leader ~reps ~seed =
 
 (* -------- Blockplane-paxos -------- *)
 
-let measure_bp_paxos ~knobs ~leader ~reps ~seed =
+let measure_bp_paxos ~leader ~reps ~seed =
   let world =
-    Runner.fresh_world ~knobs ~seed
+    Runner.fresh_world ~seed
       ~app:(fun () -> Blockplane.App.make (module Bp_apps.Byz_paxos.Protocol))
       ()
   in
@@ -89,12 +89,12 @@ let measure_hier ~leader ~reps ~seed =
 
 (* One task per (leader, system) cell — 16 independent simulations. The
    seed formula matches the old nested loop, so results are unchanged. *)
-let fig7_task ~knobs ~reps ~leader k () =
+let fig7_task ~reps ~leader k () =
   let seed = Int64.of_int (((5000 + leader) * 10) + k) in
   Bp_util.Stats.mean
     (match k with
     | 1 -> measure_paxos ~leader ~reps ~seed
-    | 2 -> measure_bp_paxos ~knobs ~leader ~reps ~seed
+    | 2 -> measure_bp_paxos ~leader ~reps ~seed
     | 3 -> measure_flat_pbft ~leader ~reps ~seed
     | _ -> measure_hier ~leader ~reps ~seed)
 
@@ -131,12 +131,12 @@ let fig7_merge means =
     };
   ]
 
-let fig7_plan ~knobs ~scale =
+let fig7_plan ~scale =
   let reps = repetitions scale in
   let tasks =
     List.concat_map
       (fun leader ->
-        List.map (fun k -> fig7_task ~knobs ~reps ~leader k) [ 1; 2; 3; 4 ])
+        List.map (fun k -> fig7_task ~reps ~leader k) [ 1; 2; 3; 4 ])
       [ 0; 1; 2; 3 ]
   in
   Runner.Plan { tasks; merge = fig7_merge }

@@ -13,10 +13,10 @@ let fig5_paper = function
 let fig5_points =
   List.concat_map (fun dc -> List.map (fun fg -> (dc, fg)) [ 1; 2; 3 ]) [ 0; 1; 2; 3 ]
 
-let fig5_task ~knobs ~scale (dc, fg) () =
+let fig5_task ~scale (dc, fg) () =
   let topo = Topology.aws_paper in
   let world =
-    Runner.fresh_world ~knobs ~fg
+    Runner.fresh_world ~fg
       ~seed:(Int64.of_int (4000 + (10 * dc) + fg))
       ()
   in
@@ -50,10 +50,10 @@ let fig5_merge rows =
     };
   ]
 
-let fig5_plan ~knobs ~scale =
+let fig5_plan ~scale =
   Runner.Plan
     {
-      tasks = List.map (fun p -> fig5_task ~knobs ~scale p) fig5_points;
+      tasks = List.map (fun p -> fig5_task ~scale p) fig5_points;
       merge = fig5_merge;
     }
 
@@ -97,8 +97,8 @@ let summarize_series series ~failure_at =
       :: !rows;
   List.rev !rows
 
-let fig8a ~knobs ~scale =
-  let world = Runner.fresh_world ~knobs ~fg:1 ~seed:4800L () in
+let fig8a ~scale =
+  let world = Runner.fresh_world ~fg:1 ~seed:4800L () in
   let api = Deployment.api world.Runner.dep Topology.dc_california in
   let total = Runner.scaled scale 100 in
   let failure_at = Stdlib.max 1 (45 * total / 100) in
@@ -129,8 +129,8 @@ let fig8a ~knobs ~scale =
       ];
   }
 
-let fig8b ~knobs ~scale =
-  let world = Runner.fresh_world ~knobs ~fg:1 ~seed:4900L () in
+let fig8b ~scale =
+  let world = Runner.fresh_world ~fg:1 ~seed:4900L () in
   let engine = world.Runner.engine in
   let c = Topology.dc_california and v = Topology.dc_virginia in
   let api_c = Deployment.api world.Runner.dep c in
@@ -193,10 +193,10 @@ let fig8b ~knobs ~scale =
       ];
   }
 
-let fig8_plan ~knobs ~scale =
+let fig8_plan ~scale =
   Runner.Plan
     {
       tasks =
-        [ (fun () -> fig8a ~knobs ~scale); (fun () -> fig8b ~knobs ~scale) ];
+        [ (fun () -> fig8a ~scale); (fun () -> fig8b ~scale) ];
       merge = (fun reports -> reports);
     }

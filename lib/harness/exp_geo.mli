@@ -6,8 +6,8 @@
     when the closest backup (Oregon) fails mid-run.
     Fig. 8(b): the same when the *primary* fails and Virginia takes over. *)
 
-val fig5_plan : knobs:Knobs.t -> scale:float -> Runner.plan
+val fig5_plan : scale:float -> Runner.plan
 (** One task per (datacenter, fg) scenario — 12 worlds. *)
 
-val fig8_plan : knobs:Knobs.t -> scale:float -> Runner.plan
+val fig8_plan : scale:float -> Runner.plan
 (** Two tasks: the backup-failure and primary-failure runs. *)

@@ -3,8 +3,8 @@ open Blockplane
 
 (* A deployment with one participant measures pure local commitment: no
    wide-area traffic is involved (§VIII-A runs in Virginia alone). *)
-let local_world ~knobs ~fi ~seed =
-  Runner.fresh_world ~knobs ~fi ~seed ~n_participants:1 ()
+let local_world ~fi ~seed =
+  Runner.fresh_world ~fi ~seed ~n_participants:1 ()
 
 let commit_loop world ~size ~n ~warmup =
   let api = Deployment.api world.Runner.dep 0 in
@@ -27,8 +27,8 @@ let fig4_points =
   ]
 
 (* One task per batch size: each point gets its own world and seed. *)
-let fig4_task ~knobs ~scale (kb, batches, paper_lat, paper_thr) () =
-  let world = local_world ~knobs ~fi:1 ~seed:(Int64.of_int (1000 + kb)) in
+let fig4_task ~scale (kb, batches, paper_lat, paper_thr) () =
+  let world = local_world ~fi:1 ~seed:(Int64.of_int (1000 + kb)) in
   let n = Runner.scaled scale batches in
   let warmup = Stdlib.max 1 (n / 10) in
   let stats = commit_loop world ~size:(kb * 1000) ~n ~warmup in
@@ -75,18 +75,18 @@ let fig4_merge results =
     };
   ]
 
-let fig4_plan ~knobs ~scale =
+let fig4_plan ~scale =
   Runner.Plan
     {
-      tasks = List.map (fun p -> fig4_task ~knobs ~scale p) fig4_points;
+      tasks = List.map (fun p -> fig4_task ~scale p) fig4_points;
       merge = fig4_merge;
     }
 
 let table2_points =
   [ (1, "83", "1.2"); (2, "51", "1.9"); (3, "28", "3.5"); (4, "25", "4") ]
 
-let table2_task ~knobs ~scale (fi, paper_thr, paper_lat) () =
-  let world = local_world ~knobs ~fi ~seed:(Int64.of_int (2000 + fi)) in
+let table2_task ~scale (fi, paper_thr, paper_lat) () =
+  let world = local_world ~fi ~seed:(Int64.of_int (2000 + fi)) in
   let n = Runner.scaled scale 50 in
   let warmup = Stdlib.max 1 (n / 10) in
   let stats = commit_loop world ~size:100_000 ~n ~warmup in
@@ -113,10 +113,10 @@ let table2_merge rows =
     };
   ]
 
-let table2_plan ~knobs ~scale =
+let table2_plan ~scale =
   Runner.Plan
     {
-      tasks = List.map (fun p -> table2_task ~knobs ~scale p) table2_points;
+      tasks = List.map (fun p -> table2_task ~scale p) table2_points;
       merge = table2_merge;
     }
 
@@ -148,9 +148,9 @@ let verify_model_cost = Time.of_ms 0.4
    pipelining can only hide verification latency to the extent the
    verify resource keeps up. The seed depends on the depth alone, so
    rows that differ only in jobs differ only in the verify resource. *)
-let pipeline_task ~knobs ~scale (jobs, depth) () =
+let pipeline_task ~scale (jobs, depth) () =
   let world =
-    Runner.fresh_world ~knobs ~fi:1 ~seed:(Int64.of_int (7000 + depth))
+    Runner.fresh_world ~fi:1 ~seed:(Int64.of_int (7000 + depth))
       ~n_participants:1 ~batch_max:1 ~max_in_flight:depth
       ~verify_cost:verify_model_cost ~verify_jobs:jobs ()
   in
@@ -211,9 +211,9 @@ let pipeline_merge results =
     };
   ]
 
-let pipeline_plan ~knobs ~scale =
+let pipeline_plan ~scale =
   Runner.Plan
     {
-      tasks = List.map (fun p -> pipeline_task ~knobs ~scale p) pipeline_points;
+      tasks = List.map (fun p -> pipeline_task ~scale p) pipeline_points;
       merge = pipeline_merge;
     }

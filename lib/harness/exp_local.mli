@@ -5,14 +5,14 @@
     Table II: the same at 100 KB while varying the unit size
     n ∈ {4, 7, 10, 13} (fi 1..4). *)
 
-val fig4_plan : knobs:Knobs.t -> scale:float -> Runner.plan
+val fig4_plan : scale:float -> Runner.plan
 (** One task per batch size; merges into the fig4a (latency) and fig4b
     (throughput) reports. *)
 
-val table2_plan : knobs:Knobs.t -> scale:float -> Runner.plan
+val table2_plan : scale:float -> Runner.plan
 (** One task per unit size (fi 1..4). *)
 
-val pipeline_plan : knobs:Knobs.t -> scale:float -> Runner.plan
+val pipeline_plan : scale:float -> Runner.plan
 (** Pipeline ablation (beyond the paper): closed-loop 100 KB commits
     with [batch_max = 1] and the modeled per-signature verification cost
     enabled, over a grid of verify jobs 1/2/4 x depths 1/2/4/8, one task

@@ -9,9 +9,9 @@ let split_traffic net =
     m;
   (!intra, !wide)
 
-let run_bp_paxos ~knobs ~reps ~seed =
+let run_bp_paxos ~reps ~seed =
   let world =
-    Runner.fresh_world ~knobs ~seed
+    Runner.fresh_world ~seed
       ~app:(fun () -> Blockplane.App.make (module Bp_apps.Byz_paxos.Protocol))
       ()
   in
@@ -72,13 +72,13 @@ let locality_merge ~reps results =
     };
   ]
 
-let locality_plan ~knobs ~scale =
+let locality_plan ~scale =
   let reps = Runner.scaled scale 10 in
   Runner.Plan
     {
       tasks =
         [
-          (fun () -> run_bp_paxos ~knobs ~reps ~seed:6700L);
+          (fun () -> run_bp_paxos ~reps ~seed:6700L);
           (fun () -> run_flat_pbft ~reps ~seed:6701L);
         ];
       merge = locality_merge ~reps;

@@ -8,5 +8,5 @@
     and reports where the bytes actually went: intra-datacenter vs
     wide-area, per system. *)
 
-val locality_plan : knobs:Knobs.t -> scale:float -> Runner.plan
+val locality_plan : scale:float -> Runner.plan
 (** Two tasks: the Blockplane-Paxos and flat-PBFT runs. *)

@@ -82,7 +82,7 @@ let mean_fill (bs : Bp_pbft.Replica.batch_stats) =
 
 let sat_task ~knobs ~scale ~series ~rate ~seed () =
   let world =
-    Runner.fresh_world ~knobs ~fi:1 ~seed ~n_participants:1
+    Runner.fresh_world ~fi:1 ~seed ~n_participants:1
       ~max_in_flight:series.depth ~batch_min_fill:series.min_fill
       ?batch_hold:
         (if series.hold_ms > 0.0 then Some (Time.of_ms series.hold_ms) else None)

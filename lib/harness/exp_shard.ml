@@ -65,7 +65,7 @@ let op_payload ~client i =
 let shard_task ~knobs ~scale ~series ~nshards ~seed () =
   let map = map_for nshards in
   let world =
-    Runner.fresh_world ~knobs ~fi:1 ~seed ~n_participants:nshards ~shard_map:map
+    Runner.fresh_world ~fi:1 ~seed ~n_participants:nshards ~shard_map:map
       ~max_in_flight:8 ~batch_min_fill:16 ~batch_hold:(Time.of_ms 0.25) ()
   in
   let engine = world.Runner.engine in

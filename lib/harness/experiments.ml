@@ -4,6 +4,9 @@ type t = {
   plan : knobs:Knobs.t -> scale:float -> Runner.plan;
 }
 
+(* Every experiment but the two Loadgen sweeps fixes its own worlds. *)
+let fixed plan ~knobs:_ ~scale = plan ~scale
+
 let all =
   [
     {
@@ -14,53 +17,53 @@ let all =
     {
       id = "fig4";
       title = "Local commitment latency/throughput vs batch size";
-      plan = Exp_local.fig4_plan;
+      plan = fixed Exp_local.fig4_plan;
     };
     {
       id = "table2";
       title = "Local commitment vs number of nodes";
-      plan = Exp_local.table2_plan;
+      plan = fixed Exp_local.table2_plan;
     };
     {
       id = "fig5";
       title = "Geo-correlated fault tolerance latency";
-      plan = Exp_geo.fig5_plan;
+      plan = fixed Exp_geo.fig5_plan;
     };
     {
       id = "fig6";
       title = "Communication latency between participants";
-      plan = Exp_comm.fig6_plan;
+      plan = fixed Exp_comm.fig6_plan;
     };
     {
       id = "fig7";
       title = "Byzantized paxos vs baselines";
-      plan = Exp_consensus.fig7_plan;
+      plan = fixed Exp_consensus.fig7_plan;
     };
     {
       id = "fig8";
       title = "Reacting to failures";
-      plan = Exp_geo.fig8_plan;
+      plan = fixed Exp_geo.fig8_plan;
     };
     (* Ablations beyond the paper's figures. *)
     {
       id = "ablation-reads";
       title = "Read strategies (SVI-A) latency";
-      plan = Exp_ablation.reads_plan;
+      plan = fixed Exp_ablation.reads_plan;
     };
     {
       id = "ablation-batch";
       title = "Group commit (SVI-C) on/off";
-      plan = Exp_ablation.batching_plan;
+      plan = fixed Exp_ablation.batching_plan;
     };
     {
       id = "ablation-sig";
       title = "HMAC vs hash-based signatures";
-      plan = Exp_ablation.signatures_plan;
+      plan = fixed Exp_ablation.signatures_plan;
     };
     {
       id = "ablation-loss";
       title = "Commit latency under packet loss";
-      plan = Exp_ablation.loss_plan;
+      plan = fixed Exp_ablation.loss_plan;
     };
     {
       id = "ablation-saturation";
@@ -70,7 +73,7 @@ let all =
     {
       id = "ablation-pipeline";
       title = "Consensus pipeline depth x verification parallelism";
-      plan = Exp_local.pipeline_plan;
+      plan = fixed Exp_local.pipeline_plan;
     };
     {
       id = "ablation-shard";
@@ -80,12 +83,12 @@ let all =
     {
       id = "locality";
       title = "Intra-DC vs wide-area traffic share (SIII-A)";
-      plan = Exp_locality.locality_plan;
+      plan = fixed Exp_locality.locality_plan;
     };
     {
       id = "costs";
       title = "Resource costs of byzantizing (SVI-D)";
-      plan = Exp_costs.costs_plan;
+      plan = fixed Exp_costs.costs_plan;
     };
   ]
 

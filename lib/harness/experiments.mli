@@ -11,7 +11,8 @@ type t = {
   id : string;
   title : string;
   plan : knobs:Knobs.t -> scale:float -> Runner.plan;
-      (** experiments that build no {!Runner.fresh_world} ignore [knobs] *)
+      (** only ablation-saturation and ablation-shard read [knobs]; every
+          other experiment fixes its own worlds *)
 }
 
 val all : t list
@@ -28,5 +29,5 @@ val run :
   scale:float ->
   Report.t list
 (** Execute one experiment on up to [jobs] domains (default 1: inline).
-    Output is identical at every job count. [knobs]
-    (default {!Knobs.default}) reaches every world the plan builds. *)
+    Output is identical at every job count. [knobs] (default
+    {!Knobs.default}) reaches the two Loadgen-driven plans. *)

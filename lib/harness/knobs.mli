@@ -1,17 +1,15 @@
-(** The run-wide experiment knobs: one immutable record, built once by
-    the executables' shared flag term and passed explicitly from
-    {!Experiments.run} through every plan factory down to
-    {!Runner.fresh_world} and the Loadgen sweeps. Nothing here is
-    global: two runs with different knobs can share a process. *)
+(** The run-wide load knobs: one immutable record, built once by the
+    executables' shared flag term and passed explicitly from
+    {!Experiments.run} to the two Loadgen-driven plans
+    (ablation-saturation and ablation-shard). Every other experiment
+    fixes its own worlds and takes no knobs. Nothing here is global: two
+    runs with different knobs can share a process. *)
 
 type load_shape = [ `Poisson | `Bursty | `Diurnal ]
 (** Arrival-process families the load knobs select between (see
     {!Loadgen.process} for their semantics). *)
 
 type t = {
-  pipeline : int;
-      (** consensus pipeline depth for worlds that don't pick one
-          ([--pipeline]); 1 is the stop-and-wait seed. *)
   load_shape : load_shape;
       (** arrival process of Loadgen-driven experiments ([--load-trace]). *)
   load_rate : float option;
@@ -20,23 +18,8 @@ type t = {
   skew : float;
       (** zipf exponent over the modeled client population ([--skew]);
           0 = uniform. *)
-  shards : int;
-      (** hash shards for worlds without an explicit shard map
-          ([--shards]); clamped to each world's participant count. *)
-  batch_min_fill : int option;
-      (** batch-cut minimum fill for worlds that don't pick one
-          ([--batch-min-fill]); clamped to each world's [batch_max].
-          [None] keeps the seed's cut-on-any-signal policy. *)
-  batch_hold : Bp_sim.Time.t option;
-      (** batch-cut hold window for worlds that don't pick one
-          ([--batch-hold]). *)
-  cache : bool;
-      (** per-node verification/digest memoization ([--no-cache] turns
-          it off). Signing is the same either way, so no table moves. *)
 }
 
 val default : t
-(** The seed configuration: depth 1, Poisson
-    arrivals over the stock rate sweep, skew 0.99, one shard and the
-    cut-on-any-signal batch policy, caches on. Every golden table is
-    recorded under it. *)
+(** Poisson arrivals over the stock rate sweep, skew 0.99. Every golden
+    table is recorded under it. *)

@@ -6,20 +6,12 @@ type world = {
   dep : Blockplane.Deployment.t;
 }
 
-(* Knob defaults fill only the gaps a world leaves: every explicit
-   per-world argument wins over the record. Two knobs are clamped to the
-   world they land in, because one run-wide value must stay valid across
-   worlds of every size: the shard count to the participant count (a
-   run-wide --shards 16 must not break a two-participant comm study) and
-   the min-fill to the world's batch_max (a run-wide --batch-min-fill 16
-   must not break the batch_max = 1 pipeline ablation). Explicit values
-   are never clamped: more shards than participants, or a min-fill above
-   batch_max, is a configuration error and raises in Deployment.create /
-   Config.make. The min-fill/hold pair rule is judged by Config.make on
-   the COMPOSED pair, so an explicit min-fill and a knob hold compose. *)
-let fresh_world ?(knobs = Knobs.default) ?(fi = 1) ?(fg = 0) ?(seed = 4242L)
-    ?(n_participants = 4) ?scheme ?batch_max ?batch_min_fill
-    ?batch_hold ?max_in_flight ?verify_cost ?verify_jobs ?shards ?shard_map
+(* Depth 1 (stop-and-wait) unless the caller picks a depth: fig4,
+   table2 and figs. 5-8 are recorded at it, where Config.make alone
+   would default to 8. *)
+let fresh_world ?(fi = 1) ?(fg = 0) ?(seed = 4242L) ?(n_participants = 4)
+    ?scheme ?batch_max ?batch_min_fill ?batch_hold ?(max_in_flight = 1)
+    ?verify_cost ?verify_jobs ?shard_map
     ?(app = fun () -> Blockplane.App.make (module Blockplane.App.Null)) () =
   let engine = Engine.create ~seed () in
   (* More participants than the paper's four regions: tile the Table I
@@ -31,34 +23,10 @@ let fresh_world ?(knobs = Knobs.default) ?(fi = 1) ?(fg = 0) ?(seed = 4242L)
     else Topology.tiled Topology.aws_paper ~sites:n_participants
   in
   let net = Network.create engine topology () in
-  let batch_min_fill =
-    match batch_min_fill with
-    | Some _ -> batch_min_fill
-    | None ->
-        let cap =
-          Option.value batch_max ~default:Bp_pbft.Config.default_batch_max
-        in
-        Option.map (Stdlib.min cap) knobs.Knobs.batch_min_fill
-  in
-  let batch_hold =
-    match batch_hold with Some _ -> batch_hold | None -> knobs.batch_hold
-  in
-  let shard_map =
-    match shard_map with
-    | Some m -> m
-    | None ->
-        let shards =
-          match shards with
-          | Some s -> s
-          | None -> Stdlib.min knobs.shards n_participants
-        in
-        Blockplane.Shard.make ~shards ()
-  in
   let dep =
     Blockplane.Deployment.create ~network:net ~n_participants ~fi ~fg ?scheme
-      ?batch_max ?batch_min_fill ?batch_hold
-      ~max_in_flight:(Option.value max_in_flight ~default:knobs.pipeline)
-      ?verify_cost ?verify_jobs ~shard_map ~cache:knobs.cache ~app ()
+      ?batch_max ?batch_min_fill ?batch_hold ~max_in_flight ?verify_cost
+      ?verify_jobs ?shard_map ~app ()
   in
   { engine; net; dep }
 

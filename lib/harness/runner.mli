@@ -9,7 +9,6 @@ type world = {
 }
 
 val fresh_world :
-  ?knobs:Knobs.t ->
   ?fi:int ->
   ?fg:int ->
   ?seed:int64 ->
@@ -21,7 +20,6 @@ val fresh_world :
   ?max_in_flight:int ->
   ?verify_cost:Bp_sim.Time.t ->
   ?verify_jobs:int ->
-  ?shards:int ->
   ?shard_map:Blockplane.Shard.map ->
   ?app:(unit -> Blockplane.App.instance) ->
   unit ->
@@ -30,19 +28,12 @@ val fresh_world :
     paper's Table I topology; when [n_participants] exceeds its four
     regions the topology is {!Bp_sim.Topology.tiled} over it, so
     scale-out worlds get one datacenter per unit at fixed per-unit
-    resources. [shards] / [shard_map] select the keyspace partition
-    (explicit map wins). [scheme] passes through to
-    {!Blockplane.Deployment.create}.
-
-    [knobs] (default {!Knobs.default}) fills every argument the caller
-    leaves out: pipeline depth, shards and the batch-cut pair. An explicit argument always wins. [knobs.cache]
-    has no per-world override: it always reaches the deployment. Two knob
-    values are clamped to the world: [knobs.shards] to [n_participants]
-    and [knobs.batch_min_fill] to [batch_max], so one run-wide setting
-    stays valid in worlds of every size. Explicit [?shards] and
-    [?batch_min_fill] are never clamped: out-of-range values raise
-    [Invalid_argument] from [Deployment.create] / [Config.make], which
-    also judges the min-fill/hold pair rule on the composed pair. *)
+    resources. Each experiment fixes its own worlds: every argument
+    passes through to {!Blockplane.Deployment.create} (default: one
+    shard, caches on), except [max_in_flight], which defaults to 1
+    (stop-and-wait, the depth the paper's tables are recorded at)
+    rather than {!Bp_pbft.Config.make}'s 8. Out-of-range values raise
+    [Invalid_argument] from [Deployment.create] / [Config.make]. *)
 
 val flat_pbft :
   seed:int64 ->

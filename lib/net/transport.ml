@@ -84,7 +84,6 @@ type t = {
   scratch : Bp_codec.Wire.encoder; (* frame bytes, when built (Frame.seal_with) *)
   mutable retransmissions : int;
   mutable discarded : int;
-  mutable stopped : bool;
 }
 
 let addr t = t.self
@@ -158,17 +157,16 @@ let rec arm_retransmit t p =
   match p.retransmit with
   | Some _ -> ()
   | None ->
-      if not t.stopped then
-        let timer =
-          Engine.schedule t.engine ~after:(rto t p) (fun () ->
-              p.retransmit <- None;
-              if p.acked < p.next_send_seq then begin
-                p.backoff <- p.backoff + 1;
-                retransmit_all t p;
-                arm_retransmit t p
-              end)
-        in
-        p.retransmit <- Some timer
+      let timer =
+        Engine.schedule t.engine ~after:(rto t p) (fun () ->
+            p.retransmit <- None;
+            if p.acked < p.next_send_seq then begin
+              p.backoff <- p.backoff + 1;
+              retransmit_all t p;
+              arm_retransmit t p
+            end)
+      in
+      p.retransmit <- Some timer
 
 let dispatch t ~src ~tag payload =
   match Hashtbl.find_opt t.handlers tag with
@@ -276,7 +274,6 @@ let create net self =
       scratch = Bp_codec.Wire.encoder ~size_hint:512 ();
       retransmissions = 0;
       discarded = 0;
-      stopped = false;
     }
   in
   Network.register net self (fun ~src ~hint frame -> on_frame t ~src ~hint frame);
@@ -411,13 +408,5 @@ let broadcast t ?(reliable = true) ~dsts ~tag payload =
           end)
         dsts
   end
-
-let stop t =
-  t.stopped <- true;
-  Addr.Tbl.iter
-    (fun _ p ->
-      (match p.retransmit with Some timer -> Engine.cancel timer | None -> ());
-      p.retransmit <- None)
-    t.peers
 
 let stats t = (t.retransmissions, t.discarded)

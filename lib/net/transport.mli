@@ -65,8 +65,5 @@ val suffix_frames :
     [Unreliable { tag; payload }]. The suffix CRC is computed once, when
     the first of its frames is built. *)
 
-val stop : t -> unit
-(** Cancel all retransmission timers (used at controlled shutdown). *)
-
 val stats : t -> int * int
 (** (retransmissions, discarded corrupt/malformed frames). *)

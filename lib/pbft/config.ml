@@ -32,25 +32,7 @@ let identity t addr =
 
 let reply_tag t = t.tag ^ ".reply"
 
-let default_batch_max = 64
-
-let check_batch_policy ~batch_max ~batch_min_fill ~batch_hold =
-  if batch_max <= 0 then Error "batch_max must be positive"
-  else if batch_min_fill <= 0 || batch_min_fill > batch_max then
-    (* A min fill above batch_max could never be satisfied: the hold
-       timer would fire on every batch, degrading every cut to the
-       timeout path. Zero or negative would disable batching entirely. *)
-    Error "batch_min_fill must be in [1, batch_max]"
-  else if Bp_sim.Time.(batch_hold < Bp_sim.Time.zero) then
-    Error "batch_hold must be non-negative"
-  else if batch_min_fill > 1 && Bp_sim.Time.(batch_hold <= Bp_sim.Time.zero)
-  then
-    (* min-fill without a hold bound would wedge the tail: the last
-       requests of a workload may never reach the fill threshold. *)
-    Error "batch_min_fill > 1 requires batch_hold > 0"
-  else Ok ()
-
-let make ~nodes ~keystore ?(tag = "pbft") ?(batch_max = default_batch_max)
+let make ~nodes ~keystore ?(tag = "pbft") ?(batch_max = 64)
     ?(batch_min_fill = 1) ?(batch_hold = Bp_sim.Time.zero)
     ?(request_timeout = Bp_sim.Time.of_ms 500.0) ?(checkpoint_interval = 32)
     ?(watermark_window = 128) ?(max_in_flight = 8)
@@ -58,9 +40,18 @@ let make ~nodes ~keystore ?(tag = "pbft") ?(batch_max = default_batch_max)
   let n = Array.length nodes in
   if n < 4 || (n - 1) mod 3 <> 0 then
     invalid_arg "Pbft.Config.make: need n = 3f+1 >= 4 nodes";
-  (match check_batch_policy ~batch_max ~batch_min_fill ~batch_hold with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Pbft.Config.make: " ^ msg));
+  if batch_max <= 0 then invalid_arg "Pbft.Config.make: batch_max must be positive";
+  if batch_min_fill <= 0 || batch_min_fill > batch_max then
+    (* A min fill above batch_max could never be satisfied: the hold
+       timer would fire on every batch, degrading every cut to the
+       timeout path. Zero or negative would disable batching entirely. *)
+    invalid_arg "Pbft.Config.make: batch_min_fill must be in [1, batch_max]";
+  if Bp_sim.Time.(batch_hold < Bp_sim.Time.zero) then
+    invalid_arg "Pbft.Config.make: batch_hold must be non-negative";
+  if batch_min_fill > 1 && Bp_sim.Time.(batch_hold <= Bp_sim.Time.zero) then
+    (* min-fill without a hold bound would wedge the tail: the last
+       requests of a workload may never reach the fill threshold. *)
+    invalid_arg "Pbft.Config.make: batch_min_fill > 1 requires batch_hold > 0";
   if checkpoint_interval <= 0 then
     (* A zero interval would silently disable checkpointing — and with it
        watermark advancement and garbage collection. *)

@@ -46,21 +46,6 @@ type t = {
           not for direct use. *)
 }
 
-val default_batch_max : int
-(** The [batch_max] {!make} uses when none is given (64 requests). *)
-
-val check_batch_policy :
-  batch_max:int ->
-  batch_min_fill:int ->
-  batch_hold:Bp_sim.Time.t ->
-  (unit, string) result
-(** The batch-policy rule {!make} enforces: [batch_max] positive,
-    [batch_min_fill] in [1, batch_max], [batch_hold] non-negative, and
-    a positive [batch_hold] whenever [batch_min_fill > 1] (the tail of a
-    workload could otherwise never form a batch). [Error] carries the
-    violated condition. Exported so flag parsers judge a batch policy by
-    the same rule, on the converted {!Bp_sim.Time.t} hold. *)
-
 val make :
   nodes:Bp_sim.Addr.t array ->
   keystore:Bp_crypto.Signer.t ->

@@ -91,7 +91,7 @@ type body =
     Every signing and checking function takes the calling principal's
     [cache]: its keystore ({!Bp_crypto.Verify_cache.keystore}) signs and
     verifies, and it memoizes digests and verdicts per node. How much the
-    cache keeps (a zero-capacity one under [--no-cache]) never changes any
+    cache keeps (a zero-capacity one included) never changes any
     produced byte or verdict — only how fast they come back. *)
 
 val make_request :

@@ -46,8 +46,6 @@ let iter_from t start f =
     f t.entries.(i)
   done
 
-let to_list t = List.init t.len (fun i -> t.entries.(i))
-
 let verify_chain t =
   let rec go i prev =
     if i >= t.len then true

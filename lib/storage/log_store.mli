@@ -34,8 +34,6 @@ val digest_at : t -> int -> string
 val iter_from : t -> int -> (entry -> unit) -> unit
 (** Apply to every entry with index >= the given one, in order. *)
 
-val to_list : t -> entry list
-
 val verify_chain : t -> bool
 (** Recompute the chain, re-hashing every payload; [false] if any stored
     digest mismatches (detects in-memory tampering in byzantine tests). *)

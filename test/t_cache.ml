@@ -156,9 +156,10 @@ let test_sign_seeds_cache () =
   Alcotest.(check bool) "tampered message rejected" false
     (Verify_cache.verify cache ~signer:ids.(1) ~msg:"other" ~signature)
 
-(* What [--no-cache] builds: a cache with zero capacity and digest budget
-   keeps nothing. Every verify and every memo-sized digest is a counted
-   miss, signing seeds no verdict, and a capacity-0 memo recomputes. *)
+(* What [Deployment.create ~cache:false] builds: a cache with zero
+   capacity and digest budget keeps nothing. Every verify and every
+   memo-sized digest is a counted miss, signing seeds no verdict, and a
+   capacity-0 memo recomputes. *)
 let test_zero_capacity_keeps_nothing () =
   let ks = make_keystore () in
   let cache = Verify_cache.create ~capacity:0 ~digest_budget:0 ks in

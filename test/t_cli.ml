@@ -38,26 +38,12 @@ let test_valid_flags () =
       ((parsed args).Bp_cli.knobs = expected)
   in
   check [] k;
-  check [ "--pipeline"; "4" ] { k with pipeline = 4 };
   check [ "--load-rate"; "20000" ] { k with load_rate = Some 20_000.0 };
   check [ "--load-trace"; "bursty" ] { k with load_shape = `Bursty };
   check [ "--load-trace"; "diurnal" ] { k with load_shape = `Diurnal };
   check [ "--skew"; "0" ] { k with skew = 0.0 };
-  check [ "--no-cache" ] { k with cache = false };
-  check [ "--shards"; "4" ] { k with shards = 4 };
-  check [ "--batch-min-fill"; "1" ] { k with batch_min_fill = Some 1 };
-  check [ "--batch-hold"; "0.25" ]
-    { k with batch_hold = Some (Bp_sim.Time.of_ms 0.25) };
-  check
-    [ "--batch-min-fill"; "16"; "--batch-hold"; "0.25" ]
-    {
-      k with
-      batch_min_fill = Some 16;
-      batch_hold = Some (Bp_sim.Time.of_ms 0.25);
-    };
   let t = parsed [] in
   Alcotest.(check (float 0.0)) "default scale" 1.0 t.Bp_cli.scale;
-  Alcotest.(check bool) "cache on by default" true t.Bp_cli.knobs.cache;
   Alcotest.(check (float 0.0)) "--scale" 0.2 (parsed [ "--scale"; "0.2" ]).scale;
   Alcotest.(check (float 0.0)) "-s" 0.2 (parsed [ "-s"; "0.2" ]).scale;
   Alcotest.(check (float 0.0)) "BP_BENCH_SCALE fallback" 0.3
@@ -84,17 +70,15 @@ let test_bad_values () =
   rejected [ "--load-rate"; "nan" ];
   rejected [ "--load-rate"; "inf" ];
   rejected [ "--load-rate"; "0" ];
-  rejected [ "--batch-min-fill"; "16" ];
-  rejected [ "--batch-min-fill"; "16"; "--batch-hold"; "0" ];
-  rejected [ "--batch-min-fill"; "16"; "--batch-hold"; "0.0000001" ];
-  rejected [ "--batch-min-fill"; "0" ];
-  rejected [ "--batch-hold"; "nan" ];
-  rejected [ "--batch-hold"; "-1" ];
-  rejected [ "--pipeline"; "0" ];
   (* Removed flags: a script that still passes one fails loudly. *)
   rejected [ "--verify-jobs"; "2" ];
   rejected [ "--cluster-send"; "on" ];
-  rejected [ "--shards"; "0" ];
+  rejected [ "--pipeline"; "4" ];
+  rejected [ "--shards"; "4" ];
+  rejected [ "--no-cache" ];
+  rejected [ "--batch-min-fill"; "16" ];
+  rejected [ "--batch-hold"; "0.25" ];
+  rejected [ "--batch-min-fill"; "16"; "--batch-hold"; "0.25" ];
   rejected [ "--jobs"; "0" ];
   rejected [ "--load-trace"; "square" ];
   rejected [ "--scale"; "inf" ];
@@ -117,28 +101,6 @@ let test_huge_jobs_count () =
   in
   Alcotest.(check string) "table2 bytes" (render 1) (render t.Bp_cli.jobs)
 
-(* [--no-cache] is a knob value, not a process mode: after parsing it,
-   a default world in the same process still memoizes — its nodes'
-   caches record verify hits. *)
-let test_no_cache_does_not_leak () =
-  ignore (parsed [ "--no-cache"; "-j"; "1" ]);
-  let w = Bp_harness.Runner.fresh_world ~n_participants:1 () in
-  let api = Blockplane.Deployment.api w.Bp_harness.Runner.dep 0 in
-  for i = 1 to 4 do
-    Blockplane.Api.log_commit api (Printf.sprintf "op-%d" i) ~on_done:ignore
-  done;
-  Bp_sim.Engine.run ~until:(Bp_sim.Time.of_sec 1.0) w.Bp_harness.Runner.engine;
-  let hits =
-    Array.fold_left
-      (fun acc node ->
-        acc
-        + (Bp_crypto.Verify_cache.instance_counters (Blockplane.Unit_node.vcache node))
-            .Bp_crypto.Verify_cache.verify_hits)
-      0
-      (Blockplane.Deployment.nodes_of w.Bp_harness.Runner.dep 0)
-  in
-  Alcotest.(check bool) "default world's node caches hit" true (hits > 0)
-
 let suite =
   [
     ( "cli",
@@ -147,7 +109,5 @@ let suite =
         Alcotest.test_case "bad values are flag errors" `Quick test_bad_values;
         Alcotest.test_case "--jobs 10000 renders table2 like -j 1" `Quick
           test_huge_jobs_count;
-        Alcotest.test_case "--no-cache leaves later worlds cached" `Quick
-          test_no_cache_does_not_leak;
       ] );
   ]

@@ -254,21 +254,79 @@ let test_experiments_same_at_any_jobs () =
       Alcotest.(check string) (id ^ ": -j 1 == -j 2, byte-identical") a b)
     seq par
 
-(* The verification caches are pure accelerators: zero-capacity caches
-   (--no-cache, [Knobs.t.cache = false]) must reproduce every experiment
-   table byte for byte. Signing never depends on a cache, so not even a
-   signature value moves. *)
+(* The verification caches are pure accelerators: a deployment built
+   with zero-capacity caches ([Deployment.create ~cache:false]) runs the
+   same simulation as a default one. Signing never depends on a cache,
+   so every completion time, log digest and app digest matches, while
+   only the default world's node caches record verify hits. *)
 let test_experiments_identical_without_cache () =
-  let render_all reports =
-    String.concat "\n" (List.map Report.render reports)
+  let open Blockplane in
+  let trace ?cache ~n_participants ~fg drive =
+    let engine = Bp_sim.Engine.create ~seed:4242L () in
+    let net = Bp_sim.Network.create engine Bp_sim.Topology.aws_paper () in
+    let dep =
+      Deployment.create ~network:net ~n_participants ~fi:1 ~fg ?cache
+        ~app:(fun () -> App.make (module App.Null)) ()
+    in
+    let events = ref [] in
+    let stamp what () =
+      events := (what, Bp_sim.Time.to_ns (Bp_sim.Engine.now engine)) :: !events
+    in
+    drive dep stamp;
+    Bp_sim.Engine.run ~until:(Bp_sim.Time.of_sec 3.0) engine;
+    let nodes =
+      List.concat_map
+        (fun p -> Array.to_list (Deployment.nodes_of dep p))
+        (List.init n_participants Fun.id)
+    in
+    let digests =
+      List.map
+        (fun n ->
+          ( Bp_storage.Log_store.last_digest (Unit_node.log n),
+            Unit_node.app_digest n ))
+        nodes
+    in
+    let hits =
+      List.fold_left
+        (fun acc n ->
+          acc
+          + (Bp_crypto.Verify_cache.instance_counters (Unit_node.vcache n))
+              .Bp_crypto.Verify_cache.verify_hits)
+        0 nodes
+    in
+    (List.rev !events, digests, hits)
   in
-  let knobs = { Knobs.default with cache = false } in
-  let on4 = render_all (run "fig4" ~scale:0.08) in
-  let off4 = render_all (run ~knobs "fig4" ~scale:0.08) in
-  Alcotest.(check string) "fig4 identical with caches off" on4 off4;
-  let on5 = render_all (run "fig5" ~scale:0.2) in
-  let off5 = render_all (run ~knobs "fig5" ~scale:0.2) in
-  Alcotest.(check string) "fig5 identical with caches off" on5 off5
+  let same_without_cache what ~n_participants ~fg drive =
+    let on_events, on_digests, on_hits = trace ~n_participants ~fg drive in
+    let off_events, off_digests, off_hits =
+      trace ~cache:false ~n_participants ~fg drive
+    in
+    Alcotest.(check bool) (what ^ ": work done") true (on_events <> []);
+    Alcotest.(check (list (pair string int)))
+      (what ^ ": completion times") on_events off_events;
+    Alcotest.(check (list (pair string string)))
+      (what ^ ": log and app digests") on_digests off_digests;
+    Alcotest.(check bool) (what ^ ": default caches hit") true (on_hits > 0);
+    Alcotest.(check int) (what ^ ": cache-off hits") 0 off_hits
+  in
+  same_without_cache "fi=1 local unit" ~n_participants:1 ~fg:0 (fun dep stamp ->
+      let api = Deployment.api dep 0 in
+      List.iteri
+        (fun i size ->
+          Api.log_commit api (Runner.payload ~size i)
+            ~on_done:(stamp (Printf.sprintf "commit %d" i)))
+        [ 1024; 1024; 102_400; 102_400 ]);
+  same_without_cache "fi=fg=1 four participants" ~n_participants:4 ~fg:1
+    (fun dep stamp ->
+      for p = 0 to 3 do
+        let api = Deployment.api dep p in
+        Api.on_receive api (fun ~src payload ->
+            stamp (Printf.sprintf "%d<-%d %s" p src payload) ());
+        Api.log_commit api (Runner.payload ~size:1024 p)
+          ~on_done:(stamp (Printf.sprintf "commit %d" p));
+        Api.send api ~dest:((p + 1) mod 4) (Printf.sprintf "m%d" p)
+          ~on_done:(stamp (Printf.sprintf "sent %d" p))
+      done)
 
 (* The harness defaults to pipeline depth 1, and at depth 1 the pipelined
    replica is the seed's stop-and-wait one: fig4 at scale 0.08 must
@@ -306,11 +364,7 @@ let fig4_depth1_golden =
    +~160% to 1 MB, ~+10% to 2 MB\n"
 
 let test_fig4_depth1_matches_seed () =
-  let knobs = { Knobs.default with pipeline = 1 } in
-  let rendered =
-    String.concat ""
-      (List.map Report.render (run ~knobs "fig4" ~scale:0.08))
-  in
+  let rendered = String.concat "" (List.map Report.render (run "fig4" ~scale:0.08)) in
   Alcotest.(check string) "depth-1 fig4 bytes = pre-pipeline seed"
     fig4_depth1_golden rendered
 
@@ -374,12 +428,7 @@ let test_saturation_shape () =
    --load-trace / --skew reshape the arrival process. *)
 let test_saturation_load_knobs () =
   let knobs =
-    {
-      Knobs.default with
-      load_rate = Some 20_000.0;
-      load_shape = `Bursty;
-      skew = 0.0;
-    }
+    { Knobs.load_rate = Some 20_000.0; load_shape = `Bursty; skew = 0.0 }
   in
   let r =
     find_report "ablation-saturation"
@@ -428,22 +477,6 @@ let test_pipeline_ablation_shape () =
         (List.sort Float.compare thr = thr))
     depths
 
-(* A run-wide min-fill larger than a world's batch_max clamps to it, as
-   run-wide shards clamp to participants: the batch_max = 1 pipeline
-   ablation completes under the d8mf16 knobs instead of failing
-   Config.make. *)
-let test_batch_knobs_clamp_to_batch_max () =
-  let knobs =
-    {
-      Knobs.default with
-      batch_min_fill = Some 16;
-      batch_hold = Some (Bp_sim.Time.of_ms 0.25);
-    }
-  in
-  let reports = run ~knobs "ablation-pipeline" ~scale:0.1 in
-  Alcotest.(check bool) "pipeline completes" true
-    ((find_report "pipeline" reports).Report.rows <> [])
-
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [
@@ -454,7 +487,6 @@ let suite =
         tc "fig4 shapes" test_fig4_shapes;
         tc "fig4 depth-1 bytes = seed" test_fig4_depth1_matches_seed;
         tc "pipeline ablation shape" test_pipeline_ablation_shape;
-        tc "batch knobs clamp to batch_max" test_batch_knobs_clamp_to_batch_max;
         tc "table2 shape" test_table2_shape;
         tc "fig5 shape" test_fig5_shape;
         tc "fig6 shape" test_fig6_shape;

@@ -2,9 +2,8 @@
    commit: routing properties of hash/range maps, atomicity and
    determinism of cross-shard transactions on adversary-free schedules
    (qcheck), the abort downgrade when a participant shard rejects its
-   prepare, the Runner default knobs (clamping, composition with the
-   batch-cut policy), and the 1-shard byte-identity of the golden
-   table2 under a global --shards default. *)
+   prepare, Runner's rejection of invalid explicit batch-cut arguments,
+   and that a sharded world leaves the Api.send stream untouched. *)
 
 open Bp_sim
 open Blockplane
@@ -255,91 +254,63 @@ let atomic_deterministic =
       let done2, aborted2, st2, states2 = run_schedule sched in
       done1 = done2 && aborted1 = aborted2 && st1 = st2 && states1 = states2)
 
-(* --- Runner default knobs: validation, clamping, composition --- *)
+(* --- Runner: explicit batch-cut arguments are judged, never clamped --- *)
 
 let test_runner_knobs () =
   let raises f = try f () |> ignore; false with Invalid_argument _ -> true in
   let world = Bp_harness.Runner.fresh_world in
-  let k = Bp_harness.Knobs.default in
-  Alcotest.(check bool) "shards 0 rejected" true
-    (raises (fun () -> world ~knobs:{ k with shards = 0 } ()));
-  Alcotest.(check bool) "min-fill 0 rejected" true
-    (raises (fun () ->
-         world ~knobs:{ k with batch_min_fill = Some 0 } ~n_participants:1 ()));
-  Alcotest.(check bool) "negative hold rejected" true
-    (raises (fun () ->
-         world
-           ~knobs:{ k with batch_hold = Some (Time.of_ms (-1.0)) }
-           ~n_participants:1 ()));
-  (* The knob shard count clamps to small fixed worlds... *)
-  let w = world ~knobs:{ k with shards = 3 } ~n_participants:2 () in
-  Alcotest.(check int) "knob shards clamped to participants" 2
-    (Shard.shards (Deployment.shard_map w.Bp_harness.Runner.dep));
-  (* ...an explicit per-world shard count never clamps. *)
-  Alcotest.(check bool) "explicit shards > participants rejected" true
-    (raises (fun () -> world ~shards:8 ~n_participants:4 ()));
-  (* Batch knobs compose: the knob pair is valid together, and an
-     explicit min-fill composes with the knob hold instead of resetting
-     it (1 + hold is a valid pair; 16 + zero would not be). *)
-  let batch =
-    { k with batch_min_fill = Some 16; batch_hold = Some (Time.of_ms 0.25) }
-  in
-  let w = world ~knobs:batch ~n_participants:1 () in
-  let api = Deployment.api w.Bp_harness.Runner.dep 0 in
-  let ok = ref false in
-  Api.log_commit api "knob-probe" ~on_done:(fun () -> ok := true);
-  Engine.run ~until:(Time.of_sec 2.0) w.Bp_harness.Runner.engine;
-  Alcotest.(check bool) "world under composed knobs commits" true !ok;
-  ignore (world ~knobs:batch ~batch_min_fill:1 ~n_participants:1 ());
-  (* The knob min-fill clamps to a world's batch_max, like knob shards
-     to its participants; an explicit min-fill above it still raises. *)
-  ignore (world ~knobs:batch ~batch_max:1 ~n_participants:1 ());
   Alcotest.(check bool) "explicit min-fill > batch_max rejected" true
     (raises (fun () ->
-         world ~knobs:batch ~batch_max:1 ~batch_min_fill:16 ~n_participants:1 ()));
-  (* With default knobs, an explicit min-fill above 1 and no hold
-     anywhere is the invalid pair — Config.make must see the COMPOSED
-     pair and reject it. *)
+         world ~batch_max:1 ~batch_min_fill:16 ~batch_hold:(Time.of_ms 0.25)
+           ~n_participants:1 ()));
   Alcotest.(check bool) "min-fill without any hold rejected" true
     (raises (fun () -> world ~batch_min_fill:4 ~n_participants:1 ()))
 
-(* --- 1-shard byte-identity: golden table2 under a global --shards --- *)
+(* --- sharding leaves plain sends alone --- *)
 
-(* Captured from the seed tree at scale 0.2 (the shape test's scale).
-   table2 builds 1-participant worlds, so any global --shards default
-   clamps to one shard and the router installs nothing: these bytes must
-   not move at ANY --shards value. A diff here means the shard layer
-   leaked into unsharded worlds — a bug, not a table to re-pin. *)
+(* The router of a sharded deployment listens on every unit's receive
+   stream but consumes only its own 2PC messages: all 12 ordered pairs
+   of a four-participant world exchanging plain Api.send payloads must
+   see the same deliveries, in the same order and at the same simulated
+   times, under a 4-shard Hash map as under one shard. *)
+let test_sends_same_at_any_shards () =
+  let stream shard_map =
+    let w =
+      Bp_harness.Runner.fresh_world ~seed:4300L ~n_participants:4 ?shard_map ()
+    in
+    let engine = w.Bp_harness.Runner.engine and dep = w.Bp_harness.Runner.dep in
+    let events = ref [] in
+    let stamp what = events := (what, Time.to_ns (Engine.now engine)) :: !events in
+    for dst = 0 to 3 do
+      Api.on_receive (Deployment.api dep dst) (fun ~src payload ->
+          stamp (Printf.sprintf "%d<-%d %s" dst src payload))
+    done;
+    for src = 0 to 3 do
+      for dst = 0 to 3 do
+        if src <> dst then
+          for i = 1 to 2 do
+            let payload = Printf.sprintf "m%d-%d-%d" src dst i in
+            Api.send (Deployment.api dep src) ~dest:dst payload ~on_done:(fun () ->
+                stamp ("sent " ^ payload))
+          done
+      done
+    done;
+    Engine.run ~until:(Time.of_sec 5.0) engine;
+    List.rev !events
+  in
+  let one = stream None in
+  Alcotest.(check int) "every send committed and delivered once" (2 * 12 * 2)
+    (List.length one);
+  Alcotest.(check (list (pair string int)))
+    "4-shard Hash world: same stream, same times" one
+    (stream (Some (Shard.make ~policy:Shard.Hash ~shards:4 ())))
+
+(* --- the shard sweep is bit-identical at any --jobs --- *)
+
 let registered id =
   match Bp_harness.Experiments.find id with
   | Some e -> e
   | None -> Alcotest.failf "experiment %s not registered" id
-
-let table2_golden =
-  "== table2: Local commitment vs unit size (batch 100 KB) ==\n\
-   \   (Table II, SVIII-A)\n\
-   +-----------+-----------------+--------------+---------------+------------+\n\
-   | nodes     | MB/s (measured) | MB/s (paper) | ms (measured) | ms (paper) |\n\
-   +===========+=================+==============+===============+============+\n\
-   | 4 (fi=1)  | 61.5            | 83           | 1.6           | 1.2        |\n\
-   | 7 (fi=2)  | 49.2            | 51           | 2.0           | 1.9        |\n\
-   | 10 (fi=3) | 42.6            | 28           | 2.3           | 3.5        |\n\
-   | 13 (fi=4) | 36.5            | 25           | 2.7           | 4          |\n\
-   +-----------+-----------------+--------------+---------------+------------+\n\
-   \   note: expected shape: throughput falls and latency rises with n\n"
-
-let test_table2_golden_any_shards () =
-  let render knobs =
-    String.concat ""
-      (List.map Bp_harness.Report.render
-         (Bp_harness.Experiments.run ~knobs (registered "table2") ~scale:0.2))
-  in
-  Alcotest.(check string) "table2 bytes at default shards" table2_golden
-    (render Bp_harness.Knobs.default);
-  Alcotest.(check string) "table2 bytes under --shards 16" table2_golden
-    (render { Bp_harness.Knobs.default with shards = 16 })
-
-(* --- the shard sweep is bit-identical at any --jobs --- *)
 
 let test_shard_sweep_jobs_deterministic () =
   let render_all jobs =
@@ -362,7 +333,7 @@ let suite =
         tc "cross-shard abort atomic" test_cross_shard_abort;
         QCheck_alcotest.to_alcotest atomic_deterministic;
         tc "runner shard/batch knobs" test_runner_knobs;
-        tc "table2 golden at any shards" test_table2_golden_any_shards;
+        tc "table2 golden at any shards" test_sends_same_at_any_shards;
         tc "shard sweep bit-identical across jobs"
           test_shard_sweep_jobs_deterministic;
       ] );

@@ -124,7 +124,7 @@ let policy ~source =
              invalidation discipline. *)
           (if in_dirs [ "crypto" ] then [] else [ "R5-rawverify" ]);
           (* The harness and the crypto layer are configured by explicit
-             values (Knobs.t, down to each world's caches) passed down
+             values (Knobs.t, each world's own arguments) passed down
              each call; module-level mutable state there is a hidden
              second configuration surface. *)
           (if in_dirs [ "harness"; "crypto" ] then [ "R8-harnessglobal" ]
