@@ -17,6 +17,7 @@ type t = {
   geo : Geo.t;
   next_comm_seq : int array;
   delivered : int array; (* per source: last comm_seq handed to handlers *)
+  reception : string Queue.t array; (* per source: delivered, unread *)
   mutable recv_handlers : (src:int -> string -> unit) list;
   mutable reads : read_round list;
 }
@@ -74,13 +75,15 @@ let create ~network ~pbft_cfg ~participant ~n_participants ~lead_node ~geo
       geo;
       next_comm_seq = Array.make n_participants 0;
       delivered = Array.make n_participants (-1);
+      reception = Array.init n_participants (fun _ -> Queue.create ());
       recv_handlers = [];
       reads = [];
     }
   in
   (* Two copies of one transmission can be ordered into one batch; both
      pass verification against the pre-batch state and both execute. Only
-     the copy that advanced the source's frontier is a delivery. *)
+     the copy that advanced the source's frontier is a delivery: buffered
+     for [receive], then handed to the handlers. *)
   Unit_node.add_executed_hook lead_node (fun ~pos:_ record ->
       match record with
       | Record.Recv tr ->
@@ -89,6 +92,7 @@ let create ~network ~pbft_cfg ~participant ~n_participants ~lead_node ~geo
              && seq = Unit_node.last_received lead_node ~src
           then begin
             t.delivered.(src) <- seq;
+            Queue.push tr.Record.tpayload t.reception.(src);
             List.iter (fun h -> h ~src tr.Record.tpayload) t.recv_handlers
           end
       | _ -> ());
@@ -119,7 +123,7 @@ let send t ?(on_rejected = ignore) ~dest payload ~on_done =
   t.next_comm_seq.(dest) <- comm_seq + 1;
   submit t (Record.Comm { Record.dest; comm_seq; payload }) ~on_done ~on_rejected
 
-let receive t ~src = Unit_node.poll_receive t.lead_node ~src
+let receive t ~src = Queue.take_opt t.reception.(src)
 
 let on_receive t handler = t.recv_handlers <- handler :: t.recv_handlers
 

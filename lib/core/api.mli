@@ -31,13 +31,16 @@ val send : t -> ?on_rejected:(unit -> unit) -> dest:int -> string -> on_done:(un
     communication daemon's job and is asynchronous. *)
 
 val receive : t -> src:int -> string option
-(** Poll the next unread message from [src] (reception buffers, §IV-C). *)
+(** The [receive] instruction (§III-C): the next unread message from
+    [src]. The reception buffer lives at this endpoint and holds each
+    delivery {!on_receive} reports, exactly once and in per-source order;
+    unit nodes buffer no payloads. *)
 
 val on_receive : t -> (src:int -> string -> unit) -> unit
 (** Push-style delivery as received records execute: exactly once per
     transmission, in per-source order, even when a duplicate copy of a
-    transmission also reaches the Local Log. Use either this or
-    {!receive} polling for a given source, not both. *)
+    transmission also reaches the Local Log. Each delivery is buffered
+    for {!receive} before the handlers run, so a handler may drain it. *)
 
 val read : t -> int -> Record.t option
 (** Read-1 strategy: serve from the closest (lead) node directly. A

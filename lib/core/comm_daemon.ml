@@ -10,13 +10,7 @@ type txn_state = {
   mutable ready : bool; (* sigs (+ geo) complete, eligible to transmit *)
 }
 
-type counters = {
-  sent : int;
-  acks : int;
-  retries : int;
-  backoff : int;
-  demoted : int;
-}
+type counters = { sent : int; retries : int; demoted : int }
 
 type t = {
   node : Unit_node.t;
@@ -36,58 +30,15 @@ type t = {
   mutable target : int; (* destination node rotation index *)
   mutable enabled : bool;
   mutable sent_count : int;
-  mutable ack_count : int;
   mutable ack_subs : (int -> unit) list;
-  mutable demoted_receivers : int list;
-  mutable demoted_count : int;
-  (* capped exponential backoff over the retry tick, with deterministic
-     jitter — the periodic event stream itself never changes, only
-     whether a tick acts, so default runs are byte-identical to a
-     backoff-free daemon *)
-  mutable tick : int;
-  mutable backoff : int; (* ticks between fires; 1 = every tick *)
-  mutable next_fire_tick : int;
-  mutable last_fire_acked : int;
   mutable retry_count : int;
 }
 
 let acked t = t.acked
 let set_enabled t b = t.enabled <- b
 
-let counters t =
-  {
-    sent = t.sent_count;
-    acks = t.ack_count;
-    retries = t.retry_count;
-    backoff = t.backoff;
-    demoted = t.demoted_count;
-  }
-
+let counters t = { sent = t.sent_count; retries = t.retry_count; demoted = 0 }
 let on_acked t f = t.ack_subs <- f :: t.ack_subs
-
-(* ---------- destination rotation with demotion ---------- *)
-
-(* Advance to the next destination node, skipping demoted ones. The seed
-   behaviour — plain [target + 1] — meant a byzantine or crashed target
-   was re-offered the whole pending set every |dest_nodes| retries; a
-   demoted index stays skipped until every node has been demoted (then
-   the epoch resets: blaming everyone means the fault was elsewhere). *)
-let advance_target t =
-  let n = Array.length t.dest_nodes in
-  if List.length t.demoted_receivers >= n then t.demoted_receivers <- [];
-  let rec next k fuel =
-    if fuel = 0 then k
-    else if List.mem (k mod n) t.demoted_receivers then
-      next (k + 1) (fuel - 1)
-    else k
-  in
-  t.target <- next (t.target + 1) n
-
-let demote_receiver t idx =
-  if not (List.mem idx t.demoted_receivers) then begin
-    t.demoted_count <- t.demoted_count + 1;
-    t.demoted_receivers <- idx :: t.demoted_receivers
-  end
 
 (* ---------- fi+1 signature bundles ---------- *)
 
@@ -193,62 +144,31 @@ let on_ack t ~from_participant ~comm_seq =
   if from_participant = t.dest && comm_seq > t.acked && comm_seq <= t.highest
   then begin
     t.acked <- comm_seq;
-    t.ack_count <- t.ack_count + 1;
     let acked, rest = Int_map.partition (fun seq _ -> seq <= comm_seq) t.pending in
     Int_map.iter
       (fun _ st -> if st.ready then t.ready_count <- t.ready_count - 1)
       acked;
     t.pending <- rest;
-    (* Progress vindicates the current cadence: snap back to retrying
-       every tick. *)
-    t.backoff <- 1;
-    t.next_fire_tick <- 0;
     List.iter (fun f -> f comm_seq) t.ack_subs
   end
 
-(* ---------- retry cadence ---------- *)
-
-(* Deterministic jitter: when backed off, stagger daemons that share a
-   tick phase by a pair-and-round parity — pure arithmetic, no RNG. *)
-let jitter t =
-  if t.backoff = 1 then 0
-  else
-    (((Unit_node.participant t.node * 131) + t.dest) * 131 + t.retry_count)
-    land 1
+(* ---------- retry (Algorithm 2: on timeout, the next node) ---------- *)
 
 let retry t =
-  (* Re-send everything ready but unacknowledged, in order — a crashed
-     or malicious receiver node is bypassed; the receiver deduplicates. *)
-  (* O(1) via the counter — this runs on every retry tick, and a scan
-     of [pending] grows with the unacknowledged backlog. *)
-  let any_ready = t.ready_count > 0 in
-  if any_ready then begin
-    advance_target t;
+  t.retry_count <- t.retry_count + 1;
+  (* Re-send everything ready but unacknowledged, in order, to the next
+     destination node — a crashed or malicious receiver node is
+     bypassed; the receiver deduplicates. [ready_count] keeps the test
+     O(1): a scan of [pending] grows with the unacknowledged backlog. *)
+  if t.ready_count > 0 then begin
+    t.target <- t.target + 1;
     Int_map.iter (fun _ st -> if st.ready then transmit t st) t.pending
   end
   else
     (* Signatures still missing (lagging peers): ask again. *)
     Int_map.iter (fun _ st -> request_signatures t st) t.pending
 
-let on_tick t =
-  t.tick <- t.tick + 1;
-  if t.enabled && not (Int_map.is_empty t.pending) && t.tick >= t.next_fire_tick
-  then begin
-    let stalled = t.acked <= t.last_fire_acked in
-    (* Fruitless fire: nothing delivered since the last one. Back off
-       (capped) so a dead destination is not hammered every tick, and
-       demote the node that burned the attempt; any ack resets the
-       cadence. A progressing daemon keeps backoff = 1 and this gate
-       never skips a tick. *)
-    if stalled && t.retry_count > 0 then begin
-      t.backoff <- Stdlib.min (t.backoff * 2) 8;
-      demote_receiver t (t.target mod Array.length t.dest_nodes)
-    end;
-    t.last_fire_acked <- t.acked;
-    t.retry_count <- t.retry_count + 1;
-    t.next_fire_tick <- t.tick + t.backoff + jitter t;
-    retry t
-  end
+let on_tick t = if t.enabled && not (Int_map.is_empty t.pending) then retry t
 
 let create ~node ~dest ~dest_nodes ?geo_proofs ?(start_after = -1) () =
   let net = Bp_net.Transport.network (Unit_node.transport node) in
@@ -273,14 +193,7 @@ let create ~node ~dest ~dest_nodes ?geo_proofs ?(start_after = -1) () =
       target = 0;
       enabled = true;
       sent_count = 0;
-      ack_count = 0;
       ack_subs = [];
-      demoted_receivers = [];
-      demoted_count = 0;
-      tick = 0;
-      backoff = 1;
-      next_fire_tick = 0;
-      last_fire_acked = start_after;
       retry_count = 0;
     }
   in
@@ -304,9 +217,8 @@ let create ~node ~dest ~dest_nodes ?geo_proofs ?(start_after = -1) () =
           on_ack t ~from_participant ~comm_seq;
           true
       | _ -> false);
-  (* Retry cadence scales with the destination RTT. The timer stream is
-     unconditional; backoff decides per tick whether to act, so enabling
-     it never perturbs the simulation's event schedule. *)
+  (* Retry cadence scales with the destination RTT: every tick, an
+     enabled daemon with unacknowledged records retries. *)
   let rtt = Topology.rtt (Network.topology net) (Unit_node.addr node).Addr.dc dest in
   ignore
     (Engine.periodic (Network.engine net)

@@ -5,13 +5,11 @@
     records addressed to its destination, builds transmission records,
     collects fi+1 local signatures (its own plus a broadcast round),
     attaches geo proofs when fg > 0, ships the record to a destination
-    node, and advances on cumulative acknowledgements. Unacknowledged
-    transmissions are retried against rotating destination nodes, so a
-    crashed or byzantine destination node cannot block delivery; a
-    destination node that burns a delivery attempt is demoted — skipped
-    by the rotation — until every node has been demoted, and the retry
-    cadence backs off exponentially (capped, deterministically jittered)
-    while no acknowledgement progress is made. *)
+    node, and advances on cumulative acknowledgements. On every retry
+    tick (3 destination RTTs + 20 ms) with records unacknowledged, it
+    re-sends them all to the next destination node in rotation, so a
+    crashed or byzantine destination node cannot block delivery; records
+    still short of signatures re-ask for them instead. *)
 
 type t
 
@@ -38,10 +36,10 @@ val set_enabled : t -> bool -> unit
 
 type counters = {
   sent : int;  (** transmissions, incl. retries *)
-  acks : int;  (** cumulative-ack messages honoured *)
-  retries : int;  (** retry-tick fires *)
-  backoff : int;  (** current cadence: ticks between fires (1 = every) *)
-  demoted : int;  (** delivery-attempt demotions issued *)
+  retries : int;  (** retry ticks that found records unacknowledged *)
+  demoted : int;
+      (** always 0: the rotation skips no destination node (kept because
+          [bench/e2e] reads it) *)
 }
 
 val counters : t -> counters

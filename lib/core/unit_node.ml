@@ -23,7 +23,6 @@ type t = {
   wal : Bp_storage.Wal.t;
   app : App.instance;
   last_received : int array;
-  reception : string Queue.t array;
   (* receive path: per-source out-of-order transmissions awaiting commit *)
   pending : (int, pending_txn Int_map.t) Hashtbl.t;
   submitting : (int, int) Hashtbl.t; (* src -> in-flight comm_seq *)
@@ -57,10 +56,6 @@ let last_received t ~src = t.last_received.(src)
 let set_byzantine_sign_anything t b = t.byz_sign_anything <- b
 let set_byzantine_drop_comm t b = t.byz_drop_comm <- b
 let xs_staged t = Hashtbl.length t.xs_staging
-
-let poll_receive t ~src =
-  let q = t.reception.(src) in
-  if Queue.is_empty q then None else Some (Queue.pop q)
 
 let add_executed_hook t f = t.executed_hooks <- f :: t.executed_hooks
 let add_aux_listener t f = t.aux_listeners <- f :: t.aux_listeners
@@ -394,10 +389,8 @@ let execute t ~seq:_ (r : Bp_pbft.Msg.request) =
       (match record with
       | Record.Recv tr ->
           let src = tr.Record.src in
-          if tr.Record.tcomm_seq = t.last_received.(src) + 1 then begin
+          if tr.Record.tcomm_seq = t.last_received.(src) + 1 then
             t.last_received.(src) <- tr.Record.tcomm_seq;
-            Queue.push tr.Record.tpayload t.reception.(src)
-          end;
           ack_pending t src;
           pump_receive t src
       | Record.Mirrored { owner; opos; ovalue } ->
@@ -526,7 +519,6 @@ let create ~network ~pbft_cfg ~participant ~n_participants ~node_idx ~fg
       wal = Bp_storage.Wal.create ();
       app;
       last_received = Array.make n_participants (-1);
-      reception = Array.init n_participants (fun _ -> Queue.create ());
       pending = Hashtbl.create 8;
       submitting = Hashtbl.create 8;
       executed_hooks = [];

@@ -1,8 +1,8 @@
 (** One Blockplane node: a PBFT replica plus the Blockplane-space state it
     maintains — its copy of the Local Log, a replica of the user protocol
-    [P], per-source reception buffers, and the auxiliary services other
-    components call over the network (transmission-record signing, receive
-    handling, reserve answers, mirror duties). *)
+    [P], the per-source received frontier, and the auxiliary services
+    other components call over the network (transmission-record signing,
+    receive handling, reserve answers, mirror duties). *)
 
 type t
 
@@ -55,10 +55,6 @@ val app_digest : t -> string
 val last_received : t -> src:int -> int
 (** Highest in-order transmission comm_seq committed from [src]; -1 if
     none. *)
-
-val poll_receive : t -> src:int -> string option
-(** The [receive] instruction (§III-C): next unread message from [src]'s
-    reception buffer at this node. *)
 
 val add_executed_hook : t -> (pos:int -> Record.t -> unit) -> unit
 (** Called after a record is appended to this node's Local Log copy

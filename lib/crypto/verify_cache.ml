@@ -33,16 +33,12 @@ type counters = {
   verify_misses : int;
   digest_hits : int;
   digest_misses : int;
-  memo_hits : int;
-  memo_misses : int;
 }
 
 let c_verify_hits = ref 0 [@@bplint.allow "R8-harnessglobal"]
 let c_verify_misses = ref 0 [@@bplint.allow "R8-harnessglobal"]
 let c_digest_hits = ref 0 [@@bplint.allow "R8-harnessglobal"]
 let c_digest_misses = ref 0 [@@bplint.allow "R8-harnessglobal"]
-let c_memo_hits = ref 0 [@@bplint.allow "R8-harnessglobal"]
-let c_memo_misses = ref 0 [@@bplint.allow "R8-harnessglobal"]
 
 let counters () =
   {
@@ -50,17 +46,13 @@ let counters () =
     verify_misses = !c_verify_misses;
     digest_hits = !c_digest_hits;
     digest_misses = !c_digest_misses;
-    memo_hits = !c_memo_hits;
-    memo_misses = !c_memo_misses;
   }
 
 let reset_counters () =
   c_verify_hits := 0;
   c_verify_misses := 0;
   c_digest_hits := 0;
-  c_digest_misses := 0;
-  c_memo_hits := 0;
-  c_memo_misses := 0
+  c_digest_misses := 0
 
 (* ---------- the cache ---------- *)
 
@@ -150,8 +142,6 @@ let instance_counters t =
     verify_misses = t.i_verify_misses;
     digest_hits = t.i_digest_hits;
     digest_misses = t.i_digest_misses;
-    memo_hits = 0;
-    memo_misses = 0;
   }
 
 let hash_key ~signature = Hashtbl.hash signature
@@ -382,29 +372,3 @@ let lookup_digest t s =
         match memoized bucket s with
         | Some (_, d) -> d
         | None -> Sha256.digest s)
-
-(* ---------- generic physical-identity memo ---------- *)
-
-type 'a memo = { mutable entries : ('a * string) list; mcap : int }
-
-let memo ?(capacity = 8) () = { entries = []; mcap = max 0 capacity }
-
-let keeps_nothing t = t.capacity = 0 && t.digest_budget <= 0
-
-let memoize m key f =
-  match List.assq_opt key m.entries with
-  | Some v ->
-      incr c_memo_hits;
-      v
-  | None ->
-      incr c_memo_misses;
-      let v = f () in
-      if m.mcap > 0 then begin
-        let kept =
-          if List.length m.entries >= m.mcap then
-            List.filteri (fun i _ -> i < m.mcap - 1) m.entries
-          else m.entries
-        in
-        m.entries <- (key, v) :: kept
-      end;
-      v

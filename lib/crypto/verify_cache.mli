@@ -71,27 +71,6 @@ val lookup_digest : t -> string -> string
     its signing-path digest of a committed op (for the log chain and the
     application) without changing any cache statistic. *)
 
-(** {1 Generic bounded memo}
-
-    A tiny physical-identity memo for values that are reused as-is (e.g. a
-    replica's current batch list threaded through prepare/commit). *)
-
-type 'a memo
-
-val memo : ?capacity:int -> unit -> 'a memo
-(** Bounded association list, newest first (default capacity 8;
-    capacity 0 keeps nothing). *)
-
-val keeps_nothing : t -> bool
-(** The cache was built with [~capacity:0 ~digest_budget:0]. A node
-    whose cache keeps nothing sizes its memos at capacity 0 too, so a
-    run without caching recomputes every batch digest as well. *)
-
-val memoize : 'a memo -> 'a -> (unit -> string) -> string
-(** [memoize m key f] returns the memoized value for [key] (compared with
-    physical equality) or computes, stores and returns [f ()]. At
-    capacity 0 every call is a counted miss that computes [f ()]. *)
-
 (** {1 Diagnostics}
 
     Process-wide tallies, read by [bench/e2e/probe.ml]; they never affect
@@ -102,8 +81,6 @@ type counters = {
   verify_misses : int;
   digest_hits : int;
   digest_misses : int;
-  memo_hits : int;
-  memo_misses : int;
 }
 
 val counters : unit -> counters
@@ -113,7 +90,6 @@ val counters : unit -> counters
     {!instance_counters} for per-node rates. *)
 
 val instance_counters : t -> counters
-(** This cache's own verify/digest tallies ([memo_*] are always 0: the
-    generic memo is not tied to an instance). *)
+(** This cache's own verify/digest tallies. *)
 
 val reset_counters : unit -> unit

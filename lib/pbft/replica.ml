@@ -52,7 +52,6 @@ type t = {
   transport : Bp_net.Transport.t;
   engine : Engine.t;
   cache : Bp_crypto.Verify_cache.t; (* per-node keystore view and memo *)
-  batch_memo : Msg.request list Bp_crypto.Verify_cache.memo;
   execute : seq:int -> Msg.request -> string;
   mutable on_executed : seq:int -> Msg.request list -> unit;
   mutable verifier : Msg.request -> bool;
@@ -221,13 +220,6 @@ let broadcast t body =
   let sealed = Msg.seal ~cache:t.cache t.cfg ~sender:(self_addr t) body in
   Bp_net.Transport.broadcast t.transport ~dsts:t.cfg.Config.nodes
     ~tag:t.cfg.Config.tag sealed
-
-(* Hash-consed slot digests: a batch list the replica already holds (its
-   own proposal, an accepted pre-prepare, prepared-proof material) is
-   digested once and looked up by physical identity afterwards. *)
-let digest_of_batch t batch =
-  Bp_crypto.Verify_cache.memoize t.batch_memo batch (fun () ->
-      Msg.batch_digest ~cache:t.cache batch)
 
 let send_reply t (r : Msg.request) result =
   let body =
@@ -759,7 +751,7 @@ and try_form_batch t =
       if not (List.is_empty batch) then begin
         let seq = t.next_seq in
         t.next_seq <- seq + 1;
-        let digest = digest_of_batch t batch in
+        let digest = Msg.batch_digest ~cache:t.cache batch in
         let s = slot_of t seq in
         s.sview <- t.view;
         s.digest <- Some digest;
@@ -852,7 +844,7 @@ and handle_pre_prepare t ~view ~seq ~digest ~batch =
   if
     is_normal t && view = t.view && in_window t seq
     && Config.primary_of_view t.cfg view <> t.id
-    && String.equal digest (digest_of_batch t batch)
+    && String.equal digest (Msg.batch_digest ~cache:t.cache batch)
     (* One Verify_batch batch for the whole batch's client signatures,
        not a per-request loop (verdict identical). *)
     && Msg.requests_valid ~cache:t.cache t.cfg batch
@@ -970,7 +962,10 @@ and handle_fetch t ~from_seq ~replica =
 and handle_fetch_reply t ~batches ~replica =
   List.iter
     (fun (seq, digest, batch) ->
-      if seq > t.last_exec && String.equal digest (digest_of_batch t batch) then begin
+      if
+        seq > t.last_exec
+        && String.equal digest (Msg.batch_digest ~cache:t.cache batch)
+      then begin
         let entries = Option.value ~default:[] (Hashtbl.find_opt t.fetch_votes seq) in
         let entries =
           match List.partition (fun (d, _, _) -> String.equal d digest) entries with
@@ -1103,10 +1098,6 @@ let create ~cache transport cfg ~id ~execute () =
       transport;
       engine;
       cache;
-      batch_memo =
-        Bp_crypto.Verify_cache.memo
-          ~capacity:(if Bp_crypto.Verify_cache.keeps_nothing cache then 0 else 16)
-          ();
       execute;
       on_executed = (fun ~seq:_ _ -> ());
       verifier = (fun _ -> true);

@@ -48,8 +48,7 @@ val create :
     its return value is the client-visible result.
 
     [cache] is this replica's view of the keystore and its memo of
-    signature verdicts and batch digests; a cache that keeps nothing
-    also sizes the batch-digest memo at 0. How much it keeps is purely a
+    signature verdicts and op digests. How much it keeps is purely a
     performance knob: protocol outputs are bit-identical whatever its
     capacity (see {!Msg}). *)
 
@@ -97,7 +96,7 @@ val batch_stats : t -> batch_stats
 
 val set_verifier : t -> (Msg.request -> bool) -> unit
 (** Install the Blockplane verification routine (default: accept all).
-    It judges a request by its [kind] and [op], and may memoize the op's
+    It judges a request by its [kind] and [op], and may cache the op's
     decoding in [decoded] (cleared once the request executes). *)
 
 val set_preverifier : t -> (Msg.request list -> (unit -> unit) option) -> unit

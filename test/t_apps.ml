@@ -349,7 +349,11 @@ let test_bank_duplicate_transmission_credits_once () =
       Alcotest.(check (option int)) "credited once" (Some 40)
         (Bank.balance node "carol"))
     (Deployment.nodes_of dep 1);
-  Alcotest.(check bool) "unit agrees" true (Deployment.app_digests_agree dep 1)
+  Alcotest.(check bool) "unit agrees" true (Deployment.app_digests_agree dep 1);
+  (* The pull side shares the rule: the payload is buffered once. *)
+  Alcotest.(check (option string)) "received once" (Some tr.Record.tpayload)
+    (Api.receive api1 ~src:0);
+  Alcotest.(check (option string)) "then nothing" None (Api.receive api1 ~src:0)
 
 let test_bank_conservation_under_traffic () =
   let engine, _net, dep = make_world ~app:bank_app ~seed:64L () in

@@ -115,7 +115,7 @@ let test_receive_exactly_once_under_faults () =
     (List.init 8 (fun i -> Printf.sprintf "m%d" (i + 1)))
     (List.rev !got)
 
-let test_poll_receive () =
+let test_pull_receive () =
   let w = make_world () in
   let api0 = Deployment.api w.dep 0 in
   let api2 = Deployment.api w.dep 2 in
@@ -591,7 +591,7 @@ let suite =
         tc "latency shape (fig6)" test_send_receive_latency_shape;
         tc "receive ordering" test_receive_ordering;
         tc "exactly-once under faults (Lemma 2)" test_receive_exactly_once_under_faults;
-        tc "poll receive" test_poll_receive;
+        tc "poll receive" test_pull_receive;
         tc "bidirectional" test_bidirectional_traffic;
         tc "all pairs" test_all_pairs_traffic;
       ] );

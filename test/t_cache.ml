@@ -158,9 +158,8 @@ let test_sign_seeds_cache () =
 
 (* What [Deployment.create ~cache:false] builds: a cache with zero
    capacity and digest budget keeps nothing. Every verify and every
-   memo-sized digest is a counted miss, signing seeds no verdict, and a
-   capacity-0 memo recomputes. *)
-let test_zero_capacity_keeps_nothing () =
+   memo-sized digest is a counted miss, and signing seeds no verdict. *)
+let test_zero_capacity_cache () =
   let ks = make_keystore () in
   let cache = Verify_cache.create ~capacity:0 ~digest_budget:0 ks in
   let msg = "zero capacity" in
@@ -178,15 +177,7 @@ let test_zero_capacity_keeps_nothing () =
   Alcotest.(check int) "no verify hit" 0 c.Verify_cache.verify_hits;
   Alcotest.(check int) "every verify a miss" 3 c.Verify_cache.verify_misses;
   Alcotest.(check int) "no digest hit" 0 c.Verify_cache.digest_hits;
-  Alcotest.(check int) "every digest a miss" 2 c.Verify_cache.digest_misses;
-  Alcotest.(check bool) "keeps_nothing" true (Verify_cache.keeps_nothing cache);
-  let m = Verify_cache.memo ~capacity:0 () in
-  let calls = ref 0 in
-  let key = [ "batch" ] in
-  for _ = 1 to 2 do
-    ignore (Verify_cache.memoize m key (fun () -> incr calls; "d"))
-  done;
-  Alcotest.(check int) "capacity-0 memo recomputes" 2 !calls
+  Alcotest.(check int) "every digest a miss" 2 c.Verify_cache.digest_misses
 
 (* Digest memo: always equals Sha256.digest, including under a byte budget
    small enough to evict on nearly every insertion, and for re-allocated
@@ -212,14 +203,14 @@ let diff_lookup_digest_test =
   QCheck.Test.make ~name:"lookup_digest = Sha256.digest, counters untouched"
     ~count:200
     QCheck.(pair bool (string_of_size Gen.(0 -- 600)))
-    (fun (memoize, s) ->
-      if memoize then ignore (Verify_cache.digest cache s);
+    (fun (seeded, s) ->
+      if seeded then ignore (Verify_cache.digest cache s);
       let before = Verify_cache.instance_counters cache in
       let d = Verify_cache.lookup_digest cache (String.concat "" [ s; "" ]) in
       let uncounted = Verify_cache.instance_counters cache = before in
       (* Nothing was inserted: the memo still misses on content it lacked. *)
       let still_missing =
-        memoize
+        seeded
         || String.length s < 256
         || begin
              ignore (Verify_cache.digest cache s);
@@ -242,32 +233,19 @@ let mk_batch ops =
       })
     ops
 
-(* Batch digest: the memoized form, the cache-assisted form, and the form
-   through a zero-capacity cache must produce the same bytes for the same
-   batch. *)
+(* Batch digest: the cache-assisted form and the form through a
+   zero-capacity cache must produce the same bytes for the same batch. *)
 let diff_batch_digest_test =
   let ks = make_keystore () in
   let cache = Verify_cache.create ks in
   let empty = Verify_cache.create ~capacity:0 ~digest_budget:0 ks in
-  let memo = Verify_cache.memo ~capacity:4 () in
   QCheck.Test.make ~name:"memoized batch digest = Msg.batch_digest" ~count:200
     QCheck.(small_list (string_of_size Gen.(0 -- 200)))
     (fun ops ->
       let batch = mk_batch ops in
       let direct = Bp_pbft.Msg.batch_digest ~cache:empty batch in
       let cached = Bp_pbft.Msg.batch_digest ~cache batch in
-      let memoized =
-        Verify_cache.memoize memo batch (fun () ->
-            Bp_pbft.Msg.batch_digest ~cache batch)
-      in
-      (* Second probe exercises the hit path. *)
-      let again =
-        Verify_cache.memoize memo batch (fun () ->
-            Bp_pbft.Msg.batch_digest ~cache batch)
-      in
-      String.equal direct cached
-      && String.equal direct memoized
-      && String.equal direct again)
+      String.equal direct cached)
 
 (* CRC32 combination (used to seal broadcast frames without re-scanning
    the shared payload once per destination) against the direct scan and
@@ -470,7 +448,7 @@ let suite =
           Alcotest.test_case "sign seeds own verdict" `Quick
             test_sign_seeds_cache;
           Alcotest.test_case "zero-capacity cache keeps nothing" `Quick
-            test_zero_capacity_keeps_nothing;
+            test_zero_capacity_cache;
           Alcotest.test_case "envelope round-trip in both modes" `Quick
             test_envelope_both_payloads;
           Alcotest.test_case "Crc32.combine edge lengths" `Quick
