@@ -14,9 +14,9 @@
    provisioning, hash-based key-pool rollover) bumps the generation and
    silently invalidates every older entry.
 
-   Determinism: no wall-clock, no randomness. The verdict table evicts
-   with a FIFO ring (insertion order), the digest table with a FIFO byte
-   budget, so behaviour depends only on the call sequence. *)
+   Determinism: no wall-clock, no randomness. Both tables are FIFO rings
+   (insertion order), the verdict table bounded by entries and the digest
+   memo by bytes, so behaviour depends only on the call sequence. *)
 
 (* ---------- counters ---------- *)
 
@@ -54,45 +54,180 @@ let reset_counters () =
   c_digest_hits := 0;
   c_digest_misses := 0
 
+(* ---------- one FIFO ring behind an open-addressed index ----------
+
+   Both tables keep their entries in flat arrays, one per field, indexed
+   by slot. Slots fill in FIFO ring order: [head] is the oldest entry and
+   the next to be evicted. An open-addressed linear-probing index, a
+   power of two at least twice the slot count (so never more than half
+   full), maps a key's hash to its slot. The ring owns the hash column
+   and the index; each table owns its payload columns and regrows them
+   with [regrow] when the ring grows. The slot arrays start small and
+   double up to [limit], the index with them, so a short-lived cache
+   never pays for its full size. The verdict table bounds the ring by
+   entry count ([limit]); the digest memo has no entry limit and evicts
+   by its byte budget through [pop]. *)
+
+let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
+
+module Ring = struct
+  type t = {
+    limit : int; (* most slots the ring may ever have *)
+    mutable hashes : int array; (* per slot *)
+    mutable index : int array; (* a slot per cell, or -1 *)
+    mutable head : int;
+    mutable count : int;
+  }
+
+  let index_size slots = pow2_at_least (2 * slots) 1
+
+  (* A zero-limit ring has no slots and a one-cell index that stays
+     empty, so every probe misses at once. *)
+  let create ~limit =
+    let slots = min limit 64 in
+    {
+      limit;
+      hashes = Array.make slots 0;
+      index = Array.make (index_size slots) (-1);
+      head = 0;
+      count = 0;
+    }
+
+  let count r = r.count
+  let full r = r.count = Array.length r.hashes
+
+  (* The slot of the entry with hash [h] for which [matches tbl k1 k2
+     slot] holds, or -1. [matches] is a closed top-level function and the
+     key comes in two plain arguments, so a probe allocates nothing. *)
+  let rec probe r matches tbl k1 k2 h i =
+    let s = r.index.(i) in
+    if s < 0 then -1
+    else if r.hashes.(s) = h && matches tbl k1 k2 s then s
+    else probe r matches tbl k1 k2 h ((i + 1) land (Array.length r.index - 1))
+
+  let find r matches tbl k1 k2 h =
+    probe r matches tbl k1 k2 h (h land (Array.length r.index - 1))
+
+  let rec link r slot i =
+    if r.index.(i) < 0 then r.index.(i) <- slot
+    else link r slot ((i + 1) land (Array.length r.index - 1))
+
+  (* Backward-shift deletion: refill the hole at [hole] with the first
+     later entry in the run whose home does not lie strictly between the
+     hole and that entry, then repeat from the entry's old cell, until the
+     run ends. No tombstones, so probe runs never lengthen with churn. *)
+  let rec close_hole r hole j =
+    let mask = Array.length r.index - 1 in
+    let s = r.index.(j) in
+    if s < 0 then r.index.(hole) <- -1
+    else if (j - (r.hashes.(s) land mask)) land mask >= (j - hole) land mask
+    then begin
+      r.index.(hole) <- s;
+      close_hole r j ((j + 1) land mask)
+    end
+    else close_hole r hole ((j + 1) land mask)
+
+  let rec unlink r slot i =
+    let mask = Array.length r.index - 1 in
+    if r.index.(i) = slot then close_hole r i ((i + 1) land mask)
+    else unlink r slot ((i + 1) land mask)
+
+  (* A new entry with hash [h] at the tail of the ring: its slot, already
+     linked into the index. The caller makes room first ([full] is
+     false). *)
+  let push r h =
+    let len = Array.length r.hashes and tail = r.head + r.count in
+    let slot = if tail >= len then tail - len else tail in
+    r.hashes.(slot) <- h;
+    link r slot (h land (Array.length r.index - 1));
+    r.count <- r.count + 1;
+    slot
+
+  (* Unlink the oldest entry and return its slot, for its table to
+     clear or reuse. The ring must not be empty. *)
+  let pop r =
+    let slot = r.head in
+    unlink r slot (r.hashes.(slot) land (Array.length r.index - 1));
+    r.head <- (if slot + 1 = Array.length r.hashes then 0 else slot + 1);
+    r.count <- r.count - 1;
+    slot
+
+  (* Growing doubles the slot count (up to [limit]) and lays the entries
+     out oldest first from slot 0. A table first [regrow]s each of its
+     columns, then calls [grow], which does the same to the hash column
+     and rebuilds the index at its new size. *)
+  let regrow r column fill =
+    let len = Array.length column in
+    let grown = Array.make (min r.limit (2 * len)) fill in
+    let first = min r.count (len - r.head) in
+    Array.blit column r.head grown 0 first;
+    Array.blit column 0 grown first (r.count - first);
+    grown
+
+  let grow r =
+    r.hashes <- regrow r r.hashes 0;
+    r.head <- 0;
+    r.index <- Array.make (index_size (Array.length r.hashes)) (-1);
+    for slot = 0 to r.count - 1 do
+      link r slot (r.hashes.(slot) land (Array.length r.index - 1))
+    done
+end
+
+(* ---------- probe hashes from word loads ----------
+
+   Both keys are hashed from eight-byte word loads, with no C call and no
+   allocation: the verdict key from its signature (a MAC tag or a
+   hash-based signature, so its bytes are already well mixed), the digest
+   memo's content from its length plus its first and last 64 bytes. *)
+
+let word s i = Int64.to_int (String.get_int64_le s i)
+let mix h w = (h lxor w) * 0x2127599bf4325c37
+let finish h = h lxor (h lsr 32)
+
+(* The signature's length, its first three words (fewer if it is
+   shorter) and its last word: all of a 32-byte HMAC tag. *)
+let signature_hash s =
+  let n = String.length s in
+  if n < 8 then Hashtbl.hash s
+  else
+    let h = mix (mix n (word s 0)) (word s (n - 8)) in
+    let h = if n >= 16 then mix h (word s 8) else h in
+    finish (if n >= 32 then mix h (word s 16) else h)
+
+let rec edge_words s tail h i =
+  if i = 64 then h
+  else edge_words s tail (mix (mix h (word s i)) (word s (tail + i))) (i + 8)
+
+(* Never reads the middle: content that differs only there shares a
+   fingerprint, and the full comparison in the probe tells it apart.
+   Only called on strings of at least [digest_memo_min] bytes. *)
+let fingerprint s =
+  let n = String.length s in
+  finish (edge_words s (n - 64) n 0)
+
 (* ---------- the cache ---------- *)
 
-module Digest_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end)
-
-(* The verdict table is flat: one array per field, indexed by slot, and
-   an open-addressed index from the key's hash to its slot. Slots are
-   written in FIFO ring order, so the slot at the cursor is always the
-   oldest entry and the next to be evicted; a probe allocates nothing. *)
 type t = {
   keystore : Signer.t;
   capacity : int;
-  (* Keyed by (signer, signature): for honest traffic the signature alone
-     pins the message, and the stored message is compared on every probe,
-     so colliding keys (e.g. the all-zero forged signature under several
-     bodies) just overwrite each other — never cross-talk. Hashing the
-     message instead would cost as much as the verify being saved. The
-     slot arrays grow by doubling up to [capacity] while the ring first
-     fills, so a short-lived cache never pays for its full size. *)
+  (* Verdict table, keyed by (signer, signature): for honest traffic the
+     signature alone pins the message, and the stored message is compared
+     on every probe, so colliding keys (e.g. the all-zero forged
+     signature under several bodies) just overwrite each other — never
+     cross-talk. Hashing the message instead would cost as much as the
+     verify being saved. *)
+  verdicts : Ring.t;
   mutable v_signer : string array;
   mutable v_signature : string array;
   mutable v_msg : string array;
   mutable v_gen : int array;
   mutable v_verdict : bool array;
-  mutable v_hash : int array;
-  (* Linear probing over a power-of-two table at least twice [capacity],
-     so it is never more than half full: each cell holds a slot or -1. *)
-  index : int array;
-  mutable cursor : int; (* next slot to write *)
-  mutable filled : int; (* slots in use: [capacity] once the ring wraps *)
-  (* Digest memo: cheap fingerprint -> bucket of (content, digest).
+  (* Digest memo: content -> SHA-256 digest, keyed by [fingerprint].
      Bounded by bytes (not entries) because the keys it pins alive can be
      megabytes each. *)
-  digests : (string * string) list Digest_tbl.t;
-  dqueue : (int * string) Queue.t; (* insertion order, for eviction *)
+  digests : Ring.t;
+  mutable d_content : string array;
+  mutable d_digest : string array;
   mutable dbytes : int;
   digest_budget : int;
   (* Per-instance (= per-node) counters, alongside the process-global
@@ -104,28 +239,26 @@ type t = {
   mutable i_digest_misses : int;
 }
 
-let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
-
 (* The digest memo's FIFO window only has to cover content still in
    flight (a few pipelined batches); a huge budget would just pin dead
    operations on the major heap for the GC to trace. *)
 let create ?(capacity = 4096) ?(digest_budget = 8 * 1024 * 1024) keystore =
   let capacity = max 0 capacity in
-  let slots = min capacity 64 in
+  let verdicts = Ring.create ~limit:capacity in
+  let digests = Ring.create ~limit:(if digest_budget > 0 then max_int else 0) in
+  let slots r = Array.length r.Ring.hashes in
   {
     keystore;
     capacity;
-    v_signer = Array.make slots "";
-    v_signature = Array.make slots "";
-    v_msg = Array.make slots "";
-    v_gen = Array.make slots 0;
-    v_verdict = Array.make slots false;
-    v_hash = Array.make slots 0;
-    index = Array.make (pow2_at_least (2 * capacity) 1) (-1);
-    cursor = 0;
-    filled = 0;
-    digests = Digest_tbl.create 256;
-    dqueue = Queue.create ();
+    verdicts;
+    v_signer = Array.make (slots verdicts) "";
+    v_signature = Array.make (slots verdicts) "";
+    v_msg = Array.make (slots verdicts) "";
+    v_gen = Array.make (slots verdicts) 0;
+    v_verdict = Array.make (slots verdicts) false;
+    digests;
+    d_content = Array.make (slots digests) "";
+    d_digest = Array.make (slots digests) "";
     dbytes = 0;
     digest_budget;
     i_verify_hits = 0;
@@ -144,76 +277,37 @@ let instance_counters t =
     digest_misses = t.i_digest_misses;
   }
 
-let hash_key ~signature = Hashtbl.hash signature
+(* ---------- verdicts ---------- *)
 
-(* The slot holding (signer, signature), or -1. A capacity-0 cache has a
-   one-cell index that stays empty, so every probe misses at once. *)
-let rec find t ~signer ~signature h i =
-  let s = t.index.(i) in
-  if s < 0 then -1
-  else if
-    t.v_hash.(s) = h
-    && String.equal t.v_signature.(s) signature
-    && String.equal t.v_signer.(s) signer
-  then s
-  else find t ~signer ~signature h ((i + 1) land (Array.length t.index - 1))
+let verdict_matches t signer signature s =
+  String.equal t.v_signature.(s) signature && String.equal t.v_signer.(s) signer
 
-let rec link t slot i =
-  if t.index.(i) < 0 then t.index.(i) <- slot
-  else link t slot ((i + 1) land (Array.length t.index - 1))
+let lookup t ~signer ~signature h =
+  Ring.find t.verdicts verdict_matches t signer signature h
 
-(* Backward-shift deletion: refill the hole at [hole] with the first later
-   entry in the run whose home does not lie strictly between the hole and
-   that entry, then repeat from the entry's old cell, until the run ends.
-   No tombstones, so probe runs never lengthen with churn. *)
-let rec close_hole t hole j =
-  let mask = Array.length t.index - 1 in
-  let s = t.index.(j) in
-  if s < 0 then t.index.(hole) <- -1
-  else if (j - (t.v_hash.(s) land mask)) land mask >= (j - hole) land mask then begin
-    t.index.(hole) <- s;
-    close_hole t j ((j + 1) land mask)
-  end
-  else close_hole t hole ((j + 1) land mask)
+let grow_verdicts t =
+  let r = t.verdicts in
+  t.v_signer <- Ring.regrow r t.v_signer "";
+  t.v_signature <- Ring.regrow r t.v_signature "";
+  t.v_msg <- Ring.regrow r t.v_msg "";
+  t.v_gen <- Ring.regrow r t.v_gen 0;
+  t.v_verdict <- Ring.regrow r t.v_verdict false;
+  Ring.grow r
 
-let rec unlink t slot i =
-  let mask = Array.length t.index - 1 in
-  if t.index.(i) = slot then close_hole t i ((i + 1) land mask)
-  else unlink t slot ((i + 1) land mask)
-
-let grow t =
-  let n = min t.capacity (2 * Array.length t.v_hash) in
-  let extend a fill =
-    let b = Array.make n fill in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  in
-  t.v_signer <- extend t.v_signer "";
-  t.v_signature <- extend t.v_signature "";
-  t.v_msg <- extend t.v_msg "";
-  t.v_gen <- extend t.v_gen 0;
-  t.v_verdict <- extend t.v_verdict false;
-  t.v_hash <- extend t.v_hash 0
-
-(* Write a new entry at the cursor, evicting the oldest once the ring is
-   full. No-op at capacity 0. *)
+(* Write a new entry at the tail, evicting the oldest once the ring holds
+   [capacity] entries (the popped slot is the one [push] reuses). No-op
+   at capacity 0. *)
 let insert t ~signer ~signature h ~msg ~gen verdict =
   if t.capacity > 0 then begin
-    let slot = t.cursor in
-    let mask = Array.length t.index - 1 in
-    if t.filled = t.capacity then unlink t slot (t.v_hash.(slot) land mask)
-    else begin
-      if slot = Array.length t.v_hash then grow t;
-      t.filled <- t.filled + 1
-    end;
+    let r = t.verdicts in
+    if Ring.full r then
+      if Ring.count r = t.capacity then ignore (Ring.pop r) else grow_verdicts t;
+    let slot = Ring.push r h in
     t.v_signer.(slot) <- signer;
     t.v_signature.(slot) <- signature;
     t.v_msg.(slot) <- msg;
     t.v_gen.(slot) <- gen;
-    t.v_verdict.(slot) <- verdict;
-    t.v_hash.(slot) <- h;
-    link t slot (h land mask);
-    t.cursor <- (if slot + 1 = t.capacity then 0 else slot + 1)
+    t.v_verdict.(slot) <- verdict
   end
 
 let hit t =
@@ -245,11 +339,8 @@ let store t ~signer ~signature h found ~msg ~gen verdict =
   end
   else insert t ~signer ~signature h ~msg ~gen verdict
 
-let lookup t ~signer ~signature h =
-  find t ~signer ~signature h (h land (Array.length t.index - 1))
-
 let probe t ~signer ~msg ~signature =
-  let h = hash_key ~signature in
+  let h = signature_hash signature in
   let slot = lookup t ~signer ~signature h in
   if current t slot ~gen:(Signer.generation t.keystore) ~msg then begin
     hit t;
@@ -262,14 +353,14 @@ let probe t ~signer ~msg ~signature =
   end
 
 let record t ~signer ~msg ~signature ~verdict =
-  let h = hash_key ~signature in
+  let h = signature_hash signature in
   store t ~signer ~signature h
     (lookup t ~signer ~signature h)
     ~msg ~gen:(Signer.generation t.keystore) verdict
 
 let verify t ~signer ~msg ~signature =
   let gen = Signer.generation t.keystore in
-  let h = hash_key ~signature in
+  let h = signature_hash signature in
   let slot = lookup t ~signer ~signature h in
   if current t slot ~gen ~msg then begin
     hit t;
@@ -293,30 +384,6 @@ let sign t ~signer msg =
 
 (* ---------- content-addressed digest memo ---------- *)
 
-let fingerprint s =
-  let len = String.length s in
-  let b = Bytes.unsafe_of_string s in
-  let head = Int32.to_int (Crc32.bytes b ~off:0 ~len:(min len 64)) land 0xffffffff in
-  let tail_off = if len > 64 then len - 64 else 0 in
-  let tail =
-    if tail_off = 0 then head
-    else Int32.to_int (Crc32.bytes b ~off:tail_off ~len:(len - tail_off)) land 0xffffffff
-  in
-  (head * 0x9e3779b1) lxor (tail * 0x85ebca77) lxor len
-
-let rec evict_digests t =
-  if t.dbytes > t.digest_budget && not (Queue.is_empty t.dqueue) then begin
-    let fp, key = Queue.pop t.dqueue in
-    (match Digest_tbl.find_opt t.digests fp with
-    | None -> ()
-    | Some bucket -> (
-        match List.filter (fun (k, _) -> not (k == key)) bucket with
-        | [] -> Digest_tbl.remove t.digests fp
-        | rest -> Digest_tbl.replace t.digests fp rest));
-    t.dbytes <- t.dbytes - String.length key;
-    evict_digests t
-  end
-
 (* Memoizing a digest only pays above a minimum size: below it, hashing
    the bytes again costs about as much as the probe, and unique small
    strings (transmission statements, tiny operations) would fill the
@@ -324,14 +391,43 @@ let rec evict_digests t =
    budget finally evicts them. *)
 let digest_memo_min = 256
 
-let memoized bucket s =
-  List.find_opt (fun (k, _) -> k == s || String.equal k s) bucket
+let content_matches t s () slot =
+  let k = t.d_content.(slot) in
+  k == s || String.equal k s
+
+let find_digest t s fp = Ring.find t.digests content_matches t s () fp
+
+let grow_digests t =
+  let r = t.digests in
+  t.d_content <- Ring.regrow r t.d_content "";
+  t.d_digest <- Ring.regrow r t.d_digest "";
+  Ring.grow r
+
+(* Evict oldest first while over budget. An entry larger than the whole
+   budget goes too, right after its own insertion. Evicted slots are
+   cleared so they pin no content. *)
+let rec evict_digests t =
+  if t.dbytes > t.digest_budget && Ring.count t.digests > 0 then begin
+    let slot = Ring.pop t.digests in
+    t.dbytes <- t.dbytes - String.length t.d_content.(slot);
+    t.d_content.(slot) <- "";
+    t.d_digest.(slot) <- "";
+    evict_digests t
+  end
+
+let remember t s fp d =
+  if Ring.full t.digests then grow_digests t;
+  let slot = Ring.push t.digests fp in
+  t.d_content.(slot) <- s;
+  t.d_digest.(slot) <- d;
+  t.dbytes <- t.dbytes + String.length s;
+  evict_digests t
 
 let digest_miss t =
   incr c_digest_misses;
   t.i_digest_misses <- t.i_digest_misses + 1
 
-(* A zero budget keeps nothing, so it skips the table outright: a counted
+(* A zero budget keeps nothing, so it skips the memo outright: a counted
    miss and a direct hash, with no insertion to evict again at once. *)
 let digest t s =
   if String.length s < digest_memo_min then Sha256.digest s
@@ -341,22 +437,18 @@ let digest t s =
   end
   else begin
     let fp = fingerprint s in
-    let bucket =
-      match Digest_tbl.find_opt t.digests fp with Some b -> b | None -> []
-    in
-    match memoized bucket s with
-    | Some (_, d) ->
-        incr c_digest_hits;
-        t.i_digest_hits <- t.i_digest_hits + 1;
-        d
-    | None ->
-        digest_miss t;
-        let d = Sha256.digest s in
-        Digest_tbl.replace t.digests fp ((s, d) :: bucket);
-        Queue.push (fp, s) t.dqueue;
-        t.dbytes <- t.dbytes + String.length s;
-        evict_digests t;
-        d
+    let slot = find_digest t s fp in
+    if slot >= 0 then begin
+      incr c_digest_hits;
+      t.i_digest_hits <- t.i_digest_hits + 1;
+      t.d_digest.(slot)
+    end
+    else begin
+      digest_miss t;
+      let d = Sha256.digest s in
+      remember t s fp d;
+      d
+    end
   end
 
 (* Read-only twin of [digest], for content the node has already digested
@@ -366,9 +458,5 @@ let lookup_digest t s =
   if t.digest_budget <= 0 || String.length s < digest_memo_min then
     Sha256.digest s
   else
-    match Digest_tbl.find_opt t.digests (fingerprint s) with
-    | None -> Sha256.digest s
-    | Some bucket -> (
-        match memoized bucket s with
-        | Some (_, d) -> d
-        | None -> Sha256.digest s)
+    let slot = find_digest t s (fingerprint s) in
+    if slot >= 0 then t.d_digest.(slot) else Sha256.digest s

@@ -25,17 +25,21 @@ type t
 
 val create : ?capacity:int -> ?digest_budget:int -> Signer.t -> t
 (** [capacity] bounds the verdict table (entries, FIFO-evicted; default
-    4096; 0 keeps no verdict). [digest_budget] bounds the digest memo by the bytes of content
-    it keeps alive (default 8 MiB — enough for the operations still in
-    flight; a bigger window would mostly pin dead content on the major
-    heap; 0 keeps no digest). *)
+    4096; 0 keeps no verdict). [digest_budget] bounds the digest memo by
+    the bytes of content it keeps alive (FIFO-evicted; default 8 MiB —
+    enough for the operations still in flight; a bigger window would
+    mostly pin dead content on the major heap; 0 keeps no digest). Both
+    tables start at 64 slots and grow by doubling as they fill, so a
+    short-lived cache never pays for its full size. *)
 
 val keystore : t -> Signer.t
 
 val verify : t -> signer:string -> msg:string -> signature:string -> bool
 (** Memoized {!Signer.verify}: same verdicts, bit for bit. Keyed by
     [(signer, signature)] with the stored message compared on every probe,
-    so colliding or tampered inputs recompute rather than cross-talk. *)
+    so colliding or tampered inputs recompute rather than cross-talk. The
+    key hashes from word loads of the signature; a hit allocates
+    nothing. *)
 
 val probe : t -> signer:string -> msg:string -> signature:string -> bool option
 (** Lookup half of {!verify}, for batched verification (see
@@ -56,13 +60,18 @@ val sign : t -> signer:string -> string -> string
     @raise Not_found like {!Signer.sign} for unregistered identities. *)
 
 val digest : t -> string -> string
-(** Memoized {!Sha256.digest}. Probes by physical identity first, then by
-    content (a fingerprint of length plus first/last 64 bytes narrows the
-    candidates before any full comparison), so re-decoded copies of the
-    same megabyte operation hash once per node. Strings under 256 bytes
-    are hashed directly without touching the memo: at that size the probe
-    costs as much as the hash, and unique small strings would only pile
-    up never-hit entries for the GC to trace. *)
+(** Memoized {!Sha256.digest}. The memo is a FIFO ring of
+    [(content, digest)] slots behind an open-addressed index keyed by a
+    fingerprint of the content: its length and its first and last 64
+    bytes, read as eight-byte words. A probe compares a candidate by
+    physical identity first, then by full content, so re-decoded copies
+    of the same megabyte operation hash once per node, and contents that
+    differ only in their middles (one fingerprint) each get their own
+    entry. A hit allocates nothing, and the fingerprint takes no C call
+    (the full comparison is [String.equal]). Strings under 256
+    bytes are hashed directly without touching the memo: at that size the
+    probe costs as much as the hash, and unique small strings would only
+    pile up never-hit entries for the GC to trace. *)
 
 val lookup_digest : t -> string -> string
 (** {!Sha256.digest} through the memo, read-only: the memoized digest if

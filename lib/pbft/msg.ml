@@ -116,12 +116,17 @@ let request_signing_payload ~cache ~client ~ts ~kind ~op =
         Wire.u8 e kind;
         Wire.string e op)
 
-let encode_request e r =
+(* A request's encoding with [op] in place of its operation: the
+   operation itself on the wire, its digest in a content-addressed
+   image. *)
+let encode_request_with e r op =
   encode_addr e r.client;
   Wire.varint e r.ts;
   Wire.u8 e r.kind;
-  Wire.string e r.op;
+  Wire.string e op;
   Wire.string e r.client_sig
+
+let encode_request e r = encode_request_with e r r.op
 
 let decode_request d =
   let client = decode_addr d in
@@ -131,11 +136,11 @@ let decode_request d =
   let client_sig = Wire.read_string d in
   { client; ts; kind; op; client_sig; decoded = Not_decoded }
 
-let encode_proof e p =
+let encode_proof e ~request p =
   Wire.varint e p.pview;
   Wire.varint e p.pseq;
   Wire.string e p.pdigest;
-  Wire.list e (encode_request e) p.pbatch;
+  Wire.list e (request e) p.pbatch;
   Wire.list e
     (fun (i, s) ->
       Wire.varint e i;
@@ -155,17 +160,29 @@ let decode_proof d =
   in
   { pview; pseq; pdigest; pbatch; prepare_sigs }
 
-let encode_body_into e body =
+let encode_batches e ~request batches =
+  Wire.list e
+    (fun (seq, digest, batch) ->
+      Wire.varint e seq;
+      Wire.string e digest;
+      Wire.list e (request e) batch)
+    batches
+
+(* The body's encoding, with [request] writing each client request and
+   [envelope] each carried view-change envelope: [encode_request] and
+   [Wire.string] give the wire encoding, digest-substituting writers the
+   content-addressed image. *)
+let encode_body_with e ~request ~envelope body =
   (match body with
       | Request r ->
           Wire.u8 e 0;
-          encode_request e r
+          request e r
       | Pre_prepare { view; seq; digest; batch } ->
           Wire.u8 e 1;
           Wire.varint e view;
           Wire.varint e seq;
           Wire.string e digest;
-          Wire.list e (encode_request e) batch
+          Wire.list e (request e) batch
       | Prepare { view; seq; digest; replica } ->
           Wire.u8 e 2;
           Wire.varint e view;
@@ -195,18 +212,13 @@ let encode_body_into e body =
           Wire.varint e new_view;
           Wire.varint e stable_seq;
           Wire.string e stable_digest;
-          Wire.list e (encode_proof e) prepared;
+          Wire.list e (encode_proof e ~request) prepared;
           Wire.varint e vc_replica
       | New_view { view; view_change_envelopes; batches; replica } ->
           Wire.u8 e 7;
           Wire.varint e view;
-          Wire.list e (Wire.string e) view_change_envelopes;
-          Wire.list e
-            (fun (seq, digest, batch) ->
-              Wire.varint e seq;
-              Wire.string e digest;
-              Wire.list e (encode_request e) batch)
-            batches;
+          Wire.list e (envelope e) view_change_envelopes;
+          encode_batches e ~request batches;
           Wire.varint e replica
       | Fetch { from_seq; replica } ->
           Wire.u8 e 8;
@@ -214,21 +226,23 @@ let encode_body_into e body =
           Wire.varint e replica
       | Fetch_reply { batches; replica } ->
           Wire.u8 e 9;
-          Wire.list e
-            (fun (seq, digest, batch) ->
-              Wire.varint e seq;
-              Wire.string e digest;
-              Wire.list e (encode_request e) batch)
-            batches;
+          encode_batches e ~request batches;
           Wire.varint e replica)
 
 (* Exact encoded sizes, so an encode writes into one buffer that becomes
    the message: no oversized scratch buffer, no trimming copy. *)
-let request_size r =
-  addr_size r.client + Wire.varint_size r.ts + 1 + Wire.string_size r.op
+let request_size_with r ~op_size =
+  addr_size r.client + Wire.varint_size r.ts + 1 + op_size
   + Wire.string_size r.client_sig
 
-let body_size = function
+let request_size r = request_size_with r ~op_size:(Wire.string_size r.op)
+
+(* A SHA-256 digest behind its one-byte length, as a content-addressed
+   image writes it in place of an op. *)
+let digest_size = 33
+let ca_request_size r = request_size_with r ~op_size:digest_size
+
+let body_size_with request_size = function
   | Request r -> Some (1 + request_size r)
   | Pre_prepare { view; seq; digest; batch } ->
       Some
@@ -255,8 +269,11 @@ let body_size = function
       Some (1 + Wire.varint_size from_seq + Wire.varint_size replica)
   | View_change _ | New_view _ | Fetch_reply _ -> None
 
+let body_size = body_size_with request_size
+
 let encode_body body =
-  Wire.encode ?size_hint:(body_size body) (fun e -> encode_body_into e body)
+  Wire.encode ?size_hint:(body_size body) (fun e ->
+      encode_body_with e ~request:encode_request ~envelope:Wire.string body)
 
 let read_body d =
   match Wire.read_u8 d with
@@ -330,46 +347,6 @@ let decode_body s = Wire.decode s read_body
 
 (* ---------- signatures ---------- *)
 
-(* Content-addressed image of a request / proof / body: ops (and carried
-   envelopes) replaced by their digests. Only the bulky constructors are
-   transformed; the small ones sign their exact encoding. *)
-
-let ca_request cache r =
-  { r with op = Bp_crypto.Verify_cache.digest cache r.op; decoded = Not_decoded }
-
-let ca_proof cache p = { p with pbatch = List.map (ca_request cache) p.pbatch }
-
-let ca_batches cache batches =
-  List.map
-    (fun (seq, digest, batch) -> (seq, digest, List.map (ca_request cache) batch))
-    batches
-
-let ca_body cache = function
-  | Request r -> Request (ca_request cache r)
-  | Pre_prepare { view; seq; digest; batch } ->
-      Pre_prepare { view; seq; digest; batch = List.map (ca_request cache) batch }
-  | View_change { new_view; stable_seq; stable_digest; prepared; vc_replica } ->
-      View_change
-        {
-          new_view;
-          stable_seq;
-          stable_digest;
-          prepared = List.map (ca_proof cache) prepared;
-          vc_replica;
-        }
-  | New_view { view; view_change_envelopes; batches; replica } ->
-      New_view
-        {
-          view;
-          view_change_envelopes =
-            List.map (Bp_crypto.Verify_cache.digest cache) view_change_envelopes;
-          batches = ca_batches cache batches;
-          replica;
-        }
-  | Fetch_reply { batches; replica } ->
-      Fetch_reply { batches = ca_batches cache batches; replica }
-  | (Prepare _ | Commit _ | Reply _ | Checkpoint _ | Fetch _) as small -> small
-
 (* Bulk weight of a body: the bytes the CA transform would digest away.
    Bodies at or above {!ca_min_bytes} sign the content-addressed payload;
    lighter ones sign their exact encoding. *)
@@ -393,22 +370,44 @@ let bulk_weight = function
 
 let content_addressed body = bulk_weight body >= ca_min_bytes
 
+(* Content-addressed image of a request: its encoding with the op
+   replaced by [digest op]. *)
+let ca_request digest e r = encode_request_with e r (digest r.op)
+
+let digested cache e env = Wire.string e (Bp_crypto.Verify_cache.digest cache env)
+
 (* The bytes a body's envelope signature covers. [encoded] produces the
    body's wire encoding, asked for only when that is the signed payload.
-   The content-addressed payload is built on an uncounted raw encoder: it
-   is derived bookkeeping, not a message serialization, and must not
-   perturb the encode-once accounting that {!Wire.encode_calls} tests
-   pin. *)
+   The content-addressed image is written straight into an uncounted raw
+   encoder, digesting each op (and carried envelope) as the encoding
+   reaches it: it is derived bookkeeping, not a message serialization,
+   and must not perturb the encode-once accounting that
+   {!Wire.encode_calls} tests pin. A New_view digests its batches' ops
+   before its envelopes (the memo's call order, which its eviction and
+   the pinned cache counters depend on), and its encoding then reads
+   those digests back through the uncounted [lookup_digest]. *)
 let signing_payload ~cache ~encoded body =
   if content_addressed body then begin
-    let ca = ca_body cache body in
     let e =
       Wire.encoder
-        ~size_hint:(match body_size ca with Some n -> 1 + n | None -> 512)
+        ~size_hint:
+          (match body_size_with ca_request_size body with
+          | Some n -> 1 + n
+          | None -> 512)
         ()
     in
     Wire.u8 e 0xCA;
-    encode_body_into e ca;
+    let digest = Bp_crypto.Verify_cache.digest cache in
+    let request =
+      match body with
+      | New_view { batches; _ } ->
+          List.iter
+            (fun (_, _, batch) -> List.iter (fun r -> ignore (digest r.op)) batch)
+            batches;
+          ca_request (Bp_crypto.Verify_cache.lookup_digest cache)
+      | _ -> ca_request digest
+    in
+    encode_body_with e ~request ~envelope:(digested cache) body;
     Wire.to_string e
   end
   else encoded ()
@@ -454,17 +453,22 @@ let requests_valid ~cache cfg batch =
       let verdicts = Bp_crypto.Verify_batch.verify ~cache ctx jobs in
       List.for_all Fun.id verdicts
 
+(* Hashes each request's image on its own: the request's encoding, with
+   its op replaced by the op's digest when the batch is heavy enough to
+   be content-addressed. *)
 let batch_digest ~cache batch =
   let ctx = Bp_crypto.Sha256.init () in
-  let image =
-    if batch_weight batch >= ca_min_bytes then fun r -> ca_request cache r
-    else fun r -> r
-  in
+  let content_addressed = batch_weight batch >= ca_min_bytes in
   List.iter
     (fun r ->
-      let r = image r in
+      let op =
+        if content_addressed then Bp_crypto.Verify_cache.digest cache r.op
+        else r.op
+      in
       Bp_crypto.Sha256.update ctx
-        (Wire.encode ~size_hint:(request_size r) (fun e -> encode_request e r)))
+        (Wire.encode
+           ~size_hint:(request_size_with r ~op_size:(Wire.string_size op))
+           (fun e -> encode_request_with e r op)))
     batch;
   Bp_crypto.Sha256.finalize ctx
 

@@ -13,3 +13,13 @@ val verify_envelope :
   Bp_pbft.Config.t ->
   string ->
   (Bp_pbft.Msg.body, string) result
+
+val signing_payload : cache:Bp_crypto.Verify_cache.t -> Bp_pbft.Msg.body -> string
+(** Reference signing payload: the original construction of
+    [Bp_pbft.Msg.signing_payload]. Above the 256-byte content weight it
+    builds the content-addressed image as a body first (each op and
+    carried view-change envelope replaced by its digest through [cache])
+    and returns [0xCA ‖ encode_body image]; below it, the body's plain
+    encoding. The production path writes the same image straight into its
+    encoder; on every body the two must give the same bytes and leave the
+    cache with the same counters. Not for production use. *)

@@ -117,6 +117,211 @@ let model_test ~capacity =
           && c.Verify_cache.verify_misses = Verify_cache_ref.misses model)
         ops)
 
+(* Model check of the flat digest memo against the original
+   Hashtbl-and-Queue memo ([Verify_cache_ref.Digest_memo]): random
+   sequences of [digest] and [lookup_digest] calls must return the same
+   digests and leave the same hit/miss counts after every single step.
+   The content pool holds every string in two physically distinct copies
+   (so probes match by content, not only by identity). Its hot end, drawn
+   about half the time, has strings under the 256-byte memo minimum,
+   memo-sized ones and three that differ only in their middles (one
+   shared fingerprint); the rest is 400 distinct memo-sized strings, one
+   of exactly the budget and one a byte over it, which is evicted right
+   after its own insertion. Budget 0 keeps nothing, 1 KiB evicts on
+   nearly every insertion, 64 KiB grows the ring past its first 64 slots
+   and evicts, and 8 MiB grows it without evicting until a budget-sized
+   entry arrives. *)
+(* One lockstep step: the same call on both memos, then the same result
+   and the same digest counters. *)
+let digest_step cache model ~lookup s =
+  let module R = Verify_cache_ref.Digest_memo in
+  let same =
+    if lookup then
+      String.equal (Verify_cache.lookup_digest cache s) (R.lookup_digest model s)
+    else String.equal (Verify_cache.digest cache s) (R.digest model s)
+  in
+  let c = Verify_cache.instance_counters cache in
+  same
+  && c.Verify_cache.digest_hits = R.hits model
+  && c.Verify_cache.digest_misses = R.misses model
+
+let digest_model_test ~budget =
+  let content i len =
+    String.init len (fun j -> Char.chr (((j * 7) + (i * 31) + (j lsr 8)) land 0xff))
+  in
+  let middle i =
+    let b = Bytes.of_string (content 99 600) in
+    Bytes.set b 300 (Char.chr i);
+    Bytes.to_string b
+  in
+  let hot =
+    [ content 0 0; content 1 10; content 2 255; content 3 256; content 4 300 ]
+    @ List.init 6 (fun i -> content (10 + i) (257 + (i * 211)))
+    @ List.init 3 middle
+  in
+  let cold =
+    List.init 400 (fun i -> content (100 + i) (256 + (i * 37 mod 500)))
+    @ List.filter
+        (fun s -> String.length s > 0)
+        [ content 20 budget; content 21 (budget + 1) ]
+  in
+  let copies = List.concat_map (fun s -> [ s; String.concat "" [ s; "" ] ]) in
+  let pool = Array.of_list (copies hot @ copies cold) in
+  let n_hot = 2 * List.length hot in
+  QCheck.Test.make ~count:100
+    ~name:(Printf.sprintf "digest memo = reference model (budget %d)" budget)
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (0 -- 400)
+           (pair (int_bound 3)
+              (frequency
+                 [ (1, int_bound (n_hot - 1)); (1, int_bound (Array.length pool - 1)) ]))))
+    (fun ops ->
+      let ks = make_keystore () in
+      let cache = Verify_cache.create ~digest_budget:budget ks in
+      let model = Verify_cache_ref.Digest_memo.create ~budget in
+      List.for_all
+        (fun (kind, i) -> digest_step cache model ~lookup:(kind = 0) pool.(i))
+        ops)
+
+(* The ring only regrows when it is full, and after an eviction its
+   oldest entry is no longer in slot 0, so a regrow must lay a wrapped
+   ring out again, oldest first. A scripted lockstep run makes that
+   happen: 40 entries, then an oversized one that evicts them all and
+   itself (the ring is empty, its head at slot 41), then 150 entries that
+   fit the 64 KiB budget (the ring fills wrapped and regrows, then
+   regrows again), then 100 more that push the oldest of them out, then
+   a probe of each of the 150 (re-allocated copies), whose hits and
+   misses (newest first) show exactly which ones eviction took. *)
+let test_digest_ring_regrows_wrapped () =
+  let ks = make_keystore () in
+  let budget = 65536 in
+  let cache = Verify_cache.create ~digest_budget:budget ks in
+  let model = Verify_cache_ref.Digest_memo.create ~budget in
+  let distinct k = Printf.sprintf "%06d" k ^ String.make 294 'd' in
+  let script =
+    List.init 40 (fun k -> distinct (1000 + k))
+    @ [ String.make (budget + 1) 'o' ]
+    @ List.init 150 distinct
+    @ List.init 100 (fun k -> distinct (500 + k))
+    @ List.init 150 (fun k -> String.concat "" [ distinct (149 - k); "" ])
+  in
+  List.iteri
+    (fun step s ->
+      Alcotest.(check bool)
+        (Printf.sprintf "step %d" step)
+        true
+        (digest_step cache model ~lookup:false s))
+    script;
+  (* 218 entries of 300 bytes fit the budget, so the 100 push out the 32
+     oldest of the 150; probed newest first, the other 118 hit. *)
+  let c = Verify_cache.instance_counters cache in
+  Alcotest.(check int) "probe hits" 118 c.Verify_cache.digest_hits;
+  Alcotest.(check int) "misses" (291 + 32) c.Verify_cache.digest_misses
+
+(* The memo's fingerprint reads only the length and the first and last
+   64 bytes, so strings that differ only in their middles share it. Each
+   must still miss once, get its own digest, and hit afterwards, through
+   a re-allocated copy too; the read-only lookup must tell them apart as
+   well. *)
+let test_fingerprint_collisions () =
+  let ks = make_keystore () in
+  let cache = Verify_cache.create ks in
+  let base = String.init 1000 (fun i -> Char.chr (i land 0xff)) in
+  let variants =
+    List.init 4 (fun k ->
+        let b = Bytes.of_string base in
+        Bytes.set b 500 (Char.chr k);
+        Bytes.to_string b)
+  in
+  List.iteri
+    (fun k s ->
+      Alcotest.(check string)
+        (Printf.sprintf "variant %d: own digest" k)
+        (Sha256.digest s) (Verify_cache.digest cache s);
+      Alcotest.(check int)
+        (Printf.sprintf "variant %d: one miss each" k)
+        (k + 1) (Verify_cache.instance_counters cache).Verify_cache.digest_misses)
+    variants;
+  List.iteri
+    (fun k s ->
+      let copy = String.concat "" [ s; "" ] in
+      Alcotest.(check string)
+        (Printf.sprintf "variant %d: lookup" k)
+        (Sha256.digest s) (Verify_cache.lookup_digest cache copy);
+      Alcotest.(check string)
+        (Printf.sprintf "variant %d: hit" k)
+        (Sha256.digest s) (Verify_cache.digest cache copy))
+    variants;
+  let c = Verify_cache.instance_counters cache in
+  Alcotest.(check int) "no further miss" 4 c.Verify_cache.digest_misses;
+  Alcotest.(check int) "every repeat hits" 4 c.Verify_cache.digest_hits
+
+(* Hits are the common case on the receive path, so they must cost no
+   allocation: averaged over 10k calls, a digest-memo hit (by identity and
+   by content), a verdict hit through [verify] and one through [probe]
+   allocate no minor words. *)
+let test_hits_allocate_nothing () =
+  let ks = make_keystore () in
+  let cache = Verify_cache.create ks in
+  let content = String.init 4096 (fun i -> Char.chr ((i * 13) land 0xff)) in
+  let copy = String.concat "" [ content; "" ] in
+  ignore (Verify_cache.digest cache content);
+  let msg = "allocation-free hit" in
+  let signature = Verify_cache.sign cache ~signer:ids.(0) msg in
+  let calls = 10_000 in
+  let words_per_call name f =
+    f ();
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      f ()
+    done;
+    let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+    (* The float [Gc.minor_words] boxes is the only allocation allowed. *)
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.4f words per call" name per_call)
+      true (per_call < 0.01)
+  in
+  words_per_call "digest hit (same string)" (fun () ->
+      ignore (Sys.opaque_identity (Verify_cache.digest cache content)));
+  words_per_call "digest hit (equal copy)" (fun () ->
+      ignore (Sys.opaque_identity (Verify_cache.digest cache copy)));
+  words_per_call "lookup_digest hit" (fun () ->
+      ignore (Sys.opaque_identity (Verify_cache.lookup_digest cache copy)));
+  words_per_call "verdict hit (verify)" (fun () ->
+      ignore
+        (Sys.opaque_identity
+           (Verify_cache.verify cache ~signer:ids.(0) ~msg ~signature)));
+  words_per_call "verdict hit (probe)" (fun () ->
+      ignore
+        (Sys.opaque_identity
+           (Verify_cache.probe cache ~signer:ids.(0) ~msg ~signature)));
+  let c = Verify_cache.instance_counters cache in
+  Alcotest.(check int) "digest: the one miss" 1 c.Verify_cache.digest_misses;
+  Alcotest.(check int) "verify: no miss" 0 c.Verify_cache.verify_misses
+
+(* A short-lived cache never pays for its full size: the verdict index
+   grows with the slot arrays instead of being allocated at twice the
+   capacity up front, so a fresh default cache (capacity 4096) holds a
+   few hundred words beyond its keystore, not the 8192-cell index. After
+   filling to capacity it holds the full index. *)
+let test_fresh_cache_is_small () =
+  let ks = make_keystore () in
+  let own cache =
+    Obj.reachable_words (Obj.repr cache) - Obj.reachable_words (Obj.repr ks)
+  in
+  let cache = Verify_cache.create ks in
+  let fresh = own cache in
+  Alcotest.(check bool)
+    (Printf.sprintf "fresh cache: %d words" fresh)
+    true (fresh < 2048);
+  for i = 1 to 4096 do
+    Verify_cache.record cache ~signer:ids.(0) ~msg:"m"
+      ~signature:(Printf.sprintf "signature %d" i) ~verdict:true
+  done;
+  Alcotest.(check bool) "full cache holds the full index" true
+    (own cache > 8192)
+
 (* The soundness invariant, observed through the counters: provisioning an
    identity bumps the keystore generation, after which a previously cached
    verdict must be recomputed (miss), not replayed. *)
@@ -246,6 +451,70 @@ let diff_batch_digest_test =
       let direct = Bp_pbft.Msg.batch_digest ~cache:empty batch in
       let cached = Bp_pbft.Msg.batch_digest ~cache batch in
       String.equal direct cached)
+
+(* The content-addressed image is written straight into the encoder; the
+   original built it as a body first and encoded that
+   ([Msg_ref.signing_payload]). For every bulky constructor, with ops
+   sized around the 256-byte cutoff (one at a time and summed over a
+   batch) and carried envelopes around it too, both must give the same
+   bytes and leave their caches with the same counters. A 2 KiB digest
+   budget evicts constantly, so a change in the order of memo calls
+   would show in the counters. *)
+let signing_payload_model_test =
+  let module M = Bp_pbft.Msg in
+  let sizes = [| 0; 1; 100; 127; 128; 129; 255; 256; 257; 300; 1500 |] in
+  QCheck.Test.make ~count:100 ~name:"signing_payload = reference 0xCA image"
+    QCheck.(
+      triple
+        (list_of_size Gen.(1 -- 4) (int_bound (Array.length sizes - 1)))
+        (int_bound (Array.length sizes - 1))
+        bool)
+    (fun (picks, env_pick, repeat) ->
+      let ks = make_keystore () in
+      let cache = Verify_cache.create ~digest_budget:2048 ks in
+      let ref_cache = Verify_cache.create ~digest_budget:2048 ks in
+      let ops =
+        List.mapi
+          (fun i k ->
+            String.make sizes.(k) (Char.chr (if repeat then 97 else 97 + i)))
+          picks
+      in
+      let batch = mk_batch ops in
+      let proof pseq =
+        { M.pview = 0; pseq; pdigest = "d"; pbatch = batch; prepare_sigs = [ (1, "s") ] }
+      in
+      let envelope c = String.make sizes.(env_pick) c in
+      let bodies =
+        List.map (fun r -> M.Request r) batch
+        @ [
+            M.Pre_prepare { view = 0; seq = 1; digest = "d"; batch };
+            M.View_change
+              {
+                new_view = 1;
+                stable_seq = 0;
+                stable_digest = "";
+                prepared = [ proof 1; proof 2 ];
+                vc_replica = 3;
+              };
+            M.New_view
+              {
+                view = 1;
+                view_change_envelopes = [ envelope 'x'; envelope 'y' ];
+                batches = [ (1, "d", batch); (2, "e", batch) ];
+                replica = 1;
+              };
+            M.Fetch_reply { batches = [ (1, "d", batch); (2, "e", batch) ]; replica = 2 };
+          ]
+      in
+      List.for_all
+        (fun body ->
+          let payload =
+            M.signing_payload ~cache ~encoded:(fun () -> M.encode_body body) body
+          in
+          String.equal payload (Msg_ref.signing_payload ~cache:ref_cache body)
+          && Verify_cache.instance_counters cache
+             = Verify_cache.instance_counters ref_cache)
+        bodies)
 
 (* CRC32 combination (used to seal broadcast frames without re-scanning
    the shared payload once per destination) against the direct scan and
@@ -455,8 +724,20 @@ let suite =
             test_crc_combine_edges;
           Alcotest.test_case "Crc32.shift reused across frames" `Quick
             test_crc_shift_reuse;
+          Alcotest.test_case "fingerprint collisions miss once each" `Quick
+            test_fingerprint_collisions;
+          Alcotest.test_case "hits allocate nothing" `Quick
+            test_hits_allocate_nothing;
+          Alcotest.test_case "fresh cache is small" `Quick
+            test_fresh_cache_is_small;
+          Alcotest.test_case "digest ring regrows wrapped" `Quick
+            test_digest_ring_regrows_wrapped;
         ]
       @ List.map
           (fun capacity -> QCheck_alcotest.to_alcotest (model_test ~capacity))
-          [ 0; 1; 2; 17; 4096 ] );
+          [ 0; 1; 2; 17; 4096 ]
+      @ List.map
+          (fun budget -> QCheck_alcotest.to_alcotest (digest_model_test ~budget))
+          [ 0; 1024; 65536; 8 * 1024 * 1024 ]
+      @ [ QCheck_alcotest.to_alcotest signing_payload_model_test ] );
   ]

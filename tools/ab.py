@@ -12,10 +12,20 @@ workload (`bpbench --workload W --seed S --json ...`); which side runs
 first alternates from seed to seed.
 
 For host_us_per_op, top_heap_mb and setup_s it prints the median and
-Q1-Q3 of each side, the median change, and on how many seeds the change
-was lower (better). Simulated-time metrics depend only on the seed, so
-they must be identical seed by seed; the script prints every one that
-differs and then exits 1. It also exits 1 if a run fails its own checks
+Q1-Q3 of each side, the median change, on how many seeds the change was
+better, and a verdict:
+
+  gain        better on at least 9 in 10 pairs, and the medians differ
+              by more than the parent's Q1-Q3 spread;
+  worse       the change's median is worse than the parent's by more
+              than the metric's `bound` in BENCHMARK.json (a fraction of
+              the parent's median);
+  unresolved  neither.
+
+The verdicts are printed for reading; they do not set the exit code.
+Simulated-time metrics depend only on the seed, so they must be
+identical seed by seed; the script prints every one that differs and
+then exits 1. It also exits 1 if a run fails its own checks
 or fails an op. Exit 2 means a build or a run could not be done.
 
 Options: --seeds takes "21-30" or "21,23,25"; --workloads takes names
@@ -108,6 +118,26 @@ def run(exe, workload, seed, scale, out):
     return rep
 
 
+def load_bounds(path="BENCHMARK.json"):
+    """{metric: (bound, better)} for the end-to-end metrics."""
+    with open(path) as f:
+        spec = json.load(f)
+    return {m["name"]: (m["bound"], m["better"]) for m in spec["end_to_end"]}
+
+
+def verdict(parent, change, bound, better):
+    """gain / worse / unresolved for paired samples of one metric."""
+    sign = 1 if better == "lower" else -1
+    wins = sum(1 for a, b in zip(parent, change) if sign * (a - b) > 0)
+    pq, cq = quartiles(parent), quartiles(change)
+    moved = sign * (pq[1] - cq[1])
+    if 10 * wins >= 9 * len(parent) and moved > pq[2] - pq[0]:
+        return wins, "gain"
+    if -moved > bound * abs(pq[1]):
+        return wins, "worse"
+    return wins, "unresolved"
+
+
 def quartiles(xs):
     if len(xs) < 2:
         return xs[0], xs[0], xs[0]
@@ -126,6 +156,7 @@ def main():
     workloads = parse_workloads(args.workloads)
     if not os.path.exists(os.path.join("bench", "e2e", "dune")):
         die("run from the root of the checkout")
+    bounds = load_bounds()
 
     failures = []
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
@@ -165,16 +196,17 @@ def main():
                       file=sys.stderr)
             print(f"\n{workload} ({len(seeds)} seeds, alternating pairs)")
             print(f"  {'metric':<16} {'parent median [Q1-Q3]':<30}"
-                  f" {'change median [Q1-Q3]':<30} {'change':>8} {'lower':>7}")
+                  f" {'change median [Q1-Q3]':<30} {'change':>8} {'better':>7}"
+                  f"  verdict")
             for m in HOST:
                 p, c = host["parent"][m], host["change"][m]
                 pq, cq = quartiles(p), quartiles(c)
-                wins = sum(1 for a, b in zip(p, c) if b < a)
+                wins, says = verdict(p, c, *bounds[m])
                 delta = (cq[1] - pq[1]) / pq[1] * 100 if pq[1] else float("nan")
                 print(f"  {m:<16} "
                       f"{f'{pq[1]:.3f} [{pq[0]:.3f}-{pq[2]:.3f}]':<30} "
                       f"{f'{cq[1]:.3f} [{cq[0]:.3f}-{cq[2]:.3f}]':<30} "
-                      f"{delta:>+7.1f}% {wins:>3}/{len(seeds)}")
+                      f"{delta:>+7.1f}% {wins:>3}/{len(seeds)}  {says}")
     if failures:
         print("\nsimulated metrics or checks differ:")
         for f in failures:
