@@ -58,7 +58,7 @@ let create ~network ~n_participants ?(fi = 1) () =
         Replica.of_net (net transport client ~n:n_participants) ~n:n_participants
           ~id:p ~on_learn:(fun _ _ -> ())
       in
-      Bp_net.Transport.set_handler transport ~tag:wide_tag (fun ~src payload ->
+      Bp_net.Transport.set_handler transport ~tag:wide_tag (fun ~src ~hint:_ payload ->
           match Msg.decode payload with
           | Ok msg -> Replica.receive replica ~src:src.Addr.dc msg
           | Error _ -> ());

@@ -98,7 +98,7 @@ let create ~network ~pbft_cfg ~participant ~n_participants ~lead_node ~geo
       | _ -> ());
   (* Quorum-read replies arrive on this participant's aux tag. *)
   Bp_net.Transport.set_handler transport ~tag:(Proto.aux_tag participant)
-    (fun ~src payload ->
+    (fun ~src ~hint:_ payload ->
       match Proto.decode payload with
       | Ok (Proto.Read_reply { pos; payload }) -> on_read_reply t ~src ~pos ~payload
       | _ -> ());

@@ -215,11 +215,13 @@ let replay ~image ~app =
     (Bp_storage.Wal.records wal);
   (!count, if discarded = 0 then Ok () else Error `Corrupt_tail)
 
-(* A request's op decoded once per node: the pre-screen, the batch-cut
-   screen, the prepared check, the pipelined re-verify, the prefetch and
-   execution all read the [Record.t] memoized in the request itself. The
-   replica drops the memo when the request executes; a dropped request
-   takes its memo with it. *)
+(* A request's op decoded once and memoized in the request itself: the
+   pre-screen, the batch-cut screen, the prepared check, the pipelined
+   re-verify, the prefetch and execution all read that [Record.t].
+   Delivery hints hand every node of the unit the client's own request
+   record, so one decode serves them all until a replica executes the
+   request and drops the memo; a node that executes it later decodes
+   again. A dropped request takes its memo with it. *)
 type Bp_pbft.Msg.decoded += Decoded_record of (Record.t, string) result
 
 let record_of (r : Bp_pbft.Msg.request) =
@@ -540,5 +542,5 @@ let create ~network ~pbft_cfg ~participant ~n_participants ~node_idx ~fg
   t.replica <- Some replica;
   Bp_net.Transport.set_handler transport
     ~tag:(per_unit t.aux_tags Proto.aux_tag participant)
-    (fun ~src payload -> on_aux t ~src payload);
+    (fun ~src ~hint:_ payload -> on_aux t ~src payload);
   t

@@ -16,7 +16,7 @@ let ping_tag = "_hb.ping"
 let pong_tag = "_hb.pong"
 
 let serve transport =
-  Transport.set_handler transport ~tag:ping_tag (fun ~src _ ->
+  Transport.set_handler transport ~tag:ping_tag (fun ~src ~hint:_ _ ->
       Transport.send transport ~reliable:false ~dst:src ~tag:pong_tag "")
 
 let create transport ~peers ~period ~timeout ~on_suspect ?(on_restore = ignore) () =
@@ -37,7 +37,7 @@ let create transport ~peers ~period ~timeout ~on_suspect ?(on_restore = ignore) 
     (fun p -> Addr.Tbl.replace t.peers p { last_heard = now; suspect = false })
     peers;
   serve transport;
-  Transport.set_handler transport ~tag:pong_tag (fun ~src _ ->
+  Transport.set_handler transport ~tag:pong_tag (fun ~src ~hint:_ _ ->
       match Addr.Tbl.find_opt t.peers src with
       | None -> ()
       | Some st ->

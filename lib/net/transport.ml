@@ -43,8 +43,10 @@ let packet_reader d =
 (* The sender's packet rides with its frame as a delivery hint, so the
    receiver neither builds nor checksums nor decodes the bytes. The network
    drops the hint from a corrupted copy, which then takes the checked
-   slow path in [on_frame]. *)
-type Network.hint += Decoded of packet
+   slow path in [on_frame]. The caller's own hint for a Data or
+   Unreliable payload rides along in the second field and reaches the
+   handler with exactly that payload. *)
+type Network.hint += Decoded of packet * Network.hint option
 
 let packet_length = function
   | Unreliable { tag; payload } ->
@@ -79,7 +81,8 @@ type t = {
   net : Network.t;
   engine : Engine.t;
   self : Addr.t;
-  handlers : (string, src:Addr.t -> string -> unit) Hashtbl.t;
+  handlers :
+    (string, src:Addr.t -> hint:Network.hint option -> string -> unit) Hashtbl.t;
   peers : peer Addr.Tbl.t;
   scratch : Bp_codec.Wire.encoder; (* frame bytes, when built (Frame.seal_with) *)
   mutable retransmissions : int;
@@ -138,10 +141,12 @@ let frame t packet =
     (fun () ->
       Bp_codec.Frame.seal_with t.scratch (fun e -> encode_packet_into e packet))
 
-let raw_send t ~dst packet =
-  Network.send t.net ~src:t.self ~dst ~hint:(Decoded packet) (frame t packet)
+let raw_send t ?hint ~dst packet =
+  Network.send t.net ~src:t.self ~dst ~hint:(Decoded (packet, hint)) (frame t packet)
 
-(* Resend every unacked segment, in ascending seq order. *)
+(* Resend every unacked segment, in ascending seq order. The ring keeps
+   payloads, not the caller's hints, so a retransmission reaches its
+   handler with the bytes alone. *)
 let retransmit_all t p =
   let mask = Array.length p.first_sent - 1 in
   for seq = p.acked to p.next_send_seq - 1 do
@@ -168,34 +173,36 @@ let rec arm_retransmit t p =
       in
       p.retransmit <- Some timer
 
-let dispatch t ~src ~tag payload =
+let dispatch t ~src ~hint ~tag payload =
   match Hashtbl.find_opt t.handlers tag with
-  | Some h -> h ~src payload
+  | Some h -> h ~src ~hint payload
   | None ->
       Log.debug (fun m ->
           m "%s: no handler for tag %S (from %s)" (Addr.to_string t.self) tag
             (Addr.to_string src))
 
-(* Deliver the buffered segments that are now in order. *)
+(* Deliver the buffered segments that are now in order. The buffer keeps
+   no hints: a released segment reaches its handler with the bytes
+   alone. *)
 let rec drain t p ~src =
   match Int_map.find_opt p.next_recv_seq p.reorder_buffer with
   | Some (tag, payload) ->
       p.reorder_buffer <- Int_map.remove p.next_recv_seq p.reorder_buffer;
       p.next_recv_seq <- p.next_recv_seq + 1;
-      dispatch t ~src ~tag payload;
+      dispatch t ~src ~hint:None ~tag payload;
       drain t p ~src
   | None -> ()
 
 (* The in-order segment, the common case, is delivered at once; only a
    segment that arrives ahead of a gap waits in [reorder_buffer]. *)
-let handle_data t p ~src ~seq ~tag payload =
+let handle_data t p ~src ~hint ~seq ~tag payload =
   if seq < p.next_recv_seq then
     (* Duplicate of something already delivered: just re-ack. *)
     raw_send t ~dst:src (Ack { next_expected = p.next_recv_seq })
   else begin
     if seq = p.next_recv_seq then begin
       p.next_recv_seq <- seq + 1;
-      dispatch t ~src ~tag payload;
+      dispatch t ~src ~hint ~tag payload;
       drain t p ~src
     end
     else if not (Int_map.mem seq p.reorder_buffer) then
@@ -235,20 +242,20 @@ let handle_ack t p ~next_expected =
 (* The retransmit timer stays armed; it self-disarms when it finds no
    segment unacked. *)
 
-let handle_packet t ~src packet =
+let handle_packet t ~src ~hint packet =
   match packet with
-  | Unreliable { tag; payload } -> dispatch t ~src ~tag payload
+  | Unreliable { tag; payload } -> dispatch t ~src ~hint ~tag payload
   | Data { seq; tag; payload } ->
-      handle_data t (peer_of t src) ~src ~seq ~tag payload
+      handle_data t (peer_of t src) ~src ~hint ~seq ~tag payload
   | Ack { next_expected } -> handle_ack t (peer_of t src) ~next_expected
 
 let on_frame t ~src ~hint frame =
   match hint with
-  | Some (Decoded packet) ->
+  | Some (Decoded (packet, hint)) ->
       (* The hint came with this very send and the bytes were not
          rewritten (the network drops hints from corrupted copies), so
          the checksum and the decode are provably redundant. *)
-      handle_packet t ~src packet
+      handle_packet t ~src ~hint packet
   | _ -> (
       (* Zero-copy slow path: validate the checksum in place, then decode
          the packet from a window of the frame — no payload-sized
@@ -261,7 +268,7 @@ let on_frame t ~src ~hint frame =
           else (
             match Bp_codec.Wire.decode_sub frame ~off ~len packet_reader with
             | Error _ -> t.discarded <- t.discarded + 1
-            | Ok packet -> handle_packet t ~src packet))
+            | Ok packet -> handle_packet t ~src ~hint:None packet))
 
 let create net self =
   let t =
@@ -284,10 +291,10 @@ let clear_handler t ~tag = Hashtbl.remove t.handlers tag
 
 (* Loop-back: deliver asynchronously (keeping run-to-completion event
    semantics) without touching the network. *)
-let loopback t ~tag payload =
+let loopback t ~hint ~tag payload =
   ignore
     (Engine.schedule t.engine ~after:Time.zero (fun () ->
-         dispatch t ~src:t.self ~tag payload))
+         dispatch t ~src:t.self ~hint ~tag payload))
 
 (* Double the ring, keeping each unacked seq at its index under the new
    mask. *)
@@ -319,13 +326,13 @@ let reserve_seq t p ~tag payload =
   p.first_sent.(i) <- Time.to_ns (Engine.now t.engine);
   seq
 
-let send t ?(reliable = true) ~dst ~tag payload =
-  if Addr.equal dst t.self then loopback t ~tag payload
-  else if not reliable then raw_send t ~dst (Unreliable { tag; payload })
+let send t ?(reliable = true) ?hint ~dst ~tag payload =
+  if Addr.equal dst t.self then loopback t ~hint ~tag payload
+  else if not reliable then raw_send t ?hint ~dst (Unreliable { tag; payload })
   else begin
     let p = peer_of t dst in
     let seq = reserve_seq t p ~tag payload in
-    raw_send t ~dst (Data { seq; tag; payload });
+    raw_send t ?hint ~dst (Data { seq; tag; payload });
     arm_retransmit t p
   end
 
@@ -370,7 +377,7 @@ let suffix_frames t ~tag payload =
    one frame and one hint across destinations. Wire format and send
    order are identical to a loop of {!send}, so virtual-time results do
    not change. *)
-let broadcast t ?(reliable = true) ~dsts ~tag payload =
+let broadcast t ?(reliable = true) ?hint ~dsts ~tag payload =
   if Array.length dsts > 0 then begin
     let frame_for = suffix_frames t ~tag payload in
     if not reliable then begin
@@ -378,31 +385,32 @@ let broadcast t ?(reliable = true) ~dsts ~tag payload =
       let shared = ref None in
       Array.iter
         (fun dst ->
-          if Addr.equal dst t.self then loopback t ~tag payload
+          if Addr.equal dst t.self then loopback t ~hint ~tag payload
           else begin
-            let frame, hint =
+            let frame, decoded =
               match !shared with
               | Some fh -> fh
               | None ->
                   let fh =
-                    (frame_for ~seq:None, Decoded (Unreliable { tag; payload }))
+                    ( frame_for ~seq:None,
+                      Decoded (Unreliable { tag; payload }, hint) )
                   in
                   shared := Some fh;
                   fh
             in
-            Network.send t.net ~src:t.self ~dst ~hint frame
+            Network.send t.net ~src:t.self ~dst ~hint:decoded frame
           end)
         dsts
     end
     else
       Array.iter
         (fun dst ->
-          if Addr.equal dst t.self then loopback t ~tag payload
+          if Addr.equal dst t.self then loopback t ~hint ~tag payload
           else begin
             let p = peer_of t dst in
             let seq = reserve_seq t p ~tag payload in
             Network.send t.net ~src:t.self ~dst
-              ~hint:(Decoded (Data { seq; tag; payload }))
+              ~hint:(Decoded (Data { seq; tag; payload }, hint))
               (frame_for ~seq:(Some seq));
             arm_retransmit t p
           end)

@@ -19,19 +19,49 @@ val create : Bp_sim.Network.t -> Bp_sim.Addr.t -> t
 val addr : t -> Bp_sim.Addr.t
 val network : t -> Bp_sim.Network.t
 
-val set_handler : t -> tag:string -> (src:Bp_sim.Addr.t -> string -> unit) -> unit
-(** Replaces any previous handler for the tag. *)
+val set_handler :
+  t ->
+  tag:string ->
+  (src:Bp_sim.Addr.t -> hint:Bp_sim.Network.hint option -> string -> unit) ->
+  unit
+(** Replaces any previous handler for the tag. The handler gets the
+    payload and, when one came with it, the sender's [hint] (see
+    {!send}). *)
 
 val clear_handler : t -> tag:string -> unit
 
-val send : t -> ?reliable:bool -> dst:Bp_sim.Addr.t -> tag:string -> string -> unit
+val send :
+  t ->
+  ?reliable:bool ->
+  ?hint:Bp_sim.Network.hint ->
+  dst:Bp_sim.Addr.t ->
+  tag:string ->
+  string ->
+  unit
 (** [reliable] defaults to [true]. Reliable messages are delivered exactly
     once, in per-peer FIFO order, as long as both nodes stay up and the
     link is eventually non-lossy. Unreliable messages may be lost,
-    duplicated (never corrupted — frames catch that) or reordered. *)
+    duplicated (never corrupted — frames catch that) or reordered.
+
+    [hint] is the sender's pre-interpreted form of [payload] (e.g. the
+    body a PBFT envelope was sealed from). It rides with the packet's own
+    hint, so the network drops it from a corrupted copy, and the handler
+    receives it only together with this very [payload] string, loopback
+    included. The transport trusts it for nothing and never reads it. A
+    delivery may come without it: a segment released later from the
+    reorder buffer, a retransmission and a corrupted-then-retransmitted
+    copy carry the bytes alone, so a handler must treat a missing hint as
+    the reference path and may use a present one only as a shortcut to
+    what the bytes say. *)
 
 val broadcast :
-  t -> ?reliable:bool -> dsts:Bp_sim.Addr.t array -> tag:string -> string -> unit
+  t ->
+  ?reliable:bool ->
+  ?hint:Bp_sim.Network.hint ->
+  dsts:Bp_sim.Addr.t array ->
+  tag:string ->
+  string ->
+  unit
 (** Semantically identical to calling {!send} for each destination in
     array order (self-destinations loop back), but the message body is
     serialized exactly once per broadcast: destinations share the encoded

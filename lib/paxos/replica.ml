@@ -258,7 +258,7 @@ let create ?(auto_retry = false) transport cfg ~id ~on_learn =
     else None
   in
   let t = { (of_net net ~n:(Array.length cfg.nodes) ~id ~on_learn) with retry } in
-  Bp_net.Transport.set_handler transport ~tag:Msg.tag (fun ~src payload ->
+  Bp_net.Transport.set_handler transport ~tag:Msg.tag (fun ~src ~hint:_ payload ->
       match Array.find_index (Addr.equal src) cfg.nodes with
       | None -> ()
       | Some src -> (

@@ -22,21 +22,22 @@ type t = {
 
 let in_flight t = Int_map.cardinal t.pending
 
+(* A request's envelope and its body as the delivery hint: the replicas
+   keep this very request record, op string included. *)
+let seal t request =
+  Msg.seal_with_hint ~cache:t.cache t.cfg
+    ~sender:(Bp_net.Transport.addr t.transport)
+    (Msg.Request request)
+
 let send_to_primary t request =
   let primary = Config.primary_of_view t.cfg t.view_estimate in
-  Bp_net.Transport.send t.transport ~dst:t.cfg.Config.nodes.(primary)
-    ~tag:t.cfg.Config.tag
-    (Msg.seal ~cache:t.cache t.cfg
-       ~sender:(Bp_net.Transport.addr t.transport)
-       (Msg.Request request))
+  let sealed, hint = seal t request in
+  Bp_net.Transport.send t.transport ~hint ~dst:t.cfg.Config.nodes.(primary)
+    ~tag:t.cfg.Config.tag sealed
 
 let broadcast_request t request =
-  let sealed =
-    Msg.seal ~cache:t.cache t.cfg
-      ~sender:(Bp_net.Transport.addr t.transport)
-      (Msg.Request request)
-  in
-  Bp_net.Transport.broadcast t.transport ~dsts:t.cfg.Config.nodes
+  let sealed, hint = seal t request in
+  Bp_net.Transport.broadcast t.transport ~hint ~dsts:t.cfg.Config.nodes
     ~tag:t.cfg.Config.tag sealed
 
 let rec arm_timer t p =
@@ -88,8 +89,8 @@ let create ~cache transport cfg =
     }
   in
   Bp_net.Transport.set_handler transport ~tag:(Config.reply_tag cfg)
-    (fun ~src:_ payload ->
-      match Msg.verify_envelope ~cache cfg payload with
+    (fun ~src:_ ~hint payload ->
+      match Msg.verify_envelope ~cache ?hint cfg payload with
       | Ok body -> on_reply t body
       | Error _ -> ());
   t

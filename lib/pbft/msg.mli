@@ -24,9 +24,10 @@ type request = {
   op : string;
   client_sig : string;
   mutable decoded : decoded;
-      (** Memo of [op]'s decoding, local to the node holding this value:
+      (** Memo of [op]'s decoding, shared by every node holding this
+          value (with a {!Sealed} hint, the sender and its receivers):
           never encoded, [Not_decoded] when built or decoded, and reset by
-          the replica once the request has executed. It must be a pure
+          a replica once it has executed the request. It must be a pure
           function of [op]. *)
 }
 
@@ -153,8 +154,40 @@ val seal_forged : Config.t -> sender:Bp_sim.Addr.t -> body -> string
 (** Test hook: envelope with a garbage signature (models a node that
     cannot actually sign for the identity it impersonates). *)
 
+type Bp_sim.Network.hint +=
+  | Sealed of { envelope : string; body : body }
+        (** [envelope] is [seal … body]. A sender attaches it to the
+            envelope it sends ({!Bp_net.Transport.send}'s [hint]), so a
+            receiver in the same process shares [body] — its request
+            records and their op strings — instead of decoding a copy.
+            It is trusted to be the decoding of [envelope]'s body, so
+            build it with {!seal_with_hint}. *)
+
+val seal_with_hint :
+  cache:Bp_crypto.Verify_cache.t ->
+  Config.t ->
+  sender:Bp_sim.Addr.t ->
+  body ->
+  string * Bp_sim.Network.hint
+(** {!seal}, and the [Sealed] hint to send with the envelope. *)
+
 val verify_envelope :
-  cache:Bp_crypto.Verify_cache.t -> Config.t -> string -> (body, string) result
+  cache:Bp_crypto.Verify_cache.t ->
+  ?hint:Bp_sim.Network.hint ->
+  Config.t ->
+  string ->
+  (body, string) result
 (** Decode and verify: the signature must check against the address the
     body itself names (its replica index, the view's primary for a
-    pre-prepare, or the request's client). *)
+    pre-prepare, or the request's client).
+
+    A [Sealed { envelope; body }] [hint] is used only when [envelope] is
+    the very string checked ([==]), and then only in place of decoding
+    the body: the envelope's framing is still decoded, and the sender and
+    the signature over [body]'s signing payload are checked as without
+    it, through the same cache calls. So a hint never makes a malformed
+    envelope or a bad signature pass, and the result, the verdict and the
+    cache's counters are those of the hintless call; the only difference
+    is that an [Ok] body is the hint's own value, sharing its strings
+    and its requests' [decoded] memos with the sender. Any other hint
+    is ignored. *)

@@ -214,11 +214,16 @@ let batches_equal a b =
          && List.for_all2 request_equal batch_a batch_b)
        a b
 
+(* The envelope of [body] and the delivery hint that goes with it, so
+   receivers check the signature without decoding a copy of the body. *)
+let seal t body =
+  Msg.seal_with_hint ~cache:t.cache t.cfg ~sender:(self_addr t) body
+
 let broadcast t body =
   (* Seal once, serialize the transport suffix once: the whole broadcast
      encodes the message exactly one time regardless of cluster size. *)
-  let sealed = Msg.seal ~cache:t.cache t.cfg ~sender:(self_addr t) body in
-  Bp_net.Transport.broadcast t.transport ~dsts:t.cfg.Config.nodes
+  let sealed, hint = seal t body in
+  Bp_net.Transport.broadcast t.transport ~hint ~dsts:t.cfg.Config.nodes
     ~tag:t.cfg.Config.tag sealed
 
 let send_reply t (r : Msg.request) result =
@@ -226,9 +231,10 @@ let send_reply t (r : Msg.request) result =
     Msg.Reply
       { view = t.view; ts = r.Msg.ts; client = r.Msg.client; replica = t.id; result }
   in
-  let sealed = Msg.seal ~cache:t.cache t.cfg ~sender:(self_addr t) body in
+  let sealed, hint = seal t body in
   Addr.Tbl.replace t.last_reply r.Msg.client (r.Msg.ts, sealed);
-  Bp_net.Transport.send t.transport ~dst:r.Msg.client ~tag:t.reply_tag sealed
+  Bp_net.Transport.send t.transport ~hint ~dst:r.Msg.client ~tag:t.reply_tag
+    sealed
 
 let slot_of t seq =
   match Int_map.find_opt seq t.slots with
@@ -639,7 +645,10 @@ and try_execute t =
               else t.execute ~seq:s.seq r
             in
             (* The archive keeps this request for state transfer; its
-               decoded op must not outlive the execution. *)
+               decoded op must not outlive the execution. The record is
+               the one the client sealed (delivery hints share it across
+               the unit), so this also drops the memo for peers that
+               have yet to execute it: they decode the op again. *)
             r.Msg.decoded <- Msg.Not_decoded;
             cancel_request_timer t (request_key r);
             send_reply t r result)
@@ -791,7 +800,7 @@ and arm_request_timer t (r : Msg.request) =
     Req_tbl.replace t.timers key timer
   end
 
-and handle_request t ~envelope (r : Msg.request) =
+and handle_request t ~envelope ~hint (r : Msg.request) =
   if Msg.request_valid ~cache:t.cache t.cfg r then begin
     match Addr.Tbl.find_opt t.last_reply r.Msg.client with
     | Some (ts, envelope) when ts >= r.Msg.ts ->
@@ -814,8 +823,9 @@ and handle_request t ~envelope (r : Msg.request) =
               result = "__rejected";
             }
         in
-        Bp_net.Transport.send t.transport ~dst:r.Msg.client ~tag:t.reply_tag
-          (Msg.seal ~cache:t.cache t.cfg ~sender:(self_addr t) body)
+        let sealed, hint = seal t body in
+        Bp_net.Transport.send t.transport ~hint ~dst:r.Msg.client
+          ~tag:t.reply_tag sealed
     | _ ->
         if is_primary t && is_normal t then begin
           let qk = request_key r in
@@ -833,7 +843,7 @@ and handle_request t ~envelope (r : Msg.request) =
              in progress) — the client's retransmissions provide liveness. *)
           let primary = Config.primary_of_view t.cfg t.view in
           if primary <> t.id && is_normal t then
-            Bp_net.Transport.send t.transport
+            Bp_net.Transport.send t.transport ?hint
               ~dst:t.cfg.Config.nodes.(primary)
               ~tag:t.cfg.Config.tag envelope;
           arm_request_timer t r
@@ -953,9 +963,9 @@ and handle_fetch t ~from_seq ~replica =
     done;
     if not (List.is_empty !batches) then begin
       let body = Msg.Fetch_reply { batches = !batches; replica = t.id } in
-      Bp_net.Transport.send t.transport ~dst:t.cfg.Config.nodes.(replica)
-        ~tag:t.cfg.Config.tag
-        (Msg.seal ~cache:t.cache t.cfg ~sender:(self_addr t) body)
+      let sealed, hint = seal t body in
+      Bp_net.Transport.send t.transport ~hint
+        ~dst:t.cfg.Config.nodes.(replica) ~tag:t.cfg.Config.tag sealed
     end
   end
 
@@ -1041,13 +1051,13 @@ let extract_prepare_signature envelope =
   | Ok s -> s
   | Error _ -> ""
 
-let on_envelope t ~src:_ envelope =
+let on_envelope t ~src:_ ~hint envelope =
   if not t.stopped then
-    match Msg.verify_envelope ~cache:t.cache t.cfg envelope with
+    match Msg.verify_envelope ~cache:t.cache ?hint t.cfg envelope with
     | Error e -> Log.debug (fun m -> m "pbft %d: rejected envelope: %s" t.id e)
     | Ok body -> (
         match body with
-        | Msg.Request r -> handle_request t ~envelope r
+        | Msg.Request r -> handle_request t ~envelope ~hint r
         | Msg.Pre_prepare { view; seq; digest; batch } ->
             handle_pre_prepare t ~view ~seq ~digest ~batch
         | Msg.Prepare { view; seq; digest; replica } ->
@@ -1137,8 +1147,7 @@ let create ~cache transport cfg ~id ~execute () =
   in
   (* Sequence 0 is a virtual, pre-executed genesis slot. *)
   t.own_checkpoints <- Int_map.add 0 t.chain t.own_checkpoints;
-  Bp_net.Transport.set_handler transport ~tag:cfg.Config.tag (fun ~src payload ->
-      on_envelope t ~src payload);
+  Bp_net.Transport.set_handler transport ~tag:cfg.Config.tag (on_envelope t);
   t
 
 let stop t =

@@ -14,7 +14,7 @@ let test_transport_basic_delivery () =
   let a = Transport.create net (node 0 0) in
   let b = Transport.create net (node 0 1) in
   let got = ref [] in
-  Transport.set_handler b ~tag:"app" (fun ~src payload ->
+  Transport.set_handler b ~tag:"app" (fun ~src ~hint:_ payload ->
       got := (Addr.to_string src, payload) :: !got);
   Transport.send a ~dst:(Transport.addr b) ~tag:"app" "hello";
   Engine.run e;
@@ -25,8 +25,8 @@ let test_transport_tag_multiplexing () =
   let a = Transport.create net (node 0 0) in
   let b = Transport.create net (node 0 1) in
   let xs = ref [] and ys = ref [] in
-  Transport.set_handler b ~tag:"x" (fun ~src:_ p -> xs := p :: !xs);
-  Transport.set_handler b ~tag:"y" (fun ~src:_ p -> ys := p :: !ys);
+  Transport.set_handler b ~tag:"x" (fun ~src:_ ~hint:_ p -> xs := p :: !xs);
+  Transport.set_handler b ~tag:"y" (fun ~src:_ ~hint:_ p -> ys := p :: !ys);
   Transport.send a ~dst:(Transport.addr b) ~tag:"x" "1";
   Transport.send a ~dst:(Transport.addr b) ~tag:"y" "2";
   Transport.send a ~dst:(Transport.addr b) ~tag:"x" "3";
@@ -38,7 +38,7 @@ let test_transport_loopback () =
   let e, net = setup () in
   let a = Transport.create net (node 0 0) in
   let got = ref 0 in
-  Transport.set_handler a ~tag:"self" (fun ~src:_ _ -> incr got);
+  Transport.set_handler a ~tag:"self" (fun ~src:_ ~hint:_ _ -> incr got);
   Transport.send a ~dst:(Transport.addr a) ~tag:"self" "ping";
   Engine.run e;
   Alcotest.(check int) "self-delivery" 1 !got
@@ -49,7 +49,7 @@ let test_transport_exactly_once_under_loss () =
   let a = Transport.create net (node 0 0) in
   let b = Transport.create net (node 2 0) in
   let got = ref [] in
-  Transport.set_handler b ~tag:"app" (fun ~src:_ p -> got := p :: !got);
+  Transport.set_handler b ~tag:"app" (fun ~src:_ ~hint:_ p -> got := p :: !got);
   for i = 1 to 50 do
     Transport.send a ~dst:(Transport.addr b) ~tag:"app" (string_of_int i)
   done;
@@ -64,7 +64,7 @@ let test_transport_order_under_duplication () =
   let a = Transport.create net (node 0 0) in
   let b = Transport.create net (node 1 0) in
   let got = ref [] in
-  Transport.set_handler b ~tag:"app" (fun ~src:_ p -> got := p :: !got);
+  Transport.set_handler b ~tag:"app" (fun ~src:_ ~hint:_ p -> got := p :: !got);
   for i = 1 to 30 do
     Transport.send a ~dst:(Transport.addr b) ~tag:"app" (string_of_int i)
   done;
@@ -79,7 +79,7 @@ let test_transport_survives_corruption () =
   let a = Transport.create net (node 0 0) in
   let b = Transport.create net (node 1 0) in
   let got = ref [] in
-  Transport.set_handler b ~tag:"app" (fun ~src:_ p -> got := p :: !got);
+  Transport.set_handler b ~tag:"app" (fun ~src:_ ~hint:_ p -> got := p :: !got);
   for i = 1 to 30 do
     Transport.send a ~dst:(Transport.addr b) ~tag:"app" (string_of_int i)
   done;
@@ -106,7 +106,7 @@ let test_transport_hostile_acks () =
   let c = Transport.create net (node 2 0) in
   let got_b = ref [] and got_c = ref [] in
   let arrivals = ref 0 in
-  let deliver got ~src:_ p =
+  let deliver got ~src:_ ~hint:_ p =
     got := p :: !got;
     arrivals := !arrivals + Time.to_ns (Engine.now e)
   in
@@ -156,7 +156,7 @@ let test_transport_window_grows_and_wraps () =
   let a = Transport.create net (node 0 0) in
   let b = Transport.create net (node 2 0) in
   let got = ref [] in
-  Transport.set_handler b ~tag:"app" (fun ~src:_ p -> got := p :: !got);
+  Transport.set_handler b ~tag:"app" (fun ~src:_ ~hint:_ p -> got := p :: !got);
   let sizes = [ 23; 5; 40; 11; 17; 3; 29 ] in
   List.iteri
     (fun wave n ->
@@ -216,7 +216,7 @@ let test_transport_odd_acks () =
   let a = Transport.create net (node 0 0) in
   let b = Transport.create net (node 1 0) in
   let got = ref [] in
-  Transport.set_handler b ~tag:"app" (fun ~src:_ p -> got := p :: !got);
+  Transport.set_handler b ~tag:"app" (fun ~src:_ ~hint:_ p -> got := p :: !got);
   let inject next_expected =
     Network.send net ~src:(Transport.addr b) ~dst:(Transport.addr a)
       (Network.frame_of_string (ack_frame next_expected))
@@ -256,7 +256,7 @@ let test_transport_out_of_order_arrival () =
   Network.register net raw (fun ~src:_ ~hint:_ frame ->
       acks := read_ack (Network.bytes frame) :: !acks);
   let got = ref [] in
-  Transport.set_handler b ~tag:"app" (fun ~src:_ p -> got := p :: !got);
+  Transport.set_handler b ~tag:"app" (fun ~src:_ ~hint:_ p -> got := p :: !got);
   List.iteri
     (fun i seq ->
       ignore
@@ -272,13 +272,73 @@ let test_transport_out_of_order_arrival () =
   Alcotest.(check (list int)) "each arrival acks the first missing seq"
     [ 0; 0; 0; 3; 3; 5; 6; 6 ] (List.rev !acks)
 
+type Network.hint += Note of string
+
+(* A sender's hint reaches the handler only with the very payload it was
+   sent with: unicast, broadcast, unreliable and loopback alike. A
+   retransmitted segment, and one released later from the reorder
+   buffer, carry the bytes alone. Segment 0 is refused at the source
+   while the link is down, so segment 1 arrives first and waits in the
+   buffer until the retransmission of segment 0 releases it. *)
+let test_transport_hint_delivery () =
+  let e, net = setup () in
+  let a = Transport.create net (node 0 0) in
+  let b = Transport.create net (node 1 0) in
+  let got = ref [] in
+  let record who ~src:_ ~hint p =
+    let how =
+      match hint with
+      | Some (Note q) when q == p -> "hint"
+      | Some _ -> "wrong hint"
+      | None -> "bytes"
+    in
+    got := (who ^ ":" ^ p, how) :: !got
+  in
+  Transport.set_handler a ~tag:"app" (record "a");
+  Transport.set_handler b ~tag:"app" (record "b");
+  let send ?reliable p =
+    Transport.send a ?reliable ~hint:(Note p) ~dst:(Transport.addr b) ~tag:"app" p
+  in
+  Network.set_link net 0 1 `Down;
+  send "lost";
+  Network.set_link net 0 1 `Up;
+  send "early";
+  Engine.run ~until:(Time.of_sec 2.0) e;
+  let retransmissions, _ = Transport.stats a in
+  Alcotest.(check bool) "segment 0 retransmitted" true (retransmissions > 0);
+  send "in order";
+  let fanout = "fanout" in
+  Transport.broadcast a ~hint:(Note fanout)
+    ~dsts:[| Transport.addr b; Transport.addr a |]
+    ~tag:"app" fanout;
+  send ~reliable:false "datagram";
+  let gossip = "gossip" in
+  Transport.broadcast a ~reliable:false ~hint:(Note gossip)
+    ~dsts:[| Transport.addr b |] ~tag:"app" gossip;
+  Transport.send a ~hint:(Note "other") ~dst:(Transport.addr b) ~tag:"app"
+    "not other";
+  Engine.run ~until:(Time.of_sec 4.0) e;
+  Alcotest.(check (list (pair string string)))
+    "hints ride with their own payload only"
+    [
+      ("b:lost", "bytes");
+      ("b:early", "bytes");
+      ("a:fanout", "hint");
+      ("b:in order", "hint");
+      ("b:fanout", "hint");
+      ("b:datagram", "hint");
+      ("b:gossip", "hint");
+      ("b:not other", "wrong hint");
+    ]
+    (List.rev !got)
+
 let test_transport_unreliable_lossy () =
   let faults = { Network.no_faults with drop = 1.0 } in
   let e, net = setup ~faults () in
   let a = Transport.create net (node 0 0) in
   let b = Transport.create net (node 0 1) in
   let got = ref 0 in
-  Transport.set_handler b ~tag:"app" (fun ~src:_ _ -> incr got);
+  Transport.set_handler b ~tag:"app" (fun ~src:_ ~hint:_ _ -> incr got);
   Transport.send a ~reliable:false ~dst:(Transport.addr b) ~tag:"app" "x";
   (* Unreliable + total loss: nothing arrives and nothing retransmits, so
      the simulation drains quickly. *)
@@ -292,8 +352,8 @@ let test_transport_bidirectional () =
   let a = Transport.create net (node 0 0) in
   let b = Transport.create net (node 1 0) in
   let got_a = ref [] and got_b = ref [] in
-  Transport.set_handler a ~tag:"app" (fun ~src:_ p -> got_a := p :: !got_a);
-  Transport.set_handler b ~tag:"app" (fun ~src:_ p ->
+  Transport.set_handler a ~tag:"app" (fun ~src:_ ~hint:_ p -> got_a := p :: !got_a);
+  Transport.set_handler b ~tag:"app" (fun ~src:_ ~hint:_ p ->
       got_b := p :: !got_b;
       Transport.send b ~dst:(Transport.addr a) ~tag:"app" ("re:" ^ p));
   Transport.send a ~dst:(Transport.addr b) ~tag:"app" "ping";
@@ -307,7 +367,7 @@ let test_transport_many_peers () =
   let spokes = List.init 6 (fun i -> Transport.create net (node (i mod 4) (i + 1))) in
   let got = ref 0 in
   List.iter
-    (fun s -> Transport.set_handler s ~tag:"bcast" (fun ~src:_ _ -> incr got))
+    (fun s -> Transport.set_handler s ~tag:"bcast" (fun ~src:_ ~hint:_ _ -> incr got))
     spokes;
   List.iter
     (fun s -> Transport.send hub ~dst:(Transport.addr s) ~tag:"bcast" "m")
@@ -363,7 +423,7 @@ let broadcast_encode_delta ~reliable ~fanout =
   let dsts =
     Array.init fanout (fun i ->
         let t = Transport.create net (node (i mod 4) (1 + (i / 4))) in
-        Transport.set_handler t ~tag:"bc" (fun ~src:_ _ -> ());
+        Transport.set_handler t ~tag:"bc" (fun ~src:_ ~hint:_ _ -> ());
         Transport.addr t)
   in
   let before = Bp_codec.Wire.encode_calls () in
@@ -456,7 +516,7 @@ let fault_scenario () =
     (fun i t ->
       List.iter
         (fun tag ->
-          Transport.set_handler t ~tag (fun ~src p ->
+          Transport.set_handler t ~tag (fun ~src ~hint:_ p ->
               incr deliveries;
               Buffer.add_string log
                 (Printf.sprintf "%d<%s %s %s @%d\n" i (Addr.to_string src) tag
@@ -516,7 +576,7 @@ let test_corrupt_only_materializes () =
   let a = Transport.create net (node 0 0) in
   let b = Transport.create net (node 1 0) in
   let got = ref [] in
-  Transport.set_handler b ~tag:"app" (fun ~src:_ p -> got := p :: !got);
+  Transport.set_handler b ~tag:"app" (fun ~src:_ ~hint:_ p -> got := p :: !got);
   for i = 1 to 40 do
     Transport.send a ~dst:(Transport.addr b) ~tag:"app" (string_of_int i)
   done;
@@ -548,6 +608,8 @@ let suite =
         tc "send window grows and wraps" test_transport_window_grows_and_wraps;
         tc "odd acks: beyond, stale, duplicate" test_transport_odd_acks;
         tc "out-of-order arrival is buffered" test_transport_out_of_order_arrival;
+        tc "hints: own payload only, none after buffer or resend"
+          test_transport_hint_delivery;
         tc "faults: pinned delivery, stats, counters" test_fault_regression;
         tc "corrupt only: materialized = corrupted" test_corrupt_only_materializes;
         QCheck_alcotest.to_alcotest frame_oracle_test;

@@ -192,7 +192,9 @@ let qcheck_body_size =
    same verdict (the same body, or the same error) and leave the two
    verify caches with the same counters. Mutations: truncation, a flipped
    bit, trailing bytes, a length prefix claiming more than the envelope
-   holds, and a seal by some other identity than the one the body names. *)
+   holds, and a seal by some other identity than the one the body names.
+   A [Msg.Sealed] hint changes nothing but where an [Ok] body comes
+   from. *)
 let qcheck_envelope_matches_reference =
   let engine = Engine.create () in
   let keystore = Bp_crypto.Signer.create (Bp_util.Rng.split (Engine.rng engine)) in
@@ -310,19 +312,34 @@ let qcheck_envelope_matches_reference =
             Msg.seal ~cache:signing cfg ~sender:other body
         | _ -> Msg.seal_forged cfg ~sender:named body
       in
+      (* The undamaged envelope's body as a delivery hint: honoured for
+         that very string only. A re-sealed or forged envelope of the
+         same body gets its own, truthful hint, which must not make the
+         wrong signature verify; every other damaged copy is a different
+         string, so its hint is ignored. *)
+      let hinted_envelope = match mutation with 5 | 6 -> envelope | _ -> sealed in
+      let hint = Msg.Sealed { envelope = hinted_envelope; body } in
       let fresh () = Bp_crypto.Verify_cache.create ~capacity:16 keystore in
-      let c_ref = fresh () and c_new = fresh () in
+      let c_ref = fresh () and c_new = fresh () and c_hint = fresh () in
       let expected = Msg_ref.verify_envelope ~cache:c_ref cfg envelope in
       let actual = Msg.verify_envelope ~cache:c_new cfg envelope in
-      let same =
+      let hinted = Msg.verify_envelope ~cache:c_hint ~hint cfg envelope in
+      let same expected actual =
         match (expected, actual) with
         | Ok a, Ok b -> String.equal (Msg.encode_body a) (Msg.encode_body b)
         | Error a, Error b -> String.equal a b
         | Ok _, Error _ | Error _, Ok _ -> false
       in
-      same
+      let shares_hint =
+        match hinted with
+        | Ok b -> (b == body) = (hinted_envelope == envelope)
+        | Error _ -> true
+      in
+      same expected actual && same expected hinted && shares_hint
       && Bp_crypto.Verify_cache.instance_counters c_ref
-         = Bp_crypto.Verify_cache.instance_counters c_new)
+         = Bp_crypto.Verify_cache.instance_counters c_new
+      && Bp_crypto.Verify_cache.instance_counters c_ref
+         = Bp_crypto.Verify_cache.instance_counters c_hint)
 
 let test_normal_case_commit () =
   let c = make_cluster () in

@@ -9,7 +9,8 @@ a temporary directory, builds bpbench there and in the working tree,
 copies both executables aside (later edits cannot change them), and
 then runs the two alternately, one process per run, for every seed and
 workload (`bpbench --workload W --seed S --json ...`); which side runs
-first alternates from seed to seed.
+first alternates from seed to seed. As each pair finishes it prints the
+pair's host_us_per_op and top_heap_mb, parent -> change, on stderr.
 
 For host_us_per_op, top_heap_mb and setup_s it prints the median and
 Q1-Q3 of each side, the median change, on how many seeds the change was
@@ -192,7 +193,10 @@ def main():
                             f"{workload} seed {seed}: {k} parent={a} change={b}")
                 print(f"{workload} seed {seed}: host_us_per_op "
                       f"{host['parent']['host_us_per_op'][-1]:.1f} -> "
-                      f"{host['change']['host_us_per_op'][-1]:.1f}",
+                      f"{host['change']['host_us_per_op'][-1]:.1f}, "
+                      f"top_heap_mb "
+                      f"{host['parent']['top_heap_mb'][-1]:.1f} -> "
+                      f"{host['change']['top_heap_mb'][-1]:.1f}",
                       file=sys.stderr)
             print(f"\n{workload} ({len(seeds)} seeds, alternating pairs)")
             print(f"  {'metric':<16} {'parent median [Q1-Q3]':<30}"
