@@ -184,8 +184,10 @@ type t = { api : Api.t }
 let attach api =
   let t = { api } in
   (* Destination side: every received transfer message is committed as a
-     credit. *)
-  Api.on_receive api (fun ~src:_ payload ->
+     credit. The handler consumes the delivery, so it also pops it from
+     the reception buffer. *)
+  Api.on_receive api (fun ~src payload ->
+      ignore (Api.receive api ~src);
       match parse_xfer payload with
       | Some (to_account, amount) ->
           Api.log_commit api

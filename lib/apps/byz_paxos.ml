@@ -120,6 +120,7 @@ let attach api ~n_participants =
   in
   let t = { api; replica = Lazy.force replica; decided = [] } in
   Api.on_receive api (fun ~src payload ->
+      ignore (Api.receive api ~src);
       match Msg.decode payload with
       | Ok msg -> Replica.receive t.replica ~src msg
       | Error _ -> ());

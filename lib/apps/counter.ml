@@ -78,7 +78,8 @@ let attach api =
   let t = { api; next_id = 0 } in
   (* StartServer (Algorithm 1, lines 6-11): every received message is
      log-committed as an increment event. *)
-  Api.on_receive api (fun ~src:_ _payload ->
+  Api.on_receive api (fun ~src _payload ->
+      ignore (Api.receive api ~src);
       Api.log_commit api increment_payload ~on_done:ignore);
   t
 

@@ -284,7 +284,8 @@ let attach_coordinator api =
   let t =
     { api; next_tid = 0; pending = Hashtbl.create 16; committed = 0; aborted = 0 }
   in
-  Api.on_receive api (fun ~src:_ payload ->
+  Api.on_receive api (fun ~src payload ->
+      ignore (Api.receive api ~src);
       match decode_wmsg payload with
       | Ok (Vote { tid; yes; cohort }) -> (
           match Hashtbl.find_opt t.pending tid with
@@ -314,6 +315,7 @@ let submit t ~ops ~on_decided =
 let attach_cohort api =
   let me = Api.participant api in
   Api.on_receive api (fun ~src payload ->
+      ignore (Api.receive api ~src);
       match decode_wmsg payload with
       | Ok (Prepare { tid; _ }) ->
           (* Optimistic vote: try YES; if the replicas' verification

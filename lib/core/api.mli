@@ -40,7 +40,9 @@ val on_receive : t -> (src:int -> string -> unit) -> unit
 (** Push-style delivery as received records execute: exactly once per
     transmission, in per-source order, even when a duplicate copy of a
     transmission also reaches the Local Log. Each delivery is buffered
-    for {!receive} before the handlers run, so a handler may drain it. *)
+    for {!receive} before the handlers run, so a handler may drain it;
+    a handler that consumes the delivery it is handed pops it with
+    {!receive}, or the buffer keeps it for the endpoint's lifetime. *)
 
 val read : t -> int -> Record.t option
 (** Read-1 strategy: serve from the closest (lead) node directly. A

@@ -318,7 +318,9 @@ let router ~map ~engine ~api =
      deployment stays byte-identical to the unsharded seed. *)
   if map.n_shards > 1 then
     for p = 0 to map.n_shards - 1 do
-      Api.on_receive (api p) (fun ~src payload -> on_message t ~self:p ~src payload)
+      Api.on_receive (api p) (fun ~src payload ->
+          ignore (Api.receive (api p) ~src);
+          on_message t ~self:p ~src payload)
     done;
   t
 

@@ -26,3 +26,8 @@ external crc32_update : crc32_kernel -> int -> bytes -> int -> int -> int
 [@@noalloc]
 
 external has_pclmul : unit -> bool = "bp_crc32_has_pclmul" [@@noalloc]
+external string_get64u : string -> int -> int64 = "%caml_string_get64u"
+external bytes_get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external bytes_set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bytes_get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
+external bytes_set32u : bytes -> int -> int32 -> unit = "%caml_bytes_set32u"

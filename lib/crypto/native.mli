@@ -53,3 +53,17 @@ external crc32_update : crc32_kernel -> int -> bytes -> int -> int -> int
     32-bit CRC register [reg] over [len] bytes at [buf.[off]]. *)
 
 external has_pclmul : unit -> bool = "bp_crc32_has_pclmul" [@@noalloc]
+
+(** {1 Unchecked word access}
+
+    Eight- and four-byte loads and stores in native byte order, with no
+    bounds check: compiler primitives that become single instructions,
+    not C calls. {!Verify_cache} copies and compares its inline keys
+    with them, after checking each key's bounds once, and reads and
+    writes its index cells with them, at masked positions. *)
+
+external string_get64u : string -> int -> int64 = "%caml_string_get64u"
+external bytes_get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external bytes_set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bytes_get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
+external bytes_set32u : bytes -> int -> int32 -> unit = "%caml_bytes_set32u"

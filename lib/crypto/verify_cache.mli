@@ -25,12 +25,16 @@ type t
 
 val create : ?capacity:int -> ?digest_budget:int -> Signer.t -> t
 (** [capacity] bounds the verdict table (entries, FIFO-evicted; default
-    4096; 0 keeps no verdict). [digest_budget] bounds the digest memo by
-    the bytes of content it keeps alive (FIFO-evicted; default 8 MiB —
-    enough for the operations still in flight; a bigger window would
-    mostly pin dead content on the major heap; 0 keeps no digest). Both
-    tables start at 64 slots and grow by doubling as they fill, so a
-    short-lived cache never pays for its full size. *)
+    4096; 0 keeps no verdict). It keeps each key of up to 512 bytes
+    (signature, signer and message together) as a copy in a byte store
+    sized to the keys it holds, so a stored verdict keeps no message or
+    signature alive; larger keys are kept by pointer. [digest_budget]
+    bounds the digest memo by the bytes of content it keeps alive
+    (FIFO-evicted; default 8 MiB — enough for the operations still in
+    flight; a bigger window would mostly pin dead content on the major
+    heap; 0 keeps no digest). Both tables start at 64 slots and grow by
+    doubling as they fill, so a short-lived cache never pays for its
+    full size. *)
 
 val keystore : t -> Signer.t
 
@@ -38,8 +42,10 @@ val verify : t -> signer:string -> msg:string -> signature:string -> bool
 (** Memoized {!Signer.verify}: same verdicts, bit for bit. Keyed by
     [(signer, signature)] with the stored message compared on every probe,
     so colliding or tampered inputs recompute rather than cross-talk. The
-    key hashes from word loads of the signature; a hit allocates
-    nothing. *)
+    key hashes from word loads of the signature and is compared by word
+    loads; a hit allocates nothing, and neither does storing the verdict
+    of a miss whose key is inline (up to 512 bytes), once the table has
+    reached its size. *)
 
 val probe : t -> signer:string -> msg:string -> signature:string -> bool option
 (** Lookup half of {!verify}, for batched verification (see

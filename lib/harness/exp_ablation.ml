@@ -130,7 +130,8 @@ let run_scheme ~n ~scheme ~seed =
   let received = ref 0 in
   (* Messages arrive in order; resolve the waiting sender directly. *)
   let waiting : (unit -> unit) Queue.t = Queue.create () in
-  Api.on_receive (Deployment.api dep 1) (fun ~src:_ _ ->
+  Api.on_receive (Deployment.api dep 1) (fun ~src _ ->
+      ignore (Api.receive (Deployment.api dep 1) ~src);
       incr received;
       if not (Queue.is_empty waiting) then (Queue.pop waiting) ());
   let stats = Bp_util.Stats.create () in

@@ -56,37 +56,63 @@ let diff_verify_test ?(capacity = 4) ~name ~scheme () =
    Hashtbl-and-ring implementation ([Verify_cache_ref]): random sequences
    of [verify], [probe], [record] and [sign] calls, with keystore
    generation bumps mixed in, must give the same verdicts and the same
-   hit/miss counts after every single step. The signature pool is small
-   (valid tags, tampered tags and the all-zero forged tag under every
-   signer), so keys collide in the index and entries are refreshed in
-   place; capacities 1, 2 and 17 evict constantly, 4096 grows the slot
-   arrays without evicting, and 0 keeps nothing. *)
+   hit/miss counts after every single step. The message pool crosses the
+   512-byte bound under which keys are copied into the key store: 0, 7,
+   8, 120, 200 and 1000 bytes, each a prefix of the next, plus two
+   300-byte messages that differ only in the middle; the signers' names
+   run from 1 to 60 bytes. The signature pool is small (valid tags,
+   tampered tags and the all-zero forged tag under every signer), so
+   keys collide in the index and entries are refreshed in place, inline
+   when the new message is no longer than the old, by pointer
+   otherwise; capacities 1, 2 and 17 evict constantly, 4096 grows the
+   slot arrays without evicting, and 0 keeps nothing. *)
+let model_msgs =
+  let middle c =
+    let b = Bytes.make 300 'm' in
+    Bytes.set b 150 c;
+    Bytes.to_string b
+  in
+  Array.append
+    (Array.map
+       (fun n -> String.init n (fun i -> Char.chr (97 + (i * 7 mod 26))))
+       [| 0; 7; 8; 120; 200; 1000 |])
+    [| middle 'a'; middle 'b' |]
+
+let model_ids = [| "s"; "cache/id1"; "cache/signer-2"; String.make 60 'n'; "id4" |]
+
 let model_test ~capacity =
-  let msgs = Array.init 6 (fun i -> Printf.sprintf "model message %d" i) in
+  let msgs = model_msgs and signers = model_ids in
+  let n_valid = Array.length signers * Array.length msgs in
   let zero_tag = String.make 32 '\x00' in
   QCheck.Test.make ~count:200
     ~name:(Printf.sprintf "verdict cache = reference model (capacity %d)" capacity)
     QCheck.(
       list_of_size Gen.(0 -- 300)
-        (quad (int_bound 9) (int_bound 8) (int_bound 5) (int_bound 55)))
+        (quad (int_bound 9)
+           (int_bound (Array.length signers))
+           (int_bound (Array.length msgs - 1))
+           (int_bound (n_valid + 4 + Array.length signers - 1))))
     (fun ops ->
-      let ks = make_keystore () in
+      let ks = Signer.create (Bp_util.Rng.create 42L) in
+      Array.iter (Signer.add_identity ks) signers;
       let sigs =
         Array.map
           (fun id -> Array.map (fun m -> Signer.sign ks ~signer:id m) msgs)
-          ids
+          signers
       in
       let signature_of c =
-        if c < 48 then sigs.(c / 6).(c mod 6)
-        else if c < 52 then zero_tag
-        else flip_byte sigs.(c - 52).(0) c
+        if c < n_valid then sigs.(c / Array.length msgs).(c mod Array.length msgs)
+        else if c < n_valid + 4 then zero_tag
+        else flip_byte sigs.(c - n_valid - 4).(0) c
       in
       let cache = Verify_cache.create ~capacity ks in
       let model = Verify_cache_ref.create ~capacity ks in
       let bumps = ref 0 in
       List.for_all
         (fun (kind, who, m, c) ->
-          let signer = if who < Array.length ids then ids.(who) else "cache/ghost" in
+          let signer =
+            if who < Array.length signers then signers.(who) else "cache/ghost"
+          in
           let msg = msgs.(m) and signature = signature_of c in
           let same =
             match kind with
@@ -102,7 +128,7 @@ let model_test ~capacity =
                 Verify_cache_ref.record model ~signer ~msg ~signature ~verdict;
                 true
             | 7 | 8 ->
-                let signer = ids.(who mod Array.length ids) in
+                let signer = signers.(who mod Array.length signers) in
                 String.equal
                   (Verify_cache.sign cache ~signer msg)
                   (Verify_cache_ref.sign model ~signer msg)
@@ -116,6 +142,133 @@ let model_test ~capacity =
           && c.Verify_cache.verify_hits = Verify_cache_ref.hits model
           && c.Verify_cache.verify_misses = Verify_cache_ref.misses model)
         ops)
+
+(* One lockstep verdict step: the same call on the cache and the model,
+   then the same result and the same verdict counters. *)
+let verdict_step cache model ~signer ~msg ~signature ~probe =
+  let same =
+    if probe then
+      Verify_cache.probe cache ~signer ~msg ~signature
+      = Verify_cache_ref.probe model ~signer ~msg ~signature
+    else
+      Verify_cache.verify cache ~signer ~msg ~signature
+      = Verify_cache_ref.verify model ~signer ~msg ~signature
+  in
+  let c = Verify_cache.instance_counters cache in
+  same
+  && c.Verify_cache.verify_hits = Verify_cache_ref.hits model
+  && c.Verify_cache.verify_misses = Verify_cache_ref.misses model
+
+(* The key store is a byte ring in FIFO order, so once evictions start
+   its tail wraps to offset 0 ahead of the oldest entry, and a store that
+   must then grow lays a wrapped ring out again, oldest first, skipped
+   bytes and all. A scripted lockstep run makes that happen at capacity
+   64 (64 slots from the start, so only the store grows): 64 entries of
+   157 bytes (stamp, tag, signer and a 108-byte message) grow the store
+   to 16 KiB, 40 more take its tail to 16,328, then 64 entries of 457
+   bytes, with a kept-by-pointer 1000-byte message every eighth, wrap the
+   tail to offset 0, catch up with the head about twenty entries later
+   and grow the store while wrapped. After each insertion a probe of the
+   oldest entry left must hit, so no new key may overwrite its bytes;
+   at the end probes of re-allocated copies of every message show
+   exactly which entries are left: the last 64, and no other. *)
+let test_verdict_ring_regrows_wrapped () =
+  let ks = make_keystore () in
+  let cache = Verify_cache.create ~capacity:64 ks in
+  let model = Verify_cache_ref.create ~capacity:64 ks in
+  let signer = ids.(3) in
+  let message k len = Printf.sprintf "%06d" k ^ String.make (len - 6) 'v' in
+  let script =
+    List.init 104 (fun k -> message k 108)
+    @ List.init 64 (fun k -> message (1000 + k) (if k mod 8 = 7 then 1000 else 408))
+  in
+  let keyed = List.map (fun msg -> (msg, Signer.sign ks ~signer msg)) script in
+  let by_step = Array.of_list keyed in
+  List.iteri
+    (fun step (msg, signature) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "step %d" step)
+        true
+        (verdict_step cache model ~signer ~msg ~signature ~probe:false);
+      let msg, signature = by_step.(max 0 (step - 63)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "oldest after step %d" step)
+        true
+        (verdict_step cache model ~signer ~msg:(String.concat "" [ msg; "" ]) ~signature
+           ~probe:true))
+    keyed;
+  List.iteri
+    (fun step (msg, signature) ->
+      let msg = String.concat "" [ msg; "" ] in
+      Alcotest.(check bool)
+        (Printf.sprintf "probe %d" step)
+        true
+        (verdict_step cache model ~signer ~msg ~signature ~probe:true))
+    keyed;
+  let c = Verify_cache.instance_counters cache in
+  Alcotest.(check int) "every oldest entry and the last 64 hit" (168 + 64)
+    c.Verify_cache.verify_hits;
+  Alcotest.(check int) "every other probe misses" (168 + 104) c.Verify_cache.verify_misses
+
+(* The key store never lets a new key overwrite a live one. Fresh
+   messages of random lengths (4 to 504 bytes, so some keys are kept by
+   pointer) are verified one by one, and after each the last [capacity]
+   of them, exactly the entries a FIFO table holds, must all still hit:
+   random lengths make the tail of the wrapped byte ring stop at every
+   distance from its head. *)
+let live_keys_test =
+  QCheck.Test.make ~count:50 ~name:"verdict key store keeps every live key"
+    QCheck.(pair (int_range 1 40) (list_of_size Gen.(1 -- 400) (int_bound 500)))
+    (fun (capacity, lens) ->
+      let ks = make_keystore () in
+      let cache = Verify_cache.create ~capacity ks in
+      let keys =
+        Array.of_list
+          (List.mapi
+             (fun i len ->
+               let signer = ids.(i land 7) in
+               let msg = Printf.sprintf "%04d" i ^ String.make len 'k' in
+               (signer, msg, Signer.sign ks ~signer msg))
+             lens)
+      in
+      let live i =
+        let signer, msg, signature = keys.(i) in
+        Verify_cache.probe cache ~signer ~msg ~signature = Some true
+      in
+      let rec all_live j i = j > i || (live j && all_live (j + 1) i) in
+      let rec run i =
+        i = Array.length keys
+        ||
+        let signer, msg, signature = keys.(i) in
+        Verify_cache.verify cache ~signer ~msg ~signature
+        && all_live (max 0 (i - capacity + 1)) i
+        && run (i + 1)
+      in
+      run 0)
+
+(* Inline keys hold no pointer, so the table keeps nothing alive: after
+   4096 fresh 100-byte messages, each under a fresh signature, have been
+   verified (filling a default table exactly) and dropped, a full major
+   collection frees every one of them and every signature. *)
+let test_verdict_table_pins_no_message () =
+  let ks = make_keystore () in
+  let cache = Verify_cache.create ks in
+  let n = 4096 in
+  let msgs = Weak.create n and sigs = Weak.create n in
+  for i = 0 to n - 1 do
+    let msg = Printf.sprintf "%08d" i ^ String.make 92 'p' in
+    let signature = Signer.sign ks ~signer:ids.(i land 7) msg in
+    Alcotest.(check bool) "verifies" true
+      (Verify_cache.verify cache ~signer:ids.(i land 7) ~msg ~signature);
+    Weak.set msgs i (Some msg);
+    Weak.set sigs i (Some signature)
+  done;
+  Gc.full_major ();
+  let alive w = List.length (List.filter (Weak.check w) (List.init n Fun.id)) in
+  Alcotest.(check int) "no message kept alive" 0 (alive msgs);
+  Alcotest.(check int) "no signature kept alive" 0 (alive sigs);
+  Alcotest.(check int) "every verify a miss" n
+    (Verify_cache.instance_counters cache).Verify_cache.verify_misses
 
 (* Model check of the flat digest memo against the original
    Hashtbl-and-Queue memo ([Verify_cache_ref.Digest_memo]): random
@@ -260,7 +413,9 @@ let test_fingerprint_collisions () =
 (* Hits are the common case on the receive path, so they must cost no
    allocation: averaged over 10k calls, a digest-memo hit (by identity and
    by content), a verdict hit through [verify] and one through [probe]
-   allocate no minor words. *)
+   allocate no minor words. Nor does the [record] of an inline key,
+   whether it refreshes its entry in place or inserts a new one that
+   evicts the oldest (on a full table whose key store has settled). *)
 let test_hits_allocate_nothing () =
   let ks = make_keystore () in
   let cache = Verify_cache.create ks in
@@ -296,6 +451,23 @@ let test_hits_allocate_nothing () =
       ignore
         (Sys.opaque_identity
            (Verify_cache.probe cache ~signer:ids.(0) ~msg ~signature)));
+  words_per_call "record (refresh in place)" (fun () ->
+      Verify_cache.record cache ~signer:ids.(0) ~msg ~signature ~verdict:true);
+  let keys =
+    Array.init (3 * 4096 + calls + 1) (fun i ->
+        let msg = Printf.sprintf "%08d" i ^ String.make 92 'r' in
+        (msg, Signer.sign ks ~signer:ids.(1) msg))
+  in
+  let next = ref 0 in
+  let record_next () =
+    let msg, signature = keys.(!next) in
+    incr next;
+    Verify_cache.record cache ~signer:ids.(1) ~msg ~signature ~verdict:true
+  in
+  for _ = 1 to 3 * 4096 do
+    record_next ()
+  done;
+  words_per_call "record (insert, evicting)" record_next;
   let c = Verify_cache.instance_counters cache in
   Alcotest.(check int) "digest: the one miss" 1 c.Verify_cache.digest_misses;
   Alcotest.(check int) "verify: no miss" 0 c.Verify_cache.verify_misses
@@ -708,6 +880,7 @@ let suite =
             ~name:"cached verify = raw verify (capacity 0)" ~scheme:`Hmac ();
           diff_digest_test;
           diff_lookup_digest_test;
+          live_keys_test;
           diff_batch_digest_test;
           diff_crc_combine_test;
         ]
@@ -732,6 +905,10 @@ let suite =
             test_fresh_cache_is_small;
           Alcotest.test_case "digest ring regrows wrapped" `Quick
             test_digest_ring_regrows_wrapped;
+          Alcotest.test_case "verdict ring regrows wrapped" `Quick
+            test_verdict_ring_regrows_wrapped;
+          Alcotest.test_case "verdict table pins no message" `Quick
+            test_verdict_table_pins_no_message;
         ]
       @ List.map
           (fun capacity -> QCheck_alcotest.to_alcotest (model_test ~capacity))

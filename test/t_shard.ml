@@ -151,7 +151,8 @@ let test_cross_shard_commit () =
       (Printf.sprintf "participant %d staging drained" p)
       0
       (Api.xs_staged (Deployment.api w.dep p))
-  done
+  done;
+  T_apps.check_drained w.dep
 
 (* --- abort downgrade: a rejected prepare is a NO vote --- *)
 
@@ -179,7 +180,8 @@ let test_cross_shard_abort () =
       (Printf.sprintf "participant %d staging drained" p)
       0
       (Api.xs_staged (Deployment.api w.dep p))
-  done
+  done;
+  T_apps.check_drained w.dep
 
 (* --- qcheck: adversary-free schedules commit atomically and
        deterministically --- *)

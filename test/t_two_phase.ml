@@ -40,7 +40,8 @@ let test_commit_path () =
             (Two_phase.partition_get node key))
         (Deployment.nodes_of dep p))
     [ (1, "x", "1"); (2, "y", "2"); (3, "z", "3") ];
-  Alcotest.(check (pair int int)) "counts" (1, 0) (Two_phase.decided_count coord)
+  Alcotest.(check (pair int int)) "counts" (1, 0) (Two_phase.decided_count coord);
+  T_apps.check_drained dep
 
 let test_abort_path_atomicity () =
   (* One cohort's operation cannot apply (delete of a missing key): it

@@ -10,7 +10,8 @@ copies both executables aside (later edits cannot change them), and
 then runs the two alternately, one process per run, for every seed and
 workload (`bpbench --workload W --seed S --json ...`); which side runs
 first alternates from seed to seed. As each pair finishes it prints the
-pair's host_us_per_op and top_heap_mb, parent -> change, on stderr.
+pair's host_us_per_op, top_heap_mb and gc.promoted_words_per_op, parent
+-> change, on stderr.
 
 For host_us_per_op, top_heap_mb and setup_s it prints the median and
 Q1-Q3 of each side, the median change, on how many seeds the change was
@@ -22,6 +23,10 @@ better, and a verdict:
               than the metric's `bound` in BENCHMARK.json (a fraction of
               the parent's median);
   unresolved  neither.
+
+gc.promoted_words_per_op (words promoted to the major heap per op) gets
+the same median, quartile, change and win columns, but no verdict: it
+says where a host-time change comes from and gates nothing.
 
 The verdicts are printed for reading; they do not set the exit code.
 Simulated-time metrics depend only on the seed, so they must be
@@ -46,6 +51,7 @@ import tempfile
 EXE = os.path.join("_build", "default", "bench", "e2e", "bpbench.exe")
 WORKLOADS = ["local-small", "local-bulk", "geo-send", "shard-xs"]
 HOST = ["host_us_per_op", "top_heap_mb", "setup_s"]
+PRINT_ONLY = ["gc.promoted_words_per_op"]
 RUN_TIMEOUT_S = 300
 
 
@@ -170,14 +176,14 @@ def main():
         }
         out = os.path.join(tmp, "run.json")
         for workload in workloads:
-            host = {side: {m: [] for m in HOST} for side in exes}
+            host = {side: {m: [] for m in HOST + PRINT_ONLY} for side in exes}
             for i, seed in enumerate(seeds):
                 reps = {}
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
                     rep = run(exes[side], workload, seed, args.scale, out)
                     reps[side] = rep
-                    for m in HOST:
+                    for m in HOST + PRINT_ONLY:
                         host[side][m].append(rep["metrics"][m]["value"])
                     if not rep["correct"] or rep["failed"] != 0:
                         failures.append(
@@ -196,18 +202,25 @@ def main():
                       f"{host['change']['host_us_per_op'][-1]:.1f}, "
                       f"top_heap_mb "
                       f"{host['parent']['top_heap_mb'][-1]:.1f} -> "
-                      f"{host['change']['top_heap_mb'][-1]:.1f}",
+                      f"{host['change']['top_heap_mb'][-1]:.1f}, "
+                      f"promoted words/op "
+                      f"{host['parent']['gc.promoted_words_per_op'][-1]:.0f} -> "
+                      f"{host['change']['gc.promoted_words_per_op'][-1]:.0f}",
                       file=sys.stderr)
             print(f"\n{workload} ({len(seeds)} seeds, alternating pairs)")
-            print(f"  {'metric':<16} {'parent median [Q1-Q3]':<30}"
+            print(f"  {'metric':<24} {'parent median [Q1-Q3]':<30}"
                   f" {'change median [Q1-Q3]':<30} {'change':>8} {'better':>7}"
                   f"  verdict")
-            for m in HOST:
+            for m in HOST + PRINT_ONLY:
                 p, c = host["parent"][m], host["change"][m]
                 pq, cq = quartiles(p), quartiles(c)
-                wins, says = verdict(p, c, *bounds[m])
+                if m in PRINT_ONLY:  # lower is better; no bound, no verdict
+                    wins = sum(1 for a, b in zip(p, c) if b < a)
+                    says = "(print only)"
+                else:
+                    wins, says = verdict(p, c, *bounds[m])
                 delta = (cq[1] - pq[1]) / pq[1] * 100 if pq[1] else float("nan")
-                print(f"  {m:<16} "
+                print(f"  {m:<24} "
                       f"{f'{pq[1]:.3f} [{pq[0]:.3f}-{pq[2]:.3f}]':<30} "
                       f"{f'{cq[1]:.3f} [{cq[0]:.3f}-{cq[2]:.3f}]':<30} "
                       f"{delta:>+7.1f}% {wins:>3}/{len(seeds)}  {says}")
