@@ -6,7 +6,7 @@
 type encoder = { mutable buf : Bytes.t; mutable len : int }
 
 let encoder ?(size_hint = 128) () =
-  { buf = Bytes.create (max 16 size_hint); len = 0 }
+  { buf = Bytes.create (Int.max 16 size_hint); len = 0 }
 
 let reset e = e.len <- 0
 let length e = e.len

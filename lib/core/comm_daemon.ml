@@ -144,10 +144,12 @@ let on_ack t ~from_participant ~comm_seq =
   if from_participant = t.dest && comm_seq > t.acked && comm_seq <= t.highest
   then begin
     t.acked <- comm_seq;
-    let acked, rest = Int_map.partition (fun seq _ -> seq <= comm_seq) t.pending in
-    Int_map.iter
-      (fun _ st -> if st.ready then t.ready_count <- t.ready_count - 1)
-      acked;
+    (* [split] shares the unacked part of the map instead of rebuilding
+       all of it, as a [partition] would on every ack. *)
+    let below, at, rest = Int_map.split comm_seq t.pending in
+    let drop st = if st.ready then t.ready_count <- t.ready_count - 1 in
+    Int_map.iter (fun _ st -> drop st) below;
+    Option.iter drop at;
     t.pending <- rest;
     List.iter (fun f -> f comm_seq) t.ack_subs
   end

@@ -97,7 +97,7 @@ let bundle_jobs t ~from_participant ~statement sigs =
     (Record.signature_jobs ~statement (eligible_sigs t ~from_participant sigs))
 
 (* One Verify_batch batch for the whole fi+1 bundle instead of a
-   per-signature loop. The fold over verdicts reproduces the sequential
+   per-signature loop. The walk over verdicts reproduces the sequential
    counting rule exactly: an identity only enters [seen] once a
    signature of its verifies, so several (even byzantine-duplicated)
    copies count at most once. *)
@@ -114,19 +114,19 @@ let valid_sig_bundle t ~from_participant ~statement ~needed sigs =
       (Bp_crypto.Verify_batch.global ())
       jobs
   in
-  let seen = Hashtbl.create 8 in
-  let count =
-    List.fold_left2
-      (fun acc (identity, _) verdict ->
-        if Hashtbl.mem seen identity then acc
-        else if verdict then begin
-          Hashtbl.add seen identity ();
-          acc + 1
-        end
-        else acc)
-      0 eligible verdicts
+  (* [seen] holds at most one bundle's signers, so a list is the
+     cheapest set. *)
+  let rec count seen n eligible verdicts =
+    match (eligible, verdicts) with
+    | [], [] -> n
+    | (identity, _) :: eligible, verdict :: verdicts ->
+        if verdict && not (List.exists (String.equal identity) seen) then
+          count (identity :: seen) (n + 1) eligible verdicts
+        else count seen n eligible verdicts
+    | [], _ :: _ | _ :: _, [] ->
+        invalid_arg "Unit_node.valid_sig_bundle: one verdict per signature"
   in
-  count >= needed
+  count [] 0 eligible verdicts >= needed
 
 let fi t = t.pbft_cfg.Bp_pbft.Config.f
 

@@ -77,12 +77,20 @@ type peer = {
 
 let initial_window = 16
 
+(* Handler tags are looked up on every delivery: a string-keyed table
+   compares with [String.equal], not polymorphic compare. *)
+module Tag_tbl = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   net : Network.t;
   engine : Engine.t;
   self : Addr.t;
-  handlers :
-    (string, src:Addr.t -> hint:Network.hint option -> string -> unit) Hashtbl.t;
+  handlers : (src:Addr.t -> hint:Network.hint option -> string -> unit) Tag_tbl.t;
   peers : peer Addr.Tbl.t;
   scratch : Bp_codec.Wire.encoder; (* frame bytes, when built (Frame.seal_with) *)
   mutable retransmissions : int;
@@ -92,10 +100,13 @@ type t = {
 let addr t = t.self
 let network t = t.net
 
+(* Reached with client addresses decoded from requests, so the table is
+   a hash table, sized by how many peers there are, not by their
+   addresses. *)
 let peer_of t remote =
-  match Addr.Tbl.find_opt t.peers remote with
-  | Some p -> p
-  | None ->
+  match Addr.Tbl.find t.peers remote with
+  | p -> p
+  | exception Not_found ->
       let p =
         {
           remote;
@@ -130,7 +141,7 @@ let rto t p =
   (* Exponential backoff escapes the Karn deadlock: without it, a segment
      whose transfer time exceeds the static RTO would be retransmitted
      forever and never yield an RTT sample. *)
-  Time.scale base (Float.of_int (1 lsl Stdlib.min p.backoff 6))
+  Time.scale base (Float.of_int (1 lsl Int.min p.backoff 6))
 
 (* The frame is accounted by its length, computed from the packet; its
    bytes (and their CRC) are built by [Frame.seal_with] in the endpoint's
@@ -174,9 +185,9 @@ let rec arm_retransmit t p =
       p.retransmit <- Some timer
 
 let dispatch t ~src ~hint ~tag payload =
-  match Hashtbl.find_opt t.handlers tag with
-  | Some h -> h ~src ~hint payload
-  | None ->
+  match Tag_tbl.find t.handlers tag with
+  | h -> h ~src ~hint payload
+  | exception Not_found ->
       Log.debug (fun m ->
           m "%s: no handler for tag %S (from %s)" (Addr.to_string t.self) tag
             (Addr.to_string src))
@@ -215,7 +226,7 @@ let handle_data t p ~src ~hint ~seq ~tag payload =
    visit nothing, and an ack beyond [next_send_seq] acknowledges only
    what was sent. *)
 let handle_ack t p ~next_expected =
-  let upto = Stdlib.min next_expected p.next_send_seq in
+  let upto = Int.min next_expected p.next_send_seq in
   let mask = Array.length p.first_sent - 1 in
   let now = Engine.now t.engine in
   (* RTT samples from first-transmission times of newly acked segments,
@@ -276,7 +287,7 @@ let create net self =
       net;
       engine = Network.engine net;
       self;
-      handlers = Hashtbl.create 8;
+      handlers = Tag_tbl.create 8;
       peers = Addr.Tbl.create 16;
       scratch = Bp_codec.Wire.encoder ~size_hint:512 ();
       retransmissions = 0;
@@ -286,8 +297,8 @@ let create net self =
   Network.register net self (fun ~src ~hint frame -> on_frame t ~src ~hint frame);
   t
 
-let set_handler t ~tag handler = Hashtbl.replace t.handlers tag handler
-let clear_handler t ~tag = Hashtbl.remove t.handlers tag
+let set_handler t ~tag handler = Tag_tbl.replace t.handlers tag handler
+let clear_handler t ~tag = Tag_tbl.remove t.handlers tag
 
 (* Loop-back: deliver asynchronously (keeping run-to-completion event
    semantics) without touching the network. *)

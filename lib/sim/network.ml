@@ -41,11 +41,9 @@ and t = {
   engine : Engine.t;
   topology : Topology.t;
   mutable faults : faults;
-  nodes : node_state Addr.Tbl.t;
+  nodes : node_state Addr.Grid.t; (* [nobody] where none is registered *)
   rng : Bp_util.Rng.t;
-  down_links : (int * int, unit) Hashtbl.t;
-      (* unordered DC pairs, keyed (min, max): O(1) membership on the
-         per-send hot path instead of an association-list scan *)
+  down_links : bool array array; (* by DC pair, set in both directions *)
   mutable sent : int;
   mutable delivered : int;
   mutable dropped : int;
@@ -57,6 +55,15 @@ and t = {
   traffic : int array array; (* bytes by (src dc, dst dc) *)
   traffic_msgs : int array array; (* messages by (src dc, dst dc) *)
 }
+
+(* What the node table holds for an address nobody registered. It is
+   crashed, so it neither sends nor receives; nothing may write to it. *)
+let nobody =
+  {
+    handler = (fun ~src:_ ~hint:_ _ -> ());
+    crashed = true;
+    nic_busy_until = Time.zero;
+  }
 
 let frame t ~len build = { len; state = Pending (t, build) }
 let frame_of_string s = { len = String.length s; state = Built s }
@@ -80,9 +87,11 @@ let create engine topology ?(faults = no_faults) () =
     engine;
     topology;
     faults;
-    nodes = Addr.Tbl.create 64;
+    nodes = Addr.Grid.create ~absent:nobody;
     rng = Bp_util.Rng.split (Engine.rng engine);
-    down_links = Hashtbl.create 8;
+    down_links =
+      (let n = Topology.num_dcs topology in
+       Array.make_matrix n n false);
     sent = 0;
     delivered = 0;
     dropped = 0;
@@ -104,39 +113,30 @@ let topology t = t.topology
 let set_faults t faults = t.faults <- faults
 
 let register t addr handler =
-  if Addr.Tbl.mem t.nodes addr then
+  if Addr.Grid.mem t.nodes addr then
     invalid_arg (Printf.sprintf "Network.register: %s already registered" (Addr.to_string addr));
-  Addr.Tbl.add t.nodes addr { handler; crashed = false; nic_busy_until = Time.zero }
+  Addr.Grid.set t.nodes addr { handler; crashed = false; nic_busy_until = Time.zero }
 
-let is_crashed t addr =
-  match Addr.Tbl.find_opt t.nodes addr with
-  | Some n -> n.crashed
-  | None -> true
+let is_crashed t addr = (Addr.Grid.get t.nodes addr).crashed
 
 let crash t addr =
-  match Addr.Tbl.find_opt t.nodes addr with
-  | Some n -> n.crashed <- true
-  | None -> ()
+  if Addr.Grid.mem t.nodes addr then (Addr.Grid.get t.nodes addr).crashed <- true
 
 let recover t addr =
-  match Addr.Tbl.find_opt t.nodes addr with
-  | Some n -> n.crashed <- false
-  | None -> ()
+  if Addr.Grid.mem t.nodes addr then (Addr.Grid.get t.nodes addr).crashed <- false
 
-let crash_dc t dc =
-  Addr.Tbl.iter (fun a n -> if a.Addr.dc = dc then n.crashed <- true) t.nodes
-
-let recover_dc t dc =
-  Addr.Tbl.iter (fun a n -> if a.Addr.dc = dc then n.crashed <- false) t.nodes
+let crash_dc t dc = Addr.Grid.iter_dc t.nodes dc (fun n -> n.crashed <- true)
+let recover_dc t dc = Addr.Grid.iter_dc t.nodes dc (fun n -> n.crashed <- false)
 
 let set_link t a b state =
-  let key = (min a b, max a b) in
-  match state with
-  | `Down -> Hashtbl.replace t.down_links key ()
-  | `Up -> Hashtbl.remove t.down_links key
+  let n = Array.length t.down_links in
+  if a < 0 || a >= n || b < 0 || b >= n then
+    invalid_arg (Printf.sprintf "Network.set_link: no datacenter pair (%d, %d)" a b);
+  let down = match state with `Down -> true | `Up -> false in
+  t.down_links.(a).(b) <- down;
+  t.down_links.(b).(a) <- down
 
-let link_down t a b =
-  a <> b && Hashtbl.mem t.down_links (min a b, max a b)
+let link_down t a b = a <> b && t.down_links.(a).(b)
 
 let flip_byte rng payload =
   if String.length payload = 0 then payload
@@ -148,14 +148,12 @@ let flip_byte rng payload =
   end
 
 let deliver t ~src ~dst ~hint frame =
-  match Addr.Tbl.find_opt t.nodes dst with
-  | None -> t.dropped <- t.dropped + 1
-  | Some node ->
-      if node.crashed then t.dropped <- t.dropped + 1
-      else begin
-        t.delivered <- t.delivered + 1;
-        node.handler ~src ~hint frame
-      end
+  let node = Addr.Grid.get t.nodes dst in
+  if node.crashed then t.dropped <- t.dropped + 1
+  else begin
+    t.delivered <- t.delivered + 1;
+    node.handler ~src ~hint frame
+  end
 
 (* The send never leaves the source NIC: it is neither offered traffic
    nor load on the link, so [sent]/[bytes_sent]/the traffic matrix must
@@ -165,58 +163,56 @@ let drop_at_source t =
   t.dropped <- t.dropped + 1;
   t.dropped_at_source <- t.dropped_at_source + 1
 
+(* Put a departed packet in flight, with its duplicate if the duplicate
+   fault strikes. *)
+let in_flight t ~src ~dst ~hint frame arrive =
+  ignore
+    (Engine.schedule_at t.engine arrive (fun () -> deliver t ~src ~dst ~hint frame));
+  if Bp_util.Rng.bernoulli t.rng t.faults.duplicate then begin
+    t.duplicated <- t.duplicated + 1;
+    let again = Time.add arrive (Time.of_ms 0.1) in
+    ignore
+      (Engine.schedule_at t.engine again (fun () -> deliver t ~src ~dst ~hint frame))
+  end
+
 let send t ~src ~dst ?hint frame =
-  match Addr.Tbl.find_opt t.nodes src with
-  | None -> drop_at_source t
-  | Some sender ->
-      if sender.crashed then drop_at_source t
-      else if link_down t src.Addr.dc dst.Addr.dc then drop_at_source t
-      else begin
-        (* The packet actually departs: count it as offered traffic even
-           if the drop fault loses it in flight below. *)
-        let len = frame.len in
-        t.sent <- t.sent + 1;
-        t.bytes_sent <- t.bytes_sent + len;
-        t.traffic.(src.Addr.dc).(dst.Addr.dc) <-
-          t.traffic.(src.Addr.dc).(dst.Addr.dc) + len;
-        t.traffic_msgs.(src.Addr.dc).(dst.Addr.dc) <-
-          t.traffic_msgs.(src.Addr.dc).(dst.Addr.dc) + 1;
-        let now = Engine.now t.engine in
-        let serialization = Topology.transfer_time t.topology len in
-        let depart = Time.add (Time.max now sender.nic_busy_until) serialization in
-        sender.nic_busy_until <- depart;
-        let propagation = Topology.one_way t.topology src.Addr.dc dst.Addr.dc in
-        let jitter =
-          if t.faults.jitter_ms > 0.0 then
-            Time.of_ms (Bp_util.Rng.float t.rng t.faults.jitter_ms)
-          else Time.zero
-        in
-        let arrive = Time.add (Time.add depart propagation) jitter in
-        if Bp_util.Rng.bernoulli t.rng t.faults.drop then t.dropped <- t.dropped + 1
-        else begin
-          let frame, hint =
-            if Bp_util.Rng.bernoulli t.rng t.faults.corrupt then begin
-              t.corrupted <- t.corrupted + 1;
-              (* The only sender-side reader of the bytes: they are built
-                 here, before [flip_byte] draws. The bytes changed, so any
-                 decoded form of the original is a lie: the hint must not
-                 survive corruption. *)
-              (frame_of_string (flip_byte t.rng (bytes frame)), None)
-            end
-            else (frame, hint)
-          in
-          ignore
-            (Engine.schedule_at t.engine arrive (fun () ->
-                 deliver t ~src ~dst ~hint frame));
-          if Bp_util.Rng.bernoulli t.rng t.faults.duplicate then begin
-            t.duplicated <- t.duplicated + 1;
-            let again = Time.add arrive (Time.of_ms 0.1) in
-            ignore
-              (Engine.schedule_at t.engine again (fun () ->
-                   deliver t ~src ~dst ~hint frame))
-          end
-        end
-      end
+  let sender = Addr.Grid.get t.nodes src in
+  if sender.crashed then drop_at_source t
+  else if link_down t src.Addr.dc dst.Addr.dc then drop_at_source t
+  else begin
+    (* The packet actually departs: count it as offered traffic even
+       if the drop fault loses it in flight below. *)
+    let len = frame.len in
+    t.sent <- t.sent + 1;
+    t.bytes_sent <- t.bytes_sent + len;
+    t.traffic.(src.Addr.dc).(dst.Addr.dc) <-
+      t.traffic.(src.Addr.dc).(dst.Addr.dc) + len;
+    t.traffic_msgs.(src.Addr.dc).(dst.Addr.dc) <-
+      t.traffic_msgs.(src.Addr.dc).(dst.Addr.dc) + 1;
+    let now = Engine.now t.engine in
+    let serialization = Topology.transfer_time t.topology len in
+    let depart = Time.add (Time.max now sender.nic_busy_until) serialization in
+    sender.nic_busy_until <- depart;
+    let propagation = Topology.one_way t.topology src.Addr.dc dst.Addr.dc in
+    let jitter =
+      if t.faults.jitter_ms > 0.0 then
+        Time.of_ms (Bp_util.Rng.float t.rng t.faults.jitter_ms)
+      else Time.zero
+    in
+    let arrive = Time.add (Time.add depart propagation) jitter in
+    if Bp_util.Rng.bernoulli t.rng t.faults.drop then t.dropped <- t.dropped + 1
+    else if Bp_util.Rng.bernoulli t.rng t.faults.corrupt then begin
+      t.corrupted <- t.corrupted + 1;
+      (* The only sender-side reader of the bytes: they are built here,
+         before [flip_byte] draws. The bytes changed, so any decoded form
+         of the original is a lie: the hint must not survive
+         corruption. *)
+      in_flight t ~src ~dst ~hint:None
+        (frame_of_string (flip_byte t.rng (bytes frame)))
+        arrive
+    end
+    else in_flight t ~src ~dst ~hint frame arrive
+  end
 
 let traffic_matrix t = Array.map Array.copy t.traffic
 let message_matrix t = Array.map Array.copy t.traffic_msgs

@@ -67,7 +67,7 @@ type hint = ..
 val register :
   t -> Addr.t -> (src:Addr.t -> hint:hint option -> frame -> unit) -> unit
 (** Attach a node's receive handler. @raise Invalid_argument if already
-    registered. *)
+    registered, or if the address has a negative datacenter or index. *)
 
 val send : t -> src:Addr.t -> dst:Addr.t -> ?hint:hint -> frame -> unit
 (** Fire-and-forget datagram. Sends from/to crashed or unregistered nodes
@@ -87,7 +87,9 @@ val crash_dc : t -> int -> unit
 val recover_dc : t -> int -> unit
 
 val set_link : t -> int -> int -> [ `Up | `Down ] -> unit
-(** Administratively partition a pair of datacenters (both directions). *)
+(** Administratively partition a pair of datacenters (both directions).
+    @raise Invalid_argument if either is not a datacenter of the
+    topology. *)
 
 (** Counters since creation (delivered duplicates and corrupted-but-
     delivered packets count as delivered). [sent] and [bytes_sent] cover

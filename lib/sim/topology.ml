@@ -3,7 +3,11 @@ type t = {
   rtt_ms : float array array;
   intra_rtt_ms : float;
   bandwidth_bps : float; (* bytes per second *)
+  one_way : Time.t array array; (* half of [rtt] *)
 }
+
+let rtt_of ~rtt_ms ~intra_rtt_ms i j =
+  if i = j then Time.of_ms intra_rtt_ms else Time.of_ms rtt_ms.(i).(j)
 
 let make ~names ~rtt_ms ?(intra_rtt_ms = 0.5) ?(bandwidth_mbps = 640.0) () =
   let n = Array.length names in
@@ -20,7 +24,15 @@ let make ~names ~rtt_ms ?(intra_rtt_ms = 0.5) ?(bandwidth_mbps = 640.0) () =
     rtt_ms;
   if intra_rtt_ms <= 0.0 then invalid_arg "Topology.make: intra_rtt_ms";
   if bandwidth_mbps <= 0.0 then invalid_arg "Topology.make: bandwidth";
-  { names; rtt_ms; intra_rtt_ms; bandwidth_bps = bandwidth_mbps *. 1e6 }
+  {
+    names;
+    rtt_ms = Array.map Array.copy rtt_ms;
+    intra_rtt_ms;
+    bandwidth_bps = bandwidth_mbps *. 1e6;
+    one_way =
+      Array.init n (fun i ->
+          Array.init n (fun j -> Time.scale (rtt_of ~rtt_ms ~intra_rtt_ms i j) 0.5));
+  }
 
 (* Table I of the paper, in milliseconds. Order: C, O, V, I. *)
 let dc_california = 0
@@ -68,13 +80,15 @@ let dc_of_name t s =
   Array.iteri (fun i n -> if String.equal n s then found := Some i) t.names;
   !found
 
-let rtt t i j =
-  if i = j then Time.of_ms t.intra_rtt_ms else Time.of_ms t.rtt_ms.(i).(j)
+let rtt t i j = rtt_of ~rtt_ms:t.rtt_ms ~intra_rtt_ms:t.intra_rtt_ms i j
 
-let one_way t i j = Time.scale (rtt t i j) 0.5
+let one_way t i j = t.one_way.(i).(j)
 
+(* [Time.of_sec] of the same quotient, written out so no boxed float
+   crosses a call on the per-send path. *)
 let transfer_time t bytes =
-  Time.of_sec (float_of_int bytes /. t.bandwidth_bps)
+  Time.of_ns
+    (int_of_float ((float_of_int bytes /. t.bandwidth_bps *. 1e9) +. 0.5))
 
 let neighbors_by_rtt t i =
   let others = List.filter (fun j -> j <> i) (List.init (num_dcs t) Fun.id) in

@@ -42,10 +42,12 @@ val rtt : t -> int -> int -> Time.t
 (** Round-trip between two datacenters; intra-DC RTT when equal. *)
 
 val one_way : t -> int -> int -> Time.t
-(** Half the RTT. *)
+(** Half the RTT, as [Time.scale (rtt t i j) 0.5]. {!make} computes it
+    once per pair, so a call is an array read. *)
 
 val transfer_time : t -> int -> Time.t
-(** Serialization delay for that many bytes on one NIC. *)
+(** Serialization delay for that many bytes on one NIC, rounded to the
+    nanosecond as [Time.of_sec]. *)
 
 val neighbors_by_rtt : t -> int -> int list
 (** Other datacenters sorted by increasing RTT from the given one. *)

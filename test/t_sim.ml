@@ -180,6 +180,188 @@ let test_engine_determinism () =
   in
   Alcotest.(check (list (float 0.0))) "identical traces" (run_once ()) (run_once ())
 
+(* One timer record per one-shot event: a [schedule] of a preallocated
+   closure followed by the [step] that fires it allocates that record
+   and nothing else — no separate heap entry, no option on the pop, no
+   closure in [step]. *)
+let test_engine_event_allocates_one_record () =
+  let e = Engine.create () in
+  let hits = ref 0 in
+  let action () = incr hits in
+  let after = Time.of_ns 10 in
+  let timer_words = 1 + Obj.size (Obj.repr (Engine.schedule e ~after action)) in
+  ignore (Engine.step e);
+  let events = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to events do
+    ignore (Engine.schedule e ~after action);
+    ignore (Engine.step e)
+  done;
+  let per_event = (Gc.minor_words () -. before) /. float_of_int events in
+  Alcotest.(check int) "every event fired" (events + 1) !hits;
+  (* The float [Gc.minor_words] boxes is the only other allocation. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%.4f words per event, timer record %d" per_event timer_words)
+    true
+    (per_event < float_of_int timer_words +. 0.01)
+
+(* Lockstep against [Engine_ref], the original engine kept verbatim:
+   random programs of schedules, periodic timers, cancels, single steps
+   and bounded runs go to both, and after every operation both must have
+   fired the same timers in the same order and agree on [now],
+   [pending] and [cancelled_backlog]. Times are a few nanoseconds apart
+   so that ties, and with them the seq tie-break, are common. *)
+type effect =
+  | Nothing
+  | Cancel_self
+  | Cancel_other of int (* the timer this many places back, when fired *)
+  | Spawn of int (* schedule a plain one-shot this far ahead *)
+
+type op =
+  | Sched of int * effect
+  | At of int * effect
+  | Every of int * effect
+  | Cancel of int (* the timer this many places back *)
+  | Burst of int * int (* schedule n one-shots, cancel all but every k-th *)
+  | Step
+  | Run_until of int
+
+let show_effect = function
+  | Nothing -> "-"
+  | Cancel_self -> "self"
+  | Cancel_other k -> Printf.sprintf "cancel-%d" k
+  | Spawn d -> Printf.sprintf "spawn+%d" d
+
+let show_op = function
+  | Sched (d, f) -> Printf.sprintf "sched+%d/%s" d (show_effect f)
+  | At (d, f) -> Printf.sprintf "at+%d/%s" d (show_effect f)
+  | Every (p, f) -> Printf.sprintf "every%d/%s" p (show_effect f)
+  | Cancel k -> Printf.sprintf "cancel-%d" k
+  | Burst (n, k) -> Printf.sprintf "burst%d/keep%d" n k
+  | Step -> "step"
+  | Run_until d -> Printf.sprintf "run+%d" d
+
+let gen_effect =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, return Nothing);
+        (1, return Cancel_self);
+        (2, map (fun k -> Cancel_other k) (int_bound 8));
+        (2, map (fun d -> Spawn d) (int_bound 6));
+      ])
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map2 (fun d f -> Sched (d, f)) (int_bound 12) gen_effect);
+        (2, map2 (fun d f -> At (d, f)) (int_bound 12) gen_effect);
+        (2, map2 (fun p f -> Every (p, f)) (int_range 1 6) gen_effect);
+        (4, map (fun k -> Cancel k) (int_bound 10));
+        (1, map2 (fun n k -> Burst (n, k)) (int_range 1 400) (int_range 2 20));
+        (5, return Step);
+        (3, map (fun d -> Run_until d) (int_bound 20));
+      ])
+
+let arb_program =
+  QCheck.make
+    ~print:(fun ops -> String.concat " " (List.map show_op ops))
+    QCheck.Gen.(list_size (0 -- 80) gen_op)
+
+module type ENGINE = sig
+  type t
+  type timer
+
+  val create : ?seed:int64 -> unit -> t
+  val now : t -> Time.t
+  val schedule : t -> after:Time.t -> (unit -> unit) -> timer
+  val schedule_at : t -> Time.t -> (unit -> unit) -> timer
+  val periodic : t -> every:Time.t -> (unit -> unit) -> timer
+  val cancel : timer -> unit
+  val pending : t -> int
+  val cancelled_backlog : t -> int
+  val run : ?until:Time.t -> ?max_events:int -> t -> unit
+  val step : t -> bool
+end
+
+(* What one engine shows after each operation: the ids fired by it, in
+   order, then [now], [pending] and [cancelled_backlog]. *)
+type observation = { fired : int list; now : int; live : int; backlog : int }
+
+module Drive (E : ENGINE) = struct
+  let run ops =
+    let e = E.create () in
+    let timers = ref [||] and count = ref 0 in
+    let back k = if !count = 0 then None else Some !timers.(!count - 1 - (k mod !count)) in
+    let fired = ref [] in
+    let rec add arm effect =
+      let id = !count in
+      if id = Array.length !timers then
+        timers := Array.append !timers (Array.make (max 16 id) None);
+      count := id + 1;
+      let action () =
+        fired := id :: !fired;
+        match effect with
+        | Nothing -> ()
+        | Cancel_self -> Option.iter E.cancel !timers.(id)
+        | Cancel_other k -> Option.iter (Option.iter E.cancel) (back k)
+        | Spawn d -> ignore (add (E.schedule e ~after:(Time.of_ns d)) Nothing)
+      in
+      let timer = arm action in
+      !timers.(id) <- Some timer;
+      timer
+    in
+    let apply = function
+      | Sched (d, f) -> ignore (add (E.schedule e ~after:(Time.of_ns d)) f)
+      | At (d, f) -> ignore (add (E.schedule_at e (Time.add (E.now e) (Time.of_ns d))) f)
+      | Every (p, f) -> ignore (add (E.periodic e ~every:(Time.of_ns p)) f)
+      | Cancel k -> Option.iter (Option.iter E.cancel) (back k)
+      | Burst (n, k) ->
+          for i = 0 to n - 1 do
+            let timer = add (E.schedule e ~after:(Time.of_ns (i mod 50))) Nothing in
+            if i mod k <> 0 then E.cancel timer
+          done
+      | Step -> ignore (E.step e)
+      | Run_until d -> E.run ~until:(Time.add (E.now e) (Time.of_ns d)) e
+    in
+    List.map
+      (fun op ->
+        fired := [];
+        apply op;
+        {
+          fired = List.rev !fired;
+          now = Time.to_ns (E.now e);
+          live = E.pending e;
+          backlog = E.cancelled_backlog e;
+        })
+      ops
+end
+
+module Prod = Drive (Engine)
+module Model = Drive (Engine_ref)
+
+let engine_model_test =
+  QCheck.Test.make ~count:300 ~name:"engine = reference model" arb_program
+    (fun ops ->
+      let rec agree i ops got want =
+        match (ops, got, want) with
+        | [], [], [] -> true
+        | op :: ops, g :: got, w :: want ->
+            if g = w then agree (i + 1) ops got want
+            else
+              QCheck.Test.fail_reportf
+                "after op %d (%s): fired [%s] now %d pending %d backlog %d; \
+                 reference fired [%s] now %d pending %d backlog %d"
+                i (show_op op)
+                (String.concat "," (List.map string_of_int g.fired))
+                g.now g.live g.backlog
+                (String.concat "," (List.map string_of_int w.fired))
+                w.now w.live w.backlog
+        | _ -> QCheck.Test.fail_report "observation lists differ in length"
+      in
+      agree 0 ops (Prod.run ops) (Model.run ops))
+
 let test_topology_paper_values () =
   let t = Topology.aws_paper in
   Alcotest.(check int) "4 DCs" 4 (Topology.num_dcs t);
@@ -411,6 +593,8 @@ let suite =
         tc "pending across periodic" test_engine_pending_periodic;
         tc "purge compacts backlog" test_engine_purge_compacts_backlog;
         tc "determinism" test_engine_determinism;
+        tc "an event allocates one record" test_engine_event_allocates_one_record;
+        QCheck_alcotest.to_alcotest engine_model_test;
       ] );
     ( "sim.topology",
       [

@@ -10,8 +10,8 @@ copies both executables aside (later edits cannot change them), and
 then runs the two alternately, one process per run, for every seed and
 workload (`bpbench --workload W --seed S --json ...`); which side runs
 first alternates from seed to seed. As each pair finishes it prints the
-pair's host_us_per_op, top_heap_mb and gc.promoted_words_per_op, parent
--> change, on stderr.
+pair's host_us_per_op, top_heap_mb, gc.minor_words_per_op and
+gc.promoted_words_per_op, parent -> change, on stderr.
 
 For host_us_per_op, top_heap_mb and setup_s it prints the median and
 Q1-Q3 of each side, the median change, on how many seeds the change was
@@ -24,9 +24,10 @@ better, and a verdict:
               the parent's median);
   unresolved  neither.
 
-gc.promoted_words_per_op (words promoted to the major heap per op) gets
-the same median, quartile, change and win columns, but no verdict: it
-says where a host-time change comes from and gates nothing.
+gc.minor_words_per_op (words allocated on the minor heap per op) and
+gc.promoted_words_per_op (words promoted to the major heap per op) get
+the same median, quartile, change and win columns, but no verdict: they
+say where a host-time change comes from and gate nothing.
 
 The verdicts are printed for reading; they do not set the exit code.
 Simulated-time metrics depend only on the seed, so they must be
@@ -51,7 +52,7 @@ import tempfile
 EXE = os.path.join("_build", "default", "bench", "e2e", "bpbench.exe")
 WORKLOADS = ["local-small", "local-bulk", "geo-send", "shard-xs"]
 HOST = ["host_us_per_op", "top_heap_mb", "setup_s"]
-PRINT_ONLY = ["gc.promoted_words_per_op"]
+PRINT_ONLY = ["gc.minor_words_per_op", "gc.promoted_words_per_op"]
 RUN_TIMEOUT_S = 300
 
 
@@ -203,6 +204,9 @@ def main():
                       f"top_heap_mb "
                       f"{host['parent']['top_heap_mb'][-1]:.1f} -> "
                       f"{host['change']['top_heap_mb'][-1]:.1f}, "
+                      f"minor words/op "
+                      f"{host['parent']['gc.minor_words_per_op'][-1]:.0f} -> "
+                      f"{host['change']['gc.minor_words_per_op'][-1]:.0f}, "
                       f"promoted words/op "
                       f"{host['parent']['gc.promoted_words_per_op'][-1]:.0f} -> "
                       f"{host['change']['gc.promoted_words_per_op'][-1]:.0f}",
