@@ -1,18 +1,18 @@
 let magic = "BPF1"
 let overhead = String.length magic + 4 + 4
 
-let seal_into dst ~off ~crc payload =
+let seal_into dst ~off payload =
   let plen = String.length payload in
   Bytes.blit_string magic 0 dst off 4;
   Bytes.set_int32_be dst (off + 4) (Int32.of_int plen);
-  Bytes.set_int32_be dst (off + 8) crc;
+  Bytes.set_int32_be dst (off + 8) (Bp_crypto.Crc32.string payload);
   Bytes.blit_string payload 0 dst (off + overhead) plen
 
 (* One exactly-sized allocation per frame; the header words are written
    in place rather than through a Buffer. *)
 let seal payload =
   let out = Bytes.create (overhead + String.length payload) in
-  seal_into out ~off:0 ~crc:(Bp_crypto.Crc32.string payload) payload;
+  seal_into out ~off:0 payload;
   Bytes.unsafe_to_string out
 
 (* Placeholder for the length and checksum words, patched after the

@@ -12,11 +12,10 @@ val overhead : int
 val seal : string -> string
 (** Wrap a payload into a frame. *)
 
-val seal_into : bytes -> off:int -> crc:int32 -> string -> unit
-(** [seal_into dst ~off ~crc payload] writes [seal payload] into [dst] at
-    [off], given [crc = Crc32.string payload]: no checksum pass, no
-    allocation. For images assembled from many frames whose checksums are
-    already known (the WAL).
+val seal_into : bytes -> off:int -> string -> unit
+(** [seal_into dst ~off payload] writes [seal payload] into [dst] at
+    [off]. For images assembled from many frames in one buffer (the
+    WAL).
     @raise Invalid_argument if the frame does not fit in [dst] at [off]. *)
 
 val seal_with : Wire.encoder -> (Wire.encoder -> unit) -> string

@@ -100,7 +100,7 @@ let track t ~pos (comm : Record.communication) =
     in
     let st = { txn; sigs = []; geo = None; ready = false } in
     t.pending <- Int_map.add comm.Record.comm_seq st t.pending;
-    t.highest <- Stdlib.max t.highest comm.Record.comm_seq;
+    t.highest <- Int.max t.highest comm.Record.comm_seq;
     (match t.geo_proofs with
     | None -> ()
     | Some wait ->

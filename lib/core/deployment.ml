@@ -138,7 +138,7 @@ let logs_agree t p =
   let logs = Array.map Unit_node.log nodes in
   let min_len =
     Array.fold_left
-      (fun acc l -> Stdlib.min acc (Bp_storage.Log_store.length l))
+      (fun acc l -> Int.min acc (Bp_storage.Log_store.length l))
       max_int logs
   in
   if min_len = 0 then true

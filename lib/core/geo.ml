@@ -16,7 +16,7 @@ module Agent = struct
 
   type t = {
     node : Unit_node.t;
-    duties : (int * int, duty) Hashtbl.t; (* owner, pos *)
+    duties : duty Proto.Mirror_tbl.t; (* Proto.mirror_key *)
   }
 
   let needed t = Unit_node.fi t.node + 1
@@ -53,7 +53,9 @@ module Agent = struct
 
   let on_request t ~src ~owner ~pos ~value =
     let digest = Bp_crypto.Verify_cache.digest (Unit_node.vcache t.node) value in
-    match Hashtbl.find_opt t.duties (owner, pos) with
+    let key = Proto.mirror_key ~owner ~pos in
+    match Proto.Mirror_tbl.find_opt t.duties key with
+    | _ when key < 0 -> () (* out of range: names no log entry *)
     | Some duty ->
         (* Duplicate request (retry): re-answer if complete. *)
         duty.responded <- false;
@@ -61,7 +63,7 @@ module Agent = struct
         if not duty.responded then gather_signatures t duty
     | None ->
         let duty = { owner; pos; digest; requester = src; sigs = []; responded = false } in
-        Hashtbl.replace t.duties (owner, pos) duty;
+        Proto.Mirror_tbl.replace t.duties key duty;
         if Unit_node.mirror_digest t.node ~owner ~pos <> None then
           gather_signatures t duty
         else
@@ -79,7 +81,7 @@ module Agent = struct
              { owner; pos; identity = Unit_node.identity t.node; signature })
 
   let on_sign_response t ~owner ~pos ~identity ~signature =
-    match Hashtbl.find_opt t.duties (owner, pos) with
+    match Proto.Mirror_tbl.find_opt t.duties (Proto.mirror_key ~owner ~pos) with
     | None -> ()
     | Some duty ->
         if not (List.mem_assoc identity duty.sigs) then begin
@@ -96,7 +98,7 @@ module Agent = struct
         end
 
   let install node =
-    let t = { node; duties = Hashtbl.create 64 } in
+    let t = { node; duties = Proto.Mirror_tbl.create 64 } in
     Unit_node.set_geo_request_handler node (fun ~src msg ->
         match msg with
         | Proto.Mirror_request { owner; pos; value } ->

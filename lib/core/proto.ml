@@ -164,6 +164,20 @@ let decode s =
           Read_reply { pos; payload }
       | n -> raise (Wire.Malformed (Printf.sprintf "proto tag %d" n)))
 
+let mirror_key ~owner ~pos =
+  if owner >= 0 && owner < 1 lsl 16 && pos >= 0 && pos < 1 lsl 46 then
+    (owner lsl 46) lor pos
+  else -1
+
+(* The low bits are the position, which varies fastest, so a key is its
+   own hash. *)
+module Mirror_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k
+end)
+
 let mirror_statement ~owner ~pos ~digest =
   Wire.encode (fun e ->
       Wire.string e "bp-mirror";

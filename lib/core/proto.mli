@@ -58,5 +58,12 @@ val identity_prefix : int -> string
 val aux_tag : int -> string
 (** Transport tag for participant [u]'s auxiliary traffic. *)
 
+val mirror_key : owner:int -> pos:int -> int
+(** One int naming log entry [pos] of unit [owner], the key of
+    {!Mirror_tbl}: distinct for every [0 <= owner < 2^16] and
+    [0 <= pos < 2^46], and [-1], which names no entry, outside them. *)
+
+module Mirror_tbl : Hashtbl.S with type key = int
+
 val mirror_statement : owner:int -> pos:int -> digest:string -> string
 (** The byte string mirror nodes sign to attest a mirrored entry. *)

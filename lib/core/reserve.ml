@@ -61,7 +61,7 @@ let probe t =
   evaluate t;
   if not (promoted t) then begin
     (* Ask up to 2f+1 destination nodes. *)
-    let count = Stdlib.min (Array.length t.dest_nodes) ((2 * t.fi) + 1) in
+    let count = Int.min (Array.length t.dest_nodes) ((2 * t.fi) + 1) in
     for i = 0 to count - 1 do
       Unit_node.send_aux t.node ~dst:t.dest_nodes.(i)
         (Proto.Reserve_query { src = Unit_node.participant t.node })
@@ -88,12 +88,12 @@ let create ~node ~dest ~dest_nodes ?geo_proofs () =
   Bp_storage.Log_store.iter_from (Unit_node.log node) 0 (fun entry ->
       match Record.decode entry.Bp_storage.Log_store.payload with
       | Ok (Record.Comm { dest = d; comm_seq; _ }) when d = dest ->
-          t.local_highest <- Stdlib.max t.local_highest comm_seq
+          t.local_highest <- Int.max t.local_highest comm_seq
       | _ -> ());
   Unit_node.add_executed_hook node (fun ~pos:_ record ->
       match record with
       | Record.Comm { dest = d; comm_seq; _ } when d = dest ->
-          t.local_highest <- Stdlib.max t.local_highest comm_seq
+          t.local_highest <- Int.max t.local_highest comm_seq
       | _ -> ());
   Unit_node.add_aux_listener node (fun ~src msg ->
       match msg with

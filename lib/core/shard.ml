@@ -46,7 +46,7 @@ let shards_of_keys m keys =
 
 let coordinator _m = function
   | [] -> invalid_arg "Shard.coordinator: empty participant set"
-  | parts -> List.fold_left min max_int parts
+  | parts -> List.fold_left Int.min max_int parts
 
 let key_for m ~shard ~salt =
   if shard < 0 || shard >= m.n_shards then invalid_arg "Shard.key_for: bad shard";

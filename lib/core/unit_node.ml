@@ -20,7 +20,6 @@ type t = {
   mutable replica : Bp_pbft.Replica.t option; (* set right after create *)
   client : Bp_pbft.Client.t;
   log : Bp_storage.Log_store.t;
-  wal : Bp_storage.Wal.t;
   app : App.instance;
   last_received : int array;
   (* receive path: per-source out-of-order transmissions awaiting commit *)
@@ -29,7 +28,7 @@ type t = {
   mutable executed_hooks : (pos:int -> Record.t -> unit) list;
   mutable aux_listeners : (src:Addr.t -> Proto.t -> bool) list;
   mutable geo_handler : (src:Addr.t -> Proto.t -> unit) option;
-  mirror_index : (int * int, string) Hashtbl.t; (* owner, pos -> value digest *)
+  mirror_index : string Proto.Mirror_tbl.t; (* mirror_key -> value digest *)
   mutable byz_sign_anything : bool;
   mutable byz_drop_comm : bool;
   (* cross-shard 2PC: ops staged by a committed prepare record, awaiting
@@ -61,7 +60,8 @@ let add_executed_hook t f = t.executed_hooks <- f :: t.executed_hooks
 let add_aux_listener t f = t.aux_listeners <- f :: t.aux_listeners
 let set_geo_request_handler t f = t.geo_handler <- Some f
 
-let mirror_digest t ~owner ~pos = Hashtbl.find_opt t.mirror_index (owner, pos)
+let mirror_digest t ~owner ~pos =
+  Proto.Mirror_tbl.find_opt t.mirror_index (Proto.mirror_key ~owner ~pos)
 
 let vcache t = t.vcache
 
@@ -199,10 +199,14 @@ let apply_to_app ~hash ~staging app record =
       | `Not_xs | `Malformed -> ())
   | Record.Commit _ | Record.Comm _ | Record.Recv _ -> App.apply app ~hash record
 
-let wal_image t = Bp_storage.Wal.contents t.wal
+(* [log-commit] makes the Local Log itself durable (§III-C). *)
+let wal_image t =
+  Bp_storage.Wal.image
+    (List.init (Bp_storage.Log_store.length t.log)
+       (Bp_storage.Log_store.payload_exn t.log))
 
 let replay ~image ~app =
-  let wal, discarded = Bp_storage.Wal.of_contents image in
+  let payloads, discarded = Bp_storage.Wal.recover image in
   let staging = Hashtbl.create 8 in
   let count = ref 0 in
   List.iter
@@ -212,16 +216,16 @@ let replay ~image ~app =
           apply_to_app ~hash:Bp_crypto.Sha256.digest ~staging app record;
           incr count
       | Error _ -> ())
-    (Bp_storage.Wal.records wal);
+    payloads;
   (!count, if discarded = 0 then Ok () else Error `Corrupt_tail)
 
 (* A request's op decoded once and memoized in the request itself: the
    pre-screen, the batch-cut screen, the prepared check, the pipelined
    re-verify, the prefetch and execution all read that [Record.t].
    Delivery hints hand every node of the unit the client's own request
-   record, so one decode serves them all until a replica executes the
-   request and drops the memo; a node that executes it later decodes
-   again. A dropped request takes its memo with it. *)
+   record, so one decode serves them all; the last of the unit's
+   replicas to execute the request drops the memo. A dropped request
+   takes its memo with it. *)
 type Bp_pbft.Msg.decoded += Decoded_record of (Record.t, string) result
 
 let record_of (r : Bp_pbft.Msg.request) =
@@ -386,7 +390,6 @@ let execute t ~seq:_ (r : Bp_pbft.Msg.request) =
       let op = r.Bp_pbft.Msg.op in
       let entry = Bp_storage.Log_store.append t.log ~payload_digest:(hash op) op in
       let pos = entry.Bp_storage.Log_store.index in
-      Bp_storage.Wal.append t.wal op;
       apply_to_app ~hash ~staging:t.xs_staging t.app record;
       (match record with
       | Record.Recv tr ->
@@ -396,8 +399,10 @@ let execute t ~seq:_ (r : Bp_pbft.Msg.request) =
           ack_pending t src;
           pump_receive t src
       | Record.Mirrored { owner; opos; ovalue } ->
-          Hashtbl.replace t.mirror_index (owner, opos)
-            (Bp_crypto.Verify_cache.digest t.vcache ovalue)
+          let key = Proto.mirror_key ~owner ~pos:opos in
+          if key >= 0 then
+            Proto.Mirror_tbl.replace t.mirror_index key
+              (Bp_crypto.Verify_cache.digest t.vcache ovalue)
       | Record.Commit _ | Record.Comm _ -> ());
       List.iter (fun hook -> hook ~pos record) t.executed_hooks;
       string_of_int pos
@@ -518,7 +523,6 @@ let create ~network ~pbft_cfg ~participant ~n_participants ~node_idx ~fg
       replica = None;
       client;
       log = Bp_storage.Log_store.create ();
-      wal = Bp_storage.Wal.create ();
       app;
       last_received = Array.make n_participants (-1);
       pending = Hashtbl.create 8;
@@ -526,7 +530,7 @@ let create ~network ~pbft_cfg ~participant ~n_participants ~node_idx ~fg
       executed_hooks = [];
       aux_listeners = [];
       geo_handler = None;
-      mirror_index = Hashtbl.create 64;
+      mirror_index = Proto.Mirror_tbl.create 64;
       byz_sign_anything = false;
       byz_drop_comm = false;
       xs_staging = Hashtbl.create 8;

@@ -101,8 +101,9 @@ val xs_staged : t -> int
     eventually decided (commit or the timeout downgrade). *)
 
 val wal_image : t -> string
-(** The node's durable write-ahead log: every executed Local Log record,
-    checksummed — what would be on this node's disk. *)
+(** The node's durable log: its Local Log framed by
+    {!Bp_storage.Wal.image}, one checksummed frame per entry in log
+    order — what would be on this node's disk. Built on each call. *)
 
 val replay :
   image:string -> app:App.instance -> int * (unit, [ `Corrupt_tail ]) result

@@ -40,7 +40,7 @@ let update_bytes_with kernel ctx src ~off ~len =
     invalid_arg "Sha256.update_bytes";
   ctx.length <- ctx.length + len;
   (* Top up a partial block first. *)
-  let take = if ctx.fill > 0 then min len (64 - ctx.fill) else 0 in
+  let take = if ctx.fill > 0 then Int.min len (64 - ctx.fill) else 0 in
   if take > 0 then begin
     Bytes.blit src off ctx.block ctx.fill take;
     ctx.fill <- ctx.fill + take;

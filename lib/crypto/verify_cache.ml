@@ -120,7 +120,7 @@ module Ring = struct
   (* A zero-limit ring has no slots and a one-cell index that stays
      empty, so every probe misses at once. *)
   let create ~limit =
-    let slots = min limit 64 in
+    let slots = Int.min limit 64 in
     {
       limit;
       hashes = Array.make slots 0;
@@ -202,8 +202,8 @@ module Ring = struct
      and rebuilds the index at its new size. *)
   let regrow r column fill =
     let len = Array.length column in
-    let grown = Array.make (min r.limit (2 * len)) fill in
-    let first = min r.count (len - r.head) in
+    let grown = Array.make (Int.min r.limit (2 * len)) fill in
+    let first = Int.min r.count (len - r.head) in
     Array.blit column r.head grown 0 first;
     Array.blit column 0 grown first (r.count - first);
     grown
@@ -373,7 +373,7 @@ type t = {
    flight (a few pipelined batches); a huge budget would just pin dead
    operations on the major heap for the GC to trace. *)
 let create ?(capacity = 4096) ?(digest_budget = 8 * 1024 * 1024) keystore =
-  let capacity = max 0 capacity in
+  let capacity = Int.max 0 capacity in
   let verdicts = Ring.create ~limit:capacity in
   let digests = Ring.create ~limit:(if digest_budget > 0 then max_int else 0) in
   let slots r = Array.length r.Ring.hashes in
@@ -444,7 +444,7 @@ let grow_keys t n =
   let wrapped = t.k_tail < t.k_head in
   let first = (if wrapped then size else t.k_tail) - t.k_head in
   let second = if wrapped then t.k_tail else 0 in
-  let grown = ref (max 64 (2 * size)) in
+  let grown = ref (Int.max 64 (2 * size)) in
   while !grown < first + second + n do
     grown := 2 * !grown
   done;

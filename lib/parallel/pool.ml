@@ -42,7 +42,7 @@ let run ~jobs tasks =
         | d -> d :: spawn (k - 1)
         | exception Failure _ -> []
     in
-    let helpers = spawn (Stdlib.min jobs n - 1) in
+    let helpers = spawn (Int.min jobs n - 1) in
     work ();
     List.iter Domain.join helpers;
     (* Every claimed task ran to its end, and the claimed indices are a

@@ -60,7 +60,7 @@ let learn t instance value =
         raise (Conflicting_choice (instance, existing, value))
   | None ->
       Hashtbl.replace t.chosen instance value;
-      t.max_chosen <- Stdlib.max t.max_chosen instance;
+      t.max_chosen <- Int.max t.max_chosen instance;
       t.on_learn instance value
 
 (* ---------- acceptor ---------- *)
@@ -175,12 +175,12 @@ let on_promise t ~src ballot ok accepted_entries =
           let max_inst = ref (-1) in
           Int_map.iter
             (fun instance (_, value) ->
-              max_inst := Stdlib.max !max_inst instance;
+              max_inst := Int.max !max_inst instance;
               if not (Hashtbl.mem t.chosen instance) then
                 start_proposal t instance value ~on_commit:ignore ~on_nack:ignore)
             st.seen_accepted;
-          max_inst := Stdlib.max !max_inst t.max_chosen;
-          t.next_instance <- Stdlib.max t.next_instance (!max_inst + 1);
+          max_inst := Int.max !max_inst t.max_chosen;
+          t.next_instance <- Int.max t.next_instance (!max_inst + 1);
           st.on_elected ()
         end
       end

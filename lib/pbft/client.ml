@@ -56,7 +56,7 @@ let on_reply t body =
   match body with
   | Msg.Reply { view; ts; client; replica; result }
     when Addr.equal client (Bp_net.Transport.addr t.transport) -> (
-      t.view_estimate <- Stdlib.max t.view_estimate view;
+      t.view_estimate <- Int.max t.view_estimate view;
       match Int_map.find_opt ts t.pending with
       | Some p when not p.done_ ->
           if not (List.mem_assoc replica p.replies) then begin

@@ -82,7 +82,7 @@ let make ~nodes ~keystore ?(tag = "pbft") ?(batch_max = 64)
       watermark_window;
       (* The pipeline can never usefully exceed the watermark window: slots
          beyond it are rejected by every replica's in_window check. *)
-      max_in_flight = Stdlib.min max_in_flight watermark_window;
+      max_in_flight = Int.min max_in_flight watermark_window;
       verify_cost;
       verify_jobs;
       identities = Bp_sim.Addr.Tbl.create 16;

@@ -10,6 +10,7 @@ type request = {
   op : string;
   client_sig : string;
   mutable decoded : decoded;
+  mutable executions : int;
 }
 
 type prepared_proof = {
@@ -134,7 +135,7 @@ let decode_request d =
   let kind = Wire.read_u8 d in
   let op = Wire.read_string d in
   let client_sig = Wire.read_string d in
-  { client; ts; kind; op; client_sig; decoded = Not_decoded }
+  { client; ts; kind; op; client_sig; decoded = Not_decoded; executions = 0 }
 
 let encode_proof e ~request p =
   Wire.varint e p.pview;
@@ -417,7 +418,7 @@ let make_request ~cache cfg ~client ~ts ~kind ~op =
   let client_sig =
     Bp_crypto.Verify_cache.sign cache ~signer:(Config.identity cfg client) payload
   in
-  { client; ts; kind; op; client_sig; decoded = Not_decoded }
+  { client; ts; kind; op; client_sig; decoded = Not_decoded; executions = 0 }
 
 let request_valid ~cache cfg r =
   let payload =

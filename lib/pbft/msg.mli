@@ -26,9 +26,12 @@ type request = {
   mutable decoded : decoded;
       (** Memo of [op]'s decoding, shared by every node holding this
           value (with a {!Sealed} hint, the sender and its receivers):
-          never encoded, [Not_decoded] when built or decoded, and reset by
-          a replica once it has executed the request. It must be a pure
+          never encoded, [Not_decoded] when built or decoded, and reset
+          once [executions] reaches the cluster size. It must be a pure
           function of [op]. *)
+  mutable executions : int;
+      (** Replicas that have executed this value: 0 when built or
+          decoded, never encoded. *)
 }
 
 type prepared_proof = {

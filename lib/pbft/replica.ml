@@ -441,7 +441,7 @@ and compute_new_view_batches ~cache cfg envelopes =
     List.fold_left
       (fun acc env ->
         match Msg.verify_envelope ~cache cfg env with
-        | Ok (Msg.View_change vc) -> Stdlib.max acc vc.Msg.new_view
+        | Ok (Msg.View_change vc) -> Int.max acc vc.Msg.new_view
         | _ -> acc)
       (-1) envelopes
   in
@@ -458,7 +458,7 @@ and compute_new_view_batches ~cache cfg envelopes =
         List.sort (fun a b -> Int.compare b a) (List.map (fun vc -> vc.Msg.stable_seq) vcs)
       in
       let min_s =
-        match List.nth_opt stables (Stdlib.min (List.length stables - 1) cfg.Config.f) with
+        match List.nth_opt stables (Int.min (List.length stables - 1) cfg.Config.f) with
         | Some s -> s
         | None -> 0 (* unreachable: vcs passed the quorum check above *)
       in
@@ -475,7 +475,7 @@ and compute_new_view_batches ~cache cfg envelopes =
         vcs;
       let max_s =
         match Int_map.max_binding_opt !best with
-        | Some (seq, _) -> Stdlib.max min_s seq
+        | Some (seq, _) -> Int.max min_s seq
         | None -> min_s
       in
       let batches =
@@ -499,8 +499,8 @@ and enter_new_view t target batches =
      new view. Dead slots from the old view must not pin the counter. *)
   Int_map.iter (fun _ s -> s.in_pipeline <- false) t.slots;
   t.pipeline <- 0;
-  let max_seq = List.fold_left (fun acc (s, _, _) -> Stdlib.max acc s) 0 batches in
-  t.next_seq <- Stdlib.max t.next_seq (Stdlib.max max_seq t.last_exec + 1);
+  let max_seq = List.fold_left (fun acc (s, _, _) -> Int.max acc s) 0 batches in
+  t.next_seq <- Int.max t.next_seq (Int.max max_seq t.last_exec + 1);
   List.iter
     (fun (seq, digest, batch) ->
       if seq > t.last_exec && in_window t seq then begin
@@ -647,9 +647,12 @@ and try_execute t =
             (* The archive keeps this request for state transfer; its
                decoded op must not outlive the execution. The record is
                the one the client sealed (delivery hints share it across
-               the unit), so this also drops the memo for peers that
-               have yet to execute it: they decode the op again. *)
-            r.Msg.decoded <- Msg.Not_decoded;
+               the unit), so the memo is dropped only by the last of the
+               cluster's replicas to execute it: the others reuse the
+               first one's decoding. *)
+            r.Msg.executions <- r.Msg.executions + 1;
+            if r.Msg.executions >= Config.n t.cfg then
+              r.Msg.decoded <- Msg.Not_decoded;
             cancel_request_timer t (request_key r);
             send_reply t r result)
           s.batch;
@@ -955,7 +958,7 @@ and start_fetch t =
 and handle_fetch t ~from_seq ~replica =
   if replica <> t.id && replica >= 0 && replica < Config.n t.cfg then begin
     let batches = ref [] in
-    let upto = Stdlib.min t.last_exec (from_seq + 31) in
+    let upto = Int.min t.last_exec (from_seq + 31) in
     for seq = upto downto from_seq do
       match Hashtbl.find_opt t.archive seq with
       | Some (digest, batch) -> batches := (seq, digest, batch) :: !batches

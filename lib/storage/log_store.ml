@@ -42,7 +42,7 @@ let digest_at t n =
   if n = 0 then genesis else t.entries.(n - 1).digest
 
 let iter_from t start f =
-  for i = Stdlib.max 0 start to t.len - 1 do
+  for i = Int.max 0 start to t.len - 1 do
     f t.entries.(i)
   done
 

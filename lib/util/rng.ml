@@ -47,7 +47,7 @@ let bytes t n =
   let i = ref 0 in
   while !i < n do
     let word = int64 t in
-    let k = min 8 (n - !i) in
+    let k = Int.min 8 (n - !i) in
     for j = 0 to k - 1 do
       Bytes.unsafe_set b (!i + j)
         (Char.unsafe_chr

@@ -19,7 +19,7 @@ let render ?(align = []) ~header rows =
   let record row =
     List.iteri
       (fun i cell ->
-        if i < ncols then widths.(i) <- Stdlib.max widths.(i) (String.length cell))
+        if i < ncols then widths.(i) <- Int.max widths.(i) (String.length cell))
       row
   in
   List.iter record all;

@@ -34,8 +34,9 @@ let h ~s x = Stdlib.exp (-.s *. Stdlib.log x)
 let h_integral_inverse ~s x =
   let t = x *. (1.0 -. s) in
   (* Clamp: floating error can push t below -1 where the inverse power
-     is undefined; -1 maps back to the distribution's lower edge. *)
-  let t = Stdlib.max t (-1.0) in
+     is undefined; -1 maps back to the distribution's lower edge. A NaN
+     also clamps to -1. *)
+  let t = if t >= -1.0 then t else -1.0 in
   Stdlib.exp (helper1 t *. x)
 
 let create ~n ~s =

@@ -382,6 +382,35 @@ let test_bank_duplicate_transmission_credits_once () =
   Alcotest.(check (list string)) "received once" [ tr.Record.tpayload ] !buffered;
   Alcotest.(check (option string)) "then nothing" None (Api.receive api1 ~src:0)
 
+(* A known Lemma 3 hole, pinned as it stands (ROADMAP item 1): at
+   pipeline depth 1 a replica judges every request of a batch against
+   the pre-batch state and does not re-verify at execution. Two
+   withdrawals of 60 from an account holding 100 that share one batch
+   therefore both commit, and the balance ends at -20. At depth 8 the
+   second is rejected. The fix for item 1 flips this one assertion to
+   (1, Some 40). *)
+let test_bank_depth1_double_withdraw_known_hole () =
+  let engine = Engine.create ~seed:61L () in
+  let net = Network.create engine Topology.aws_paper () in
+  let dep =
+    Deployment.create ~network:net ~n_participants:4 ~fi:1 ~fg:0
+      ~max_in_flight:1 ~app:bank_app ()
+  in
+  let b = Bank.attach (Deployment.api dep 0) in
+  let committed = ref 0 in
+  Bank.open_account b "alice" 100 ~on_done:(fun () ->
+      (* [open bob 1] holds the pipeline, so both withdrawals queue
+         behind it and share the next batch. *)
+      Bank.open_account b "bob" 1 ~on_done:ignore;
+      for _ = 1 to 2 do
+        Bank.withdraw b "alice" 60 ~on_done:(fun () -> incr committed)
+      done);
+  Engine.run ~until:(Time.of_sec 5.0) engine;
+  Alcotest.(check bool) "unit agrees" true (Deployment.app_digests_agree dep 0);
+  Alcotest.(check (pair int (option int)))
+    "ROADMAP item 1: both withdrawals commit, alice overdrawn" (2, Some (-20))
+    (!committed, Bank.balance (Deployment.node dep 0 0) "alice")
+
 let test_bank_conservation_under_traffic () =
   let engine, _net, dep = make_world ~app:bank_app ~seed:64L () in
   let banks = Array.init 4 (fun p -> Bank.attach (Deployment.api dep p)) in
@@ -442,5 +471,7 @@ let suite =
         tc "duplicate transmission credits once"
           test_bank_duplicate_transmission_credits_once;
         tc "conservation under traffic" test_bank_conservation_under_traffic;
+        tc "depth-1 double withdrawal overdraws (known hole)"
+          test_bank_depth1_double_withdraw_known_hole;
       ] );
   ]

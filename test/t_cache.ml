@@ -607,6 +607,7 @@ let mk_batch ops =
         op;
         client_sig = String.make 32 (Char.chr (65 + (i land 7)));
         decoded = Bp_pbft.Msg.Not_decoded;
+        executions = 0;
       })
     ops
 

@@ -57,6 +57,13 @@ let test_r1_polycmp () =
   (* The two primitive uses (int =, int sort) must not be flagged. *)
   Alcotest.(check int) "total findings" 4 (List.length diags)
 
+(* min/max at every type, int and float included: the int-only and the
+   explicit float comparison beside them stay clean. *)
+let test_r1_minmax () =
+  let diags = Lint.lint_cmt ~rules:[ "R1-polycmp" ] (fixture "Fx_r1m") in
+  check_count ~msg:"min/max at any type" "R1-polycmp" 3 diags;
+  Alcotest.(check int) "total findings" 3 (List.length diags)
+
 let test_r2_nondet () =
   let diags = Lint.lint_cmt ~rules:[ "R2-nondet" ] (fixture "Fx_r2") in
   check_count ~msg:"self_init + Sys.time + ~random:true" "R2-nondet" 3 diags
@@ -187,6 +194,11 @@ let test_policy () =
   Alcotest.(check bool) "pbft gets R1" true (has "R1-polycmp" "lib/pbft/replica.ml");
   Alcotest.(check bool) "harness exempt from R1" false
     (has "R1-polycmp" "lib/harness/report.ml");
+  Alcotest.(check bool) "cli exempt from R1" false
+    (has "R1-polycmp" "lib/cli/bp_cli.ml");
+  (* Only its min/max half there: the real-tree scan below proves the
+     type-directed half stays off (lib/core compares options with <>). *)
+  Alcotest.(check bool) "util gets R1" true (has "R1-polycmp" "lib/util/rng.ml");
   Alcotest.(check bool) "all lib gets R2-nondet" true
     (has "R2-nondet" "lib/harness/report.ml");
   Alcotest.(check bool) "all lib gets R4-print" true
@@ -261,6 +273,7 @@ let suite =
     ( "lint",
       [
         Alcotest.test_case "R1 polymorphic compare" `Quick test_r1_polycmp;
+        Alcotest.test_case "R1 min/max at every type" `Quick test_r1_minmax;
         Alcotest.test_case "R2 nondeterminism" `Quick test_r2_nondet;
         Alcotest.test_case "R2 hashtbl iteration + allow attribute" `Quick test_r2_hiter;
         Alcotest.test_case "R2 multicore primitives confined" `Quick test_r2_domain;

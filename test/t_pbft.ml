@@ -145,7 +145,15 @@ let gen_request =
     let big = oneof [ 0 -- 200; 0 -- 100_000; oneofl [ 127; 128; 16383; 16384; max_int ] ] in
     map
       (fun ((dc, idx, ts), (kind, op, client_sig)) ->
-        { Msg.client = Addr.make ~dc ~idx; ts; kind; op; client_sig; decoded = Msg.Not_decoded })
+        {
+          Msg.client = Addr.make ~dc ~idx;
+          ts;
+          kind;
+          op;
+          client_sig;
+          decoded = Msg.Not_decoded;
+          executions = 0;
+        })
       (pair (triple big big big)
          (triple (0 -- 255)
             (string_size (oneof [ 0 -- 300; oneofl [ 16383; 16384 ] ]))
@@ -472,6 +480,45 @@ let test_view_change_preserves_committed () =
   Engine.run ~until:(Time.of_sec 10.0) c.engine;
   Alcotest.(check string) "second committed in new view" "ok:post-crash" !second;
   check_agreement c
+
+(* A request's [decoded] memo as a unit node uses it: delivery hints
+   hand every replica the client's own request record, so the first
+   replica to verify the request decodes its op and the others reuse
+   that decoding. Each execution counts; the n-th drops the memo, so an
+   archived batch does not pin it. *)
+type Msg.decoded += Seen
+
+let test_decoded_memo_shared_until_last_execution () =
+  let c = make_cluster () in
+  let decodes = ref 0 and after_exec = ref [] in
+  Array.iter
+    (fun r ->
+      Replica.set_verifier r (fun req ->
+          (match req.Msg.decoded with
+          | Msg.Not_decoded ->
+              incr decodes;
+              req.Msg.decoded <- Seen
+          | _ -> ());
+          true);
+      Replica.set_on_executed r (fun ~seq:_ batch ->
+          List.iter
+            (fun req ->
+              let memo =
+                match req.Msg.decoded with Msg.Not_decoded -> false | _ -> true
+              in
+              after_exec := (req.Msg.executions, memo) :: !after_exec)
+            batch))
+    c.replicas;
+  let client = make_client c ~dc:2 ~idx:100 in
+  let result = ref "" in
+  Client.submit client "decode me once" ~on_result:(fun r -> result := r);
+  Engine.run ~until:(Time.of_sec 2.0) c.engine;
+  Alcotest.(check string) "committed" "ok:decode me once" !result;
+  Alcotest.(check int) "one decode for the cluster" 1 !decodes;
+  Alcotest.(check (list (pair int bool)))
+    "memo kept until the n-th execution"
+    [ (1, true); (2, true); (3, true); (4, false) ]
+    (List.sort (fun (a, _) (b, _) -> Int.compare a b) !after_exec)
 
 let test_verification_routine_blocks_invalid () =
   (* Blockplane §IV-B: replicas run the verification routine before the
@@ -860,6 +907,8 @@ let suite =
         tc "batching groups requests" test_batching_groups_requests;
         tc "local commit ~1ms" test_local_commit_latency_about_1ms;
         tc "n=7 cluster" test_larger_cluster_n7;
+        tc "decoded memo shared until the n-th execution"
+          test_decoded_memo_shared_until_last_execution;
       ] );
     ( "pbft.faults",
       [

@@ -57,14 +57,45 @@ let test_wal_replay_torn_tail () =
   Alcotest.(check bool) "tail reported corrupt" true (tail = Error `Corrupt_tail);
   (* The recovered state matches an independent replay of the prefix. *)
   let reference = App.make (module App.Null) in
-  let wal, _ = Bp_storage.Wal.of_contents torn in
   List.iter
     (fun encoded ->
       match Record.decode encoded with
       | Ok r -> App.apply reference ~hash:Bp_crypto.Sha256.digest r
       | Error _ -> ())
-    (Bp_storage.Wal.records wal);
+    (fst (Bp_storage.Wal.recover torn));
   Alcotest.(check string) "prefix state" (App.digest reference) (App.digest fresh)
+
+(* The WAL image is the Local Log framed: [Frame.seal] of every log
+   payload, in log order, with no second copy of the log behind it. It
+   replays to the live state, at the sender (commit and communication
+   records) and at the receiver (receive records). *)
+let test_wal_image_frames_local_log () =
+  let engine, _net, dep = make_world ~seed:79L () in
+  let api = Deployment.api dep 0 in
+  for i = 1 to 8 do
+    Api.log_commit api (event i) ~on_done:ignore
+  done;
+  Api.send api ~dest:1 (String.make 400 'm') ~on_done:ignore;
+  Engine.run ~until:(Time.of_sec 3.0) engine;
+  List.iter
+    (fun node ->
+      let log = Unit_node.log node in
+      let n = Bp_storage.Log_store.length log in
+      Alcotest.(check bool) "log has entries" true (n > 0);
+      let image = Unit_node.wal_image node in
+      Alcotest.(check string) "image = sealed log payloads"
+        (String.concat ""
+           (List.init n (fun i ->
+                Bp_codec.Frame.seal (Bp_storage.Log_store.payload_exn log i))))
+        image;
+      let fresh = App.make (module App.Null) in
+      let count, tail = Unit_node.replay ~image ~app:fresh in
+      Alcotest.(check int) "every entry replayed" n count;
+      Alcotest.(check bool) "clean tail" true (tail = Ok ());
+      Alcotest.(check string) "replayed state = live state"
+        (Bp_util.Hex.encode (Unit_node.app_digest node))
+        (Bp_util.Hex.encode (App.digest fresh)))
+    [ Deployment.node dep 0 2; Deployment.node dep 1 1 ]
 
 (* The digest memo only changes which code computes a SHA-256, never its
    value: a run with zero-capacity caches must leave byte-identical logs
@@ -340,6 +371,7 @@ let suite =
       [
         tc "replay rebuilds state" test_wal_replay_rebuilds_state;
         tc "torn tail recovers prefix" test_wal_replay_torn_tail;
+        tc "image frames the local log" test_wal_image_frames_local_log;
         tc "cache off gives identical digests" test_cache_off_same_digests;
         tc "receives are durable" test_wal_covers_receives;
         tc "crashed replica catches up" test_crashed_replica_catches_up;

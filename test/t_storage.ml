@@ -82,42 +82,44 @@ let test_log_growth () =
   Alcotest.(check string) "spot check" "577" (Log_store.payload_exn l 577);
   Alcotest.(check bool) "chain intact" true (Log_store.verify_chain l)
 
+(* A crash that lost the last [n] bytes of an image. *)
+let truncate_tail image n =
+  String.sub image 0 (Int.max 0 (String.length image - n))
+
+let recovered image = fst (Wal.recover image)
+
 let test_wal_roundtrip () =
-  let w = Wal.create () in
-  List.iter (Wal.append w) [ "one"; "two"; "three" ];
-  let w', discarded = Wal.of_contents (Wal.contents w) in
-  Alcotest.(check (list string)) "records" [ "one"; "two"; "three" ] (Wal.records w');
+  let records, discarded = Wal.recover (Wal.image [ "one"; "two"; "three" ]) in
+  Alcotest.(check (list string)) "records" [ "one"; "two"; "three" ] records;
   Alcotest.(check int) "nothing discarded" 0 discarded
 
 let test_wal_empty () =
-  let w, discarded = Wal.of_contents "" in
-  Alcotest.(check (list string)) "empty" [] (Wal.records w);
+  let records, discarded = Wal.recover "" in
+  Alcotest.(check (list string)) "empty" [] records;
   Alcotest.(check int) "none discarded" 0 discarded
 
 let test_wal_torn_tail () =
-  let w = Wal.create () in
-  List.iter (Wal.append w) [ "one"; "two"; "three" ];
+  let image = Wal.image [ "one"; "two"; "three" ] in
   (* Lose part of the last record. *)
-  let w' = Wal.truncate_tail w 2 in
-  Alcotest.(check (list string)) "durable prefix" [ "one"; "two" ] (Wal.records w')
+  Alcotest.(check (list string)) "durable prefix" [ "one"; "two" ]
+    (recovered (truncate_tail image 2))
 
 let test_wal_corrupt_middle_loses_suffix () =
-  let w = Wal.create () in
-  List.iter (Wal.append w) [ "aaaa"; "bbbb"; "cccc" ];
+  let image = Bytes.of_string (Wal.image [ "aaaa"; "bbbb"; "cccc" ]) in
   (* Corrupt a byte inside the second record's payload. *)
   let off = (2 * Bp_codec.Frame.overhead) + 4 + 2 in
-  let w' = Wal.corrupt_byte w off in
-  Alcotest.(check (list string)) "prefix before corruption" [ "aaaa" ] (Wal.records w')
+  Bytes.set image off (Char.chr (Char.code (Bytes.get image off) lxor 0x40));
+  Alcotest.(check (list string)) "prefix before corruption" [ "aaaa" ]
+    (recovered (Bytes.to_string image))
 
 let test_wal_total_loss () =
-  let w = Wal.create () in
-  Wal.append w "only";
-  let w' = Wal.truncate_tail w (Wal.size w) in
-  Alcotest.(check (list string)) "nothing" [] (Wal.records w')
+  let image = Wal.image [ "only" ] in
+  Alcotest.(check (list string)) "nothing" []
+    (recovered (truncate_tail image (String.length image)))
 
 let test_wal_garbage_prefix () =
-  let w, discarded = Wal.of_contents "totally not a wal" in
-  Alcotest.(check (list string)) "no records" [] (Wal.records w);
+  let records, discarded = Wal.recover "totally not a wal" in
+  Alcotest.(check (list string)) "no records" [] records;
   Alcotest.(check bool) "discards counted" true (discarded > 0)
 
 let test_kv_basic_ops () =
@@ -223,10 +225,10 @@ let qcheck_wal_recovery_prefix =
   QCheck.Test.make ~name:"wal recovery yields a prefix" ~count:200
     QCheck.(pair (list_of_size Gen.(1 -- 10) (string_of_size Gen.(0 -- 20))) small_nat)
     (fun (recs, cut) ->
-      let w = Wal.create () in
-      List.iter (Wal.append w) recs;
-      let w' = Wal.truncate_tail w (cut mod (Wal.size w + 1)) in
-      let recovered = Wal.records w' in
+      let image = Wal.image recs in
+      let recovered =
+        recovered (truncate_tail image (cut mod (String.length image + 1)))
+      in
       let rec is_prefix xs ys =
         match (xs, ys) with
         | [], _ -> true
@@ -235,19 +237,16 @@ let qcheck_wal_recovery_prefix =
       in
       is_prefix recovered recs)
 
-(* The image is assembled on demand from (payload, CRC) pairs; it must
-   be exactly the concatenation of sealed frames a WAL that framed every
-   record at append time would hold, and [size] must track it. *)
+(* The image is assembled in one buffer, each CRC computed as its frame
+   is written; it must be exactly the concatenation of sealed frames,
+   and recovering it must give the records back. *)
 let qcheck_wal_image_is_sealed_frames =
   QCheck.Test.make ~name:"wal image = concatenated Frame.seal" ~count:200
     QCheck.(list_of_size Gen.(0 -- 12) (string_of_size Gen.(0 -- 300)))
     (fun recs ->
-      let w = Wal.create () in
-      List.iter (Wal.append w) recs;
-      let image = Wal.contents w in
+      let image = Wal.image recs in
       String.equal image (String.concat "" (List.map Bp_codec.Frame.seal recs))
-      && Wal.size w = String.length image
-      && String.equal (Wal.contents (fst (Wal.of_contents image))) image)
+      && Wal.recover image = (recs, 0))
 
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in

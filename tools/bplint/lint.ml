@@ -102,6 +102,17 @@ let r9_external source =
    on files that build none. *)
 let plan_rule = "R6-planescape"
 
+(* R1-polycmp's type-directed half (polymorphic comparison at a
+   non-primitive type) covers the protocol and substrate layers; its
+   min/max half covers every lib directory but harness and cli, at every
+   type. Anything else linted under R1 (a fixture) gets both halves. *)
+let r1_typed_dirs = [ "sim"; "pbft"; "paxos"; "net"; "codec" ]
+
+let r1_typed source =
+  match source_segments source with
+  | "lib" :: dir :: _ :: _ -> List.mem dir r1_typed_dirs
+  | _ -> true
+
 let policy ~source =
   match source_segments source with
   | "lib" :: dir :: _ :: _ ->
@@ -110,9 +121,7 @@ let policy ~source =
         [
           [ "R2-nondet"; "R4-print"; "R4-mli" ];
           (if r2_domain_exempt source then [] else [ "R2-domain" ]);
-          (if in_dirs [ "sim"; "pbft"; "paxos"; "net"; "codec" ] then
-             [ "R1-polycmp" ]
-           else []);
+          (if in_dirs [ "harness"; "cli" ] then [] else [ "R1-polycmp" ]);
           (if in_dirs [ "pbft"; "paxos"; "sim"; "core" ] then [ "R2-hiter" ]
            else []);
           (if in_dirs [ "pbft"; "paxos"; "crypto"; "codec"; "core" ] then
@@ -158,6 +167,7 @@ let policy ~source =
 type ctx = {
   source : string;
   rules : string list;
+  r1_typed : bool;  (** R1-polycmp's type-directed half applies *)
   mutable allow_stack : string list;
   mutable diags : diagnostic list;
   mutable fun_depth : int;
@@ -283,8 +293,6 @@ let poly_compare_fns =
     "Stdlib.<=";
     "Stdlib.>=";
     "Stdlib.compare";
-    "Stdlib.min";
-    "Stdlib.max";
     "Stdlib.Hashtbl.hash";
     "Stdlib.Hashtbl.seeded_hash";
     "Stdlib.List.mem";
@@ -293,6 +301,10 @@ let poly_compare_fns =
     "Stdlib.List.mem_assoc";
     "Stdlib.List.remove_assoc";
   ]
+
+(* Library functions over [compare], not primitives: even at [int] they
+   call [caml_compare], so they are flagged at every type. *)
+let minmax_fns = [ "Stdlib.min"; "Stdlib.max" ]
 
 let nondet_fns =
   [
@@ -357,7 +369,14 @@ let check_ident ctx (e : Typedtree.expression) path =
   let qual = Path.name path in
   let name = strip_stdlib qual in
   let loc = e.Typedtree.exp_loc in
-  if List.mem qual poly_compare_fns then begin
+  if List.mem qual minmax_fns then
+    report ctx ~rule:"R1-polycmp" ~loc
+      (Printf.sprintf
+         "%s calls polymorphic compare at every type, int included; use \
+          Int.%s, or for floats an explicit comparison (Float.%s differs on \
+          NaN)"
+         name name name)
+  else if ctx.r1_typed && List.mem qual poly_compare_fns then begin
     match first_arrow_arg e.Typedtree.exp_type with
     | Some t1 when not (type_is_primitive e.Typedtree.exp_env t1) ->
         report ctx ~rule:"R1-polycmp" ~loc
@@ -724,6 +743,7 @@ let lint_file ~rules_of path (cmt : Cmt_format.cmt_infos) =
         {
           source;
           rules;
+          r1_typed = r1_typed source;
           allow_stack = [];
           diags = [];
           fun_depth = 0;

@@ -10,7 +10,9 @@
     - [R1-polycmp]: polymorphic [compare]/[=]/[Hashtbl.hash] (and the
       [List.mem]/[List.assoc] family, which call them internally) applied
       at a non-primitive type. Slow on the hot path, and order/structure
-      sensitive in ways monomorphic comparisons are not.
+      sensitive in ways monomorphic comparisons are not. Also
+      [Stdlib.min]/[Stdlib.max] at every type: they call polymorphic
+      compare even at [int].
     - [R2-nondet]: nondeterminism escape hatches: [Random.*], [Sys.time],
       [Unix.gettimeofday], [Hashtbl.randomize],
       [Hashtbl.create ~random:true].
