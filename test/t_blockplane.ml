@@ -397,6 +397,35 @@ let test_geo_send_carries_proofs () =
       | _ -> ());
   Alcotest.(check bool) "geo proofs present in log" true !found
 
+(* A known Lemma 3 hole, pinned as it stands (ROADMAP item 3): the unit
+   verifier accepts every [Mirrored] record, and executing one replaces
+   the mirror index entry. With fg = 1 only unit 1 mirrors participant
+   0's entry 0; then every mirror unit commits a forged copy of entries
+   0-3 that no owner node signed. Unit 1's honest digest is overwritten
+   and units 2-3, which held nothing, now hold the forgery. The fix for
+   item 3 flips this one assertion to the digests read before the
+   forgery. *)
+let test_forged_mirror_known_hole () =
+  let w = make_world ~fg:1 ~seed:61L () in
+  Api.log_commit (Deployment.api w.dep 0) "real-value" ~on_done:ignore;
+  run w (Time.of_sec 3.0);
+  let entry0 u = Unit_node.mirror_digest (Deployment.node w.dep u 0) ~owner:0 ~pos:0 in
+  let honest = List.map entry0 [ 1; 2; 3 ] in
+  Alcotest.(check (list bool)) "before the forgery only unit 1 mirrors entry 0"
+    [ true; false; false ] (List.map Option.is_some honest);
+  for u = 1 to 3 do
+    for opos = 0 to 3 do
+      Api.submit_record (Deployment.api w.dep u)
+        (Record.Mirrored { owner = 0; opos; ovalue = "forged" })
+        ~on_done:ignore ~on_rejected:ignore
+    done
+  done;
+  run w (Time.of_sec 6.0);
+  let forged = Some (Bp_crypto.Sha256.digest "forged") in
+  Alcotest.(check (list (option string)))
+    "ROADMAP item 3: units 1-3 hold the forged digest of entry 0" [ forged; forged; forged ]
+    (List.map entry0 [ 1; 2; 3 ])
+
 let test_lemma1_agreement_under_byzantine_node () =
   (* One byzantine node per unit (silent in commit phase) must not
      prevent progress or agreement. *)
@@ -717,5 +746,6 @@ let suite =
         tc "mirror failover (fig8a shape)" test_geo_failover_reroutes;
         tc "transmissions carry geo proofs" test_geo_send_carries_proofs;
         tc "mirror keys" test_mirror_key;
+        tc "forged mirror entry overwrites (known hole, item 3)" test_forged_mirror_known_hole;
       ] );
   ]

@@ -183,6 +183,33 @@ let test_cross_shard_abort () =
   done;
   T_apps.check_drained w.dep
 
+(* A known Lemma 3 hole, pinned as it stands (ROADMAP item 2): the
+   unit verifier accepts every [Xs_decide], so one byzantine node of
+   shard 0 can order a COMMIT for a transaction that aborts. The
+   transaction is [test_cross_shard_abort]'s; at 10 ms node (0,1)
+   offers a forged decide for its txid. The 2PC still reports the
+   abort, yet every node of shard 0 applies the staged op. The fix for
+   item 2 flips this one assertion to (1, 0, 0). *)
+let test_forged_decide_known_hole () =
+  let w = make_world ~policy:range4 ~shards:4 () in
+  let router = Deployment.shard_router w.dep in
+  let done_count = ref 0 and aborted = ref 0 in
+  Shard.submit router
+    ~on_aborted:(fun () -> incr aborted)
+    ~on_done:(fun () -> incr done_count)
+    [ ("a1", "op-ok"); ("b1", "poison-op") ];
+  let forged = Record.xs_payload (Record.Xs_decide { txid = "x0"; commit = true }) in
+  ignore
+    (Engine.schedule_at w.engine (Time.of_ms 10.0) (fun () ->
+         Unit_node.submit_record (Deployment.node w.dep 0 1) (Record.Commit forged)
+           ~on_result:ignore));
+  run w;
+  let applied node = contains ~sub:"op-ok" (App.describe (Unit_node.app node)) in
+  let shard0 = Array.to_list (Deployment.nodes_of w.dep 0) in
+  Alcotest.(check (triple int int int))
+    "ROADMAP item 2: the txn aborts, yet all 4 shard-0 nodes applied op-ok" (1, 0, 4)
+    (!aborted, !done_count, List.length (List.filter applied shard0))
+
 (* --- qcheck: adversary-free schedules commit atomically and
        deterministically --- *)
 
@@ -333,6 +360,7 @@ let suite =
         QCheck_alcotest.to_alcotest key_for_roundtrip;
         tc "cross-shard commit atomic" test_cross_shard_commit;
         tc "cross-shard abort atomic" test_cross_shard_abort;
+        tc "forged Xs_decide commits (known hole, item 2)" test_forged_decide_known_hole;
         QCheck_alcotest.to_alcotest atomic_deterministic;
         tc "runner shard/batch knobs" test_runner_knobs;
         tc "table2 golden at any shards" test_sends_same_at_any_shards;
