@@ -19,7 +19,7 @@ let () =
   let network = Network.create engine Topology.aws_paper () in
   let dep =
     Deployment.create ~network ~n_participants:4 ~fi:1
-      ~app:(fun () -> App.make (module Bank.Ledger))
+      ~app:(module Bank.Ledger)
       ()
   in
   let c = Topology.dc_california and i = Topology.dc_ireland in

@@ -8,9 +8,12 @@
 
    This demo elects a leader at Virginia, replicates a few commands, and
    prints the wide-area latency of each Replication phase; compare them
-   with Table I's 70 ms RTT from Virginia to its closest majority. It
-   exits 1 if the election or a command fails, or if a unit's replicas
-   disagree.
+   with Table I's 70 ms RTT from Virginia to its closest majority. Then a
+   byzantine node in California grants itself send credits and sends a
+   prepare that no driver asked for; every node re-executes Paxos, so
+   nothing owes that prepare and it is rejected. The demo exits 1 if the
+   election or a command fails, if a unit's replicas disagree, or unless
+   the forged prepare is rejected.
 
    Run with:  dune exec examples/byzantized_paxos.exe *)
 
@@ -23,7 +26,7 @@ let () =
   let network = Network.create engine Topology.aws_paper () in
   let dep =
     Deployment.create ~network ~n_participants:4 ~fi:1
-      ~app:(fun () -> App.make (module Byz_paxos.Protocol))
+      ~app:(module Byz_paxos.Protocol)
       ()
   in
   let drivers =
@@ -61,11 +64,33 @@ let () =
   replicate_seq 1;
   Engine.run ~until:(Time.of_sec 4.0) engine;
 
+  Printf.printf "\na byzantine node in California forges a paxos prepare...\n";
+  let api0 = Deployment.api dep Topology.dc_california in
+  Api.submit_record api0 (Record.Commit "evt:prepare:16") ~on_done:ignore ~on_rejected:ignore;
+  let forged = ref "pending" in
+  Api.submit_record api0
+    (Record.Comm
+       {
+         Record.dest = v;
+         comm_seq = Api.next_comm_seq api0 ~dest:v;
+         payload =
+           Bp_paxos.Msg.encode
+             (Bp_paxos.Msg.Prepare
+                { ballot = { Bp_paxos.Ballot.round = 7; node = 0 }; from_instance = 0 });
+       })
+    ~on_done:(fun () -> forged := "committed")
+    ~on_rejected:(fun () -> forged := "rejected");
+  Engine.run ~until:(Time.of_sec 6.0) engine;
+  Printf.printf "forged prepare: %s\n" !forged;
+
   Printf.printf "\ndecided at the leader: %s\n"
     (String.concat ", "
        (List.rev_map (fun (i, value) -> Printf.sprintf "#%d=%s" i value)
           (Byz_paxos.decided drivers.(v))));
   let agree = List.for_all (Deployment.app_digests_agree dep) [ 0; 1; 2; 3 ] in
   Printf.printf "every unit's protocol replicas agree: %b\n" agree;
-  if !failed || (not agree) || List.length (Byz_paxos.decided drivers.(v)) <> 3 then
-    exit 1
+  if
+    !failed || (not agree)
+    || List.length (Byz_paxos.decided drivers.(v)) <> 3
+    || not (String.equal !forged "rejected")
+  then exit 1

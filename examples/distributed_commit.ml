@@ -19,7 +19,7 @@ let () =
   let network = Network.create engine Topology.aws_paper () in
   let dep =
     Deployment.create ~network ~n_participants:4 ~fi:1
-      ~app:(fun () -> App.make (module Two_phase.Protocol))
+      ~app:(module Two_phase.Protocol)
       ()
   in
   let coord = Two_phase.attach_coordinator (Deployment.api dep 0) in

@@ -18,7 +18,7 @@ let () =
   let network = Network.create engine Topology.aws_paper () in
   let dep =
     Deployment.create ~network ~n_participants:4 ~fi:1 ~fg:1
-      ~app:(fun () -> App.make (module App.Null))
+      ~app:(module App.Null)
       ()
   in
   let c = Topology.dc_california in

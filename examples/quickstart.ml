@@ -21,7 +21,7 @@ let () =
         the counter protocol with its verification routines. *)
   let dep =
     Deployment.create ~network ~n_participants:4 ~fi:1
-      ~app:(fun () -> App.make (module Bp_apps.Counter.Protocol))
+      ~app:(module Bp_apps.Counter.Protocol)
       ()
   in
 

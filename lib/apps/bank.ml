@@ -80,104 +80,52 @@ let parse_xfer s =
   | Ok ("xfer", to_account, amount) -> Some (to_account, amount)
   | _ -> None
 
-module Ledger = struct
-  type state = {
-    balances : (string, int) Hashtbl.t;
-    mutable outbox : (int * string * int) list; (* dest, to_account, amount *)
-    mutable inbox : (string * int) list; (* to_account, amount, unconsumed *)
-  }
+module Ledger = Byzantize.Make (struct
+  type state = (string, int) Hashtbl.t (* account -> balance *)
 
-  let create () = { balances = Hashtbl.create 16; outbox = []; inbox = [] }
+  let create ~participant:_ ~n_participants:_ = Hashtbl.create 16
+  let add state acct n =
+    Hashtbl.replace state acct (Option.value ~default:0 (Hashtbl.find_opt state acct) + n)
 
-  let balance state acct = Hashtbl.find_opt state.balances acct
-
-  let remove_first p l =
-    let rec go acc = function
-      | [] -> None
-      | x :: rest -> if p x then Some (List.rev_append acc rest) else go (x :: acc) rest
-    in
-    go [] l
+  let covers state acct n =
+    match Hashtbl.find_opt state acct with Some b -> b >= n | None -> false
 
   let verify_op state = function
-    | Open (acct, initial) -> initial >= 0 && not (Hashtbl.mem state.balances acct)
-    | Deposit (acct, n) -> n > 0 && Hashtbl.mem state.balances acct
-    | Withdraw (acct, n) -> (
-        n > 0
-        &&
-        match balance state acct with Some b -> b >= n | None -> false)
-    | Credit_from_transfer (acct, n) ->
-        (* Only a genuinely received transfer can mint this credit. *)
-        List.mem (acct, n) state.inbox
-    | Transfer_debit { from_account; amount; _ } -> (
-        amount > 0
-        &&
-        match balance state from_account with
-        | Some b -> b >= amount
-        | None -> false)
+    | Open (acct, initial) -> initial >= 0 && not (Hashtbl.mem state acct)
+    | Deposit (acct, n) -> n > 0 && Hashtbl.mem state acct
+    | Withdraw (acct, n) -> n > 0 && covers state acct n
+    | Transfer_debit { from_account; amount; _ } ->
+        amount > 0 && covers state from_account amount
+    | Credit_from_transfer _ -> false (* legal only while a transfer owes it *)
 
-  let verify state = function
-    | Record.Commit payload -> (
-        match decode_op payload with Ok op -> verify_op state op | Error _ -> false)
-    | Record.Comm { Record.dest; payload; _ } -> (
-        (* A transfer message must be licensed by a committed debit. *)
-        match parse_xfer payload with
-        | Some (to_account, amount) ->
-            List.mem (dest, to_account, amount) state.outbox
-        | None -> false)
-    | Record.Recv _ -> true
-    | Record.Mirrored _ -> true
+  let verify state payload =
+    match decode_op payload with Ok op -> verify_op state op | Error _ -> false
 
-  let apply state ~hash:_ = function
-    | Record.Commit payload -> (
+  let apply state ~owe = function
+    | Byzantize.Step payload -> (
         match decode_op payload with
         | Error _ -> ()
-        | Ok (Open (acct, initial)) -> Hashtbl.replace state.balances acct initial
-        | Ok (Deposit (acct, n)) ->
-            Hashtbl.replace state.balances acct
-              (Option.value ~default:0 (balance state acct) + n)
-        | Ok (Withdraw (acct, n)) ->
-            Hashtbl.replace state.balances acct
-              (Option.value ~default:0 (balance state acct) - n)
-        | Ok (Credit_from_transfer (acct, n)) ->
-            Hashtbl.replace state.balances acct
-              (Option.value ~default:0 (balance state acct) + n);
-            (match remove_first (fun x -> x = (acct, n)) state.inbox with
-            | Some rest -> state.inbox <- rest
-            | None -> ())
+        | Ok (Open (acct, initial)) -> Hashtbl.replace state acct initial
+        | Ok (Deposit (acct, n) | Credit_from_transfer (acct, n)) -> add state acct n
+        | Ok (Withdraw (acct, n)) -> add state acct (-n)
         | Ok (Transfer_debit { from_account; dest; to_account; amount }) ->
-            Hashtbl.replace state.balances from_account
-              (Option.value ~default:0 (balance state from_account) - amount);
-            state.outbox <- (dest, to_account, amount) :: state.outbox)
-    | Record.Comm { Record.dest; payload; _ } -> (
+            add state from_account (-amount);
+            owe (Byzantize.Send (dest, xfer_payload ~to_account ~amount)))
+    | Byzantize.Delivery { payload; _ } -> (
+        (* A received transfer owes its one credit. *)
         match parse_xfer payload with
-        | Some (to_account, amount) -> (
-            match
-              remove_first (fun x -> x = (dest, to_account, amount)) state.outbox
-            with
-            | Some rest -> state.outbox <- rest
-            | None -> ())
+        | Some (to_account, amount) ->
+            owe (Byzantize.Commit (encode_op (Credit_from_transfer (to_account, amount))))
         | None -> ())
-    | Record.Recv tr -> (
-        match parse_xfer tr.Record.tpayload with
-        | Some (to_account, amount) -> state.inbox <- (to_account, amount) :: state.inbox
-        | None -> ())
-    | Record.Mirrored _ -> ()
-
-  let sorted_balances state =
-    List.sort compare
-      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) state.balances [])
-
-  let digest state =
-    Bp_crypto.Sha256.digest
-      (String.concat ";"
-         (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) (sorted_balances state))
-      ^ Printf.sprintf "|out=%d|in=%d" (List.length state.outbox)
-          (List.length state.inbox))
 
   let describe state =
     String.concat ";"
-      (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) (sorted_balances state))
-end
+      (List.map
+         (fun (k, v) -> Printf.sprintf "%s=%d" k v)
+         (List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) state [])))
+
+  let digest state = Bp_crypto.Sha256.digest (describe state)
+end)
 
 type t = { api : Api.t }
 

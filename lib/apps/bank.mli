@@ -4,10 +4,12 @@
     Each participant keeps a ledger of accounts. Local operations
     (open/deposit/withdraw) are log-committed; cross-participant
     transfers use the communication interface: the source commits a
-    withdraw-and-send, the destination credits the amount only when the
-    (verified) message arrives. Verification routines reject overdrafts,
-    unknown accounts and credits not backed by a received message — a
-    byzantine replica can neither mint money nor double-spend. *)
+    debit that owes one transfer message ({!Byzantize}'s one send rule),
+    and the destination credits the amount only when the (verified)
+    message arrives. Verification routines reject overdrafts, unknown
+    accounts, sends no debit owes and credits not backed by a received
+    message, so a byzantine replica can neither mint money nor
+    double-spend. *)
 
 module Ledger : Blockplane.App.S
 

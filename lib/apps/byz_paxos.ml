@@ -9,134 +9,181 @@ let kind_of_msg = function
   | Msg.Accepted _ -> "accept"
   | Msg.Learn _ -> "learn"
 
-(* Commit payloads: "evt:<kind>:<credits>" grants send credits for that
-   message kind; other commits record protocol state changes. *)
-let event_payload kind credits = Printf.sprintf "evt:%s:%d" kind credits
+(* Step records are commits "evt:<what>:<arg>":
+   - "evt:elect:0" runs the leader-election routine;
+   - "evt:replication:<value>" proposes the value, if this participant leads;
+   - "evt:<message kind>:<n>" is a send step: the oldest pending output of
+     that kind to n destinations becomes owed;
+   - "evt:le-won:0", "evt:le-failed:0", "evt:committed:0" and
+     "evt:deposed:0" record an outcome. *)
+let event what arg = Printf.sprintf "evt:%s:%s" what arg
 
 let parse_event payload =
   match String.split_on_char ':' payload with
-  | [ "evt"; kind; credits ] -> (
-      match int_of_string_opt credits with
-      | Some c -> Some (kind, c)
-      | None -> None)
+  | "evt" :: what :: (_ :: _ as arg) -> Some (what, String.concat ":" arg)
   | _ -> None
 
-(* ---------- the replicated protocol state (verification routines) ---------- *)
+(* One participant's Paxos node, as each node of its unit replays it
+   from the Local Log (and the driver from the lead node's executed
+   stream). Outputs to other participants wait in [pending] until a send
+   step releases them; a message to itself is delivered at once and
+   never leaves the unit. [waiting] holds the driver's callbacks for its
+   own election and replication steps; a shadow's stays empty. *)
+type node = {
+  replica : Replica.t;
+  mutable pending : (Msg.t * int list) list; (* oldest first *)
+  mutable waiting : (string * (int option -> unit)) list;
+}
 
-module Protocol = struct
-  type state = { mutable credits : (string * int) list }
+(* The first element satisfying [p], and the list without it. *)
+let rec take_first p = function
+  | [] -> None
+  | x :: rest when p x -> Some (x, rest)
+  | x :: rest -> Option.map (fun (y, rest) -> (y, x :: rest)) (take_first p rest)
 
-  let create () = { credits = [] }
+(* [on_pending] gets the send step that releases each new pending output. *)
+let make ~participant:me ~n_participants:n ~on_pending =
+  let others = List.filter (fun p -> p <> me) (List.init n Fun.id) in
+  let rec node =
+    lazy
+      {
+        replica = Replica.of_net net ~n ~id:me ~on_learn:(fun _ _ -> ());
+        pending = [];
+        waiting = [];
+      }
+  and net =
+    {
+      Replica.send =
+        (fun ~dst msg -> if dst = me then deliver_self msg else stage msg [ dst ]);
+      broadcast =
+        (fun msg ->
+          stage msg others;
+          deliver_self msg);
+    }
+  and stage msg dests =
+    let node = Lazy.force node in
+    node.pending <- node.pending @ [ (msg, dests) ];
+    on_pending (event (kind_of_msg msg) (string_of_int (List.length dests)))
+  and deliver_self msg = Replica.receive (Lazy.force node).replica ~src:me msg in
+  Lazy.force node
 
-  let credit state kind =
-    match List.assoc_opt kind state.credits with Some c -> c | None -> 0
+let is_send_step kind count (msg, dests) =
+  String.equal (kind_of_msg msg) kind
+  && String.equal (string_of_int (List.length dests)) count
 
-  let set_credit state kind c =
-    state.credits <- (kind, c) :: List.remove_assoc kind state.credits
+(* The callback waiting on step [payload]: [Some instance] on success
+   (0 for an election), [None] on failure. *)
+let outcome node payload =
+  match take_first (fun (p, _) -> String.equal p payload) node.waiting with
+  | Some ((_, k), rest) ->
+      node.waiting <- rest;
+      k
+  | None -> ignore
 
-  let verify state = function
-    | Record.Commit payload -> (
-        match parse_event payload with
-        | Some (_, c) -> c >= 0 && c <= 16
-        | None ->
-            (* free-form state-change commits (leader flags, committed
-               markers) are always legal protocol bookkeeping *)
-            true)
-    | Record.Comm { Record.payload; _ } -> (
-        (* A paxos message may only leave if the protocol committed a
-           matching event first (§III-C's send verification routine). *)
-        match Msg.decode payload with
-        | Ok m -> credit state (kind_of_msg m) > 0
-        | Error _ -> false)
-    | Record.Recv _ -> true
-    | Record.Mirrored _ -> true
+let apply node ~owe = function
+  | Byzantize.Delivery { src; payload } -> (
+      match Msg.decode payload with
+      | Ok msg -> Replica.receive node.replica ~src msg
+      | Error _ -> ())
+  | Byzantize.Step payload -> (
+      match parse_event payload with
+      | Some ("elect", "0") ->
+          let k = outcome node payload in
+          Replica.try_lead node.replica
+            ~on_elected:(fun () -> k (Some 0))
+            ~on_nack:(fun () -> k None)
+      | Some ("replication", value) ->
+          let k = outcome node payload in
+          if Replica.is_leader node.replica then
+            Replica.propose node.replica value
+              ~on_commit:(fun instance -> k (Some instance))
+              ~on_nack:(fun () -> k None)
+          else k None
+      | Some (kind, count) -> (
+          match take_first (is_send_step kind count) node.pending with
+          | Some ((msg, dests), rest) ->
+              node.pending <- rest;
+              let payload = Msg.encode msg in
+              List.iter (fun dest -> owe (Byzantize.Send (dest, payload))) dests
+          | None -> ())
+      | None -> ())
 
-  let apply state ~hash:_ = function
-    | Record.Commit payload -> (
-        match parse_event payload with
-        | Some (kind, c) -> set_credit state kind (credit state kind + c)
-        | None -> ())
-    | Record.Comm { Record.payload; _ } -> (
-        match Msg.decode payload with
-        | Ok m ->
-            let kind = kind_of_msg m in
-            set_credit state kind (credit state kind - 1)
-        | Error _ -> ())
-    | Record.Recv _ | Record.Mirrored _ -> ()
+module Protocol = Byzantize.Make (struct
+  type state = node
 
-  let digest state =
-    let sorted = List.sort compare state.credits in
-    Bp_crypto.Sha256.digest
-      (String.concat ";"
-         (List.map (fun (k, c) -> Printf.sprintf "%s=%d" k c) sorted))
+  let create ~participant ~n_participants =
+    make ~participant ~n_participants ~on_pending:ignore
 
-  let describe state =
-    String.concat ","
-      (List.map (fun (k, c) -> Printf.sprintf "%s=%d" k c)
-         (List.sort compare state.credits))
-end
+  (* Each step is judged against the Paxos state the log built. *)
+  let verify node payload =
+    match parse_event payload with
+    | Some ("elect", "0") ->
+        (* Any participant may try to lead: ballots keep that safe. *)
+        (true [@bplint.allow "R10-accept"])
+    | Some ("replication", _) -> Replica.is_leader node.replica
+    | Some (("le-won" | "le-failed" | "committed" | "deposed"), "0") ->
+        (* Outcome markers change no state and owe nothing. *)
+        (true [@bplint.allow "R10-accept"])
+    | Some (kind, count) -> List.exists (is_send_step kind count) node.pending
+    | None -> false
 
-(* ---------- the Blockplane adapter ---------- *)
+  let apply = apply
 
-type t = { api : Api.t; replica : Replica.t; mutable decided : (int * string) list }
+  let digest node =
+    Bp_crypto.Sha256.digest_list
+      (string_of_bool (Replica.is_leader node.replica)
+      :: List.concat_map
+           (fun (msg, dests) -> Msg.encode msg :: List.map string_of_int dests)
+           node.pending)
 
-let is_leader t = Replica.is_leader t.replica
+  let describe node =
+    Printf.sprintf "leader=%b pending=%d"
+      (Replica.is_leader node.replica)
+      (List.length node.pending)
+end)
+
+(* The driver feeds its own node the lead node's executed stream, in the
+   order every unit node's shadow sees it, so its replica sends exactly
+   what the shadows owe: it commits a send step for each new pending
+   output, and sends what each executed send step releases. *)
+type t = { api : Api.t; node : node; mutable decided : (int * string) list }
+
+let is_leader t = Replica.is_leader t.node.replica
 let decided t = t.decided
 
-(* A protocol state change (Algorithm 3's le-won, replication, ...):
-   commit it, then continue. *)
-let commit t kind k = Api.log_commit t.api (event_payload kind 0) ~on_done:k
-
-(* Algorithm 3's send: commit an event granting one send credit per
-   destination, then write the communication records. [Api.send] cannot
-   address the participant itself, so a message to self is delivered
-   locally; it never leaves the unit and needs no credit. *)
-let net api ~n ~deliver_self =
-  let me = Api.participant api in
-  let others = List.filter (fun p -> p <> me) (List.init n Fun.id) in
-  let send_all msg dests k =
-    Api.log_commit api
-      (event_payload (kind_of_msg msg) (List.length dests))
-      ~on_done:(fun () ->
-        let payload = Msg.encode msg in
-        List.iter (fun dest -> Api.send api ~dest payload ~on_done:ignore) dests;
-        k ())
-  in
-  {
-    Replica.send =
-      (fun ~dst msg ->
-        if dst = me then deliver_self msg else send_all msg [ dst ] ignore);
-    broadcast = (fun msg -> send_all msg others (fun () -> deliver_self msg));
-  }
-
 let attach api ~n_participants =
-  let me = Api.participant api in
-  let rec replica =
-    lazy
-      (Replica.of_net
-         (net api ~n:n_participants ~deliver_self:(fun msg ->
-              Replica.receive (Lazy.force replica) ~src:me msg))
-         ~n:n_participants ~id:me ~on_learn:(fun _ _ -> ()))
+  let node =
+    make ~participant:(Api.participant api) ~n_participants ~on_pending:(fun step ->
+        Api.log_commit api step ~on_done:ignore)
   in
-  let t = { api; replica = Lazy.force replica; decided = [] } in
+  let send = function
+    | Byzantize.Send (dest, payload) -> Api.send api ~dest payload ~on_done:ignore
+    | Byzantize.Commit _ -> ()
+  in
   Api.on_receive api (fun ~src payload ->
       ignore (Api.receive api ~src);
-      match Msg.decode payload with
-      | Ok msg -> Replica.receive t.replica ~src msg
-      | Error _ -> ());
-  t
+      apply node ~owe:send (Byzantize.Delivery { src; payload }));
+  Api.on_commit api (fun payload -> apply node ~owe:send (Byzantize.Step payload));
+  { api; node; decided = [] }
+
+(* Commit an election or replication step; [k] gets its outcome once it
+   executes, or [None] if the unit rejects it. *)
+let step t payload k =
+  t.node.waiting <- t.node.waiting @ [ (payload, k) ];
+  Api.log_commit t.api payload ~on_done:ignore ~on_rejected:(fun () ->
+      outcome t.node payload None)
+
+(* Algorithm 3 log-commits each outcome before reporting it. *)
+let mark t what ok k = Api.log_commit t.api (event what "0") ~on_done:(fun () -> k ok)
 
 let elect t ~on_elected =
-  Replica.try_lead t.replica
-    ~on_elected:(fun () -> commit t "le-won" (fun () -> on_elected true))
-    ~on_nack:(fun () -> commit t "le-failed" (fun () -> on_elected false))
+  step t (event "elect" "0") (function
+    | Some _ -> mark t "le-won" true on_elected
+    | None -> mark t "le-failed" false on_elected)
 
 let replicate t value ~on_result =
-  commit t "replication" (fun () ->
-      if not (is_leader t) then on_result false
-      else
-        Replica.propose t.replica value
-          ~on_commit:(fun instance ->
-            t.decided <- (instance, value) :: t.decided;
-            commit t "committed" (fun () -> on_result true))
-          ~on_nack:(fun () -> commit t "deposed" (fun () -> on_result false)))
+  step t (event "replication" value) (function
+    | Some instance ->
+        t.decided <- (instance, value) :: t.decided;
+        mark t "committed" true on_result
+    | None -> mark t "deposed" false on_result)

@@ -1,42 +1,38 @@
-(** Paxos byzantized with Blockplane (§VI-E, Algorithm 3) —
+(** Paxos byzantized with Blockplane (§VI-E, Algorithm 3), called
     "Blockplane-Paxos" in the evaluation.
 
-    The benign Paxos protocol ({!Bp_paxos.Replica}, the same core as the
-    plain-Paxos baseline) runs unchanged behind the Blockplane API: this
-    module is only its network adapter. Every message goes through
-    [send]/[receive] after a log-committed event that grants it, and
-    Algorithm 3's state changes (replication, le-won, committed,
-    le-failed, deposed) are log-committed around the core's calls and
-    callbacks (Definition 1). Byzantine behaviour inside a
-    participant is masked by its unit, so the *wide-area* pattern stays
-    exactly Paxos's: the Replication phase costs one round trip to the
-    closest majority plus local-commitment overhead (Fig. 7).
-
-    The protocol app ({!Protocol}) replays the Local Log on every unit
-    node and enforces the verification routines: a communication record
-    is only valid if a matching protocol event was committed before it
-    (so a byzantine node cannot emit paxos messages the protocol never
-    produced), and received records must be genuine (middleware checks). *)
+    The benign Paxos core ({!Bp_paxos.Replica}, the same one as the
+    plain-Paxos baseline) runs unchanged. Every unit node keeps a shadow
+    replica of its participant's node and feeds it the unit's committed
+    step records and paxos receives in log order. So each step is judged
+    by re-executing Paxos, and a communication record is legal only if
+    the shadow's own output owes it ({!Byzantize}): a node can send no
+    Paxos message that the protocol did not produce. Each send leaves
+    after a committed send step, and each outcome (le-won, le-failed,
+    committed, deposed) is log-committed. The wide-area pattern stays
+    Paxos's: Replication costs one round trip to the closest majority
+    plus local commits (Fig. 7). *)
 
 module Protocol : Blockplane.App.S
 
 type t
 
 val attach : Blockplane.Api.t -> n_participants:int -> t
-(** Bind a driver to a participant's API (installs the receive handler). *)
+(** A driver for the API's participant. It replays the lead node's
+    executed stream into its own copy of the node, so it sends what the
+    shadows owe. *)
 
 val is_leader : t -> bool
 
 val elect : t -> on_elected:(bool -> unit) -> unit
-(** Algorithm 3's LeaderElection routine: commit the event, send
-    paxos-prepare to the other participants, collect promises. The
-    callback reports whether a majority of positive votes was reached. *)
+(** Algorithm 3's LeaderElection: commit an election step, then report
+    whether a majority promised. *)
 
 val replicate : t -> string -> on_result:(bool -> unit) -> unit
 (** Algorithm 3's Replication routine. [on_result true] fires after a
-    majority of positive paxos-accept votes and the final
-    ["value committed"] log-commit — the latency the paper measures.
-    [false] = lost leadership (a higher ballot was observed). *)
+    majority accepted and ["committed"] was log-committed, which is the
+    latency the paper measures. [false]: this participant does not lead,
+    or a higher ballot deposed it. *)
 
 val decided : t -> (int * string) list
 (** (instance, value) pairs this leader committed, newest first. *)

@@ -17,60 +17,27 @@ let parse_request payload =
       | _ -> None)
   | _ -> None
 
-let parse_message payload =
-  match String.split_on_char ':' payload with
-  | [ "count"; id ] -> int_of_string_opt id
-  | _ -> None
+module Protocol = Byzantize.Make (struct
+  type state = { mutable counter : int }
 
-module Protocol = struct
-  type state = {
-    mutable counter : int;
-    mutable pending : (int * int) list; (* unconsumed user requests: dest, id *)
-    mutable unconsumed_received : int;
-  }
+  let create ~participant:_ ~n_participants:_ = { counter = 0 }
 
-  let create () = { counter = 0; pending = []; unconsumed_received = 0 }
+  (* An increment is legal only while a received message owes it, so a
+     byzantine node cannot inflate the counter. *)
+  let verify _ payload = Option.is_some (parse_request payload)
 
-  let verify state = function
-    | Record.Commit payload when String.equal payload increment_payload ->
-        (* Only legal if an actually-received message backs it — the
-           counter cannot be inflated by a byzantine proposal. *)
-        state.unconsumed_received > 0
-    | Record.Commit payload -> parse_request payload <> None
-    | Record.Comm { Record.dest; payload; _ } -> (
-        (* Only legal if the matching user request was committed and is
-           still unconsumed. *)
-        match parse_message payload with
-        | Some id -> List.mem (dest, id) state.pending
-        | None -> false)
-    | Record.Recv _ -> true (* middleware already checked it *)
-    | Record.Mirrored _ -> true
-
-  let apply state ~hash:_ = function
-    | Record.Commit payload when String.equal payload increment_payload ->
-        state.counter <- state.counter + 1;
-        state.unconsumed_received <- state.unconsumed_received - 1
-    | Record.Commit payload -> (
+  let apply state ~owe = function
+    | Byzantize.Step payload when String.equal payload increment_payload ->
+        state.counter <- state.counter + 1
+    | Byzantize.Step payload -> (
         match parse_request payload with
-        | Some (dest, id) -> state.pending <- (dest, id) :: state.pending
+        | Some (dest, id) -> owe (Byzantize.Send (dest, message_payload ~id))
         | None -> ())
-    | Record.Comm { Record.dest; payload; _ } -> (
-        match parse_message payload with
-        | Some id ->
-            state.pending <- List.filter (fun p -> p <> (dest, id)) state.pending
-        | None -> ())
-    | Record.Recv _ -> state.unconsumed_received <- state.unconsumed_received + 1
-    | Record.Mirrored _ -> ()
+    | Byzantize.Delivery _ -> owe (Byzantize.Commit increment_payload)
 
-  let digest state =
-    Bp_crypto.Sha256.digest
-      (Printf.sprintf "%d|%s|%d" state.counter
-         (String.concat ","
-            (List.map (fun (d, i) -> Printf.sprintf "%d:%d" d i) state.pending))
-         state.unconsumed_received)
-
+  let digest state = Bp_crypto.Sha256.digest (string_of_int state.counter)
   let describe state = Printf.sprintf "counter=%d" state.counter
-end
+end)
 
 type t = { api : Api.t; mutable next_id : int }
 

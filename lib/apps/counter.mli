@@ -6,13 +6,14 @@
     request and sends a message; when B receives it, B log-commits an
     increment event and bumps its counter.
 
-    The three verification routines of the paper are implemented in
-    {!Protocol.verify}:
-    - a [request] commit is accepted from the trusted user source;
-    - a communication record is only valid if an unconsumed user request
-      to that destination was committed before it;
+    The paper's three verification routines, on {!Byzantize}'s one send
+    rule:
+    - a [request] commit is accepted from the trusted user source, and
+      owes one message to its destination;
+    - a communication record is legal only while a committed request owes
+      it;
     - an [increment-counter] commit is only valid if an unconsumed
-      received message exists — so a byzantine node cannot inflate the
+      received message exists, so a byzantine node cannot inflate the
       counter (the attack discussed in §III-C). *)
 
 module Protocol : Blockplane.App.S

@@ -127,6 +127,11 @@ let receive t ~src = Queue.take_opt t.reception.(src)
 
 let on_receive t handler = t.recv_handlers <- handler :: t.recv_handlers
 
+let on_commit t handler =
+  Unit_node.add_executed_hook t.lead_node (fun ~pos:_ -> function
+    | Record.Commit payload -> handler payload
+    | Record.Comm _ | Record.Recv _ | Record.Mirrored _ -> ())
+
 let read t pos =
   match Bp_storage.Log_store.get (Unit_node.log t.lead_node) pos with
   | None -> None

@@ -44,6 +44,13 @@ val on_receive : t -> (src:int -> string -> unit) -> unit
     a handler that consumes the delivery it is handed pops it with
     {!receive}, or the buffer keeps it for the endpoint's lifetime. *)
 
+val on_commit : t -> (string -> unit) -> unit
+(** Every [Commit] record's payload as the unit's lead node executes it,
+    whoever submitted it. Together with {!on_receive} this is the lead
+    node's executed stream in log order: a driver that feeds both to its
+    own copy of the protocol sees the records in the order every unit
+    node's app does. *)
+
 val read : t -> int -> Record.t option
 (** Read-1 strategy: serve from the closest (lead) node directly. A
     byzantine lead node could lie — see {!read_quorum}. *)

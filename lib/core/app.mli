@@ -13,7 +13,11 @@
 module type S = sig
   type state
 
-  val create : unit -> state
+  val create : participant:int -> n_participants:int -> state
+  (** A fresh replica for a node of participant [participant]'s unit, in
+      a deployment of [n_participants]. Every node of the unit gets the
+      same arguments, so its copies start identical; this is how an app
+      learns which participant it serves. *)
 
   val verify : state -> Record.t -> bool
   (** Is this record a legal next state transition? For [Recv] records the
@@ -34,7 +38,7 @@ end
 
 type instance = Instance : (module S with type state = 's) * 's -> instance
 
-val make : (module S) -> instance
+val make : (module S) -> participant:int -> n_participants:int -> instance
 val verify : instance -> Record.t -> bool
 val apply : instance -> hash:(string -> string) -> Record.t -> unit
 val digest : instance -> string

@@ -69,7 +69,7 @@ let create ~network ~n_participants ?(fi = 1) ?(fg = 0) ?(scheme = `Hmac)
             (fun i ->
               Unit_node.create ~network ~pbft_cfg ~participant:p ~n_participants
                 ~node_idx:i ~fg ~vcache:(new_cache ())
-                ~app:(app ()) ())
+                ~app:(App.make app ~participant:p ~n_participants) ())
         in
         (* Every node serves mirror duties (fg > 0 traffic). *)
         Array.iter (fun n -> ignore (Geo.Agent.install n)) nodes;

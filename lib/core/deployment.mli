@@ -20,10 +20,11 @@ val create :
   ?verify_jobs:int ->
   ?shard_map:Shard.map ->
   ?cache:bool ->
-  app:(unit -> App.instance) ->
+  app:(module App.S) ->
   unit ->
   t
-(** [app] builds a fresh protocol instance per node (all must start
+(** [app] is the user protocol: every node gets a fresh instance, made by
+    {!App.make} with its own participant (so all nodes of a unit start
     identical). Defaults: fi = 1, fg = 0, HMAC signatures.
     [batch_min_fill] / [batch_hold] configure the primary's adaptive
     batch-cut policy (see {!Bp_pbft.Config}); the defaults reproduce the

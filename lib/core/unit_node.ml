@@ -244,8 +244,11 @@ let verifier t (r : Bp_pbft.Msg.request) =
       &&
       match record with
       | Record.Recv tr -> verify_transmission t tr && App.verify t.app record
-      | Record.Mirrored _ -> true (* geo failures are benign (§V) *)
-      | Record.Commit payload when is_read_marker payload -> true
+      | Record.Mirrored _ ->
+          (* Known hole (ROADMAP item 3): any node can forge a mirror entry. *)
+          (true [@bplint.allow "R10-accept"])
+      | Record.Commit payload when is_read_marker payload ->
+          (true [@bplint.allow "R10-accept"]) (* orders a read, applies nothing *)
       | Record.Commit payload when Record.is_xs_payload payload -> (
           (* Prepare/apply: every enclosed op must be a transition the
              app would accept — a rejected prepare is this shard's NO
@@ -257,7 +260,9 @@ let verifier t (r : Bp_pbft.Msg.request) =
               && List.for_all
                    (fun (_key, op) -> App.verify t.app (Record.Commit op))
                    ops
-          | `Xs (Record.Xs_decide _) -> true
+          | `Xs (Record.Xs_decide _) ->
+              (* Known hole (ROADMAP item 2): a forged commit decide applies. *)
+              (true [@bplint.allow "R10-accept"])
           | `Not_xs | `Malformed -> false)
       | Record.Commit _ | Record.Comm _ -> App.verify t.app record)
 

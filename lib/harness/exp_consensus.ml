@@ -39,7 +39,7 @@ let measure_paxos ~leader ~reps ~seed =
 let measure_bp_paxos ~leader ~reps ~seed =
   let world =
     Runner.fresh_world ~seed
-      ~app:(fun () -> Blockplane.App.make (module Bp_apps.Byz_paxos.Protocol))
+      ~app:(module Bp_apps.Byz_paxos.Protocol)
       ()
   in
   let drivers =

@@ -12,7 +12,7 @@ let split_traffic net =
 let run_bp_paxos ~reps ~seed =
   let world =
     Runner.fresh_world ~seed
-      ~app:(fun () -> Blockplane.App.make (module Bp_apps.Byz_paxos.Protocol))
+      ~app:(module Bp_apps.Byz_paxos.Protocol)
       ()
   in
   let drivers =

@@ -12,7 +12,7 @@ type world = {
 let fresh_world ?(fi = 1) ?(fg = 0) ?(seed = 4242L) ?(n_participants = 4)
     ?scheme ?batch_max ?batch_min_fill ?batch_hold ?(max_in_flight = 1)
     ?verify_cost ?verify_jobs ?shard_map
-    ?(app = fun () -> Blockplane.App.make (module Blockplane.App.Null)) () =
+    ?(app = (module Blockplane.App.Null : Blockplane.App.S)) () =
   let engine = Engine.create ~seed () in
   (* More participants than the paper's four regions: tile the Table I
      topology (metro twins per region) so every unit still gets its own

@@ -21,7 +21,7 @@ val fresh_world :
   ?verify_cost:Bp_sim.Time.t ->
   ?verify_jobs:int ->
   ?shard_map:Blockplane.Shard.map ->
-  ?app:(unit -> Blockplane.App.instance) ->
+  ?app:(module Blockplane.App.S) ->
   unit ->
   world
 (** A deterministic world: engine, network and deployment, on the

@@ -2,7 +2,7 @@ open Bp_sim
 open Blockplane
 
 let make_world ?(fi = 1) ?(fg = 0) ?scheme ?(seed = 81L)
-    ?(app = fun () -> App.make (module App.Null)) () =
+    ?(app = (module App.Null : App.S)) () =
   let engine = Engine.create ~seed () in
   let net = Network.create engine Topology.aws_paper () in
   let dep =

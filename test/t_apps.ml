@@ -24,7 +24,7 @@ let check_drained dep =
 
 (* ---------- counter (Algorithm 1) ---------- *)
 
-let counter_app () = App.make (module Counter.Protocol)
+let counter_app = (module Counter.Protocol : App.S)
 
 let test_counter_end_to_end () =
   let engine, _net, dep = make_world ~app:counter_app () in
@@ -71,9 +71,35 @@ let test_counter_forged_send_rejected () =
   Engine.run ~until:(Time.of_sec 5.0) engine;
   Alcotest.(check bool) "forged send rejected" true !rejected
 
+(* The adapter's ledger is a multiset: each owed record is legal once
+   per copy owed. Two identical requests owe two identical messages, so
+   two copies of the send are legal and a third is not. A transmission
+   executed twice (two copies in one batch) is delivered once, so it
+   owes one increment. *)
+let test_byzantize_ledger_pays_each_copy_once () =
+  let module P = Counter.Protocol in
+  let state = P.create ~participant:0 ~n_participants:2 in
+  let offer record =
+    let legal = P.verify state record in
+    if legal then P.apply state ~hash:Bp_crypto.Sha256.digest record;
+    legal
+  in
+  List.iter (fun r -> ignore (offer r)) [ Record.Commit "request:1:5"; Commit "request:1:5" ];
+  let send seq = Record.Comm { Record.dest = 1; comm_seq = seq; payload = "count:5" } in
+  Alcotest.(check (list bool)) "two owed sends, a third rejected" [ true; true; false ]
+    (List.map (fun seq -> offer (send seq)) [ 0; 1; 2 ]);
+  let delivery =
+    Record.Recv
+      { Record.src = 1; tdest = 0; tcomm_seq = 0; log_pos = 0; tpayload = "count:9";
+        proofs = []; geo_proofs = [] }
+  in
+  Alcotest.(check (list bool)) "one delivery owes one increment" [ true; true; true; false ]
+    (List.map offer
+       [ delivery; delivery; Commit "increment-counter"; Commit "increment-counter" ])
+
 (* ---------- byzantized paxos (Algorithm 3) ---------- *)
 
-let paxos_app () = App.make (module Byz_paxos.Protocol)
+let paxos_app = (module Byz_paxos.Protocol : App.S)
 
 let make_paxos_world ?seed () =
   let engine, net, dep = make_world ?seed ~app:paxos_app () in
@@ -152,17 +178,11 @@ let test_byz_paxos_forged_message_rejected () =
   Engine.run ~until:(Time.of_sec 5.0) engine;
   Alcotest.(check bool) "forged paxos message rejected" true !rejected
 
-(* A known Lemma 3 hole, pinned as it stands (ROADMAP item 4): the
-   Paxos verifier accepts any credit event [evt:<kind>:<c>] with
-   0 <= c <= 16, and a [Comm] only needs a credit of its kind. So one
-   node grants itself prepare credits, then sends a prepare that no
-   driver asked for, and participant 1 commits it. The fix for item 4
-   flips this one assertion from [("committed", 0)] to
-   [("rejected", -1)]: the prepare is rejected, and participant 1's
-   [last_received ~src:0] stays -1. The credit record only sets the
-   hole up; whether the fix still commits it is the fix's choice, so
-   it is not asserted. *)
-let test_byz_paxos_self_granted_credit_known_hole () =
+(* A node grants itself prepare credits, then sends a prepare that no
+   driver asked for. Each unit node's shadow Paxos replica judges both:
+   no pending prepare backs the send step, and no committed record owes
+   the prepare. So participant 1 never receives it. *)
+let test_byz_paxos_self_granted_credit_rejected () =
   let engine, _net, dep, _drivers = make_paxos_world () in
   let api0 = Deployment.api dep 0 in
   Api.submit_record api0 (Record.Commit "evt:prepare:16") ~on_done:ignore ~on_rejected:ignore;
@@ -178,9 +198,69 @@ let test_byz_paxos_self_granted_credit_known_hole () =
     ~on_rejected:(fun () -> prepare := "rejected");
   Engine.run ~until:(Time.of_sec 5.0) engine;
   Alcotest.(check (pair string int))
-    "ROADMAP item 4: the self-credited prepare commits, and participant 1 receives it"
-    ("committed", 0)
+    "the self-credited prepare is rejected, and participant 1 receives nothing"
+    ("rejected", -1)
     (!prepare, Unit_node.last_received (Deployment.node dep 1 0) ~src:0)
+
+(* Two values for one Paxos instance, unless each send is judged by
+   re-executing Paxos. Virginia (p2) leads and proposes X, but its
+   communication daemons are disabled, so its Propose reaches no one.
+   One byzantine node in each of units 0 and 1 (within fi) forges an
+   [Accepted] for p2's ballot. Counting those, p2 would decide X with
+   {p2, p0*, p1*}. Then Virginia is cut off, and Ireland (p3) leads with
+   promises from p0, p1 and p3, none of which accepted anything, and
+   decides Y. Only one value may ever be chosen for instance 0. *)
+let test_byz_paxos_forged_accepts_cannot_choose_two_values () =
+  let engine, net, dep, drivers = make_paxos_world () in
+  let v = Topology.dc_virginia and ireland = Topology.dc_ireland in
+  let elected = ref false in
+  Byz_paxos.elect drivers.(v) ~on_elected:(fun ok -> elected := ok);
+  Engine.run ~until:(Time.of_sec 5.0) engine;
+  Alcotest.(check bool) "p2 elected" true !elected;
+  for dest = 0 to 3 do
+    if dest <> v then Comm_daemon.set_enabled (Deployment.daemon dep ~src:v ~dest) false
+  done;
+  Byz_paxos.replicate drivers.(v) "X" ~on_result:ignore;
+  let forged = ref [] in
+  let ballot = Bp_paxos.Ballot.next Bp_paxos.Ballot.zero ~node:v in
+  let accepted =
+    Bp_paxos.Msg.encode (Bp_paxos.Msg.Accepted { ballot; instance = 0; ok = true })
+  in
+  List.iter
+    (fun p ->
+      let byzantine = Deployment.node dep p 3 in
+      let outcome result =
+        forged := (p, Option.is_some (int_of_string_opt result)) :: !forged
+      in
+      Unit_node.submit_record byzantine (Record.Commit "evt:accept:1")
+        ~on_result:ignore;
+      Unit_node.submit_record byzantine
+        (Record.Comm
+           {
+             Record.dest = v;
+             comm_seq = Api.next_comm_seq (Deployment.api dep p) ~dest:v;
+             payload = accepted;
+           })
+        ~on_result:outcome)
+    [ 0; 1 ];
+  Engine.run ~until:(Time.of_sec 6.0) engine;
+  List.iter (fun p -> if p <> v then Network.set_link net v p `Down) [ 0; 1; 3 ];
+  Byz_paxos.elect drivers.(ireland) ~on_elected:(fun ok ->
+      if ok then Byz_paxos.replicate drivers.(ireland) "Y" ~on_result:ignore);
+  Engine.run ~until:(Time.of_sec 10.0) engine;
+  let chosen =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun d ->
+           List.filter_map
+             (fun (instance, value) -> if instance = 0 then Some value else None)
+             (Byz_paxos.decided d))
+         (Array.to_list drivers))
+  in
+  Alcotest.(check (list string)) "one value chosen for instance 0" [ "Y" ] chosen;
+  Alcotest.(check (list (pair int bool)))
+    "forged accepts rejected" [ (0, false); (1, false) ]
+    (List.sort compare !forged)
 
 let test_byz_paxos_two_leaders_last_wins () =
   let engine, _net, _dep, drivers = make_paxos_world ~seed:62L () in
@@ -280,7 +360,7 @@ let test_hier_pbft_replication () =
 
 (* ---------- bank ---------- *)
 
-let bank_app () = App.make (module Bank.Ledger)
+let bank_app = (module Bank.Ledger : App.S)
 
 let test_bank_local_operations () =
   let engine, _net, dep = make_world ~app:bank_app () in
@@ -480,6 +560,7 @@ let suite =
         tc "end to end (Algorithm 1)" test_counter_end_to_end;
         tc "byzantine increment rejected" test_counter_byzantine_increment_rejected;
         tc "forged send rejected" test_counter_forged_send_rejected;
+        tc "owed ledger pays each copy once" test_byzantize_ledger_pays_each_copy_once;
       ] );
     ( "apps.byz_paxos",
       [
@@ -487,8 +568,10 @@ let suite =
         tc "replication latency (fig7 shape)" test_byz_paxos_replication_latency_fig7;
         tc "non-leader cannot replicate" test_byz_paxos_non_leader_cannot_replicate;
         tc "forged paxos message rejected" test_byz_paxos_forged_message_rejected;
-        tc "self-granted paxos credit (known hole, item 4)"
-          test_byz_paxos_self_granted_credit_known_hole;
+        tc "self-granted paxos credit rejected"
+          test_byz_paxos_self_granted_credit_rejected;
+        tc "forged accepts cannot choose two values"
+          test_byz_paxos_forged_accepts_cannot_choose_two_values;
         tc "two leaders, last wins" test_byz_paxos_two_leaders_last_wins;
         tc "sends plain paxos messages" test_byz_paxos_sends_plain_paxos_messages;
       ] );

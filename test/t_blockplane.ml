@@ -10,7 +10,7 @@ type world = {
 }
 
 let make_world ?(fi = 1) ?(fg = 0) ?faults ?(seed = 51L)
-    ?(app = fun () -> App.make (module App.Null)) ?(n_participants = 4) () =
+    ?(app = (module App.Null : App.S)) ?(n_participants = 4) () =
   let engine = Engine.create ~seed () in
   let net = Network.create engine Topology.aws_paper ?faults () in
   let dep = Deployment.create ~network:net ~n_participants ~fi ~fg ~app () in
@@ -226,7 +226,7 @@ let test_app_verification_blocks_commit () =
   let module Picky = struct
     type state = string list ref
 
-    let create () = ref []
+    let create ~participant:_ ~n_participants:_ = ref []
 
     let verify _ record =
       match record with
@@ -241,7 +241,7 @@ let test_app_verification_blocks_commit () =
     let digest state = Bp_crypto.Sha256.digest (String.concat ";" !state)
     let describe state = String.concat ";" !state
   end in
-  let w = make_world ~app:(fun () -> App.make (module Picky)) () in
+  let w = make_world ~app:(module Picky) () in
   let api = Deployment.api w.dep 0 in
   let ok = ref false and rejected = ref false and bad_done = ref false in
   Api.log_commit api "good-event" ~on_done:(fun () -> ok := true);

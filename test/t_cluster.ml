@@ -13,7 +13,7 @@ let make_world ?(fi = 1) ?faults ?(seed = 91L) () =
   let net = Network.create engine Topology.aws_paper ?faults () in
   let dep =
     Deployment.create ~network:net ~n_participants:2 ~fi
-      ~app:(fun () -> App.make (module App.Null))
+      ~app:(module App.Null)
       ()
   in
   (engine, net, dep)

@@ -266,7 +266,7 @@ let test_experiments_identical_without_cache () =
     let net = Bp_sim.Network.create engine Bp_sim.Topology.aws_paper () in
     let dep =
       Deployment.create ~network:net ~n_participants ~fi:1 ~fg ?cache
-        ~app:(fun () -> App.make (module App.Null)) ()
+        ~app:(module App.Null) ()
     in
     let events = ref [] in
     let stamp what () =

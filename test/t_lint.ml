@@ -159,6 +159,20 @@ let test_r9_external () =
   Alcotest.(check bool) "tools may not" true
     (has "R9-external" "tools/bplint/main.ml")
 
+(* R10-accept: the unjudged arm, the guarded arm and the one-case
+   [verifier] are flagged; the allow-attributed arm and the verify of a
+   module not shaped like App.S are not. The rule covers the directories
+   of the user protocols and Unit_node.verifier. *)
+let test_r10_accept () =
+  let diags = Lint.lint_cmt ~rules:[ "R10-accept" ] (fixture "Fx_r10") in
+  check_count ~msg:"two verify arms + verifier" "R10-accept" 3 diags;
+  Alcotest.(check int) "total findings" 3 (List.length diags);
+  let has rule source = List.mem rule (Lint.policy ~source) in
+  Alcotest.(check bool) "core gets R10" true (has "R10-accept" "lib/core/unit_node.ml");
+  Alcotest.(check bool) "apps get R10" true (has "R10-accept" "lib/apps/bank.ml");
+  Alcotest.(check bool) "crypto verifiers are not apps" false
+    (has "R10-accept" "lib/crypto/signer.ml")
+
 let test_clean_fixture () =
   let diags = Lint.lint_cmt ~rules:Lint.all_rules (fixture "Fx_clean") in
   Alcotest.(check int) (Printf.sprintf "clean module\n%s" (show diags)) 0
@@ -286,6 +300,8 @@ let suite =
           test_r8_harnessglobal;
         Alcotest.test_case "R9 externals confined to native.ml" `Quick
           test_r9_external;
+        Alcotest.test_case "R10 verifiers judge before accepting" `Quick
+          test_r10_accept;
         Alcotest.test_case "clean fixture" `Quick test_clean_fixture;
         Alcotest.test_case "segment-anchored path matching" `Quick
           test_segment_matching;

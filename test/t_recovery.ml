@@ -2,7 +2,7 @@ open Bp_sim
 open Blockplane
 
 let make_world ?(fi = 1) ?(fg = 0) ?faults ?(seed = 71L) ?cache
-    ?(app = fun () -> App.make (module App.Null)) () =
+    ?(app = (module App.Null : App.S)) () =
   let engine = Engine.create ~seed () in
   let net = Network.create engine Topology.aws_paper ?faults () in
   let dep =
@@ -32,7 +32,7 @@ let test_wal_replay_rebuilds_state () =
        .Bp_crypto.Verify_cache.digest_misses
     > 0);
   let image = Unit_node.wal_image node in
-  let fresh = App.make (module App.Null) in
+  let fresh = App.make (module App.Null) ~participant:0 ~n_participants:4 in
   let count, tail = Unit_node.replay ~image ~app:fresh in
   Alcotest.(check int) "all records recovered" 10 count;
   Alcotest.(check bool) "clean tail" true (tail = Ok ());
@@ -51,12 +51,12 @@ let test_wal_replay_torn_tail () =
   let image = Unit_node.wal_image node in
   (* A crash mid-write: lose the last few bytes. *)
   let torn = String.sub image 0 (String.length image - 3) in
-  let fresh = App.make (module App.Null) in
+  let fresh = App.make (module App.Null) ~participant:0 ~n_participants:4 in
   let count, tail = Unit_node.replay ~image:torn ~app:fresh in
   Alcotest.(check int) "durable prefix only" 5 count;
   Alcotest.(check bool) "tail reported corrupt" true (tail = Error `Corrupt_tail);
   (* The recovered state matches an independent replay of the prefix. *)
-  let reference = App.make (module App.Null) in
+  let reference = App.make (module App.Null) ~participant:0 ~n_participants:4 in
   List.iter
     (fun encoded ->
       match Record.decode encoded with
@@ -88,7 +88,10 @@ let test_wal_image_frames_local_log () =
            (List.init n (fun i ->
                 Bp_codec.Frame.seal (Bp_storage.Log_store.payload_exn log i))))
         image;
-      let fresh = App.make (module App.Null) in
+      let fresh =
+        App.make (module App.Null) ~participant:(Unit_node.participant node)
+          ~n_participants:4
+      in
       let count, tail = Unit_node.replay ~image ~app:fresh in
       Alcotest.(check int) "every entry replayed" n count;
       Alcotest.(check bool) "clean tail" true (tail = Ok ());
@@ -130,10 +133,27 @@ let test_cache_off_same_digests () =
   let uncached = run ~cache:false in
   Alcotest.(check (list string)) "log and app digests" cached uncached
 
+(* Replaying a node's WAL image into a fresh instance of its app gives
+   the live app digest: the protocol state and, for the apps built on
+   [Byzantize], the owed sends and the delivery frontier. *)
+let check_replay_digest app node =
+  let fresh =
+    App.make app ~participant:(Unit_node.participant node) ~n_participants:4
+  in
+  let count, tail = Unit_node.replay ~image:(Unit_node.wal_image node) ~app:fresh in
+  Alcotest.(check int) "every entry replayed"
+    (Bp_storage.Log_store.length (Unit_node.log node))
+    count;
+  Alcotest.(check bool) "clean tail" true (tail = Ok ());
+  Alcotest.(check string) "replayed digest = live digest"
+    (Bp_util.Hex.encode (Unit_node.app_digest node))
+    (Bp_util.Hex.encode (App.digest fresh));
+  fresh
+
 let test_wal_covers_receives () =
   (* Received messages are part of durable state: a recovered counter
      replica remembers its increments. *)
-  let counter_app () = App.make (module Bp_apps.Counter.Protocol) in
+  let counter_app = (module Bp_apps.Counter.Protocol : App.S) in
   let engine, _net, dep = make_world ~app:counter_app () in
   let a = Bp_apps.Counter.attach (Deployment.api dep 0) in
   let _b = Bp_apps.Counter.attach (Deployment.api dep 1) in
@@ -142,12 +162,40 @@ let test_wal_covers_receives () =
   Engine.run ~until:(Time.of_sec 5.0) engine;
   let node = Deployment.node dep 1 2 in
   Alcotest.(check int) "live counter" 2 (Bp_apps.Counter.value node);
-  let fresh = App.make (module Bp_apps.Counter.Protocol) in
-  let count, _ = Unit_node.replay ~image:(Unit_node.wal_image node) ~app:fresh in
-  Alcotest.(check bool) "records present" true (count >= 4);
+  let fresh = check_replay_digest counter_app node in
   Alcotest.(check string) "recovered counter state"
     (App.describe (Unit_node.app node))
-    (App.describe fresh)
+    (App.describe fresh);
+  ignore (check_replay_digest counter_app (Deployment.node dep 0 1))
+
+let test_wal_replay_bank_and_paxos () =
+  let bank_app = (module Bp_apps.Bank.Ledger : App.S) in
+  let engine, _net, dep = make_world ~app:bank_app () in
+  let b0 = Bp_apps.Bank.attach (Deployment.api dep 0) in
+  let _b1 = Bp_apps.Bank.attach (Deployment.api dep 1) in
+  Bp_apps.Bank.open_account b0 "alice" 100 ~on_done:(fun () ->
+      Bp_apps.Bank.transfer b0 ~from_account:"alice" ~dest:1 ~to_account:"carol" 40
+        ~on_done:ignore);
+  Engine.run ~until:(Time.of_sec 5.0) engine;
+  Alcotest.(check (option int)) "credited" (Some 40)
+    (Bp_apps.Bank.balance (Deployment.node dep 1 0) "carol");
+  ignore (check_replay_digest bank_app (Deployment.node dep 0 2));
+  ignore (check_replay_digest bank_app (Deployment.node dep 1 3));
+  let paxos_app = (module Bp_apps.Byz_paxos.Protocol : App.S) in
+  let engine, _net, dep = make_world ~app:paxos_app () in
+  let drivers =
+    Array.init 4 (fun p ->
+        Bp_apps.Byz_paxos.attach (Deployment.api dep p) ~n_participants:4)
+  in
+  let decided = ref false in
+  Bp_apps.Byz_paxos.elect drivers.(2) ~on_elected:(fun ok ->
+      if ok then
+        Bp_apps.Byz_paxos.replicate drivers.(2) "v" ~on_result:(fun ok -> decided := ok));
+  Engine.run ~until:(Time.of_sec 5.0) engine;
+  Alcotest.(check bool) "decided" true !decided;
+  for p = 0 to 3 do
+    ignore (check_replay_digest paxos_app (Deployment.node dep p 1))
+  done
 
 let test_crashed_replica_catches_up () =
   (* A node that misses traffic while crashed is brought back up to date
@@ -374,6 +422,7 @@ let suite =
         tc "image frames the local log" test_wal_image_frames_local_log;
         tc "cache off gives identical digests" test_cache_off_same_digests;
         tc "receives are durable" test_wal_covers_receives;
+        tc "bank and paxos worlds replay" test_wal_replay_bank_and_paxos;
         tc "crashed replica catches up" test_crashed_replica_catches_up;
         tc "state transfer after amnesiac reboot" test_state_transfer_after_amnesia;
       ] );

@@ -20,7 +20,7 @@ let test_six_participants_ring () =
   let net = Network.create engine six_dc_topology () in
   let dep =
     Deployment.create ~network:net ~n_participants:6 ~fi:1
-      ~app:(fun () -> App.make (module App.Null))
+      ~app:(module App.Null)
       ()
   in
   let received = Array.make 6 None in
@@ -53,7 +53,7 @@ let test_view_change_under_load () =
   let net = Network.create engine Topology.aws_paper () in
   let dep =
     Deployment.create ~network:net ~n_participants:1 ~fi:1
-      ~app:(fun () -> App.make (module App.Null))
+      ~app:(module App.Null)
       ()
   in
   let api = Deployment.api dep 0 in
@@ -84,7 +84,7 @@ let test_geo_fg2_survives_one_mirror_loss () =
   let net = Network.create engine Topology.aws_paper () in
   let dep =
     Deployment.create ~network:net ~n_participants:4 ~fi:1 ~fg:2
-      ~app:(fun () -> App.make (module App.Null))
+      ~app:(module App.Null)
       ()
   in
   let api = Deployment.api dep Topology.dc_california in
@@ -123,7 +123,7 @@ let test_full_stack_corruption () =
   let net = Network.create engine Topology.aws_paper ~faults () in
   let dep =
     Deployment.create ~network:net ~n_participants:4 ~fi:1
-      ~app:(fun () -> App.make (module App.Null))
+      ~app:(module App.Null)
       ()
   in
   let got = ref [] in
@@ -144,7 +144,7 @@ let test_combined_fi2_fg1 () =
   let net = Network.create engine Topology.aws_paper () in
   let dep =
     Deployment.create ~network:net ~n_participants:4 ~fi:2 ~fg:1
-      ~app:(fun () -> App.make (module App.Null))
+      ~app:(module App.Null)
       ()
   in
   (* Two byzantine nodes in the committing unit. *)
@@ -170,14 +170,14 @@ let test_deployment_validation () =
   (try
      ignore
        (Deployment.create ~network:net ~n_participants:9 ~fi:1
-          ~app:(fun () -> App.make (module App.Null))
+          ~app:(module App.Null)
           ());
      Alcotest.fail "too many participants accepted"
    with Invalid_argument _ -> ());
   try
     ignore
       (Deployment.create ~network:net ~n_participants:2 ~fi:1 ~fg:2
-         ~app:(fun () -> App.make (module App.Null))
+         ~app:(module App.Null)
          ());
     Alcotest.fail "impossible fg accepted"
   with Invalid_argument _ -> ()

@@ -18,7 +18,7 @@ let contains ~sub s =
 module Recorder = struct
   type state = { mutable applied : string list }
 
-  let create () = { applied = [] }
+  let create ~participant:_ ~n_participants:_ = { applied = [] }
 
   (* The verification routine IS a participant's 2PC vote: a poisoned op
      inside a cross-shard prepare makes this shard vote NO. *)
@@ -42,7 +42,7 @@ let make_world ?policy ?(seed = 77L) ~shards () =
   let map = Shard.make ?policy ~shards () in
   let dep =
     Deployment.create ~network:net ~n_participants:shards ~fi:1
-      ~app:(fun () -> App.make (module Recorder))
+      ~app:(module Recorder)
       ~shard_map:map ()
   in
   { engine; dep }

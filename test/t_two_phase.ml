@@ -7,7 +7,7 @@ let make_world ?(seed = 101L) () =
   let net = Network.create engine Topology.aws_paper () in
   let dep =
     Deployment.create ~network:net ~n_participants:4 ~fi:1
-      ~app:(fun () -> App.make (module Two_phase.Protocol))
+      ~app:(module Two_phase.Protocol)
       ()
   in
   let coord = Two_phase.attach_coordinator (Deployment.api dep 0) in

@@ -20,6 +20,7 @@ let all_rules =
     "R6-planescape";
     "R8-harnessglobal";
     "R9-external";
+    "R10-accept";
   ]
 
 let to_string d =
@@ -113,6 +114,10 @@ let r1_typed source =
   | "lib" :: dir :: _ :: _ -> List.mem dir r1_typed_dirs
   | _ -> true
 
+(* R10-accept covers the verification routines of user protocols: the
+   directories where [App.S] modules and [Unit_node.verifier] live. *)
+let accept_rule = "R10-accept"
+
 let policy ~source =
   match source_segments source with
   | "lib" :: dir :: _ :: _ ->
@@ -140,6 +145,7 @@ let policy ~source =
            else []);
           r9_external source;
           [ plan_rule ];
+          (if in_dirs [ "core"; "apps" ] then [ accept_rule ] else []);
         ]
   | "bench" :: _ :: _ | "bin" :: _ :: _ ->
       (* Executables: no .mli to require and console output is their job,
@@ -173,6 +179,10 @@ type ctx = {
   mutable fun_depth : int;
       (** enclosing function bodies; 0 = evaluated at module init *)
   mutable plan_sites : int;  (** structure items R6 inspected *)
+  mutable judged : string list;
+      (** names of the verification routines bound by the enclosing
+          structure (R10-accept) *)
+  mutable in_verify : int;  (** enclosing verification routines *)
 }
 
 let report ctx ~rule ~(loc : Location.t) message =
@@ -649,6 +659,46 @@ let check_plan_item ctx (si : Typedtree.structure_item) =
   in
   it.Tast_iterator.structure_item it si
 
+(* R10-accept: a verification routine must judge. In a structure shaped
+   like [App.S] (it binds [verify], [apply] and [digest]) its [verify],
+   and any [verifier] (Unit_node's), may have no match arm or function
+   case whose body is the literal [true] unless that [true] carries an
+   allow attribute, whose comment says why accepting there is safe. *)
+let binding_name (vb : Typedtree.value_binding) =
+  match vb.Typedtree.vb_pat.Typedtree.pat_desc with
+  | Typedtree.Tpat_var (id, _) -> Some (Ident.name id)
+  | _ -> None
+
+let judged_names (str : Typedtree.structure) =
+  let names =
+    List.concat_map
+      (fun (si : Typedtree.structure_item) ->
+        match si.Typedtree.str_desc with
+        | Typedtree.Tstr_value (_, vbs) -> List.filter_map binding_name vbs
+        | _ -> [])
+      str.Typedtree.str_items
+  in
+  let binds n = List.mem n names in
+  "verifier" :: (if binds "verify" && binds "apply" && binds "digest" then [ "verify" ] else [])
+
+let check_accept ctx (e : Typedtree.expression) =
+  let case : type k. k Typedtree.case -> unit =
+   fun c ->
+    let rhs = c.Typedtree.c_rhs in
+    match rhs.Typedtree.exp_desc with
+    | Typedtree.Texp_construct (_, { Types.cstr_name = "true"; _ }, []) ->
+        with_allows ctx rhs.Typedtree.exp_attributes (fun () ->
+            report ctx ~rule:accept_rule ~loc:rhs.Typedtree.exp_loc
+              "a verification routine accepts here without judging the \
+               record; judge it, or mark the literal true [@bplint.allow \
+               \"R10-accept\"] with a comment saying why accepting is safe")
+    | _ -> ()
+  in
+  match e.Typedtree.exp_desc with
+  | Typedtree.Texp_match (_, cases, _) -> List.iter case cases
+  | Typedtree.Texp_function { cases; _ } -> List.iter case cases
+  | _ -> ()
+
 let make_iterator ctx =
   let super = Tast_iterator.default_iterator in
   let with_allows = with_allows ctx in
@@ -656,6 +706,7 @@ let make_iterator ctx =
     with_allows e.Typedtree.exp_attributes (fun () ->
         check_global ctx e;
         check_expr ctx e;
+        if ctx.in_verify > 0 then check_accept ctx e;
         match e.Typedtree.exp_desc with
         | Typedtree.Texp_function _ ->
             ctx.fun_depth <- ctx.fun_depth + 1;
@@ -664,8 +715,21 @@ let make_iterator ctx =
         | _ -> super.Tast_iterator.expr sub e)
   in
   let value_binding sub (vb : Typedtree.value_binding) =
+    let judged =
+      match binding_name vb with
+      | Some name -> List.mem name ctx.judged
+      | None -> false
+    in
+    if judged then ctx.in_verify <- ctx.in_verify + 1;
     with_allows vb.Typedtree.vb_attributes (fun () ->
-        super.Tast_iterator.value_binding sub vb)
+        super.Tast_iterator.value_binding sub vb);
+    if judged then ctx.in_verify <- ctx.in_verify - 1
+  in
+  let structure sub (str : Typedtree.structure) =
+    let saved = ctx.judged in
+    ctx.judged <- judged_names str;
+    super.Tast_iterator.structure sub str;
+    ctx.judged <- saved
   in
   let structure_item sub (si : Typedtree.structure_item) =
     match si.Typedtree.str_desc with
@@ -687,7 +751,7 @@ let make_iterator ctx =
         super.Tast_iterator.structure_item sub si
     | _ -> super.Tast_iterator.structure_item sub si
   in
-  { super with Tast_iterator.expr; value_binding; structure_item }
+  { super with Tast_iterator.expr; value_binding; structure; structure_item }
 
 (* ---------- cmt driving ---------- *)
 
@@ -748,6 +812,8 @@ let lint_file ~rules_of path (cmt : Cmt_format.cmt_infos) =
           diags = [];
           fun_depth = 0;
           plan_sites = 0;
+          judged = [];
+          in_verify = 0;
         }
       in
       (if

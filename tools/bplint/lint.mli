@@ -43,6 +43,12 @@
     - [R9-external]: an [external] declaration anywhere but
       [lib/crypto/native.ml], whose C stubs are the tree's only foreign
       code.
+    - [R10-accept]: in [lib/core] and [lib/apps], a verification routine
+      that accepts without judging: a match arm or function case whose
+      body is the literal [true], inside a [verifier] or inside the
+      [verify] of a structure shaped like [App.S] (one that binds
+      [verify], [apply] and [digest]). Each such [true] needs an allow
+      attribute and a comment saying why accepting is safe.
 
     Suppression: a site can carry [[@bplint.allow "RULE ..."]] (on the
     expression or enclosing [let]); the rule names match by prefix, so
