@@ -5,8 +5,11 @@
    Virginia and Ireland. The benign protocol is unchanged; Blockplane's
    verification routines make every step unfakeable: a cohort cannot vote
    YES for an inapplicable operation, and the coordinator cannot decide
-   COMMIT unless every YES vote was genuinely received. It exits 1 if the
-   byzantine force-COMMIT is accepted.
+   COMMIT unless every YES vote was genuinely received; no participant
+   can send a message its log does not owe. It exits 1 if the byzantine
+   force-COMMIT is accepted, if the forged COMMIT decision sent after
+   txn-2's abort commits, or if Oregon (the leg that voted YES) applies
+   txn-2.
 
    Run with:  dune exec examples/distributed_commit.exe *)
 
@@ -22,8 +25,8 @@ let () =
       ~app:(module Two_phase.Protocol)
       ()
   in
-  let coord = Two_phase.attach_coordinator (Deployment.api dep 0) in
-  List.iter (fun p -> Two_phase.attach_cohort (Deployment.api dep p)) [ 1; 2; 3 ];
+  let coord = Two_phase.attach (Deployment.api dep 0) in
+  List.iter (fun p -> ignore (Two_phase.attach (Deployment.api dep p))) [ 1; 2; 3 ];
 
   let log fmt =
     Printf.ksprintf
@@ -45,7 +48,22 @@ let () =
         (match o with Two_phase.Committed -> "COMMITTED" | Aborted -> "ABORTED"));
   Engine.run ~until:(Time.of_sec 2.0) engine;
 
-  (* Transaction 2: one leg cannot apply -> global abort, nothing sticks. *)
+  (* Transaction 2: one leg cannot apply -> global abort, nothing sticks.
+     As the abort executes, the coordinator's participant also sends a
+     COMMIT decision to Oregon, whose leg voted YES. *)
+  let encoded tag b =
+    Bp_codec.Wire.encode (fun e ->
+        Bp_codec.Wire.u8 e tag;
+        Bp_codec.Wire.string e "t0.1";
+        Bp_codec.Wire.bool e b)
+  in
+  let forged_committed = ref false in
+  let api0 = Deployment.api dep 0 in
+  Api.on_commit api0 (fun payload ->
+      (* the abort decide step (tag 1); the forged Decision message (tag 2) *)
+      if String.equal payload (encoded 1 false) then
+        Api.send api0 ~dest:1 (encoded 2 true) ~on_done:(fun () ->
+            forged_committed := true));
   Two_phase.submit coord
     ~ops:
       [
@@ -70,6 +88,15 @@ let () =
       (1, "user:43:profile");
     ];
 
+  let txn2_applied =
+    Array.exists
+      (fun node -> Option.is_some (Two_phase.partition_get node "user:43:profile"))
+      (Deployment.nodes_of dep 1)
+  in
+  Printf.printf "\nforged COMMIT decision to %s after the abort committed: %b\n" (name 1)
+    !forged_committed;
+  Printf.printf "any %s node applied the aborted txn-2: %b\n" (name 1) txn2_applied;
+
   (* A byzantine replica tries to force-commit a refused transaction. *)
   let rejected = ref false in
   Api.submit_record (Deployment.api dep 0)
@@ -84,4 +111,4 @@ let () =
   Printf.printf "\nbyzantine force-COMMIT of the aborted txn rejected: %b\n" !rejected;
   let committed, aborted = Two_phase.decided_count coord in
   Printf.printf "coordinator tally: %d committed, %d aborted\n" committed aborted;
-  if not !rejected then exit 1
+  if (not !rejected) || !forged_committed || txn2_applied then exit 1

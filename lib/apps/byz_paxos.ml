@@ -156,14 +156,7 @@ let attach api ~n_participants =
     make ~participant:(Api.participant api) ~n_participants ~on_pending:(fun step ->
         Api.log_commit api step ~on_done:ignore)
   in
-  let send = function
-    | Byzantize.Send (dest, payload) -> Api.send api ~dest payload ~on_done:ignore
-    | Byzantize.Commit _ -> ()
-  in
-  Api.on_receive api (fun ~src payload ->
-      ignore (Api.receive api ~src);
-      apply node ~owe:send (Byzantize.Delivery { src; payload }));
-  Api.on_commit api (fun payload -> apply node ~owe:send (Byzantize.Step payload));
+  Byzantize.drive api (apply node);
   { api; node; decided = [] }
 
 (* Commit an election or replication step; [k] gets its outcome once it

@@ -82,3 +82,13 @@ module Make (P : PROTOCOL) = struct
 
   let describe t = P.describe t.protocol
 end
+
+let drive api apply =
+  let submit = function
+    | Send (dest, payload) -> Api.send api ~dest payload ~on_done:ignore
+    | Commit payload -> Api.log_commit api payload ~on_done:ignore
+  in
+  Api.on_receive api (fun ~src payload ->
+      ignore (Api.receive api ~src);
+      apply ~owe:submit (Delivery { src; payload }));
+  Api.on_commit api (fun payload -> apply ~owe:submit (Step payload))

@@ -39,3 +39,11 @@ end
 module Make (P : PROTOCOL) : Blockplane.App.S
 (** [describe] is [P]'s; [digest] also covers the owed records and the
     delivery frontier. *)
+
+val drive : Blockplane.Api.t -> (owe:(debt -> unit) -> input -> unit) -> unit
+(** A driver's plumbing: feed the lead node's executed stream
+    ({!Blockplane.Api.on_receive} and {!Blockplane.Api.on_commit}, in log
+    order) to a driver-side copy of a protocol through [apply], and submit
+    each record that copy owes, a send with [Api.send] and a step with
+    [Api.log_commit]. An honest driver thus submits exactly what every
+    unit node's ledger owes. *)

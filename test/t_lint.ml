@@ -173,6 +173,21 @@ let test_r10_accept () =
   Alcotest.(check bool) "crypto verifiers are not apps" false
     (has "R10-accept" "lib/crypto/signer.ml")
 
+(* R11-ledger: a Record.Comm pattern in an App.S-shaped verify is
+   flagged, also inside an or-pattern; one in apply, in a verify of
+   another shape or on another type's Comm is not. The rule covers
+   lib/apps except Byzantize, the one ledger that judges sends. *)
+let test_r11_ledger () =
+  let diags = Lint.lint_cmt ~rules:[ "R11-ledger" ] (fixture "Fx_r11") in
+  check_count ~msg:"two app verifies" "R11-ledger" 2 diags;
+  Alcotest.(check int) "total findings" 2 (List.length diags);
+  let has rule source = List.mem rule (Lint.policy ~source) in
+  Alcotest.(check bool) "apps get R11" true (has "R11-ledger" "lib/apps/two_phase.ml");
+  Alcotest.(check bool) "byzantize is the ledger" false
+    (has "R11-ledger" "lib/apps/byzantize.ml");
+  Alcotest.(check bool) "core is not an app" false
+    (has "R11-ledger" "lib/core/unit_node.ml")
+
 let test_clean_fixture () =
   let diags = Lint.lint_cmt ~rules:Lint.all_rules (fixture "Fx_clean") in
   Alcotest.(check int) (Printf.sprintf "clean module\n%s" (show diags)) 0
@@ -302,6 +317,8 @@ let suite =
           test_r9_external;
         Alcotest.test_case "R10 verifiers judge before accepting" `Quick
           test_r10_accept;
+        Alcotest.test_case "R11 apps judge sends by the ledger" `Quick
+          test_r11_ledger;
         Alcotest.test_case "clean fixture" `Quick test_clean_fixture;
         Alcotest.test_case "segment-anchored path matching" `Quick
           test_segment_matching;

@@ -210,6 +210,44 @@ let test_forged_decide_known_hole () =
     "ROADMAP item 2: the txn aborts, yet all 4 shard-0 nodes applied op-ok" (1, 0, 4)
     (!aborted, !done_count, List.length (List.filter applied shard0))
 
+(* The same hole through the wire (ROADMAP item 2). Shard 2's NO vote
+   aborts the transaction; as the coordinator's abort decide executes,
+   participant 0 also sends a COMMIT [Decide] message to shard 1. The
+   Comm record commits, since Recorder (like App.Null) accepts every
+   one, so shard 1 receives a genuine transmission from the coordinator
+   and its honest router commits the decide, which applies the staged
+   op. A participant rule that asks for the coordinator's Decide
+   transmission cannot reject this one: only a coordinator whose
+   committed records must owe each transmission can. Item 2 flips the
+   one labelled assertion to (1, 0, []). *)
+let test_forged_decide_transmission_known_hole () =
+  let w = make_world ~policy:range4 ~shards:4 () in
+  let router = Deployment.shard_router w.dep in
+  let done_count = ref 0 and aborted = ref 0 in
+  let api0 = Deployment.api w.dep 0 in
+  let abort = Record.xs_payload (Record.Xs_decide { txid = "x0"; commit = false }) in
+  (* Shard.msg's Decide {txid = "x0"; commit = true}, as the router
+     encodes it. *)
+  let forged =
+    "__xsm:"
+    ^ Bp_codec.Wire.encode (fun e ->
+          Bp_codec.Wire.u8 e 2;
+          Bp_codec.Wire.string e "x0";
+          Bp_codec.Wire.bool e true)
+  in
+  Api.on_commit api0 (fun payload ->
+      if String.equal payload abort then Api.send api0 ~dest:1 forged ~on_done:ignore);
+  Shard.submit router
+    ~on_aborted:(fun () -> incr aborted)
+    ~on_done:(fun () -> incr done_count)
+    [ ("a1", "op-a"); ("b1", "op-b"); ("c1", "poison-op") ];
+  run w;
+  let shard1 = List.filter (fun s -> s <> "") (String.split_on_char ';' (applied_at w 1)) in
+  Alcotest.(check bool) "shard 1 replicas agree" true (Deployment.app_digests_agree w.dep 1);
+  Alcotest.(check (triple int int (list string)))
+    "ROADMAP item 2: the txn aborts, yet shard 1 applied op-b" (1, 0, [ "op-b" ])
+    (!aborted, !done_count, shard1)
+
 (* --- qcheck: adversary-free schedules commit atomically and
        deterministically --- *)
 
@@ -361,6 +399,8 @@ let suite =
         tc "cross-shard commit atomic" test_cross_shard_commit;
         tc "cross-shard abort atomic" test_cross_shard_abort;
         tc "forged Xs_decide commits (known hole, item 2)" test_forged_decide_known_hole;
+        tc "forged Decide transmission applies (known hole, item 2)"
+          test_forged_decide_transmission_known_hole;
         QCheck_alcotest.to_alcotest atomic_deterministic;
         tc "runner shard/batch knobs" test_runner_knobs;
         tc "table2 golden at any shards" test_sends_same_at_any_shards;

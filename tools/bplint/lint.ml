@@ -21,6 +21,7 @@ let all_rules =
     "R8-harnessglobal";
     "R9-external";
     "R10-accept";
+    "R11-ledger";
   ]
 
 let to_string d =
@@ -118,6 +119,10 @@ let r1_typed source =
    directories where [App.S] modules and [Unit_node.verifier] live. *)
 let accept_rule = "R10-accept"
 
+(* R11-ledger covers the apps: outside [Byzantize], no app judges a
+   communication record itself. *)
+let ledger_rule = "R11-ledger"
+
 let policy ~source =
   match source_segments source with
   | "lib" :: dir :: _ :: _ ->
@@ -146,6 +151,9 @@ let policy ~source =
           r9_external source;
           [ plan_rule ];
           (if in_dirs [ "core"; "apps" ] then [ accept_rule ] else []);
+          (if in_dirs [ "apps" ] && not (matches_any [ "lib/apps/byzantize" ] source)
+           then [ ledger_rule ]
+           else []);
         ]
   | "bench" :: _ :: _ | "bin" :: _ :: _ ->
       (* Executables: no .mli to require and console output is their job,
@@ -183,6 +191,8 @@ type ctx = {
       (** names of the verification routines bound by the enclosing
           structure (R10-accept) *)
   mutable in_verify : int;  (** enclosing verification routines *)
+  mutable in_app_verify : int;
+      (** enclosing [verify]s of App.S-shaped structures (R11-ledger) *)
 }
 
 let report ctx ~rule ~(loc : Location.t) message =
@@ -699,6 +709,28 @@ let check_accept ctx (e : Typedtree.expression) =
   | Typedtree.Texp_function { cases; _ } -> List.iter case cases
   | _ -> ()
 
+(* R11-ledger: in an app, a send is legal only while committed records
+   owe it, and [Byzantize] is the one ledger that judges that. A
+   [Record.Comm] pattern in the [verify] of an App.S-shaped structure
+   elsewhere in lib/apps is an app judging sends by its own
+   bookkeeping (Two_phase's kind-keyed credits let one node flip a 2PC
+   outcome). *)
+let record_types = [ "Blockplane.Record.t"; "Blockplane__Record.t" ]
+
+let check_ledger : type k. ctx -> k Typedtree.general_pattern -> unit =
+ fun ctx p ->
+  match p.Typedtree.pat_desc with
+  | Typedtree.Tpat_construct (_, cd, _, _)
+    when String.equal cd.Types.cstr_name "Comm" -> (
+      match Types.get_desc cd.Types.cstr_res with
+      | Types.Tconstr (path, _, _) when List.mem (Path.name path) record_types ->
+          report ctx ~rule:ledger_rule ~loc:p.Typedtree.pat_loc
+            "an app's verify judges a communication record itself; build the \
+             app on Bp_apps.Byzantize.Make, whose ledger makes a send legal \
+             only while committed records owe it"
+      | _ -> ())
+  | _ -> ()
+
 let make_iterator ctx =
   let super = Tast_iterator.default_iterator in
   let with_allows = with_allows ctx in
@@ -720,10 +752,20 @@ let make_iterator ctx =
       | Some name -> List.mem name ctx.judged
       | None -> false
     in
+    (* [verify] is judged only in an App.S-shaped structure. *)
+    let app_verify = judged && binding_name vb = Some "verify" in
     if judged then ctx.in_verify <- ctx.in_verify + 1;
+    if app_verify then ctx.in_app_verify <- ctx.in_app_verify + 1;
     with_allows vb.Typedtree.vb_attributes (fun () ->
         super.Tast_iterator.value_binding sub vb);
-    if judged then ctx.in_verify <- ctx.in_verify - 1
+    if judged then ctx.in_verify <- ctx.in_verify - 1;
+    if app_verify then ctx.in_app_verify <- ctx.in_app_verify - 1
+  in
+  let pat : type k. Tast_iterator.iterator -> k Typedtree.general_pattern -> unit =
+   fun sub p ->
+    with_allows p.Typedtree.pat_attributes (fun () ->
+        if ctx.in_app_verify > 0 then check_ledger ctx p;
+        super.Tast_iterator.pat sub p)
   in
   let structure sub (str : Typedtree.structure) =
     let saved = ctx.judged in
@@ -751,7 +793,7 @@ let make_iterator ctx =
         super.Tast_iterator.structure_item sub si
     | _ -> super.Tast_iterator.structure_item sub si
   in
-  { super with Tast_iterator.expr; value_binding; structure; structure_item }
+  { super with Tast_iterator.expr; pat; value_binding; structure; structure_item }
 
 (* ---------- cmt driving ---------- *)
 
@@ -814,6 +856,7 @@ let lint_file ~rules_of path (cmt : Cmt_format.cmt_infos) =
           plan_sites = 0;
           judged = [];
           in_verify = 0;
+          in_app_verify = 0;
         }
       in
       (if
