@@ -23,6 +23,7 @@ type t = {
 }
 
 let participant t = t.participant
+let n_participants t = t.n_participants
 let next_comm_seq t ~dest = t.next_comm_seq.(dest)
 let pipeline_occupancy t = Unit_node.pipeline_occupancy t.lead_node
 let batch_stats t = Bp_pbft.Replica.batch_stats (Unit_node.replica t.lead_node)

@@ -19,6 +19,7 @@ val create :
 (** [vcache] is the endpoint's own verification cache (never a node's). *)
 
 val participant : t -> int
+val n_participants : t -> int
 
 val log_commit : t -> ?on_rejected:(unit -> unit) -> string -> on_done:(unit -> unit) -> unit
 (** Durably append a state-change event. [on_done] fires when the value
