@@ -13,6 +13,7 @@ type t = {
   pbft_cfg : Bp_pbft.Config.t;
   transport : Bp_net.Transport.t;
   client : Bp_pbft.Client.t;
+  vcache : Bp_crypto.Verify_cache.t;
   lead_node : Unit_node.t;
   geo : Geo.t;
   next_comm_seq : int array;
@@ -24,6 +25,7 @@ type t = {
 
 let participant t = t.participant
 let n_participants t = t.n_participants
+let vcache t = t.vcache
 let next_comm_seq t ~dest = t.next_comm_seq.(dest)
 let pipeline_occupancy t = Unit_node.pipeline_occupancy t.lead_node
 let batch_stats t = Bp_pbft.Replica.batch_stats (Unit_node.replica t.lead_node)
@@ -72,6 +74,7 @@ let create ~network ~pbft_cfg ~participant ~n_participants ~lead_node ~geo
       pbft_cfg;
       transport;
       client;
+      vcache;
       lead_node;
       geo;
       next_comm_seq = Array.make n_participants 0;

@@ -21,6 +21,9 @@ val create :
 val participant : t -> int
 val n_participants : t -> int
 
+val vcache : t -> Bp_crypto.Verify_cache.t
+(** The endpoint's verification cache, the one [create] was given. *)
+
 val log_commit : t -> ?on_rejected:(unit -> unit) -> string -> on_done:(unit -> unit) -> unit
 (** Durably append a state-change event. [on_done] fires when the value
     is committed to the Local Log — and, when fg > 0, additionally proved

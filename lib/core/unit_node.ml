@@ -388,12 +388,15 @@ let execute t ~seq:_ (r : Bp_pbft.Msg.request) =
       Log.err (fun m -> m "%s: executing undecodable record: %s" (Addr.to_string t.addr) msg);
       "error"
   | Ok record ->
-      (* One SHA-256 of the op per node: [ca_request] memoized it when
-         this node checked the request's signature, and the log chain and
-         the app reuse it. *)
+      (* The op's digest, memoized when this node checked the request's
+         signature (and hashed at most once per unit, through the
+         request's own memo); the log chain and the app reuse it. *)
       let hash = Bp_crypto.Verify_cache.lookup_digest t.vcache in
       let op = r.Bp_pbft.Msg.op in
-      let entry = Bp_storage.Log_store.append t.log ~payload_digest:(hash op) op in
+      let payload_digest =
+        Bp_crypto.Verify_cache.lookup_digest_with t.vcache r.Bp_pbft.Msg.sha op
+      in
+      let entry = Bp_storage.Log_store.append t.log ~payload_digest op in
       let pos = entry.Bp_storage.Log_store.index in
       apply_to_app ~hash ~staging:t.xs_staging t.app record;
       (match record with

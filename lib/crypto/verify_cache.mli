@@ -5,7 +5,8 @@
     commit, checkpoint, view-change proofs). This module memoizes those
     verdicts and digests {e per node} — a cache only ever replays work its
     own node performed (or, via {!sign}, the outcome the signer knows by
-    construction), so it is an accelerator, never an oracle.
+    construction, or, via a {!sha_memo}, this module's own hash of the
+    very same string), so it is an accelerator, never an oracle.
 
     Soundness invariant: {b a cached verdict never outlives the keystore
     state that produced it}. Entries are stamped with
@@ -86,6 +87,36 @@ val lookup_digest : t -> string -> string
     its signing-path digest of a committed op (for the log chain and the
     application) without changing any cache statistic. *)
 
+(** {1 Digests carried by a value}
+
+    A value that travels between nodes in one process (a PBFT request
+    record, shared through delivery hints) can carry a {!sha_memo} of
+    one of its strings, so the first node to hash that string spares the
+    others the pass. *)
+
+type sha_memo
+(** A SHA-256 memo of one string. Only this module writes it, and only
+    with its own hash of the very string it was asked about; it is read
+    only for that same string, compared by identity ([==]). So a memo
+    shared by a copy of its value that carries another string, or by a
+    forged or freshly decoded copy of the same bytes, never lends a
+    digest it was not computed for. *)
+
+val sha_memo : unit -> sha_memo
+(** A new, empty memo. *)
+
+val digest_with : t -> sha_memo -> string -> string
+(** {!digest}, except that on a miss in the node's own memo the digest
+    comes from the value's [sha_memo] when that holds one for this very
+    string; otherwise it is hashed and the [sha_memo] keeps it. The
+    node's memo inserts, evicts and counts exactly as under {!digest}. A
+    cache created with [~digest_budget:0] never reads or writes the
+    [sha_memo]: it hashes every time. *)
+
+val lookup_digest_with : t -> sha_memo -> string -> string
+(** {!lookup_digest}, with the same fall-back to the [sha_memo] as
+    {!digest_with}. *)
+
 (** {1 Diagnostics}
 
     Process-wide tallies, read by [bench/e2e/probe.ml]; they never affect
@@ -96,6 +127,9 @@ type counters = {
   verify_misses : int;
   digest_hits : int;
   digest_misses : int;
+      (** Misses in the node's own memo. Since a value's {!sha_memo} can
+          supply the digest, a miss no longer costs a SHA-256 pass of
+          its own; {!sha_bytes} counts the passes. *)
 }
 
 val counters : unit -> counters
@@ -106,5 +140,10 @@ val counters : unit -> counters
 
 val instance_counters : t -> counters
 (** This cache's own verify/digest tallies. *)
+
+val sha_bytes : t -> int
+(** Bytes this cache has hashed with SHA-256 for {!digest},
+    {!lookup_digest} and their [_with] twins, hits in either memo
+    excluded. Kept per instance only. *)
 
 val reset_counters : unit -> unit

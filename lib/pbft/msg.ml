@@ -11,6 +11,7 @@ type request = {
   client_sig : string;
   mutable decoded : decoded;
   mutable executions : int;
+  sha : Bp_crypto.Verify_cache.sha_memo;
 }
 
 type prepared_proof = {
@@ -54,6 +55,69 @@ type body =
       batches : (int * string * request list) list;
       replica : int;
     }
+
+(* ---------- equality ---------- *)
+
+(* Field by field, over what travels on the wire: [decoded],
+   [executions] and [sha] are a node's memos, not part of the message. *)
+let request_equal a b =
+  Bp_sim.Addr.equal a.client b.client
+  && a.ts = b.ts && a.kind = b.kind && String.equal a.op b.op
+  && String.equal a.client_sig b.client_sig
+
+let batches_equal =
+  List.equal (fun (s, d, b) (s', d', b') ->
+      s = s' && String.equal d d' && List.equal request_equal b b')
+
+let proof_equal p q =
+  p.pview = q.pview && p.pseq = q.pseq
+  && String.equal p.pdigest q.pdigest
+  && List.equal request_equal p.pbatch q.pbatch
+  && List.equal
+       (fun (i, s) (j, s') -> i = j && String.equal s s')
+       p.prepare_sigs q.prepare_sigs
+
+let body_equal a b =
+  match (a, b) with
+  | Request r, Request r' -> request_equal r r'
+  | Pre_prepare p, Pre_prepare q ->
+      p.view = q.view && p.seq = q.seq
+      && String.equal p.digest q.digest
+      && List.equal request_equal p.batch q.batch
+  | Prepare p, Prepare q ->
+      p.view = q.view && p.seq = q.seq
+      && String.equal p.digest q.digest
+      && p.replica = q.replica
+  | Commit p, Commit q ->
+      p.view = q.view && p.seq = q.seq
+      && String.equal p.digest q.digest
+      && p.replica = q.replica
+  | Reply p, Reply q ->
+      p.view = q.view && p.ts = q.ts
+      && Bp_sim.Addr.equal p.client q.client
+      && p.replica = q.replica
+      && String.equal p.result q.result
+  | Checkpoint p, Checkpoint q ->
+      p.seq = q.seq
+      && String.equal p.state_digest q.state_digest
+      && p.replica = q.replica
+  | View_change v, View_change w ->
+      v.new_view = w.new_view && v.stable_seq = w.stable_seq
+      && String.equal v.stable_digest w.stable_digest
+      && List.equal proof_equal v.prepared w.prepared
+      && v.vc_replica = w.vc_replica
+  | New_view p, New_view q ->
+      p.view = q.view
+      && List.equal String.equal p.view_change_envelopes q.view_change_envelopes
+      && batches_equal p.batches q.batches
+      && p.replica = q.replica
+  | Fetch p, Fetch q -> p.from_seq = q.from_seq && p.replica = q.replica
+  | Fetch_reply p, Fetch_reply q ->
+      batches_equal p.batches q.batches && p.replica = q.replica
+  | ( ( Request _ | Pre_prepare _ | Prepare _ | Commit _ | Reply _
+      | Checkpoint _ | View_change _ | New_view _ | Fetch _ | Fetch_reply _ ),
+      _ ) ->
+      false
 
 (* ---------- encoding ---------- *)
 
@@ -100,7 +164,7 @@ let ca_min_bytes = 256
 let addr_size (a : Bp_sim.Addr.t) =
   Wire.varint_size a.Bp_sim.Addr.dc + Wire.varint_size a.Bp_sim.Addr.idx
 
-let request_signing_payload ~cache ~client ~ts ~kind ~op =
+let request_signing_payload ~cache ~sha ~client ~ts ~kind ~op =
   let header = addr_size client + Wire.varint_size ts + 1 in
   if String.length op >= ca_min_bytes then
     (* 1 marker byte, then a 32-byte digest behind its 1-byte length *)
@@ -109,7 +173,7 @@ let request_signing_payload ~cache ~client ~ts ~kind ~op =
         encode_addr e client;
         Wire.varint e ts;
         Wire.u8 e kind;
-        Wire.string e (Bp_crypto.Verify_cache.digest cache op))
+        Wire.string e (Bp_crypto.Verify_cache.digest_with cache sha op))
   else
     Wire.encode ~size_hint:(header + Wire.string_size op) (fun e ->
         encode_addr e client;
@@ -135,7 +199,16 @@ let decode_request d =
   let kind = Wire.read_u8 d in
   let op = Wire.read_string d in
   let client_sig = Wire.read_string d in
-  { client; ts; kind; op; client_sig; decoded = Not_decoded; executions = 0 }
+  {
+    client;
+    ts;
+    kind;
+    op;
+    client_sig;
+    decoded = Not_decoded;
+    executions = 0;
+    sha = Bp_crypto.Verify_cache.sha_memo ();
+  }
 
 let encode_proof e ~request p =
   Wire.varint e p.pview;
@@ -372,8 +445,13 @@ let bulk_weight = function
 let content_addressed body = bulk_weight body >= ca_min_bytes
 
 (* Content-addressed image of a request: its encoding with the op
-   replaced by [digest op]. *)
-let ca_request digest e r = encode_request_with e r (digest r.op)
+   replaced by its digest, through the request's own memo. *)
+let ca_request cache e r =
+  encode_request_with e r (Bp_crypto.Verify_cache.digest_with cache r.sha r.op)
+
+let ca_request_lookup cache e r =
+  encode_request_with e r
+    (Bp_crypto.Verify_cache.lookup_digest_with cache r.sha r.op)
 
 let digested cache e env = Wire.string e (Bp_crypto.Verify_cache.digest cache env)
 
@@ -386,7 +464,7 @@ let digested cache e env = Wire.string e (Bp_crypto.Verify_cache.digest cache en
    {!Wire.encode_calls} tests pin. A New_view digests its batches' ops
    before its envelopes (the memo's call order, which its eviction and
    the pinned cache counters depend on), and its encoding then reads
-   those digests back through the uncounted [lookup_digest]. *)
+   those digests back through the uncounted [lookup_digest_with]. *)
 let signing_payload ~cache ~encoded body =
   if content_addressed body then begin
     let e =
@@ -398,15 +476,18 @@ let signing_payload ~cache ~encoded body =
         ()
     in
     Wire.u8 e 0xCA;
-    let digest = Bp_crypto.Verify_cache.digest cache in
     let request =
       match body with
       | New_view { batches; _ } ->
           List.iter
-            (fun (_, _, batch) -> List.iter (fun r -> ignore (digest r.op)) batch)
+            (fun (_, _, batch) ->
+              List.iter
+                (fun r ->
+                  ignore (Bp_crypto.Verify_cache.digest_with cache r.sha r.op))
+                batch)
             batches;
-          ca_request (Bp_crypto.Verify_cache.lookup_digest cache)
-      | _ -> ca_request digest
+          ca_request_lookup cache
+      | _ -> ca_request cache
     in
     encode_body_with e ~request ~envelope:(digested cache) body;
     Wire.to_string e
@@ -414,16 +495,17 @@ let signing_payload ~cache ~encoded body =
   else encoded ()
 
 let make_request ~cache cfg ~client ~ts ~kind ~op =
-  let payload = request_signing_payload ~cache ~client ~ts ~kind ~op in
+  let sha = Bp_crypto.Verify_cache.sha_memo () in
+  let payload = request_signing_payload ~cache ~sha ~client ~ts ~kind ~op in
   let client_sig =
     Bp_crypto.Verify_cache.sign cache ~signer:(Config.identity cfg client) payload
   in
-  { client; ts; kind; op; client_sig; decoded = Not_decoded; executions = 0 }
+  { client; ts; kind; op; client_sig; decoded = Not_decoded; executions = 0; sha }
 
 let request_valid ~cache cfg r =
   let payload =
-    request_signing_payload ~cache ~client:r.client ~ts:r.ts ~kind:r.kind
-      ~op:r.op
+    request_signing_payload ~cache ~sha:r.sha ~client:r.client ~ts:r.ts
+      ~kind:r.kind ~op:r.op
   in
   Bp_crypto.Verify_cache.verify cache ~signer:(Config.identity cfg r.client)
     ~msg:payload ~signature:r.client_sig
@@ -440,8 +522,8 @@ let requests_valid ~cache cfg batch =
         List.map
           (fun r ->
             let payload =
-              request_signing_payload ~cache ~client:r.client ~ts:r.ts
-                ~kind:r.kind ~op:r.op
+              request_signing_payload ~cache ~sha:r.sha ~client:r.client
+                ~ts:r.ts ~kind:r.kind ~op:r.op
             in
             {
               Bp_crypto.Verify_batch.signer = Config.identity cfg r.client;
@@ -463,7 +545,8 @@ let batch_digest ~cache batch =
   List.iter
     (fun r ->
       let op =
-        if content_addressed then Bp_crypto.Verify_cache.digest cache r.op
+        if content_addressed then
+          Bp_crypto.Verify_cache.digest_with cache r.sha r.op
         else r.op
       in
       Bp_crypto.Sha256.update ctx

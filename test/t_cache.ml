@@ -608,6 +608,7 @@ let mk_batch ops =
         client_sig = String.make 32 (Char.chr (65 + (i land 7)));
         decoded = Bp_pbft.Msg.Not_decoded;
         executions = 0;
+        sha = Verify_cache.sha_memo ();
       })
     ops
 
@@ -624,6 +625,79 @@ let diff_batch_digest_test =
       let direct = Bp_pbft.Msg.batch_digest ~cache:empty batch in
       let cached = Bp_pbft.Msg.batch_digest ~cache batch in
       String.equal direct cached)
+
+(* A request's SHA-256 memo ([Msg.request.sha]) on every path a request
+   takes: the client's record and the record a delivery hint shares (one
+   value), a copy carrying another op and a copy carrying the same bytes
+   in another string (both [{ r with op }], sharing the memo), and a
+   freshly decoded record. Ops sit on both sides of the 256-byte
+   cutoffs. Along a random trace of [digest_with] and
+   [lookup_digest_with] calls, through a node's cache (a 2 KiB budget,
+   so its own memo evicts and the request's is read) and through a
+   zero-budget cache, every call must return the SHA-256 of the record's
+   current op. The node's digest counters must equal those of a cache
+   making the same calls without the memo, and the zero-budget cache
+   must hash every call in full. *)
+let memo_soundness_test =
+  let module M = Bp_pbft.Msg in
+  let ks = make_keystore () in
+  let nodes = Array.init 4 (fun i -> Bp_sim.Addr.make ~dc:0 ~idx:i) in
+  let client = Bp_sim.Addr.make ~dc:1 ~idx:0 in
+  let cfg = Bp_pbft.Config.make ~nodes ~keystore:ks () in
+  let gen_op = QCheck.Gen.(string_size (oneof [ 0 -- 40; 240 -- 270; 1000 -- 1100 ])) in
+  let request = function
+    | Ok (M.Request r) -> r
+    | Ok _ | Error _ -> failwith "not the request"
+  in
+  QCheck.Test.make ~count:300 ~name:"request SHA memo gives the current op's digest"
+    (QCheck.make
+       QCheck.Gen.(
+         triple gen_op gen_op (list_size (1 -- 12) (triple (0 -- 4) bool bool))))
+    (fun (op, other, trace) ->
+      let signer = Verify_cache.create ks in
+      let r = M.make_request ~cache:signer cfg ~client ~ts:1 ~kind:0 ~op in
+      let envelope, hint =
+        M.seal_with_hint ~cache:signer cfg ~sender:client (M.Request r)
+      in
+      let hinted =
+        request (M.verify_envelope ~cache:(Verify_cache.create ks) ~hint cfg envelope)
+      in
+      let variants =
+        [|
+          r;
+          hinted;
+          { r with M.op = other };
+          { r with M.op = String.concat "" [ op; "" ] };
+          request (M.decode_body (M.encode_body (M.Request r)));
+        |]
+      in
+      let node = Verify_cache.create ~digest_budget:2048 ks in
+      let model = Verify_cache.create ~digest_budget:2048 ks in
+      let zero = Verify_cache.create ~capacity:0 ~digest_budget:0 ks in
+      List.for_all
+        (fun (k, lookup, through_zero) ->
+          let v = variants.(k) in
+          let s = v.M.op in
+          let expected = Sha256.digest s in
+          let memoized cache =
+            if lookup then Verify_cache.lookup_digest_with cache v.M.sha s
+            else Verify_cache.digest_with cache v.M.sha s
+          in
+          if through_zero then begin
+            let before = Verify_cache.sha_bytes zero in
+            String.equal (memoized zero) expected
+            && Verify_cache.sha_bytes zero = before + String.length s
+          end
+          else
+            let plain =
+              if lookup then Verify_cache.lookup_digest model s
+              else Verify_cache.digest model s
+            in
+            String.equal (memoized node) expected
+            && String.equal plain expected
+            && Verify_cache.instance_counters node
+               = Verify_cache.instance_counters model)
+        trace)
 
 (* The content-addressed image is written straight into the encoder; the
    original built it as a body first and encoded that
@@ -776,7 +850,7 @@ let test_envelope_both_payloads () =
   let empty = Verify_cache.create ~capacity:0 ~digest_budget:0 ks in
   let verifies cache sealed body =
     match M.verify_envelope ~cache cfg sealed with
-    | Ok b -> b = body
+    | Ok b -> M.body_equal b body
     | Error _ -> false
   in
   List.iter
@@ -883,6 +957,7 @@ let suite =
           diff_lookup_digest_test;
           live_keys_test;
           diff_batch_digest_test;
+          memo_soundness_test;
           diff_crc_combine_test;
         ]
       @ [
