@@ -197,23 +197,6 @@ let self_addr t = t.cfg.Config.nodes.(t.id)
 
 let request_key (r : Msg.request) = (r.Msg.client, r.Msg.ts)
 
-let request_equal (a : Msg.request) (b : Msg.request) =
-  Addr.equal a.Msg.client b.Msg.client
-  && a.Msg.ts = b.Msg.ts && a.Msg.kind = b.Msg.kind
-  && String.equal a.Msg.op b.Msg.op
-
-(* Structural equality for new-view batch lists, monomorphized so a
-   byzantine peer cannot exploit (and we cannot pay for) polymorphic
-   compare on protocol payloads. *)
-let batches_equal a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (seq_a, dg_a, batch_a) (seq_b, dg_b, batch_b) ->
-         seq_a = seq_b && String.equal dg_a dg_b
-         && List.length batch_a = List.length batch_b
-         && List.for_all2 request_equal batch_a batch_b)
-       a b
-
 (* The envelope of [body] and the delivery hint that goes with it, so
    receivers check the signature without decoding a copy of the body. *)
 let seal t body =
@@ -1093,7 +1076,7 @@ let on_envelope t ~src:_ ~hint envelope =
               && replica <> t.id
             then begin
               match compute_new_view_batches ~cache:t.cache t.cfg view_change_envelopes with
-              | Some expected when batches_equal expected batches ->
+              | Some expected when Msg.batches_equal expected batches ->
                   enter_new_view t view batches
               | _ ->
                   Log.debug (fun m -> m "pbft %d: invalid new-view from %d" t.id replica)
