@@ -36,27 +36,6 @@ let seal_with enc write =
   Bytes.set_int32_be buf 8 (Bp_crypto.Crc32.bytes buf ~off:overhead ~len:plen);
   Wire.to_string enc
 
-(* [seal_with] where the payload tail is an already-encoded string with a
-   known checksum: the suffix bytes still land in the frame, but the CRC
-   pass only touches the (typically tiny) prefix and stitches the suffix
-   checksum on with {!Bp_crypto.Crc32.combine_shift}. The emitted frame
-   is bit for bit what [seal_with] would produce. *)
-let seal_with_suffix enc ~suffix ~suffix_crc ~suffix_shift write_prefix =
-  Wire.reset enc;
-  Wire.fixed enc magic;
-  Wire.fixed enc header_rest;
-  write_prefix enc;
-  let prefix_len = Wire.length enc - overhead in
-  Wire.fixed enc suffix;
-  let plen = Wire.length enc - overhead in
-  let buf = Wire.unsafe_bytes enc in
-  Bytes.set_int32_be buf 4 (Int32.of_int plen);
-  Bytes.set_int32_be buf 8
-    (Bp_crypto.Crc32.combine_shift
-       (Bp_crypto.Crc32.bytes buf ~off:overhead ~len:prefix_len)
-       suffix_crc suffix_shift);
-  Wire.to_string enc
-
 (* Validation without payload extraction: callers that can decode from a
    window (see {!Wire.decoder_sub}) skip the [String.sub] copy entirely. *)
 let unseal_sub buf ~off =

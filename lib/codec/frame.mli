@@ -44,20 +44,3 @@ val unseal_sub :
     success returns [(payload_off, payload_len)] into the original buffer,
     checksum already validated. Pair with {!Wire.decoder_sub} to decode a
     received frame with zero payload copies. *)
-
-val seal_with_suffix :
-  Wire.encoder ->
-  suffix:string ->
-  suffix_crc:int32 ->
-  suffix_shift:Bp_crypto.Crc32.shift ->
-  (Wire.encoder -> unit) ->
-  string
-(** [seal_with_suffix enc ~suffix ~suffix_crc ~suffix_shift write_prefix]
-    is [seal_with enc (fun e -> write_prefix e; Wire.fixed e suffix)] —
-    bit for bit — but checksums only the prefix and stitches on the
-    precomputed [suffix_crc = Crc32.string suffix] with
-    {!Crc32.combine_shift}, given
-    [suffix_shift = Crc32.shift (String.length suffix)]. Broadcast paths
-    compute both once and pay one payload-sized CRC pass and one shift
-    per broadcast, then one modular multiply per destination. Combining
-    is arithmetic, not a cache, so it runs whatever the caches keep. *)

@@ -35,11 +35,10 @@ let add_string e s =
   Bytes.blit_string s 0 e.buf e.len n;
   e.len <- e.len + n
 
-(* Serializations started through {!encode} / {!encode_with} — the
-   entrypoints that walk a message structure. Per-destination packet
-   assembly that merely prepends a header to already-encoded bytes does
-   not count, which is exactly what lets tests assert the encode-once
-   broadcast property. *)
+(* Serializations started through {!encode}, the entrypoint that walks
+   a message structure. Per-destination packet assembly that merely
+   prepends a header to already-encoded bytes does not count, which is
+   exactly what lets tests assert the encode-once broadcast property. *)
 let encode_calls_counter = ref 0
 
 let encode_calls () = !encode_calls_counter
@@ -212,9 +211,3 @@ let encode ?size_hint f =
   f e;
   if e.len = Bytes.length e.buf then Bytes.unsafe_to_string e.buf
   else to_string e
-
-let encode_with e f =
-  incr encode_calls_counter;
-  reset e;
-  f e;
-  to_string e

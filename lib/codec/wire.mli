@@ -7,9 +7,8 @@
     never an exception, because byzantine peers may send arbitrary bytes.
 
     Encoders are reusable: {!reset} rewinds one without releasing its
-    buffer, and {!encode_with} runs a whole encode cycle over a retained
-    encoder, so steady-state send paths allocate nothing but the final
-    string. *)
+    buffer, so a path that retains an encoder allocates nothing but the
+    final string. *)
 
 type encoder
 
@@ -112,12 +111,8 @@ val encode : ?size_hint:int -> (encoder -> unit) -> string
     copy; it is never written again. Any other hint is still correct,
     just one copy dearer. *)
 
-val encode_with : encoder -> (encoder -> unit) -> string
-(** [encode_with e f] resets [e], runs [f e] and returns the bytes — the
-    allocation-light path for senders that retain an encoder. *)
-
 val encode_calls : unit -> int
-(** Monotone count of message serializations started via {!encode} or
-    {!encode_with}, across the whole process. Tests use deltas of this
-    counter to assert that broadcast paths serialize each message once
-    per broadcast, not once per destination. *)
+(** Monotone count of message serializations started via {!encode},
+    across the whole process. Tests use deltas of this counter to assert
+    that broadcast paths serialize each message once per broadcast, not
+    once per destination. *)

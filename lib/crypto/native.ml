@@ -1,5 +1,4 @@
 type sha256_kernel = Sha256_portable | Sha_ni
-type crc32_kernel = Crc32_portable | Pclmulqdq
 
 external sha256_compress :
   sha256_kernel -> int array -> bytes -> int -> int -> unit
@@ -21,11 +20,6 @@ external hmac_sha256_verify :
   = "bp_hmac_sha256_verify"
 [@@noalloc]
 
-external crc32_update : crc32_kernel -> int -> bytes -> int -> int -> int
-  = "bp_crc32_update"
-[@@noalloc]
-
-external has_pclmul : unit -> bool = "bp_crc32_has_pclmul" [@@noalloc]
 external string_get64u : string -> int -> int64 = "%caml_string_get64u"
 external bytes_get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
 external bytes_set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"

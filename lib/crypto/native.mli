@@ -1,20 +1,16 @@
 (** The C surface of [bp_crypto] ([native_stubs.c]): the one module in
     the tree that declares [external]s. Private to the library; {!Sha256}
-    and {!Crc32} wrap it.
+    wraps its stubs.
 
     The stubs read raw memory and never allocate: every caller checks its
-    bounds before the call. Each kernel is chosen once per process from
-    the [cpuid] probes, and both kernels of a pair give the same results;
-    only host time differs. The whole-message stubs write their result
+    bounds before the call. The kernel is chosen once per process from
+    the [cpuid] probe, and both kernels give the same results; only host
+    time differs. The whole-message stubs write their result
     into a [bytes] the caller allocated. *)
 
 type sha256_kernel = Sha256_portable | Sha_ni
 (** The stub reads the constructor as an int: 0 portable C, 1 the x86
     SHA extensions. *)
-
-type crc32_kernel = Crc32_portable | Pclmulqdq
-(** The stub reads the constructor as an int: 0 portable C, 1 carry-less
-    multiply folding. *)
 
 external sha256_compress :
   sha256_kernel -> int array -> bytes -> int -> int -> unit
@@ -45,14 +41,6 @@ external hmac_sha256_verify :
 (** [hmac_sha256_verify k inner outer msg tag]: whether [tag] is that
     HMAC, compared in constant time; [false] for a tag that is not 32
     bytes long. *)
-
-external crc32_update : crc32_kernel -> int -> bytes -> int -> int -> int
-  = "bp_crc32_update"
-[@@noalloc]
-(** [crc32_update k reg buf off len] advances the raw (already inverted)
-    32-bit CRC register [reg] over [len] bytes at [buf.[off]]. *)
-
-external has_pclmul : unit -> bool = "bp_crc32_has_pclmul" [@@noalloc]
 
 (** {1 Unchecked word access}
 

@@ -349,11 +349,10 @@ let send t ?(reliable = true) ?hint ~dst ~tag payload =
 
 (* A broadcast's frames share the (tag, payload) suffix, serialized once
    per broadcast. Each destination's frame is accounted by its length:
-   the packet kind, the seq when [seq] is given, and the suffix. The
-   suffix's CRC and shift are derived the first time any of the frames is
-   built, and then serve them all: each built frame checksums only its
-   few header bytes and stitches the suffix CRC on with one modular
-   multiply. The bytes are what [frame] would build for the same packet. *)
+   the packet kind, the seq when [seq] is given, and the suffix. A frame
+   whose bytes are read is built like a unicast one, by [Frame.seal_with]
+   over the header and the suffix, so the bytes are what [frame] would
+   build for the same packet. *)
 let suffix_frames t ~tag payload =
   let suffix =
     Bp_codec.Wire.encode
@@ -363,10 +362,6 @@ let suffix_frames t ~tag payload =
         Bp_codec.Wire.string e tag;
         Bp_codec.Wire.string e payload)
   in
-  let sums =
-    lazy
-      (Bp_crypto.Crc32.string suffix, Bp_crypto.Crc32.shift (String.length suffix))
-  in
   fun ~seq ->
     let header =
       match seq with Some s -> 1 + Bp_codec.Wire.varint_size s | None -> 1
@@ -374,14 +369,13 @@ let suffix_frames t ~tag payload =
     Network.frame t.net
       ~len:(Bp_codec.Frame.overhead + header + String.length suffix)
       (fun () ->
-        let suffix_crc, suffix_shift = Lazy.force sums in
-        Bp_codec.Frame.seal_with_suffix t.scratch ~suffix ~suffix_crc
-          ~suffix_shift (fun e ->
-            match seq with
+        Bp_codec.Frame.seal_with t.scratch (fun e ->
+            (match seq with
             | Some s ->
                 Bp_codec.Wire.u8 e 1;
                 Bp_codec.Wire.varint e s
-            | None -> Bp_codec.Wire.u8 e 0))
+            | None -> Bp_codec.Wire.u8 e 0);
+            Bp_codec.Wire.fixed e suffix))
 
 (* Encode-once broadcast: the message body is serialized exactly once
    ([suffix_frames]), whatever the fan-out. Unreliable broadcasts share

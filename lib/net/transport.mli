@@ -92,8 +92,7 @@ val suffix_frames :
     (one [Wire.encode]) and returns the frame maker {!broadcast} uses per
     destination: [~seq:(Some s)] gives the bytes of [frame] for
     [Data { seq = s; tag; payload }], [~seq:None] those for
-    [Unreliable { tag; payload }]. The suffix CRC is computed once, when
-    the first of its frames is built. *)
+    [Unreliable { tag; payload }]. *)
 
 val stats : t -> int * int
 (** (retransmissions, discarded corrupt/malformed frames). *)

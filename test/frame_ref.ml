@@ -18,18 +18,3 @@ let encode_packet_into e = function
       Wire.varint e next_expected
 
 let raw packet = Frame.seal_with scratch (fun e -> encode_packet_into e packet)
-
-let broadcast ~tag ~payload ~seq =
-  let suffix =
-    Wire.encode (fun e ->
-        Wire.string e tag;
-        Wire.string e payload)
-  in
-  let suffix_crc = Bp_crypto.Crc32.string suffix in
-  let suffix_shift = Bp_crypto.Crc32.shift (String.length suffix) in
-  Frame.seal_with_suffix scratch ~suffix ~suffix_crc ~suffix_shift (fun e ->
-      match seq with
-      | Some s ->
-          Wire.u8 e 1;
-          Wire.varint e s
-      | None -> Wire.u8 e 0)

@@ -703,8 +703,11 @@ let test_geo_alloc_budget () =
       words
 
 (* Nothing in a fault-free world reads frame bytes: every delivery acts
-   on the sender's hint. Covers a unit's PBFT traffic and, with four
-   participants, the comm daemons' aux and WAN traffic. *)
+   on the sender's hint. Covers a unit's PBFT traffic; with four
+   participants, the comm daemons' aux and WAN traffic; and with two
+   shards (a Range map, as the shard-xs benchmark builds), the router's
+   single-shard commits and a cross-shard transaction's BFT two-phase
+   commit. *)
 let test_fault_free_builds_no_frames () =
   let w = d8mf16_world () in
   ignore (commit_1k w ~warm:16 ~ops:64);
@@ -725,6 +728,22 @@ let test_fault_free_builds_no_frames () =
   Bp_harness.Runner.drive w.Bp_harness.Runner.engine ~what:"geo sends"
     ~finished:(fun () -> !delivered = 12);
   Alcotest.(check int) "four participants: frames built" 0
+    (Network.counters w.Bp_harness.Runner.net).Network.materialized;
+  let map = Shard.make ~policy:(Shard.Range [| "s01" |]) ~shards:2 () in
+  let w = Bp_harness.Runner.fresh_world ~fi:1 ~n_participants:2 ~shard_map:map () in
+  let router = Deployment.shard_router w.Bp_harness.Runner.dep in
+  let key shard = Shard.key_for map ~shard ~salt:shard in
+  let done_ = ref 0 in
+  let submit ops = Shard.submit router ~on_done:(fun () -> incr done_) ops in
+  submit [ (key 0, "single-0") ];
+  submit [ (key 1, "single-1") ];
+  submit [ (key 0, "cross-0"); (key 1, "cross-1") ];
+  Bp_harness.Runner.drive w.Bp_harness.Runner.engine ~what:"shard txns"
+    ~finished:(fun () -> !done_ = 3);
+  let st = Shard.stats router in
+  Alcotest.(check (pair int int)) "two shards: cross-shard submitted, committed"
+    (1, 1) (st.Shard.cross_shard, st.Shard.committed);
+  Alcotest.(check int) "two shards: frames built" 0
     (Network.counters w.Bp_harness.Runner.net).Network.materialized
 
 let suite =

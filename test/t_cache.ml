@@ -763,77 +763,6 @@ let signing_payload_model_test =
              = Verify_cache.instance_counters ref_cache)
         bodies)
 
-(* CRC32 combination (used to seal broadcast frames without re-scanning
-   the shared payload once per destination) against the direct scan and
-   the table-free bitwise oracle. Suffix lengths cover the empty suffix,
-   single bytes, the 64-byte and 4 KiB boundaries, and random sizes up to
-   1 MiB; a third string checks that combining is associative. *)
-let combine_suffix_gen =
-  QCheck.Gen.(
-    oneof
-      [
-        oneofl [ 0; 1; 63; 64; 65; 4095; 4096 ];
-        0 -- 4096;
-        0 -- 1_048_576;
-      ]
-    >>= fun len -> string_size (return len))
-
-let diff_crc_combine_test =
-  QCheck.Test.make ~name:"Crc32.combine = crc of concatenation (suffixes to 1 MiB)"
-    ~count:60
-    (QCheck.make
-       QCheck.Gen.(
-         triple (string_size (0 -- 300)) combine_suffix_gen
-           (string_size (0 -- 300))))
-    (fun (a, b, c) ->
-      let ca = Crc32.string a and cb = Crc32.string b and cc = Crc32.string c in
-      let lb = String.length b and lc = String.length c in
-      let combined = Crc32.combine ca cb lb in
-      let three_way = Crc32.string (a ^ b ^ c) in
-      Int32.equal combined (Crc32.string (a ^ b))
-      && Int32.equal combined (T_crypto.crc32_bitwise (a ^ b))
-      && Int32.equal (Crc32.combine combined cc lc) three_way
-      && Int32.equal (Crc32.combine ca (Crc32.combine cb cc lc) (lb + lc)) three_way)
-
-(* An empty suffix is the identity; a negative length is a caller bug and
-   raises, like a bad range passed to [Crc32.update]. *)
-let test_crc_combine_edges () =
-  let c = Crc32.string "prefix" in
-  Alcotest.(check int32) "len2 = 0 is the identity" c (Crc32.combine c 0l 0);
-  Alcotest.check_raises "negative length" (Invalid_argument "Crc32.combine")
-    (fun () -> ignore (Crc32.combine c c (-1)))
-
-(* A broadcast computes its suffix's shift once and stitches every
-   destination's frame with it. One shift, reused across prefixes of
-   several lengths, must give the checksum of each concatenation, and
-   [Frame.seal_with_suffix] must emit the very frame [Frame.seal] builds
-   from the concatenated payload. *)
-let test_crc_shift_reuse () =
-  let prefixes =
-    [ ""; "\001"; "\001\007"; String.make 63 'p'; String.init 300 (fun i -> Char.chr (i land 0xff)) ]
-  in
-  let enc = Bp_codec.Wire.encoder () in
-  List.iter
-    (fun len ->
-      let suffix = String.init len (fun i -> Char.chr (((i * 131) + len) land 0xff)) in
-      let suffix_crc = Crc32.string suffix and suffix_shift = Crc32.shift len in
-      List.iter
-        (fun prefix ->
-          let label what =
-            Printf.sprintf "%d-byte prefix, %d-byte suffix: %s" (String.length prefix) len what
-          in
-          Alcotest.(check int32) (label "checksum")
-            (Crc32.string (prefix ^ suffix))
-            (Crc32.combine_shift (Crc32.string prefix) suffix_crc suffix_shift);
-          Alcotest.(check string) (label "frame")
-            (Bp_codec.Frame.seal (prefix ^ suffix))
-            (Bp_codec.Frame.seal_with_suffix enc ~suffix ~suffix_crc ~suffix_shift
-               (fun e -> Bp_codec.Wire.fixed e prefix)))
-        prefixes)
-    [ 0; 1; 63; 64; 4095; 65536 ];
-  Alcotest.check_raises "negative length" (Invalid_argument "Crc32.shift")
-    (fun () -> ignore (Crc32.shift (-1)))
-
 (* Envelopes round-trip under both signing payloads, for every bulky
    body: content lighter than the 256-byte cutoff signs its plain
    encoding, heavier content its content-addressed image (op sizes 16
@@ -958,7 +887,6 @@ let suite =
           live_keys_test;
           diff_batch_digest_test;
           memo_soundness_test;
-          diff_crc_combine_test;
         ]
       @ [
           Alcotest.test_case "generation bump invalidates" `Quick
@@ -969,10 +897,6 @@ let suite =
             test_zero_capacity_cache;
           Alcotest.test_case "envelope round-trip in both modes" `Quick
             test_envelope_both_payloads;
-          Alcotest.test_case "Crc32.combine edge lengths" `Quick
-            test_crc_combine_edges;
-          Alcotest.test_case "Crc32.shift reused across frames" `Quick
-            test_crc_shift_reuse;
           Alcotest.test_case "fingerprint collisions miss once each" `Quick
             test_fingerprint_collisions;
           Alcotest.test_case "hits allocate nothing" `Quick

@@ -120,15 +120,17 @@ let qcheck_encode_any_hint =
            (Wire.encode ~size_hint:(String.length reference) write)
            reference)
 
+(* One retained encoder, rewound with [reset] and filled by the
+   primitives (the path [Frame.seal_with] takes): the first assembly
+   outgrows the 8-byte hint, and the second still sees only its own
+   bytes. *)
 let test_encoder_reuse () =
   let e = Wire.encoder ~size_hint:8 () in
-  let one = Wire.encode_with e (fun e -> Wire.string e "first payload") in
-  let two = Wire.encode_with e (fun e -> Wire.varint e 7) in
+  Wire.reset e;
+  Wire.string e "first payload";
   Alcotest.(check (result string string))
     "first" (Ok "first payload")
-    (Wire.decode one Wire.read_string);
-  Alcotest.(check (result int string)) "second" (Ok 7) (Wire.decode two Wire.read_varint);
-  (* Manual reset + primitives (the transport's packet-assembly path). *)
+    (Wire.decode (Wire.to_string e) Wire.read_string);
   Wire.reset e;
   Wire.u8 e 3;
   Wire.fixed e "abc";

@@ -401,85 +401,88 @@ let qcheck_crc32_differential =
     big_input_gen
     (fun s -> Crc32.string s = crc32_bitwise s)
 
-(* ---------- CRC-32 kernels ----------
-   Every kernel this CPU can run, driven directly through Crc32.Kernel,
-   against the bitwise reference above. The folding kernel takes whole
-   16-byte blocks of inputs of 64 bytes or more and leaves the rest to
-   the portable tail, so lengths 0-300 at every offset mod 16 cover each
-   split between the two. *)
+(* ---------- CRC-32 at every offset and split ----------
+   Against the bitwise reference above: ranges at every offset mod 16,
+   inputs of 64 KiB and 1 MiB, and chained updates split at arbitrary
+   points. *)
 
-let crc32_every_kernel f = List.for_all f Crc32.Kernel.available
-
-let crc32_kernel k buf ~off ~len = Crc32.Kernel.update k Crc32.empty buf ~off ~len
-
-let test_crc32_kernel_selection () =
-  let names = List.map Crc32.Kernel.name Crc32.Kernel.available in
-  Alcotest.(check string) "portable is always available" "portable"
-    (List.hd names);
-  Alcotest.(check string) "the fastest available kernel is selected"
-    (List.nth names (List.length names - 1))
-    (Crc32.Kernel.name Crc32.Kernel.selected)
-
-(* Every kernel against the reference at every offset 0-15 of [s], for
-   each length in [lens]. *)
-let crc32_kernels_agree s ~lens =
+(* The checksum of every length in [lens] at every offset 0-15 of [s]
+   against the reference. *)
+let crc32_ranges_agree s ~lens =
   let buf = Bytes.of_string s in
   List.for_all
     (fun off ->
       List.for_all
         (fun len ->
-          let want = crc32_bitwise (String.sub s off len) in
-          crc32_every_kernel (fun k ->
-              Int32.equal (crc32_kernel k buf ~off ~len) want))
+          Int32.equal (Crc32.bytes buf ~off ~len)
+            (crc32_bitwise (String.sub s off len)))
         lens)
     (List.init 16 Fun.id)
 
 (* No shrinker on these two: each case checks thousands of ranges or
    megabytes, so shrinking a failure would take far longer than
    reporting it. *)
-let qcheck_crc32_kernel_offsets =
-  QCheck.Test.make ~name:"every crc32 kernel = bitwise (off 0-15, len 0-300)"
+let qcheck_crc32_offsets =
+  QCheck.Test.make ~name:"crc32 = bitwise (off 0-15, len 0-300)"
     ~count:3
     (QCheck.make QCheck.Gen.(string_size (return 316)))
-    (fun s -> crc32_kernels_agree s ~lens:(List.init 301 Fun.id))
+    (fun s -> crc32_ranges_agree s ~lens:(List.init 301 Fun.id))
 
-let qcheck_crc32_kernel_large =
-  QCheck.Test.make ~name:"every crc32 kernel = bitwise (64 KiB and 1 MiB, off 0-15)"
+let qcheck_crc32_large =
+  QCheck.Test.make ~name:"crc32 = bitwise (64 KiB and 1 MiB, off 0-15)"
     ~count:1
     (QCheck.make QCheck.Gen.(string_size (return (1_048_576 + 15))))
-    (fun s -> crc32_kernels_agree s ~lens:[ 65_536; 1_048_576 ])
+    (fun s -> crc32_ranges_agree s ~lens:[ 65_536; 1_048_576 ])
 
 (* Chained updates split at random points: the register crosses between
-   kernel and tail, and between calls, at arbitrary offsets. *)
-let qcheck_crc32_kernel_chained =
-  QCheck.Test.make ~name:"every crc32 kernel: update split at random points"
+   calls at arbitrary offsets. *)
+let qcheck_crc32_chained =
+  QCheck.Test.make ~name:"crc32: update split at random points"
     ~count:200
     QCheck.(pair (string_of_size Gen.(0 -- 3000)) (small_list (int_bound 3000)))
     (fun (s, cuts) ->
       let n = String.length s in
       let cuts = List.sort_uniq Int.compare (List.map (fun c -> c mod (n + 1)) cuts) in
       let buf = Bytes.of_string s in
-      let want = crc32_bitwise s in
-      crc32_every_kernel (fun k ->
-          let crc, last =
-            List.fold_left
-              (fun (crc, off) cut ->
-                (Crc32.Kernel.update k crc buf ~off ~len:(cut - off), cut))
-              (Crc32.empty, 0) cuts
-          in
-          Int32.equal (Crc32.Kernel.update k crc buf ~off:last ~len:(n - last)) want))
+      let crc, last =
+        List.fold_left
+          (fun (crc, off) cut -> (Crc32.update crc buf ~off ~len:(cut - off), cut))
+          (Crc32.empty, 0) cuts
+      in
+      Int32.equal (Crc32.update crc buf ~off:last ~len:(n - last)) (crc32_bitwise s))
+
+(* Each one-byte input looks up exactly one table entry, so the 256
+   one-byte checksums against the reference check the whole table. *)
+let test_crc32_every_table_entry () =
+  for b = 0 to 255 do
+    let s = String.make 1 (Char.chr b) in
+    Alcotest.(check int32) (Printf.sprintf "byte %d" b) (crc32_bitwise s) (Crc32.string s)
+  done
+
+(* Every range outside the buffer raises, whichever bound it breaks; the
+   empty ranges at either end are accepted and leave the register as it
+   was. *)
+let test_crc32_range_bounds () =
+  let buf = Bytes.make 16 'a' in
+  List.iter
+    (fun (off, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "off %d, len %d" off len)
+        (Invalid_argument "Crc32.update")
+        (fun () -> ignore (Crc32.update Crc32.empty buf ~off ~len)))
+    [ (-1, 0); (-1, 4); (min_int, 0); (0, -1); (8, -1); (0, 17); (8, 9); (16, 1) ];
+  let c = Crc32.string "prefix" in
+  Alcotest.(check int32) "empty range at 0" c (Crc32.update c buf ~off:0 ~len:0);
+  Alcotest.(check int32) "empty range at the end" c (Crc32.update c buf ~off:16 ~len:0);
+  Alcotest.(check int32) "whole buffer" (crc32_bitwise (Bytes.to_string buf))
+    (Crc32.bytes buf ~off:0 ~len:16)
 
 (* [off + len] wraps negative for [len = max_int]; the checks must not
-   let that through to the C kernels. *)
+   let that through to the loops. *)
 let test_huge_length_rejected () =
   let buf = Bytes.make 16 'a' in
   Alcotest.check_raises "Crc32.bytes" (Invalid_argument "Crc32.update") (fun () ->
       ignore (Crc32.bytes buf ~off:1 ~len:max_int));
-  List.iter
-    (fun k ->
-      Alcotest.check_raises (Crc32.Kernel.name k) (Invalid_argument "Crc32.update")
-        (fun () -> ignore (crc32_kernel k buf ~off:1 ~len:max_int)))
-    Crc32.Kernel.available;
   Alcotest.check_raises "Sha256.update_bytes"
     (Invalid_argument "Sha256.update_bytes") (fun () ->
       Sha256.update_bytes (Sha256.init ()) buf ~off:1 ~len:max_int);
@@ -703,10 +706,11 @@ let suite =
         tc "incremental" test_crc32_incremental;
         tc "detects bit flip" test_crc32_detects_flip;
         QCheck_alcotest.to_alcotest qcheck_crc32_differential;
-        tc "kernel selection" test_crc32_kernel_selection;
-        QCheck_alcotest.to_alcotest qcheck_crc32_kernel_offsets;
-        QCheck_alcotest.to_alcotest qcheck_crc32_kernel_large;
-        QCheck_alcotest.to_alcotest qcheck_crc32_kernel_chained;
+        QCheck_alcotest.to_alcotest qcheck_crc32_offsets;
+        QCheck_alcotest.to_alcotest qcheck_crc32_large;
+        QCheck_alcotest.to_alcotest qcheck_crc32_chained;
+        tc "every table entry" test_crc32_every_table_entry;
+        tc "range bounds" test_crc32_range_bounds;
         tc "huge lengths rejected" test_huge_length_rejected;
       ] );
     ( "crypto.merkle",

@@ -450,7 +450,7 @@ let test_broadcast_encodes_once () =
    length boundaries and up to 64 KiB, and seqs up to 2^20: the built
    bytes must equal the oracle's, and the accounted length their length.
    Data and unreliable packets are checked on the unicast path and on
-   the broadcast path (shared suffix, stitched CRC). *)
+   the broadcast path (the shared suffix). *)
 let frame_sizes = [ 0; 1; 127; 128; 16384; 65536 ]
 let frame_seqs = [ 0; 127; 128; 1 lsl 20 ]
 
@@ -492,11 +492,69 @@ let frame_oracle_test =
       match packet with
       | Transport.Data { seq; tag; payload } ->
           matches (Transport.suffix_frames t ~tag payload ~seq:(Some seq)) expected
-          && String.equal (Frame_ref.broadcast ~tag ~payload ~seq:(Some seq)) expected
       | Transport.Unreliable { tag; payload } ->
           matches (Transport.suffix_frames t ~tag payload ~seq:None) expected
-          && String.equal (Frame_ref.broadcast ~tag ~payload ~seq:None) expected
       | Transport.Ack _ -> true)
+
+(* One broadcast builds every destination's frame from one frame maker
+   over one encoded suffix, in the endpoint's one scratch encoder. Made
+   for seqs whose varints take one to four bytes and for the unreliable
+   frame, then read back in reverse order: each frame must still equal
+   the oracle's, whatever the others left in the scratch encoder. *)
+let test_broadcast_suffix_reused () =
+  let _, net = setup () in
+  let t = Transport.create net (node 0 0) in
+  let tag = "bcast" and payload = String.init 300 (fun i -> Char.chr (i land 0xff)) in
+  let frame_for = Transport.suffix_frames t ~tag payload in
+  let made =
+    List.map
+      (fun seq ->
+        let packet =
+          match seq with
+          | Some seq -> Transport.Data { seq; tag; payload }
+          | None -> Transport.Unreliable { tag; payload }
+        in
+        (print_packet packet, Frame_ref.raw packet, frame_for ~seq))
+      [ Some 0; Some 127; Some 128; Some 16383; Some 16384; Some ((1 lsl 28) - 1); None ]
+  in
+  List.iter
+    (fun (label, expected, frame) ->
+      Alcotest.(check int) (label ^ ": length") (String.length expected) (Network.length frame);
+      Alcotest.(check string) (label ^ ": bytes") expected (Network.bytes frame))
+    (List.rev made)
+
+(* A broadcast frame's checksum is taken over the whole payload: a bit
+   flipped in the seq header or anywhere in the shared suffix makes the
+   frame unseal as [`Corrupt]. *)
+let test_broadcast_crc_covers_suffix () =
+  let _, net = setup () in
+  let t = Transport.create net (node 0 0) in
+  let frame =
+    Network.bytes (Transport.suffix_frames t ~tag:"bcast" (String.make 200 'p') ~seq:(Some 300))
+  in
+  let check_unseal label frame want =
+    let got =
+      match Bp_codec.Frame.unseal frame with
+      | Ok _ -> "ok"
+      | Error `Corrupt -> "corrupt"
+      | Error `Malformed -> "malformed"
+    in
+    Alcotest.(check string) label want got
+  in
+  check_unseal "intact" frame "ok";
+  let header = Bp_codec.Frame.overhead in
+  let suffix = header + 1 + Bp_codec.Wire.varint_size 300 in
+  List.iter
+    (fun (label, i) ->
+      let b = Bytes.of_string frame in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10));
+      check_unseal label (Bytes.to_string b) "corrupt")
+    [
+      ("seq header", header + 1);
+      ("suffix: tag", suffix + 1);
+      ("suffix: payload", suffix + 100);
+      ("suffix: last byte", String.length frame - 1);
+    ]
 
 (* Three endpoints under every fault at once, on unicast and broadcast,
    reliable and unreliable sends. The delivery log (receiver, source,
@@ -613,6 +671,8 @@ let suite =
         tc "faults: pinned delivery, stats, counters" test_fault_regression;
         tc "corrupt only: materialized = corrupted" test_corrupt_only_materializes;
         QCheck_alcotest.to_alcotest frame_oracle_test;
+        tc "broadcast: one suffix, every seq" test_broadcast_suffix_reused;
+        tc "broadcast: checksum covers the suffix" test_broadcast_crc_covers_suffix;
       ] );
     ( "net.heartbeat",
       [

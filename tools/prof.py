@@ -16,7 +16,12 @@ together:
   flat       samples whose innermost frame is in the symbol (self time);
   inclusive  samples with the symbol anywhere on the stack, once each;
   callers    for samples whose innermost frame is in libc (memcpy,
-             memmove, ...), the first frame outside libc: who asked.
+             memmove, ...), the first frame outside libc: who asked;
+  library    each sample charged to the innermost function of the
+             project's own libraries (a camlBp_* or camlBlockplane*
+             symbol), so the C, GC and libc time under it counts too:
+             where SHA-256, memcpy and allocation are asked for;
+  modules    the library table summed per OCaml module.
 
 Limits: samples arrive at the kernel's timer tick, not every
 millisecond of CPU time as the sampler asks, so a run of a few seconds gives one or two hundred samples;
@@ -74,7 +79,12 @@ class Image:
             for line in run_tool(["nm", "-n", "--defined-only"] + flag + [path]).splitlines():
                 f = line.split()
                 if len(f) == 3 and f[1] in "tTwWiI":
-                    syms.setdefault(int(f[0], 16), f[2])
+                    # An OCaml module's code_begin marker shares its
+                    # address with the module's first function (and its
+                    # code_end with the next module's): name the function.
+                    addr = int(f[0], 16)
+                    if addr not in syms or is_marker(syms[addr]) and not is_marker(f[2]):
+                        syms[addr] = f[2]
         self.addrs = sorted(syms)
         self.names = [syms[a] for a in self.addrs]
 
@@ -88,6 +98,10 @@ class Image:
             return None
         i = bisect.bisect_right(self.addrs, vaddr) - 1
         return self.names[i] if i >= 0 else None
+
+
+def is_marker(name):
+    return name.endswith(("code_begin", "code_end"))
 
 
 def run_tool(argv):
@@ -140,6 +154,15 @@ def is_libc(lib):
     return lib.startswith("libc.so") or lib.startswith("libc-")
 
 
+def is_library(name):
+    return name.startswith(("camlBp_", "camlBlockplane"))
+
+
+def module_of(name):
+    """camlBp_codec__Wire.encoder_inner -> camlBp_codec__Wire."""
+    return name.split(".", 1)[0]
+
+
 def table(title, counter, total, top):
     print(f"\n{title}")
     print(f"{'samples':>8} {'share':>7}  symbol")
@@ -161,6 +184,7 @@ def main():
         die("dune build failed")
 
     flat, inclusive, callers = collections.Counter(), collections.Counter(), collections.Counter()
+    library, modules = collections.Counter(), collections.Counter()
     total = unfinished = 0
     with tempfile.TemporaryDirectory(prefix="prof-") as tmp:
         lib = os.path.join(tmp, "libsampler.so")
@@ -206,6 +230,10 @@ def main():
                     if is_libc(leaf_lib):
                         caller = next((name for l, name in frames[1:] if not is_libc(l)), "?")
                         callers[f"{leaf}  <-  {caller}"] += 1
+                    owner = next((name for _, name in frames if is_library(name)),
+                                 "(no library frame)")
+                    library[owner] += 1
+                    modules[module_of(owner)] += 1
             print(f"seed {seed}: {n} samples", file=sys.stderr)
             total += n
     if total == 0:
@@ -216,6 +244,9 @@ def main():
     table("inclusive (anywhere on the stack)", inclusive, total, args.top)
     table("callers of libc (innermost libc frame <- first caller outside libc)",
           callers, total, args.top)
+    table("library (innermost camlBp_*/camlBlockplane* frame, its callees included)",
+          library, total, args.top)
+    table("modules (the library table per OCaml module)", modules, total, args.top)
 
 
 if __name__ == "__main__":
