@@ -118,11 +118,16 @@ module Ledger = Byzantize.Make (struct
             owe (Byzantize.Commit (encode_op (Credit_from_transfer (to_account, amount))))
         | None -> ())
 
+  (* The pair order polymorphic [compare] gave: account, then balance. *)
+  let compare_binding (k1, v1) (k2, v2) =
+    match String.compare k1 k2 with 0 -> Int.compare v1 v2 | c -> c
+
   let describe state =
     String.concat ";"
       (List.map
          (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-         (List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) state [])))
+         (List.sort compare_binding
+            (Hashtbl.fold (fun k v acc -> (k, v) :: acc) state [])))
 
   let digest state = Bp_crypto.Sha256.digest (describe state)
 end)

@@ -131,7 +131,7 @@ let create ~participant ~n_participants =
    to each, and a repeated cohort could never collect all its votes. *)
 let well_formed ~participant ~n_participants ops =
   let rec go seen = function
-    | [] -> seen <> []
+    | [] -> not (List.is_empty seen)
     | (c, _) :: rest ->
         c >= 0 && c < n_participants && c <> participant
         && (not (List.mem c seen))

@@ -38,11 +38,15 @@ let on_read_reply t ~src ~pos ~payload =
   List.iter
     (fun round ->
       if round.rpos = pos && not round.resolved then
-        if not (List.mem_assoc src round.answers) then begin
+        if not (List.exists (fun (a, _) -> Addr.equal a src) round.answers)
+        then begin
           round.answers <- (src, payload) :: round.answers;
           (* Count identical answers. *)
           let tally p =
-            List.length (List.filter (fun (_, q) -> q = p) round.answers)
+            List.length
+              (List.filter
+                 (fun (_, q) -> Option.equal String.equal q p)
+                 round.answers)
           in
           let winner =
             List.find_opt (fun (_, p) -> tally p >= quorum t) round.answers

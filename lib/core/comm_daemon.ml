@@ -62,7 +62,7 @@ let maybe_ready t st =
   if
     (not st.ready)
     && List.length st.sigs >= t.needed_sigs
-    && (t.geo_proofs = None || st.geo <> None)
+    && (Option.is_none t.geo_proofs || Option.is_some st.geo)
   then begin
     st.ready <- true;
     t.ready_count <- t.ready_count + 1;
@@ -114,25 +114,22 @@ let on_sign_response t ~dest ~comm_seq ~identity ~signature =
   if dest = t.dest then
     match Int_map.find_opt comm_seq t.pending with
     | Some st when not st.ready ->
-        if not (List.mem_assoc identity st.sigs) then begin
-          (* Validate before counting: a byzantine node could send junk. *)
-          let vcache = Unit_node.vcache t.node in
-          let statement =
-            Record.transmission_statement
-              ~digest:(Bp_crypto.Verify_cache.digest vcache)
-              st.txn
-          in
-          if
-            (* Single-signature batch: the same probe/verify/record
-               path as the bundles, so the daemon's verdicts share the
-               per-node cache. *)
-            Bp_crypto.Verify_batch.verify_one ~cache:vcache
-              (Bp_crypto.Verify_batch.global ())
-              ~signer:identity ~msg:statement ~signature
-          then begin
-            st.sigs <- (identity, signature) :: st.sigs;
-            maybe_ready t st
-          end
+        (* Validate before counting: only a node of this unit may attest
+           (the receiver counts no other), and a byzantine one could
+           send junk. The check is a single-signature batch on the
+           per-node cache the bundles use. *)
+        if
+          Unit_node.attests t.node ~participant:(Unit_node.participant t.node)
+            identity
+          && (not (List.mem_assoc identity st.sigs))
+          && Bp_crypto.Verify_batch.verify_one ~cache:(Unit_node.vcache t.node)
+               (Bp_crypto.Verify_batch.global ())
+               ~signer:identity
+               ~msg:(Unit_node.transmission_statement t.node st.txn)
+               ~signature
+        then begin
+          st.sigs <- (identity, signature) :: st.sigs;
+          maybe_ready t st
         end
     | _ -> ()
 

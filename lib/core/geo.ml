@@ -64,7 +64,7 @@ module Agent = struct
     | None ->
         let duty = { owner; pos; digest; requester = src; sigs = []; responded = false } in
         Proto.Mirror_tbl.replace t.duties key duty;
-        if Unit_node.mirror_digest t.node ~owner ~pos <> None then
+        if Option.is_some (Unit_node.mirror_digest t.node ~owner ~pos) then
           gather_signatures t duty
         else
           (* Commit the mirrored entry through our own unit's PBFT. *)
@@ -84,17 +84,20 @@ module Agent = struct
     match Proto.Mirror_tbl.find_opt t.duties (Proto.mirror_key ~owner ~pos) with
     | None -> ()
     | Some duty ->
-        if not (List.mem_assoc identity duty.sigs) then begin
-          let statement =
-            Proto.mirror_statement ~owner ~pos ~digest:duty.digest
-          in
-          if
-            Bp_crypto.Verify_cache.verify (Unit_node.vcache t.node)
-              ~signer:identity ~msg:statement ~signature
-          then begin
-            duty.sigs <- (identity, signature) :: duty.sigs;
-            respond t duty
-          end
+        (* Only this unit's own nodes count toward its bundle: the
+           owner screens the bundle the same way, and a foreign
+           signature would leave it short. *)
+        if
+          Unit_node.attests t.node ~participant:(Unit_node.participant t.node)
+            identity
+          && (not (List.mem_assoc identity duty.sigs))
+          && Bp_crypto.Verify_cache.verify (Unit_node.vcache t.node)
+               ~signer:identity
+               ~msg:(Proto.mirror_statement ~owner ~pos ~digest:duty.digest)
+               ~signature
+        then begin
+          duty.sigs <- (identity, signature) :: duty.sigs;
+          respond t duty
         end
 
   let install node =
@@ -185,14 +188,12 @@ let on_proof t ~pos ~participant ~sigs =
         let statement =
           Proto.mirror_statement ~owner:(Unit_node.participant t.node) ~pos ~digest
         in
-        let prefix = Proto.identity_prefix participant in
         let distinct = Hashtbl.create 8 in
         let valid =
           List.filter
             (fun (identity, signature) ->
               (not (Hashtbl.mem distinct identity))
-              && String.length identity > String.length prefix
-              && String.sub identity 0 (String.length prefix) = prefix
+              && Unit_node.attests t.node ~participant identity
               && Bp_crypto.Verify_cache.verify (Unit_node.vcache t.node)
                    ~signer:identity ~msg:statement ~signature
               && begin

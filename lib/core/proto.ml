@@ -30,9 +30,10 @@ type t =
   | Read_reply of { pos : int; payload : string option }
 
 (* Unit naming. Unit [u]'s replicas run PBFT under [unit_tag u], so each
-   signs as [unit_tag u ^ "/" ^ addr] (Bp_pbft.Config.identity), and the
-   attestation screens accept a signer only under [identity_prefix u].
-   Built without Printf: the screens run once per received transmission. *)
+   signs as [unit_tag u ^ "/" ^ addr] (Bp_pbft.Config.identity), and
+   [Unit_node.attests] counts a signer for unit [u] only under
+   [identity_prefix u]. Built without Printf: the screen runs once per
+   received transmission. *)
 let unit_tag u = "u" ^ Int.to_string u
 let identity_prefix u = unit_tag u ^ "/"
 let aux_tag u = unit_tag u ^ ".aux"

@@ -112,7 +112,7 @@ let decode s =
           Mirrored { owner; opos; ovalue }
       | n -> raise (Wire.Malformed (Printf.sprintf "record tag %d" n)))
 
-let transmission_statement ?(digest = Bp_crypto.Sha256.digest) t =
+let transmission_statement ~digest t =
   Wire.encode (fun e ->
       Wire.varint e t.src;
       Wire.varint e t.tdest;
@@ -198,6 +198,3 @@ let xs_of_payload payload =
 
 let comm_image t =
   Comm { dest = t.tdest; comm_seq = t.tcomm_seq; payload = t.tpayload }
-
-let signature_jobs ~statement sigs =
-  List.map (fun (identity, signature) -> (identity, statement, signature)) sigs

@@ -44,23 +44,17 @@ val kind_of : t -> kind
 val encode : t -> string
 val decode : string -> (t, string) result
 
-val transmission_statement : ?digest:(string -> string) -> transmission -> string
+val transmission_statement : digest:(string -> string) -> transmission -> string
 (** The byte string that source-unit nodes sign to attest a transmission
     record (everything except the proofs themselves). [digest] must compute
-    SHA-256 of its argument; pass {!Bp_crypto.Verify_cache.digest} to reuse
-    a node's memoized payload digest (default: the plain digest). *)
+    SHA-256 of its argument: a node passes its
+    {!Bp_crypto.Verify_cache.digest}, so the payload is hashed once per
+    node. *)
 
 val comm_image : transmission -> t
 (** The communication record this transmission claims to carry — what the
     source appended to its Local Log. Its encoding is the content that
-    geo mirror statements attest (§V), shared by the receive-verification
-    and prefetch paths. *)
-
-val signature_jobs :
-  statement:string -> (string * string) list -> (string * string * string) list
-(** Pair every [(identity, signature)] of a proof bundle with the
-    statement it must attest: [(identity, statement, signature)] triples
-    ready to become [Bp_crypto.Verify_batch] jobs. *)
+    geo mirror statements attest (§V). *)
 
 (** {1 Cross-shard transaction records}
 

@@ -101,7 +101,7 @@ let create ~node ~dest ~dest_nodes ?geo_proofs () =
         when s = Unit_node.participant node
              && src.Addr.dc = t.dest
              && not (promoted t) ->
-          if not (List.mem_assoc src t.replies) then
+          if not (List.exists (fun (a, _) -> Addr.equal a src) t.replies) then
             t.replies <- (src, last) :: t.replies;
           true
       | _ -> false);

@@ -338,7 +338,7 @@ let slices map ops =
   List.map (fun s -> (s, List.rev (Hashtbl.find tbl s))) parts
 
 let submit t ?(on_aborted = ignore) ~on_done ops =
-  if ops = [] then invalid_arg "Shard.submit: empty transaction";
+  if List.is_empty ops then invalid_arg "Shard.submit: empty transaction";
   match slices t.map ops with
   | [ (s, [ (_key, op) ]) ] ->
       (* The seed path: one op, one shard, one raw log-commit. *)

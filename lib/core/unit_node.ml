@@ -80,21 +80,37 @@ let sign_mirror t ~owner ~pos ~digest =
 let per_unit table make u =
   if u >= 0 && u < Array.length table then table.(u) else make u
 
-(* Signatures whose claimed identity belongs to the attesting unit; the
-   screen is pure string work, so it runs before any crypto. *)
-let eligible_sigs t ~from_participant sigs =
-  let prefix = per_unit t.identity_prefixes Proto.identity_prefix from_participant in
-  let plen = String.length prefix in
-  List.filter
-    (fun (identity, _) ->
-      String.length identity > plen && String.starts_with ~prefix identity)
-    sigs
+(* Whether [identity] names one of unit [participant]'s own nodes: the
+   screen every fi+1 bundle passes a signature through before counting
+   it. Pure string work, so it runs before any crypto. *)
+let attests t ~participant identity =
+  let prefix = per_unit t.identity_prefixes Proto.identity_prefix participant in
+  String.length identity > String.length prefix
+  && String.starts_with ~prefix identity
 
+(* The two statements a transmission record's proofs attest: the source
+   unit's bundle signs the first, each geo mirror bundle the second
+   (§V). Both hash through the node's digest memo. *)
+let transmission_statement t tr =
+  Record.transmission_statement
+    ~digest:(Bp_crypto.Verify_cache.digest t.vcache)
+    tr
+
+let mirror_statement t (tr : Record.transmission) =
+  Proto.mirror_statement ~owner:tr.Record.src ~pos:tr.Record.log_pos
+    ~digest:
+      (Bp_crypto.Verify_cache.digest t.vcache
+         (Record.encode (Record.comm_image tr)))
+
+(* The bundle's signatures by members of the attesting unit, as
+   verification jobs over [statement]. *)
 let bundle_jobs t ~from_participant ~statement sigs =
-  List.map
-    (fun (identity, _, signature) ->
-      { Bp_crypto.Verify_batch.signer = identity; msg = statement; signature })
-    (Record.signature_jobs ~statement (eligible_sigs t ~from_participant sigs))
+  List.filter_map
+    (fun (identity, signature) ->
+      if attests t ~participant:from_participant identity then
+        Some { Bp_crypto.Verify_batch.signer = identity; msg = statement; signature }
+      else None)
+    sigs
 
 (* One Verify_batch batch for the whole fi+1 bundle instead of a
    per-signature loop. The walk over verdicts reproduces the sequential
@@ -102,13 +118,7 @@ let bundle_jobs t ~from_participant ~statement sigs =
    signature of its verifies, so several (even byzantine-duplicated)
    copies count at most once. *)
 let valid_sig_bundle t ~from_participant ~statement ~needed sigs =
-  let eligible = eligible_sigs t ~from_participant sigs in
-  let jobs =
-    List.map
-      (fun (identity, signature) ->
-        { Bp_crypto.Verify_batch.signer = identity; msg = statement; signature })
-      eligible
-  in
+  let jobs = bundle_jobs t ~from_participant ~statement sigs in
   let verdicts =
     Bp_crypto.Verify_batch.verify ~cache:t.vcache
       (Bp_crypto.Verify_batch.global ())
@@ -116,17 +126,17 @@ let valid_sig_bundle t ~from_participant ~statement ~needed sigs =
   in
   (* [seen] holds at most one bundle's signers, so a list is the
      cheapest set. *)
-  let rec count seen n eligible verdicts =
-    match (eligible, verdicts) with
+  let rec count seen n jobs verdicts =
+    match (jobs, verdicts) with
     | [], [] -> n
-    | (identity, _) :: eligible, verdict :: verdicts ->
-        if verdict && not (List.exists (String.equal identity) seen) then
-          count (identity :: seen) (n + 1) eligible verdicts
-        else count seen n eligible verdicts
+    | { Bp_crypto.Verify_batch.signer; _ } :: jobs, verdict :: verdicts ->
+        if verdict && not (List.exists (String.equal signer) seen) then
+          count (signer :: seen) (n + 1) jobs verdicts
+        else count seen n jobs verdicts
     | [], _ :: _ | _ :: _, [] ->
         invalid_arg "Unit_node.valid_sig_bundle: one verdict per signature"
   in
-  count [] 0 eligible verdicts >= needed
+  count [] 0 jobs verdicts >= needed
 
 let fi t = t.pbft_cfg.Bp_pbft.Config.f
 
@@ -137,10 +147,7 @@ let verify_transmission t (tr : Record.transmission) =
   && tr.Record.src <> t.participant
   (* (1) fi+1 signatures from the source unit over the statement *)
   && valid_sig_bundle t ~from_participant:tr.Record.src
-       ~statement:
-         (Record.transmission_statement
-            ~digest:(Bp_crypto.Verify_cache.digest t.vcache)
-            tr)
+       ~statement:(transmission_statement t tr)
        ~needed:(fi t + 1) tr.Record.proofs
   (* (2) not received before and (3) no gap: strictly the next one *)
   && tr.Record.tcomm_seq = t.last_received.(tr.Record.src) + 1
@@ -153,12 +160,7 @@ let verify_transmission t (tr : Record.transmission) =
              (fun (p, sigs) ->
                p <> tr.Record.src
                && valid_sig_bundle t ~from_participant:p
-                    ~statement:
-                      (Proto.mirror_statement ~owner:tr.Record.src
-                         ~pos:tr.Record.log_pos
-                         ~digest:
-                           (Bp_crypto.Verify_cache.digest t.vcache
-                              (Record.encode (Record.comm_image tr))))
+                    ~statement:(mirror_statement t tr)
                     ~needed:(fi t + 1) sigs)
              tr.Record.geo_proofs
          in
@@ -256,7 +258,7 @@ let verifier t (r : Bp_pbft.Msg.request) =
              applies nothing, so it is always safe to order. *)
           match Record.xs_of_payload payload with
           | `Xs (Record.Xs_prepare { ops; _ } | Record.Xs_apply { ops; _ }) ->
-              ops <> []
+              (not (List.is_empty ops))
               && List.for_all
                    (fun (_key, op) -> App.verify t.app (Record.Commit op))
                    ops
@@ -266,64 +268,51 @@ let verifier t (r : Bp_pbft.Msg.request) =
           | `Not_xs | `Malformed -> false)
       | Record.Commit _ | Record.Comm _ -> App.verify t.app record)
 
-(* ---------- asynchronous verification prefetch ---------- *)
-
-(* Every signature check [verifier] will run for a batch's transmission
-   records: the fi+1 source-unit bundles and, with fg > 0, the geo
-   mirror bundles. Only crypto — the stateful screens (sequence gaps,
-   duplicate detection, application verify) stay in [verifier], judged
-   at the head of the execution order as always. *)
-let prefetch_jobs t batch =
-  List.concat_map
-    (fun (r : Bp_pbft.Msg.request) ->
-      match record_of r with
-      | Ok (Record.Recv tr) when tr.Record.tdest = t.participant ->
-          let statement =
-            Record.transmission_statement
-              ~digest:(Bp_crypto.Verify_cache.digest t.vcache)
-              tr
-          in
-          let main =
-            bundle_jobs t ~from_participant:tr.Record.src ~statement
-              tr.Record.proofs
-          in
-          let geo =
-            if t.fg = 0 then []
-            else
-              List.concat_map
-                (fun (p, sigs) ->
-                  if p = tr.Record.src then []
-                  else
-                    bundle_jobs t ~from_participant:p
-                      ~statement:
-                        (Proto.mirror_statement ~owner:tr.Record.src
-                           ~pos:tr.Record.log_pos
-                           ~digest:
-                             (Bp_crypto.Verify_cache.digest t.vcache
-                                (Record.encode (Record.comm_image tr))))
-                      sigs)
-                tr.Record.geo_proofs
-          in
-          main @ geo
-      | _ -> [])
-    batch
+(* ---------- verification prefetch ---------- *)
 
 (* The replica calls this when a pre-prepare lands for a slot that is
-   not next to execute: submit the batch's signature checks and hand
-   back the await closure, which the replica runs before it judges the
-   slot. The await [record]s every verdict in the per-node cache, so
-   the bundle verification above is then all probe hits — verdicts
-   identical with or without the prefetch. *)
+   not next to execute. It verifies, as one batch, every signature check
+   [verifier] will run for the batch's transmission records: the fi+1
+   source-unit bundles and, with fg > 0, the geo mirror bundles. The
+   verdicts land in the per-node cache, so the bundle checks above are
+   then all hits when the slot is judged — verdicts identical with or
+   without the prefetch. Only crypto: the stateful screens (sequence
+   gaps, duplicate detection, application verify) stay in [verifier],
+   judged at the head of the execution order as always. *)
 let preverify t batch =
-  match prefetch_jobs t batch with
-  | [] -> None
-  | jobs ->
-      let handle =
-        Bp_crypto.Verify_batch.submit ~cache:t.vcache
-          (Bp_crypto.Verify_batch.global ())
-          jobs
-      in
-      Some (fun () -> ignore (Bp_crypto.Verify_batch.await handle))
+  let jobs =
+    List.concat_map
+      (fun (r : Bp_pbft.Msg.request) ->
+        match record_of r with
+        | Ok (Record.Recv tr) when tr.Record.tdest = t.participant ->
+            let main =
+              bundle_jobs t ~from_participant:tr.Record.src
+                ~statement:(transmission_statement t tr)
+                tr.Record.proofs
+            in
+            let geo =
+              if t.fg = 0 then []
+              else
+                List.concat_map
+                  (fun (p, sigs) ->
+                    if p = tr.Record.src then []
+                    else
+                      bundle_jobs t ~from_participant:p
+                        ~statement:(mirror_statement t tr)
+                        sigs)
+                  tr.Record.geo_proofs
+            in
+            main @ geo
+        | _ -> [])
+      batch
+  in
+  match jobs with
+  | [] -> ()
+  | _ :: _ ->
+      ignore
+        (Bp_crypto.Verify_batch.verify ~cache:t.vcache
+           (Bp_crypto.Verify_batch.global ())
+           jobs)
 
 (* ---------- execution ---------- *)
 
@@ -365,7 +354,7 @@ let rec pump_receive t src =
             (match Hashtbl.find_opt t.submitting src with
             | Some seq when seq = next -> Hashtbl.remove t.submitting src
             | _ -> ());
-            if int_of_string_opt result = None then begin
+            if Option.is_none (int_of_string_opt result) then begin
               (* Rejected (bad proofs / duplicate): drop it for good — an
                  honest daemon will retransmit a valid copy if one exists. *)
               let map =
@@ -431,14 +420,11 @@ let sign_transmission t (tr : Record.transmission) =
             && String.equal payload tr.Record.tpayload
         | _ -> false)
   in
-  if ok then begin
-    let statement =
-      Record.transmission_statement
-        ~digest:(Bp_crypto.Verify_cache.digest t.vcache)
-        tr
-    in
-    Some (identity t, Bp_crypto.Verify_cache.sign t.vcache ~signer:(identity t) statement)
-  end
+  if ok then
+    Some
+      ( identity t,
+        Bp_crypto.Verify_cache.sign t.vcache ~signer:(identity t)
+          (transmission_statement t tr) )
   else None
 
 let handle_sign_request t ~src (tr : Record.transmission) =

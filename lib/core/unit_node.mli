@@ -75,6 +75,17 @@ val sign_mirror : t -> owner:int -> pos:int -> digest:string -> string option
 (** Attest a mirrored entry: a signature over {!Proto.mirror_statement},
     or [None] if this node has not committed that mirror entry. *)
 
+val attests : t -> participant:int -> string -> bool
+(** [attests t ~participant identity]: [identity] names one of unit
+    [participant]'s own nodes. Every fi+1 signature bundle — the
+    transmission proofs and geo mirror bundles this node verifies, and
+    the ones its comm daemon and mirror agent collect — counts only
+    signatures that pass this screen (§IV-C, §V). Pure string work. *)
+
+val transmission_statement : t -> Record.transmission -> string
+(** {!Record.transmission_statement}, hashing the payload through this
+    node's digest memo: what the source unit's nodes sign. *)
+
 val sign_transmission : t -> Record.transmission -> (string * string) option
 (** Attest a transmission record against this node's own log: [(identity,
     signature)] if the log's entry at [log_pos] is the matching

@@ -65,32 +65,13 @@ let sign t ~signer msg =
       end;
       Merkle_sig.encode (Merkle_sig.sign keys.current msg)
 
-(* An immutable view of one identity's verification state. [Hash_keys]
-   entries are mutable (root lists grow on pool rollover), so the
-   snapshot copies the root list out; the strings themselves are never
-   mutated, and a prepared HMAC key is two immutable midstate strings.
-   This is what makes it safe to verify on another domain while the
-   owning domain keeps signing. *)
-type key = Hmac_key of Hmac.prepared | Hash_roots of string list
-
-let snapshot t ~signer =
-  match Id_tbl.find_opt t.identities signer with
-  | None -> None
-  | Some (Hmac_secret key) -> Some (Hmac_key key)
-  | Some (Hash_keys keys) -> Some (Hash_roots keys.roots)
-
+(* A hash-based signature verifies against any root the identity has
+   published: signatures made before a pool rollover stay valid. *)
 let verify_roots roots ~msg ~signature =
   match Merkle_sig.decode signature with
   | None -> false
   | Some s -> List.exists (fun root -> Merkle_sig.verify root msg s) roots
 
-let verify_key key ~msg ~signature =
-  match key with
-  | Hmac_key key -> Hmac.verify_prepared key ~msg ~tag:signature
-  | Hash_roots roots -> verify_roots roots ~msg ~signature
-
-(* The same verdict as [verify_key] over [snapshot], read straight from
-   the identity: no key snapshot is allocated on the per-message path. *)
 let verify t ~signer ~msg ~signature =
   match Id_tbl.find t.identities signer with
   | exception Not_found -> false

@@ -34,25 +34,8 @@ val sign : t -> signer:string -> string -> string
 
 val verify : t -> signer:string -> msg:string -> signature:string -> bool
 (** [false] for unknown identities or invalid signatures (never raises).
-    Equivalent to {!verify_key} over {!snapshot}. *)
-
-type key = Hmac_key of Hmac.prepared | Hash_roots of string list
-(** An immutable snapshot of one identity's verification state. Unlike
-    the keystore itself — whose hash-based root lists grow on one-time
-    pool rollover — a [key] never changes after {!snapshot} returns it,
-    so a verdict computed from it later (see [Verify_batch]) cannot
-    depend on keystore changes made since, and it may be verified
-    against on any domain without synchronization. *)
-
-val snapshot : t -> signer:string -> key option
-(** The identity's current verification key, or [None] if it was never
-    registered. Must be taken on the domain that owns the keystore. *)
-
-val verify_key : key -> msg:string -> signature:string -> bool
-(** Pure verification against a snapshot: no keystore access, safe on
-    any domain. [verify t ~signer ~msg ~signature] equals
-    [match snapshot t ~signer with None -> false
-     | Some k -> verify_key k ~msg ~signature] at snapshot time. *)
+    A [`Hash_based] signature verifies against every root the identity
+    has published, so one-time pool rollover never invalidates it. *)
 
 val generation : t -> int
 (** Monotone counter bumped whenever the keystore's verification state

@@ -3,20 +3,10 @@
    The receive path presents natural batches of independent checks: the
    fi+1 signatures on a transmission record, the per-operation client
    signatures in a pre-prepare. This module answers such a batch on the
-   calling domain, in job order, so the verdict list equals sequential
-   verification.
-
-   Two rules fix what a verdict may depend on:
-
-   - Snapshot at submit. Each job's signer is resolved to an immutable
-     [Signer.key] snapshot when the batch is submitted; [await] only runs
-     [Signer.verify_key] over immutable strings, so keystore changes
-     ([sign] rollover, [add_identity]) between submit and await cannot
-     move a verdict.
-
-   - Cache partition. The per-node [Verify_cache] is consulted once per
-     batch: every job is [probe]d at submit (hits are never computed)
-     and computed verdicts are [record]ed at await.
+   calling domain, one job after another through the per-node
+   [Verify_cache], so the verdict list is the sequential one, and a
+   cache that keeps verdicts computes a key repeated inside a batch
+   once.
 
    The mutex guards the stats: [-j] experiment tasks on several domains
    all count through the global context. It is why this module and
@@ -43,58 +33,21 @@ let reset_stats t =
       t.s_batches <- 0;
       t.s_jobs <- 0)
 
-(* A job as submit left it: answered by the cache probe, or missed with
-   the signer's key snapshot taken at submit ([None]: unknown signer). *)
-type slot = Hit of bool | Miss of job * Signer.key option
-
-type handle = {
-  h_cache : Verify_cache.t;
-  h_slots : slot list;
-  mutable h_results : bool list option;
-}
-
-let submit ~cache t jobs =
-  let keystore = Verify_cache.keystore cache in
-  let slots =
-    List.map
-      (fun ({ signer; msg; signature } as job) ->
-        match Verify_cache.probe cache ~signer ~msg ~signature with
-        | Some v -> Hit v
-        | None -> Miss (job, Signer.snapshot keystore ~signer))
-      jobs
-  in
+let count t jobs =
   Mutex.protect t.mutex (fun () ->
       t.s_batches <- t.s_batches + 1;
-      t.s_jobs <- t.s_jobs + List.length jobs);
-  { h_cache = cache; h_slots = slots; h_results = None }
+      t.s_jobs <- t.s_jobs + jobs)
 
-let await h =
-  match h.h_results with
-  | Some rs -> rs
-  | None ->
-      let rs =
-        List.map
-          (function
-            | Hit v -> v
-            | Miss ({ signer; msg; signature }, key) ->
-                let verdict =
-                  match key with
-                  | None -> false
-                  | Some key -> Signer.verify_key key ~msg ~signature
-                in
-                Verify_cache.record h.h_cache ~signer ~msg ~signature ~verdict;
-                verdict)
-          h.h_slots
-      in
-      h.h_results <- Some rs;
-      rs
-
-let verify ~cache t jobs = await (submit ~cache t jobs)
+let verify ~cache t jobs =
+  count t (List.length jobs);
+  List.map
+    (fun { signer; msg; signature } ->
+      Verify_cache.verify cache ~signer ~msg ~signature)
+    jobs
 
 let verify_one ~cache t ~signer ~msg ~signature =
-  match verify ~cache t [ { signer; msg; signature } ] with
-  | [ v ] -> v
-  | _ -> false
+  count t 1;
+  Verify_cache.verify cache ~signer ~msg ~signature
 
 (* The receive paths (replica, unit node, comm daemon) share one
    context. The benchmark probe ([bench/e2e/probe.ml]) reads its stats,

@@ -2,20 +2,11 @@
 
     Accepts a batch of independent registry-keyed
     [(signer, signature, message)] checks and answers them on the
-    calling domain: the verdict list is element-wise equal to sequential
-    [Verify_cache.verify] / [Signer.verify]. The batch shape lets a
-    caller submit early and await late (the replica's prefetch does), and
-    gives every receive path one place to count its checks.
-
-    Two rules fix what a verdict may depend on:
-
-    - {b Snapshot at submit}: signers are resolved to immutable
-      {!Signer.key} snapshots when the batch is submitted; the await
-      runs the pure {!Signer.verify_key} and never reads the keystore,
-      so keystore churn between submit and await cannot move a verdict.
-    - {b Cache partition}: the per-node {!Verify_cache} is consulted
-      once per batch — {!Verify_cache.probe} at submit,
-      {!Verify_cache.record} at await.
+    calling domain, in job order, each through {!Verify_cache.verify}:
+    the verdict list is element-wise equal to sequential
+    [Verify_cache.verify] / [Signer.verify], and a cache that keeps
+    verdicts computes a key repeated inside a batch once. The batch
+    shape gives every receive path one place to count its checks.
 
     The stats mutex makes this module, alongside [lib/parallel], exempt
     from the bplint R2-domain rule: [-j] experiment tasks on different
@@ -29,22 +20,10 @@ type job = { signer : string; msg : string; signature : string }
 
 val create : unit -> t
 
-type handle
-(** An outstanding batch; claim it with {!await}. *)
-
-val submit : cache:Verify_cache.t -> t -> job list -> handle
-(** Probe the cache and snapshot signer keys from its keystore
-    ({!Verify_cache.keystore}); nothing is computed yet. Must be called
-    on the domain that owns [cache]. A cache that keeps nothing probes
-    as a miss every time, so every job is computed. *)
-
-val await : handle -> bool list
-(** Compute the missed jobs: verdicts in job order, cache records
-    written. Idempotent — a second await returns the cached verdict
-    list. *)
-
 val verify : cache:Verify_cache.t -> t -> job list -> bool list
-(** [verify ~cache t jobs] is [await (submit ~cache t jobs)]. *)
+(** Count one batch of [List.length jobs] jobs, then verify each job
+    through [cache], in order. Must be called on the domain that owns
+    [cache]. A cache that keeps nothing computes every job. *)
 
 val verify_one :
   cache:Verify_cache.t ->
@@ -53,12 +32,12 @@ val verify_one :
   msg:string ->
   signature:string ->
   bool
-(** Single check through the batch machinery. *)
+(** A single check, counted as a batch of one. *)
 
 (** {1 Stats} *)
 
 type stats = {
-  batches : int; (** batches submitted *)
+  batches : int; (** batches verified *)
   jobs_submitted : int; (** total jobs across all batches *)
 }
 

@@ -536,10 +536,9 @@ let miss t =
   incr c_verify_misses;
   t.i_verify_misses <- t.i_verify_misses + 1
 
-(* Cache-partitioning primitives for batched verification: a batch
-   [probe]s every job at submit and [record]s the computed verdicts at
-   await. The counter accounting matches [verify] exactly — a probe
-   counts the hit/miss, a record counts nothing. *)
+(* The two halves of [verify], kept apart for [sign] and the tests: a
+   [probe] counts the hit/miss exactly as [verify] does, a [record]
+   counts nothing. *)
 
 let current t slot ~gen ~msg =
   slot >= 0

@@ -49,17 +49,15 @@ val verify : t -> signer:string -> msg:string -> signature:string -> bool
     reached its size. *)
 
 val probe : t -> signer:string -> msg:string -> signature:string -> bool option
-(** Lookup half of {!verify}, for batched verification (see
-    [Verify_batch]): [Some verdict] on a fresh-generation hit, [None]
-    otherwise (always [None] at capacity 0). Counts the
-    hit/miss exactly as {!verify} would. Must be called on the domain
-    that owns the cache. *)
+(** Lookup half of {!verify}: [Some verdict] on a fresh-generation hit,
+    [None] otherwise (always [None] at capacity 0). Counts the hit/miss
+    exactly as {!verify} would. With {!record}, the verdict table's test
+    seam: the tests observe and seed the table through these two. *)
 
 val record : t -> signer:string -> msg:string -> signature:string -> verdict:bool -> unit
-(** Insertion half of {!verify}: store a verdict computed elsewhere
-    (stamped with the current generation), without counting anything.
-    No-op at capacity 0. Must be called on the domain that
-    owns the cache. *)
+(** Insertion half of {!verify}: store a verdict (stamped with the
+    current generation), without counting anything. No-op at capacity
+    0. {!sign} seeds its own verdicts through it. *)
 
 val sign : t -> signer:string -> string -> string
 (** {!Signer.sign}, additionally seeding the cache with the (known-true)

@@ -33,10 +33,6 @@ type slot = {
          slot's signature checks finish on the replica's verify
          resource; [Time.zero] (always, when the model is off) means
          "already done" *)
-  mutable prefetch : (unit -> unit) option;
-      (* await closure of a verification prefetch submitted when the
-         slot entered the pipeline as a non-head slot; invoked (once)
-         before the slot is judged in check_prepared *)
 }
 
 type status = Normal | View_changing of int
@@ -55,10 +51,8 @@ type t = {
   execute : seq:int -> Msg.request -> string;
   mutable on_executed : seq:int -> Msg.request list -> unit;
   mutable verifier : Msg.request -> bool;
-  mutable preverify : Msg.request list -> (unit -> unit) option;
-      (* verification prefetch hook (see set_preverifier): submit
-         whatever crypto the verification routines will need for this
-         batch, return the await closure — or None if nothing to do *)
+  mutable preverify : Msg.request list -> unit;
+      (* verification prefetch hook (see set_preverifier) *)
   mutable view : int;
   mutable status : status;
   mutable next_seq : int; (* primary: next sequence to assign *)
@@ -237,7 +231,6 @@ let slot_of t seq =
           executed = false;
           in_pipeline = false;
           verify_ready = Time.zero;
-          prefetch = None;
         }
       in
       t.slots <- Int_map.add seq s t.slots;
@@ -538,18 +531,7 @@ and check_prepared t s =
            rejections. Without that, a prepared-but-invalid slot wedges
            the window behind endless view changes. At depth 1 the seed
            semantics are unchanged: a failing verdict always withholds. *)
-        (* Await the verification prefetch first, if one was submitted
-           when the slot entered the pipeline: the signature checks it
-           submitted land in the per-node cache here, so the
-           verification routines below mostly hit. *)
-        (match s.prefetch with
-        | Some await ->
-            s.prefetch <- None;
-            await ()
-        | None -> ());
-        let all_valid =
-          List.for_all t.verifier s.batch
-        in
+        let all_valid = List.for_all t.verifier s.batch in
         let verdict_final =
           t.cfg.Config.max_in_flight > 1 && s.seq = t.last_exec + 1
         in
@@ -861,11 +843,11 @@ and handle_pre_prepare t ~view ~seq ~digest ~batch =
           s.digest <- Some digest;
           s.batch <- batch;
           pipeline_enter t s;
-          (* Non-head slot: its verdict can wait (provisional/final
-             machinery above), so submit the verification routines'
-             crypto now and await it when the slot is judged in
-             check_prepared. The head slot is judged synchronously. *)
-          if s.seq > t.last_exec + 1 then s.prefetch <- t.preverify batch;
+          (* Non-head slot: run its signature checks now, so the
+             verification routines hit the per-node cache when
+             check_prepared judges it. The head slot is judged at once
+             below. *)
+          if s.seq > t.last_exec + 1 then t.preverify batch;
           List.iter (fun r -> cancel_request_timer t (request_key r)) batch;
           List.iter (fun r -> arm_request_timer t r) batch;
           send_prepare t s;
@@ -1097,7 +1079,7 @@ let create ~cache transport cfg ~id ~execute () =
       execute;
       on_executed = (fun ~seq:_ _ -> ());
       verifier = (fun _ -> true);
-      preverify = (fun _ -> None);
+      preverify = ignore;
       view = 0;
       status = Normal;
       next_seq = 1;

@@ -99,15 +99,14 @@ val set_verifier : t -> (Msg.request -> bool) -> unit
     It judges a request by its [kind] and [op], and may cache the op's
     decoding in [decoded] (cleared once the request executes). *)
 
-val set_preverifier : t -> (Msg.request list -> (unit -> unit) option) -> unit
+val set_preverifier : t -> (Msg.request list -> unit) -> unit
 (** Install the verification prefetch hook (default: none). When a
     pre-prepare is accepted for a slot that is {e not} next to execute,
-    the replica calls the hook with the batch; the hook may submit
-    whatever crypto the verification routines will need (e.g. a
-    [Bp_crypto.Verify_batch] of the transmission-record signature sets)
-    and return the await closure, which the replica invokes exactly once
-    before judging the slot in the prepared check. This only defers
-    cache work — verdicts are identical whether or not a hook is
+    the replica calls the hook with the batch at once; the hook may run
+    the signature checks the verification routines will need (e.g. a
+    [Bp_crypto.Verify_batch] of the transmission-record signature sets),
+    so they hit the per-node cache when the slot is judged. This only
+    moves cache work — verdicts are identical whether or not a hook is
     installed. *)
 
 val set_on_executed : t -> (seq:int -> Msg.request list -> unit) -> unit

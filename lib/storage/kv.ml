@@ -27,7 +27,7 @@ let check t = function
           | Some _ -> Ok ()
           | None -> Error "add: value not numeric"))
   | Cas (k, expected, _) ->
-      if Smap.find_opt k t.map = expected then Ok ()
+      if Option.equal String.equal (Smap.find_opt k t.map) expected then Ok ()
       else Error "cas: expectation failed"
 
 let can_apply t op = match check t op with Ok () -> true | Error _ -> false

@@ -426,6 +426,96 @@ let test_forged_mirror_known_hole () =
     "ROADMAP item 3: units 1-3 hold the forged digest of entry 0" [ forged; forged; forged ]
     (List.map entry0 [ 1; 2; 3 ])
 
+(* A signature collector counts only its own unit's nodes, as the
+   bundle's checker does. Here node (0,1) of the owner's own unit answers
+   each entry it executes with a stream of mirror-sign responses, signed
+   by itself, at unit 1's mirror agent. Were the agent to count one, its
+   bundle would carry a foreign signature, fall short at the owner and
+   wait for the 500 ms proof retry. *)
+let test_mirror_agent_counts_own_unit () =
+  List.iter
+    (fun seed ->
+      let w = make_world ~fg:1 ~seed () in
+      let spammer = Deployment.node w.dep 0 1 in
+      let identity = Unit_node.identity spammer in
+      let agent = (Deployment.unit_addrs w.dep 1).(0) in
+      Unit_node.add_executed_hook spammer (fun ~pos record ->
+          match record with
+          | Record.Mirrored _ -> ()
+          | _ ->
+              let digest = Bp_crypto.Sha256.digest (Record.encode record) in
+              let signature =
+                Bp_crypto.Verify_cache.sign (Unit_node.vcache spammer)
+                  ~signer:identity
+                  (Proto.mirror_statement ~owner:0 ~pos ~digest)
+              in
+              let msg =
+                Proto.Mirror_sign_response { owner = 0; pos; identity; signature }
+              in
+              for i = 0 to 99 do
+                ignore
+                  (Engine.schedule w.engine ~after:(ms (0.1 *. float_of_int i)) (fun () ->
+                       Unit_node.send_aux spammer ~dst:agent msg))
+              done);
+      let finished = ref None in
+      Api.log_commit (Deployment.api w.dep 0) "geo" ~on_done:(fun () ->
+          finished := Some (Time.to_ms (Engine.now w.engine)));
+      run w (Time.of_sec 3.0);
+      match !finished with
+      | Some lat ->
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %Ld: fg=1 commit at %.1f ms, under 100" seed lat)
+            true (lat < 100.0)
+      | None -> Alcotest.failf "seed %Ld: the commit never finished" seed)
+    [ 61L; 62L; 63L ]
+
+(* The daemon side of the same rule: node (1,1) of the destination unit
+   signs the first transmission 0 -> 1, whose payload it can predict,
+   and streams that signature at unit 0's daemon for the first 200 ms;
+   the send starts 50 ms in. Were the daemon to count it, the ready
+   bundle would fail the receiver's check, and a ready bundle takes no
+   further honest signature. *)
+let test_comm_daemon_counts_own_unit () =
+  let w = make_world () in
+  let spammer = Deployment.node w.dep 1 1 in
+  let identity = Unit_node.identity spammer in
+  let payload = "predictable" in
+  let tr =
+    {
+      Record.src = 0;
+      tdest = 1;
+      tcomm_seq = 0;
+      log_pos = 0;
+      tpayload = payload;
+      proofs = [];
+      geo_proofs = [];
+    }
+  in
+  let signature =
+    Bp_crypto.Verify_cache.sign (Unit_node.vcache spammer) ~signer:identity
+      (Record.transmission_statement ~digest:Bp_crypto.Sha256.digest tr)
+  in
+  let msg = Proto.Sign_response { dest = 1; comm_seq = 0; identity; signature } in
+  let daemon_node = (Deployment.unit_addrs w.dep 0).(0) in
+  for i = 0 to 1999 do
+    ignore
+      (Engine.schedule w.engine ~after:(ms (0.1 *. float_of_int i)) (fun () ->
+           Unit_node.send_aux spammer ~dst:daemon_node msg))
+  done;
+  let delivered = ref None in
+  Api.on_receive (Deployment.api w.dep 1) (fun ~src:_ _ ->
+      delivered := Some (Time.to_ms (Engine.now w.engine)));
+  ignore
+    (Engine.schedule w.engine ~after:(ms 50.0) (fun () ->
+         Api.send (Deployment.api w.dep 0) ~dest:1 payload ~on_done:ignore));
+  run w (Time.of_sec 5.0);
+  match !delivered with
+  | Some at ->
+      Alcotest.(check bool)
+        (Printf.sprintf "delivered at %.1f ms, under 200" at)
+        true (at < 200.0)
+  | None -> Alcotest.fail "never delivered"
+
 let test_lemma1_agreement_under_byzantine_node () =
   (* One byzantine node per unit (silent in commit phase) must not
      prevent progress or agreement. *)
@@ -787,6 +877,8 @@ let suite =
         tc "healthy daemon -> no promotion" test_no_spurious_promotion;
         tc "agreement with byzantine nodes (Lemma 1)" test_lemma1_agreement_under_byzantine_node;
         tc "randomized workload property" test_randomized_workload_property;
+        tc "mirror agent counts only its unit" test_mirror_agent_counts_own_unit;
+        tc "comm daemon counts only its unit" test_comm_daemon_counts_own_unit;
       ] );
     ( "blockplane.geo",
       [

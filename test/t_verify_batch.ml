@@ -83,9 +83,8 @@ let differential_test =
       && List.equal Bool.equal expected cached1
       && List.equal Bool.equal expected cached2)
 
-(* Hash-based scheme: snapshots carry root lists (not HMAC secrets), and
-   signing consumes one-time keys — the batch path must agree with the
-   sequential reference here too. *)
+(* Hash-based scheme: signing consumes one-time keys — the batch path
+   must agree with the sequential reference here too. *)
 let test_hash_based_batch () =
   let keystore = Signer.create ~scheme:`Hash_based (Bp_util.Rng.create 7803L) in
   Signer.add_identity keystore "hb-node";
@@ -106,35 +105,43 @@ let test_hash_based_batch () =
     (Verify_batch.verify ~cache:(no_cache keystore) (Verify_batch.create ())
        jobs)
 
-(* Submitted batches may be awaited late (the replica's prefetch path
-   overlaps head-slot execution); verdicts and stats must not care, nor
-   may a keystore generation bump between submit and await. *)
-let test_submit_overlap_and_stats () =
+(* A batch runs job by job through the cache: a key repeated inside it
+   is computed once, the stats count one batch of every job, and a
+   keystore generation bump between two calls makes the second one
+   verify again. *)
+let test_repeats_stats_generation () =
   let keystore = Signer.create (Bp_util.Rng.create 7804L) in
   Array.iter (Signer.add_identity keystore) idents;
-  let jobs =
-    List.init 9 (fun i ->
-        let signer = idents.(i mod 3) in
-        let s = Signer.sign keystore ~signer (msg_of i) in
-        {
-          Verify_batch.signer;
-          msg = msg_of i;
-          signature = (if i = 4 then tamper s else s);
-        })
+  let job i =
+    let signer = idents.(i mod 3) in
+    let msg = msg_of i in
+    { Verify_batch.signer; msg; signature = Signer.sign keystore ~signer msg }
   in
+  let repeated = job 0 in
+  let tampered =
+    let j = job 2 in
+    { j with Verify_batch.signature = tamper j.Verify_batch.signature }
+  in
+  let jobs = [ repeated; job 1; tampered; repeated ] in
   let expected = List.map (reference ~keystore) jobs in
+  Alcotest.(check (list bool)) "sequential verdicts" [ true; true; false; true ] expected;
   let ctx = Verify_batch.create () in
   let cache = Verify_cache.create keystore in
-  let h1 = Verify_batch.submit ~cache ctx jobs in
-  let h2 = Verify_batch.submit ~cache ctx jobs in
-  Signer.add_identity keystore "after-submit";
-  Alcotest.(check (list bool)) "h2 verdicts" expected (Verify_batch.await h2);
-  Alcotest.(check (list bool)) "h1 verdicts" expected (Verify_batch.await h1);
-  Alcotest.(check (list bool)) "await idempotent" expected
-    (Verify_batch.await h1);
+  let check_counters ~msg ~hits ~misses =
+    let c = Verify_cache.instance_counters cache in
+    Alcotest.(check (pair int int)) msg (hits, misses)
+      (c.Verify_cache.verify_hits, c.Verify_cache.verify_misses)
+  in
+  Alcotest.(check (list bool)) "batch verdicts" expected
+    (Verify_batch.verify ~cache ctx jobs);
+  check_counters ~msg:"repeated key: one miss, then one hit" ~hits:1 ~misses:3;
   let s = Verify_batch.stats ctx in
-  Alcotest.(check int) "batches" 2 s.Verify_batch.batches;
-  Alcotest.(check int) "jobs submitted" 18 s.Verify_batch.jobs_submitted;
+  Alcotest.(check (pair int int)) "one batch, every job" (1, 4)
+    (s.Verify_batch.batches, s.Verify_batch.jobs_submitted);
+  Signer.add_identity keystore "between-batches";
+  Alcotest.(check (list bool)) "verdicts after the bump" expected
+    (Verify_batch.verify ~cache ctx jobs);
+  check_counters ~msg:"stale verdicts verify again" ~hits:2 ~misses:6;
   Verify_batch.reset_stats ctx;
   Alcotest.(check int) "stats reset" 0 (Verify_batch.stats ctx).Verify_batch.batches
 
@@ -145,7 +152,7 @@ let suite =
         QCheck_alcotest.to_alcotest differential_test;
         Alcotest.test_case "hash-based scheme batches" `Quick
           test_hash_based_batch;
-        Alcotest.test_case "overlapped submits + stats" `Quick
-          test_submit_overlap_and_stats;
+        Alcotest.test_case "repeated keys, stats and generation" `Quick
+          test_repeats_stats_generation;
       ] );
   ]

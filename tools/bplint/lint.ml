@@ -104,17 +104,6 @@ let r9_external source =
    on files that build none. *)
 let plan_rule = "R6-planescape"
 
-(* R1-polycmp's type-directed half (polymorphic comparison at a
-   non-primitive type) covers the protocol and substrate layers; its
-   min/max half covers every lib directory but harness and cli, at every
-   type. Anything else linted under R1 (a fixture) gets both halves. *)
-let r1_typed_dirs = [ "sim"; "pbft"; "paxos"; "net"; "codec" ]
-
-let r1_typed source =
-  match source_segments source with
-  | "lib" :: dir :: _ :: _ -> List.mem dir r1_typed_dirs
-  | _ -> true
-
 (* R10-accept covers the verification routines of user protocols: the
    directories where [App.S] modules and [Unit_node.verifier] live. *)
 let accept_rule = "R10-accept"
@@ -181,7 +170,6 @@ let policy ~source =
 type ctx = {
   source : string;
   rules : string list;
-  r1_typed : bool;  (** R1-polycmp's type-directed half applies *)
   mutable allow_stack : string list;
   mutable diags : diagnostic list;
   mutable fun_depth : int;
@@ -396,7 +384,7 @@ let check_ident ctx (e : Typedtree.expression) path =
           Int.%s, or for floats an explicit comparison (Float.%s differs on \
           NaN)"
          name name name)
-  else if ctx.r1_typed && List.mem qual poly_compare_fns then begin
+  else if List.mem qual poly_compare_fns then begin
     match first_arrow_arg e.Typedtree.exp_type with
     | Some t1 when not (type_is_primitive e.Typedtree.exp_env t1) ->
         report ctx ~rule:"R1-polycmp" ~loc
@@ -849,7 +837,6 @@ let lint_file ~rules_of path (cmt : Cmt_format.cmt_infos) =
         {
           source;
           rules;
-          r1_typed = r1_typed source;
           allow_stack = [];
           diags = [];
           fun_depth = 0;
