@@ -19,13 +19,12 @@ type prepared_proof = {
   pseq : int;
   pdigest : string;
   pbatch : request list;
-  prepare_sigs : (int * string) list;
+  prepares : string list;
 }
 
 type view_change = {
   new_view : int;
   stable_seq : int;
-  stable_digest : string;
   prepared : prepared_proof list;
   vc_replica : int;
 }
@@ -44,12 +43,7 @@ type body =
     }
   | Checkpoint of { seq : int; state_digest : string; replica : int }
   | View_change of view_change
-  | New_view of {
-      view : int;
-      view_change_envelopes : string list;
-      batches : (int * string * request list) list;
-      replica : int;
-    }
+  | New_view of { view : int; view_change_envelopes : string list; replica : int }
   | Fetch of { from_seq : int; replica : int }
   | Fetch_reply of {
       batches : (int * string * request list) list;
@@ -65,17 +59,11 @@ let request_equal a b =
   && a.ts = b.ts && a.kind = b.kind && String.equal a.op b.op
   && String.equal a.client_sig b.client_sig
 
-let batches_equal =
-  List.equal (fun (s, d, b) (s', d', b') ->
-      s = s' && String.equal d d' && List.equal request_equal b b')
-
 let proof_equal p q =
   p.pview = q.pview && p.pseq = q.pseq
   && String.equal p.pdigest q.pdigest
   && List.equal request_equal p.pbatch q.pbatch
-  && List.equal
-       (fun (i, s) (j, s') -> i = j && String.equal s s')
-       p.prepare_sigs q.prepare_sigs
+  && List.equal String.equal p.prepares q.prepares
 
 let body_equal a b =
   match (a, b) with
@@ -103,17 +91,19 @@ let body_equal a b =
       && p.replica = q.replica
   | View_change v, View_change w ->
       v.new_view = w.new_view && v.stable_seq = w.stable_seq
-      && String.equal v.stable_digest w.stable_digest
       && List.equal proof_equal v.prepared w.prepared
       && v.vc_replica = w.vc_replica
   | New_view p, New_view q ->
       p.view = q.view
       && List.equal String.equal p.view_change_envelopes q.view_change_envelopes
-      && batches_equal p.batches q.batches
       && p.replica = q.replica
   | Fetch p, Fetch q -> p.from_seq = q.from_seq && p.replica = q.replica
   | Fetch_reply p, Fetch_reply q ->
-      batches_equal p.batches q.batches && p.replica = q.replica
+      List.equal
+        (fun (s, d, b) (s', d', b') ->
+          s = s' && String.equal d d' && List.equal request_equal b b')
+        p.batches q.batches
+      && p.replica = q.replica
   | ( ( Request _ | Pre_prepare _ | Prepare _ | Commit _ | Reply _
       | Checkpoint _ | View_change _ | New_view _ | Fetch _ | Fetch_reply _ ),
       _ ) ->
@@ -147,8 +137,8 @@ let decode_addr d =
    tag (0..9), so a signature over one payload shape can never be replayed
    as another. Small-bodied messages (Prepare, Commit, Reply, Checkpoint,
    Fetch) keep signing their exact encoding — there is nothing to
-   amortize, and view-change proof checking can reconstruct their signed
-   bytes without any op in hand. *)
+   amortize. A prepared proof carries its Prepare envelopes whole, in the
+   wire encoding and the content-addressed image alike. *)
 
 (* Digest amortization only pays for itself when the content it would
    digest is big enough that one SHA-256 pass (memoized per node)
@@ -215,32 +205,15 @@ let encode_proof e ~request p =
   Wire.varint e p.pseq;
   Wire.string e p.pdigest;
   Wire.list e (request e) p.pbatch;
-  Wire.list e
-    (fun (i, s) ->
-      Wire.varint e i;
-      Wire.string e s)
-    p.prepare_sigs
+  Wire.list e (Wire.string e) p.prepares
 
 let decode_proof d =
   let pview = Wire.read_varint d in
   let pseq = Wire.read_varint d in
   let pdigest = Wire.read_string d in
   let pbatch = Wire.read_list d decode_request in
-  let prepare_sigs =
-    Wire.read_list d (fun d ->
-        let i = Wire.read_varint d in
-        let s = Wire.read_string d in
-        (i, s))
-  in
-  { pview; pseq; pdigest; pbatch; prepare_sigs }
-
-let encode_batches e ~request batches =
-  Wire.list e
-    (fun (seq, digest, batch) ->
-      Wire.varint e seq;
-      Wire.string e digest;
-      Wire.list e (request e) batch)
-    batches
+  let prepares = Wire.read_list d Wire.read_string in
+  { pview; pseq; pdigest; pbatch; prepares }
 
 (* The body's encoding, with [request] writing each client request and
    [envelope] each carried view-change envelope: [encode_request] and
@@ -281,18 +254,16 @@ let encode_body_with e ~request ~envelope body =
           Wire.varint e seq;
           Wire.string e state_digest;
           Wire.varint e replica
-      | View_change { new_view; stable_seq; stable_digest; prepared; vc_replica } ->
+      | View_change { new_view; stable_seq; prepared; vc_replica } ->
           Wire.u8 e 6;
           Wire.varint e new_view;
           Wire.varint e stable_seq;
-          Wire.string e stable_digest;
           Wire.list e (encode_proof e ~request) prepared;
           Wire.varint e vc_replica
-      | New_view { view; view_change_envelopes; batches; replica } ->
+      | New_view { view; view_change_envelopes; replica } ->
           Wire.u8 e 7;
           Wire.varint e view;
           Wire.list e (envelope e) view_change_envelopes;
-          encode_batches e ~request batches;
           Wire.varint e replica
       | Fetch { from_seq; replica } ->
           Wire.u8 e 8;
@@ -300,7 +271,12 @@ let encode_body_with e ~request ~envelope body =
           Wire.varint e replica
       | Fetch_reply { batches; replica } ->
           Wire.u8 e 9;
-          encode_batches e ~request batches;
+          Wire.list e
+            (fun (seq, digest, batch) ->
+              Wire.varint e seq;
+              Wire.string e digest;
+              Wire.list e (request e) batch)
+            batches;
           Wire.varint e replica)
 
 (* Exact encoded sizes, so an encode writes into one buffer that becomes
@@ -385,22 +361,14 @@ let read_body d =
   | 6 ->
       let new_view = Wire.read_varint d in
       let stable_seq = Wire.read_varint d in
-      let stable_digest = Wire.read_string d in
       let prepared = Wire.read_list d decode_proof in
       let replica = Wire.read_varint d in
-      View_change { new_view; stable_seq; stable_digest; prepared; vc_replica = replica }
+      View_change { new_view; stable_seq; prepared; vc_replica = replica }
   | 7 ->
       let view = Wire.read_varint d in
       let view_change_envelopes = Wire.read_list d Wire.read_string in
-      let batches =
-        Wire.read_list d (fun d ->
-            let seq = Wire.read_varint d in
-            let digest = Wire.read_string d in
-            let batch = Wire.read_list d decode_request in
-            (seq, digest, batch))
-      in
       let replica = Wire.read_varint d in
-      New_view { view; view_change_envelopes; batches; replica }
+      New_view { view; view_change_envelopes; replica }
   | 8 ->
       let from_seq = Wire.read_varint d in
       let replica = Wire.read_varint d in
@@ -427,19 +395,15 @@ let decode_body s = Wire.decode s read_body
 let batch_weight batch =
   List.fold_left (fun acc r -> acc + String.length r.op) 0 batch
 
-let batches_weight batches =
-  List.fold_left (fun acc (_, _, batch) -> acc + batch_weight batch) 0 batches
-
 let bulk_weight = function
   | Request r -> String.length r.op
   | Pre_prepare { batch; _ } -> batch_weight batch
   | View_change { prepared; _ } ->
       List.fold_left (fun acc p -> acc + batch_weight p.pbatch) 0 prepared
-  | New_view { view_change_envelopes; batches; _ } ->
-      List.fold_left
-        (fun acc env -> acc + String.length env)
-        (batches_weight batches) view_change_envelopes
-  | Fetch_reply { batches; _ } -> batches_weight batches
+  | New_view { view_change_envelopes; _ } ->
+      List.fold_left (fun acc env -> acc + String.length env) 0 view_change_envelopes
+  | Fetch_reply { batches; _ } ->
+      List.fold_left (fun acc (_, _, batch) -> acc + batch_weight batch) 0 batches
   | Prepare _ | Commit _ | Reply _ | Checkpoint _ | Fetch _ -> 0
 
 let content_addressed body = bulk_weight body >= ca_min_bytes
@@ -449,10 +413,6 @@ let content_addressed body = bulk_weight body >= ca_min_bytes
 let ca_request cache e r =
   encode_request_with e r (Bp_crypto.Verify_cache.digest_with cache r.sha r.op)
 
-let ca_request_lookup cache e r =
-  encode_request_with e r
-    (Bp_crypto.Verify_cache.lookup_digest_with cache r.sha r.op)
-
 let digested cache e env = Wire.string e (Bp_crypto.Verify_cache.digest cache env)
 
 (* The bytes a body's envelope signature covers. [encoded] produces the
@@ -461,10 +421,7 @@ let digested cache e env = Wire.string e (Bp_crypto.Verify_cache.digest cache en
    encoder, digesting each op (and carried envelope) as the encoding
    reaches it: it is derived bookkeeping, not a message serialization,
    and must not perturb the encode-once accounting that
-   {!Wire.encode_calls} tests pin. A New_view digests its batches' ops
-   before its envelopes (the memo's call order, which its eviction and
-   the pinned cache counters depend on), and its encoding then reads
-   those digests back through the uncounted [lookup_digest_with]. *)
+   {!Wire.encode_calls} tests pin. *)
 let signing_payload ~cache ~encoded body =
   if content_addressed body then begin
     let e =
@@ -476,20 +433,7 @@ let signing_payload ~cache ~encoded body =
         ()
     in
     Wire.u8 e 0xCA;
-    let request =
-      match body with
-      | New_view { batches; _ } ->
-          List.iter
-            (fun (_, _, batch) ->
-              List.iter
-                (fun r ->
-                  ignore (Bp_crypto.Verify_cache.digest_with cache r.sha r.op))
-                batch)
-            batches;
-          ca_request_lookup cache
-      | _ -> ca_request cache
-    in
-    encode_body_with e ~request ~envelope:(digested cache) body;
+    encode_body_with e ~request:(ca_request cache) ~envelope:(digested cache) body;
     Wire.to_string e
   end
   else encoded ()

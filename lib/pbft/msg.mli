@@ -45,13 +45,15 @@ type prepared_proof = {
   pseq : int;
   pdigest : string;
   pbatch : request list;
-  prepare_sigs : (int * string) list;  (** replica id, prepare signature *)
+  prepares : string list;
+      (** the signed Prepare envelopes the reporting replica verified
+          for ([pview], [pseq], [pdigest]): valid from 2f distinct
+          replicas, they prove the batch prepared *)
 }
 
 type view_change = {
   new_view : int;
-  stable_seq : int;
-  stable_digest : string;
+  stable_seq : int;  (** the reporter's stable checkpoint *)
   prepared : prepared_proof list;
   vc_replica : int;
 }
@@ -72,8 +74,10 @@ type body =
   | View_change of view_change
   | New_view of {
       view : int;
-      view_change_envelopes : string list;  (** signed View_change envelopes *)
-      batches : (int * string * request list) list;  (** seq, digest, batch *)
+      view_change_envelopes : string list;
+          (** the certificate: signed View_change envelopes for [view].
+              Every replica derives the re-proposed batches from it
+              ({!Replica.new_view_batches}), so none travel. *)
       replica : int;
     }
   | Fetch of { from_seq : int; replica : int }
@@ -88,13 +92,6 @@ val request_equal : request -> request -> bool
 (** Equality of the wire fields ([client], [ts], [kind], [op],
     [client_sig]); the per-node memos [decoded], [executions] and [sha]
     are ignored. *)
-
-val batches_equal :
-  (int * string * request list) list -> (int * string * request list) list -> bool
-(** Equality of New_view and Fetch_reply batch lists, with requests
-    compared by {!request_equal}. A backup checks a New_view with it:
-    both sides derive the batches from the same view-change proofs, so an
-    honest primary's match field for field, client signatures included. *)
 
 val body_equal : body -> body -> bool
 (** Structural equality of bodies, with requests compared by

@@ -19,7 +19,7 @@ type slot = {
   mutable sview : int; (* view in which the pre-prepare was accepted *)
   mutable digest : string option;
   mutable batch : Msg.request list;
-  (* replica id, (view, digest) voted for, prepare signature *)
+  (* replica id, (view, digest) voted for, its signed Prepare envelope *)
   mutable prepares : (int * (int * string) * string) list;
   mutable commits : (int * (int * string)) list; (* replica id, (view, digest) *)
   mutable sent_prepare : bool;
@@ -196,12 +196,13 @@ let request_key (r : Msg.request) = (r.Msg.client, r.Msg.ts)
 let seal t body =
   Msg.seal_with_hint ~cache:t.cache t.cfg ~sender:(self_addr t) body
 
-let broadcast t body =
-  (* Seal once, serialize the transport suffix once: the whole broadcast
-     encodes the message exactly one time regardless of cluster size. *)
-  let sealed, hint = seal t body in
+(* Seal once, serialize the transport suffix once: the whole broadcast
+   encodes the message exactly one time regardless of cluster size. *)
+let broadcast_sealed t (sealed, hint) =
   Bp_net.Transport.broadcast t.transport ~hint ~dsts:t.cfg.Config.nodes
     ~tag:t.cfg.Config.tag sealed
+
+let broadcast t body = broadcast_sealed t (seal t body)
 
 let send_reply t (r : Msg.request) result =
   let body =
@@ -285,11 +286,79 @@ let prepared_proofs t =
           pseq = seq;
           pdigest = slot_digest_exn t s;
           pbatch = s.batch;
-          prepare_sigs = List.map (fun (r, _, sg) -> (r, sg)) matching;
+          prepares = List.map (fun (_, _, envelope) -> envelope) matching;
         }
         :: acc
       else acc)
     t.slots []
+
+(* A prepared proof holds when its batch hashes to its digest and 2f
+   distinct replicas signed a Prepare for its (view, seq, digest). *)
+let proof_valid ~cache cfg (p : Msg.prepared_proof) =
+  String.equal p.Msg.pdigest (Msg.batch_digest ~cache p.Msg.pbatch)
+  &&
+  let signers =
+    List.fold_left
+      (fun signers envelope ->
+        match Msg.verify_envelope ~cache cfg envelope with
+        | Ok (Msg.Prepare { view; seq; digest; replica })
+          when view = p.Msg.pview && seq = p.Msg.pseq
+               && String.equal digest p.Msg.pdigest ->
+            Int_set.add replica signers
+        | Ok _ | Error _ -> signers)
+      Int_set.empty p.Msg.prepares
+  in
+  Int_set.cardinal signers >= 2 * cfg.Config.f
+
+let new_view_batches ~cache cfg ~view envelopes =
+  (* Each envelope is verified once; the first View_change for [view]
+     from each replica counts. *)
+  let vcs =
+    List.fold_left
+      (fun vcs envelope ->
+        match Msg.verify_envelope ~cache cfg envelope with
+        | Ok (Msg.View_change vc)
+          when vc.Msg.new_view = view && not (Int_map.mem vc.Msg.vc_replica vcs) ->
+            Int_map.add vc.Msg.vc_replica vc vcs
+        | Ok _ | Error _ -> vcs)
+      Int_map.empty envelopes
+  in
+  if Int_map.cardinal vcs < Config.quorum cfg then None
+  else begin
+    (* min_s: the highest stable sequence supported by at least f+1
+       view-change messages — at least one of those reporters is honest,
+       so a lone byzantine node cannot truncate prepared batches by
+       claiming an inflated stable checkpoint. *)
+    let min_s =
+      let stables = Int_map.fold (fun _ vc acc -> vc.Msg.stable_seq :: acc) vcs [] in
+      match List.nth_opt (List.sort (fun a b -> Int.compare b a) stables) cfg.Config.f with
+      | Some s -> s
+      | None -> 0 (* unreachable: vcs passed the quorum check above *)
+    in
+    (* For each sequence above min_s, the valid proof of the highest view. *)
+    let best =
+      Int_map.fold
+        (fun _ (vc : Msg.view_change) best ->
+          List.fold_left
+            (fun best (p : Msg.prepared_proof) ->
+              if p.pseq <= min_s || not (proof_valid ~cache cfg p) then best
+              else
+                match Int_map.find_opt p.pseq best with
+                | Some (q : Msg.prepared_proof) when q.pview >= p.pview -> best
+                | Some _ | None -> Int_map.add p.pseq p best)
+            best vc.prepared)
+        vcs Int_map.empty
+    in
+    let max_s =
+      match Int_map.max_binding_opt best with Some (seq, _) -> seq | None -> min_s
+    in
+    Some
+      (List.init (max_s - min_s) (fun i ->
+           let seq = min_s + 1 + i in
+           match Int_map.find_opt seq best with
+           | Some p -> (seq, p.Msg.pdigest, p.Msg.pbatch)
+           | None -> (seq, Msg.batch_digest ~cache [], [])))
+  end
 
 let rec move_to_view t target =
   if target > t.view then begin
@@ -301,23 +370,19 @@ let rec move_to_view t target =
     (Req_tbl.iter (fun _ timer -> Engine.cancel timer) t.timers
     [@bplint.allow "R2-hiter"]);
     Req_tbl.reset t.timers;
-    let body =
-      Msg.View_change
-        {
-          new_view = target;
-          stable_seq = t.low_watermark;
-          stable_digest =
-            (match Int_map.find_opt t.low_watermark t.own_checkpoints with
-            | Some d -> d
-            | None -> "");
-          prepared = prepared_proofs t;
-          vc_replica = t.id;
-        }
+    let sealed =
+      seal t
+        (Msg.View_change
+           {
+             new_view = target;
+             stable_seq = t.low_watermark;
+             prepared = prepared_proofs t;
+             vc_replica = t.id;
+           })
     in
-    (* Record our own view-change message. *)
-    let sealed = Msg.seal ~cache:t.cache t.cfg ~sender:(self_addr t) body in
-    record_view_change t target t.id sealed;
-    broadcast t body;
+    (* Record our own view-change message, then send that same envelope. *)
+    record_view_change t target t.id (fst sealed);
+    broadcast_sealed t sealed;
     (match t.vc_timer with Some timer -> Engine.cancel timer | None -> ());
     t.vc_timer <-
       Some
@@ -335,134 +400,21 @@ and record_view_change t target replica envelope =
     maybe_new_view t target
   end
 
-(* The new primary assembles and broadcasts New_view once it holds 2f+1
-   view-change messages for the target view. *)
+(* The new primary broadcasts New_view, carrying only its certificate,
+   once it holds 2f+1 view-change messages for the target view. *)
 and maybe_new_view t target =
   if Config.primary_of_view t.cfg target = t.id && target > t.view then begin
-    let vcs = Option.value ~default:[] (Int_map.find_opt target t.view_changes) in
-    if List.length vcs >= Config.quorum t.cfg then begin
-      match compute_new_view_batches ~cache:t.cache t.cfg (List.map snd vcs) with
+    let envelopes =
+      List.map snd (Option.value ~default:[] (Int_map.find_opt target t.view_changes))
+    in
+    if List.length envelopes >= Config.quorum t.cfg then
+      match new_view_batches ~cache:t.cache t.cfg ~view:target envelopes with
       | None -> ()
       | Some batches ->
-          let body =
-            Msg.New_view
-              {
-                view = target;
-                view_change_envelopes = List.map snd vcs;
-                batches;
-                replica = t.id;
-              }
-          in
-          broadcast t body;
+          broadcast t
+            (Msg.New_view
+               { view = target; view_change_envelopes = envelopes; replica = t.id });
           enter_new_view t target batches
-    end
-  end
-
-and verified_view_changes ~cache cfg target envelopes =
-  (* Returns (replica, View_change fields) for envelopes that verify and
-     target the right view, at most one per replica. *)
-  let seen = Hashtbl.create 8 in
-  List.filter_map
-    (fun env ->
-      match Msg.verify_envelope ~cache cfg env with
-      | Ok (Msg.View_change vc) when vc.Msg.new_view = target ->
-          if Hashtbl.mem seen vc.Msg.vc_replica then None
-          else begin
-            Hashtbl.add seen vc.Msg.vc_replica ();
-            Some vc
-          end
-      | _ -> None)
-    envelopes
-
-and proof_valid ~cache cfg (p : Msg.prepared_proof) =
-  String.equal p.Msg.pdigest (Msg.batch_digest ~cache p.Msg.pbatch)
-  && begin
-       (* 2f distinct, valid prepare signatures over the reconstructed
-          prepare body. Prepare is a small-bodied message, so its signed
-          bytes are its exact encoding. *)
-       let distinct = Hashtbl.create 8 in
-       let valid =
-         List.filter
-           (fun (replica, signature) ->
-             if Hashtbl.mem distinct replica then false
-             else if replica < 0 || replica >= Config.n cfg then false
-             else begin
-               let body =
-                 Msg.encode_body
-                   (Msg.Prepare
-                      {
-                        view = p.Msg.pview;
-                        seq = p.Msg.pseq;
-                        digest = p.Msg.pdigest;
-                        replica;
-                      })
-               in
-               let ok =
-                 Bp_crypto.Verify_cache.verify cache
-                   ~signer:(Config.identity cfg cfg.Config.nodes.(replica))
-                   ~msg:body ~signature
-               in
-               if ok then Hashtbl.add distinct replica ();
-               ok
-             end)
-           p.Msg.prepare_sigs
-       in
-       List.length valid >= 2 * cfg.Config.f
-     end
-
-and compute_new_view_batches ~cache cfg envelopes =
-  (* Deterministic function of the view-change set: both the new primary
-     and the backups run it and must agree. *)
-  let target =
-    List.fold_left
-      (fun acc env ->
-        match Msg.verify_envelope ~cache cfg env with
-        | Ok (Msg.View_change vc) -> Int.max acc vc.Msg.new_view
-        | _ -> acc)
-      (-1) envelopes
-  in
-  if target < 0 then None
-  else begin
-    let vcs = verified_view_changes ~cache cfg target envelopes in
-    if List.length vcs < Config.quorum cfg then None
-    else begin
-      (* min_s: the highest stable sequence supported by at least f+1
-         view-change messages — at least one of those reporters is honest,
-         so a lone byzantine node cannot truncate prepared batches by
-         claiming an inflated stable checkpoint. *)
-      let stables =
-        List.sort (fun a b -> Int.compare b a) (List.map (fun vc -> vc.Msg.stable_seq) vcs)
-      in
-      let min_s =
-        match List.nth_opt stables (Int.min (List.length stables - 1) cfg.Config.f) with
-        | Some s -> s
-        | None -> 0 (* unreachable: vcs passed the quorum check above *)
-      in
-      let best = ref Int_map.empty in
-      List.iter
-        (fun vc ->
-          List.iter
-            (fun p ->
-              if p.Msg.pseq > min_s && proof_valid ~cache cfg p then
-                match Int_map.find_opt p.Msg.pseq !best with
-                | Some existing when existing.Msg.pview >= p.Msg.pview -> ()
-                | _ -> best := Int_map.add p.Msg.pseq p !best)
-            vc.Msg.prepared)
-        vcs;
-      let max_s =
-        match Int_map.max_binding_opt !best with
-        | Some (seq, _) -> Int.max min_s seq
-        | None -> min_s
-      in
-      let batches =
-        List.init (max_s - min_s) (fun i ->
-            let seq = min_s + 1 + i in
-            match Int_map.find_opt seq !best with
-            | Some p -> (seq, p.Msg.pdigest, p.Msg.pbatch)
-            | None -> (seq, Msg.batch_digest ~cache [], []))
-      in
-      Some batches
-    end
   end
 
 and enter_new_view t target batches =
@@ -718,11 +670,14 @@ and try_form_batch t =
         let r = Queue.pop t.queue in
         Req_tbl.remove t.queued_keys (request_key r);
         (* Pre-screen with the verification routine; invalid requests are
-           dropped here (an honest primary never proposes them). *)
+           dropped here (an honest primary never proposes them), and so is
+           their timer: a dropped request never executes, and its timer
+           would make the primary suspect itself. *)
         if t.verifier r then begin
           batch := r :: !batch;
           incr blen
         end
+        else cancel_request_timer t (request_key r)
       done;
       let batch = List.rev !batch in
       if not (List.is_empty batch) then begin
@@ -856,14 +811,14 @@ and handle_pre_prepare t ~view ~seq ~digest ~batch =
         end
   end
 
-and handle_prepare t ~view ~seq ~digest ~replica ~signature =
+and handle_prepare t ~view ~seq ~digest ~replica ~envelope =
   if in_window t seq && view >= 0 then begin
     let s = slot_of t seq in
     (* Buffer each replica's vote with the (view, digest) it voted for —
        votes for other digests are kept but never counted, so a byzantine
        flood cannot inflate the prepared count. *)
     if not (List.exists (fun (r, _, _) -> r = replica) s.prepares) then begin
-      s.prepares <- (replica, (view, digest), signature) :: s.prepares;
+      s.prepares <- (replica, (view, digest), envelope) :: s.prepares;
       check_prepared t s;
       check_committed t s
     end
@@ -1008,17 +963,6 @@ and handle_fetch_reply t ~batches ~replica =
 
 (* ---------- dispatch ---------- *)
 
-let extract_prepare_signature envelope =
-  (* envelope = Wire{body, signature}; we need the signature to stash in
-     prepared-certificates. *)
-  match
-    Bp_codec.Wire.decode envelope (fun d ->
-        let _body = Bp_codec.Wire.read_string d in
-        Bp_codec.Wire.read_string d)
-  with
-  | Ok s -> s
-  | Error _ -> ""
-
 let on_envelope t ~src:_ ~hint envelope =
   if not t.stopped then
     match Msg.verify_envelope ~cache:t.cache ?hint t.cfg envelope with
@@ -1029,14 +973,13 @@ let on_envelope t ~src:_ ~hint envelope =
         | Msg.Pre_prepare { view; seq; digest; batch } ->
             handle_pre_prepare t ~view ~seq ~digest ~batch
         | Msg.Prepare { view; seq; digest; replica } ->
-            handle_prepare t ~view ~seq ~digest ~replica
-              ~signature:(extract_prepare_signature envelope)
+            handle_prepare t ~view ~seq ~digest ~replica ~envelope
         | Msg.Commit { view; seq; digest; replica } ->
             handle_commit t ~view ~seq ~digest ~replica
         | Msg.Reply _ -> () (* replicas ignore replies *)
         | Msg.Checkpoint { seq; state_digest; replica } ->
             handle_checkpoint t ~seq ~state_digest ~replica
-        | Msg.View_change ({ new_view; vc_replica = replica; _ } as vc) ->
+        | Msg.View_change { new_view; vc_replica = replica; _ } ->
             if new_view > t.view then begin
               record_view_change t new_view replica envelope;
               (* Liveness rule: join a view change supported by f+1. *)
@@ -1044,23 +987,21 @@ let on_envelope t ~src:_ ~hint envelope =
                 List.length
                   (Option.value ~default:[] (Int_map.find_opt new_view t.view_changes))
               in
-              ignore vc;
               if support >= t.cfg.Config.f + 1 then begin
                 match t.status with
                 | View_changing v when v >= new_view -> ()
                 | _ -> move_to_view t new_view
               end
             end
-        | Msg.New_view { view; view_change_envelopes; batches; replica } ->
+        | Msg.New_view { view; view_change_envelopes; replica } ->
             if
               view > t.view
               && Config.primary_of_view t.cfg view = replica
               && replica <> t.id
             then begin
-              match compute_new_view_batches ~cache:t.cache t.cfg view_change_envelopes with
-              | Some expected when Msg.batches_equal expected batches ->
-                  enter_new_view t view batches
-              | _ ->
+              match new_view_batches ~cache:t.cache t.cfg ~view view_change_envelopes with
+              | Some batches -> enter_new_view t view batches
+              | None ->
                   Log.debug (fun m -> m "pbft %d: invalid new-view from %d" t.id replica)
             end
         | Msg.Fetch { from_seq; replica } -> handle_fetch t ~from_seq ~replica

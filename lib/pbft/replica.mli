@@ -14,9 +14,12 @@
       2f+1 honest votes assemble for an invalid state transition.
 
     Also implemented: stable checkpoints with watermarks and garbage
-    collection, and view changes (with prepared-certificates carried in
-    the view-change messages, so a new primary re-proposes exactly the
-    possibly-committed batches).
+    collection, and view changes. A view-change message carries a
+    prepared certificate for each possibly-committed batch: the batch and
+    the 2f signed Prepare envelopes that prepared it. A New_view carries
+    only the 2f+1 view-change envelopes, and the new primary and every
+    backup derive the re-proposed batches from them with one function,
+    {!new_view_batches}.
 
     The primary runs a windowed pipeline: up to
     {!Config.t.max_in_flight} sequence numbers may be in the
@@ -52,7 +55,29 @@ val create :
     performance knob: protocol outputs are bit-identical whatever its
     capacity (see {!Msg}). *)
 
+val new_view_batches :
+  cache:Bp_crypto.Verify_cache.t ->
+  Config.t ->
+  view:int ->
+  string list ->
+  (int * string * Msg.request list) list option
+(** [new_view_batches ~cache cfg ~view envelopes] is what a New_view for
+    [view] with the certificate [envelopes] re-proposes: (seq, digest,
+    batch) for every sequence from the stable checkpoint that f+1 of the
+    view changes reach up to the highest proven one, the batch of the
+    highest-view valid prepared proof at each (on a tie, the lowest
+    reporting replica's), and the empty batch where none is. Each envelope is verified once, and only the first
+    View_change for [view] from each replica counts; [None] when fewer
+    than 2f+1 replicas remain. A proof is valid when its batch hashes to
+    its digest and 2f distinct replicas' envelopes verify as Prepares for
+    its view, sequence and digest. A pure function of its arguments, as
+    verdicts do not depend on what [cache] keeps. *)
+
 val view : t -> int
+
+val is_normal : t -> bool
+(** [false] while a view change is in progress. *)
+
 val last_executed : t -> int
 val low_watermark : t -> int
 val exec_chain : t -> string

@@ -45,22 +45,15 @@ let ca_body cache = function
   | Msg.Request r -> Msg.Request (ca_request cache r)
   | Msg.Pre_prepare { view; seq; digest; batch } ->
       Msg.Pre_prepare { view; seq; digest; batch = List.map (ca_request cache) batch }
-  | Msg.View_change { new_view; stable_seq; stable_digest; prepared; vc_replica } ->
+  | Msg.View_change { new_view; stable_seq; prepared; vc_replica } ->
       Msg.View_change
-        {
-          new_view;
-          stable_seq;
-          stable_digest;
-          prepared = List.map (ca_proof cache) prepared;
-          vc_replica;
-        }
-  | Msg.New_view { view; view_change_envelopes; batches; replica } ->
+        { new_view; stable_seq; prepared = List.map (ca_proof cache) prepared; vc_replica }
+  | Msg.New_view { view; view_change_envelopes; replica } ->
       Msg.New_view
         {
           view;
           view_change_envelopes =
             List.map (Bp_crypto.Verify_cache.digest cache) view_change_envelopes;
-          batches = ca_batches cache batches;
           replica;
         }
   | Msg.Fetch_reply { batches; replica } ->
@@ -80,10 +73,8 @@ let bulk_weight = function
   | Msg.Pre_prepare { batch; _ } -> batch_weight batch
   | Msg.View_change { prepared; _ } ->
       List.fold_left (fun acc p -> acc + batch_weight p.Msg.pbatch) 0 prepared
-  | Msg.New_view { view_change_envelopes; batches; _ } ->
-      List.fold_left
-        (fun acc env -> acc + String.length env)
-        (batches_weight batches) view_change_envelopes
+  | Msg.New_view { view_change_envelopes; _ } ->
+      List.fold_left (fun acc env -> acc + String.length env) 0 view_change_envelopes
   | Msg.Fetch_reply { batches; _ } -> batches_weight batches
   | Msg.Prepare _ | Msg.Commit _ | Msg.Reply _ | Msg.Checkpoint _ | Msg.Fetch _ -> 0
 

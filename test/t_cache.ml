@@ -727,10 +727,10 @@ let signing_payload_model_test =
           picks
       in
       let batch = mk_batch ops in
-      let proof pseq =
-        { M.pview = 0; pseq; pdigest = "d"; pbatch = batch; prepare_sigs = [ (1, "s") ] }
-      in
       let envelope c = String.make sizes.(env_pick) c in
+      let proof pseq =
+        { M.pview = 0; pseq; pdigest = "d"; pbatch = batch; prepares = [ envelope 'p' ] }
+      in
       let bodies =
         List.map (fun r -> M.Request r) batch
         @ [
@@ -739,7 +739,6 @@ let signing_payload_model_test =
               {
                 new_view = 1;
                 stable_seq = 0;
-                stable_digest = "";
                 prepared = [ proof 1; proof 2 ];
                 vc_replica = 3;
               };
@@ -747,7 +746,6 @@ let signing_payload_model_test =
               {
                 view = 1;
                 view_change_envelopes = [ envelope 'x'; envelope 'y' ];
-                batches = [ (1, "d", batch); (2, "e", batch) ];
                 replica = 1;
               };
             M.Fetch_reply { batches = [ (1, "d", batch); (2, "e", batch) ]; replica = 2 };
@@ -803,7 +801,6 @@ let test_envelope_both_payloads () =
           {
             new_view = 1;
             stable_seq = 0;
-            stable_digest = "";
             prepared =
               [
                 {
@@ -811,7 +808,11 @@ let test_envelope_both_payloads () =
                   pseq = 1;
                   pdigest = digest;
                   pbatch = batch;
-                  prepare_sigs = [ (2, "sig") ];
+                  prepares =
+                    [
+                      M.seal ~cache:full cfg ~sender:nodes.(2)
+                        (M.Prepare { view = 0; seq = 1; digest; replica = 2 });
+                    ];
                 };
               ];
             vc_replica = 3;
@@ -830,7 +831,6 @@ let test_envelope_both_payloads () =
                 view = 1;
                 view_change_envelopes =
                   [ M.seal ~cache:full cfg ~sender:nodes.(3) view_change ];
-                batches = [ (1, digest, batch) ];
                 replica = 1;
               } );
           ( "Fetch_reply",

@@ -94,21 +94,11 @@ let test_msg_roundtrip () =
         {
           Msg.new_view = 1;
           stable_seq = 0;
-          stable_digest = "";
           prepared =
-            [
-              {
-                Msg.pview = 0;
-                pseq = 1;
-                pdigest = "d";
-                pbatch = [ r ];
-                prepare_sigs = [ (1, "sig") ];
-              };
-            ];
+            [ { Msg.pview = 0; pseq = 1; pdigest = "d"; pbatch = [ r ]; prepares = [ "pp" ] } ];
           vc_replica = 3;
         };
-      Msg.New_view
-        { view = 1; view_change_envelopes = [ "vc" ]; batches = [ (1, "d", [ r ]) ]; replica = 1 };
+      Msg.New_view { view = 1; view_change_envelopes = [ "vc" ]; replica = 1 };
     ]
   in
   List.iter
@@ -137,6 +127,71 @@ let test_envelope_verification () =
   match Msg.verify_envelope ~cache cfg (Msg.seal_forged cfg ~sender:addrs.(2) body) with
   | Ok _ -> Alcotest.fail "forged signature accepted"
   | Error _ -> ()
+
+(* The New_view derivation from its certificate. Replica 3 reports seq 1
+   prepared with 2f = 2 valid Prepare envelopes (replicas 1 and 2)
+   beside three bad ones: a Prepare for another digest, a forged one and
+   a second copy of replica 1's. The slot is re-proposed exactly while
+   2f distinct replicas' valid envelopes remain, and never for a batch
+   that does not hash to the proof's digest. Only the first View_change
+   for the view from each replica counts towards the 2f+1. *)
+let test_new_view_certificate () =
+  let engine = Engine.create () in
+  let keystore = Bp_crypto.Signer.create (Bp_util.Rng.split (Engine.rng engine)) in
+  let nodes = Array.init 4 (fun i -> Addr.make ~dc:0 ~idx:i) in
+  let cfg = Config.make ~nodes ~keystore () in
+  let cache = no_cache cfg in
+  let request op =
+    Msg.make_request ~cache cfg ~client:(Addr.make ~dc:1 ~idx:9) ~ts:1 ~kind:0 ~op
+  in
+  let batch = [ request "x" ] in
+  let digest = Msg.batch_digest ~cache batch in
+  let prepare ?(digest = digest) i = Msg.Prepare { view = 0; seq = 1; digest; replica = i } in
+  let valid i = Msg.seal ~cache cfg ~sender:nodes.(i) (prepare i) in
+  let prepares =
+    [
+      valid 1;
+      valid 2;
+      Msg.seal ~cache cfg ~sender:nodes.(3) (prepare ~digest:"other" 3);
+      Msg.seal_forged cfg ~sender:nodes.(3) (prepare 3);
+      valid 1;
+    ]
+  in
+  let view_change i prepared =
+    Msg.seal ~cache cfg ~sender:nodes.(i)
+      (Msg.View_change { new_view = 1; stable_seq = 0; prepared; vc_replica = i })
+  in
+  let certificate ?(pbatch = batch) prepares =
+    [
+      view_change 1 [];
+      view_change 2 [];
+      view_change 3 [ { Msg.pview = 0; pseq = 1; pdigest = digest; pbatch; prepares } ];
+    ]
+  in
+  let derive ?(view = 1) envelopes =
+    Option.map
+      (List.map (fun (seq, d, b) ->
+           (seq, String.equal d digest && List.equal Msg.request_equal b batch)))
+      (Replica.new_view_batches ~cache cfg ~view envelopes)
+  in
+  let check = Alcotest.(check (option (list (pair int bool)))) in
+  check "2f valid among the bad three: re-proposed" (Some [ (1, true) ])
+    (derive (certificate prepares));
+  List.iteri
+    (fun k _ ->
+      let rest = List.filteri (fun i _ -> i <> k) prepares in
+      (* Only dropping replica 2's envelope leaves one distinct signer. *)
+      check
+        (Printf.sprintf "without envelope %d" k)
+        (if k = 1 then Some [] else Some [ (1, true) ])
+        (derive (certificate rest)))
+    prepares;
+  check "a batch that does not hash to the digest" (Some [])
+    (derive (certificate ~pbatch:[ request "y" ] prepares));
+  check "a repeated View_change counts once" None
+    (derive [ view_change 1 []; view_change 1 []; view_change 2 [] ]);
+  check "View_changes for another view do not count" None
+    (derive ~view:2 (certificate prepares))
 
 (* Random bodies of every constructor [Msg.body_size] sizes, with field
    values across varint length boundaries, for the exact-size encoder. *)
@@ -258,21 +313,20 @@ let qcheck_envelope_matches_reference =
                 {
                   new_view;
                   stable_seq;
-                  stable_digest = "";
                   prepared =
                     List.map
                       (fun (pseq, pdigest, pbatch) ->
-                        { Msg.pview = 0; pseq; pdigest; pbatch; prepare_sigs = [ (1, "sig") ] })
+                        { Msg.pview = 0; pseq; pdigest; pbatch; prepares = [ "pp" ] })
                       batches;
                   vc_replica;
                 })
             (pair (pair small small) (pair gen_batches replica));
           map
-            (fun ((view, envelopes), (batches, replica)) ->
-              Msg.New_view { view; view_change_envelopes = envelopes; batches; replica })
+            (fun ((view, envelopes), replica) ->
+              Msg.New_view { view; view_change_envelopes = envelopes; replica })
             (pair
                (pair small (list_size (0 -- 3) (string_size (oneof [ 0 -- 20; 100 -- 300 ]))))
-               (pair gen_batches replica));
+               replica);
           map (fun (from_seq, replica) -> Msg.Fetch { from_seq; replica }) (pair small replica);
           map
             (fun (batches, replica) -> Msg.Fetch_reply { batches; replica })
@@ -535,6 +589,33 @@ let test_verification_routine_blocks_invalid () =
   Engine.run ~until:(Time.of_sec 5.0) c.engine;
   Alcotest.(check bool) "illegal op never commits" false !bad;
   Alcotest.(check bool) "legal op commits" true !good;
+  check_agreement c
+
+(* A request the verifier accepts on arrival but rejects at the batch
+   cut (an equal op executed meanwhile) is dropped there with its timer,
+   so the primary does not suspect itself: it is still in view 0, and
+   not changing view, after two request timeouts. *)
+let test_cut_drop_keeps_view () =
+  let c = make_cluster ~batch_max:1 ~max_in_flight:1 () in
+  let cache = no_cache c.cfg in
+  Array.iteri
+    (fun i r ->
+      let executed_ops = Hashtbl.create 4 in
+      Replica.set_verifier r (fun req -> not (Hashtbl.mem executed_ops req.Msg.op));
+      Replica.set_on_executed r (fun ~seq batch ->
+          List.iter (fun req -> Hashtbl.replace executed_ops req.Msg.op ()) batch;
+          c.executed.(i) := (seq, Msg.batch_digest ~cache batch) :: !(c.executed.(i))))
+    c.replicas;
+  let client = make_client c ~dc:2 ~idx:100 in
+  let results = ref [] in
+  for _ = 1 to 2 do
+    Client.submit client "once" ~on_result:(fun r -> results := r :: !results)
+  done;
+  Engine.run ~until:(Time.scale c.cfg.Config.request_timeout 2.0) c.engine;
+  Alcotest.(check (list string)) "the first executes, the second is rejected"
+    [ "__rejected"; "ok:once" ] !results;
+  Alcotest.(check (pair int bool)) "primary in view 0, not changing view" (0, true)
+    (Replica.view c.replicas.(0), Replica.is_normal c.replicas.(0));
   check_agreement c
 
 let test_equivocating_primary_no_divergence () =
@@ -895,6 +976,7 @@ let suite =
       [
         tc "body roundtrip" test_msg_roundtrip;
         tc "envelope verification" test_envelope_verification;
+        tc "new view derived from its certificate" test_new_view_certificate;
         QCheck_alcotest.to_alcotest qcheck_body_size;
         QCheck_alcotest.to_alcotest qcheck_envelope_matches_reference;
         tc "config validation" test_config_validation;
@@ -919,6 +1001,7 @@ let suite =
         tc "primary crash triggers view change" test_primary_crash_view_change;
         tc "view change preserves committed" test_view_change_preserves_committed;
         tc "verification routine blocks invalid ops" test_verification_routine_blocks_invalid;
+        tc "request dropped at the batch cut keeps the view" test_cut_drop_keeps_view;
         tc "equivocating primary cannot diverge state" test_equivocating_primary_no_divergence;
         tc "checkpoint garbage collection" test_checkpoint_garbage_collection;
         tc "randomized safety under faults" test_safety_under_faults_randomized;
