@@ -32,8 +32,8 @@ let reserves t ~src ~dest = List.assoc dest t.units.(src).reserves
 let addrs_for ~fi p = Array.init ((3 * fi) + 1) (fun i -> Addr.make ~dc:p ~idx:i)
 
 let create ~network ~n_participants ?(fi = 1) ?(fg = 0) ?(scheme = `Hmac)
-    ?batch_max ?batch_min_fill ?batch_hold ?max_in_flight
-    ?verify_cost ?verify_jobs ?shard_map ?(cache = true) ~app () =
+    ?batch_max ?batch_min_fill ?batch_hold ?max_in_flight ?shard_map
+    ?(cache = true) ~app () =
   let shard_map =
     match shard_map with Some m -> m | None -> Shard.make ~shards:1 ()
   in
@@ -60,8 +60,7 @@ let create ~network ~n_participants ?(fi = 1) ?(fg = 0) ?(scheme = `Hmac)
         let pbft_cfg =
           Bp_pbft.Config.make ~nodes:all_addrs.(p) ~keystore
             ~tag:(Proto.unit_tag p) ?batch_max ?batch_min_fill
-            ?batch_hold ?max_in_flight ?verify_cost
-            ?verify_jobs ()
+            ?batch_hold ?max_in_flight ()
         in
         let nodes =
           Array.init

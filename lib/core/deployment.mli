@@ -16,8 +16,6 @@ val create :
   ?batch_min_fill:int ->
   ?batch_hold:Bp_sim.Time.t ->
   ?max_in_flight:int ->
-  ?verify_cost:Bp_sim.Time.t ->
-  ?verify_jobs:int ->
   ?shard_map:Shard.map ->
   ?cache:bool ->
   app:(module App.S) ->
@@ -30,9 +28,6 @@ val create :
     batch-cut policy (see {!Bp_pbft.Config}); the defaults reproduce the
     seed's cut-on-any-signal behaviour. Mirror sets
     (fg > 0) are each participant's other datacenters ordered by RTT.
-    [verify_cost] / [verify_jobs] configure the modeled in-replica
-    verification cost (see {!Bp_pbft.Config}); by default the model is
-    off and crypto is free in simulated time, as in the paper.
     [shard_map] (default: one shard) partitions the keyspace across the
     participants' units — shard [s] is participant [s]'s unit, so the
     map may not have more shards than participants. A {!Shard.router}

@@ -14,9 +14,7 @@ val table2_plan : scale:float -> Runner.plan
 
 val pipeline_plan : scale:float -> Runner.plan
 (** Pipeline ablation (beyond the paper): closed-loop 100 KB commits
-    with [batch_max = 1] and the modeled per-signature verification cost
-    enabled, over a grid of verify jobs 1/2/4 x depths 1/2/4/8, one task
-    per grid point, each pinning its own [verify_jobs]. Depth 1
-    reproduces the stop-and-wait baseline; the rows carry throughput,
-    the speedup vs the same jobs level at depth 1, mean and p95 latency
-    and mean pipeline occupancy. *)
+    with [batch_max = 1] over pipeline depths 1/2/4/8, one task per
+    depth. Depth 1 reproduces the stop-and-wait baseline; the rows carry
+    throughput, the speedup vs depth 1, mean and p95 latency and mean
+    pipeline occupancy. *)

@@ -11,7 +11,7 @@ type world = {
    would default to 8. *)
 let fresh_world ?(fi = 1) ?(fg = 0) ?(seed = 4242L) ?(n_participants = 4)
     ?scheme ?batch_max ?batch_min_fill ?batch_hold ?(max_in_flight = 1)
-    ?verify_cost ?verify_jobs ?shard_map
+    ?shard_map
     ?(app = (module Blockplane.App.Null : Blockplane.App.S)) () =
   let engine = Engine.create ~seed () in
   (* More participants than the paper's four regions: tile the Table I
@@ -25,8 +25,7 @@ let fresh_world ?(fi = 1) ?(fg = 0) ?(seed = 4242L) ?(n_participants = 4)
   let net = Network.create engine topology () in
   let dep =
     Blockplane.Deployment.create ~network:net ~n_participants ~fi ~fg ?scheme
-      ?batch_max ?batch_min_fill ?batch_hold ~max_in_flight ?verify_cost
-      ?verify_jobs ?shard_map ~app ()
+      ?batch_max ?batch_min_fill ?batch_hold ~max_in_flight ?shard_map ~app ()
   in
   { engine; net; dep }
 

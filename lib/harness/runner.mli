@@ -18,8 +18,6 @@ val fresh_world :
   ?batch_min_fill:int ->
   ?batch_hold:Bp_sim.Time.t ->
   ?max_in_flight:int ->
-  ?verify_cost:Bp_sim.Time.t ->
-  ?verify_jobs:int ->
   ?shard_map:Blockplane.Shard.map ->
   ?app:(module Blockplane.App.S) ->
   unit ->

@@ -10,8 +10,6 @@ type t = {
   checkpoint_interval : int;
   watermark_window : int;
   max_in_flight : int;
-  verify_cost : Bp_sim.Time.t;
-  verify_jobs : int;
   identities : string Bp_sim.Addr.Tbl.t;
 }
 
@@ -35,8 +33,7 @@ let reply_tag t = t.tag ^ ".reply"
 let make ~nodes ~keystore ?(tag = "pbft") ?(batch_max = 64)
     ?(batch_min_fill = 1) ?(batch_hold = Bp_sim.Time.zero)
     ?(request_timeout = Bp_sim.Time.of_ms 500.0) ?(checkpoint_interval = 32)
-    ?(watermark_window = 128) ?(max_in_flight = 8)
-    ?(verify_cost = Bp_sim.Time.zero) ?(verify_jobs = 1) () =
+    ?(watermark_window = 128) ?(max_in_flight = 8) () =
   let n = Array.length nodes in
   if n < 4 || (n - 1) mod 3 <> 0 then
     invalid_arg "Pbft.Config.make: need n = 3f+1 >= 4 nodes";
@@ -60,8 +57,6 @@ let make ~nodes ~keystore ?(tag = "pbft") ?(batch_max = 64)
     invalid_arg "Pbft.Config.make: watermark_window must be positive";
   if max_in_flight <= 0 then
     invalid_arg "Pbft.Config.make: max_in_flight must be positive";
-  if verify_jobs <= 0 then
-    invalid_arg "Pbft.Config.make: verify_jobs must be positive";
   if checkpoint_interval > watermark_window then
     (* The window must span at least one checkpoint, or the protocol
        wedges: no stable checkpoint can form inside the window, so the
@@ -83,8 +78,6 @@ let make ~nodes ~keystore ?(tag = "pbft") ?(batch_max = 64)
       (* The pipeline can never usefully exceed the watermark window: slots
          beyond it are rejected by every replica's in_window check. *)
       max_in_flight = Int.min max_in_flight watermark_window;
-      verify_cost;
-      verify_jobs;
       identities = Bp_sim.Addr.Tbl.create 16;
     }
   in

@@ -28,19 +28,6 @@ type t = {
           simultaneously in the pre-prepare/prepare/commit phases. 1
           reproduces classic stop-and-wait batching; clamped to
           [watermark_window]. *)
-  verify_cost : Bp_sim.Time.t;
-      (** modeled simulated-time cost of verifying one signature on one
-          core. [Time.zero] (the default) disables the model entirely —
-          the seed behaviour, where crypto is free in simulated time.
-          When positive, each slot books
-          [ceil(units / verify_jobs) * verify_cost] on the replica's
-          single verification resource (units = batch size + 2f proof
-          signatures) and the slot's commit vote waits for it. Used by
-          the ablation-pipeline experiment, whose jobs x depth grid
-          studies how parallel verification interacts with pipelining. *)
-  verify_jobs : int;
-      (** modeled verification parallelism dividing [verify_cost]
-          charges (default 1). Irrelevant while [verify_cost] is zero. *)
   identities : string Bp_sim.Addr.Tbl.t;
       (** memo behind {!identity}, filled by {!make} and on first use;
           not for direct use. *)
@@ -57,8 +44,6 @@ val make :
   ?checkpoint_interval:int ->
   ?watermark_window:int ->
   ?max_in_flight:int ->
-  ?verify_cost:Bp_sim.Time.t ->
-  ?verify_jobs:int ->
   unit ->
   t
 (** [f] is derived as [(n-1)/3]; requires [n = 3f+1 >= 4]. Registers every

@@ -28,11 +28,6 @@ type slot = {
   mutable executed : bool;
   mutable in_pipeline : bool;
       (* counted in [t.pipeline]: has a digest, not yet committed *)
-  mutable verify_ready : Time.t;
-      (* modeled verification cost: simulated instant at which this
-         slot's signature checks finish on the replica's verify
-         resource; [Time.zero] (always, when the model is off) means
-         "already done" *)
 }
 
 type status = Normal | View_changing of int
@@ -106,9 +101,6 @@ type t = {
   mutable fetching : bool;
   mutable stopped : bool;
   mutable suppress_commits : bool;
-  mutable verify_busy : Time.t;
-      (* modeled verification resource: simulated instant at which the
-         replica's verification cores drain the work already booked *)
 }
 
 let view t = t.view
@@ -145,29 +137,6 @@ let batch_stats (t : t) =
     hold_deferrals = t.hold_deferrals;
   }
 
-(* Modeled verification cost. The simulator charges zero simulated time
-   for crypto (the only time model is the NIC and the links), which is
-   right for the golden experiments but hides the verify bottleneck the
-   pipeline ablations study. When [Config.verify_cost] is positive, a
-   slot entering the pipeline books its verification work — batch size
-   plus 2f proof signatures, divided across [Config.verify_jobs]
-   simulated cores — on the replica's single verification resource, and
-   the slot's commit vote waits for the booked work to drain (see
-   check_prepared). With the default zero cost nothing is booked and
-   the seed timing is bit-identical. *)
-let charge_verification t s =
-  let cost = t.cfg.Config.verify_cost in
-  if Time.(cost > Time.zero) then begin
-    let units = List.length s.batch + (2 * t.cfg.Config.f) in
-    let jobs = t.cfg.Config.verify_jobs in
-    let rounds = (units + jobs - 1) / jobs in
-    let service = Time.scale cost (float_of_int rounds) in
-    let start = Time.max (Engine.now t.engine) t.verify_busy in
-    let ready = Time.add start service in
-    t.verify_busy <- ready;
-    s.verify_ready <- ready
-  end
-
 (* A slot enters the pipeline when it gains a digest (the primary's own
    proposal, an accepted pre-prepare, or a new-view re-proposal) and
    leaves when it commits. The per-slot flag keeps the counter exact
@@ -177,8 +146,7 @@ let pipeline_enter t s =
     s.in_pipeline <- true;
     t.pipeline <- t.pipeline + 1;
     t.occ_sum <- t.occ_sum + t.pipeline;
-    t.occ_samples <- t.occ_samples + 1;
-    charge_verification t s
+    t.occ_samples <- t.occ_samples + 1
   end
 
 let pipeline_leave t s =
@@ -231,7 +199,6 @@ let slot_of t seq =
           committed = false;
           executed = false;
           in_pipeline = false;
-          verify_ready = Time.zero;
         }
       in
       t.slots <- Int_map.add seq s t.slots;
@@ -481,44 +448,20 @@ and check_prepared t s =
            may already have voted, so it may be committed elsewhere) —
            execution then downgrades its requests to deterministic no-op
            rejections. Without that, a prepared-but-invalid slot wedges
-           the window behind endless view changes. At depth 1 the seed
-           semantics are unchanged: a failing verdict always withholds. *)
+           the window behind endless view changes. At depth 1 a failing
+           verdict always withholds and execution does not re-verify; that
+           depth-1 gate, paired with the one in try_execute, is the known
+           Lemma 3 hole (ROADMAP item 1: two withdrawals sharing a batch
+           both commit). *)
         let all_valid = List.for_all t.verifier s.batch in
         let verdict_final =
           t.cfg.Config.max_in_flight > 1 && s.seq = t.last_exec + 1
         in
         if all_valid || verdict_final then begin
           s.sent_commit <- true;
-          if not t.suppress_commits then begin
-            let now = Engine.now t.engine in
-            if Time.(s.verify_ready <= now) then
-              broadcast t
-                (Msg.Commit { view = s.sview; seq = s.seq; digest; replica = t.id })
-            else begin
-              (* Modeled verification (Config.verify_cost) still in
-                 flight for this slot: the vote goes out when the
-                 simulated verify resource drains it. The guards re-check
-                 at fire time that the slot still stands for the same
-                 (view, digest) — a view change in between resets
-                 sent_commit and re-proposes under a new sview. *)
-              let view_c = s.sview in
-              ignore
-                (Engine.schedule t.engine ~after:(Time.diff s.verify_ready now)
-                   (fun () ->
-                     if
-                       (not t.stopped) && is_normal t && s.sent_commit
-                       && s.sview = view_c
-                       && not t.suppress_commits
-                       &&
-                       match s.digest with
-                       | Some d -> String.equal d digest
-                       | None -> false
-                     then
-                       broadcast t
-                         (Msg.Commit
-                            { view = view_c; seq = s.seq; digest; replica = t.id })))
-            end
-          end
+          if not t.suppress_commits then
+            broadcast t
+              (Msg.Commit { view = s.sview; seq = s.seq; digest; replica = t.id })
         end
       end
 
@@ -1051,7 +994,6 @@ let create ~cache transport cfg ~id ~execute () =
       fetching = false;
       stopped = false;
       suppress_commits = false;
-      verify_busy = Time.zero;
     }
   in
   (* Sequence 0 is a virtual, pre-executed genesis slot. *)

@@ -441,41 +441,23 @@ let test_saturation_load_knobs () =
 
 let test_pipeline_ablation_shape () =
   let r = find_report "pipeline" (run "ablation-pipeline" ~scale:0.3) in
-  let jobs_levels = [ "1"; "2"; "4" ] and depths = [ "1"; "2"; "4"; "8" ] in
-  (* Rows: jobs, depth, MB/s, speedup, mean ms, p95 ms, occupancy. *)
-  Alcotest.(check (list (pair string string))) "one row per (jobs, depth)"
-    (List.concat_map (fun j -> List.map (fun d -> (j, d)) depths) jobs_levels)
-    (List.map (fun row -> (List.nth row 0, List.nth row 1)) r.Report.rows);
-  let row j d =
-    List.find (fun row -> List.nth row 0 = j && List.nth row 1 = d) r.Report.rows
-  in
-  let mbps j d = col (row j d) 2
-  and speedup j d = unit_float (List.nth (row j d) 3)
-  and occupancy j d = col (row j d) 6 in
-  List.iter
-    (fun j ->
-      Alcotest.(check string) ("jobs " ^ j ^ ": depth 1 is its own baseline")
-        "1.00x" (List.nth (row j "1") 3);
-      Alcotest.(check bool) ("jobs " ^ j ^ ": depth-1 occupancy = 1") true
-        (abs_float (occupancy j "1" -. 1.0) < 0.01))
-    jobs_levels;
+  (* Rows: depth, MB/s, speedup, mean ms, p95 ms, occupancy. *)
+  Alcotest.(check (list string)) "one row per depth" [ "1"; "2"; "4"; "8" ]
+    (List.map (fun row -> List.nth row 0) r.Report.rows);
+  let row d = List.find (fun row -> List.nth row 0 = d) r.Report.rows in
+  let speedup d = unit_float (List.nth (row d) 2)
+  and occupancy d = col (row d) 5 in
+  Alcotest.(check string) "depth 1 is the baseline" "1.00x"
+    (List.nth (row "1") 2);
+  Alcotest.(check bool) "depth-1 occupancy = 1" true
+    (abs_float (occupancy "1" -. 1.0) < 0.01);
   (* The acceptance bar: the default depth beats stop-and-wait by >=1.3x
-     in closed-loop throughput on one verify core, with the window
-     actually occupied. *)
+     in closed-loop throughput, with the window actually occupied. *)
   Alcotest.(check bool)
-    (Printf.sprintf "depth-8 speedup %.2fx >= 1.3" (speedup "1" "8"))
+    (Printf.sprintf "depth-8 speedup %.2fx >= 1.3" (speedup "8"))
     true
-    (speedup "1" "8" >= 1.3);
-  Alcotest.(check bool) "depth-8 occupancy > 2" true (occupancy "1" "8" > 2.0);
-  (* More verify cores never cost throughput at any depth. *)
-  List.iter
-    (fun d ->
-      let thr = List.map (fun j -> mbps j d) jobs_levels in
-      Alcotest.(check bool)
-        (Printf.sprintf "depth %s: MB/s non-decreasing in jobs" d)
-        true
-        (List.sort Float.compare thr = thr))
-    depths
+    (speedup "8" >= 1.3);
+  Alcotest.(check bool) "depth-8 occupancy > 2" true (occupancy "8" > 2.0)
 
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
