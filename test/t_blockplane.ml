@@ -254,6 +254,44 @@ let test_app_verification_blocks_commit () =
   Alcotest.(check bool) "bad never committed" false !bad_done;
   Alcotest.(check bool) "replicas agree" true (Deployment.app_digests_agree w.dep 0)
 
+(* ROADMAP item 20, first defect: [Api.send] numbers [comm_seq] at
+   submission, so a send its own unit rejects leaves a hole in that
+   destination's sequence. Here "bad" takes number 0 and is rejected;
+   "good" commits at the source with number 1, and participant 1 waits
+   for number 0 forever. The rejection itself never reaches the sender
+   either (the second defect). The fix for item 20 flips both labelled
+   assertions. *)
+let test_rejected_send_blocks_channel_known_hole () =
+  let module Refuse_bad = struct
+    type state = unit
+
+    let create ~participant:_ ~n_participants:_ = ()
+
+    let verify () record =
+      match record with
+      | Record.Comm { Record.payload = "bad"; _ } -> false
+      | _ -> true
+
+    let apply () ~hash:_ _ = ()
+    let digest () = ""
+    let describe () = ""
+  end in
+  let w = make_world ~n_participants:2 ~app:(module Refuse_bad) () in
+  let api0 = Deployment.api w.dep 0 and api1 = Deployment.api w.dep 1 in
+  let got = ref [] and bad_rejected = ref false and good_done = ref false in
+  Api.on_receive api1 (fun ~src:_ payload -> got := payload :: !got);
+  Api.send api0 ~dest:1 "bad"
+    ~on_rejected:(fun () -> bad_rejected := true)
+    ~on_done:ignore;
+  Api.send api0 ~dest:1 "good" ~on_done:(fun () -> good_done := true);
+  run w (Time.of_sec 10.0);
+  Alcotest.(check bool) "good commits at the source" true !good_done;
+  Alcotest.(check (pair (list string) int))
+    "ROADMAP item 20: good is never delivered (comm_seq 0 is a hole)" ([], -1)
+    (!got, Unit_node.last_received (Deployment.node w.dep 1 0) ~src:0);
+  Alcotest.(check bool) "ROADMAP item 20: bad's rejection never reaches the sender"
+    false !bad_rejected
+
 let test_malicious_daemon_reserve_promotion () =
   let w = make_world () in
   let api0 = Deployment.api w.dep 0 in
@@ -857,6 +895,8 @@ let suite =
       [
         tc "log-commit roundtrip" test_log_commit_roundtrip;
         tc "app verification blocks commit" test_app_verification_blocks_commit;
+        tc "rejected send blocks its channel (known hole, item 20)"
+          test_rejected_send_blocks_channel_known_hole;
         tc "read strategies" test_read_strategies;
       ] );
     ( "blockplane.comm",

@@ -583,12 +583,36 @@ let test_verification_routine_blocks_invalid () =
     (fun r -> Replica.set_verifier r (fun req -> req.Msg.kind <> 7))
     c.replicas;
   let client = make_client c ~dc:2 ~idx:100 in
-  let bad = ref false and good = ref false in
-  Client.submit client ~kind:7 "illegal" ~on_result:(fun _ -> bad := true);
+  let bad = ref None and good = ref false in
+  Client.submit client ~kind:7 "illegal" ~on_result:(fun r -> bad := Some r);
   Client.submit client ~kind:0 "legal" ~on_result:(fun _ -> good := true);
   Engine.run ~until:(Time.of_sec 5.0) c.engine;
-  Alcotest.(check bool) "illegal op never commits" false !bad;
+  (* A rejection answer is fine; only an execution of the op is not. *)
+  Alcotest.(check bool) "illegal op never commits" false
+    (Option.equal String.equal !bad (Some "ok:illegal"));
   Alcotest.(check bool) "legal op commits" true !good;
+  check_agreement c
+
+(* ROADMAP item 20, second defect: a request the primary pre-rejects
+   gets one "__rejected" reply of the f+1 its client needs. The client's
+   rebroadcast reaches backups whose last_reply already holds the later
+   request of the same client, so every replica drops it and the
+   request never answers. The fix for item 20 flips the labelled
+   assertion to an answer. *)
+let test_pre_rejected_never_answers_known_hole () =
+  let c = make_cluster () in
+  Array.iter
+    (fun r -> Replica.set_verifier r (fun req -> req.Msg.kind <> 7))
+    c.replicas;
+  let client = make_client c ~dc:2 ~idx:100 in
+  let bad = ref None and good = ref None in
+  Client.submit client ~kind:7 "illegal" ~on_result:(fun r -> bad := Some r);
+  Client.submit client ~kind:0 "legal" ~on_result:(fun r -> good := Some r);
+  Engine.run ~until:(Time.of_sec 10.0) c.engine;
+  Alcotest.(check (option string)) "legal op commits" (Some "ok:legal") !good;
+  Alcotest.(check (pair (option string) int))
+    "ROADMAP item 20: the pre-rejected request never answers" (None, 1)
+    (!bad, Client.in_flight client);
   check_agreement c
 
 (* A request the verifier accepts on arrival but rejects at the batch
@@ -1001,6 +1025,8 @@ let suite =
         tc "primary crash triggers view change" test_primary_crash_view_change;
         tc "view change preserves committed" test_view_change_preserves_committed;
         tc "verification routine blocks invalid ops" test_verification_routine_blocks_invalid;
+        tc "pre-rejected request never answers (known hole, item 20)"
+          test_pre_rejected_never_answers_known_hole;
         tc "request dropped at the batch cut keeps the view" test_cut_drop_keeps_view;
         tc "equivocating primary cannot diverge state" test_equivocating_primary_no_divergence;
         tc "checkpoint garbage collection" test_checkpoint_garbage_collection;
