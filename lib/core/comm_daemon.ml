@@ -122,11 +122,15 @@ let on_sign_response t ~dest ~comm_seq ~identity ~signature =
           Unit_node.attests t.node ~participant:(Unit_node.participant t.node)
             identity
           && (not (List.mem_assoc identity st.sigs))
-          && Bp_crypto.Verify_batch.verify_one ~cache:(Unit_node.vcache t.node)
-               (Bp_crypto.Verify_batch.global ())
-               ~signer:identity
-               ~msg:(Unit_node.transmission_statement t.node st.txn)
-               ~signature
+          && List.for_all Fun.id
+               (Bp_crypto.Verify_cache.verify_batch (Unit_node.vcache t.node)
+                  [
+                    {
+                      Bp_crypto.Verify_cache.signer = identity;
+                      msg = Unit_node.transmission_statement t.node st.txn;
+                      signature;
+                    };
+                  ])
         then begin
           st.sigs <- (identity, signature) :: st.sigs;
           maybe_ready t st

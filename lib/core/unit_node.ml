@@ -108,28 +108,24 @@ let bundle_jobs t ~from_participant ~statement sigs =
   List.filter_map
     (fun (identity, signature) ->
       if attests t ~participant:from_participant identity then
-        Some { Bp_crypto.Verify_batch.signer = identity; msg = statement; signature }
+        Some { Bp_crypto.Verify_cache.signer = identity; msg = statement; signature }
       else None)
     sigs
 
-(* One Verify_batch batch for the whole fi+1 bundle instead of a
+(* One counted batch for the whole fi+1 bundle instead of a
    per-signature loop. The walk over verdicts reproduces the sequential
    counting rule exactly: an identity only enters [seen] once a
    signature of its verifies, so several (even byzantine-duplicated)
    copies count at most once. *)
 let valid_sig_bundle t ~from_participant ~statement ~needed sigs =
   let jobs = bundle_jobs t ~from_participant ~statement sigs in
-  let verdicts =
-    Bp_crypto.Verify_batch.verify ~cache:t.vcache
-      (Bp_crypto.Verify_batch.global ())
-      jobs
-  in
+  let verdicts = Bp_crypto.Verify_cache.verify_batch t.vcache jobs in
   (* [seen] holds at most one bundle's signers, so a list is the
      cheapest set. *)
   let rec count seen n jobs verdicts =
     match (jobs, verdicts) with
     | [], [] -> n
-    | { Bp_crypto.Verify_batch.signer; _ } :: jobs, verdict :: verdicts ->
+    | { Bp_crypto.Verify_cache.signer; _ } :: jobs, verdict :: verdicts ->
         if verdict && not (List.exists (String.equal signer) seen) then
           count (signer :: seen) (n + 1) jobs verdicts
         else count seen n jobs verdicts
@@ -309,10 +305,7 @@ let preverify t batch =
   match jobs with
   | [] -> ()
   | _ :: _ ->
-      ignore
-        (Bp_crypto.Verify_batch.verify ~cache:t.vcache
-           (Bp_crypto.Verify_batch.global ())
-           jobs)
+      ignore (Bp_crypto.Verify_cache.verify_batch t.vcache jobs)
 
 (* ---------- execution ---------- *)
 

@@ -31,8 +31,6 @@ type t = {
 let create ?(scheme = `Hmac) rng =
   { scheme; rng; identities = Id_tbl.create 64; generation = 0 }
 
-let scheme t = t.scheme
-
 let generation t = t.generation
 
 (* 64 one-time keys per pool; pools are rolled over transparently when

@@ -22,8 +22,6 @@ type scheme = [ `Hmac | `Hash_based ]
 val create : ?scheme:scheme -> Bp_util.Rng.t -> t
 (** Defaults to [`Hmac]. *)
 
-val scheme : t -> scheme
-
 val add_identity : t -> string -> unit
 (** Provision keys for a new identity. Idempotent. For [`Hash_based] the
     one-time key pool is sized for long simulations (4096 signatures). *)

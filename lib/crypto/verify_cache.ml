@@ -36,7 +36,8 @@
    drop, which only under-counts diagnostics and never affects results.
    They configure nothing: their reader is the benchmark probe
    ([bench/e2e/probe.ml]), hence the R8 allow on each until a per-node
-   metrics registry replaces them. *)
+   metrics registry replaces them. The last two count the receive paths'
+   batches ([verify_batch]) and the jobs across them. *)
 
 type counters = {
   verify_hits : int;
@@ -49,6 +50,8 @@ let c_verify_hits = ref 0 [@@bplint.allow "R8-harnessglobal"]
 let c_verify_misses = ref 0 [@@bplint.allow "R8-harnessglobal"]
 let c_digest_hits = ref 0 [@@bplint.allow "R8-harnessglobal"]
 let c_digest_misses = ref 0 [@@bplint.allow "R8-harnessglobal"]
+let c_batches = ref 0 [@@bplint.allow "R8-harnessglobal"]
+let c_batch_jobs = ref 0 [@@bplint.allow "R8-harnessglobal"]
 
 let counters () =
   {
@@ -58,11 +61,17 @@ let counters () =
     digest_misses = !c_digest_misses;
   }
 
+type batch_counters = { batches : int; jobs_submitted : int }
+
+let batch_counters () = { batches = !c_batches; jobs_submitted = !c_batch_jobs }
+
 let reset_counters () =
   c_verify_hits := 0;
   c_verify_misses := 0;
   c_digest_hits := 0;
-  c_digest_misses := 0
+  c_digest_misses := 0;
+  c_batches := 0;
+  c_batch_jobs := 0
 
 (* ---------- one FIFO ring behind an open-addressed index ----------
 
@@ -400,8 +409,6 @@ let create ?(capacity = 4096) ?(digest_budget = 8 * 1024 * 1024) keystore =
     i_sha_bytes = 0;
   }
 
-let keystore t = t.keystore
-
 let instance_counters t =
   {
     verify_hits = t.i_verify_hits;
@@ -606,6 +613,18 @@ let verify t ~signer ~msg ~signature =
     store t ~signer ~signature h slot ~msg ~gen v;
     v
   end
+
+(* A batch of independent checks (the fi+1 signatures on a transmission
+   record, the per-request client signatures of a pre-prepare) is counted
+   once and answered job by job through [verify], in job order: the
+   verdict list is the sequential one, and a key repeated inside a batch
+   is computed once. *)
+type job = { signer : string; msg : string; signature : string }
+
+let verify_batch t jobs =
+  incr c_batches;
+  c_batch_jobs := !c_batch_jobs + List.length jobs;
+  List.map (fun { signer; msg; signature } -> verify t ~signer ~msg ~signature) jobs
 
 let sign t ~signer msg =
   let signature = Signer.sign t.keystore ~signer msg in

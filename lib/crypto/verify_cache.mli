@@ -37,8 +37,6 @@ val create : ?capacity:int -> ?digest_budget:int -> Signer.t -> t
     doubling as they fill, so a short-lived cache never pays for its
     full size. *)
 
-val keystore : t -> Signer.t
-
 val verify : t -> signer:string -> msg:string -> signature:string -> bool
 (** Memoized {!Signer.verify}: same verdicts, bit for bit. Keyed by
     [(signer, signature)] with the stored message compared on every probe,
@@ -47,6 +45,19 @@ val verify : t -> signer:string -> msg:string -> signature:string -> bool
     loads; a hit allocates nothing, and neither does storing the verdict
     of a miss whose key is inline (up to 512 bytes), once the table has
     reached its size. *)
+
+type job = { signer : string; msg : string; signature : string }
+(** One registry-keyed check, for {!verify_batch}. *)
+
+val verify_batch : t -> job list -> bool list
+(** Count one batch of [List.length jobs] jobs ({!batch_counters}), then
+    {!verify} each job, in order. The verdict list is element-wise equal
+    to sequential {!verify} (and {!Signer.verify}) calls, and a key
+    repeated inside the batch is computed once unless the cache keeps
+    nothing. The receive paths check every batch of independent
+    signatures through it: a pre-prepare's client signatures, a
+    transmission record's fi+1 bundle, and the comm daemon's single
+    check, as a batch of one. *)
 
 val probe : t -> signer:string -> msg:string -> signature:string -> bool option
 (** Lookup half of {!verify}: [Some verdict] on a fresh-generation hit,
@@ -144,4 +155,13 @@ val sha_bytes : t -> int
     {!lookup_digest} and their [_with] twins, hits in either memo
     excluded. Kept per instance only. *)
 
+type batch_counters = {
+  batches : int; (** calls to {!verify_batch} *)
+  jobs_submitted : int; (** jobs across them *)
+}
+
+val batch_counters : unit -> batch_counters
+(** Process-global, like {!counters}. A plain {!verify} counts no batch. *)
+
 val reset_counters : unit -> unit
+(** Zeroes {!counters} and {!batch_counters}. *)

@@ -1,9 +1,8 @@
-(* Fork-join over OCaml 5 domains — with the stats mutex in
-   lib/crypto/verify_batch, the one place in the tree where multicore
-   primitives are allowed (bplint R2-domain). The caller and its helpers
-   claim task indices from one atomic counter and store each outcome in
-   the slot of its index; the caller reads the slots after joining every
-   helper, so scheduling order never leaks into results.
+(* Fork-join over OCaml 5 domains — the one place in the tree where
+   multicore primitives are allowed (bplint R2-domain). The caller and
+   its helpers claim task indices from one atomic counter and store each
+   outcome in the slot of its index; the caller reads the slots after
+   joining every helper, so scheduling order never leaks into results.
 
    Indices are claimed in increasing order, so when task [i] fails every
    lower index has already been claimed and runs to its end: the

@@ -1,9 +1,8 @@
 (** Fork-join over worker domains for independent, closed tasks.
 
-    This is the only general-purpose module in the repository allowed to
-    touch the multicore primitives ([Domain] / [Atomic] — enforced by the
-    bplint R2-domain rule, which also exempts the stats mutex of
-    [Bp_crypto.Verify_batch]): protocol and simulator code stays
+    This is the only module in the repository allowed to touch the
+    multicore primitives ([Domain] / [Atomic] — enforced by the bplint
+    R2-domain rule): protocol and simulator code stays
     single-domain deterministic, and parallelism exists purely at the
     granularity of closed tasks — a whole seeded simulation. {!run}
     returns results in task-index order, so a parallel run is

@@ -456,7 +456,7 @@ let request_valid ~cache cfg r =
 
 (* Batched spelling of [List.for_all (request_valid ~cache cfg)]: the
    per-request payloads and identities are derived first, then every
-   signature checks as one [Verify_batch] batch. *)
+   signature checks as one counted batch. *)
 let requests_valid ~cache cfg batch =
   match batch with
   | [] -> true
@@ -470,15 +470,13 @@ let requests_valid ~cache cfg batch =
                 ~ts:r.ts ~kind:r.kind ~op:r.op
             in
             {
-              Bp_crypto.Verify_batch.signer = Config.identity cfg r.client;
+              Bp_crypto.Verify_cache.signer = Config.identity cfg r.client;
               msg = payload;
               signature = r.client_sig;
             })
           batch
       in
-      let ctx = Bp_crypto.Verify_batch.global () in
-      let verdicts = Bp_crypto.Verify_batch.verify ~cache ctx jobs in
-      List.for_all Fun.id verdicts
+      List.for_all Fun.id (Bp_crypto.Verify_cache.verify_batch cache jobs)
 
 (* Hashes each request's image on its own: the request's encoding, with
    its op replaced by the op's digest when the batch is heavy enough to

@@ -112,8 +112,8 @@ val body_equal : body -> body -> bool
     on the payload.
 
     Every signing and checking function takes the calling principal's
-    [cache]: its keystore ({!Bp_crypto.Verify_cache.keystore}) signs and
-    verifies, and it memoizes digests and verdicts per node. How much the
+    [cache]: the keystore it was created over signs and verifies, and it
+    memoizes digests and verdicts per node. How much the
     cache keeps (a zero-capacity one included) never changes any
     produced byte or verdict — only how fast they come back. *)
 
@@ -132,10 +132,10 @@ val request_valid : cache:Bp_crypto.Verify_cache.t -> Config.t -> request -> boo
 val requests_valid :
   cache:Bp_crypto.Verify_cache.t -> Config.t -> request list -> bool
 (** Conjunction of {!request_valid} over the batch, with the signature
-    checks submitted as one [Bp_crypto.Verify_batch] batch (through the
-    process-global context). Verdict is identical to the sequential fold;
-    the only observable difference is that verification does not
-    short-circuit at the first invalid request. *)
+    checks of two or more requests counted as one
+    {!Bp_crypto.Verify_cache.verify_batch}. Verdict is identical to the
+    sequential fold; the only observable difference is that verification
+    does not short-circuit at the first invalid request. *)
 
 val batch_digest : cache:Bp_crypto.Verify_cache.t -> request list -> string
 (** Digest of a batch proposal. Above the content-weight cutoff this

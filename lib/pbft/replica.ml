@@ -721,7 +721,7 @@ and handle_pre_prepare t ~view ~seq ~digest ~batch =
     is_normal t && view = t.view && in_window t seq
     && Config.primary_of_view t.cfg view <> t.id
     && String.equal digest (Msg.batch_digest ~cache:t.cache batch)
-    (* One Verify_batch batch for the whole batch's client signatures,
+    (* One counted batch for the whole batch's client signatures,
        not a per-request loop (verdict identical). *)
     && Msg.requests_valid ~cache:t.cache t.cfg batch
   then begin

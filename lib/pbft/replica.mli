@@ -129,8 +129,9 @@ val set_preverifier : t -> (Msg.request list -> unit) -> unit
     pre-prepare is accepted for a slot that is {e not} next to execute,
     the replica calls the hook with the batch at once; the hook may run
     the signature checks the verification routines will need (e.g. a
-    [Bp_crypto.Verify_batch] of the transmission-record signature sets),
-    so they hit the per-node cache when the slot is judged. This only
+    [Bp_crypto.Verify_cache.verify_batch] of the transmission-record
+    signature sets), so they hit the per-node cache when the slot is
+    judged. This only
     moves cache work — verdicts are identical whether or not a hook is
     installed. *)
 

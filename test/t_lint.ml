@@ -194,7 +194,8 @@ let test_clean_fixture () =
     (List.length diags)
 
 (* The R2-domain exemption is anchored on whole path segments — a
-   near-miss filename sharing a prefix must not inherit it. *)
+   near-miss filename sharing a prefix must not inherit it — and covers
+   lib/parallel alone. *)
 let test_segment_matching () =
   Alcotest.(check bool) "exact file matches" true
     (Lint.path_matches ~pattern:"lib/crypto/verify_batch"
@@ -208,7 +209,7 @@ let test_segment_matching () =
     (Lint.path_matches ~pattern:"crypto/verify_batch"
        "lib/crypto/verify_batch.ml");
   let has rule source = List.mem rule (Lint.policy ~source) in
-  Alcotest.(check bool) "verify_batch.ml is R2-domain exempt" false
+  Alcotest.(check bool) "verify_batch.ml is NOT R2-domain exempt" true
     (has "R2-domain" "lib/crypto/verify_batch.ml");
   Alcotest.(check bool) "verify_batchx.ml is NOT exempt" true
     (has "R2-domain" "lib/crypto/verify_batchx.ml");
@@ -248,7 +249,7 @@ let test_policy () =
     (has "R2-domain" "lib/pbft/replica.ml");
   Alcotest.(check bool) "parallel exempt from R2-domain" false
     (has "R2-domain" "lib/parallel/pool.ml");
-  Alcotest.(check bool) "verify_batch exempt from R2-domain" false
+  Alcotest.(check bool) "verify_batch gets R2-domain" true
     (has "R2-domain" "lib/crypto/verify_batch.ml");
   Alcotest.(check bool) "rest of crypto still gets R2-domain" true
     (has "R2-domain" "lib/crypto/signer.ml");
@@ -275,14 +276,14 @@ let test_policy () =
     (List.length (Lint.policy ~source:"tools/bplint/fixtures/fx_r6.ml"))
 
 (* The policy exemption, proven end-to-end on the fixture: the same .cmt
-   full of multicore primitives is clean when linted under
-   lib/crypto/verify_batch's rule set but flags under any other
-   lib/crypto module's. *)
+   full of multicore primitives is clean when linted under lib/parallel's
+   rule set but flags under any lib/crypto module's, verify_batch's
+   included. *)
 let test_r2_domain_exemption_applies () =
   let lint_as source =
     Lint.lint_cmt ~rules:(Lint.policy ~source) (fixture "Fx_r2")
   in
-  Alcotest.(check int) "verify_batch source: no R2-domain findings" 0
+  Alcotest.(check int) "verify_batch source: R2-domain findings remain" 3
     (count "R2-domain" (lint_as "lib/crypto/verify_batch.ml"));
   Alcotest.(check int) "other crypto source: R2-domain findings remain" 3
     (count "R2-domain" (lint_as "lib/crypto/signer.ml"));

@@ -1,10 +1,10 @@
-(* Batched verification (lib/crypto/verify_batch): differential tests
-   against the sequential reference.
+(* Batched verification ([Verify_cache.verify_batch]): differential
+   tests against the sequential reference.
 
-   The contract under test: for any batch of jobs, [Verify_batch.verify]
-   returns exactly the verdict list the sequential [Signer.verify] calls
-   would — through a full or a zero-capacity [Verify_cache], and across
-   keystore generation churn. *)
+   The contract under test: for any batch of jobs, [verify_batch] returns
+   exactly the verdict list the sequential [Signer.verify] calls would —
+   through a full or a zero-capacity [Verify_cache], and across keystore
+   generation churn — and counts one batch of every job. *)
 
 open Bp_crypto
 
@@ -30,28 +30,28 @@ let build_job ~keystore (code, i) =
   match abs code mod 4 with
   | 0 ->
       (* valid registry-keyed signature *)
-      { Verify_batch.signer; msg; signature = Signer.sign keystore ~signer msg }
+      { Verify_cache.signer; msg; signature = Signer.sign keystore ~signer msg }
   | 1 ->
       (* tampered signature bytes *)
       {
-        Verify_batch.signer;
+        Verify_cache.signer;
         msg;
         signature = tamper (Signer.sign keystore ~signer msg);
       }
   | 2 ->
       (* ghost: identity never registered *)
-      { Verify_batch.signer = "ghost"; msg; signature = "sig" }
+      { Verify_cache.signer = "ghost"; msg; signature = "sig" }
   | _ ->
       (* signed by one identity, claimed by another *)
       let other = idents.((abs i + 1) mod Array.length idents) in
       {
-        Verify_batch.signer = other;
+        Verify_cache.signer = other;
         msg;
         signature = Signer.sign keystore ~signer msg;
       }
 
 (* The sequential reference, job by job. *)
-let reference ~keystore { Verify_batch.signer; msg; signature } =
+let reference ~keystore { Verify_cache.signer; msg; signature } =
   Signer.verify keystore ~signer ~msg ~signature
 
 let scenario_arbitrary =
@@ -70,15 +70,14 @@ let differential_test =
       let jobs = List.mapi (fun i code -> build_job ~keystore (code, i)) codes in
       if churn then Signer.add_identity keystore "late-arrival";
       let expected = List.map (reference ~keystore) jobs in
-      let ctx = Verify_batch.create () in
-      let plain = Verify_batch.verify ~cache:(no_cache keystore) ctx jobs in
+      let plain = Verify_cache.verify_batch (no_cache keystore) jobs in
       (* Same batch twice through one cache, with a generation bump
          between the runs: memoized verdicts must never change a verdict,
          and stale-generation entries must re-verify. *)
       let cache = Verify_cache.create keystore in
-      let cached1 = Verify_batch.verify ~cache ctx jobs in
+      let cached1 = Verify_cache.verify_batch cache jobs in
       Signer.add_identity keystore "churn";
-      let cached2 = Verify_batch.verify ~cache ctx jobs in
+      let cached2 = Verify_cache.verify_batch cache jobs in
       List.equal Bool.equal expected plain
       && List.equal Bool.equal expected cached1
       && List.equal Bool.equal expected cached2)
@@ -95,55 +94,65 @@ let test_hash_based_batch () =
     List.mapi
       (fun i signature ->
         let signature = if i mod 3 = 2 then tamper signature else signature in
-        { Verify_batch.signer = "hb-node"; msg = msg_of i; signature })
+        { Verify_cache.signer = "hb-node"; msg = msg_of i; signature })
       sigs
   in
   let expected = List.map (reference ~keystore) jobs in
   Alcotest.(check bool) "tampered rejected" true
     (List.exists not expected && List.exists Fun.id expected);
   Alcotest.(check (list bool)) "hash-based verdicts" expected
-    (Verify_batch.verify ~cache:(no_cache keystore) (Verify_batch.create ())
-       jobs)
+    (Verify_cache.verify_batch (no_cache keystore) jobs)
 
 (* A batch runs job by job through the cache: a key repeated inside it
-   is computed once, the stats count one batch of every job, and a
-   keystore generation bump between two calls makes the second one
-   verify again. *)
+   is computed once, the process-global batch counters grow by one batch
+   of every job (a plain [verify] counts no batch), and a keystore
+   generation bump between two calls makes the second one verify
+   again. *)
 let test_repeats_stats_generation () =
   let keystore = Signer.create (Bp_util.Rng.create 7804L) in
   Array.iter (Signer.add_identity keystore) idents;
   let job i =
     let signer = idents.(i mod 3) in
     let msg = msg_of i in
-    { Verify_batch.signer; msg; signature = Signer.sign keystore ~signer msg }
+    { Verify_cache.signer; msg; signature = Signer.sign keystore ~signer msg }
   in
   let repeated = job 0 in
   let tampered =
     let j = job 2 in
-    { j with Verify_batch.signature = tamper j.Verify_batch.signature }
+    { j with Verify_cache.signature = tamper j.Verify_cache.signature }
   in
   let jobs = [ repeated; job 1; tampered; repeated ] in
   let expected = List.map (reference ~keystore) jobs in
   Alcotest.(check (list bool)) "sequential verdicts" [ true; true; false; true ] expected;
-  let ctx = Verify_batch.create () in
   let cache = Verify_cache.create keystore in
   let check_counters ~msg ~hits ~misses =
     let c = Verify_cache.instance_counters cache in
     Alcotest.(check (pair int int)) msg (hits, misses)
       (c.Verify_cache.verify_hits, c.Verify_cache.verify_misses)
   in
+  (* Deltas of the process-global counters since [before]. *)
+  let batch_delta ~msg before (batches, jobs) =
+    let c = Verify_cache.batch_counters () in
+    Alcotest.(check (pair int int)) msg (batches, jobs)
+      ( c.Verify_cache.batches - before.Verify_cache.batches,
+        c.Verify_cache.jobs_submitted - before.Verify_cache.jobs_submitted )
+  in
+  let before = Verify_cache.batch_counters () in
   Alcotest.(check (list bool)) "batch verdicts" expected
-    (Verify_batch.verify ~cache ctx jobs);
+    (Verify_cache.verify_batch cache jobs);
   check_counters ~msg:"repeated key: one miss, then one hit" ~hits:1 ~misses:3;
-  let s = Verify_batch.stats ctx in
-  Alcotest.(check (pair int int)) "one batch, every job" (1, 4)
-    (s.Verify_batch.batches, s.Verify_batch.jobs_submitted);
+  batch_delta ~msg:"one batch, every job" before (1, 4);
+  let before = Verify_cache.batch_counters () in
+  let { Verify_cache.signer; msg; signature } = repeated in
+  Alcotest.(check bool) "plain verify" true
+    (Verify_cache.verify cache ~signer ~msg ~signature);
+  batch_delta ~msg:"a plain verify counts no batch" before (0, 0);
+  let before = Verify_cache.batch_counters () in
   Signer.add_identity keystore "between-batches";
   Alcotest.(check (list bool)) "verdicts after the bump" expected
-    (Verify_batch.verify ~cache ctx jobs);
-  check_counters ~msg:"stale verdicts verify again" ~hits:2 ~misses:6;
-  Verify_batch.reset_stats ctx;
-  Alcotest.(check int) "stats reset" 0 (Verify_batch.stats ctx).Verify_batch.batches
+    (Verify_cache.verify_batch cache jobs);
+  check_counters ~msg:"stale verdicts verify again" ~hits:3 ~misses:6;
+  batch_delta ~msg:"the second batch counts too" before (1, 4)
 
 let suite =
   [

@@ -32,9 +32,9 @@ let rule_matches ~prefix rule = String.starts_with ~prefix rule
 (* Path patterns are anchored on '/'-separated segments: the pattern's
    segments must match a contiguous run of the file's segments exactly,
    except that the final pattern segment may also match a segment with
-   its extension stripped ("verify_batch" matches ".../verify_batch.ml").
-   Substrings inside a segment never match: a "verify_batch" pattern does
-   not match "verify_batchx.ml". *)
+   its extension stripped ("native" matches ".../native.ml"). Substrings
+   inside a segment never match: a "native" pattern does not match
+   "nativex.ml". *)
 let path_matches ~pattern file =
   let psegs =
     List.filter (fun s -> s <> "") (String.split_on_char '/' pattern)
@@ -82,17 +82,13 @@ let matches_any patterns source =
     patterns
 
 (* Shared-memory parallelism is confined to the [-j] fork-join (all of
-   lib/parallel). lib/crypto/verify_batch is exempt only for the mutex
-   around its stats, which [-j] experiment tasks on several domains
-   update through its global context; it starts no domain. Everything
-   else in lib/crypto — and every other lib directory — stays
-   single-domain deterministic.
+   lib/parallel); every other lib directory stays single-domain
+   deterministic.
 
    The exemption is matched by [path_matches], on whole path segments,
-   never on prefixes or substrings: lib/crypto/verify_batchx.ml does NOT
+   never on prefixes or substrings: lib/parallelx/pool.ml does NOT
    inherit it. *)
-let r2_domain_exempt =
-  matches_any [ "lib/parallel"; "lib/crypto/verify_batch" ]
+let r2_domain_exempt = matches_any [ "lib/parallel" ]
 
 (* lib/crypto/native.ml is the one module allowed to declare
    [external]s: its C stubs are the tree's whole foreign surface. Matched
@@ -412,8 +408,8 @@ let check_ident ctx (e : Typedtree.expression) path =
       (Printf.sprintf
          "%s brings shared-memory parallelism into deterministic code; \
           multicore primitives (Domain/Atomic/Mutex/Condition) are confined \
-          to lib/parallel (and the stats mutex of lib/crypto/verify_batch) \
-          — express the work as independent Runner.plan tasks instead"
+          to lib/parallel — express the work as independent Runner.plan \
+          tasks instead"
          name);
   if List.mem qual hiter_fns then
     report ctx ~rule:"R2-hiter" ~loc

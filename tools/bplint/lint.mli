@@ -19,10 +19,9 @@
     - [R2-hiter]: order-dependent [Hashtbl.iter]/[Hashtbl.fold] in protocol
       code, where iteration order can leak into protocol state.
     - [R2-domain]: multicore primitives ([Domain.*], [Atomic.*], [Mutex.*],
-      [Condition.*]) outside [lib/parallel] and [lib/crypto/verify_batch].
-      Replicas and the simulator are single-domain deterministic; the only
-      shared-memory code allowed is the audited [-j] fork-join and the
-      mutex around [Verify_batch]'s stats.
+      [Condition.*]) outside [lib/parallel]. Replicas and the simulator
+      are single-domain deterministic; the only shared-memory code
+      allowed is the audited [-j] fork-join.
     - [R3-partial]: partial functions ([Option.get], [List.hd], [List.tl],
       [List.nth]) on verification/consensus paths.
     - [R3-catchall]: [try ... with _ ->] catch-alls that turn programming
@@ -73,8 +72,8 @@ val path_matches : pattern:string -> string -> bool
 (** Anchored on ['/']-separated path segments: the pattern's segments
     must equal a contiguous run of the file's segments, except that the
     final pattern segment may also match a segment with its extension
-    stripped (["verify_batch"] matches ["lib/crypto/verify_batch.ml"]
-    but not ["lib/crypto/verify_batchx.ml"]). The R2-domain and
+    stripped (["native"] matches ["lib/crypto/native.ml"] but not
+    ["lib/crypto/nativex.ml"]). The R2-domain and
     R9-external exemptions in {!policy} are matched this way. *)
 
 val policy : source:string -> string list
