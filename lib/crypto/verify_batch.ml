@@ -3,7 +3,10 @@
    counted and verified by [Verify_cache.verify_batch]. *)
 
 type t = unit
-type stats = Verify_cache.batch_counters = { batches : int; jobs_submitted : int }
+type stats = Verify_cache.batch_counters = {
+  batches : int;
+  jobs_submitted : int;
+}
 
 let global () = ()
 let stats () = Verify_cache.batch_counters ()

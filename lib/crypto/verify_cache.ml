@@ -63,7 +63,8 @@ let counters () =
 
 type batch_counters = { batches : int; jobs_submitted : int }
 
-let batch_counters () = { batches = !c_batches; jobs_submitted = !c_batch_jobs }
+let batch_counters () =
+  { batches = !c_batches; jobs_submitted = !c_batch_jobs }
 
 let reset_counters () =
   c_verify_hits := 0;
@@ -614,17 +615,16 @@ let verify t ~signer ~msg ~signature =
     v
   end
 
-(* A batch of independent checks (the fi+1 signatures on a transmission
-   record, the per-request client signatures of a pre-prepare) is counted
-   once and answered job by job through [verify], in job order: the
-   verdict list is the sequential one, and a key repeated inside a batch
-   is computed once. *)
+(* A batch of independent checks is counted once, then answered job by
+   job through [verify]: the verdict list is the sequential one. *)
 type job = { signer : string; msg : string; signature : string }
 
 let verify_batch t jobs =
   incr c_batches;
   c_batch_jobs := !c_batch_jobs + List.length jobs;
-  List.map (fun { signer; msg; signature } -> verify t ~signer ~msg ~signature) jobs
+  List.map
+    (fun { signer; msg; signature } -> verify t ~signer ~msg ~signature)
+    jobs
 
 let sign t ~signer msg =
   let signature = Signer.sign t.keystore ~signer msg in

@@ -38,6 +38,13 @@ or fails an op. Exit 2 means a build or a run could not be done.
 Options: --seeds takes "21-30" or "21,23,25"; --workloads takes names
 separated by spaces or commas (default: all four); --scale passes
 through to bpbench (default 1).
+
+A seed may repeat: --seeds 21,21,21,21,21,21,21,21,21,21 runs the same
+simulation in every pair, so each side's spread is run-to-run host
+noise alone, separated from the seed mix that a range like 21-30 adds.
+Ten parent runs of geo-send seed 21 on a 2-vCPU x86-64 VM spread from
+415 to 479 us host_us_per_op; a host-time change smaller than that
+spread needs many pairs before it reads as a gain.
 """
 
 import argparse
