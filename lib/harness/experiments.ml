@@ -72,7 +72,7 @@ let all =
     };
     {
       id = "ablation-pipeline";
-      title = "Consensus pipeline depth x verification parallelism";
+      title = "Consensus pipeline depth";
       plan = fixed Exp_local.pipeline_plan;
     };
     {

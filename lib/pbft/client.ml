@@ -5,7 +5,6 @@ module Int_map = Map.Make (Int)
 type pending = {
   request : Msg.request;
   mutable replies : (int * string) list; (* replica id, result *)
-  mutable done_ : bool;
   mutable timer : Engine.timer option;
   on_result : string -> unit;
 }
@@ -40,17 +39,16 @@ let broadcast_request t request =
   Bp_net.Transport.broadcast t.transport ~hint ~dsts:t.cfg.Config.nodes
     ~tag:t.cfg.Config.tag sealed
 
+(* Completion cancels the timer, so it fires only while [p] is pending. *)
 let rec arm_timer t p =
   p.timer <-
     Some
       (Engine.schedule t.engine ~after:(Time.scale t.cfg.Config.request_timeout 1.5)
          (fun () ->
-           if not p.done_ then begin
-             (* Suspect the primary: tell everyone (backups will forward
-                and start their own timers, per PBFT). *)
-             broadcast_request t p.request;
-             arm_timer t p
-           end))
+           (* Suspect the primary: tell everyone (backups will forward
+              and start their own timers, per PBFT). *)
+           broadcast_request t p.request;
+           arm_timer t p))
 
 let on_reply t body =
   match body with
@@ -58,7 +56,7 @@ let on_reply t body =
     when Addr.equal client (Bp_net.Transport.addr t.transport) -> (
       t.view_estimate <- Int.max t.view_estimate view;
       match Int_map.find_opt ts t.pending with
-      | Some p when not p.done_ ->
+      | Some p ->
           if not (List.mem_assoc replica p.replies) then begin
             p.replies <- (replica, result) :: p.replies;
             let matching =
@@ -66,13 +64,12 @@ let on_reply t body =
                 (List.filter (fun (_, r) -> String.equal r result) p.replies)
             in
             if matching >= t.cfg.Config.f + 1 then begin
-              p.done_ <- true;
               (match p.timer with Some timer -> Engine.cancel timer | None -> ());
               t.pending <- Int_map.remove ts t.pending;
               p.on_result result
             end
           end
-      | _ -> ())
+      | None -> ())
   | _ -> ()
 
 let create ~cache transport cfg =
@@ -103,7 +100,7 @@ let submit t ?(kind = 0) op ~on_result =
       ~client:(Bp_net.Transport.addr t.transport)
       ~ts ~kind ~op
   in
-  let p = { request; replies = []; done_ = false; timer = None; on_result } in
+  let p = { request; replies = []; timer = None; on_result } in
   t.pending <- Int_map.add ts p t.pending;
   send_to_primary t request;
   arm_timer t p

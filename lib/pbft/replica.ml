@@ -30,7 +30,12 @@ type slot = {
       (* counted in [t.pipeline]: has a digest, not yet committed *)
 }
 
-type status = Normal | View_changing of int
+(* A replica's phase. A view change owns the timer that moves it on to
+   the next view; [Stopped] is a simulated host death and is final. *)
+type phase =
+  | Normal
+  | View_changing of { target : int; timer : Engine.timer }
+  | Stopped
 
 exception Invariant_violation of string
 
@@ -49,7 +54,7 @@ type t = {
   mutable preverify : Msg.request list -> unit;
       (* verification prefetch hook (see set_preverifier) *)
   mutable view : int;
-  mutable status : status;
+  mutable phase : phase;
   mutable next_seq : int; (* primary: next sequence to assign *)
   mutable slots : slot Int_map.t;
   mutable low_watermark : int;
@@ -93,19 +98,21 @@ type t = {
   mutable own_checkpoints : string Int_map.t; (* seq -> digest, ours *)
   (* view change *)
   mutable view_changes : (int * string) list Int_map.t; (* target view -> (replica, envelope) *)
-  mutable vc_timer : Engine.timer option;
   (* state transfer *)
   archive : (int, string * Msg.request list) Hashtbl.t; (* executed batches *)
   (* seq -> per-digest vote tallies: (digest, voters, batch) *)
   fetch_votes : (int, (string * Int_set.t * Msg.request list) list) Hashtbl.t;
   mutable fetching : bool;
-  mutable stopped : bool;
   mutable suppress_commits : bool;
 }
 
 let view t = t.view
 let is_primary t = Config.primary_of_view t.cfg t.view = t.id
-let is_normal t = match t.status with Normal -> true | View_changing _ -> false
+let is_normal t = match t.phase with Normal -> true | View_changing _ | Stopped -> false
+
+(* A normal-case primary: the only replica that cuts batches. *)
+let proposing t = is_primary t && is_normal t
+
 let last_executed t = t.last_exec
 let low_watermark t = t.low_watermark
 let exec_chain t = t.chain
@@ -172,12 +179,13 @@ let broadcast_sealed t (sealed, hint) =
 
 let broadcast t body = broadcast_sealed t (seal t body)
 
+let seal_reply t (r : Msg.request) result =
+  seal t
+    (Msg.Reply
+       { view = t.view; ts = r.Msg.ts; client = r.Msg.client; replica = t.id; result })
+
 let send_reply t (r : Msg.request) result =
-  let body =
-    Msg.Reply
-      { view = t.view; ts = r.Msg.ts; client = r.Msg.client; replica = t.id; result }
-  in
-  let sealed, hint = seal t body in
+  let sealed, hint = seal_reply t r result in
   Addr.Tbl.replace t.last_reply r.Msg.client (r.Msg.ts, sealed);
   Bp_net.Transport.send t.transport ~hint ~dst:r.Msg.client ~tag:t.reply_tag
     sealed
@@ -207,6 +215,13 @@ let slot_of t seq =
 let in_window t seq =
   seq > t.low_watermark && seq <= t.low_watermark + t.cfg.Config.watermark_window
 
+(* The primary may cut a batch: a free pipeline slot and a waiting
+   request. Whether [next_seq] fits the watermark window is asked apart. *)
+let can_cut t =
+  proposing t
+  && t.pipeline < t.cfg.Config.max_in_flight
+  && not (Queue.is_empty t.queue)
+
 (* The digest of a slot that the protocol has already established as
    proposed: reaching for it on an empty slot is a local-state corruption,
    not a byzantine input, so fail loudly with the slot's coordinates. *)
@@ -225,6 +240,20 @@ let cancel_request_timer t key =
       Engine.cancel timer;
       Req_tbl.remove t.timers key
   | None -> ()
+
+(* Cancelling only marks each timer, so the result does not depend on
+   the table's iteration order. *)
+let cancel_request_timers t =
+  (Req_tbl.iter (fun _ timer -> Engine.cancel timer) t.timers
+  [@bplint.allow "R2-hiter"]);
+  Req_tbl.reset t.timers
+
+(* Leaving a view change cancels the timer that would move it on. *)
+let set_phase t phase =
+  (match t.phase with
+  | View_changing { timer; _ } -> Engine.cancel timer
+  | Normal | Stopped -> ());
+  t.phase <- phase
 
 let matching_prepares s =
   match s.digest with
@@ -330,13 +359,15 @@ let new_view_batches ~cache cfg ~view envelopes =
 let rec move_to_view t target =
   if target > t.view then begin
     Log.debug (fun m -> m "pbft %d: view change -> %d" t.id target);
-    t.status <- View_changing target;
-    (* Clear per-request timers; the new view re-arms protocol progress.
-       Cancelling only marks each timer, so the result does not depend
-       on the table's iteration order. *)
-    (Req_tbl.iter (fun _ timer -> Engine.cancel timer) t.timers
-    [@bplint.allow "R2-hiter"]);
-    Req_tbl.reset t.timers;
+    (* [set_phase] cancels this timer when the view change ends, so it
+       fires only while the replica is still changing to [target]. *)
+    let timer =
+      Engine.schedule t.engine ~after:(Time.scale t.cfg.Config.request_timeout 2.0)
+        (fun () -> move_to_view t (target + 1))
+    in
+    set_phase t (View_changing { target; timer });
+    (* Clear per-request timers; the new view re-arms protocol progress. *)
+    cancel_request_timers t;
     let sealed =
       seal t
         (Msg.View_change
@@ -349,15 +380,7 @@ let rec move_to_view t target =
     in
     (* Record our own view-change message, then send that same envelope. *)
     record_view_change t target t.id (fst sealed);
-    broadcast_sealed t sealed;
-    (match t.vc_timer with Some timer -> Engine.cancel timer | None -> ());
-    t.vc_timer <-
-      Some
-        (Engine.schedule t.engine ~after:(Time.scale t.cfg.Config.request_timeout 2.0)
-           (fun () ->
-             match t.status with
-             | View_changing v when v = target -> move_to_view t (target + 1)
-             | _ -> ()))
+    broadcast_sealed t sealed
   end
 
 and record_view_change t target replica envelope =
@@ -385,10 +408,8 @@ and maybe_new_view t target =
   end
 
 and enter_new_view t target batches =
-  (match t.vc_timer with Some timer -> Engine.cancel timer | None -> ());
-  t.vc_timer <- None;
+  set_phase t Normal;
   t.view <- target;
-  t.status <- Normal;
   (* Recompute pipeline membership from scratch: only the slots
      re-proposed below (and not already committed) are in flight in the
      new view. Dead slots from the old view must not pin the counter. *)
@@ -476,7 +497,7 @@ and check_committed t s =
     try_execute t;
     (* A pipeline slot just freed: the primary cuts the next batch now
        rather than waiting for [batch_max] requests (adaptive batching). *)
-    if is_primary t && is_normal t then try_form_batch t
+    if proposing t then try_form_batch t
   end
 
 and try_execute t =
@@ -567,10 +588,7 @@ and arm_hold_timer t =
         Some
           (Engine.schedule t.engine ~after:t.cfg.Config.batch_hold (fun () ->
                t.hold_timer <- None;
-               if
-                 (not t.stopped) && is_primary t && is_normal t
-                 && not (Queue.is_empty t.queue)
-               then begin
+               if proposing t && not (Queue.is_empty t.queue) then begin
                  t.cut_forced <- true;
                  try_form_batch t
                end))
@@ -591,12 +609,7 @@ and try_form_batch t =
      a slot, and without the threshold each free slot immediately
      consumes whatever trickle is queued. *)
   let deferred = ref false in
-  while
-    (not !deferred) && is_primary t && is_normal t
-    && t.pipeline < t.cfg.Config.max_in_flight
-    && (not (Queue.is_empty t.queue))
-    && t.next_seq <= t.low_watermark + t.cfg.Config.watermark_window
-  do
+  while (not !deferred) && can_cut t && in_window t t.next_seq do
     if Queue.length t.queue < t.cfg.Config.batch_min_fill && not t.cut_forced
     then begin
       t.hold_deferrals <- t.hold_deferrals + 1;
@@ -645,12 +658,8 @@ and try_form_batch t =
      but the next sequence would overrun the high watermark — progress
      now depends on the next stable checkpoint. The saturation harness
      reads this to attribute throughput plateaus. *)
-  if
-    is_primary t && is_normal t
-    && t.pipeline < t.cfg.Config.max_in_flight
-    && (not (Queue.is_empty t.queue))
-    && t.next_seq > t.low_watermark + t.cfg.Config.watermark_window
-  then t.window_stalls <- t.window_stalls + 1
+  if can_cut t && not (in_window t t.next_seq) then
+    t.window_stalls <- t.window_stalls + 1
 
 and arm_request_timer t (r : Msg.request) =
   let key = request_key r in
@@ -659,9 +668,9 @@ and arm_request_timer t (r : Msg.request) =
       Engine.schedule t.engine ~after:t.cfg.Config.request_timeout (fun () ->
           Req_tbl.remove t.timers key;
           (* The request did not execute in time: suspect the primary. *)
-          match t.status with
+          match t.phase with
           | Normal -> move_to_view t (t.view + 1)
-          | View_changing _ -> ())
+          | View_changing _ | Stopped -> ())
     in
     Req_tbl.replace t.timers key timer
   end
@@ -679,21 +688,11 @@ and handle_request t ~envelope ~hint (r : Msg.request) =
            commit; answer immediately instead of letting request timers
            churn view changes. The client waits for f+1 of these, so up
            to f liars cannot fake a rejection. *)
-        let body =
-          Msg.Reply
-            {
-              view = t.view;
-              ts = r.Msg.ts;
-              client = r.Msg.client;
-              replica = t.id;
-              result = "__rejected";
-            }
-        in
-        let sealed, hint = seal t body in
+        let sealed, hint = seal_reply t r "__rejected" in
         Bp_net.Transport.send t.transport ~hint ~dst:r.Msg.client
           ~tag:t.reply_tag sealed
     | _ ->
-        if is_primary t && is_normal t then begin
+        if proposing t then begin
           let qk = request_key r in
           if not (Req_tbl.mem t.queued_keys qk) then begin
             Queue.push r t.queue;
@@ -800,7 +799,7 @@ and handle_checkpoint t ~seq ~state_digest ~replica =
         t.own_checkpoints <- Int_map.filter (fun s _ -> s >= seq) t.own_checkpoints;
         (* The high watermark moved: sequences that were window-blocked
            are proposable again. *)
-        if is_primary t && is_normal t then try_form_batch t
+        if proposing t then try_form_batch t
       end
     end
   end
@@ -907,49 +906,49 @@ and handle_fetch_reply t ~batches ~replica =
 (* ---------- dispatch ---------- *)
 
 let on_envelope t ~src:_ ~hint envelope =
-  if not t.stopped then
-    match Msg.verify_envelope ~cache:t.cache ?hint t.cfg envelope with
-    | Error e -> Log.debug (fun m -> m "pbft %d: rejected envelope: %s" t.id e)
-    | Ok body -> (
-        match body with
-        | Msg.Request r -> handle_request t ~envelope ~hint r
-        | Msg.Pre_prepare { view; seq; digest; batch } ->
-            handle_pre_prepare t ~view ~seq ~digest ~batch
-        | Msg.Prepare { view; seq; digest; replica } ->
-            handle_prepare t ~view ~seq ~digest ~replica ~envelope
-        | Msg.Commit { view; seq; digest; replica } ->
-            handle_commit t ~view ~seq ~digest ~replica
-        | Msg.Reply _ -> () (* replicas ignore replies *)
-        | Msg.Checkpoint { seq; state_digest; replica } ->
-            handle_checkpoint t ~seq ~state_digest ~replica
-        | Msg.View_change { new_view; vc_replica = replica; _ } ->
-            if new_view > t.view then begin
-              record_view_change t new_view replica envelope;
-              (* Liveness rule: join a view change supported by f+1. *)
-              let support =
-                List.length
-                  (Option.value ~default:[] (Int_map.find_opt new_view t.view_changes))
-              in
-              if support >= t.cfg.Config.f + 1 then begin
-                match t.status with
-                | View_changing v when v >= new_view -> ()
-                | _ -> move_to_view t new_view
-              end
+  match t.phase with
+  | Stopped -> ()
+  | Normal | View_changing _ -> (
+      match Msg.verify_envelope ~cache:t.cache ?hint t.cfg envelope with
+      | Error e -> Log.debug (fun m -> m "pbft %d: rejected envelope: %s" t.id e)
+      | Ok (Msg.Request r) -> handle_request t ~envelope ~hint r
+      | Ok (Msg.Pre_prepare { view; seq; digest; batch }) ->
+          handle_pre_prepare t ~view ~seq ~digest ~batch
+      | Ok (Msg.Prepare { view; seq; digest; replica }) ->
+          handle_prepare t ~view ~seq ~digest ~replica ~envelope
+      | Ok (Msg.Commit { view; seq; digest; replica }) ->
+          handle_commit t ~view ~seq ~digest ~replica
+      | Ok (Msg.Reply _) -> () (* replicas ignore replies *)
+      | Ok (Msg.Checkpoint { seq; state_digest; replica }) ->
+          handle_checkpoint t ~seq ~state_digest ~replica
+      | Ok (Msg.View_change { new_view; vc_replica = replica; _ }) ->
+          if new_view > t.view then begin
+            record_view_change t new_view replica envelope;
+            (* Liveness rule: join a view change supported by f+1. *)
+            let support =
+              List.length
+                (Option.value ~default:[] (Int_map.find_opt new_view t.view_changes))
+            in
+            if support >= t.cfg.Config.f + 1 then begin
+              match t.phase with
+              | View_changing { target; _ } when target >= new_view -> ()
+              | Normal | View_changing _ | Stopped -> move_to_view t new_view
             end
-        | Msg.New_view { view; view_change_envelopes; replica } ->
-            if
-              view > t.view
-              && Config.primary_of_view t.cfg view = replica
-              && replica <> t.id
-            then begin
-              match new_view_batches ~cache:t.cache t.cfg ~view view_change_envelopes with
-              | Some batches -> enter_new_view t view batches
-              | None ->
-                  Log.debug (fun m -> m "pbft %d: invalid new-view from %d" t.id replica)
-            end
-        | Msg.Fetch { from_seq; replica } -> handle_fetch t ~from_seq ~replica
-        | Msg.Fetch_reply { batches; replica } ->
-            handle_fetch_reply t ~batches ~replica)
+          end
+      | Ok (Msg.New_view { view; view_change_envelopes; replica }) ->
+          if
+            view > t.view
+            && Config.primary_of_view t.cfg view = replica
+            && replica <> t.id
+          then begin
+            match new_view_batches ~cache:t.cache t.cfg ~view view_change_envelopes with
+            | Some batches -> enter_new_view t view batches
+            | None ->
+                Log.debug (fun m -> m "pbft %d: invalid new-view from %d" t.id replica)
+          end
+      | Ok (Msg.Fetch { from_seq; replica }) -> handle_fetch t ~from_seq ~replica
+      | Ok (Msg.Fetch_reply { batches; replica }) ->
+          handle_fetch_reply t ~batches ~replica)
 
 let create ~cache transport cfg ~id ~execute () =
   let engine = Network.engine (Bp_net.Transport.network transport) in
@@ -965,7 +964,7 @@ let create ~cache transport cfg ~id ~execute () =
       verifier = (fun _ -> true);
       preverify = ignore;
       view = 0;
-      status = Normal;
+      phase = Normal;
       next_seq = 1;
       slots = Int_map.empty;
       low_watermark = 0;
@@ -988,11 +987,9 @@ let create ~cache transport cfg ~id ~execute () =
       checkpoints = Int_map.empty;
       own_checkpoints = Int_map.empty;
       view_changes = Int_map.empty;
-      vc_timer = None;
       archive = Hashtbl.create 128;
       fetch_votes = Hashtbl.create 32;
       fetching = false;
-      stopped = false;
       suppress_commits = false;
     }
   in
@@ -1002,13 +999,8 @@ let create ~cache transport cfg ~id ~execute () =
   t
 
 let stop t =
-  t.stopped <- true;
-  (* Shutdown path: cancellation order cannot affect protocol state. *)
-  (Req_tbl.iter (fun _ timer -> Engine.cancel timer) t.timers
-  [@bplint.allow "R2-hiter"]);
-  Req_tbl.reset t.timers;
-  (match t.vc_timer with Some timer -> Engine.cancel timer | None -> ());
-  t.vc_timer <- None;
+  set_phase t Stopped;
+  cancel_request_timers t;
   (match t.hold_timer with Some timer -> Engine.cancel timer | None -> ());
   t.hold_timer <- None;
   Bp_net.Transport.clear_handler t.transport ~tag:t.cfg.Config.tag

@@ -27,7 +27,12 @@
     watermark window). Slots may commit out of order; execution — and
     therefore the hash chain and every checkpoint digest — stays
     strictly in sequence order at any depth. Depth 1 is the classic
-    stop-and-wait primary. *)
+    stop-and-wait primary.
+
+    A replica is in one phase at a time: [Normal], changing to a target
+    view (with the timer that moves it on to the next view if the
+    change stalls; leaving the phase cancels it), or [Stopped] after
+    {!stop}, which is final. Only the primary in [Normal] cuts batches. *)
 
 type t
 
@@ -76,7 +81,7 @@ val new_view_batches :
 val view : t -> int
 
 val is_normal : t -> bool
-(** [false] while a view change is in progress. *)
+(** [false] while a view change is in progress and after {!stop}. *)
 
 val last_executed : t -> int
 val low_watermark : t -> int
@@ -140,8 +145,9 @@ val set_on_executed : t -> (seq:int -> Msg.request list -> unit) -> unit
     append hook). *)
 
 val stop : t -> unit
-(** Detach from the transport and cancel timers (simulated host death;
-    distinct from a network-level crash, which keeps state). *)
+(** Detach from the transport, cancel timers and enter the final
+    [Stopped] phase (simulated host death; distinct from a network-level
+    crash, which keeps state). *)
 
 val suppress_commit_votes : t -> bool -> unit
 (** Byzantine test knob: a faulty replica that stays silent in the commit

@@ -262,6 +262,14 @@ let test_state_transfer_after_amnesia () =
   in
   (* Node 3's process dies: handler detached, state lost. *)
   Bp_pbft.Replica.stop replicas.(3);
+  Alcotest.(check bool) "a stopped replica is not normal" false
+    (Bp_pbft.Replica.is_normal replicas.(3));
+  let frozen r =
+    let b = Bp_pbft.Replica.batch_stats r in
+    [ Bp_pbft.Replica.last_executed r; b.batches_cut; b.ops_proposed;
+      b.window_stalls; b.hold_deferrals ]
+  in
+  let at_stop = frozen replicas.(3) in
   let served = ref 0 in
   let submit_range lo hi =
     let rec go i =
@@ -275,6 +283,8 @@ let test_state_transfer_after_amnesia () =
   submit_range 1 40;
   Engine.run ~until:(Time.of_sec 10.0) engine;
   Alcotest.(check int) "progress while node 3 dead" 40 !served;
+  Alcotest.(check (list int)) "the stopped replica's state did not move" at_stop
+    (frozen replicas.(3));
   (* Reboot node 3 with a fresh, empty replica. *)
   let rebooted = mk 3 in
   (* Fresh traffic produces new checkpoints, which trigger the fetch. *)
