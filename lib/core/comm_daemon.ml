@@ -200,26 +200,17 @@ let create ~node ~dest ~dest_nodes ?geo_proofs ?(start_after = -1) () =
       retry_count = 0;
     }
   in
-  (* Backlog: scan the host node's log from the start (Algorithm 2's
-     pointer p starts at the first entry). *)
-  Bp_storage.Log_store.iter_from (Unit_node.log node) 0 (fun entry ->
-      match Record.decode entry.Bp_storage.Log_store.payload with
-      | Ok (Record.Comm comm) ->
-          track t ~pos:entry.Bp_storage.Log_store.index comm
-      | _ -> ());
-  (* Follow new executions. *)
-  Unit_node.add_executed_hook node (fun ~pos record ->
-      match record with Record.Comm comm -> track t ~pos comm | _ -> ());
+  (* Backlog from the first log entry (Algorithm 2's pointer p), then
+     each new execution. *)
+  Unit_node.follow_comms node (fun ~pos comm -> track t ~pos comm);
   (* Responses (signatures, acks) arrive on the unit's aux tag. *)
   Unit_node.add_aux_listener node (fun ~src:_ msg ->
       match msg with
       | Proto.Sign_response { dest; comm_seq; identity; signature } when dest = t.dest ->
-          on_sign_response t ~dest ~comm_seq ~identity ~signature;
-          true
+          on_sign_response t ~dest ~comm_seq ~identity ~signature
       | Proto.Ack { from_participant; comm_seq } when from_participant = t.dest ->
-          on_ack t ~from_participant ~comm_seq;
-          true
-      | _ -> false);
+          on_ack t ~from_participant ~comm_seq
+      | _ -> ());
   (* Retry cadence scales with the destination RTT: every tick, an
      enabled daemon with unacknowledged records retries. *)
   let rtt = Topology.rtt (Network.topology net) (Unit_node.addr node).Addr.dc dest in

@@ -102,19 +102,15 @@ module Agent = struct
 
   let install node =
     let t = { node; duties = Proto.Mirror_tbl.create 64 } in
-    Unit_node.set_geo_request_handler node (fun ~src msg ->
+    Unit_node.add_aux_listener node (fun ~src msg ->
         match msg with
         | Proto.Mirror_request { owner; pos; value } ->
             on_request t ~src ~owner ~pos ~value
         | Proto.Mirror_sign_request { owner; pos; digest } ->
             on_sign_request t ~src ~owner ~pos ~digest
-        | _ -> ());
-    Unit_node.add_aux_listener node (fun ~src:_ msg ->
-        match msg with
         | Proto.Mirror_sign_response { owner; pos; identity; signature } ->
-            on_sign_response t ~owner ~pos ~identity ~signature;
-            true
-        | _ -> false);
+            on_sign_response t ~owner ~pos ~identity ~signature
+        | _ -> ());
     t
 end
 
@@ -261,9 +257,8 @@ let create ~node ~fg ~mirror_set ~all_unit_nodes () =
         match msg with
         | Proto.Mirror_proof { owner; pos; participant; sigs }
           when owner = Unit_node.participant node ->
-            on_proof t ~pos ~participant ~sigs;
-            true
-        | _ -> false);
+            on_proof t ~pos ~participant ~sigs
+        | _ -> ());
     (* Heartbeat the mirror candidates' lead nodes; reroute on suspicion. *)
     let peers = List.map (fun p -> (all_unit_nodes p).(0)) mirror_set in
     let addr_to_participant a = a.Addr.dc in

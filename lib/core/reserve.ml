@@ -85,25 +85,16 @@ let create ~node ~dest ~dest_nodes ?geo_proofs () =
     }
   in
   (* Track the communication frontier from our own log copy. *)
-  Bp_storage.Log_store.iter_from (Unit_node.log node) 0 (fun entry ->
-      match Record.decode entry.Bp_storage.Log_store.payload with
-      | Ok (Record.Comm { dest = d; comm_seq; _ }) when d = dest ->
-          t.local_highest <- Int.max t.local_highest comm_seq
-      | _ -> ());
-  Unit_node.add_executed_hook node (fun ~pos:_ record ->
-      match record with
-      | Record.Comm { dest = d; comm_seq; _ } when d = dest ->
-          t.local_highest <- Int.max t.local_highest comm_seq
-      | _ -> ());
+  Unit_node.follow_comms node (fun ~pos:_ { Record.dest = d; comm_seq; _ } ->
+      if d = dest then t.local_highest <- Int.max t.local_highest comm_seq);
   Unit_node.add_aux_listener node (fun ~src msg ->
       match msg with
       | Proto.Reserve_reply { src = s; last }
         when s = Unit_node.participant node
              && src.Addr.dc = t.dest
-             && not (promoted t) ->
-          if not (List.exists (fun (a, _) -> Addr.equal a src) t.replies) then
-            t.replies <- (src, last) :: t.replies;
-          true
-      | _ -> false);
+             && (not (promoted t))
+             && not (List.exists (fun (a, _) -> Addr.equal a src) t.replies) ->
+          t.replies <- (src, last) :: t.replies
+      | _ -> ());
   t.probe_timer <- Some (Engine.periodic engine ~every:probe_every (fun () -> probe t));
   t

@@ -22,12 +22,12 @@ type t = {
   log : Bp_storage.Log_store.t;
   app : App.instance;
   last_received : int array;
-  (* receive path: per-source out-of-order transmissions awaiting commit *)
-  pending : (int, pending_txn Int_map.t) Hashtbl.t;
-  submitting : (int, int) Hashtbl.t; (* src -> in-flight comm_seq *)
+  (* receive path, by source participant: out-of-order transmissions
+     awaiting commit, and the comm_seq in flight through PBFT *)
+  pending : pending_txn Int_map.t array;
+  submitting : int option array;
   mutable executed_hooks : (pos:int -> Record.t -> unit) list;
-  mutable aux_listeners : (src:Addr.t -> Proto.t -> bool) list;
-  mutable geo_handler : (src:Addr.t -> Proto.t -> unit) option;
+  mutable aux_listeners : (src:Addr.t -> Proto.t -> unit) list;
   mirror_index : string Proto.Mirror_tbl.t; (* mirror_key -> value digest *)
   mutable byz_sign_anything : bool;
   mutable byz_drop_comm : bool;
@@ -58,7 +58,14 @@ let xs_staged t = Hashtbl.length t.xs_staging
 
 let add_executed_hook t f = t.executed_hooks <- f :: t.executed_hooks
 let add_aux_listener t f = t.aux_listeners <- f :: t.aux_listeners
-let set_geo_request_handler t f = t.geo_handler <- Some f
+
+let follow_comms t f =
+  Bp_storage.Log_store.iter_from t.log 0 (fun entry ->
+      match Record.decode entry.Bp_storage.Log_store.payload with
+      | Ok (Record.Comm comm) -> f ~pos:entry.Bp_storage.Log_store.index comm
+      | _ -> ());
+  add_executed_hook t (fun ~pos record ->
+      match record with Record.Comm comm -> f ~pos comm | _ -> ())
 
 let mirror_digest t ~owner ~pos =
   Proto.Mirror_tbl.find_opt t.mirror_index (Proto.mirror_key ~owner ~pos)
@@ -74,6 +81,10 @@ let sign_mirror t ~owner ~pos ~digest =
   | _ -> None
 
 (* ---------- built-in receive verification (§IV-C) ---------- *)
+
+(* Whether [p], read off the wire, names a unit of the deployment: the
+   screen before a participant id indexes any per-source array. *)
+let is_participant t p = p >= 0 && p < t.n_participants
 
 (* A per-unit string from its table; a unit number outside the
    deployment (a byzantine claim) gets a fresh one. *)
@@ -138,8 +149,7 @@ let fi t = t.pbft_cfg.Bp_pbft.Config.f
 
 let verify_transmission t (tr : Record.transmission) =
   tr.Record.tdest = t.participant
-  && tr.Record.src >= 0
-  && tr.Record.src < t.n_participants
+  && is_participant t tr.Record.src
   && tr.Record.src <> t.participant
   (* (1) fi+1 signatures from the source unit over the statement *)
   && valid_sig_bundle t ~from_participant:tr.Record.src
@@ -320,41 +330,35 @@ let ack_pending t src =
   (* Acknowledge and drop every pending transmission at or below the
      in-order frontier. Cumulative acks. *)
   let frontier = t.last_received.(src) in
-  let map = Option.value ~default:Int_map.empty (Hashtbl.find_opt t.pending src) in
-  let acked, rest = Int_map.partition (fun seq _ -> seq <= frontier) map in
-  Hashtbl.replace t.pending src rest;
+  let acked, rest = Int_map.partition (fun seq _ -> seq <= frontier) t.pending.(src) in
+  t.pending.(src) <- rest;
   Int_map.iter
     (fun _ { requester; _ } ->
       send_aux t ~dst:requester
         (Proto.Ack { from_participant = t.participant; comm_seq = frontier }))
     acked;
-  (match Hashtbl.find_opt t.submitting src with
-  | Some seq when seq <= frontier -> Hashtbl.remove t.submitting src
-  | _ -> ())
+  match t.submitting.(src) with
+  | Some seq when seq <= frontier -> t.submitting.(src) <- None
+  | _ -> ()
 
 let rec pump_receive t src =
-  if not (Hashtbl.mem t.submitting src) then begin
+  if Option.is_none t.submitting.(src) then begin
     let next = t.last_received.(src) + 1 in
-    let map = Option.value ~default:Int_map.empty (Hashtbl.find_opt t.pending src) in
-    match Int_map.find_opt next map with
+    match Int_map.find_opt next t.pending.(src) with
     | None -> ()
     | Some { txn; _ } ->
-        Hashtbl.replace t.submitting src next;
+        t.submitting.(src) <- Some next;
         Bp_pbft.Client.submit t.client
           ~kind:(Record.kind_to_int Record.Received)
           (Record.encode (Record.Recv txn))
           ~on_result:(fun result ->
-            (match Hashtbl.find_opt t.submitting src with
-            | Some seq when seq = next -> Hashtbl.remove t.submitting src
+            (match t.submitting.(src) with
+            | Some seq when seq = next -> t.submitting.(src) <- None
             | _ -> ());
-            if Option.is_none (int_of_string_opt result) then begin
+            if Option.is_none (int_of_string_opt result) then
               (* Rejected (bad proofs / duplicate): drop it for good — an
                  honest daemon will retransmit a valid copy if one exists. *)
-              let map =
-                Option.value ~default:Int_map.empty (Hashtbl.find_opt t.pending src)
-              in
-              Hashtbl.replace t.pending src (Int_map.remove next map)
-            end;
+              t.pending.(src) <- Int_map.remove next t.pending.(src);
             pump_receive t src)
   end
 
@@ -433,30 +437,26 @@ let handle_sign_request t ~src (tr : Record.transmission) =
              signature;
            })
 
-let enqueue_pending t (tr : Record.transmission) ~requester =
-  if tr.Record.tdest = t.participant
-     && tr.Record.tcomm_seq > t.last_received.(tr.Record.src)
-  then begin
-    let s = tr.Record.src in
-    let map = Option.value ~default:Int_map.empty (Hashtbl.find_opt t.pending s) in
-    if not (Int_map.mem tr.Record.tcomm_seq map) then
-      Hashtbl.replace t.pending s
-        (Int_map.add tr.Record.tcomm_seq { txn = tr; requester } map);
-    pump_receive t s
-  end
-
 let handle_transmit t ~src (tr : Record.transmission) =
-  if tr.Record.tdest = t.participant then begin
-    if tr.Record.tcomm_seq <= t.last_received.(tr.Record.src) then
+  let s = tr.Record.src and seq = tr.Record.tcomm_seq in
+  if tr.Record.tdest = t.participant && is_participant t s then
+    if seq <= t.last_received.(s) then
       (* Duplicate: cumulative ack so the sender advances. *)
       send_aux t ~dst:src
-        (Proto.Ack
-           {
-             from_participant = t.participant;
-             comm_seq = t.last_received.(tr.Record.src);
-           })
-    else enqueue_pending t tr ~requester:src
-  end
+        (Proto.Ack { from_participant = t.participant; comm_seq = t.last_received.(s) })
+    else begin
+      if not (Int_map.mem seq t.pending.(s)) then
+        t.pending.(s) <- Int_map.add seq { txn = tr; requester = src } t.pending.(s);
+      pump_receive t s
+    end
+
+(* Every listener sees the message and ignores what is not its own. A
+   top-level walk: dispatch allocates no closure per message. *)
+let rec notify ~src msg = function
+  | [] -> ()
+  | listener :: rest ->
+      listener ~src msg;
+      notify ~src msg rest
 
 let on_aux t ~src payload =
   match Proto.decode payload with
@@ -471,8 +471,9 @@ let on_aux t ~src payload =
       | Proto.Transmit { transmission } ->
           if not t.byz_drop_comm then handle_transmit t ~src transmission
       | Proto.Reserve_query { src = from } ->
-          send_aux t ~dst:src
-            (Proto.Reserve_reply { src = from; last = t.last_received.(from) })
+          if is_participant t from then
+            send_aux t ~dst:src
+              (Proto.Reserve_reply { src = from; last = t.last_received.(from) })
       | Proto.Read_query { pos } ->
           let payload =
             Option.map
@@ -480,16 +481,11 @@ let on_aux t ~src payload =
               (Bp_storage.Log_store.get t.log pos)
           in
           send_aux t ~dst:src (Proto.Read_reply { pos; payload })
-      | Proto.Mirror_request _ | Proto.Mirror_sign_request _ -> (
-          match t.geo_handler with Some h -> h ~src msg | None -> ())
       | Proto.Sign_response _ | Proto.Ack _ | Proto.Reserve_reply _
-      | Proto.Mirror_proof _ | Proto.Mirror_sign_response _
+      | Proto.Mirror_request _ | Proto.Mirror_proof _
+      | Proto.Mirror_sign_request _ | Proto.Mirror_sign_response _
       | Proto.Read_reply _ ->
-          let rec dispatch = function
-            | [] -> ()
-            | listener :: rest -> if not (listener ~src msg) then dispatch rest
-          in
-          dispatch t.aux_listeners)
+          notify ~src msg t.aux_listeners)
 
 let create ~network ~pbft_cfg ~participant ~n_participants ~node_idx ~fg
     ~vcache ~app () =
@@ -512,11 +508,10 @@ let create ~network ~pbft_cfg ~participant ~n_participants ~node_idx ~fg
       log = Bp_storage.Log_store.create ();
       app;
       last_received = Array.make n_participants (-1);
-      pending = Hashtbl.create 8;
-      submitting = Hashtbl.create 8;
+      pending = Array.make n_participants Int_map.empty;
+      submitting = Array.make n_participants None;
       executed_hooks = [];
       aux_listeners = [];
-      geo_handler = None;
       mirror_index = Proto.Mirror_tbl.create 64;
       byz_sign_anything = false;
       byz_drop_comm = false;

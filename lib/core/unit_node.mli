@@ -60,13 +60,21 @@ val add_executed_hook : t -> (pos:int -> Record.t -> unit) -> unit
 (** Called after a record is appended to this node's Local Log copy
     (daemon notifications, API receive callbacks, geo proving). *)
 
-val add_aux_listener : t -> (src:Bp_sim.Addr.t -> Proto.t -> bool) -> unit
-(** Components co-located on this node (daemons, reserves, geo
-    coordinators) receive auxiliary responses here; return [true] to
-    consume the message. *)
+val add_aux_listener : t -> (src:Bp_sim.Addr.t -> Proto.t -> unit) -> unit
+(** The one way a component co-located on this node (comm daemon,
+    reserve, mirror agent, geo coordinator) receives auxiliary traffic.
+    Every listener sees every message the node does not answer itself —
+    everything but [Sign_request], [Transmit], [Reserve_query] and
+    [Read_query] — with the sending address, and ignores what is not its
+    own (by destination, source unit or message kind). [src] and the
+    message's fields come off the wire unchecked: a listener screens
+    them before it trusts or indexes anything. *)
 
-val set_geo_request_handler : t -> (src:Bp_sim.Addr.t -> Proto.t -> unit) -> unit
-(** Handler for [Mirror_request] / [Mirror_sign_request] traffic (§V). *)
+val follow_comms : t -> (pos:int -> Record.communication -> unit) -> unit
+(** [follow_comms t f] calls [f] on every communication record already
+    in this node's Local Log copy, in log order, then on each one as it
+    executes: how a component created mid-run (a promoted reserve's
+    daemon) picks up the backlog and the live stream with no gap. *)
 
 val mirror_digest : t -> owner:int -> pos:int -> string option
 (** Digest of a mirrored entry committed in this node's log, if any. *)

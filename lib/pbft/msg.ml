@@ -50,65 +50,6 @@ type body =
       replica : int;
     }
 
-(* ---------- equality ---------- *)
-
-(* Field by field, over what travels on the wire: [decoded],
-   [executions] and [sha] are a node's memos, not part of the message. *)
-let request_equal a b =
-  Bp_sim.Addr.equal a.client b.client
-  && a.ts = b.ts && a.kind = b.kind && String.equal a.op b.op
-  && String.equal a.client_sig b.client_sig
-
-let proof_equal p q =
-  p.pview = q.pview && p.pseq = q.pseq
-  && String.equal p.pdigest q.pdigest
-  && List.equal request_equal p.pbatch q.pbatch
-  && List.equal String.equal p.prepares q.prepares
-
-let body_equal a b =
-  match (a, b) with
-  | Request r, Request r' -> request_equal r r'
-  | Pre_prepare p, Pre_prepare q ->
-      p.view = q.view && p.seq = q.seq
-      && String.equal p.digest q.digest
-      && List.equal request_equal p.batch q.batch
-  | Prepare p, Prepare q ->
-      p.view = q.view && p.seq = q.seq
-      && String.equal p.digest q.digest
-      && p.replica = q.replica
-  | Commit p, Commit q ->
-      p.view = q.view && p.seq = q.seq
-      && String.equal p.digest q.digest
-      && p.replica = q.replica
-  | Reply p, Reply q ->
-      p.view = q.view && p.ts = q.ts
-      && Bp_sim.Addr.equal p.client q.client
-      && p.replica = q.replica
-      && String.equal p.result q.result
-  | Checkpoint p, Checkpoint q ->
-      p.seq = q.seq
-      && String.equal p.state_digest q.state_digest
-      && p.replica = q.replica
-  | View_change v, View_change w ->
-      v.new_view = w.new_view && v.stable_seq = w.stable_seq
-      && List.equal proof_equal v.prepared w.prepared
-      && v.vc_replica = w.vc_replica
-  | New_view p, New_view q ->
-      p.view = q.view
-      && List.equal String.equal p.view_change_envelopes q.view_change_envelopes
-      && p.replica = q.replica
-  | Fetch p, Fetch q -> p.from_seq = q.from_seq && p.replica = q.replica
-  | Fetch_reply p, Fetch_reply q ->
-      List.equal
-        (fun (s, d, b) (s', d', b') ->
-          s = s' && String.equal d d' && List.equal request_equal b b')
-        p.batches q.batches
-      && p.replica = q.replica
-  | ( ( Request _ | Pre_prepare _ | Prepare _ | Commit _ | Reply _
-      | Checkpoint _ | View_change _ | New_view _ | Fetch _ | Fetch_reply _ ),
-      _ ) ->
-      false
-
 (* ---------- encoding ---------- *)
 
 let encode_addr e (a : Bp_sim.Addr.t) =

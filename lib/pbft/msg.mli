@@ -88,15 +88,6 @@ type body =
       replica : int;
     }
 
-val request_equal : request -> request -> bool
-(** Equality of the wire fields ([client], [ts], [kind], [op],
-    [client_sig]); the per-node memos [decoded], [executions] and [sha]
-    are ignored. *)
-
-val body_equal : body -> body -> bool
-(** Structural equality of bodies, with requests compared by
-    {!request_equal}. *)
-
 (** {1 Content-addressed signing}
 
     Signatures over bulky messages (Request, Pre_prepare,

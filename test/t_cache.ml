@@ -777,7 +777,7 @@ let test_envelope_both_payloads () =
   let empty = Verify_cache.create ~capacity:0 ~digest_budget:0 ks in
   let verifies cache sealed body =
     match M.verify_envelope ~cache cfg sealed with
-    | Ok b -> M.body_equal b body
+    | Ok b -> String.equal (M.encode_body b) (M.encode_body body)
     | Error _ -> false
   in
   List.iter

@@ -8,11 +8,11 @@ open Blockplane
    same bytes — under loss, duplication, reordering and byzantine
    nodes. *)
 
-let make_world ?(fi = 1) ?faults ?(seed = 91L) () =
+let make_world ?(n_participants = 2) ?(fi = 1) ?faults ?(seed = 91L) () =
   let engine = Engine.create ~seed () in
   let net = Network.create engine Topology.aws_paper ?faults () in
   let dep =
-    Deployment.create ~network:net ~n_participants:2 ~fi
+    Deployment.create ~network:net ~n_participants ~fi
       ~app:(module App.Null)
       ()
   in
@@ -141,6 +141,34 @@ let test_junk_sign_response () =
   Api.send (Deployment.api dep 0) ~dest:1 "signed-for-real" ~on_done:ignore;
   Engine.run ~until:(Time.of_sec 10.0) engine;
   check_stream "junk signatures never counted" [ "signed-for-real" ]
+    (drain (Deployment.api dep 1) ~src:0)
+
+let test_out_of_range_source () =
+  (* Participant ids read off the wire name no unit: a transmission from
+     unit 4 of a four-unit deployment, a reserve probe about unit 7. The
+     node must drop both before they index its per-source state, and
+     the send path must keep working. *)
+  let engine, net, dep = make_world ~n_participants:4 ~seed:95L () in
+  let atk = attacker net ~dc:1 in
+  attacker_send atk ~dc:1
+    (Proto.Transmit
+       {
+         transmission =
+           {
+             Record.src = 4;
+             tdest = 1;
+             tcomm_seq = 0;
+             log_pos = 0;
+             tpayload = "forged";
+             proofs = [];
+             geo_proofs = [];
+           };
+       });
+  attacker_send atk ~dc:1 (Proto.Reserve_query { src = 7 });
+  Engine.run ~until:(Time.of_sec 1.0) engine;
+  Api.send (Deployment.api dep 0) ~dest:1 "after-junk-ids" ~on_done:ignore;
+  Engine.run ~until:(Time.of_sec 10.0) engine;
+  check_stream "0->1 delivered" [ "after-junk-ids" ]
     (drain (Deployment.api dep 1) ~src:0)
 
 (* -------- fault matrix: the delivered stream is the sent one -------- *)
@@ -333,6 +361,8 @@ let suite =
           test_ack_replay_and_forgery;
         Alcotest.test_case "junk sign_response rejected" `Quick
           test_junk_sign_response;
+        Alcotest.test_case "out-of-range source ids dropped" `Quick
+          test_out_of_range_source;
         Alcotest.test_case "fault matrix delivers the sent stream" `Slow
           test_fault_matrix;
         QCheck_alcotest.to_alcotest ~long:true prop_fault_stream;
