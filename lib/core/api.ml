@@ -16,6 +16,7 @@ type t = {
   vcache : Bp_crypto.Verify_cache.t;
   lead_node : Unit_node.t;
   geo : Geo.t;
+  xs_staged : unit -> int;
   next_comm_seq : int array;
   delivered : int array; (* per source: last comm_seq handed to handlers *)
   reception : string Queue.t array; (* per source: delivered, unread *)
@@ -30,7 +31,7 @@ let next_comm_seq t ~dest = t.next_comm_seq.(dest)
 let pipeline_occupancy t = Unit_node.pipeline_occupancy t.lead_node
 let batch_stats t = Bp_pbft.Replica.batch_stats (Unit_node.replica t.lead_node)
 let queue_depth t = Bp_pbft.Replica.queue_depth (Unit_node.replica t.lead_node)
-let xs_staged t = Unit_node.xs_staged t.lead_node
+let xs_staged t = t.xs_staged ()
 
 let quorum t = (2 * t.pbft_cfg.Bp_pbft.Config.f) + 1
 
@@ -63,7 +64,7 @@ let on_read_reply t ~src ~pos ~payload =
   t.reads <- List.filter (fun r -> not r.resolved) t.reads
 
 let create ~network ~pbft_cfg ~participant ~n_participants ~lead_node ~geo
-    ~vcache =
+    ~vcache ~xs_staged =
   (* The API endpoint is co-located with the unit (client latency is one
      intra-DC hop, as in Fig. 3(a)). *)
   let addr = Addr.make ~dc:participant ~idx:90 in
@@ -81,6 +82,7 @@ let create ~network ~pbft_cfg ~participant ~n_participants ~lead_node ~geo
       vcache;
       lead_node;
       geo;
+      xs_staged;
       next_comm_seq = Array.make n_participants 0;
       delivered = Array.make n_participants (-1);
       reception = Array.init n_participants (fun _ -> Queue.create ());

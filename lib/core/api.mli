@@ -15,8 +15,11 @@ val create :
   lead_node:Unit_node.t ->
   geo:Geo.t ->
   vcache:Bp_crypto.Verify_cache.t ->
+  xs_staged:(unit -> int) ->
   t
-(** [vcache] is the endpoint's own verification cache (never a node's). *)
+(** [vcache] is the endpoint's own verification cache (never a node's).
+    [xs_staged] is the staged-transaction count of [lead_node]'s app copy,
+    the second half of its {!Shard.instance}. *)
 
 val participant : t -> int
 val n_participants : t -> int
@@ -85,8 +88,11 @@ val queue_depth : t -> int
 (** Requests queued at the unit's lead node awaiting batch formation. *)
 
 val xs_staged : t -> int
-(** Cross-shard transactions staged (prepared, undecided) at this unit's
-    lead node — see {!Unit_node.xs_staged}. 0 at quiescence. *)
+(** Cross-shard transactions whose prepare has committed in this unit's
+    lead node's log copy but whose decide has not yet: staged op slices
+    awaiting the coordinator's decision, as its {!Shard.instance} counts
+    them. 0 at quiescence — every prepared txid is eventually decided
+    (commit or the timeout downgrade). *)
 
 val submit_record :
   t -> Record.t -> on_done:(unit -> unit) -> on_rejected:(unit -> unit) -> unit

@@ -62,13 +62,16 @@ let create ~network ~n_participants ?(fi = 1) ?(fg = 0) ?(scheme = `Hmac)
             ~tag:(Proto.unit_tag p) ?batch_max ?batch_min_fill
             ?batch_hold ?max_in_flight ()
         in
+        let apps =
+          Array.init ((3 * fi) + 1) (fun _ ->
+              Shard.instance app ~participant:p ~n_participants)
+        in
         let nodes =
-          Array.init
-            ((3 * fi) + 1)
-            (fun i ->
+          Array.mapi
+            (fun i (app, _) ->
               Unit_node.create ~network ~pbft_cfg ~participant:p ~n_participants
-                ~node_idx:i ~fg ~vcache:(new_cache ())
-                ~app:(App.make app ~participant:p ~n_participants) ())
+                ~node_idx:i ~fg ~vcache:(new_cache ()) ~app ())
+            apps
         in
         (* Every node serves mirror duties (fg > 0 traffic). *)
         Array.iter (fun n -> ignore (Geo.Agent.install n)) nodes;
@@ -81,6 +84,7 @@ let create ~network ~n_participants ?(fi = 1) ?(fg = 0) ?(scheme = `Hmac)
         let api =
           Api.create ~network ~pbft_cfg ~participant:p ~n_participants
             ~lead_node:nodes.(0) ~geo ~vcache:(new_cache ())
+            ~xs_staged:(snd apps.(0))
         in
         (p, pbft_cfg, nodes, geo, api))
   in

@@ -22,8 +22,10 @@ val create :
   unit ->
   t
 (** [app] is the user protocol: every node gets a fresh instance, made by
-    {!App.make} with its own participant (so all nodes of a unit start
-    identical). Defaults: fi = 1, fg = 0, HMAC signatures.
+    {!Shard.instance} with its own participant (so all nodes of a unit
+    start identical; the wrapper gives the cross-shard commit steps their
+    meaning and hands every other record to [app]). Defaults: fi = 1,
+    fg = 0, HMAC signatures.
     [batch_min_fill] / [batch_hold] configure the primary's adaptive
     batch-cut policy (see {!Bp_pbft.Config}); the defaults reproduce the
     seed's cut-on-any-signal behaviour. Mirror sets

@@ -47,19 +47,6 @@ let decode_transmission d =
   | Ok _ -> raise (Wire.Malformed "expected Recv record")
   | Error msg -> raise (Wire.Malformed msg)
 
-let encode_sigs e sigs =
-  Wire.list e
-    (fun (identity, signature) ->
-      Wire.string e identity;
-      Wire.string e signature)
-    sigs
-
-let decode_sigs d =
-  Wire.read_list d (fun d ->
-      let identity = Wire.read_string d in
-      let signature = Wire.read_string d in
-      (identity, signature))
-
 let encode m =
   Wire.encode (fun e ->
       match m with
@@ -96,7 +83,7 @@ let encode m =
           Wire.varint e owner;
           Wire.varint e pos;
           Wire.varint e participant;
-          encode_sigs e sigs
+          Record.encode_sig_list e sigs
       | Mirror_sign_request { owner; pos; digest } ->
           Wire.u8 e 8;
           Wire.varint e owner;
@@ -145,7 +132,7 @@ let decode s =
           let owner = Wire.read_varint d in
           let pos = Wire.read_varint d in
           let participant = Wire.read_varint d in
-          let sigs = decode_sigs d in
+          let sigs = Record.decode_sig_list d in
           Mirror_proof { owner; pos; participant; sigs }
       | 8 ->
           let owner = Wire.read_varint d in

@@ -120,81 +120,5 @@ let transmission_statement ~digest t =
       Wire.varint e t.log_pos;
       Wire.string e (digest t.tpayload))
 
-(* ---------- cross-shard transaction records ----------
-
-   The shard layer drives its BFT two-phase commit through ordinary
-   log-commit records: a reserved "__xs:" payload prefix marks the
-   prepare / apply / decide entries each participant shard appends to its
-   own Local Log. The prefix mirrors the "_read_marker:" and "__rejected"
-   precedents — middleware-internal payloads the user protocol never
-   sees raw; Unit_node gives them their staging semantics. *)
-
-type xs =
-  | Xs_prepare of { txid : string; ops : (string * string) list }
-  | Xs_apply of { txid : string; ops : (string * string) list }
-  | Xs_decide of { txid : string; commit : bool }
-
-let xs_prefix = "__xs:"
-
-let encode_ops e ops =
-  Wire.list e
-    (fun (key, op) ->
-      Wire.string e key;
-      Wire.string e op)
-    ops
-
-let decode_ops d =
-  Wire.read_list d (fun d ->
-      let key = Wire.read_string d in
-      let op = Wire.read_string d in
-      (key, op))
-
-let xs_payload xs =
-  xs_prefix
-  ^ Wire.encode (fun e ->
-        match xs with
-        | Xs_prepare { txid; ops } ->
-            Wire.u8 e 0;
-            Wire.string e txid;
-            encode_ops e ops
-        | Xs_apply { txid; ops } ->
-            Wire.u8 e 1;
-            Wire.string e txid;
-            encode_ops e ops
-        | Xs_decide { txid; commit } ->
-            Wire.u8 e 2;
-            Wire.string e txid;
-            Wire.bool e commit)
-
-let is_xs_payload payload = String.starts_with ~prefix:xs_prefix payload
-
-let xs_of_payload payload =
-  if not (is_xs_payload payload) then `Not_xs
-  else
-    let off = String.length xs_prefix in
-    match
-      Wire.decode_sub payload ~off ~len:(String.length payload - off) (fun d ->
-          let xs =
-            match Wire.read_u8 d with
-            | 0 ->
-                let txid = Wire.read_string d in
-                let ops = decode_ops d in
-                Xs_prepare { txid; ops }
-            | 1 ->
-                let txid = Wire.read_string d in
-                let ops = decode_ops d in
-                Xs_apply { txid; ops }
-            | 2 ->
-                let txid = Wire.read_string d in
-                let commit = Wire.read_bool d in
-                Xs_decide { txid; commit }
-            | n -> raise (Wire.Malformed (Printf.sprintf "xs tag %d" n))
-          in
-          if not (Wire.at_end d) then raise (Wire.Malformed "xs trailing bytes");
-          xs)
-    with
-    | Ok xs -> `Xs xs
-    | Error _ -> `Malformed
-
 let comm_image t =
   Comm { dest = t.tdest; comm_seq = t.tcomm_seq; payload = t.tpayload }

@@ -44,6 +44,12 @@ val kind_of : t -> kind
 val encode : t -> string
 val decode : string -> (t, string) result
 
+val encode_sig_list : Bp_codec.Wire.encoder -> (string * string) list -> unit
+(** A list of (signer identity, signature) pairs, as every proof bundle
+    in a record or a {!Proto} message is written. *)
+
+val decode_sig_list : Bp_codec.Wire.decoder -> (string * string) list
+
 val transmission_statement : digest:(string -> string) -> transmission -> string
 (** The byte string that source-unit nodes sign to attest a transmission
     record (everything except the proofs themselves). [digest] must compute
@@ -55,34 +61,3 @@ val comm_image : transmission -> t
 (** The communication record this transmission claims to carry — what the
     source appended to its Local Log. Its encoding is the content that
     geo mirror statements attest (§V). *)
-
-(** {1 Cross-shard transaction records}
-
-    The shard layer ({!Shard}) drives its BFT two-phase commit through
-    ordinary log-commit records: a reserved ["__xs:"] payload prefix
-    marks the prepare / apply / decide entries each participant shard
-    appends to its own Local Log. Middleware-internal, like read markers
-    — {!Unit_node} gives them their staging semantics and the user
-    protocol only ever sees the enclosed ops as plain commits. *)
-
-type xs =
-  | Xs_prepare of { txid : string; ops : (string * string) list }
-      (** Stage [(key, op)] pairs under [txid]; committed by every
-          participant shard as its YES vote. *)
-  | Xs_apply of { txid : string; ops : (string * string) list }
-      (** Single-shard multi-op transaction: apply immediately, no
-          staging round-trip needed. *)
-  | Xs_decide of { txid : string; commit : bool }
-      (** The coordinator's decision, committed in every participant's
-          log; applies the staged ops in order, or drops them. A decide
-          for an unknown [txid] is a deterministic no-op. *)
-
-val xs_payload : xs -> string
-(** The ["__xs:"]-prefixed log-commit payload encoding this step. *)
-
-val is_xs_payload : string -> bool
-
-val xs_of_payload : string -> [ `Not_xs | `Xs of xs | `Malformed ]
-(** [`Malformed] is an xs-prefixed payload whose body does not decode —
-    verification routines reject these ([`Not_xs] payloads are ordinary
-    user commits). *)

@@ -44,7 +44,7 @@ let shard_of_key m key =
 let shards_of_keys m keys =
   List.sort_uniq compare (List.map (shard_of_key m) keys)
 
-let coordinator _m = function
+let coordinator = function
   | [] -> invalid_arg "Shard.coordinator: empty participant set"
   | parts -> List.fold_left Int.min max_int parts
 
@@ -71,6 +71,124 @@ let key_for m ~shard ~salt =
       in
       probe 0
 
+(* ---------- codec: prefixed payloads carrying (key, op) lists ---------- *)
+
+open Bp_codec
+
+let encode_ops e ops =
+  Wire.list e
+    (fun (key, op) ->
+      Wire.string e key;
+      Wire.string e op)
+    ops
+
+let decode_ops d =
+  Wire.read_list d (fun d ->
+      let key = Wire.read_string d in
+      let op = Wire.read_string d in
+      (key, op))
+
+(* The body after [prefix], which [payload] is known to start with;
+   [Wire.decode_sub] rejects trailing bytes. *)
+let decode_body ~prefix payload reader =
+  let off = String.length prefix in
+  Wire.decode_sub payload ~off ~len:(String.length payload - off) reader
+
+(* ---------- commit steps (ride inside log-commit records) ---------- *)
+
+type xs =
+  | Xs_prepare of { txid : string; ops : (string * string) list }
+  | Xs_apply of { txid : string; ops : (string * string) list }
+  | Xs_decide of { txid : string; commit : bool }
+
+let xs_prefix = "__xs:"
+
+let xs_payload xs =
+  xs_prefix
+  ^ Wire.encode (fun e ->
+        match xs with
+        | Xs_prepare { txid; ops } ->
+            Wire.u8 e 0;
+            Wire.string e txid;
+            encode_ops e ops
+        | Xs_apply { txid; ops } ->
+            Wire.u8 e 1;
+            Wire.string e txid;
+            encode_ops e ops
+        | Xs_decide { txid; commit } ->
+            Wire.u8 e 2;
+            Wire.string e txid;
+            Wire.bool e commit)
+
+let is_xs_payload payload = String.starts_with ~prefix:xs_prefix payload
+
+let xs_of_payload payload =
+  decode_body ~prefix:xs_prefix payload (fun d ->
+      match Wire.read_u8 d with
+      | 0 ->
+          let txid = Wire.read_string d in
+          let ops = decode_ops d in
+          Xs_prepare { txid; ops }
+      | 1 ->
+          let txid = Wire.read_string d in
+          let ops = decode_ops d in
+          Xs_apply { txid; ops }
+      | 2 ->
+          let txid = Wire.read_string d in
+          let commit = Wire.read_bool d in
+          Xs_decide { txid; commit }
+      | n -> raise (Wire.Malformed (Printf.sprintf "xs tag %d" n)))
+
+(* The app wrapper of [instance]: it judges and stages the commit steps
+   and hands every other record to the inner app unchanged. *)
+module Steps (A : App.S) = struct
+  type state = { inner : A.state; staged : (string, (string * string) list) Hashtbl.t }
+
+  let create ~participant ~n_participants =
+    { inner = A.create ~participant ~n_participants; staged = Hashtbl.create 8 }
+
+  let verify_op st (_key, op) = A.verify st.inner (Record.Commit op)
+
+  (* Prepare/apply: every enclosed op must be a transition the app would
+     accept — a rejected prepare is this shard's NO vote. Decides carry
+     no ops; a decide for an unknown txid applies nothing, so it is
+     always safe to order. *)
+  let verify st = function
+    | Record.Commit payload when is_xs_payload payload -> (
+        match xs_of_payload payload with
+        | Ok (Xs_prepare { ops; _ } | Xs_apply { ops; _ }) ->
+            (not (List.is_empty ops)) && List.for_all (verify_op st) ops
+        | Ok (Xs_decide _) ->
+            (* Known hole (ROADMAP item 2): a forged commit decide applies. *)
+            (true [@bplint.allow "R10-accept"])
+        | Error _ -> false)
+    | record -> A.verify st.inner record
+
+  let apply_ops st ~hash ops =
+    List.iter (fun (_key, op) -> A.apply st.inner ~hash (Record.Commit op)) ops
+
+  let apply st ~hash = function
+    | Record.Commit payload when is_xs_payload payload -> (
+        match xs_of_payload payload with
+        | Ok (Xs_prepare { txid; ops }) -> Hashtbl.replace st.staged txid ops
+        | Ok (Xs_apply { txid = _; ops }) -> apply_ops st ~hash ops
+        | Ok (Xs_decide { txid; commit }) ->
+            (match Hashtbl.find_opt st.staged txid with
+            | Some ops when commit -> apply_ops st ~hash ops
+            | Some _ | None -> ());
+            Hashtbl.remove st.staged txid
+        | Error _ -> ())
+    | record -> A.apply st.inner ~hash record
+
+  let digest st = A.digest st.inner
+  let describe st = A.describe st.inner
+end
+
+let instance (module A : App.S) ~participant ~n_participants =
+  let module W = Steps (A) in
+  let st = W.create ~participant ~n_participants in
+  (App.Instance ((module W), st), fun () -> Hashtbl.length st.W.staged)
+
 (* ---------- 2PC wire messages (ride inside communication records) ---------- *)
 
 type msg =
@@ -81,8 +199,6 @@ type msg =
 
 let msg_prefix = "__xsm:"
 
-open Bp_codec
-
 let encode_msg msg =
   msg_prefix
   ^ Wire.encode (fun e ->
@@ -91,11 +207,7 @@ let encode_msg msg =
             Wire.u8 e 0;
             Wire.string e txid;
             Wire.varint e coord;
-            Wire.list e
-              (fun (k, op) ->
-                Wire.string e k;
-                Wire.string e op)
-              ops
+            encode_ops e ops
         | Vote { txid; yes } ->
             Wire.u8 e 1;
             Wire.string e txid;
@@ -108,38 +220,27 @@ let encode_msg msg =
             Wire.u8 e 3;
             Wire.string e txid)
 
-let is_msg payload = String.starts_with ~prefix:msg_prefix payload
-
 let decode_msg payload =
-  if not (is_msg payload) then None
+  if not (String.starts_with ~prefix:msg_prefix payload) then None
   else
-    let off = String.length msg_prefix in
-    match
-      Wire.decode_sub payload ~off ~len:(String.length payload - off) (fun d ->
-          match Wire.read_u8 d with
-          | 0 ->
-              let txid = Wire.read_string d in
-              let coord = Wire.read_varint d in
-              let ops =
-                Wire.read_list d (fun d ->
-                    let k = Wire.read_string d in
-                    let op = Wire.read_string d in
-                    (k, op))
-              in
-              Prepare { txid; coord; ops }
-          | 1 ->
-              let txid = Wire.read_string d in
-              let yes = Wire.read_bool d in
-              Vote { txid; yes }
-          | 2 ->
-              let txid = Wire.read_string d in
-              let commit = Wire.read_bool d in
-              Decide { txid; commit }
-          | 3 -> Applied { txid = Wire.read_string d }
-          | n -> raise (Wire.Malformed (Printf.sprintf "xsm tag %d" n)))
-    with
-    | Ok m -> Some m
-    | Error _ -> None
+    Result.to_option
+      (decode_body ~prefix:msg_prefix payload (fun d ->
+           match Wire.read_u8 d with
+           | 0 ->
+               let txid = Wire.read_string d in
+               let coord = Wire.read_varint d in
+               let ops = decode_ops d in
+               Prepare { txid; coord; ops }
+           | 1 ->
+               let txid = Wire.read_string d in
+               let yes = Wire.read_bool d in
+               Vote { txid; yes }
+           | 2 ->
+               let txid = Wire.read_string d in
+               let commit = Wire.read_bool d in
+               Decide { txid; commit }
+           | 3 -> Applied { txid = Wire.read_string d }
+           | n -> raise (Wire.Malformed (Printf.sprintf "xsm tag %d" n))))
 
 (* ---------- router ---------- *)
 
@@ -222,7 +323,7 @@ let decide t pending ~commit =
     let coord = pending.coord in
     let others = List.filter (fun p -> p <> coord) pending.parts in
     Api.log_commit (t.api coord)
-      (Record.xs_payload (Record.Xs_decide { txid = pending.p_txid; commit }))
+      (xs_payload (Xs_decide { txid = pending.p_txid; commit }))
       ~on_done:(fun () ->
         List.iter
           (fun p ->
@@ -263,7 +364,7 @@ let on_prepare t ~self ~txid ~coord ~ops =
     send_msg t ~from:self ~dest:coord (Vote { txid; yes })
   in
   Api.log_commit (t.api self)
-    (Record.xs_payload (Record.Xs_prepare { txid; ops }))
+    (xs_payload (Xs_prepare { txid; ops }))
     ~on_done:(fun () -> vote true)
     ~on_rejected:(fun () -> vote false)
 
@@ -286,7 +387,7 @@ let on_message t ~self ~src payload =
          coordinator's completion barrier, so acknowledge it; an abort
          is already final once the coordinator logged its downgrade. *)
       Api.log_commit (t.api self)
-        (Record.xs_payload (Record.Xs_decide { txid; commit }))
+        (xs_payload (Xs_decide { txid; commit }))
         ~on_done:(fun () ->
           if commit then send_msg t ~from:self ~dest:src (Applied { txid }))
   | Some (Applied { txid }) -> (
@@ -350,14 +451,14 @@ let submit t ?(on_aborted = ignore) ~on_done ops =
       let txid = Printf.sprintf "x%d" t.next_txid in
       t.next_txid <- t.next_txid + 1;
       Api.log_commit (t.api s)
-        (Record.xs_payload (Record.Xs_apply { txid; ops = slice }))
+        (xs_payload (Xs_apply { txid; ops = slice }))
         ~on_done ~on_rejected:on_aborted
   | parts ->
       t.cross_shard <- t.cross_shard + 1;
       let txid = Printf.sprintf "x%d" t.next_txid in
       t.next_txid <- t.next_txid + 1;
       let shard_ids = List.map fst parts in
-      let coord = coordinator t.map shard_ids in
+      let coord = coordinator shard_ids in
       let pending =
         {
           p_txid = txid;
@@ -386,7 +487,7 @@ let submit t ?(on_aborted = ignore) ~on_done ops =
           if s = coord then
             (* The coordinator's own prepare doubles as its vote. *)
             Api.log_commit (t.api coord)
-              (Record.xs_payload (Record.Xs_prepare { txid; ops = slice }))
+              (xs_payload (Xs_prepare { txid; ops = slice }))
               ~on_done:(fun () -> record_vote t pending ~participant:coord ~yes:true)
               ~on_rejected:(fun () ->
                 record_vote t pending ~participant:coord ~yes:false)

@@ -27,9 +27,9 @@
       commits [Xs_decide commit=false] (a deterministic no-op downgrade:
       a decide for an unstaged txid applies nothing);
     + each participant commits the decide in its own log; only that
-      committed decide applies the staged ops (see
-      {!Unit_node.replay}'s staging semantics), then acknowledges, and
-      the transaction completes at the coordinator when every
+      committed decide applies the staged ops (see {!instance}, the app
+      wrapper that gives the steps their meaning), then acknowledges,
+      and the transaction completes at the coordinator when every
       participant has applied.
 
     With [fi] byzantine nodes per unit the usual PBFT bound holds inside
@@ -64,7 +64,7 @@ val shard_of_key : map -> string -> int
 val shards_of_keys : map -> string list -> int list
 (** Distinct owning shards, sorted ascending. *)
 
-val coordinator : map -> int list -> int
+val coordinator : int list -> int
 (** The deterministic coordinator of a participating-shard set: the
     minimum shard. @raise Invalid_argument on an empty list. *)
 
@@ -74,6 +74,46 @@ val key_for : map -> shard:int -> salt:int -> string
     salted candidates. Deterministic in [(map, shard, salt)]; load
     generators use it to target shards without rejection sampling.
     @raise Invalid_argument if [shard] is out of range. *)
+
+(** {1 Commit steps}
+
+    The 2PC steps are ordinary log-commit records whose payload carries
+    a reserved ["__xs:"] prefix, like the ["_read_marker:"] payloads the
+    middleware keeps from the user protocol. Each participant shard
+    appends its steps to its own Local Log; the app wrapper of
+    {!instance} judges and applies them. *)
+
+type xs =
+  | Xs_prepare of { txid : string; ops : (string * string) list }
+      (** Stage [(key, op)] pairs under [txid]; committed by every
+          participant shard as its YES vote. *)
+  | Xs_apply of { txid : string; ops : (string * string) list }
+      (** Single-shard multi-op transaction: apply immediately, no
+          staging round-trip needed. *)
+  | Xs_decide of { txid : string; commit : bool }
+      (** The coordinator's decision, committed in every participant's
+          log; applies the staged ops in order, or drops them. A decide
+          for an unknown [txid] is a deterministic no-op. *)
+
+val xs_payload : xs -> string
+(** The ["__xs:"]-prefixed log-commit payload encoding this step. *)
+
+val instance :
+  (module App.S) ->
+  participant:int ->
+  n_participants:int ->
+  App.instance * (unit -> int)
+(** A node's copy of the user's app, wrapped to read the commit steps,
+    and that copy's count of staged transactions (prepared, not yet
+    decided). The wrapper rejects an undecodable step and a prepare or
+    apply with no ops or with an op the inner app rejects; it accepts
+    every decide (a known hole, ROADMAP item 2). It stages a prepare's
+    ops under the txid and applies them, in order, when a commit decide
+    of that txid executes; an abort drops them. Each op reaches the inner
+    app as [Record.Commit op]; every other record goes to it unchanged,
+    and [digest] and [describe] are its own. The staged slices are
+    wrapper state, so a WAL replay ({!Unit_node.replay}) into a fresh
+    instance rebuilds them. *)
 
 (** {1 Router} *)
 

@@ -31,9 +31,6 @@ type t = {
   mirror_index : string Proto.Mirror_tbl.t; (* mirror_key -> value digest *)
   mutable byz_sign_anything : bool;
   mutable byz_drop_comm : bool;
-  (* cross-shard 2PC: ops staged by a committed prepare record, awaiting
-     the decide record of the same txid (see Shard) *)
-  xs_staging : (string, (string * string) list) Hashtbl.t;
 }
 
 let addr t = t.addr
@@ -54,7 +51,6 @@ let identity t = Bp_pbft.Config.identity t.pbft_cfg t.addr
 let last_received t ~src = t.last_received.(src)
 let set_byzantine_sign_anything t b = t.byz_sign_anything <- b
 let set_byzantine_drop_comm t b = t.byz_drop_comm <- b
-let xs_staged t = Hashtbl.length t.xs_staging
 
 let add_executed_hook t f = t.executed_hooks <- f :: t.executed_hooks
 let add_aux_listener t f = t.aux_listeners <- f :: t.aux_listeners
@@ -179,32 +175,13 @@ let verify_transmission t (tr : Record.transmission) =
 let is_read_marker payload = String.starts_with ~prefix:"_read_marker:" payload
 
 (* What the user protocol sees of a committed record — shared between
-   live execution and WAL replay so recovery is exact. Cross-shard
-   transaction records carry staging semantics: a prepare parks its ops
-   under the txid, the decide of the same txid applies them in order (or
-   drops them on abort), and a single-shard [Xs_apply] applies its ops
-   immediately. The user protocol sees each op as an ordinary commit;
-   the xs envelope never reaches it, like read markers. [staging] is
-   per-log-copy state, so replay hands in its own empty table and
-   reconverges exactly. [hash] is the SHA-256 the app digests with: the
-   node's memo lookup live, a plain hash on replay — the same digests
-   either way. *)
-let apply_to_app ~hash ~staging app record =
+   live execution and WAL replay so recovery is exact. [hash] is the
+   SHA-256 the app digests with: the node's memo lookup live, a plain
+   hash on replay — the same digests either way. *)
+let apply_to_app ~hash app record =
   match record with
   | Record.Mirrored _ -> ()
   | Record.Commit payload when is_read_marker payload -> ()
-  | Record.Commit payload when Record.is_xs_payload payload -> (
-      match Record.xs_of_payload payload with
-      | `Xs (Record.Xs_prepare { txid; ops }) -> Hashtbl.replace staging txid ops
-      | `Xs (Record.Xs_apply { txid = _; ops }) ->
-          List.iter (fun (_key, op) -> App.apply app ~hash (Record.Commit op)) ops
-      | `Xs (Record.Xs_decide { txid; commit }) ->
-          (match Hashtbl.find_opt staging txid with
-          | Some ops when commit ->
-              List.iter (fun (_key, op) -> App.apply app ~hash (Record.Commit op)) ops
-          | Some _ | None -> ());
-          Hashtbl.remove staging txid
-      | `Not_xs | `Malformed -> ())
   | Record.Commit _ | Record.Comm _ | Record.Recv _ -> App.apply app ~hash record
 
 (* [log-commit] makes the Local Log itself durable (§III-C). *)
@@ -215,13 +192,12 @@ let wal_image t =
 
 let replay ~image ~app =
   let payloads, discarded = Bp_storage.Wal.recover image in
-  let staging = Hashtbl.create 8 in
   let count = ref 0 in
   List.iter
     (fun encoded ->
       match Record.decode encoded with
       | Ok record ->
-          apply_to_app ~hash:Bp_crypto.Sha256.digest ~staging app record;
+          apply_to_app ~hash:Bp_crypto.Sha256.digest app record;
           incr count
       | Error _ -> ())
     payloads;
@@ -257,21 +233,6 @@ let verifier t (r : Bp_pbft.Msg.request) =
           (true [@bplint.allow "R10-accept"])
       | Record.Commit payload when is_read_marker payload ->
           (true [@bplint.allow "R10-accept"]) (* orders a read, applies nothing *)
-      | Record.Commit payload when Record.is_xs_payload payload -> (
-          (* Prepare/apply: every enclosed op must be a transition the
-             app would accept — a rejected prepare is this shard's NO
-             vote. Decides carry no ops; a decide for an unknown txid
-             applies nothing, so it is always safe to order. *)
-          match Record.xs_of_payload payload with
-          | `Xs (Record.Xs_prepare { ops; _ } | Record.Xs_apply { ops; _ }) ->
-              (not (List.is_empty ops))
-              && List.for_all
-                   (fun (_key, op) -> App.verify t.app (Record.Commit op))
-                   ops
-          | `Xs (Record.Xs_decide _) ->
-              (* Known hole (ROADMAP item 2): a forged commit decide applies. *)
-              (true [@bplint.allow "R10-accept"])
-          | `Not_xs | `Malformed -> false)
       | Record.Commit _ | Record.Comm _ -> App.verify t.app record)
 
 (* ---------- verification prefetch ---------- *)
@@ -384,7 +345,7 @@ let execute t ~seq:_ (r : Bp_pbft.Msg.request) =
       in
       let entry = Bp_storage.Log_store.append t.log ~payload_digest op in
       let pos = entry.Bp_storage.Log_store.index in
-      apply_to_app ~hash ~staging:t.xs_staging t.app record;
+      apply_to_app ~hash t.app record;
       (match record with
       | Record.Recv tr ->
           let src = tr.Record.src in
@@ -515,7 +476,6 @@ let create ~network ~pbft_cfg ~participant ~n_participants ~node_idx ~fg
       mirror_index = Proto.Mirror_tbl.create 64;
       byz_sign_anything = false;
       byz_drop_comm = false;
-      xs_staging = Hashtbl.create 8;
     }
   in
   let replica =

@@ -113,12 +113,6 @@ val set_byzantine_drop_comm : t -> bool -> unit
     traffic — sign requests and transmits. Its PBFT replica stays
     honest (withholding only). *)
 
-val xs_staged : t -> int
-(** Cross-shard transactions whose prepare has committed in this node's
-    log copy but whose decide has not yet: staged op slices awaiting the
-    coordinator's decision. 0 at quiescence — every prepared txid is
-    eventually decided (commit or the timeout downgrade). *)
-
 val wal_image : t -> string
 (** The node's durable log: its Local Log framed by
     {!Bp_storage.Wal.image}, one checksummed frame per entry in log
@@ -132,4 +126,8 @@ val replay :
     Returns the number of records recovered and whether trailing bytes
     had to be discarded. The [app] instance is mutated to the recovered
     state; records the middleware hides from the app (mirror entries,
-    read markers) are skipped exactly as during live execution. *)
+    read markers) are skipped exactly as during live execution. A
+    deployment's nodes run the app wrapped by {!Shard.instance}, so
+    recovering one of them needs a fresh wrapped copy too: the wrapper,
+    not this function, gives the cross-shard commit steps their
+    meaning. *)

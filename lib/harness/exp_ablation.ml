@@ -13,17 +13,15 @@ let reads_reports ~scale =
   let n = Runner.scaled scale 20 in
   ignore
     (Runner.sequential engine ~n:5 ~warmup:0 ~run_one:(fun i ~on_done ->
-         Api.log_commit api (Printf.sprintf "entry-%d" i) ~on_done:(fun () ->
-             on_done 0.0)));
+         Api.log_commit api (Printf.sprintf "entry-%d" i) ~on_done));
   let measure strategy =
     Runner.sequential engine ~n ~warmup:2 ~run_one:(fun i ~on_done ->
         let pos = i mod 5 in
-        let started = Engine.now engine in
         let finish r =
           (match r with
           | Some (Record.Commit _) -> ()
           | _ -> failwith "read ablation: wrong record");
-          on_done (Time.to_ms (Time.diff (Engine.now engine) started))
+          on_done ()
         in
         match strategy with
         | `One ->
@@ -211,9 +209,7 @@ let loss_task ~scale i rate () =
   let api = Deployment.api w.Runner.dep 0 in
   let stats =
     Runner.sequential engine ~n ~warmup:3 ~run_one:(fun i ~on_done ->
-        let started = Engine.now engine in
-        Api.log_commit api (Runner.payload ~size:1000 i) ~on_done:(fun () ->
-            on_done (Time.to_ms (Time.diff (Engine.now engine) started))))
+        Api.log_commit api (Runner.payload ~size:1000 i) ~on_done)
   in
   let s = Bp_util.Stats.summarize stats in
   [

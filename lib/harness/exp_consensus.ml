@@ -28,11 +28,9 @@ let measure_paxos ~leader ~reps ~seed =
   Engine.run ~until:(Time.of_sec 2.0) engine;
   if not !ready then failwith "paxos election failed";
   Runner.sequential engine ~n:reps ~warmup:1 ~run_one:(fun i ~on_done ->
-      let started = Engine.now engine in
       Bp_paxos.Replica.propose replicas.(leader)
         (Printf.sprintf "v%d" i)
-        ~on_commit:(fun _ ->
-          on_done (Time.to_ms (Time.diff (Engine.now engine) started))))
+        ~on_commit:(fun _ -> on_done ()))
 
 (* -------- Blockplane-paxos -------- *)
 
@@ -52,12 +50,11 @@ let measure_bp_paxos ~leader ~reps ~seed =
   Engine.run ~until:(Time.of_sec 5.0) world.Runner.engine;
   if not !ready then failwith "blockplane-paxos election failed";
   Runner.sequential world.Runner.engine ~n:reps ~warmup:1 ~run_one:(fun i ~on_done ->
-      let started = Engine.now world.Runner.engine in
       Bp_apps.Byz_paxos.replicate drivers.(leader)
         (Printf.sprintf "v%d" i)
         ~on_result:(fun ok ->
           if not ok then failwith "blockplane-paxos lost leadership mid-benchmark";
-          on_done (Time.to_ms (Time.diff (Engine.now world.Runner.engine) started))))
+          on_done ()))
 
 (* -------- flat geo-PBFT: one replica per datacenter -------- *)
 
@@ -66,9 +63,8 @@ let measure_flat_pbft ~leader ~reps ~seed =
     Runner.flat_pbft ~seed ~primary:leader ~client_dc:leader
   in
   Runner.sequential engine ~n:reps ~warmup:1 ~run_one:(fun i ~on_done ->
-      let started = Engine.now engine in
       Bp_pbft.Client.submit client (Printf.sprintf "v%d" i) ~on_result:(fun _ ->
-          on_done (Time.to_ms (Time.diff (Engine.now engine) started))))
+          on_done ()))
 
 (* -------- hierarchical PBFT -------- *)
 
@@ -81,11 +77,7 @@ let measure_hier ~leader ~reps ~seed =
   Engine.run ~until:(Time.of_sec 2.0) engine;
   if not !ready then failwith "hierarchical PBFT election failed";
   Runner.sequential engine ~n:reps ~warmup:1 ~run_one:(fun i ~on_done ->
-      let started = Engine.now engine in
-      Bp_apps.Hier_pbft.replicate h ~leader
-        (Printf.sprintf "v%d" i)
-        ~on_committed:(fun () ->
-          on_done (Time.to_ms (Time.diff (Engine.now engine) started))))
+      Bp_apps.Hier_pbft.replicate h ~leader (Printf.sprintf "v%d" i) ~on_committed:on_done)
 
 (* One task per (leader, system) cell — 16 independent simulations. The
    seed formula matches the old nested loop, so results are unchanged. *)

@@ -26,7 +26,7 @@ let measure ~fi ~fg ~n ~seed =
     let t0 = Engine.now engine in
     ignore
       (Runner.sequential engine ~n ~warmup:0 ~run_one:(fun i ~on_done ->
-           op i ~k:(fun () -> on_done 0.0)));
+           op i ~k:on_done));
     (* Subtract the background traffic accrued over the same span. *)
     let span_ms = Time.to_ms (Time.diff (Engine.now engine) t0) in
     let m1, b1 = snapshot () in

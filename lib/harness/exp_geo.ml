@@ -24,10 +24,7 @@ let fig5_task ~scale (dc, fg) () =
   let n = Runner.scaled scale 10 in
   let stats =
     Runner.sequential world.Runner.engine ~n ~warmup:2 ~run_one:(fun i ~on_done ->
-        let started = Engine.now world.Runner.engine in
-        Api.log_commit api (Runner.payload ~size:1000 i) ~on_done:(fun () ->
-            on_done
-              (Time.to_ms (Time.diff (Engine.now world.Runner.engine) started))))
+        Api.log_commit api (Runner.payload ~size:1000 i) ~on_done)
   in
   [
     Printf.sprintf "%c(%d)" (Topology.name topo dc).[0] fg;
@@ -110,7 +107,7 @@ let fig8a ~scale =
         Api.log_commit api (Runner.payload ~size:1000 i) ~on_done:(fun () ->
             let ms = Time.to_ms (Time.diff (Engine.now world.Runner.engine) started) in
             series := (i + 1, ms) :: !series;
-            on_done ms))
+            on_done ()))
   in
   ignore stats;
   {
@@ -165,7 +162,7 @@ let fig8b ~scale =
         let finish () =
           let ms = Time.to_ms (Time.diff (Engine.now engine) started) in
           series := (i + 1, ms) :: !series;
-          on_done ms
+          on_done ()
         in
         if !takeover then Api.log_commit api_v payload ~on_done:finish
         else begin

@@ -9,9 +9,7 @@ let local_world ~fi ~seed =
 let commit_loop world ~size ~n ~warmup =
   let api = Deployment.api world.Runner.dep 0 in
   Runner.sequential world.Runner.engine ~n ~warmup ~run_one:(fun i ~on_done ->
-      let started = Engine.now world.Runner.engine in
-      Api.log_commit api (Runner.payload ~size i) ~on_done:(fun () ->
-          on_done (Time.to_ms (Time.diff (Engine.now world.Runner.engine) started))))
+      Api.log_commit api (Runner.payload ~size i) ~on_done)
 
 (* size (KB), measured batches, paper latency (ms), paper throughput (MB/s).
    Paper numbers from the §VIII-A text; "-" where the figure is not read
@@ -138,11 +136,7 @@ let pipeline_task ~scale depth () =
   let total = Runner.scaled scale 60 in
   let stats, makespan =
     Runner.closed_loop world.Runner.engine ~total ~outstanding:16
-      ~run_one:(fun i ~on_done ->
-        let started = Engine.now world.Runner.engine in
-        Api.log_commit api (Runner.payload ~size i) ~on_done:(fun () ->
-            on_done
-              (Time.to_ms (Time.diff (Engine.now world.Runner.engine) started))))
+      ~run_one:(fun i ~on_done -> Api.log_commit api (Runner.payload ~size i) ~on_done)
   in
   let span_s = Time.to_sec makespan in
   let thr_mbps =

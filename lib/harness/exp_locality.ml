@@ -28,7 +28,7 @@ let run_bp_paxos ~reps ~seed =
     (Runner.sequential world.Runner.engine ~n:reps ~warmup:0 ~run_one:(fun i ~on_done ->
          Bp_apps.Byz_paxos.replicate drivers.(2)
            (Printf.sprintf "v%d" i)
-           ~on_result:(fun _ -> on_done 0.0)));
+           ~on_result:(fun _ -> on_done ())));
   split_traffic world.Runner.net
 
 let run_flat_pbft ~reps ~seed =
@@ -36,7 +36,7 @@ let run_flat_pbft ~reps ~seed =
   ignore
     (Runner.sequential engine ~n:reps ~warmup:0 ~run_one:(fun i ~on_done ->
          Bp_pbft.Client.submit client (Printf.sprintf "v%d" i) ~on_result:(fun _ ->
-             on_done 0.0)));
+             on_done ())));
   split_traffic net
 
 let locality_merge ~reps results =

@@ -68,12 +68,6 @@ let series_list =
      queue, bounded by a hold timer well under the commit latency. *)
   @ [ { key = "d8mf16"; depth = 8; min_fill = 16; hold_ms = 0.25 } ]
 
-let payload ~client i =
-  let stamp = Printf.sprintf "c%d;op%d;" client i in
-  let b = Bytes.make 1000 'x' in
-  Bytes.blit_string stamp 0 b 0 (Stdlib.min (String.length stamp) 1000);
-  Bytes.unsafe_to_string b
-
 let mean_fill (bs : Bp_pbft.Replica.batch_stats) =
   if bs.Bp_pbft.Replica.batches_cut = 0 then 0.0
   else
@@ -103,7 +97,7 @@ let sat_task ~knobs ~scale ~series ~rate ~seed () =
   in
   let r =
     Loadgen.run engine ~gen ~submit:(fun i ~client ~on_done ->
-        Api.log_commit api (payload ~client i) ~on_done)
+        Api.log_commit api (Runner.client_payload ~client i) ~on_done)
   in
   let p pct = Bp_util.Stats.percentile r.Loadgen.latencies pct in
   [

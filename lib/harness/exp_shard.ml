@@ -54,14 +54,6 @@ let map_for nshards =
    2PC price — wider transactions only add more of the same rounds. *)
 let txn_keys = 2
 
-let op_bytes = 1000
-
-let op_payload ~client i =
-  let stamp = Printf.sprintf "c%d;op%d;" client i in
-  let b = Bytes.make op_bytes 'x' in
-  Bytes.blit_string stamp 0 b 0 (Stdlib.min (String.length stamp) op_bytes);
-  Bytes.unsafe_to_string b
-
 let shard_task ~knobs ~scale ~series ~nshards ~seed () =
   let map = map_for nshards in
   let world =
@@ -97,7 +89,8 @@ let shard_task ~knobs ~scale ~series ~nshards ~seed () =
         let targets = Loadgen.draw_targets mix in
         let ops =
           List.map
-            (fun s -> (Shard.key_for map ~shard:s ~salt:i, op_payload ~client i))
+            (fun s ->
+              (Shard.key_for map ~shard:s ~salt:i, Runner.client_payload ~client i))
             targets
         in
         (* An abort still completes the arrival — the downgrade is the

@@ -59,14 +59,16 @@ let flat_pbft ~seed ~primary ~client_dc =
   in
   (engine, net, client)
 
+(* [size] bytes: [stamp], cut to fit, then 'x' padding. *)
+let stamped ~size stamp =
+  let b = Bytes.make size 'x' in
+  Bytes.blit_string stamp 0 b 0 (Stdlib.min (String.length stamp) size);
+  Bytes.unsafe_to_string b
+
 let payload ~size i =
-  if size <= 0 then ""
-  else begin
-    let stamp = Printf.sprintf "batch-%d;" i in
-    let b = Bytes.make size 'x' in
-    Bytes.blit_string stamp 0 b 0 (Stdlib.min (String.length stamp) size);
-    Bytes.unsafe_to_string b
-  end
+  if size <= 0 then "" else stamped ~size (Printf.sprintf "batch-%d;" i)
+
+let client_payload ~client i = stamped ~size:1000 (Printf.sprintf "c%d;op%d;" client i)
 
 (* Step until the workload completes — the deployment's periodic timers
    (reserve probes, daemon retries) never drain the queue on their own. *)
@@ -79,6 +81,8 @@ let drive engine ~what ~finished =
   if not (finished ()) then
     failwith (what ^ ": workload did not finish (deadlock in protocol?)")
 
+let elapsed_ms engine started = Time.to_ms (Time.diff (Engine.now engine) started)
+
 let sequential engine ~n ~warmup ~run_one =
   let stats = Bp_util.Stats.create () in
   let total = warmup + n in
@@ -86,8 +90,9 @@ let sequential engine ~n ~warmup ~run_one =
   let rec go i =
     if i >= total then finished := true
     else
-      run_one i ~on_done:(fun latency_ms ->
-          if i >= warmup then Bp_util.Stats.add stats latency_ms;
+      let started = Engine.now engine in
+      run_one i ~on_done:(fun () ->
+          if i >= warmup then Bp_util.Stats.add stats (elapsed_ms engine started);
           go (i + 1))
   in
   go 0;
@@ -104,8 +109,9 @@ let closed_loop engine ~total ~outstanding ~run_one =
     if !next < total then begin
       let i = !next in
       incr next;
-      run_one i ~on_done:(fun latency_ms ->
-          Bp_util.Stats.add stats latency_ms;
+      let started = Engine.now engine in
+      run_one i ~on_done:(fun () ->
+          Bp_util.Stats.add stats (elapsed_ms engine started);
           incr completed;
           if !completed >= total then finished := true else launch ())
     end

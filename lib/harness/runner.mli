@@ -47,6 +47,10 @@ val payload : size:int -> int -> string
 (** Deterministic batch contents of the given byte size (the index makes
     successive batches distinct). *)
 
+val client_payload : client:int -> int -> string
+(** Op [i] of load-generator client [client]: 1000 deterministic bytes,
+    distinct per (client, i). *)
+
 val drive : Bp_sim.Engine.t -> what:string -> finished:(unit -> bool) -> unit
 (** Step [engine] until [finished ()] — the one drive loop under every
     workload generator (periodic deployment timers never drain the event
@@ -57,17 +61,19 @@ val sequential :
   Bp_sim.Engine.t ->
   n:int ->
   warmup:int ->
-  run_one:(int -> on_done:(float -> unit) -> unit) ->
+  run_one:(int -> on_done:(unit -> unit) -> unit) ->
   Bp_util.Stats.t
 (** Run [warmup + n] operations strictly one after another; [run_one i]
-    must eventually call [on_done latency_ms]. Returns the statistics of
-    the measured (post-warmup) operations. Drives the engine itself. *)
+    must eventually call [on_done ()]. An operation's latency is the
+    simulated time from the call of [run_one i] to its [on_done]. Returns
+    the latency statistics (ms) of the measured (post-warmup)
+    operations. Drives the engine itself. *)
 
 val closed_loop :
   Bp_sim.Engine.t ->
   total:int ->
   outstanding:int ->
-  run_one:(int -> on_done:(float -> unit) -> unit) ->
+  run_one:(int -> on_done:(unit -> unit) -> unit) ->
   Bp_util.Stats.t * Bp_sim.Time.t
 (** Run [total] operations keeping up to [outstanding] in flight at
     once (each completion launches the next). Returns the per-operation
