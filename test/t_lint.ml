@@ -182,7 +182,7 @@ let test_r11_ledger () =
   check_count ~msg:"two app verifies" "R11-ledger" 2 diags;
   Alcotest.(check int) "total findings" 2 (List.length diags);
   let has rule source = List.mem rule (Lint.policy ~source) in
-  Alcotest.(check bool) "apps get R11" true (has "R11-ledger" "lib/apps/two_phase.ml");
+  Alcotest.(check bool) "apps get R11" true (has "R11-ledger" "lib/apps/bank.ml");
   Alcotest.(check bool) "byzantize is the ledger" false
     (has "R11-ledger" "lib/apps/byzantize.ml");
   Alcotest.(check bool) "core is not an app" false
@@ -236,7 +236,7 @@ let test_policy () =
       "lib/util/rng.ml";
       "lib/core/unit_node.ml";
       "lib/apps/bank.ml";
-      "lib/storage/kv.ml";
+      "lib/storage/wal.ml";
       "lib/crypto/verify_batch.ml";
     ];
   Alcotest.(check bool) "all lib gets R2-nondet" true

@@ -197,23 +197,6 @@ let test_wal_replay_bank_and_paxos () =
     ignore (check_replay_digest paxos_app (Deployment.node dep p 1))
   done
 
-let test_wal_replay_two_phase () =
-  let app = (module Bp_apps.Two_phase.Protocol : App.S) in
-  let engine, _net, dep = make_world ~app () in
-  let coord = Bp_apps.Two_phase.attach (Deployment.api dep 0) in
-  for p = 1 to 3 do
-    ignore (Bp_apps.Two_phase.attach (Deployment.api dep p))
-  done;
-  let submit ops = Bp_apps.Two_phase.submit coord ~ops ~on_decided:ignore in
-  submit [ (1, Bp_storage.Kv.Put ("k", "v")); (2, Bp_storage.Kv.Add ("n", 1)) ];
-  submit [ (2, Bp_storage.Kv.Put ("x", "1")); (3, Bp_storage.Kv.Delete "nope") ];
-  Engine.run ~until:(Time.of_sec 5.0) engine;
-  Alcotest.(check (pair int int)) "one commit, one abort" (1, 1)
-    (Bp_apps.Two_phase.decided_count coord);
-  for p = 0 to 3 do
-    ignore (check_replay_digest app (Deployment.node dep p 1))
-  done
-
 let test_crashed_replica_catches_up () =
   (* A node that misses traffic while crashed is brought back up to date
      by the transport's retransmissions once it recovers. *)
@@ -450,7 +433,6 @@ let suite =
         tc "cache off gives identical digests" test_cache_off_same_digests;
         tc "receives are durable" test_wal_covers_receives;
         tc "bank and paxos worlds replay" test_wal_replay_bank_and_paxos;
-        tc "two-phase world replays" test_wal_replay_two_phase;
         tc "crashed replica catches up" test_crashed_replica_catches_up;
         tc "state transfer after amnesiac reboot" test_state_transfer_after_amnesia;
       ] );

@@ -122,105 +122,6 @@ let test_wal_garbage_prefix () =
   Alcotest.(check (list string)) "no records" [] records;
   Alcotest.(check bool) "discards counted" true (discarded > 0)
 
-let test_kv_basic_ops () =
-  let kv = Kv.create () in
-  Alcotest.(check bool) "put" true (Kv.apply kv (Kv.Put ("a", "1")) = Kv.Applied);
-  Alcotest.(check (option string)) "get" (Some "1") (Kv.get kv "a");
-  Alcotest.(check bool) "delete" true (Kv.apply kv (Kv.Delete "a") = Kv.Applied);
-  Alcotest.(check (option string)) "gone" None (Kv.get kv "a")
-
-let test_kv_delete_missing_fails () =
-  let kv = Kv.create () in
-  (match Kv.apply kv (Kv.Delete "nope") with
-  | Kv.Failed _ -> ()
-  | Kv.Applied -> Alcotest.fail "expected failure");
-  Alcotest.(check bool) "can_apply agrees" false (Kv.can_apply kv (Kv.Delete "nope"))
-
-let test_kv_add () =
-  let kv = Kv.create () in
-  ignore (Kv.apply kv (Kv.Add ("n", 5)));
-  ignore (Kv.apply kv (Kv.Add ("n", -2)));
-  Alcotest.(check (option string)) "sum" (Some "3") (Kv.get kv "n");
-  ignore (Kv.apply kv (Kv.Put ("s", "abc")));
-  match Kv.apply kv (Kv.Add ("s", 1)) with
-  | Kv.Failed _ -> ()
-  | Kv.Applied -> Alcotest.fail "add on non-numeric applied"
-
-let test_kv_cas () =
-  let kv = Kv.create () in
-  Alcotest.(check bool) "cas absent ok" true
-    (Kv.apply kv (Kv.Cas ("k", None, "v1")) = Kv.Applied);
-  Alcotest.(check bool) "cas with wrong expectation fails" true
-    (match Kv.apply kv (Kv.Cas ("k", Some "other", "v2")) with
-    | Kv.Failed _ -> true
-    | Kv.Applied -> false);
-  Alcotest.(check (option string)) "unchanged" (Some "v1") (Kv.get kv "k");
-  Alcotest.(check bool) "cas right expectation" true
-    (Kv.apply kv (Kv.Cas ("k", Some "v1", "v2")) = Kv.Applied);
-  Alcotest.(check (option string)) "swapped" (Some "v2") (Kv.get kv "k")
-
-let test_kv_failed_leaves_state () =
-  let kv = Kv.create () in
-  ignore (Kv.apply kv (Kv.Put ("x", "1")));
-  let before = Kv.digest kv in
-  ignore (Kv.apply kv (Kv.Cas ("x", Some "9", "2")));
-  Alcotest.(check string) "digest unchanged" before (Kv.digest kv)
-
-let test_kv_digest_equality () =
-  let a = Kv.create () and b = Kv.create () in
-  ignore (Kv.apply a (Kv.Put ("k1", "v1")));
-  ignore (Kv.apply a (Kv.Put ("k2", "v2")));
-  ignore (Kv.apply b (Kv.Put ("k2", "v2")));
-  ignore (Kv.apply b (Kv.Put ("k1", "v1")));
-  Alcotest.(check string) "insertion order irrelevant" (Kv.digest a) (Kv.digest b);
-  ignore (Kv.apply b (Kv.Put ("k3", "v3")));
-  Alcotest.(check bool) "state-sensitive" false
-    (String.equal (Kv.digest a) (Kv.digest b))
-
-let test_kv_copy_isolated () =
-  let a = Kv.create () in
-  ignore (Kv.apply a (Kv.Put ("k", "v")));
-  let b = Kv.copy a in
-  ignore (Kv.apply b (Kv.Put ("k", "changed")));
-  Alcotest.(check (option string)) "original untouched" (Some "v") (Kv.get a "k")
-
-let test_kv_op_codec_roundtrip () =
-  List.iter
-    (fun op ->
-      match Kv.decode_op (Kv.encode_op op) with
-      | Ok op' -> Alcotest.(check bool) "roundtrip" true (op = op')
-      | Error e -> Alcotest.fail e)
-    [
-      Kv.Put ("key", "value");
-      Kv.Delete "key";
-      Kv.Add ("ctr", -17);
-      Kv.Cas ("k", None, "v");
-      Kv.Cas ("k", Some "old", "new");
-    ]
-
-let test_kv_decode_garbage () =
-  match Kv.decode_op "\xffgarbage" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "garbage decoded"
-
-let qcheck_kv_apply_deterministic =
-  let op_gen =
-    QCheck.Gen.(
-      oneof
-        [
-          map2 (fun k v -> Kv.Put (k, v)) (string_size (1 -- 4)) (string_size (0 -- 4));
-          map (fun k -> Kv.Delete k) (string_size (1 -- 4));
-          map2 (fun k n -> Kv.Add (k, n)) (string_size (1 -- 4)) (int_range (-10) 10);
-        ])
-  in
-  QCheck.Test.make ~name:"replaying ops gives identical digests" ~count:200
-    (QCheck.make QCheck.Gen.(list_size (0 -- 30) op_gen))
-    (fun ops ->
-      let a = Kv.create () and b = Kv.create () in
-      List.iter (fun op -> ignore (Kv.apply a op)) ops;
-      List.iter (fun op -> ignore (Kv.apply b op)) ops;
-      String.equal (Kv.digest a) (Kv.digest b))
-
 let qcheck_wal_recovery_prefix =
   QCheck.Test.make ~name:"wal recovery yields a prefix" ~count:200
     QCheck.(pair (list_of_size Gen.(1 -- 10) (string_of_size Gen.(0 -- 20))) small_nat)
@@ -272,18 +173,5 @@ let suite =
         tc "garbage prefix" test_wal_garbage_prefix;
         QCheck_alcotest.to_alcotest qcheck_wal_recovery_prefix;
         QCheck_alcotest.to_alcotest qcheck_wal_image_is_sealed_frames;
-      ] );
-    ( "storage.kv",
-      [
-        tc "basic ops" test_kv_basic_ops;
-        tc "delete missing fails" test_kv_delete_missing_fails;
-        tc "numeric add" test_kv_add;
-        tc "cas" test_kv_cas;
-        tc "failed op leaves state" test_kv_failed_leaves_state;
-        tc "digest equality" test_kv_digest_equality;
-        tc "copy isolation" test_kv_copy_isolated;
-        tc "op codec roundtrip" test_kv_op_codec_roundtrip;
-        tc "decode garbage" test_kv_decode_garbage;
-        QCheck_alcotest.to_alcotest qcheck_kv_apply_deterministic;
       ] );
   ]
